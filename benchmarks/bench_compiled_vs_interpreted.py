@@ -2,7 +2,7 @@
 
 Regenerates: the cost of interpreting expression trees per tuple.  The
 same two workloads run twice each — once on an engine built with
-``compile_expressions=False`` and fed tuple-by-tuple through
+``tier="interpreted"`` and fed tuple-by-tuple through
 :meth:`Engine.push` (the interpreted baseline: AST walks for every
 predicate, full clock advancement and stream lookup per record), and once
 on the default compiled engine fed through :meth:`Engine.run_trace`
@@ -55,7 +55,7 @@ MIN_RATIO = 1.4
 
 def _run_interpreted(build, workload):
     """Seed-style execution: AST walks + per-record Engine.push."""
-    scn = build(workload, compile_expressions=False)
+    scn = build(workload, tier="interpreted")
     push = scn.engine.push
     gc.collect()
     gc.disable()
@@ -168,7 +168,7 @@ def test_compiled_vs_interpreted(table_printer):
             f"{label}:interpreted",
             n_tuples=n_tuples,
             seconds=secs_i,
-            params={"compile_expressions": False, "ingestion": "push"},
+            params={"tier": "interpreted", "ingestion": "push"},
             rows=n_rows,
         )
         report.add_experiment(
@@ -177,7 +177,7 @@ def test_compiled_vs_interpreted(table_printer):
             seconds=secs_c,
             latencies_s=latencies,
             state_size=state,
-            params={"compile_expressions": True, "ingestion": "run_trace"},
+            params={"tier": "vector", "ingestion": "run_trace"},
             rows=n_rows,
             speedup_vs_interpreted=ratio,
         )

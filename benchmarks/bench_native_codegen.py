@@ -3,15 +3,16 @@
 Regenerates: the three-arm ablation of
 :func:`repro.bench.run_native_codegen`.  All arms consume the *same*
 pre-built ``ColumnBatch`` streams; the only difference is the Engine's
-tier flags.  The native arm runs with ``vectorized_admission`` off so
-the measured gap is C kernel vs Python closure, not a mix of tiers.
+``tier``.  Where a predicate lowers to C the native arm never consults
+the vector masks beneath it, so the measured gap is C kernel vs Python
+closure.
 Correctness is part of the measurement: every arm must produce
 byte-identical output (values, timestamps, order) or the runner raises.
 
 Three workloads:
 
 * the uniform-pressure filter selectivity sweep (mirrors
-  ``BENCH_vectorized_admission`` so the native and vector tiers are
+  ``BENCH_vector_admission`` so the native and vector tiers are
   directly comparable),
 * the quality SEQ pairing workload (lenient masks feeding a temporal
   operator — admission is only part of the work, so the gap narrows),
@@ -19,7 +20,7 @@ Three workloads:
   lower to C — this arm pins the fallback chain at closure parity.
 
 The speedup floor self-gates: it is only asserted when a C compiler is
-present (otherwise the native arm legitimately degrades to the closure
+present (otherwise the native arm legitimately degrades to the vector
 tier) and the host has more than one effective CPU (``cpu_limited``
 runs are recorded but not gated — a shared single core makes best-of
 timings too noisy for a hard floor).

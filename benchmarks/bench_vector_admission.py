@@ -3,8 +3,8 @@
 Regenerates: the selectivity sweep of
 :func:`repro.bench.run_vectorized_admission`.  Both headline arms
 consume the *same* pre-built ``ColumnBatch`` stream through the same
-compiled filter query; the only difference is the Engine's
-``vectorized_admission`` flag, so the gap is the admission tier itself —
+compiled filter query; the only difference is the Engine's ``tier``
+(``"closure"`` vs ``"vector"``), so the gap is the admission tier itself —
 whole-column predicate evaluation plus survivor-only ``Tuple``
 materialization versus materialize-then-check per row.  A third ``rows``
 arm feeds identical records through the per-record ``push_batch`` path
@@ -18,7 +18,7 @@ filter passes more rows and materialization dominates both arms.  The
 speedup floor is asserted unconditionally — the benchmark is single
 process, so there is no CPU-count gate.
 
-Writes ``BENCH_vectorized_admission.json`` to the repository root.
+Writes ``BENCH_vector_admission.json`` to the repository root.
 """
 
 import os

@@ -73,33 +73,3 @@ def throughput(n_tuples: int, seconds: float) -> float:
 def summarize_rows(rows: Sequence[dict[str, Any]], keys: Sequence[str]) -> list[tuple]:
     """Project result rows onto key columns for set comparison."""
     return [tuple(row.get(key) for key in keys) for row in rows]
-
-
-def wire_summary(
-    totals: dict[str, Any], n_tuples: int
-) -> dict[str, float]:
-    """Per-record wire costs from a ``transport_stats()["totals"]`` dict.
-
-    Normalizes the transport counters one arm accumulated into
-    comparable per-record figures: bytes each way, round trips per
-    thousand records, and the heartbeat-amplification share (heartbeat-
-    only frames as a fraction of all frames sent).  Missing counters
-    (e.g. ``bytes_received`` for the futures arm, whose results come
-    back through the pool rather than a measured pipe) are reported as
-    0.0 rather than omitted, so tables stay rectangular.
-    """
-    n = max(n_tuples, 1)
-    frames_sent = float(totals.get("frames_sent", 0) or 0)
-    heartbeats = float(totals.get("heartbeat_frames", 0) or 0)
-    return {
-        "bytes_sent_per_record": float(totals.get("bytes_sent", 0) or 0) / n,
-        "bytes_received_per_record": (
-            float(totals.get("bytes_received", 0) or 0) / n
-        ),
-        "round_trips_per_1k_records": (
-            float(totals.get("round_trips", 0) or 0) * 1000.0 / n
-        ),
-        "heartbeat_frame_share": (
-            heartbeats / frames_sent if frames_sent else 0.0
-        ),
-    }

@@ -18,32 +18,17 @@ from typing import Any, Callable, Mapping, Sequence
 from .harness import (
     BenchReport,
     effective_cpu_count,
-    measure_latencies,
     standard_meta,
 )
 
 
-def active_execution_tier(
-    compile_expressions: bool = True,
-    vectorized_admission: bool = True,
-    native_admission: bool = False,
-) -> str:
-    """The admission tier an Engine with these flags actually runs at.
+def active_execution_tier(tier: str = "vector") -> str:
+    """The tier an Engine capped at *tier* actually runs at on this host
+    (native needs a C compiler), so bench metadata records what was
+    measured, not just what was requested."""
+    from ..dsms.lowering import execution_tier
 
-    Mirrors :meth:`~repro.dsms.engine.Engine.execution_tier`'s
-    degradation ladder (native needs a C compiler on the host), so bench
-    metadata records what was measured, not just what was requested.
-    """
-    if native_admission:
-        from ..dsms.native import find_compiler
-
-        if find_compiler() is not None:
-            return "native"
-    if vectorized_admission:
-        return "vector"
-    if compile_expressions:
-        return "closure"
-    return "interpreted"
+    return execution_tier(tier)["active"]
 
 
 def _timed_feed(
@@ -90,7 +75,6 @@ def run_sharded_scaling(
     n_products: int = 150,
     shard_counts: Sequence[int] = (1, 2, 4, 8),
     executor: str = "parallel",
-    codec: str = "framed",
     batch_size: int = 512,
     reps: int | None = None,
     seed: int = 122,
@@ -128,7 +112,6 @@ def run_sharded_scaling(
             scaling_mode="weak",
             n_products_per_shard=n_products,
             executor=executor,
-            codec=codec if executor == "parallel" else None,
             batch_size=batch_size,
             reps=reps,
             cpu_limited=cpus < max(shard_counts),
@@ -150,13 +133,9 @@ def run_sharded_scaling(
         single_seconds, reference_rows, _ = _timed_feed(
             lambda w=workload: build_quality_check(w), reps
         )
-        sharded_kwargs: dict[str, Any] = {}
-        if executor == "parallel":
-            sharded_kwargs["codec"] = codec
         sharded_seconds, rows, _ = _timed_feed(
             lambda w=workload, n=n_shards: build_quality_check_sharded(
-                w, n_shards=n, executor=executor, batch_size=batch_size,
-                **sharded_kwargs,
+                w, n_shards=n, executor=executor, batch_size=batch_size
             ),
             reps,
         )
@@ -216,424 +195,7 @@ def weak_efficiency(report: BenchReport, shards: int) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# shard_transport — futures-pickle vs pipe-pickle vs pipe-framed ablation
-# ---------------------------------------------------------------------------
-
-#: The three transport arms: (label, executor kind, codec or None).
-TRANSPORT_ARMS: Sequence[tuple[str, str, str | None]] = (
-    ("futures-pickle", "futures", None),
-    ("pipe-pickle", "parallel", "pickle"),
-    ("pipe-framed", "parallel", "framed"),
-)
-
-
-def run_shard_transport(
-    *,
-    n_products: int = 600,
-    shard_counts: Sequence[int] = (2, 4),
-    batch_size: int = 512,
-    reps: int | None = None,
-    seed: int = 122,
-) -> BenchReport:
-    """Shard-transport ablation on the weak-scaling Example 6 workload.
-
-    Three arms move the *same* records to the *same* shard engines over
-    different plumbing:
-
-    * ``futures-pickle`` — the legacy :class:`ProcessPoolExecutor`
-      submit-per-batch transport (one pickled work item and one pickled
-      result per epoch, through the pool's queue machinery);
-    * ``pipe-pickle`` — persistent pipe workers, payloads pickled whole;
-    * ``pipe-framed`` — persistent pipe workers, struct-packed columnar
-      frames with interned stream ids (see :mod:`repro.dsms.transport`).
-
-    Every arm is warmed (``ShardedEngine.start()`` runs outside the timed
-    region, for all arms alike — lazy pool spawn inside the clock would
-    charge process startup to the futures arm only), reps interleave
-    across arms so host drift degrades each best-of equally, and each
-    arm's merged rows must equal the single-engine reference row for row.
-
-    Wire accounting comes from :meth:`ShardedEngine.transport_stats`:
-    bytes on the wire in each direction, frame and round-trip counts,
-    heartbeat-only frames, and codec encode/decode seconds.  The futures
-    arm counts bytes in one extra untimed rep with ``measure_bytes=True``
-    (its double-pickle accounting must not pollute the timed run).
-
-    On hosts with fewer CPUs than ``n_shards + 1`` the arms serialize
-    onto the same cores, wall-clock collapses to total CPU work, and the
-    pipe transport's latency hiding cannot show; such arms are tagged
-    ``cpu_limited`` and the headline ``speedup_framed_vs_futures`` should
-    be read as a parity check there, not as the transport win.
-    """
-    from ..rfid import build_quality_check, build_quality_check_sharded
-    from ..rfid import quality_check_workload
-
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-    cpus = effective_cpu_count()
-    shard_counts = tuple(shard_counts)
-
-    report = BenchReport(
-        "shard_transport",
-        meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
-            workload="example6-quality",
-            scaling_mode="weak",
-            n_products_per_shard=n_products,
-            batch_size=batch_size,
-            arms=[label for label, _, _ in TRANSPORT_ARMS],
-            reps=reps,
-            cpu_limited=cpus < max(shard_counts) + 1,
-            note=(
-                "transport ablation: same records, same shard engines, "
-                "different plumbing; engines are started before the "
-                "timed region for every arm alike; arms on hosts with "
-                "cpu_count < n_shards + 1 serialize onto shared cores "
-                "and are tagged cpu_limited"
-            ),
-        ),
-    )
-
-    def _build(arm_executor: str, codec: str | None, n_shards: int,
-               workload: Any, **extra: Any) -> Any:
-        kwargs: dict[str, Any] = {}
-        if codec is not None:
-            kwargs["codec"] = codec
-        kwargs.update(extra)
-        return build_quality_check_sharded(
-            workload,
-            n_shards=n_shards,
-            executor=arm_executor,
-            batch_size=batch_size,
-            **kwargs,
-        )
-
-    speedups: dict[int, float] = {}
-    for n_shards in shard_counts:
-        workload = quality_check_workload(
-            n_products=n_products * n_shards, seed=seed
-        )
-        n_tuples = len(workload.trace)
-        single_seconds, reference_rows, _ = _timed_feed(
-            lambda w=workload: build_quality_check(w), reps
-        )
-        arm_seconds = {label: float("inf") for label, _, _ in TRANSPORT_ARMS}
-        arm_rows: dict[str, list] = {}
-        arm_stats: dict[str, dict[str, Any]] = {}
-        for rep in range(reps):
-            for label, arm_executor, codec in TRANSPORT_ARMS:
-                scenario = _build(arm_executor, codec, n_shards, workload)
-                engine = scenario.engine.start()
-                gc.disable()
-                try:
-                    start = time.perf_counter()
-                    scenario.feed()
-                    seconds = time.perf_counter() - start
-                finally:
-                    gc.enable()
-                arm_seconds[label] = min(arm_seconds[label], seconds)
-                if rep == reps - 1:
-                    arm_rows[label] = scenario.rows()
-                    arm_stats[label] = engine.transport_stats()
-                engine.close()
-        # Untimed byte-accounting rep for the futures arm (its wire
-        # counter double-pickles every dispatch, so it stays out of the
-        # timed loop above).
-        scenario = _build(
-            "futures", None, n_shards, workload, measure_bytes=True
-        )
-        engine = scenario.engine.start()
-        scenario.feed()
-        futures_totals = engine.transport_stats()["totals"]
-        engine.close()
-        arm_stats["futures-pickle"]["totals"]["bytes_sent"] = (
-            futures_totals["bytes_sent"]
-        )
-
-        for label, arm_executor, codec in TRANSPORT_ARMS:
-            if arm_rows[label] != reference_rows:
-                raise AssertionError(
-                    f"{label} output diverged from single engine at "
-                    f"{n_shards} shards ({len(arm_rows[label])} vs "
-                    f"{len(reference_rows)} rows)"
-                )
-            totals = arm_stats[label]["totals"]
-            report.add_experiment(
-                f"{label}-{n_shards}",
-                n_tuples=n_tuples,
-                seconds=arm_seconds[label],
-                shards=n_shards,
-                params={
-                    "engine": "ShardedEngine",
-                    "executor": arm_executor,
-                    "codec": codec,
-                    "n_products": n_products * n_shards,
-                    "batch_size": batch_size,
-                },
-                speedup_vs_single=(
-                    single_seconds / arm_seconds[label]
-                    if arm_seconds[label]
-                    else 0.0
-                ),
-                cpu_limited=n_shards + 1 > cpus,
-                transport=totals,
-            )
-        report.add_experiment(
-            f"single-{n_shards}x",
-            n_tuples=n_tuples,
-            seconds=single_seconds,
-            params={"engine": "Engine", "n_products": n_products * n_shards},
-        )
-        speedups[n_shards] = (
-            arm_seconds["futures-pickle"] / arm_seconds["pipe-framed"]
-            if arm_seconds["pipe-framed"]
-            else 0.0
-        )
-
-    report.meta["speedup_framed_vs_futures"] = speedups[shard_counts[0]]
-    report.meta["speedup_framed_vs_futures_by_shards"] = {
-        str(n): value for n, value in speedups.items()
-    }
-    return report
-
-
-def transport_speedup(report: BenchReport, shards: int) -> float | None:
-    """Framed-over-futures wall-clock speedup at *shards*, if measured."""
-    by_shards = report.meta.get("speedup_framed_vs_futures_by_shards", {})
-    value = by_shards.get(str(shards))
-    return float(value) if value is not None else None
-
-
-# ---------------------------------------------------------------------------
-# operator_state — indexed vs. reference SEQ state layer
-# ---------------------------------------------------------------------------
-
-_QUALITY_STREAMS = ("c1", "c2", "c3", "c4")
-_QUALITY_SCHEMA = "readerid str, tagid str, tagtime float"
-
-
-def _operator_scenario(indexed: bool, window_seconds: float):
-    """An Engine plus a bare Example 6 SEQ operator (no query layer).
-
-    Driving the operator directly keeps SELECT projection and sink costs
-    out of the measured loop, so the arms compare the state layer itself:
-    admission, window eviction, match enumeration, and expiry.
-    """
-    from ..core.operators.base import OperatorWindow, PairingMode, SeqArg
-    from ..core.operators.seq import SeqOperator
-    from ..dsms.engine import Engine
-
-    engine = Engine(indexed_state=indexed)
-    for name in _QUALITY_STREAMS:
-        engine.create_stream(name, _QUALITY_SCHEMA)
-    args = [SeqArg(name, name.upper()) for name in _QUALITY_STREAMS]
-    operator = SeqOperator(
-        engine,
-        args,
-        mode=PairingMode.UNRESTRICTED,
-        window=OperatorWindow(window_seconds, len(args) - 1, "preceding"),
-        partition_by=lambda tup: tup.values[1],  # tagid
-        store_matches=False,
-    )
-    return engine, operator
-
-
-def _push_latencies(engine: Any, trace: Sequence[tuple]) -> list[float]:
-    """Per-record delivery latencies for *trace* through ``engine.push``."""
-    records = iter(trace)
-    push = engine.push
-
-    def push_one() -> None:
-        stream, values, ts = next(records)
-        push(stream, values, ts)
-
-    return measure_latencies(push_one, len(trace))
-
-
-def run_operator_state(
-    *,
-    n_products: int = 150,
-    rereads: int = 5,
-    window_minutes: float = 30.0,
-    idle_counts: Sequence[int] = (500, 2000),
-    reps: int | None = None,
-    seed: int = 123,
-) -> BenchReport:
-    """Indexed vs. reference SEQ state layer on a many-partition workload.
-
-    Three experiment families, each run with ``indexed_state`` on and off:
-
-    * ``naive`` / ``indexed`` — the headline arms.  A bare Example 6
-      UNRESTRICTED SEQ operator (one partition per tag) fed the quality
-      workload with *rereads* reports per checkpoint dwell, so every
-      anchor enumerates the full cross-product of re-reads — the dense
-      enumeration the predecessor-cut index exists for.  Records
-      throughput (best of *reps*), per-tuple latency percentiles, peak
-      ``state_size``, and the expiry-work counters.
-    * ``query-naive`` / ``query-indexed`` — the same workload end to end
-      through the parsed Example 6 query (SELECT projection and collector
-      included), with a row-for-row equality check between the arms.
-    * ``idle-<n>-naive`` / ``idle-<n>-indexed`` — *n* one-shot tags (a
-      single c1 read each, then silence) spread over 2.5 window widths.
-      The reference sweep walks every live partition on the arrival that
-      pays for it, so its worst single tick (``max_tick_touches``) grows
-      with the tag count; the expiry heap pops only due partitions and
-      stays flat.  The heap's heartbeat timer also drains state after the
-      trace ends (``final_state_size`` 0), which the arrival-driven sweep
-      cannot.
-    """
-    from ..rfid import quality_check_workload
-    from ..rfid.scenarios import build_quality_check
-
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-    window_seconds = window_minutes * 60.0
-    workload = quality_check_workload(
-        n_products=n_products, seed=seed, rereads=rereads
-    )
-    trace = workload.trace
-    n_tuples = len(trace)
-
-    report = BenchReport(
-        "operator_state",
-        meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
-            workload="example6-quality-rereads",
-            n_products=n_products,
-            rereads=rereads,
-            window_minutes=window_minutes,
-            n_tuples=n_tuples,
-            reps=reps,
-        ),
-    )
-
-    arms = (("naive", False), ("indexed", True))
-    # Interleave the arms' reps (naive, indexed, naive, ...) so slow drift
-    # on a shared host degrades both best-of measurements equally instead
-    # of biasing whichever arm ran last.
-    arm_seconds = {label: float("inf") for label, _ in arms}
-    arm_operator: dict[str, Any] = {}
-    for _ in range(reps):
-        for label, indexed in arms:
-            engine, operator = _operator_scenario(indexed, window_seconds)
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                engine.run_trace(trace)
-                arm_seconds[label] = min(
-                    arm_seconds[label], time.perf_counter() - start
-                )
-            finally:
-                gc.enable()
-            arm_operator[label] = operator
-    for label, indexed in arms:
-        latency_engine, _latency_op = _operator_scenario(
-            indexed, window_seconds
-        )
-        latencies = _push_latencies(latency_engine, trace)
-        operator = arm_operator[label]
-        report.add_experiment(
-            label,
-            n_tuples=n_tuples,
-            seconds=arm_seconds[label],
-            latencies_s=latencies,
-            state_size=operator.peak_state_size,
-            params={"driver": "operator", "indexed_state": indexed},
-            matches=operator.matches_emitted,
-            final_state_size=operator.state_size,
-            sweep_touches=operator.sweep_touches,
-            max_tick_touches=operator.max_tick_touches,
-        )
-    arm_matches = {
-        label: operator.matches_emitted
-        for label, operator in arm_operator.items()
-    }
-    if arm_matches["naive"] != arm_matches["indexed"]:
-        raise AssertionError(
-            f"indexed arm emitted {arm_matches['indexed']} matches vs "
-            f"{arm_matches['naive']} from the reference path"
-        )
-    report.meta["speedup_indexed_vs_naive"] = (
-        arm_seconds["naive"] / arm_seconds["indexed"]
-        if arm_seconds["indexed"]
-        else 0.0
-    )
-
-    query_rows: dict[str, list[dict]] = {}
-    for label, indexed in (("query-naive", False), ("query-indexed", True)):
-        seconds, rows, scenario = _timed_feed(
-            lambda i=indexed: build_quality_check(
-                workload,
-                mode="UNRESTRICTED",
-                window_minutes=window_minutes,
-                indexed_state=i,
-            ),
-            reps,
-            keep=True,
-        )
-        operator = scenario.handle.operator
-        query_rows[label] = rows
-        report.add_experiment(
-            label,
-            n_tuples=n_tuples,
-            seconds=seconds,
-            state_size=operator.peak_state_size,
-            params={"driver": "query", "indexed_state": indexed},
-            rows=len(rows),
-        )
-    if query_rows["query-naive"] != query_rows["query-indexed"]:
-        raise AssertionError(
-            "indexed query output diverged from the reference path "
-            f"({len(query_rows['query-indexed'])} vs "
-            f"{len(query_rows['query-naive'])} rows)"
-        )
-
-    for n_idle in idle_counts:
-        spacing = (2.5 * window_seconds) / n_idle
-        idle_trace = [
-            (
-                "c1",
-                {
-                    "readerid": "c1",
-                    "tagid": f"idle.{index}",
-                    "tagtime": index * spacing,
-                },
-                index * spacing,
-            )
-            for index in range(n_idle)
-        ]
-        for label, indexed in (("naive", False), ("indexed", True)):
-            engine, operator = _operator_scenario(indexed, window_seconds)
-            latencies = _push_latencies(engine, idle_trace)
-            # Snapshot the expiry-work counters before the closing
-            # heartbeat: one advance_time jump past the window legitimately
-            # drains every remaining partition in a single batch, which
-            # would mask the steady-state per-tick numbers.
-            sweep_touches = operator.sweep_touches
-            max_tick_touches = operator.max_tick_touches
-            engine.advance_time(3.5 * window_seconds + 1.0)
-            report.add_experiment(
-                f"idle-{n_idle}-{label}",
-                n_tuples=n_idle,
-                seconds=sum(latencies),
-                latencies_s=latencies,
-                state_size=operator.peak_state_size,
-                params={
-                    "driver": "operator-idle",
-                    "indexed_state": indexed,
-                    "n_idle": n_idle,
-                },
-                final_state_size=operator.state_size,
-                sweep_touches=sweep_touches,
-                max_tick_touches=max_tick_touches,
-            )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# vectorized_admission — columnar batch admission vs the scalar tuple path
+# vector_admission — columnar batch admission vs the scalar tuple path
 # ---------------------------------------------------------------------------
 
 _ADMISSION_SCHEMA = "tag_id int, pressure float, loc str"
@@ -684,13 +246,13 @@ def run_vectorized_admission(
 
     Both headline arms consume the *same* pre-built
     :class:`~repro.dsms.columns.ColumnBatch` stream through a compiled
-    filter query; the only difference is the Engine's
-    ``vectorized_admission`` flag:
+    filter query; the only difference is the Engine's ``tier``:
 
-    * ``scalar-*`` — flag off: every row materializes a ``Tuple`` and the
-      compiled WHERE closure runs per tuple.
-    * ``vectorized-*`` — flag on: the WHERE conjuncts evaluate once per
-      batch over whole column arrays and only surviving rows materialize.
+    * ``scalar-*`` — ``tier="closure"``: every row materializes a
+      ``Tuple`` and the compiled WHERE closure runs per tuple.
+    * ``vectorized-*`` — ``tier="vector"``: the WHERE conjuncts evaluate
+      once per batch over whole column arrays and only surviving rows
+      materialize.
 
     A third ``rows-*`` arm feeds the identical records through the
     per-record ``push_batch`` path for context (what callers paid before
@@ -709,7 +271,7 @@ def run_vectorized_admission(
     _schema, batches, rows = _admission_workload(n_rows, batch_rows, seed)
 
     report = BenchReport(
-        "vectorized_admission",
+        "vector_admission",
         meta=standard_meta(
             execution_tier=active_execution_tier(),
             pairing_tier=active_execution_tier(),
@@ -722,14 +284,14 @@ def run_vectorized_admission(
                 "single process; scalar and vectorized arms consume "
                 "identical pre-built ColumnBatches through the same "
                 "compiled filter query, differing only in the Engine's "
-                "vectorized_admission flag; the rows arm is the "
+                "tier (closure vs vector); the rows arm is the "
                 "per-record push_batch path for context"
             ),
         ),
     )
 
-    def _make(vectorized: bool, threshold: float) -> tuple[Any, Any]:
-        engine = Engine(vectorized_admission=vectorized)
+    def _make(tier: str, threshold: float) -> tuple[Any, Any]:
+        engine = Engine(tier=tier)
         engine.create_stream("readings", _ADMISSION_SCHEMA)
         handle = engine.query(
             "SELECT tag_id, pressure FROM readings AS R "
@@ -738,9 +300,9 @@ def run_vectorized_admission(
         return engine, handle
 
     arms = (
-        ("scalar", False, "columns"),
-        ("vectorized", True, "columns"),
-        ("rows", False, "records"),
+        ("scalar", "closure", "columns"),
+        ("vectorized", "vector", "columns"),
+        ("rows", "closure", "records"),
     )
     speedups: dict[float, float] = {}
     for threshold in selectivities:
@@ -748,8 +310,8 @@ def run_vectorized_admission(
         arm_seconds = {label: float("inf") for label, _, _ in arms}
         arm_rows: dict[str, list] = {}
         for _ in range(reps):
-            for label, vectorized, shape in arms:
-                engine, handle = _make(vectorized, threshold)
+            for label, tier, shape in arms:
+                engine, handle = _make(tier, threshold)
                 gc.disable()
                 try:
                     start = time.perf_counter()
@@ -766,7 +328,7 @@ def run_vectorized_admission(
                     (tup.values, tup.ts) for tup in handle.results
                 ]
         reference = arm_rows["scalar"]
-        for label, vectorized, shape in arms:
+        for label, tier, shape in arms:
             if arm_rows[label] != reference:
                 raise AssertionError(
                     f"{label} output diverged at selectivity {threshold} "
@@ -778,7 +340,7 @@ def run_vectorized_admission(
                 seconds=arm_seconds[label],
                 params={
                     "selectivity": threshold,
-                    "vectorized_admission": vectorized,
+                    "tier": tier,
                     "input_shape": shape,
                 },
                 rows_admitted=len(arm_rows[label]),
@@ -808,16 +370,11 @@ def vectorized_speedup(
 # native_codegen — C admission kernels vs the closure and interpreted tiers
 # ---------------------------------------------------------------------------
 
-_NATIVE_ARMS = (
-    # (label, Engine flags).  The native arm keeps the vector tier off so
-    # the measured gap is C kernel vs Python closure, not a mix; when the
-    # kernel cannot lower (or there is no compiler) it degrades to the
-    # closure path and the arm measures parity, never breakage.
-    ("interpreted", {"compile_expressions": False,
-                     "vectorized_admission": False}),
-    ("closure", {"vectorized_admission": False}),
-    ("native", {"vectorized_admission": False, "native_admission": True}),
-)
+#: Engine tiers the native ablation compares.  Where a predicate lowers
+#: to C the native arm never consults the vector masks beneath it, so the
+#: measured gap is kernel vs closure; where it cannot (or there is no
+#: compiler) the arm runs the vector tier and measures that, never breakage.
+_NATIVE_ARMS = ("interpreted", "closure", "native")
 
 
 def _native_seq_workload(
@@ -896,19 +453,19 @@ def run_native_codegen(
     """Native C admission kernels vs the closure and interpreted tiers.
 
     Three arms run every workload through identical pre-built
-    ColumnBatches; only the Engine flags differ:
+    ColumnBatches; only the Engine ``tier`` differs:
 
-    * ``interpreted-*`` — no closures, no masks: the tree-walking
+    * ``interpreted-*`` — the reference configuration: the tree-walking
       evaluator checks every materialized row.
     * ``closure-*`` — compiled Python closures per row (the pre-columnar
       default), no admission masks.
     * ``native-*`` — admission predicates compiled to C kernels over the
       raw column buffers; survivors only are materialized.  Without a C
-      compiler on the host the arm degrades to the closure path (the
+      compiler on the host the arm degrades to the vector tier (the
       report's ``compiler``/``execution_tier`` meta says which happened).
 
     Workloads: the uniform-pressure filter selectivity sweep (mirroring
-    ``BENCH_vectorized_admission`` so the native and vector tiers are
+    ``BENCH_vector_admission`` so the native and vector tiers are
     directly comparable), the quality SEQ pairing workload (lenient
     masks feeding a temporal operator), and the paper's Example 1
     duplicate-filtering query — whose NOT EXISTS subquery deliberately
@@ -922,9 +479,7 @@ def run_native_codegen(
         reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
     selectivities = tuple(selectivities)
     compiler = find_compiler()
-    native_tier = active_execution_tier(
-        vectorized_admission=False, native_admission=True
-    )
+    native_tier = active_execution_tier("native")
 
     report = BenchReport(
         "native_codegen",
@@ -943,9 +498,10 @@ def run_native_codegen(
             note=(
                 "single process; all arms consume identical pre-built "
                 "ColumnBatches; the native arm compiles admission "
-                "predicates to C kernels (vector tier off, so the gap "
-                "is kernel vs closure); kernels compile at query "
-                "registration, outside every timed region"
+                "predicates to C kernels (consulted before the vector "
+                "masks, so the gap is kernel vs closure); kernels "
+                "compile at query registration, outside every timed "
+                "region"
             ),
         ),
     )
@@ -955,8 +511,8 @@ def run_native_codegen(
         output; return ``{label: (seconds, rows, engine)}``."""
         results: dict[str, Any] = {}
         for _ in range(reps):
-            for label, flags in _NATIVE_ARMS:
-                engine, rows_of = build(Engine(**flags))
+            for label in _NATIVE_ARMS:
+                engine, rows_of = build(Engine(tier=label))
                 gc.disable()
                 try:
                     start = time.perf_counter()
@@ -980,7 +536,7 @@ def run_native_codegen(
         return results
 
     def _native_stats(engine: Any) -> dict[str, Any]:
-        state = getattr(engine, "native_state", None)
+        state = engine.native_state
         return state.stats() if state is not None else {}
 
     # -- workload 1: uniform-pressure filter selectivity sweep ----------
@@ -1124,16 +680,14 @@ def native_speedup(report: BenchReport, selectivity: float) -> float | None:
 # ---------------------------------------------------------------------------
 
 _PAIRING_ARMS = (
-    # (label, Engine flags).  The interpreted arm is the byte-identity
+    # (label, Engine tier).  The interpreted arm is the byte-identity
     # reference; "scalar" is the compiled-closure pairing loop (the
     # pre-mask hot path); "vector" adds the Python columnar stage masks;
-    # "native" runs the two-operand C pairing kernels with the vector
-    # tier off, so its gap is kernel vs scalar, not a mix.
-    ("interpreted", {"compile_expressions": False,
-                     "vectorized_admission": False}),
-    ("scalar", {"vectorized_admission": False}),
-    ("vector", {"vectorized_admission": True}),
-    ("native", {"vectorized_admission": False, "native_admission": True}),
+    # "native" consults the two-operand C pairing kernels first.
+    ("interpreted", "interpreted"),
+    ("scalar", "closure"),
+    ("vector", "vector"),
+    ("native", "native"),
 )
 
 
@@ -1194,7 +748,7 @@ def run_pairing_kernels(
     """Pairing-mask tiers on the SEQ match-enumeration hot path.
 
     All four arms consume identical pre-built ColumnBatches through the
-    same windowed quality-SEQ query; only the Engine flags differ.  The
+    same windowed quality-SEQ query; only the Engine ``tier`` differs.  The
     query hash-partitions on the tag equality, leaving ``Y.w - X.v >
     threshold`` as the sole cross conjunct — deliberately *not*
     hoistable to admission, so every arm pays for it at pairing time:
@@ -1211,9 +765,7 @@ def run_pairing_kernels(
     if reps is None:
         reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
     compiler = find_compiler()
-    native_tier = active_execution_tier(
-        vectorized_admission=False, native_admission=True
-    )
+    native_tier = active_execution_tier("native")
 
     report = BenchReport(
         "pairing_kernels",
@@ -1250,8 +802,8 @@ def run_pairing_kernels(
 
     results: dict[str, Any] = {}
     for _ in range(reps):
-        for label, flags in _PAIRING_ARMS:
-            engine = Engine(**flags)
+        for label, tier in _PAIRING_ARMS:
+            engine = Engine(tier=tier)
             engine.create_stream("a", "tag_id str, v float")
             engine.create_stream("b", "tag_id str, w float")
             handle = engine.query(query)
@@ -1277,7 +829,7 @@ def run_pairing_kernels(
                 f"({len(rows)} vs {len(reference)} rows)"
             )
     for label, (seconds, rows, engine) in results.items():
-        state = getattr(engine, "native_state", None)
+        state = engine.native_state
         report.add_experiment(
             f"{label}-pairing",
             n_tuples=n_rows,
@@ -1580,7 +1132,7 @@ def run_multi_query(
     reps: int | None = None,
     seed: int = 11,
 ) -> BenchReport:
-    """Shared multi-query execution vs the naive one-engine-per-query path.
+    """Shared multi-query execution vs one plain Engine per query.
 
     The workload is the paper's deployment shape: N registered continuous
     queries (one per tag of interest) over one RFID ``readings`` stream.
@@ -1593,9 +1145,9 @@ def run_multi_query(
     * ``shared-N`` — one Engine + QueryRegistry with N registered
       queries.  Tag-equality predicates hoist into the router's hash
       index, so per-tuple dispatch cost is one lookup, independent of N.
-    * ``naive-N`` — N private Engines, every tuple pushed N times (only
-      run up to *naive_at* queries; beyond that it is pointless to wait
-      for).
+    * ``naive-N`` — the baseline: N plain Engines built here, one query
+      each, every tuple pushed N times (only run up to *naive_at*
+      queries; beyond that it is pointless to wait for).
 
     Registration (parse + compile, once per query) is timed separately
     and reported as ``register_seconds`` — the headline arm seconds
@@ -1607,7 +1159,7 @@ def run_multi_query(
     (``shared_plans == 1``), against the distinct-filter arm where every
     plan is unique.
 
-    Both modes are single-process and single-threaded, so the measured
+    Both arms are single-process and single-threaded, so the measured
     speedup does not depend on free cores; ``cpu_limited`` is always
     False for this report.
     """
@@ -1668,7 +1220,7 @@ def run_multi_query(
         ),
     )
 
-    def _verify(mq: Any, subs: list, count: int, trace: list) -> None:
+    def _verify(subs: list, count: int, trace: list) -> None:
         expected: dict[str, int] = {}
         for (_reader, tag, _rt), _ts in trace:
             expected[tag] = expected.get(tag, 0) + 1
@@ -1696,7 +1248,7 @@ def run_multi_query(
     speedups: dict[int, float] = {}
     shared_seconds: dict[int, float] = {}
     for count in query_counts:
-        mq = MultiQueryEngine(shared_execution=True)
+        mq = MultiQueryEngine()
         mq.create_stream("readings", schema)
         start = time.perf_counter()
         subs = [mq.register(query_text(i)) for i in range(count)]
@@ -1713,7 +1265,7 @@ def run_multi_query(
                 gc.enable()
             best = min(best, seconds)
             if rep == 0:
-                _verify(mq, subs, count, trace)
+                _verify(subs, count, trace)
             for sub in subs:
                 sub.clear()
         stats = mq.stats()
@@ -1732,10 +1284,14 @@ def run_multi_query(
 
         if count > naive_at:
             continue
-        mq = MultiQueryEngine(shared_execution=False)
-        mq.create_stream("readings", schema)
+        engines = []
+        handles = []
         start = time.perf_counter()
-        subs = [mq.register(query_text(i)) for i in range(count)]
+        for i in range(count):
+            engine = Engine()
+            engine.create_stream("readings", schema)
+            handles.append(engine.query(query_text(i)))
+            engines.append(engine)
         register_seconds = time.perf_counter() - start
         best = float("inf")
         for rep in range(reps):
@@ -1743,16 +1299,16 @@ def run_multi_query(
             gc.disable()
             try:
                 start = time.perf_counter()
-                mq.push_batch("readings", trace)
+                for engine in engines:
+                    engine.push_batch("readings", trace)
                 seconds = time.perf_counter() - start
             finally:
                 gc.enable()
             best = min(best, seconds)
             if rep == 0:
-                _verify(mq, subs, count, trace)
-            for sub in subs:
-                sub.clear()
-        mq.close()
+                _verify(handles, count, trace)
+            for handle in handles:
+                handle.clear()
         report.add_experiment(
             f"naive-{count}",
             n_tuples=n_rows,
@@ -1768,7 +1324,7 @@ def run_multi_query(
         "WHERE SEQ(S, E) OVER [60 SECONDS PRECEDING E] "
         "AND S.tag_id = E.tag_id AND S.reader_id = 'r0'"
     )
-    mq = MultiQueryEngine(shared_execution=True)
+    mq = MultiQueryEngine()
     mq.create_stream("readings", schema)
     subs = [mq.register(seq_text) for _ in range(dedup_queries)]
     dedup_plans = mq.stats()["shared_plans"]
@@ -1826,9 +1382,7 @@ def multi_query_speedup(report: BenchReport, queries: int) -> float | None:
 
 BENCH_RUNNERS: Mapping[str, Callable[..., BenchReport]] = {
     "sharded_scaling": run_sharded_scaling,
-    "shard_transport": run_shard_transport,
-    "operator_state": run_operator_state,
-    "vectorized_admission": run_vectorized_admission,
+    "vector_admission": run_vectorized_admission,
     "native_codegen": run_native_codegen,
     "pairing_kernels": run_pairing_kernels,
     "fault_tolerance": run_fault_tolerance,

@@ -159,13 +159,8 @@ def build_bench_parser() -> argparse.ArgumentParser:
         help="workload size knob (products/tags, runner-specific default)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "parallel", "futures"), default=None,
-        help="sharded executor to measure (runner-specific default); "
-             "'futures' is the legacy pool transport kept for ablation",
-    )
-    parser.add_argument(
-        "--codec", choices=("framed", "pickle"), default=None,
-        help="pipe-transport payload codec (parallel executor only)",
+        "--executor", choices=("serial", "parallel"), default=None,
+        help="sharded executor to measure (runner-specific default)",
     )
     parser.add_argument(
         "--queries", default=None, metavar="N[,N...]",
@@ -189,8 +184,6 @@ def run_bench(argv: Sequence[str]) -> int:
         kwargs["n_products"] = args.size
     if args.executor is not None:
         kwargs["executor"] = args.executor
-    if args.codec is not None:
-        kwargs["codec"] = args.codec
     if args.queries is not None:
         kwargs["query_counts"] = tuple(
             int(part) for part in args.queries.split(",") if part
@@ -226,21 +219,10 @@ def run_bench(argv: Sequence[str]) -> int:
             line += f" p99={latency['p99']:.0f}us"
         if entry.get("state_size") is not None:
             line += f" peak_state={entry['state_size']}"
-        if "max_tick_touches" in entry:
-            line += f" max_tick_touches={entry['max_tick_touches']}"
         if "speedup_vs_single" in entry:
             line += f" speedup={entry['speedup_vs_single']:.2f}x"
         if entry.get("cpu_limited"):
             line += " (cpu-limited)"
-        print(line, file=sys.stderr)
-    speedup = report.meta.get("speedup_indexed_vs_naive")
-    if speedup:
-        print(f"# indexed vs naive: {speedup:.2f}x", file=sys.stderr)
-    transport = report.meta.get("speedup_framed_vs_futures")
-    if transport:
-        line = f"# pipe-framed vs futures-pickle: {transport:.2f}x"
-        if report.meta.get("cpu_limited"):
-            line += " (cpu-limited: arms share cores, read as parity check)"
         print(line, file=sys.stderr)
     shared = report.meta.get("speedup_shared_vs_naive")
     if shared:

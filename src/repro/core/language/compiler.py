@@ -37,7 +37,6 @@ from ...dsms.expressions import (
     EvalFn,
     Expression,
     Literal,
-    compile_vector,
     truthy,
 )
 from ...dsms.schema import Schema, TYPE_NAMES, FieldType
@@ -398,13 +397,13 @@ def _compile_ctx(
     analysis: Analysis | None = None,
     extra: Mapping[str, Schema] | None = None,
 ) -> CompileContext | None:
-    """The query's :class:`CompileContext`, or None when the engine was
-    created with ``compile_expressions=False`` (interpreted ablation arm).
+    """The query's :class:`CompileContext`, or None when the engine runs
+    the interpreted reference tier.
 
     The context carries the engine's live UDF mapping and every FROM alias's
     schema, so column references lower to positional access.
     """
-    if not engine.compile_expressions:
+    if not engine.lowering.compiled:
         return None
     schemas: dict[str, Schema] = {}
     if analysis is not None:
@@ -444,74 +443,6 @@ def _compile_where_probe(
         return True
 
     return check
-
-
-def _attach_filter_vector_hook(
-    on_tuple: Callable[[Tuple], None],
-    guard_terms: Sequence[Expression],
-    stream: Stream,
-    alias: str,
-    native_state: Any = None,
-    allow_vector: bool = True,
-) -> None:
-    """Give a filter subscription a columnar admission mask when possible.
-
-    The mask mirrors the strict WHERE discipline (a term value that is not
-    True rejects the row) over the residual guard terms only: any EXISTS
-    probes run scalar-side, but a row failing a guard term fails the full
-    check regardless, so dropping it early is sound.  Survivors are still
-    evaluated by ``on_tuple``; the mask may only skip materializing rows it
-    proves rejected.  Any lowering gap or runtime error degrades to None —
-    "materialize everything" — which is exactly the scalar path.
-
-    With *native_state* set (the engine's ``native_admission`` tier) the
-    terms are additionally lowered to a C kernel, consulted first per
-    batch; a batch the kernel cannot handle falls to the vectorized
-    closures (when *allow_vector*), then to full materialization — the
-    native→vector→closure chain.
-    """
-    if not guard_terms:
-        return
-    native_fn = None
-    if native_state is not None:
-        from ...dsms.native import native_admission_mask
-
-        native_fn = native_admission_mask(
-            guard_terms, stream.schema, alias, "strict", native_state
-        )
-    vector_fns: tuple | None = None
-    if allow_vector:
-        fns = []
-        for term in guard_terms:
-            fn = compile_vector(term, stream.schema, alias)
-            if fn is None:
-                fns = None
-                break
-            fns.append(fn)
-        if fns is not None:
-            vector_fns = tuple(fns)
-    if native_fn is None and vector_fns is None:
-        return
-
-    def vector_admission(cols: Any, tss: Any, n: int) -> Any:
-        if native_fn is not None:
-            mask = native_fn(cols, tss, n)
-            if mask is not None:
-                return mask
-        if vector_fns is None:
-            return None
-        try:
-            out = [True] * n
-            for fn in vector_fns:
-                values = fn(cols, tss, n)
-                for index in range(n):
-                    if values[index] is not True:  # strict: NULL rejects
-                        out[index] = False
-            return out
-        except Exception:  # noqa: BLE001 - any error -> scalar path
-            return None
-
-    on_tuple.vector_admission = vector_admission  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------
@@ -720,17 +651,15 @@ def _compile_filter(engine: Engine, analysis: Analysis, label: str) -> QueryHand
             if check(env):
                 emit([fn(env) for fn in item_fns], tup.ts)
 
-        allow_vector = bool(getattr(engine, "vectorized_admission", False))
-        native_state = getattr(engine, "native_state", None)
-        if allow_vector or native_state is not None:
-            _attach_filter_vector_hook(
-                on_tuple,
-                analysis.guard_terms,
-                stream,
-                source.alias,
-                native_state=native_state,
-                allow_vector=allow_vector,
-            )
+        # Columnar admission: a strict mask over the residual guard terms
+        # only.  EXISTS probes still run scalar-side, but a row failing a
+        # guard term fails the full check regardless, so the stream may
+        # skip materializing it; survivors are re-evaluated by on_tuple.
+        hook = engine.lowering.admission_mask(
+            analysis.guard_terms, stream.schema, source.alias, strict=True
+        )
+        if hook is not None:
+            on_tuple.vector_admission = hook  # type: ignore[attr-defined]
 
     teardowns.append(stream.subscribe(on_tuple))
     handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
@@ -1565,7 +1494,7 @@ def execute_snapshot(engine: Engine, text: str) -> list[dict[str, Any]]:
             engine.functions.as_mapping(),
             {alias: schema for alias, __, schema in sources},
         )
-        if engine.compile_expressions
+        if engine.lowering.compiled
         else None
     )
 

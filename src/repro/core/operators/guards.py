@@ -32,14 +32,8 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ...dsms.errors import EslRuntimeError
-from ...dsms.expressions import (
-    CompileContext,
-    Env,
-    EvalFn,
-    Expression,
-    compile_pairing_vector,
-    compile_vector,
-)
+from ...dsms.expressions import CompileContext, Env, EvalFn, Expression
+from ...dsms.lowering import Lowering
 from ...dsms.schema import Schema
 
 __all__ = ["CompiledGuard", "build_compiled_guard"]
@@ -109,9 +103,9 @@ class CompiledGuard:
         # synchronous and operator-local, so rebinding per call is safe and
         # avoids an allocation per check.
         self._env = env
-        # Raw expression IR of the admission terms, kept so the vectorized
-        # admission tier can re-lower them against a concrete stream schema
-        # (compile() bakes in Env access; compile_vector() needs columns).
+        # Raw expression IR of the admission terms, kept so the mask tiers
+        # can re-lower them against a concrete stream schema (compile()
+        # bakes in Env access; masks need columns).
         self._admission_terms = {
             alias.lower(): tuple(terms)
             for alias, terms in (admission_terms or {}).items()
@@ -141,100 +135,20 @@ class CompiledGuard:
         return True
 
     def vector_admission(
-        self,
-        alias: str,
-        schema: Schema,
-        native_state: Any = None,
-        allow_vector: bool = True,
+        self, alias: str, schema: Schema, lowering: Lowering
     ) -> Callable[[Any, Any, int], Any] | None:
         """A whole-batch admission mask for *alias*, or None if unavailable.
 
-        Lowers every one of *alias*'s admission terms with
-        :func:`~repro.dsms.expressions.compile_vector` against *schema*
-        (the stream delivering that argument).  The returned closure maps
-        a batch's ``(columns, timestamps, n)`` to a per-row boolean list:
-        True rows may be admitted by :meth:`admit`, False rows are
-        guaranteed to fail it.  Matching the lenient discipline, a term
-        value that is not False (True or NULL) passes; if evaluation
-        raises, the closure returns None — "mask unavailable, materialize
-        everything" — and the scalar re-check preserves exact semantics.
-
-        With *native_state* set (the engine's ``native_admission`` tier)
-        the same terms are first lowered to a C kernel in lenient mode
-        and the kernel is consulted per batch before the vectorized
-        closures — the native→vector→closure fallback chain, decided
-        independently per predicate and per batch.
+        *schema* is the stream delivering that argument.  The returned
+        ``(columns, timestamps, n)`` hook follows the lenient discipline
+        of :meth:`admit`: rows it masks out are guaranteed to fail
+        :meth:`admit`, survivors must still take it (see
+        :mod:`repro.dsms.lowering` for the mask contract and tiers).
         """
-        terms = self._admission_terms.get(alias.lower())
-        if not terms:
-            return None
-        native_fn = None
-        if native_state is not None:
-            from ...dsms.native import native_admission_mask
-
-            native_fn = native_admission_mask(
-                terms, schema, alias, "lenient", native_state
-            )
-        fns: list | None = None
-        if allow_vector:
-            fns = []
-            for term in terms:
-                fn = compile_vector(term, schema, alias)
-                if fn is None:
-                    fns = None
-                    break
-                fns.append(fn)
-        if fns is None:
-            if native_fn is None:
-                return None
-
-            def native_only(cols: Any, tss: Any, n: int) -> Any:
-                return native_fn(cols, tss, n)
-
-            return native_only
-        if native_fn is not None:
-            vector_fns = tuple(fns)
-
-            def chained(cols: Any, tss: Any, n: int) -> Any:
-                mask = native_fn(cols, tss, n)
-                if mask is not None:
-                    return mask
-                try:
-                    out = [True] * n
-                    for fn in vector_fns:
-                        values = fn(cols, tss, n)
-                        for index in range(n):
-                            if values[index] is False:
-                                out[index] = False
-                    return out
-                except Exception:  # noqa: BLE001 - any error -> scalar path
-                    return None
-
-            return chained
-        if len(fns) == 1:
-            sole = fns[0]
-
-            def single_mask(cols: Any, tss: Any, n: int) -> list | None:
-                try:
-                    return [value is not False for value in sole(cols, tss, n)]
-                except Exception:  # noqa: BLE001 - any error -> scalar path
-                    return None
-
-            return single_mask
-
-        def mask(cols: Any, tss: Any, n: int) -> list | None:
-            try:
-                out = [True] * n
-                for fn in fns:
-                    values = fn(cols, tss, n)
-                    for index in range(n):
-                        if values[index] is False:
-                            out[index] = False
-                return out
-            except Exception:  # noqa: BLE001 - any error -> scalar path
-                return None
-
-        return mask
+        return lowering.admission_mask(
+            self._admission_terms.get(alias.lower(), ()), schema, alias,
+            strict=False,
+        )
 
     def pairing(self, bindings: Mapping[str, Any]) -> bool:
         """Check only the cross-alias conjuncts (members already admitted)."""
@@ -269,8 +183,7 @@ class CompiledGuard:
         alias: str,
         schema: Schema,
         bound_aliases: Iterable[str],
-        native_state: Any = None,
-        allow_vector: bool = True,
+        lowering: Lowering,
     ) -> "tuple[Callable[[Any, Any, int], Any], tuple] | None":
         """A candidate-slice pairing mask for one chain stage, or None.
 
@@ -278,22 +191,13 @@ class CompiledGuard:
         the stages already bound whenever that scan runs (for SEQ's
         right-to-left enumeration: every later argument).  A cross term
         is stage-decidable when it references *alias* and only otherwise
-        bound aliases; the decidable terms lower to the native tier (a
-        two-operand C kernel over the mirror's packed buffers) and/or the
-        vectorized tier (:func:`compile_pairing_vector` closures over the
-        mirror's object columns) — each tier independently keeping the
-        subset of terms it can express, since every mask survivor is
-        re-checked by the scalar :meth:`pairing` anyway.
-
-        Returns ``(mask_fn, packed_slots)`` where ``mask_fn(bindings,
-        store, n)`` maps the live (lower-cased) bindings and a
-        :class:`~repro.dsms.columns.ColumnStore` prefix to a 0/1-ish mask
-        (False/0 rows are guaranteed scalar-rejected) or None for "no
-        mask this call"; ``packed_slots`` are the column buffers the
-        native kernel needs the stage's mirrors to maintain (empty when
-        native is off).  Returns None when no term is maskable at all.
+        bound aliases; the decidable terms are handed to
+        :meth:`~repro.dsms.lowering.Lowering.pairing_mask`, whose
+        ``(mask_fn, packed_slots)`` result (or None when no term is
+        maskable) is returned as is.  Every mask survivor is re-checked
+        by the scalar :meth:`pairing`.
         """
-        if self._ctx is None or not self._cross_terms:
+        if self._ctx is None:
             return None
         cand = alias.lower()
         bound = {name.lower() for name in bound_aliases}
@@ -303,61 +207,9 @@ class CompiledGuard:
             for term, refs in self._cross_terms
             if refs is not None and cand in refs and refs <= known
         ]
-        if not decidable:
-            return None
-        native_fn = None
-        packed_slots: tuple = ()
-        if native_state is not None:
-            from ...dsms.native import native_pairing_mask
-
-            outer_schemas = {
-                name: self._ctx.schemas[name]
-                for name in bound
-                if name in self._ctx.schemas
-            }
-            lowered = native_pairing_mask(
-                decidable, schema, alias, outer_schemas, native_state
-            )
-            if lowered is not None:
-                native_fn, spec = lowered
-                packed_slots = spec.slots
-        vector_fns: tuple | None = None
-        if allow_vector:
-            fns = [
-                fn
-                for fn in (
-                    compile_pairing_vector(term, schema, alias, self._ctx, bound)
-                    for term in decidable
-                )
-                if fn is not None
-            ]
-            vector_fns = tuple(fns) if fns else None
-        if native_fn is None and vector_fns is None:
-            return None
-        env = self._env
-
-        def stage_mask(bindings: Any, store: Any, n: int) -> Any:
-            if native_fn is not None:
-                mask = native_fn(bindings, store, n)
-                if mask is not None:
-                    return mask
-            if vector_fns is None:
-                return None
-            try:
-                env.bindings = bindings
-                out = [True] * n
-                cols = store.columns
-                tss = store.timestamps
-                for fn in vector_fns:
-                    values = fn(env, cols, tss, n)
-                    for index in range(n):
-                        if values[index] is False:
-                            out[index] = False
-                return out
-            except Exception:  # noqa: BLE001 - any error -> scalar path
-                return None
-
-        return stage_mask, packed_slots
+        return lowering.pairing_mask(
+            decidable, schema, alias, self._ctx, bound, self._env
+        )
 
     def __call__(self, bindings: Mapping[str, Any]) -> bool:
         """Full lenient conjunction — the plain :data:`Guard` contract."""

@@ -21,7 +21,7 @@ holds at most n-1 tuples, UNRESTRICTED retains everything the window admits.
 The ``state_size`` property exposes held-tuple counts for the state-size
 ablation benchmark.
 
-Indexed state (``Engine(indexed_state=True)``, the default) layers three
+Indexed state (every ``Engine`` tier except ``"interpreted"``) layers three
 incremental indexes over the same semantics:
 
 * **Predecessor cuts** (SASE-style Active Instance Stacks): each tuple
@@ -44,9 +44,11 @@ incremental indexes over the same semantics:
   work no longer grows with the number of idle partitions.  A self-re-arming
   clock timer drives the heap even when no tuple arrives.
 
-``indexed_state=False`` keeps the original enumeration/sweep as a reference
-path (mirroring ``compile_expressions``); both paths emit identical match
-sequences — see ``tests/test_indexed_state.py``.
+``Engine(tier="interpreted")`` — the reference configuration — keeps the
+original enumeration/sweep (``_enumerate_chains``, ``_recent_chain``,
+``_sweep``, ``_evict_windowed``) alongside the AST-walking evaluator; both
+paths emit identical match sequences — see ``tests/test_indexed_state.py``
+and ``tests/test_tier_matrix.py``.
 
 Star-sequence patterns are handled by
 :class:`repro.core.operators.star.StarSeqOperator`; use
@@ -131,8 +133,9 @@ class SeqOperator:
 
     Args:
         engine: the owning :class:`~repro.dsms.engine.Engine`.  Its
-            ``indexed_state`` flag selects between the incremental-index
-            state layer and the reference enumeration (see module docstring).
+            ``tier`` selects between the incremental-index state layer
+            and the reference enumeration, and caps the admission and
+            pairing mask tiers (see module docstring).
         args: the argument list (no starred entries).
         mode: tuple pairing mode.
         window: optional :class:`OperatorWindow`.
@@ -192,11 +195,12 @@ class SeqOperator:
         self._purge_on_admit = (
             mode is PairingMode.RECENT and self._pairing is None
         )
-        self.indexed_state = bool(getattr(engine, "indexed_state", True))
+        lowering = engine.lowering
+        self._indexed = lowering.compiled
         # Stored predecessor cuts stay exact only under front-only history
         # shrinkage; CHRONICLE consumes mid-list and the RECENT purge deletes
         # mid-list, so those keep per-enumeration bisect instead.
-        self._use_cuts = self.indexed_state and (
+        self._use_cuts = self._indexed and (
             mode is PairingMode.UNRESTRICTED
             or (mode is PairingMode.RECENT and not self._purge_on_admit)
         )
@@ -226,11 +230,11 @@ class SeqOperator:
         self._heap_deadlines: dict[Any, float] = {}
         self._expiry_timer = None
         # Incremental held-tuple counter backing state_size, plus its
-        # high-water mark for the operator_state benchmark.
+        # high-water mark.
         self._held = 0
         self.peak_state_size = 0
         # Partitions examined by expiry work (sweep walks or heap pops):
-        # the benchmark's proof that a tick no longer touches idle state.
+        # the proof that a tick no longer touches idle state.
         # max_tick_touches is the worst single tick — the reference sweep
         # pays O(partitions) on one arrival, the heap spreads pops out.
         self.sweep_touches = 0
@@ -246,18 +250,11 @@ class SeqOperator:
         self._positions: dict[str, list[int]] = {}
         for index, arg in enumerate(self.args):
             self._positions.setdefault(arg.stream.lower(), []).append(index)
-        compiled_exec = bool(getattr(engine, "compile_expressions", False))
-        native_state = getattr(engine, "native_state", None)
-        allow_vector = bool(getattr(engine, "vectorized_admission", False))
-        vector_exec = compiled_exec and (
-            allow_vector or native_state is not None
-        )
         # Pairing-mask plan: one candidate-slice mask per chain stage.
         # Stage *index* scans histories[index] while aliases index+1..n-1
         # are already bound (SEQ enumerates right to left), so each
-        # stage's decidable cross conjuncts lower against that bound set
-        # — to a two-operand native kernel over the mirror's packed
-        # buffers and/or vectorized closures over its object columns.
+        # stage's decidable cross conjuncts lower against that bound set,
+        # on whichever mask tiers the engine's Lowering enables.
         # Masks only prune: every survivor is still re-checked by the
         # scalar pairing call, so over-admission is safe and
         # under-admission impossible by construction.  Mirrors are
@@ -268,9 +265,7 @@ class SeqOperator:
         if (
             isinstance(guard, CompiledGuard)
             and self._pairing is not None
-            and compiled_exec
             and self._use_cuts
-            and (allow_vector or native_state is not None)
         ):
             plan: list = []
             specs: list = []
@@ -283,8 +278,7 @@ class SeqOperator:
                         self.args[index].alias,
                         schema,
                         [arg.alias for arg in self.args[index + 1:]],
-                        native_state=native_state,
-                        allow_vector=allow_vector,
+                        lowering,
                     )
                 if stage is None:
                     plan.append(None)
@@ -302,12 +296,12 @@ class SeqOperator:
             self._positions.setdefault(stream.name, positions)
             callback: Callable[[Tuple], None] = self._on_tuple
             if (
-                compiled_exec
+                lowering.compiled
                 and mode is not PairingMode.CONSECUTIVE
                 and len(positions) == 1
             ):
                 callback = self._dispatch_for(stream.name, positions[0])
-                if vector_exec and self._admission is not None:
+                if self._admission is not None:
                     # Columnar ingestion hook: the guard's single-alias
                     # conjuncts for this argument, lowered over column
                     # arrays.  Rows the mask rejects are exactly rows
@@ -315,10 +309,7 @@ class SeqOperator:
                     # materializing them; survivors are re-checked by the
                     # scalar admission call in the dispatch closure.
                     hook = self.guard.vector_admission(
-                        self.args[positions[0]].alias,
-                        stream.schema,
-                        native_state=native_state,
-                        allow_vector=allow_vector,
+                        self.args[positions[0]].alias, stream.schema, lowering
                     )
                     if hook is not None:
                         callback.vector_admission = hook
@@ -463,7 +454,7 @@ class SeqOperator:
         mirror_specs = self._mirror_specs
         after = (
             self._after_arrival
-            if self.indexed_state and window is not None
+            if self._indexed and window is not None
             else None
         )
 
@@ -558,7 +549,7 @@ class SeqOperator:
                 self._attempt_matches(partition, tup)
             else:
                 self._admit(partition, tup, index)
-        if windowed and self.indexed_state:
+        if windowed and self._indexed:
             self._after_arrival(partition, tup.ts)
 
     def _admit(self, partition: _Partition, tup: Tuple, index: int) -> None:
@@ -592,7 +583,7 @@ class SeqOperator:
     def _evict_partition(self, partition: _Partition, now: float) -> None:
         """Window-based eviction of one partition's dead history."""
         horizon = self.window.horizon(now)
-        if self.indexed_state:
+        if self._indexed:
             self._evict_windowed_indexed(partition, horizon)
         else:
             self._evict_windowed(partition, horizon)
@@ -604,7 +595,7 @@ class SeqOperator:
         pop due entries off the expiry heap, touching only partitions whose
         oldest bounded tuple actually left the window.
         """
-        if not self.indexed_state:
+        if not self._indexed:
             if now >= self._sweep_due:
                 self._sweep(now)
             return
@@ -656,7 +647,7 @@ class SeqOperator:
 
     def _sweep(self, now: float) -> None:
         """Cross-partition eviction sweep, amortized to once per window width
-        (the ``indexed_state=False`` reference path).
+        (the ``tier="interpreted"`` reference path).
 
         Per-arrival eviction only touches the arriving tuple's partition, so
         in UNRESTRICTED mode a partition that stops receiving tuples (a tag

@@ -87,14 +87,12 @@ def describe_registry(registry: Any) -> PlanNode:
     """Build a plan description for shared multi-query execution.
 
     Accepts a :class:`~repro.dsms.registry.QueryRegistry` or a
-    :class:`~repro.dsms.multi_engine.MultiQueryEngine` (shared mode).
+    :class:`~repro.dsms.multi_engine.MultiQueryEngine`.
     The tree shows the per-stream routers — which fields are
     predicate-indexed, how many plans route residually — and each shared
     plan's operator subtree with its subscriber fan-out count.
     """
     inner = getattr(registry, "registry", registry)
-    if inner is None or not hasattr(inner, "routers"):
-        return PlanNode("MultiQuery", "naive per-engine execution (unshared)")
     root = PlanNode(
         "MultiQuery",
         f"{inner.subscription_count} subscriptions over "

@@ -33,6 +33,7 @@ from .clock import VirtualClock
 from .columns import ColumnBatch
 from .errors import EslSemanticError
 from .functions import default_functions
+from .lowering import Lowering, execution_tier
 from .schema import Schema
 from .streams import Stream, StreamRegistry
 from .table import Table, TableRegistry
@@ -148,49 +149,16 @@ class QueryHandle:
 class Engine:
     """A self-contained DSMS instance.
 
-    ``compile_expressions`` selects the execution strategy for query
-    predicates and select lists: when True (the default) the language
-    compiler lowers expression trees to closures
-    (:meth:`~repro.dsms.expressions.Expression.compile`); when False every
-    evaluation walks the AST.  Both paths are semantically identical — the
-    flag exists for ablation benchmarks and as an escape hatch.
-
-    ``indexed_state`` selects the sequence-operator state layer: when True
-    (the default) SEQ keeps incremental indexes — cached predecessor cuts,
-    bisected window eviction, and a lazy partition-expiry heap (see
-    :mod:`repro.core.operators.seq`); when False it uses the reference
-    enumeration and the amortized all-partition sweep.  Both paths emit
-    identical match sequences.
-
-    ``vectorized_admission`` selects the columnar ingestion strategy for
-    :class:`~repro.dsms.columns.ColumnBatch` pushes: when True (the
-    default) admission predicates are evaluated over whole column arrays
-    (:func:`~repro.dsms.expressions.compile_vector`) and Tuple objects are
-    materialized only for rows some subscriber may admit; when False every
-    batch row is materialized and checked one tuple at a time — the scalar
-    differential reference.  Row-at-a-time pushes are unaffected either
-    way, and both paths emit byte-identical outputs.
-
-    ``native_admission`` (default off — it invokes the platform C
-    compiler at query registration) adds the top tier of the same mask
-    discipline: admission predicates are lowered from the expression IR
-    to C kernels (:mod:`repro.dsms.native_codegen`), compiled into a
-    content-hash-cached shared object, and evaluated over raw column
-    buffers.  Predicates the native tier cannot lower — or every
-    predicate, on a host with no C compiler — fall back to the
-    vectorized masks, then to the closure path; outputs are
-    byte-identical on every tier (native masks may over-admit, never
-    under-admit, and survivors are re-checked downstream).  See
-    :meth:`execution_tier` for which tier is actually active.
+    ``tier`` caps the execution ladder — ``"native"``, ``"vector"`` (the
+    default), ``"closure"`` or ``"interpreted"`` — and each value enables
+    every rung below it; :mod:`repro.dsms.lowering` describes the rungs
+    and owns the fallback chain between them.  ``"interpreted"`` is the
+    reference configuration (AST-walking evaluator, original SEQ
+    enumeration and sweep); every tier emits byte-identical output, and
+    :meth:`execution_tier` reports which one is actually active.
     """
 
-    def __init__(
-        self,
-        compile_expressions: bool = True,
-        indexed_state: bool = True,
-        vectorized_admission: bool = True,
-        native_admission: bool = False,
-    ) -> None:
+    def __init__(self, tier: str = "vector") -> None:
         self.clock = VirtualClock()
         self.streams = StreamRegistry()
         self.tables = TableRegistry()
@@ -198,19 +166,9 @@ class Engine:
         self.aggregates = AggregateRegistry()
         self.queries: list[QueryHandle] = []
         self.histories: dict[str, Any] = {}  # stream -> SnapshotView
-        self.compile_expressions = compile_expressions
-        self.indexed_state = indexed_state
-        self.vectorized_admission = vectorized_admission
-        self.native_admission = native_admission
-        # Per-engine native-tier state: kernel cache handles + counters.
-        # Created eagerly (it is cheap — no compiler runs until a query
-        # registers a lowerable predicate) so hook builders can count
-        # fallbacks even when every predicate stays on a lower tier.
-        self.native_state = None
-        if native_admission:
-            from .native import NativeState
-
-            self.native_state = NativeState()
+        self.lowering = Lowering(tier)
+        self.tier = self.lowering.tier
+        self.native_state = self.lowering.native_state
         self._query_counter = 0
         # Slot consumed by the next _Sink the compiler builds: the
         # multi-query registry parks a fan-out collector here so a
@@ -248,47 +206,9 @@ class Engine:
         return Collector(label)
 
     def execution_tier(self) -> dict[str, Any]:
-        """Which predicate-execution tier is requested vs actually active.
-
-        ``requested`` reflects the constructor flags (highest enabled
-        tier); ``active`` degrades along the native→vector→closure→
-        interpreted fallback chain when the native tier is requested but
-        no C compiler is available on this host.  When the native tier
-        is on, ``native`` carries its counter snapshot (kernels built,
-        cache hits, per-predicate and per-batch fallbacks) and
-        ``compiler``/``cache_dir`` say where code comes from and goes.
-        """
-        if self.native_admission:
-            requested = "native"
-        elif self.vectorized_admission:
-            requested = "vector"
-        elif self.compile_expressions:
-            requested = "closure"
-        else:
-            requested = "interpreted"
-        active = requested
-        info: dict[str, Any] = {"requested": requested}
-        if self.native_admission:
-            from .native import find_compiler
-
-            compiler = find_compiler()
-            if compiler is None:
-                if self.vectorized_admission:
-                    active = "vector"
-                elif self.compile_expressions:
-                    active = "closure"
-                else:
-                    active = "interpreted"
-            info["compiler"] = compiler
-        if self.native_state is not None:
-            info["cache_dir"] = str(self.native_state.cache_dir)
-            info["native"] = self.native_state.stats()
-        info["active"] = active
-        # The pairing hot path rides the same flags and degrades the same
-        # way (its masks chain native -> vector and always fall back to
-        # the scalar pairing re-check), so its ladder mirrors admission's.
-        info["pairing"] = {"requested": requested, "active": active}
-        return info
+        """Requested vs active tier, plus this engine's native counters
+        (see :func:`repro.dsms.lowering.execution_tier`)."""
+        return execution_tier(self.tier, self.native_state)
 
     # -- catalog --------------------------------------------------------
 
@@ -391,16 +311,13 @@ class Engine:
 
         Output-identical to :meth:`push_batch` over the batch's rows (the
         clock advances to every row's timestamp in order, firing due
-        timers before that row is delivered), but with
-        ``vectorized_admission`` enabled the subscribers' admission
-        predicates run once per column batch and only surviving rows are
-        materialized into Tuples.
+        timers before that row is delivered), but at ``tier="vector"``
+        and above the subscribers' admission predicates run once per
+        column batch and only surviving rows are materialized into Tuples.
         """
         stream = self.streams.get(stream_name)
         return stream.push_columns(
-            batch,
-            self.clock.advance_if_due,
-            self.vectorized_admission or self.native_admission,
+            batch, self.clock.advance_if_due, self.lowering.masks
         )
 
     def run_trace(

@@ -1300,7 +1300,7 @@ def admission_constraint(
 #
 # A second lowering tier over the same expression IR: where ``compile()``
 # produces ``Env -> value`` closures evaluated once per tuple,
-# ``compile_vector()`` produces ``(columns, timestamps, n) -> list`` closures
+# ``compile_vector`` produces ``(columns, timestamps, n) -> list`` closures
 # evaluated once per :class:`~repro.dsms.columns.ColumnBatch`, returning the
 # per-row Kleene values (True/False/None, or arbitrary values for arithmetic
 # sub-expressions).  The admission paths turn those values into a

@@ -38,8 +38,9 @@ Routing soundness notes (why gating a tuple away from a plan is exact):
   cannot change any other output row.  NULL field values fail strict
   comparisons, so a strict gate drops them.
 * Temporal SEQ plans are gated only when compiled guards are active
-  (``compile_expressions``), the pairing mode is not CONSECUTIVE (where
-  non-matching arrivals interrupt runs), and no argument is starred: on
+  (any tier above ``"interpreted"``), the pairing mode is not
+  CONSECUTIVE (where non-matching arrivals interrupt runs), and no
+  argument is starred: on
   those plans the operator's own admission check drops exactly the same
   tuples before *any* state mutation, so upstream gating is
   output-identical.  SEQ admission is lenient — a NULL comparison passes
@@ -216,7 +217,7 @@ class Subscription:
 
     __slots__ = (
         "id", "text", "on_answer", "results", "active", "plan",
-        "_owner", "_extra",
+        "_owner",
     )
 
     def __init__(
@@ -233,7 +234,6 @@ class Subscription:
         self.active = True
         self.plan: "SharedPlan | None" = None
         self._owner = owner
-        self._extra: Any = None  # naive mode parks the per-query engine here
 
     def __call__(self, tup: Tuple) -> None:
         """The sink the fan-out collector delivers to."""
@@ -853,7 +853,7 @@ def _plan_gates(
     if analysis.kind != "temporal":
         return {}, False
     # Temporal plans: SEQ only, compiled guards, non-CONSECUTIVE, star-free.
-    if analysis.clevel is not None or not engine.compile_expressions:
+    if analysis.clevel is not None or not engine.lowering.compiled:
         return {}, True
     predicate = analysis.temporal
     if predicate is None or predicate.op_name != "SEQ":

@@ -40,8 +40,7 @@ per-tag dedup).
 Executors
 ---------
 
-Three interchangeable executors implement the same routing/merge
-contract:
+Two interchangeable executors implement the same routing/merge contract:
 
 * ``executor='serial'`` — all shards live in this process and every
   record is applied synchronously: the target shard ingests, every other
@@ -50,20 +49,13 @@ contract:
 * ``executor='parallel'`` — the pipe transport
   (:mod:`repro.dsms.transport`): each shard is one persistent worker
   process owning its Engine for the sharded engine's lifetime, fed
-  batches over a duplex pipe as struct-packed binary frames
-  (``codec='framed'``, the default) or whole-payload protocol-5 pickles
-  (``codec='pickle'``).  Output frames stream back asynchronously on a
-  per-shard reader thread; dispatch is pipelined with a bounded
-  in-flight window (backpressure) and an adaptive batch-size
-  controller.  Per-shard wire counters are surfaced through
-  :meth:`ShardedEngine.transport_stats`.
-* ``executor='futures'`` — the legacy transport (one single-worker
-  ``concurrent.futures.ProcessPoolExecutor`` per shard, one submitted
-  future per batch epoch, outputs harvested via ``Future.result()``).
-  Kept as the ablation baseline the ``shard_transport`` benchmark
-  measures the pipe transport against.
+  batches over a duplex pipe as struct-packed binary frames.  Output
+  frames stream back asynchronously on a per-shard reader thread;
+  dispatch is pipelined with a bounded in-flight window (backpressure)
+  and an adaptive batch-size controller.  Per-shard wire counters are
+  surfaced through :meth:`ShardedEngine.transport_stats`.
 
-All executors batch through the same fused ingestion
+Both executors batch through the same fused ingestion
 (:meth:`Stream.batch_ingester`), so the PR-1 fast path applies per
 shard.  Clock advancement is broadcast at batch boundaries, which
 preserves merged output *order* (timer outputs are stamped with their
@@ -94,13 +86,13 @@ from __future__ import annotations
 import heapq
 import time
 import zlib
-from collections import deque
 from collections.abc import Mapping as _MappingABC
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .columns import ColumnBatch
 from .engine import Collector, Engine, QueryHandle
 from .errors import EslSemanticError, TransportError
+from .lowering import execution_tier
 from .merge import RunCollector, StampedRow, StampedSink, merge_runs
 from .schema import Schema
 from .tuples import Tuple
@@ -149,27 +141,18 @@ class ShardSpec:
     tables from it, so ids agree without crossing the wire.
     """
 
-    __slots__ = (
-        "ops", "sinks", "compile_expressions", "indexed_state",
-        "vectorized_admission", "native_admission", "stream_table",
-    )
+    __slots__ = ("ops", "sinks", "tier", "stream_table")
 
     def __init__(
         self,
         ops: Sequence[tuple],
         sinks: Sequence[tuple[str, str, str, str]],
-        compile_expressions: bool,
-        indexed_state: bool = True,
+        tier: str,
         stream_table: Sequence[tuple[str, Schema]] = (),
-        vectorized_admission: bool = True,
-        native_admission: bool = False,
     ) -> None:
         self.ops = list(ops)
         self.sinks = list(sinks)
-        self.compile_expressions = compile_expressions
-        self.indexed_state = indexed_state
-        self.vectorized_admission = vectorized_admission
-        self.native_admission = native_admission
+        self.tier = tier
         self.stream_table = tuple(stream_table)
 
 
@@ -185,12 +168,7 @@ class _ShardRuntime:
     def __init__(self, spec: ShardSpec, shard: int, n_shards: int) -> None:
         self.shard = shard
         self.n_shards = n_shards
-        self.engine = Engine(
-            compile_expressions=spec.compile_expressions,
-            indexed_state=spec.indexed_state,
-            vectorized_admission=spec.vectorized_admission,
-            native_admission=getattr(spec, "native_admission", False),
-        )
+        self.engine = Engine(tier=spec.tier)
         self.handles: dict[str, QueryHandle] = {}
         for op in spec.ops:
             kind = op[0]
@@ -252,7 +230,7 @@ class _ShardRuntime:
         strm.push_columns(
             batch,
             self._advance_if_due,
-            self.engine.vectorized_admission or self.engine.native_admission,
+            self.engine.lowering.masks,
             on_row=lambda index: drain(gs[index]),
         )
 
@@ -402,256 +380,10 @@ class _SerialExecutor:
             runtime.engine.stop_all()
 
 
-# Worker-process state for the parallel executor.  Each shard has its own
-# single-worker pool, so exactly one runtime lives per worker process.
-_WORKER_RUNTIME: _ShardRuntime | None = None
-
-
-def _worker_init(spec: ShardSpec, shard: int, n_shards: int) -> None:
-    global _WORKER_RUNTIME
-    _WORKER_RUNTIME = _ShardRuntime(spec, shard, n_shards)
-
-
-def _worker_batch(
-    records: list[tuple[int, str, Any, float]], advance_to: tuple[int, float] | None
-) -> dict[str, list[StampedRow]]:
-    runtime = _WORKER_RUNTIME
-    assert runtime is not None
-    ingest = runtime.ingest
-    for g, stream, values, ts in records:
-        ingest(g, stream, values, ts)
-    if advance_to is not None:
-        runtime.advance(advance_to[0], advance_to[1])
-    return runtime.take_outputs()
-
-
-def _worker_flush(g: int) -> dict[str, list[StampedRow]]:
-    runtime = _WORKER_RUNTIME
-    assert runtime is not None
-    runtime.flush(g)
-    return runtime.take_outputs()
-
-
-def _worker_state_size(label: str) -> int:
-    assert _WORKER_RUNTIME is not None
-    return _WORKER_RUNTIME.query_state_size(label)
-
-
-def _worker_table_rows(name: str) -> list[dict[str, Any]]:
-    assert _WORKER_RUNTIME is not None
-    return _WORKER_RUNTIME.table_rows(name)
-
-
-def _worker_ready() -> bool:
-    return _WORKER_RUNTIME is not None
-
-
-class _FuturesExecutor:
-    """Legacy process-backed executor: one pool + future per batch epoch.
-
-    Records accumulate in per-shard buffers; when any buffer reaches
-    ``batch_size`` the router dispatches *all* shards — loaded ones get
-    their records, idle ones get an empty batch carrying the clock
-    heartbeat — so windows and timeouts expire across every shard at each
-    batch epoch.  Worker affinity is strict: each shard's pool has
-    exactly one worker, so per-shard operator state never migrates.
-
-    This is the transport the pipe executor replaced (select it with
-    ``executor='futures'``): every epoch pays executor machinery — a
-    pickled submission, a work-queue hop, and a ``Future.result()``
-    round trip — per shard.  It is kept as the ablation baseline for the
-    ``shard_transport`` benchmark, with the same heartbeat accounting
-    (heartbeat-only submissions are counted and *skipped* when the clock
-    stamp is not newer than the shard's last) and with teardown on a
-    failed worker batch, which used to leave pools alive with pending
-    futures.
-    """
-
-    def __init__(
-        self,
-        spec: ShardSpec,
-        n_shards: int,
-        batch_size: int,
-        measure_bytes: bool = False,
-    ) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._n = n_shards
-        self._batch_size = batch_size
-        self._measure_bytes = measure_bytes
-        self._closed = False
-        self._pools = [
-            ProcessPoolExecutor(
-                max_workers=1, initializer=_worker_init, initargs=(spec, i, n_shards)
-            )
-            for i in range(n_shards)
-        ]
-        self._buffers: list[list[tuple[int, str, Any, float]]] = [
-            [] for _ in range(n_shards)
-        ]
-        self._pending: list[deque] = [deque() for _ in range(n_shards)]
-        self._runs: dict[str, list[list[StampedRow]]] = {}
-        self._max_ts: float | None = None
-        self._max_g = 0
-        self._last_sent_ts: list[float | None] = [None] * n_shards
-        self.frames_sent = [0] * n_shards
-        self.heartbeat_frames = [0] * n_shards
-        self.records_sent = [0] * n_shards
-        self.bytes_sent = [0] * n_shards
-        self.round_trips = [0] * n_shards
-
-    def warm_up(self) -> None:
-        """Block until every shard's worker process is initialized."""
-        futures = [pool.submit(_worker_ready) for pool in self._pools]
-        for future in futures:
-            future.result()
-
-    def _absorb(self, shard: int, outputs: dict[str, list[StampedRow]]) -> None:
-        for sink_id, rows in outputs.items():
-            per_shard = self._runs.setdefault(sink_id, [[] for _ in range(self._n)])
-            per_shard[shard].extend(rows)
-
-    def _result(self, shard: int, future) -> dict[str, list[StampedRow]]:
-        """``Future.result()`` with teardown: a failed worker batch must
-        not leave N pools alive with pending futures."""
-        try:
-            outputs = future.result()
-        except BaseException:
-            self.close(sync=False)
-            raise
-        self.round_trips[shard] += 1
-        return outputs
-
-    def _harvest_ready(self, shard: int) -> None:
-        pending = self._pending[shard]
-        while pending and pending[0].done():
-            self._absorb(shard, self._result(shard, pending.popleft()))
-
-    def _dispatch_all(self, advance_to: tuple[int, float] | None) -> None:
-        for shard, pool in enumerate(self._pools):
-            records = self._buffers[shard]
-            if not records:
-                # Heartbeat-only epoch: skip unless the clock stamp is
-                # genuinely newer than this shard's last — a stale stamp
-                # cannot fire timers, so re-dispatching it is pure
-                # amplification.
-                last = self._last_sent_ts[shard]
-                if advance_to is None or (
-                    last is not None and advance_to[1] <= last
-                ):
-                    continue
-                self.heartbeat_frames[shard] += 1
-            self._buffers[shard] = []
-            if advance_to is not None:
-                self._last_sent_ts[shard] = advance_to[1]
-            if self._measure_bytes:
-                import pickle
-
-                self.bytes_sent[shard] += len(
-                    pickle.dumps((records, advance_to), protocol=5)
-                )
-            self.frames_sent[shard] += 1
-            self.records_sent[shard] += len(records)
-            self._pending[shard].append(
-                pool.submit(_worker_batch, records, advance_to)
-            )
-            self._harvest_ready(shard)
-
-    def _note(self, g: int, ts: float) -> None:
-        self._max_g = g
-        if self._max_ts is None or ts > self._max_ts:
-            self._max_ts = ts
-
-    def route_one(self, shard: int, g: int, stream: str, values: Any, ts: float) -> None:
-        self._note(g, ts)
-        buffer = self._buffers[shard]
-        buffer.append((g, stream, values, ts))
-        if len(buffer) >= self._batch_size:
-            self._dispatch_all((g, self._max_ts))
-
-    def broadcast_one(self, g: int, stream: str, values: Any, ts: float) -> None:
-        self._note(g, ts)
-        record = (g, stream, values, ts)
-        full = False
-        for buffer in self._buffers:
-            buffer.append(record)
-            full = full or len(buffer) >= self._batch_size
-        if full:
-            self._dispatch_all((g, self._max_ts))
-
-    def advance_all(self, g: int, ts: float) -> None:
-        self._note(g, ts)
-        self._dispatch_all((g, ts))
-
-    def flush_all(self, g: int) -> None:
-        self._dispatch_all(None)
-        for shard, pool in enumerate(self._pools):
-            self.frames_sent[shard] += 1
-            self._pending[shard].append(pool.submit(_worker_flush, g))
-        self.sync()
-
-    def sync(self) -> None:
-        """Barrier: drain buffers, then absorb every outstanding future."""
-        if any(self._buffers):
-            advance = (
-                None
-                if self._max_ts is None
-                else (self._max_g, self._max_ts)
-            )
-            self._dispatch_all(advance)
-        for shard in range(self._n):
-            pending = self._pending[shard]
-            while pending:
-                self._absorb(shard, self._result(shard, pending.popleft()))
-
-    def outputs(self) -> dict[str, list[list[StampedRow]]]:
-        self.sync()
-        return self._runs
-
-    def query_state_sizes(self, label: str) -> list[int]:
-        self.sync()
-        futures = [pool.submit(_worker_state_size, label) for pool in self._pools]
-        return [future.result() for future in futures]
-
-    def table_rows(self, name: str) -> list[list[dict[str, Any]]]:
-        self.sync()
-        futures = [pool.submit(_worker_table_rows, name) for pool in self._pools]
-        return [future.result() for future in futures]
-
-    def stats(self) -> list[dict[str, Any]]:
-        return [
-            {
-                "shard": shard,
-                "frames_sent": self.frames_sent[shard],
-                "heartbeat_frames": self.heartbeat_frames[shard],
-                "records_sent": self.records_sent[shard],
-                "bytes_sent": self.bytes_sent[shard],
-                "round_trips": self.round_trips[shard],
-            }
-            for shard in range(self._n)
-        ]
-
-    def alive_workers(self) -> int:
-        if self._closed:
-            return 0
-        return len(self._pools)
-
-    def close(self, sync: bool = True) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if sync:
-                self.sync()
-        finally:
-            for pool in self._pools:
-                pool.shutdown(wait=True, cancel_futures=True)
-
-
 class _PipeExecutor:
     """Pipe-transport executor: persistent workers, framed dispatch.
 
-    Same routing/merge contract as the other executors, different
+    Same routing/merge contract as the serial executor, different
     plumbing: each shard is a :class:`~repro.dsms.transport.ShardWorkerClient`
     wrapping one long-lived worker process, outputs stream back on reader
     threads into a :class:`~repro.dsms.merge.RunCollector`, and dispatch
@@ -666,7 +398,6 @@ class _PipeExecutor:
         spec: ShardSpec,
         n_shards: int,
         batch_size: int,
-        codec: str = "framed",
         start_method: str | None = None,
         max_inflight: int = 2,
         adaptive_batch: bool = True,
@@ -683,7 +414,6 @@ class _PipeExecutor:
         from .transport import AdaptiveBatcher, ShardWorkerClient
 
         self._n = n_shards
-        self.codec = codec
         self._closed = False
         # Fault-tolerance machinery.  With the default fail_fast policy
         # the replay logs stay empty and none of this is consulted on the
@@ -720,7 +450,6 @@ class _PipeExecutor:
                         spec,
                         shard,
                         n_shards,
-                        codec,
                         context,
                         self._collector.absorb,
                         max_inflight=max_inflight,
@@ -834,7 +563,6 @@ class _PipeExecutor:
             self._spec,
             shard,
             self._n,
-            self.codec,
             self._context,
             self._dedup_absorb(shard),
             max_inflight=self._max_inflight,
@@ -1234,38 +962,21 @@ class ShardedEngine:
 
     Args:
         n_shards: number of inner engines (>= 1).
-        executor: ``'serial'`` (in-process reference), ``'parallel'``
-            (persistent pipe workers, framed transport), or ``'futures'``
-            (legacy one-future-per-batch ProcessPoolExecutor transport,
-            kept as the ablation baseline).
+        executor: ``'serial'`` (in-process reference) or ``'parallel'``
+            (persistent pipe workers, framed transport).
         shard_by: explicit ``{stream_name: key_field}`` routing overrides;
             takes precedence over hoisted partition keys.
-        compile_expressions: forwarded to every inner Engine.
-        indexed_state: forwarded to every inner Engine (sequence-operator
-            state indexing; see :class:`~repro.dsms.engine.Engine`).
-        vectorized_admission: forwarded to every inner Engine — columnar
-            batches handed over via :meth:`push_columns` evaluate
-            admission masks over whole columns and materialize survivors
-            only (see :class:`~repro.dsms.engine.Engine`).
-        native_admission: forwarded to every inner Engine — admission
-            predicates additionally compile to native C kernels where
-            the platform has a C compiler, falling back to the
-            vectorized/closure tiers otherwise (see
-            :class:`~repro.dsms.engine.Engine`).
+        tier: execution-tier cap forwarded to every inner Engine
+            (``'native'``, ``'vector'``, ``'closure'`` or
+            ``'interpreted'``; see :class:`~repro.dsms.engine.Engine`).
         batch_size: records buffered per shard before a parallel hand-off
             (the adaptive controller's starting point under ``parallel``).
-        codec: pipe-transport payload encoding, ``'framed'`` (columnar
-            struct packing) or ``'pickle'`` (protocol-5 pickle over the
-            same framing); ignored by the other executors.
         start_method: multiprocessing start method for pipe workers
-            (``None`` = platform default); ignored by other executors.
+            (``None`` = platform default); ignored by the serial executor.
         max_inflight: un-acknowledged frames allowed per pipe worker
             before dispatch blocks (double-buffered by default).
         adaptive_batch: let observed round-trip latency grow/shrink the
             per-shard dispatch threshold (``parallel`` only).
-        measure_bytes: make the ``futures`` executor count submission
-            bytes by pickling each batch a second time — measurement
-            overhead, so keep it off for timed runs.
         fault_tolerance: what happens when a shard worker fails
             (``parallel`` only; see ``docs/FAULT_TOLERANCE.md``):
             ``'fail_fast'`` (default — re-raise, tear down, exactly the
@@ -1293,16 +1004,11 @@ class ShardedEngine:
         n_shards: int = 4,
         executor: str = "serial",
         shard_by: Mapping[str, str] | None = None,
-        compile_expressions: bool = True,
-        indexed_state: bool = True,
-        vectorized_admission: bool = True,
-        native_admission: bool = False,
+        tier: str = "vector",
         batch_size: int = 2048,
-        codec: str = "framed",
         start_method: str | None = None,
         max_inflight: int = 2,
         adaptive_batch: bool = True,
-        measure_bytes: bool = False,
         fault_tolerance: str = "fail_fast",
         checkpoint_interval: float | None = None,
         hang_timeout: float | None = None,
@@ -1312,14 +1018,10 @@ class ShardedEngine:
     ) -> None:
         if n_shards < 1:
             raise EslSemanticError(f"n_shards must be >= 1, got {n_shards}")
-        if executor not in ("serial", "parallel", "futures"):
+        if executor not in ("serial", "parallel"):
             raise EslSemanticError(
-                f"unknown executor {executor!r}: expected 'serial', "
-                "'parallel', or 'futures'"
-            )
-        if codec not in ("framed", "pickle"):
-            raise EslSemanticError(
-                f"unknown codec {codec!r}: expected 'framed' or 'pickle'"
+                f"unknown executor {executor!r}: expected 'serial' or "
+                "'parallel'"
             )
         if fault_tolerance not in ("fail_fast", "restart", "degrade"):
             raise EslSemanticError(
@@ -1340,11 +1042,9 @@ class ShardedEngine:
         self.n_shards = n_shards
         self.executor_kind = executor
         self.batch_size = batch_size
-        self.codec = codec
         self.start_method = start_method
         self.max_inflight = max_inflight
         self.adaptive_batch = adaptive_batch
-        self.measure_bytes = measure_bytes
         self.fault_tolerance = fault_tolerance
         self.checkpoint_interval = checkpoint_interval
         self.hang_timeout = hang_timeout
@@ -1358,28 +1058,20 @@ class ShardedEngine:
             if fault_tolerance == "degrade"
             else None
         )
-        self.compile_expressions = compile_expressions
-        self.indexed_state = indexed_state
-        self.vectorized_admission = vectorized_admission
-        self.native_admission = native_admission
+        self.tier = tier
         self.shard_by = {
             name.lower(): field.lower() for name, field in (shard_by or {}).items()
         }
         # The catalog engine holds schemas and compiled query metadata for
-        # routing decisions; it never receives data.
-        self.catalog = Engine(
-            compile_expressions=compile_expressions,
-            indexed_state=indexed_state,
-            vectorized_admission=vectorized_admission,
-        )
+        # routing decisions; it never receives data, so it stops at the
+        # vector tier rather than building native kernels nobody calls.
+        self.catalog = Engine(tier="vector" if tier == "native" else tier)
         self._ops: list[tuple] = []
         self._sink_specs: list[tuple[str, str, str]] = []  # (sink_id, kind, target)
         self._routes: dict[str, _Route] = {}
         self._handles: dict[str, ShardedQueryHandle] = {}
         self._table_replicated: dict[str, bool] = {}
-        self._executor: (
-            _SerialExecutor | _PipeExecutor | _FuturesExecutor | None
-        ) = None
+        self._executor: _SerialExecutor | _PipeExecutor | None = None
         self._g = 0
         self._max_ts: float | None = None
         self._query_counter = 0
@@ -1644,23 +1336,14 @@ class ShardedEngine:
             (stream.name.lower(), stream.schema)
             for stream in self.catalog.streams
         )
-        spec = ShardSpec(
-            self._ops, sinks, self.compile_expressions, self.indexed_state,
-            stream_table, self.vectorized_admission, self.native_admission,
-        )
+        spec = ShardSpec(self._ops, sinks, self.tier, stream_table)
         if self.executor_kind == "serial":
             self._executor = _SerialExecutor(spec, self.n_shards)
-        elif self.executor_kind == "futures":
-            self._executor = _FuturesExecutor(
-                spec, self.n_shards, self.batch_size,
-                measure_bytes=self.measure_bytes,
-            )
         else:
             self._executor = _PipeExecutor(
                 spec,
                 self.n_shards,
                 self.batch_size,
-                codec=self.codec,
                 start_method=self.start_method,
                 max_inflight=self.max_inflight,
                 adaptive_batch=self.adaptive_batch,
@@ -1736,11 +1419,10 @@ class ShardedEngine:
     def push_columns(self, stream_name: str, batch: ColumnBatch) -> int:
         """Route a whole :class:`~repro.dsms.columns.ColumnBatch`.
 
-        Under the parallel (pipe) executor the batch is key-split into
-        per-shard sub-batches that stay columnar across the wire and all
-        the way into shard admission (survivor-only materialization);
-        executors without a columnar path fall back to per-row
-        :meth:`push`, which is record-for-record equivalent.
+        The batch is key-split into per-shard sub-batches that stay
+        columnar — under the parallel executor across the wire too — all
+        the way into shard admission (survivor-only materialization),
+        record-for-record equivalent to per-row :meth:`push`.
         """
         self._freeze()
         route = self._routes.get(stream_name.lower())
@@ -1757,15 +1439,6 @@ class ShardedEngine:
         if not n:
             return 0
         executor = self._executor
-        route_columns = getattr(executor, "route_columns", None)
-        if route_columns is None:
-            # Executors without a columnar path (futures) interleave
-            # shards per record; replay the batch row by row for exact
-            # stamps.
-            push = self.push
-            for values, ts in batch.rows():
-                push(stream_name, values, ts)
-            return n
         g0 = self._g
         self._g = g0 + n
         tss = batch.timestamps
@@ -1815,7 +1488,7 @@ class ShardedEngine:
                 (shard, gs, route.stream, batch)
                 for shard in range(self.n_shards)
             ]
-        route_columns(entries, advance_to)
+        executor.route_columns(entries, advance_to)
         return n
 
     def push_batch(
@@ -1908,11 +1581,9 @@ class ShardedEngine:
         ``round_trips``, router-side ``encode_s``/``decode_s``,
         worker-side ``worker_encode_s``/``worker_decode_s``, and the
         adaptive controller's ``batch_size``/``batch_growths``/
-        ``batch_shrinks``; for the futures executor: frame/heartbeat/
-        record/round-trip counts (bytes only under ``measure_bytes``).
-        The serial executor has no transport, so ``per_shard`` is empty.
-        Counters survive :meth:`close` — benchmarks read them after
-        tearing the workers down.
+        ``batch_shrinks``.  The serial executor has no transport, so
+        ``per_shard`` is empty.  Counters survive :meth:`close` —
+        benchmarks read them after tearing the workers down.
         """
         self._freeze()
         stats_fn = getattr(self._executor, "stats", None)
@@ -1925,48 +1596,18 @@ class ShardedEngine:
                 totals[key] = totals.get(key, 0) + value
         return {
             "executor": self.executor_kind,
-            "codec": self.codec if self.executor_kind == "parallel" else None,
+            "codec": "framed" if self.executor_kind == "parallel" else None,
             "n_shards": self.n_shards,
             "per_shard": per_shard,
             "totals": totals,
         }
 
     def execution_tier(self) -> dict[str, Any]:
-        """The admission execution tier the inner engines run at.
-
-        Computed from the configured flags and compiler availability on
-        this host — the same degradation ladder as
-        :meth:`~repro.dsms.engine.Engine.execution_tier` (native →
-        vector → closure → interpreted).  Per-shard native counters live
-        inside the worker processes and are not aggregated here.
-        """
-        if self.native_admission:
-            requested = "native"
-        elif self.vectorized_admission:
-            requested = "vector"
-        elif self.compile_expressions:
-            requested = "closure"
-        else:
-            requested = "interpreted"
-        active = requested
-        info: dict[str, Any] = {"requested": requested}
-        if self.native_admission:
-            from .native import find_compiler
-
-            compiler = find_compiler()
-            if compiler is None:
-                if self.vectorized_admission:
-                    active = "vector"
-                elif self.compile_expressions:
-                    active = "closure"
-                else:
-                    active = "interpreted"
-            info["compiler"] = compiler
-        info["active"] = active
-        # Pairing masks ride the same flags inside each shard's engine and
-        # share admission's degradation ladder.
-        info["pairing"] = {"requested": requested, "active": active}
-        return info
+        """Requested vs active tier of the inner engines on this host
+        (see :func:`repro.dsms.lowering.execution_tier`).  Per-shard
+        native counters live inside the worker processes and are not
+        aggregated here."""
+        return execution_tier(self.tier)
 
     def alive_workers(self) -> int:
         """Worker processes still running (always 0 for the serial

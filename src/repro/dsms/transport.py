@@ -1,12 +1,8 @@
 """Shard transport: binary frame codec + persistent pipe workers.
 
-The parallel :class:`~repro.dsms.sharding.ShardedEngine` executor used to
-pay a ``concurrent.futures`` round trip per batch: every dispatch pickled
-a list of per-record tuples into a ``ProcessPoolExecutor`` work queue and
-harvested outputs through ``Future.result()`` — per-epoch overhead that
-consumed the entire parallel speedup (``BENCH_sharded_scaling.json``
-showed the parallel executor at ~1/7 of a single in-process engine).
-This module is the replacement transport:
+The plumbing under ``ShardedEngine(executor="parallel")`` (see
+:mod:`repro.dsms.sharding`), built so that per-batch hand-off overhead
+does not consume the parallel speedup:
 
 * **Persistent workers.**  Each shard is one long-lived worker process
   owning its shard :class:`~repro.dsms.engine.Engine` for the engine's
@@ -21,9 +17,7 @@ This module is the replacement transport:
   schema-first with a per-batch type check) are packed columnar, and
   anything heterogeneous falls back to pickle protocol 5 with out-of-band
   buffers.  Every frame carries a length and CRC-32 so truncation and
-  corruption are detected, not silently mis-decoded.  The ``"pickle"``
-  codec keeps the same framing but pickles the payload wholesale — the
-  ablation arm that isolates codec wins from transport wins.
+  corruption are detected, not silently mis-decoded.
 
 * **Pipelined, backpressure-aware dispatch.**  Output frames are streamed
   back asynchronously: a per-shard reader thread drains the pipe into the
@@ -142,18 +136,10 @@ class FrameCodec:
 
     Both pipe ends construct their codec from the same
     :class:`~repro.dsms.sharding.ShardSpec`, so the interned stream-name
-    and sink-id tables agree without ever crossing the wire.  ``codec``
-    selects the batch/output payload encoding: ``"framed"`` (columnar
-    struct packing) or ``"pickle"`` (whole-payload protocol-5 pickle over
-    the same envelope — the ablation arm).
+    and sink-id tables agree without ever crossing the wire.
     """
 
-    def __init__(self, codec: str, spec: Any) -> None:
-        if codec not in ("framed", "pickle"):
-            raise FrameCodecError(
-                f"unknown codec {codec!r}: expected 'framed' or 'pickle'"
-            )
-        self.codec = codec
+    def __init__(self, spec: Any) -> None:
         table = getattr(spec, "stream_table", None) or ()
         self._stream_ids: dict[str, int] = {}
         self._stream_names: list[str] = []
@@ -180,9 +166,6 @@ class FrameCodec:
         records: list[tuple[int, str, Any, float]],
         advance_to: tuple[int, float] | None,
     ) -> bytes:
-        if self.codec == "pickle":
-            payload = struct.pack("<Q", seq) + dumps_oob((records, advance_to))
-            return encode_frame(FT_BATCH, payload)
         n = len(records)
         parts: list[bytes] = [struct.pack("<Q", seq)]
         if advance_to is None:
@@ -254,9 +237,6 @@ class FrameCodec:
         try:
             (seq,) = struct.unpack_from("<Q", payload, 0)
             offset = 8
-            if self.codec == "pickle":
-                (records, advance_to), _ = loads_oob(payload, offset)
-                return seq, records, advance_to
             (has_advance,) = struct.unpack_from("<B", payload, offset)
             offset += 1
             advance_to = None
@@ -319,14 +299,6 @@ class FrameCodec:
         column lists as-is and the worker rebuilds a :class:`ColumnBatch`
         straight from the unpacked columns.
         """
-        if self.codec == "pickle":
-            raw = [
-                (stream, tuple(gs), [list(c) for c in batch.columns],
-                 list(batch.timestamps))
-                for stream, gs, batch in entries
-            ]
-            payload = struct.pack("<Q", seq) + dumps_oob((raw, advance_to))
-            return encode_frame(FT_COLBATCH, payload)
         parts: list[bytes] = [struct.pack("<Q", seq)]
         if advance_to is None:
             parts.append(struct.pack("<B", 0))
@@ -366,18 +338,6 @@ class FrameCodec:
         try:
             (seq,) = struct.unpack_from("<Q", payload, 0)
             offset = 8
-            if self.codec == "pickle":
-                (raw, advance_to), _ = loads_oob(payload, offset)
-                entries = []
-                for stream, gs, columns, tss in raw:
-                    stream_id = self._stream_ids.get(stream)
-                    if stream_id is None:
-                        raise FrameCodecError(f"unknown stream {stream!r}")
-                    entries.append((
-                        stream, tuple(gs),
-                        ColumnBatch(self._schemas[stream_id], columns, tss),
-                    ))
-                return seq, entries, advance_to
             (has_advance,) = struct.unpack_from("<B", payload, offset)
             offset += 1
             advance_to = None
@@ -451,8 +411,6 @@ class FrameCodec:
         encode_s: float,
     ) -> bytes:
         head = struct.pack("<Qdd", ack_seq, decode_s, encode_s)
-        if self.codec == "pickle":
-            return encode_frame(FT_OUTPUT, head + dumps_oob(dict(outputs)))
         parts: list[bytes] = [head, struct.pack("<H", len(outputs))]
         for sink_id, rows in outputs.items():
             sink_index = self._sink_index.get(sink_id)
@@ -485,9 +443,6 @@ class FrameCodec:
         try:
             ack_seq, decode_s, encode_s = struct.unpack_from("<Qdd", payload, 0)
             offset = 24
-            if self.codec == "pickle":
-                outputs, _ = loads_oob(payload, offset)
-                return ack_seq, outputs, decode_s, encode_s
             (n_sinks,) = struct.unpack_from("<H", payload, offset)
             offset += 2
             outputs: dict[str, list[StampedRow]] = {}
@@ -609,7 +564,7 @@ class AdaptiveBatcher:
 
 
 def shard_worker_main(
-    conn: Any, spec: Any, shard: int, n_shards: int, codec_name: str
+    conn: Any, spec: Any, shard: int, n_shards: int
 ) -> None:
     """Entry point of one persistent shard worker process.
 
@@ -627,7 +582,7 @@ def shard_worker_main(
     decode_s = 0.0
     encode_s = 0.0
     try:
-        codec = FrameCodec(codec_name, spec)
+        codec = FrameCodec(spec)
         runtime = _ShardRuntime(spec, shard, n_shards)
         conn.send_bytes(encode_hello(shard))
         while True:
@@ -732,7 +687,6 @@ class ShardWorkerClient:
         spec: Any,
         shard: int,
         n_shards: int,
-        codec_name: str,
         context: Any,
         on_outputs: Callable[[int, Mapping[str, list[StampedRow]]], None],
         max_inflight: int = 2,
@@ -742,7 +696,7 @@ class ShardWorkerClient:
         import weakref
 
         self.shard = shard
-        self._codec = FrameCodec(codec_name, spec)
+        self._codec = FrameCodec(spec)
         self._on_outputs = on_outputs
         self._max_inflight = max(1, max_inflight)
         # Supervision knobs: when hang_timeout is set, the wait loops raise
@@ -756,7 +710,7 @@ class ShardWorkerClient:
         self._conn = conn
         self._process = context.Process(
             target=shard_worker_main,
-            args=(worker_conn, spec, shard, n_shards, codec_name),
+            args=(worker_conn, spec, shard, n_shards),
             daemon=True,
             name=f"repro-shard-{shard}",
         )
@@ -895,6 +849,25 @@ class ShardWorkerClient:
                 f"shard {self.shard} worker exited unexpectedly"
             )
 
+    def _pipe_closed(self, exc: BaseException, doing: str) -> TransportError:
+        """The error to raise when a send hits a closed pipe.
+
+        A worker that died of something it could report (a corrupt frame,
+        an application error) wrote an ERROR frame before closing; wait
+        for the reader thread to reach it or EOF, so the failure is
+        classified by its cause rather than as a bare crash whenever the
+        router happens to win the race.
+        """
+        with self._cond:
+            self._cond.wait_for(
+                lambda: self._dead or self._error is not None, timeout=1.0
+            )
+            if self._error is not None:
+                return self._error
+        return WorkerCrashed(
+            f"shard {self.shard} worker pipe closed while {doing}: {exc}"
+        )
+
     def _check_hang(self) -> None:
         """Raise WorkerHung when in-flight work stalls past the deadline."""
         timeout = self._hang_timeout
@@ -945,10 +918,7 @@ class ShardWorkerClient:
             try:
                 self._conn.send_bytes(frame)
             except (OSError, ValueError, BrokenPipeError) as exc:
-                raise WorkerCrashed(
-                    f"shard {self.shard} worker pipe closed while sending: "
-                    f"{exc}"
-                ) from exc
+                raise self._pipe_closed(exc, "sending") from exc
         if plan is not None:
             plan.after_send(self.shard, n_records, self._process)
 
@@ -1025,10 +995,7 @@ class ShardWorkerClient:
         try:
             self._conn.send_bytes(encode_call(method, args))
         except (OSError, ValueError, BrokenPipeError) as exc:
-            raise WorkerCrashed(
-                f"shard {self.shard} worker pipe closed while calling "
-                f"{method!r}: {exc}"
-            ) from exc
+            raise self._pipe_closed(exc, f"calling {method!r}") from exc
         wait_s = self._wait_interval()
         started = time.monotonic()
         with self._cond:

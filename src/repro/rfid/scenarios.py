@@ -77,9 +77,9 @@ WHERE NOT EXISTS
 
 
 def build_dedup(
-    workload: WorkloadResult, compile_expressions: bool = True
+    workload: WorkloadResult, tier: str = "vector"
 ) -> Scenario:
-    engine = Engine(compile_expressions=compile_expressions)
+    engine = Engine(tier=tier)
     engine.create_stream("readings", "reader_id str, tag_id str, read_time float")
     engine.create_stream(
         "cleaned_readings", "reader_id str, tag_id str, read_time float"
@@ -94,8 +94,7 @@ def build_dedup_sharded(
     workload: WorkloadResult,
     n_shards: int = 4,
     executor: str = "serial",
-    compile_expressions: bool = True,
-    codec: str = "framed",
+    tier: str = "vector",
     **engine_kwargs: Any,
 ) -> Scenario:
     """Example 1 dedup on a :class:`ShardedEngine`.
@@ -109,8 +108,7 @@ def build_dedup_sharded(
         n_shards=n_shards,
         executor=executor,
         shard_by={"readings": "tag_id"},
-        compile_expressions=compile_expressions,
-        codec=codec,
+        tier=tier,
         **engine_kwargs,
     )
     engine.create_stream("readings", "reader_id str, tag_id str, read_time float")
@@ -134,9 +132,9 @@ FROM tag_locations WHERE NOT EXISTS
 
 
 def build_location(
-    workload: WorkloadResult, compile_expressions: bool = True
+    workload: WorkloadResult, tier: str = "vector"
 ) -> Scenario:
-    engine = Engine(compile_expressions=compile_expressions)
+    engine = Engine(tier=tier)
     engine.create_stream(
         "tag_locations", "readerid str, tid str, tagtime float, loc str"
     )
@@ -155,9 +153,9 @@ AND extract_serial(tid) < 9999
 
 
 def build_epc_aggregation(
-    workload: WorkloadResult, compile_expressions: bool = True
+    workload: WorkloadResult, tier: str = "vector"
 ) -> Scenario:
-    engine = Engine(compile_expressions=compile_expressions)
+    engine = Engine(tier=tier)
     engine.create_stream("readings", "reader_id str, tid str, read_time float")
     handle = engine.query(EPC_AGG_QUERY, name="epc-agg")
     return Scenario(engine, handle, workload, "example3-epc")
@@ -185,9 +183,9 @@ AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS
 def build_containment(
     workload: WorkloadResult,
     per_item: bool = False,
-    compile_expressions: bool = True,
+    tier: str = "vector",
 ) -> Scenario:
-    engine = Engine(compile_expressions=compile_expressions)
+    engine = Engine(tier=tier)
     engine.create_stream("r1", "readerid str, tagid str, tagtime float")
     engine.create_stream("r2", "readerid str, tagid str, tagtime float")
     query = CONTAINMENT_PER_ITEM_QUERY if per_item else CONTAINMENT_QUERY
@@ -228,12 +226,9 @@ def build_lab_workflow(
     workload: WorkloadResult,
     use_clevel: bool = False,
     partitioned: bool = False,
-    compile_expressions: bool = True,
-    indexed_state: bool = True,
+    tier: str = "vector",
 ) -> Scenario:
-    engine = Engine(
-        compile_expressions=compile_expressions, indexed_state=indexed_state
-    )
+    engine = Engine(tier=tier)
     for name in ("a1", "a2", "a3"):
         engine.create_stream(name, "tagid str, tagtime float")
     if use_clevel:
@@ -250,8 +245,7 @@ def build_lab_workflow_sharded(
     workload: WorkloadResult,
     n_shards: int = 4,
     executor: str = "serial",
-    compile_expressions: bool = True,
-    codec: str = "framed",
+    tier: str = "vector",
     **engine_kwargs: Any,
 ) -> Scenario:
     """Example 5 on a :class:`ShardedEngine`, using the tagid-partitioned
@@ -260,8 +254,7 @@ def build_lab_workflow_sharded(
     engine = ShardedEngine(
         n_shards=n_shards,
         executor=executor,
-        compile_expressions=compile_expressions,
-        codec=codec,
+        tier=tier,
         **engine_kwargs,
     )
     for name in ("a1", "a2", "a3"):
@@ -304,17 +297,14 @@ def build_quality_check(
     workload: WorkloadResult,
     mode: str | None = "RECENT",
     window_minutes: float | None = None,
-    compile_expressions: bool = True,
-    indexed_state: bool = True,
+    tier: str = "vector",
 ) -> Scenario:
     """Example 6, optionally with MODE and the 30-minute window variant.
 
     The paper's verbatim query is UNRESTRICTED; RECENT is the optimized
     evaluation it recommends for this scenario, so it is the default here.
     """
-    engine = Engine(
-        compile_expressions=compile_expressions, indexed_state=indexed_state
-    )
+    engine = Engine(tier=tier)
     for name in ("c1", "c2", "c3", "c4"):
         engine.create_stream(name, "readerid str, tagid str, tagtime float")
     handle = engine.query(quality_query_text(mode, window_minutes), name="quality")
@@ -327,10 +317,8 @@ def build_quality_check_sharded(
     executor: str = "serial",
     mode: str | None = "RECENT",
     window_minutes: float | None = None,
-    compile_expressions: bool = True,
-    indexed_state: bool = True,
+    tier: str = "vector",
     batch_size: int = 2048,
-    codec: str = "framed",
     **engine_kwargs: Any,
 ) -> Scenario:
     """Example 6 on a :class:`ShardedEngine`.
@@ -341,10 +329,8 @@ def build_quality_check_sharded(
     engine = ShardedEngine(
         n_shards=n_shards,
         executor=executor,
-        compile_expressions=compile_expressions,
-        indexed_state=indexed_state,
+        tier=tier,
         batch_size=batch_size,
-        codec=codec,
         **engine_kwargs,
     )
     for name in ("c1", "c2", "c3", "c4"):
@@ -380,9 +366,9 @@ WHERE item.tagtype = 'item' AND NOT EXISTS
 def build_door(
     workload: WorkloadResult,
     theft_variant: bool = True,
-    compile_expressions: bool = True,
+    tier: str = "vector",
 ) -> Scenario:
-    engine = Engine(compile_expressions=compile_expressions)
+    engine = Engine(tier=tier)
     engine.create_stream("tag_readings", "tagid str, tagtype str, tagtime float")
     query = DOOR_QUERY_THEFT if theft_variant else DOOR_QUERY_PERSONS
     handle = engine.query(query, name="door")

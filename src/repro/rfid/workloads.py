@@ -353,8 +353,7 @@ def quality_check_workload(
     several times while it dwells in the field (0.5 s apart) — the raw
     RFID condition Example 1 deduplicates away.  Fed *without* a dedup
     stage, an UNRESTRICTED SEQ then pairs every combination of re-reads,
-    which is what the ``operator_state`` benchmark uses to stress match
-    enumeration.  Ground truth timestamps remain the first read per step.
+    which is what the state-layer tests use to stress match enumeration.  Ground truth timestamps remain the first read per step.
     """
     rng = random.Random(seed)
     reread_gap = min(0.5, step_delay[0] / (rereads + 1))

@@ -140,7 +140,7 @@ class TestRunTraceEquivalence:
 
     def test_interpreted_engine_also_supports_run_trace(self):
         workload = quality_check_workload(n_products=15, seed=9)
-        slow = build_quality_check(workload, compile_expressions=False)
+        slow = build_quality_check(workload, tier="interpreted")
         slow.engine.run_trace(workload.trace)
         slow.engine.flush()
         fast = build_quality_check(workload)

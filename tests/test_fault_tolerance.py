@@ -143,6 +143,44 @@ def test_corrupt_frame_classified_and_recovered():
 
 @pytest.mark.transport
 @pytest.mark.faults
+def test_corruption_is_classified_even_when_the_router_sees_the_pipe_close_first(
+    monkeypatch,
+):
+    """The worker reports the bad frame and exits; if the router's next
+    send hits the closed pipe before the reader thread has surfaced that
+    report, the failure must still be classified by its cause."""
+    import time
+
+    from repro.dsms import transport
+
+    real_loads, real_after = transport.loads_oob, FaultPlan.after_send
+
+    def slow_loads(*args, **kwargs):  # the reader dawdles over ERROR frames
+        time.sleep(0.5)
+        return real_loads(*args, **kwargs)
+
+    def after_send(self, shard, n_records, process):
+        if self.events and not self.pending:  # just sent the bad frame:
+            time.sleep(0.2)                   # let the worker report and exit
+            monkeypatch.setattr(FaultPlan, "after_send", real_after)
+        return real_after(self, shard, n_records, process)
+
+    monkeypatch.setattr(transport, "loads_oob", slow_loads)
+    monkeypatch.setattr(FaultPlan, "after_send", after_send)
+    plan = FaultPlan().corrupt_frame(1, frame_index=2)
+    scenario, expected = _dedup_pair(
+        2, fault_tolerance="restart", checkpoint_interval=20.0,
+        fault_plan=plan,
+    )
+    with scenario.engine as engine:
+        engine.start()
+        assert scenario.feed().rows() == expected
+        failures = [e.get("failure") for e in engine.fault_stats()["events"]]
+        assert "corrupt" in failures and "crash" not in failures
+
+
+@pytest.mark.transport
+@pytest.mark.faults
 def test_fail_fast_still_raises_and_tears_down():
     """The default policy keeps the pre-existing contract: a crashed
     worker surfaces as WorkerCrashed and every worker is torn down."""

@@ -1,9 +1,9 @@
 """Differential tests: indexed sequence state vs. the reference path.
 
-``Engine(indexed_state=True)`` (the default) runs SEQ with cached
+``Engine()`` (every tier but the reference) runs SEQ with cached
 predecessor cuts, bisected eviction, and the lazy partition-expiry heap;
-``indexed_state=False`` keeps the original enumeration and the amortized
-all-partition sweep.  The contract is *byte-identical output*: for any
+``Engine(tier="interpreted")`` — the reference configuration — keeps the
+original enumeration and the amortized all-partition sweep.  The contract is *byte-identical output*: for any
 workload, both paths must emit the same match sequence — same chains, same
 order — across all four pairing modes, window shapes, guards, star
 sequences, and timer-driven EXCEPTION_SEQ violations.
@@ -81,8 +81,8 @@ def state_invariant(op):
     )
 
 
-def run_one(indexed, streams, mode, trace, window, guard, partition):
-    engine = Engine(indexed_state=indexed)
+def run_one(tier, streams, mode, trace, window, guard, partition):
+    engine = Engine(tier=tier)
     op = build_op(
         engine, streams, mode, window=window, guard=guard,
         partition_by=(lambda t: t["tagid"]) if partition else None,
@@ -95,8 +95,8 @@ def run_one(indexed, streams, mode, trace, window, guard, partition):
 
 def assert_differential(streams, mode, trace, window=None, guard=None,
                         partition=False):
-    reference = run_one(False, streams, mode, trace, window, guard, partition)
-    indexed = run_one(True, streams, mode, trace, window, guard, partition)
+    reference = run_one("interpreted", streams, mode, trace, window, guard, partition)
+    indexed = run_one("vector", streams, mode, trace, window, guard, partition)
     assert [m.key() for m in indexed.matches] == [
         m.key() for m in reference.matches
     ]
@@ -173,8 +173,8 @@ class TestDifferentialQueries:
     def test_star_sequence_rows_identical(self):
         rng = random.Random(23)
         rows = []
-        for indexed in (False, True):
-            engine = Engine(indexed_state=indexed)
+        for tier in ("interpreted", "vector"):
+            engine = Engine(tier=tier)
             engine.create_stream("r1", "readerid str, tagid str, tagtime float")
             engine.create_stream("r2", "readerid str, tagid str, tagtime float")
             handle = engine.query(STAR_QUERY, name="star")
@@ -194,10 +194,10 @@ class TestDifferentialQueries:
     def test_quality_scenario_rows_identical(self, mode):
         workload = quality_check_workload(n_products=40, seed=51)
         reference = build_quality_check(
-            workload, mode=mode, window_minutes=30.0, indexed_state=False
+            workload, mode=mode, window_minutes=30.0, tier="interpreted"
         ).feed()
         indexed = build_quality_check(
-            workload, mode=mode, window_minutes=30.0, indexed_state=True
+            workload, mode=mode, window_minutes=30.0
         ).feed()
         assert indexed.rows() == reference.rows()
 
@@ -205,11 +205,10 @@ class TestDifferentialQueries:
         workload = quality_check_workload(n_products=40, seed=52)
         expected = build_quality_check(
             workload, mode="UNRESTRICTED", window_minutes=30.0,
-            indexed_state=False,
+            tier="interpreted",
         ).feed().rows()
         scenario = build_quality_check_sharded(
             workload, n_shards=3, mode="UNRESTRICTED", window_minutes=30.0,
-            indexed_state=True,
         ).feed()
         try:
             assert scenario.rows() == expected
@@ -218,11 +217,11 @@ class TestDifferentialQueries:
 
 
 class TestDifferentialExceptionSeq:
-    """Active-expiration timers must behave identically under both flags
-    (the flag gates SEQ state only, but shares the clock and engine)."""
+    """Active-expiration timers must behave identically on the reference
+    and the default tier (they share the clock and engine)."""
 
-    def run_outcomes(self, indexed, mode):
-        engine = Engine(indexed_state=indexed)
+    def run_outcomes(self, tier, mode):
+        engine = Engine(tier=tier)
         for name in ("a1", "a2", "a3"):
             engine.create_stream(name, "tagid str, tagtime float")
         op = ExceptionSeqOperator(
@@ -247,8 +246,8 @@ class TestDifferentialExceptionSeq:
     )
     def test_outcome_sequences_identical(self, mode):
         outcomes = []
-        for indexed in (False, True):
-            _, op = self.run_outcomes(indexed, mode)
+        for tier in ("interpreted", "vector"):
+            _, op = self.run_outcomes(tier, mode)
             outcomes.append([
                 (
                     o.level,
@@ -263,7 +262,7 @@ class TestDifferentialExceptionSeq:
     def test_idle_states_released(self):
         """Terminated automata leave no residue: after the final timers
         fire, every per-tag state entry is gone."""
-        engine, op = self.run_outcomes(True, PairingMode.CONSECUTIVE)
+        engine, op = self.run_outcomes("vector", PairingMode.CONSECUTIVE)
         # Any state still in the table is mid-sequence with an armed timer;
         # after the long advance above, expirations have all fired.
         assert op._states == {}

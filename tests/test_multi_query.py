@@ -4,8 +4,7 @@ Every differential here compares a registered query's answer stream —
 ``(values, ts)`` per tuple, in order — against an independent single
 :class:`~repro.dsms.Engine` running the same text over the same trace.
 Shared execution (predicate-indexed routing, sub-plan dedup, fan-out
-collectors) must be byte-identical to that reference; so must the naive
-per-engine mode it is benchmarked against.
+collectors) must be byte-identical to that reference.
 """
 
 import pytest
@@ -57,14 +56,14 @@ def _single_run(text, rows=TRACE, offset=0.0, **flags):
 
 
 def _shared(**flags):
-    mq = MultiQueryEngine(shared_execution=True, **flags)
+    mq = MultiQueryEngine(**flags)
     mq.create_stream("readings", READINGS)
     return mq
 
 
 SHAPES = [
-    # (query text, routing expectation) — each exercised shared vs naive
-    # vs single-engine.  Routing expectation is asserted via stats().
+    # (query text, routing expectation) — each exercised shared vs
+    # single-engine.  Routing expectation is asserted via stats().
     ("SELECT reader_id, tag_id FROM readings WHERE tag_id = 'tA'", "indexed"),
     ("SELECT tag_id FROM readings WHERE read_time > 3.0", "indexed"),
     (
@@ -102,15 +101,6 @@ class TestSharedMatchesSingleEngine:
             assert stats["indexed_entries"] == 0
         mq.close()
 
-    @pytest.mark.parametrize("text,routing", SHAPES)
-    def test_naive_byte_identical(self, text, routing):
-        mq = MultiQueryEngine(shared_execution=False)
-        mq.create_stream("readings", READINGS)
-        sub = mq.register(text)
-        _feed(mq)
-        assert _answers(sub) == _single_run(text)
-        mq.close()
-
     def test_all_shapes_concurrently(self):
         mq = _shared()
         subs = [mq.register(text) for text, _ in SHAPES]
@@ -121,10 +111,10 @@ class TestSharedMatchesSingleEngine:
 
     def test_interpreted_engine_stays_residual_and_identical(self):
         text = SHAPES[0][0]
-        mq = _shared(compile_expressions=False)
+        mq = _shared(tier="interpreted")
         sub = mq.register(text)
         _feed(mq)
-        assert _answers(sub) == _single_run(text, compile_expressions=False)
+        assert _answers(sub) == _single_run(text, tier="interpreted")
         mq.close()
 
     def test_null_values_route_exactly(self):
@@ -298,15 +288,6 @@ class TestIdempotentTeardown:
         with pytest.raises(EslSemanticError):
             mq.register("SELECT tag_id FROM readings WHERE tag_id = 'tA'")
 
-    def test_naive_mode_idempotent_teardown(self):
-        mq = MultiQueryEngine(shared_execution=False)
-        mq.create_stream("readings", READINGS)
-        sub = mq.register("SELECT tag_id FROM readings WHERE tag_id = 'tA'")
-        sub.cancel()
-        sub.cancel()
-        mq.close()
-        mq.close()
-
     def test_registry_context_manager(self):
         engine = Engine()
         engine.create_stream("readings", READINGS)
@@ -340,13 +321,6 @@ class TestValidation:
         assert mq.stats()["shared_plans"] == 0
         mq.close()
 
-    def test_naive_mode_same_validation(self):
-        mq = MultiQueryEngine(shared_execution=False)
-        mq.create_stream("readings", READINGS)
-        with pytest.raises(EslSemanticError):
-            mq.register("CREATE STREAM other (x int)")
-        mq.close()
-
 
 class TestColumnarIngestion:
     def test_push_columns_matches_per_row(self):
@@ -375,10 +349,9 @@ class TestColumnarIngestion:
         scalar.close()
 
 
-class TestCatalogReplay:
-    def test_naive_mode_replays_ddl_into_late_engines(self):
-        mq = MultiQueryEngine(shared_execution=False)
-        mq.create_stream("readings", READINGS)
+class TestCatalog:
+    def test_ddl_after_registration_reaches_later_queries(self):
+        mq = _shared()
         mq.register_udf("double_it", lambda x: x * 2)
         sub = mq.register(
             "SELECT double_it(read_time) FROM readings WHERE tag_id = 'tA'"
@@ -407,10 +380,4 @@ class TestPlannerDescription:
         assert "PredicateIndex" in rendered
         assert "ResidualScan" in rendered
         assert "fan-out x2" in rendered
-        mq.close()
-
-    def test_describe_registry_naive_mode(self):
-        mq = MultiQueryEngine(shared_execution=False)
-        rendered = describe_registry(mq).render()
-        assert "naive" in rendered
         mq.close()

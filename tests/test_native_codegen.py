@@ -4,10 +4,11 @@ The native codegen tier compiles admission predicates to C kernels; its
 contract is the same as the vectorized tier's, only stricter to verify:
 whatever the host (compiler present, absent, cache warm, cache corrupted),
 query output must be **byte-identical** to the interpreted engine — same
-values, same timestamps, same order.  Every test here runs its workload
-through all four tiers (interpreted / closure / vector / native) and
-asserts exact equality, on every example query from the paper and on
-adversarial value mixes (NULLs, huge ints, unicode LIKE subjects).
+values, same timestamps, same order.  Every differential here runs its
+workload at all four ``tier`` values and asserts exact equality, on
+predicates the C tier actually compiles and on adversarial value mixes
+(NULLs, huge ints, unicode LIKE subjects); the eight paper queries run
+the same way in ``tests/test_tier_matrix.py``.
 """
 
 import glob
@@ -18,6 +19,7 @@ import pytest
 from repro.dsms import native as native_mod
 from repro.dsms.columns import ColumnBatch
 from repro.dsms.engine import Engine
+from repro.dsms.lowering import TIERS
 from repro.dsms.native import NativeState, find_compiler
 from repro.dsms.native_codegen import lower_kernel, translation_unit
 from repro.dsms.schema import Schema
@@ -36,14 +38,6 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(native_mod.CACHE_ENV, str(tmp_path / "kernel-cache"))
 
 
-TIER_FLAGS = {
-    "interpreted": dict(compile_expressions=False, vectorized_admission=False),
-    "closure": dict(vectorized_admission=False),
-    "vector": dict(),
-    "native": dict(native_admission=True),
-}
-
-
 def spaced(rows, start=0.0, step=1.0):
     return [(values, start + index * step) for index, values in enumerate(rows)]
 
@@ -59,8 +53,8 @@ def run_tiers(setup, batches, post=None):
     """
     per_tier = {}
     native_engine = None
-    for tier, flags in TIER_FLAGS.items():
-        engine = Engine(**flags)
+    for tier in TIERS:
+        engine = Engine(tier=tier)
         accessors = setup(engine)
         for stream, rows in batches:
             schema = engine.streams.get(stream).schema
@@ -78,272 +72,6 @@ def run_tiers(setup, batches, post=None):
 
 def results_of(handle):
     return lambda: [(t.values, t.ts, t.stream) for t in handle.results]
-
-
-# ---------------------------------------------------------------------------
-# Paper queries, all eight examples, across every tier
-# ---------------------------------------------------------------------------
-
-
-class TestPaperQueryDifferentials:
-    def test_example1_duplicate_filtering(self):
-        query = """
-        INSERT INTO cleaned_readings
-        SELECT * FROM readings AS r1
-        WHERE NOT EXISTS
-          (SELECT * FROM TABLE( readings OVER
-             (RANGE 1 SECONDS PRECEDING CURRENT)) AS r2
-           WHERE r2.reader_id = r1.reader_id
-             AND r2.tag_id = r1.tag_id)
-        """
-
-        def setup(engine):
-            engine.create_stream(
-                "readings", "reader_id str, tag_id str, read_time float"
-            )
-            engine.create_stream(
-                "cleaned_readings", "reader_id str, tag_id str, read_time float"
-            )
-            engine.query(query)
-            return [results_of(engine.collect("cleaned_readings"))]
-
-        rows = []
-        ts = 0.0
-        for burst in range(40):
-            tag = f"t{burst % 7}"
-            reader = f"g{burst % 3}"
-            for repeat in range(4):  # in-window duplicates collapse
-                rows.append(
-                    ({"reader_id": reader, "tag_id": tag, "read_time": ts}, ts)
-                )
-                ts += 0.2
-            ts += 4.0  # gap: next sighting is a fresh reading
-        batches = [
-            ("readings", rows[start:start + 32])
-            for start in range(0, len(rows), 32)
-        ]
-        (out,), _ = run_tiers(setup, batches)
-        assert len(out) == 40
-
-    def test_example2_location_tracking(self):
-        query = """
-        INSERT INTO object_movement
-        SELECT tid, loc, tagtime
-        FROM tag_locations WHERE NOT EXISTS
-          (SELECT tagid FROM object_movement
-           WHERE tagid = tid AND location = loc)
-        """
-
-        def setup(engine):
-            engine.create_stream(
-                "tag_locations", "readerid str, tid str, tagtime float, loc str"
-            )
-            engine.create_table(
-                "object_movement", "tagid str, location str, start_time float"
-            )
-            engine.query(query)
-            return [lambda: list(engine.table("object_movement").scan())]
-
-        locations = ("dock", "belt", "yard")
-        rows = [
-            ({"readerid": "r", "tid": f"t{i % 9}", "tagtime": float(i),
-              "loc": locations[(i // 9) % 3]}, float(i))
-            for i in range(120)
-        ]
-        batches = [
-            ("tag_locations", rows[start:start + 24])
-            for start in range(0, len(rows), 24)
-        ]
-        (movement,), _ = run_tiers(setup, batches)
-        assert len(movement) == 27  # 9 tags x 3 locations
-
-    def test_example3_epc_aggregation(self):
-        query = """
-        SELECT count(tid) FROM readings WHERE tid LIKE '20.%.%'
-        AND extract_serial(tid) > 5000
-        AND extract_serial(tid) < 9999
-        """
-
-        def setup(engine):
-            engine.create_stream(
-                "readings", "reader_id str, tid str, read_time float"
-            )
-            return [results_of(engine.query(query))]
-
-        rows = []
-        for i in range(200):
-            company = "20" if i % 3 else "21"
-            serial = 4000 + (i * 53) % 7000
-            rows.append(
-                ({"reader_id": "r", "tid": f"{company}.{i % 5}.{serial}",
-                  "read_time": float(i)}, float(i))
-            )
-        batches = [
-            ("readings", rows[start:start + 50])
-            for start in range(0, len(rows), 50)
-        ]
-        (out,), _ = run_tiers(setup, batches)
-        assert out
-
-    def test_example5_exception_seq_and_clevel(self):
-        exception = """
-        SELECT A1.tagid, A2.tagid, A3.tagid
-        FROM A1, A2, A3
-        WHERE EXCEPTION_SEQ(A1, A2, A3)
-        OVER [1 HOURS FOLLOWING A1]
-        """
-        clevel = """
-        SELECT A1.tagid, A2.tagid, A3.tagid
-        FROM A1, A2, A3
-        WHERE (CLEVEL_SEQ(A1, A2, A3)
-        OVER [1 HOURS FOLLOWING A1]) < 3
-        """
-
-        def setup(engine):
-            for name in ("a1", "a2", "a3"):
-                engine.create_stream(name, "tagid str, tagtime float")
-            return [
-                results_of(engine.query(exception)),
-                results_of(engine.query(clevel)),
-            ]
-
-        batches = [
-            ("a1", [({"tagid": "ok", "tagtime": 0.0}, 0.0)]),
-            ("a2", [({"tagid": "ok", "tagtime": 10.0}, 10.0)]),
-            ("a3", [({"tagid": "ok", "tagtime": 20.0}, 20.0)]),
-            ("a1", [({"tagid": "skip", "tagtime": 100.0}, 100.0)]),
-            ("a3", [({"tagid": "skip", "tagtime": 110.0}, 110.0)]),
-            ("a2", [({"tagid": "late", "tagtime": 200.0}, 200.0)]),
-            ("a1", [({"tagid": "timeout", "tagtime": 300.0}, 300.0)]),
-        ]
-        (exc, clv), _ = run_tiers(
-            setup, batches, post=lambda engine: engine.advance_time(10000.0)
-        )
-        assert len(exc) == 3 and len(clv) == 3
-
-    def test_example6_quality_sequence(self):
-        plain = """
-        SELECT C1.tagid, C1.tagtime,
-               C2.tagtime, C3.tagtime, C4.tagtime
-        FROM C1, C2, C3, C4
-        WHERE SEQ(C1, C2, C3, C4)
-        AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid
-        AND C1.tagid=C4.tagid
-        """
-        windowed = """
-        SELECT C4.tagid, C1.tagtime
-        FROM C1, C2, C3, C4
-        WHERE SEQ(C1, C2, C3, C4)
-        OVER [30 MINUTES PRECEDING C4]
-        AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid
-        AND C1.tagid=C4.tagid
-        """
-
-        def setup(engine):
-            for name in ("c1", "c2", "c3", "c4"):
-                engine.create_stream(
-                    name, "readerid str, tagid str, tagtime float"
-                )
-            return [
-                results_of(engine.query(plain)),
-                results_of(engine.query(windowed)),
-            ]
-
-        batches = []
-        ts = 0.0
-        for wave in range(12):
-            for stage, stream in enumerate(("c1", "c2", "c3", "c4")):
-                if wave % 4 == 3 and stream == "c3":
-                    continue  # broken pass: stage skipped
-                # Slow waves span 3 x 700s = 35min > the 30min window.
-                step = 700.0 if wave % 4 == 2 else 30.0
-                ts += step
-                rows = [
-                    ({"readerid": stream, "tagid": f"pallet{wave}",
-                      "tagtime": ts}, ts)
-                ]
-                batches.append((stream, rows))
-        (full, fast), _ = run_tiers(setup, batches)
-        assert full and fast and len(fast) < len(full)
-
-    def test_example7_star_containment(self):
-        aggregated = """
-        SELECT FIRST(R1*).tagtime, COUNT(R1*), R2.tagid, R2.tagtime
-        FROM R1, R2
-        WHERE SEQ(R1*, R2) MODE CHRONICLE
-        AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
-        AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS
-        """
-        per_tuple = """
-        SELECT R1.tagid, R1.tagtime,
-               R2.tagid, R2.tagtime
-        FROM R1, R2
-        WHERE SEQ(R1*, R2) MODE CHRONICLE
-        AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
-        AND R1.tagtime - R1.previous.tagtime < 1 SECONDS
-        """
-
-        def setup(engine):
-            engine.create_stream("r1", "readerid str, tagid str, tagtime float")
-            engine.create_stream("r2", "readerid str, tagid str, tagtime float")
-            return [
-                results_of(engine.query(aggregated)),
-                results_of(engine.query(per_tuple)),
-            ]
-
-        batches = []
-        ts = 0.0
-        for case in range(8):
-            product_rows = []
-            for item in range(3 + case % 3):
-                product_rows.append(
-                    ({"readerid": "r1", "tagid": f"p{case}_{item}",
-                      "tagtime": ts}, ts)
-                )
-                ts += 0.5
-            batches.append(("r1", product_rows))
-            ts += 2.0
-            batches.append(
-                ("r2", [({"readerid": "r2", "tagid": f"case{case}",
-                          "tagtime": ts}, ts)])
-            )
-            ts += 10.0  # gap between cases
-        (agg, per), _ = run_tiers(setup, batches)
-        assert len(agg) == 8 and per
-
-    def test_example8_door(self):
-        query = """
-        SELECT person.tagid
-        FROM tag_readings AS person
-        WHERE person.tagtype = 'person' AND NOT EXISTS
-          (SELECT * FROM tag_readings AS item
-           OVER [1 MINUTES
-           PRECEDING AND FOLLOWING person]
-           WHERE item.tagtype = 'item')
-        """
-
-        def setup(engine):
-            engine.create_stream(
-                "tag_readings", "tagid str, tagtype str, tagtime float"
-            )
-            return [results_of(engine.query(query))]
-
-        rows = []
-        ts = 0.0
-        for episode in range(10):
-            if episode % 3 == 0:  # person escorted by an item
-                rows.append(({"tagid": f"i{episode}", "tagtype": "item",
-                              "tagtime": ts}, ts))
-                ts += 20.0
-            rows.append(({"tagid": f"p{episode}", "tagtype": "person",
-                          "tagtime": ts}, ts))
-            ts += 300.0  # past the +-1 minute window
-        batches = [("tag_readings", rows[start:start + 4])
-                   for start in range(0, len(rows), 4)]
-        (out,), _ = run_tiers(
-            setup, batches, post=lambda engine: engine.advance_time(99999.0)
-        )
-        assert out  # lonely persons reported
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +223,8 @@ class TestFallbackChain:
     QUERY = "SELECT tag_id FROM readings AS R WHERE R.pressure < 0.5"
     SCHEMA = "tag_id int, pressure float"
 
-    def _run(self, **flags):
-        engine = Engine(**flags)
+    def _run(self, tier="vector"):
+        engine = Engine(tier=tier)
         engine.create_stream("readings", self.SCHEMA)
         handle = engine.query(self.QUERY)
         schema = engine.streams.get("readings").schema
@@ -507,7 +235,7 @@ class TestFallbackChain:
 
     def test_disable_env_masks_compiler_out(self, monkeypatch):
         monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        engine, out = self._run(native_admission=True)
+        engine, out = self._run("native")
         tier = engine.execution_tier()
         assert tier["requested"] == "native"
         assert tier["active"] == "vector"
@@ -518,23 +246,14 @@ class TestFallbackChain:
 
     def test_monkeypatched_compiler_discovery(self, monkeypatch):
         monkeypatch.setattr(native_mod, "find_compiler", lambda: None)
-        engine, out = self._run(native_admission=True)
+        engine, out = self._run("native")
         assert engine.execution_tier()["active"] == "vector"
-        _, reference = self._run()
-        assert out == reference
-
-    def test_ccless_without_vector_tier_degrades_to_closure(self, monkeypatch):
-        monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        engine, out = self._run(
-            native_admission=True, vectorized_admission=False
-        )
-        assert engine.execution_tier()["active"] == "closure"
         _, reference = self._run()
         assert out == reference
 
     @requires_cc
     def test_tier_report_with_compiler(self):
-        engine, _ = self._run(native_admission=True)
+        engine, _ = self._run("native")
         tier = engine.execution_tier()
         assert tier["active"] == "native"
         assert tier["compiler"]
@@ -545,9 +264,9 @@ class TestFallbackChain:
         from repro.dsms.sharding import ShardedEngine
 
         monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        sharded = ShardedEngine(n_shards=2, native_admission=True)
+        sharded = ShardedEngine(n_shards=2, tier="native")
         assert sharded.execution_tier()["active"] == "vector"
-        multi = MultiQueryEngine(native_admission=True)
+        multi = MultiQueryEngine(tier="native")
         assert multi.execution_tier()["active"] == "vector"
 
 
@@ -565,7 +284,7 @@ class TestCompileCache:
     SCHEMA = "tag_id int, pressure float"
 
     def _run_native(self):
-        engine = Engine(native_admission=True)
+        engine = Engine(tier="native")
         engine.create_stream("readings", self.SCHEMA)
         handle = engine.query(self.QUERY)
         schema = engine.streams.get("readings").schema
@@ -603,7 +322,7 @@ class TestCompileCache:
             from repro.dsms.columns import ColumnBatch
             from repro.dsms.engine import Engine
 
-            engine = Engine(native_admission=True)
+            engine = Engine(tier="native")
             engine.create_stream("readings", {self.SCHEMA!r})
             engine.query({self.QUERY!r})
             schema = engine.streams.get("readings").schema
@@ -643,7 +362,7 @@ class TestCompileCache:
 
     def test_distinct_predicates_get_distinct_kernels(self):
         self._run_native()
-        other = Engine(native_admission=True)
+        other = Engine(tier="native")
         other.create_stream("readings", self.SCHEMA)
         other.query("SELECT tag_id FROM readings AS R WHERE R.pressure > 0.9")
         schema = other.streams.get("readings").schema

@@ -10,10 +10,9 @@ one, end to end — whatever the host, query output must be
 **byte-identical** to the interpreted engine in values, timestamps and
 order.
 
-Covered here, all under the ``pairing`` marker:
+Covered here, all under the ``pairing`` marker (the eight paper queries
+run at every tier in ``tests/test_tier_matrix.py``):
 
-* every paper example re-run through all four tiers (inherited from the
-  native-tier suite, so the workloads stay byte-for-byte the same),
 * dense SEQ traces that actually engage the masks (UNRESTRICTED and
   RECENT, two- and four-stage chains), plus NULL-heavy, unicode /
   embedded-NUL, and Kleene-star traces,
@@ -28,13 +27,7 @@ from repro.core.operators.seq import SeqOperator
 from repro.dsms import native as native_mod
 from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
 from repro.dsms.engine import Engine
-from tests.test_native_codegen import (
-    HAS_CC,
-    TIER_FLAGS,
-    TestPaperQueryDifferentials,
-    results_of,
-    run_tiers,
-)
+from tests.test_native_codegen import HAS_CC, results_of, run_tiers
 
 pytestmark = pytest.mark.pairing
 
@@ -68,16 +61,6 @@ def dense_seq_batches(n=400, tags=8, nulls=False):
         batches.append(("b", b_rows))
         ts += 400.0
     return batches
-
-
-class TestPaperQueriesUnderPairingTiers(TestPaperQueryDifferentials):
-    """All eight paper examples, re-collected under the pairing marker.
-
-    The workloads and assertions are inherited byte-for-byte from the
-    native-tier suite; what changed underneath them in this layer is the
-    SEQ enumeration path (mirrors + stage masks), so re-running them
-    here is the regression net for the pairing tier specifically.
-    """
 
 
 class TestPairingMaskDifferentials:
@@ -271,8 +254,8 @@ class TestMirrorUpkeep:
         "AND X.tag_id = Y.tag_id AND Y.w - X.v > 0.2"
     )
 
-    def _build(self, **flags):
-        engine = Engine(**flags)
+    def _build(self, tier="vector"):
+        engine = Engine(tier=tier)
         engine.create_stream("a", "tag_id str, v float")
         engine.create_stream("b", "tag_id str, w float")
         handle = engine.query(self.QUERY)
@@ -316,21 +299,19 @@ class TestMirrorUpkeep:
         self._assert_mirrors_exact(op)
 
     @pytest.mark.parametrize(
-        "flags",
-        [{}] + ([{"native_admission": True}] if HAS_CC else []),
-        ids=["vector"] + (["native"] if HAS_CC else []),
+        "tier", ["vector"] + (["native"] if HAS_CC else [])
     )
-    def test_checkpoint_roundtrip_rebuilds_mirrors(self, flags):
+    def test_checkpoint_roundtrip_rebuilds_mirrors(self, tier):
         batches = dense_seq_batches()
         half = len(batches) // 2
 
-        source, source_handle = self._build(**flags)
+        source, source_handle = self._build(tier)
         for stream, rows in batches[:half]:
             for values, ts in rows:
                 source.push(stream, values, ts=ts)
         state = capture_engine_state(source)
 
-        restored, restored_handle = self._build(**flags)
+        restored, restored_handle = self._build(tier)
         restore_engine_state(restored, state)
 
         (src_op,) = seq_operators(source)
@@ -381,8 +362,8 @@ class TestFallbackAndReporting:
         "WHERE SEQ(X, Y) AND X.tag_id = Y.tag_id AND Y.w - X.v > 0.3"
     )
 
-    def _run(self, **flags):
-        engine = Engine(**flags)
+    def _run(self, tier="vector"):
+        engine = Engine(tier=tier)
         engine.create_stream("a", "tag_id str, v float")
         engine.create_stream("b", "tag_id str, w float")
         handle = engine.query(self.QUERY)
@@ -393,22 +374,18 @@ class TestFallbackAndReporting:
 
     def test_disable_env_degrades_pairing_with_admission(self, monkeypatch):
         monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        engine, out = self._run(native_admission=True)
+        engine, out = self._run("native")
         tier = engine.execution_tier()
         assert tier["pairing"] == {"requested": "native", "active": "vector"}
         assert engine.native_state.stats()["kernels_built"] == 0
-        _, reference = self._run(
-            compile_expressions=False, vectorized_admission=False
-        )
+        _, reference = self._run("interpreted")
         assert out == reference
 
     def test_tier_report_carries_pairing_ladder(self):
         assert Engine().execution_tier()["pairing"] == {
             "requested": "vector", "active": "vector",
         }
-        assert Engine(
-            compile_expressions=False, vectorized_admission=False
-        ).execution_tier()["pairing"] == {
+        assert Engine(tier="interpreted").execution_tier()["pairing"] == {
             "requested": "interpreted", "active": "interpreted",
         }
 
@@ -416,6 +393,6 @@ class TestFallbackAndReporting:
         from repro.dsms.sharding import ShardedEngine
 
         monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        sharded = ShardedEngine(n_shards=2, native_admission=True)
+        sharded = ShardedEngine(n_shards=2, tier="native")
         tier = sharded.execution_tier()
         assert tier["pairing"] == {"requested": "native", "active": "vector"}

@@ -177,11 +177,10 @@ def test_oob_pickle_round_trip():
 # -- batch codec ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec_name", ["framed", "pickle"])
 @pytest.mark.parametrize("seed", [7, 99, 1234])
-def test_batch_round_trip_property(codec_name, seed):
+def test_batch_round_trip_property(seed):
     spec = make_spec()
-    codec = FrameCodec(codec_name, spec)
+    codec = FrameCodec(spec)
     records = random_records(random.Random(seed))
     frame = codec.encode_batch(42, records, (len(records), 123.5))
     ftype, payload = decode_frame(frame)
@@ -195,7 +194,7 @@ def test_batch_round_trip_property(codec_name, seed):
 
 def test_batch_without_advance():
     spec = make_spec()
-    codec = FrameCodec("framed", spec)
+    codec = FrameCodec(spec)
     records = [(0, "readings", ("r", "t", 1.5), 1.0)]
     _, payload = decode_frame(codec.encode_batch(3, records, None))
     seq, decoded, advance = codec.decode_batch(payload)
@@ -204,7 +203,7 @@ def test_batch_without_advance():
 
 
 def test_batch_unknown_stream_raises():
-    codec = FrameCodec("framed", make_spec())
+    codec = FrameCodec(make_spec())
     with pytest.raises(FrameCodecError, match="interned"):
         codec.encode_batch(0, [(0, "nope", ("x",), 0.0)], None)
 
@@ -213,7 +212,7 @@ def test_batch_arity_and_field_errors_match_ingester():
     """Parent-side normalization raises the same SchemaError shapes the
     shard-side ingester would — the framed codec moves the check across
     the pipe without changing its semantics."""
-    codec = FrameCodec("framed", make_spec())
+    codec = FrameCodec(make_spec())
     with pytest.raises(SchemaError, match="3-column schema"):
         codec.encode_batch(0, [(0, "readings", ("only", "two"), 0.0)], None)
     with pytest.raises(SchemaError, match=r"unknown fields \['bogus'\]"):
@@ -224,7 +223,7 @@ def test_batch_arity_and_field_errors_match_ingester():
 
 def test_batch_truncated_payload_rejected():
     spec = make_spec()
-    codec = FrameCodec("framed", spec)
+    codec = FrameCodec(spec)
     records = random_records(random.Random(5), n=50)
     frame = codec.encode_batch(1, records, None)
     _, payload = decode_frame(frame)
@@ -244,9 +243,8 @@ def test_wire_format_hints():
 # -- output codec -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec_name", ["framed", "pickle"])
-def test_outputs_round_trip(codec_name):
-    codec = FrameCodec(codec_name, make_spec())
+def test_outputs_round_trip():
+    codec = FrameCodec(make_spec())
     outputs = {
         "q1": [
             (i * 0.5, i, 3, i, (f"tag{i}", float(i), i % 3))
@@ -266,13 +264,13 @@ def test_outputs_round_trip(codec_name):
 
 
 def test_outputs_empty_run_round_trip():
-    codec = FrameCodec("framed", make_spec())
+    codec = FrameCodec(make_spec())
     _, payload = decode_frame(codec.encode_outputs(9, {"q1": []}, 0.0, 0.0))
     assert codec.decode_outputs(payload, 0)[1] == {"q1": []}
 
 
 def test_outputs_unknown_sink_raises():
-    codec = FrameCodec("framed", make_spec())
+    codec = FrameCodec(make_spec())
     with pytest.raises(FrameCodecError, match="unknown sink"):
         codec.encode_outputs(0, {"nope": []}, 0.0, 0.0)
 
@@ -326,10 +324,7 @@ def _start_methods():
 
 @pytest.mark.transport
 @pytest.mark.parametrize("start_method", _start_methods())
-@pytest.mark.parametrize("codec_name", ["framed", "pickle"])
-def test_pipe_workers_match_single_across_start_methods(
-    start_method, codec_name
-):
+def test_pipe_workers_match_single_across_start_methods(start_method):
     """A spawn-fresh worker interpreter must decode what the router
     encoded: both sides derive interned stream ids and column packers
     independently from the pickled ShardSpec."""
@@ -340,13 +335,12 @@ def test_pipe_workers_match_single_across_start_methods(
         n_shards=2,
         executor="parallel",
         batch_size=32,
-        codec=codec_name,
         start_method=start_method,
     )
     with scenario.engine as engine:
         assert scenario.feed().rows() == expected
         stats = engine.transport_stats()
-        assert stats["codec"] == codec_name
+        assert stats["codec"] == "framed"
         assert stats["totals"]["records_sent"] == len(workload.trace)
         assert stats["totals"]["bytes_sent"] > 0
         assert stats["totals"]["round_trips"] > 0
@@ -358,8 +352,7 @@ def test_worker_error_surfaces_and_tears_down():
     worker traceback, and the executor tears every worker down."""
     from repro.dsms import ShardedEngine
 
-    engine = ShardedEngine(n_shards=2, executor="parallel", codec="pickle",
-                           batch_size=4)
+    engine = ShardedEngine(n_shards=2, executor="parallel", batch_size=4)
     engine.create_stream("x", "a str, b float")
     engine.create_stream("y", "a str, b float")
     engine.query(
@@ -368,11 +361,11 @@ def test_worker_error_surfaces_and_tears_down():
         name="q",
     )
     try:
-        with pytest.raises((TransportError, SchemaError)):
-            # Wrong arity ships raw under the pickle codec; the shard-side
-            # ingester rejects it inside the worker.
+        with pytest.raises(TransportError, match="worker traceback"):
+            # The router does not order-check; a timestamp running
+            # backwards is rejected by the shard's clock, in the worker.
             for i in range(32):
-                engine.push("x", ("only-one-value",), ts=float(i))
+                engine.push("x", ("k", 1.0), ts=float(32 - i))
             engine.flush()
         assert engine.alive_workers() == 0
     finally:
@@ -381,12 +374,11 @@ def test_worker_error_surfaces_and_tears_down():
 
 @pytest.mark.transport
 def test_framed_codec_rejects_bad_records_before_the_wire():
-    """Same bad record, framed codec: the router-side encoder rejects it
-    with the ingester's error shape, and teardown still happens."""
+    """A wrong-arity record never reaches a worker: the router-side encoder
+    rejects it with the ingester's error shape, and teardown still happens."""
     from repro.dsms import ShardedEngine
 
-    engine = ShardedEngine(n_shards=2, executor="parallel", codec="framed",
-                           batch_size=4)
+    engine = ShardedEngine(n_shards=2, executor="parallel", batch_size=4)
     engine.create_stream("x", "a str, b float")
     engine.create_stream("y", "a str, b float")
     engine.query(

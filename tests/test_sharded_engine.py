@@ -262,7 +262,7 @@ def test_invalid_constructor_args():
     with pytest.raises(EslSemanticError):
         ShardedEngine(executor="threads")
     with pytest.raises(EslSemanticError):
-        ShardedEngine(codec="msgpack")
+        ShardedEngine(executor="futures")
 
 
 # -- pipe transport: routing mixes, epochs, lifecycle ----------------------

@@ -208,28 +208,31 @@ class TestBenchSubcommand:
         assert all("cpu_limited" in entry for entry in sharded)
         assert all("speedup_vs_single" in entry for entry in sharded)
 
-    def test_bench_operator_state_writes_report(self, tmp_path, capsys):
+    def test_bench_row_sized_runner_writes_report(self, tmp_path, capsys):
+        # --size maps onto n_rows for runners sized in rows, and the
+        # stderr summary carries the runner's headline speedup.
         code = main([
-            "bench", "operator_state",
-            "--out", str(tmp_path), "--reps", "1", "--size", "25",
+            "bench", "vector_admission",
+            "--out", str(tmp_path), "--reps", "1", "--size", "2000",
         ])
         assert code == 0
         import json
 
         payload = json.loads(
-            (tmp_path / "BENCH_operator_state.json").read_text()
+            (tmp_path / "BENCH_vector_admission.json").read_text()
         )
-        assert payload["name"] == "operator_state"
-        assert "speedup_indexed_vs_naive" in payload["meta"]
+        assert payload["name"] == "vector_admission"
+        assert payload["meta"]["n_rows"] == 2000
+        assert "speedup_vectorized_vs_scalar" in payload["meta"]
         by_label = {
             entry["label"]: entry for entry in payload["experiments"]
         }
-        assert by_label["indexed"]["matches"] == by_label["naive"]["matches"]
-        assert "latency_us" in by_label["indexed"]
-        for n_idle in (500, 2000):
-            assert f"idle-{n_idle}-indexed" in by_label
-        # The heartbeat drains the heap arm after the trace ends.
-        assert by_label["idle-2000-indexed"]["final_state_size"] == 0
+        assert (
+            by_label["vectorized-1pct"]["rows_admitted"]
+            == by_label["scalar-1pct"]["rows_admitted"]
+        )
+        assert by_label["vectorized-1pct"]["params"]["tier"] == "vector"
+        assert "# vectorized vs scalar:" in capsys.readouterr().err
 
     def test_bench_unknown_name(self):
         with pytest.raises(SystemExit):

@@ -1,8 +1,8 @@
 """Differential tests for columnar vectorized admission.
 
 Every test here runs the same input three ways — per-record ``push``,
-``push_columns`` with ``vectorized_admission`` off, and ``push_columns``
-with it on — and asserts byte-identical output: same values, same
+``push_columns`` at ``tier="closure"`` (no masks), and ``push_columns`` at
+the default ``tier="vector"`` — and asserts byte-identical output: same values, same
 timestamps, same order, same timer interleaving.  The vectorized tier is
 allowed to *skip materializing* rows it proves inadmissible, never to
 change a result.
@@ -37,7 +37,9 @@ def run_differential(setup, batches, post=None):
     the common output per handle."""
     per_mode = []
     for mode in MODES:
-        engine = Engine(vectorized_admission=(mode == "vectorized-columns"))
+        engine = Engine(
+            tier="vector" if mode == "vectorized-columns" else "closure"
+        )
         handles = setup(engine)
         for stream, rows in batches:
             if mode == "rows":
@@ -210,12 +212,12 @@ class TestFilterDifferential:
     def test_hook_attachment(self):
         """The filter subscription carries the vector hook exactly when
         the engine opts in and the predicate vector-compiles."""
-        for flag, vectorizable, expect in (
-            (True, True, True),
-            (False, True, False),
-            (True, False, False),
+        for tier, vectorizable, expect in (
+            ("vector", True, True),
+            ("closure", True, False),
+            ("vector", False, False),
         ):
-            engine = Engine(vectorized_admission=flag)
+            engine = Engine(tier=tier)
             engine.register_udf("halve", lambda v: v / 2.0)
             engine.create_stream("readings", self.SCHEMA)
             predicate = (
@@ -403,7 +405,7 @@ class TestShardedColumnar:
         reference = run(False, executor="serial")
         assert run(True, executor="parallel") == reference
         assert (
-            run(True, executor="parallel", vectorized_admission=False)
+            run(True, executor="parallel", tier="closure")
             == reference
         )
         # The serial executor now routes batches columnar too, mirroring
