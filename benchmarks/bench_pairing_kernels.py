@@ -1,18 +1,16 @@
 """PAIRING — mask tiers on the SEQ match-enumeration hot path.
 
-Regenerates: the four-arm ablation of
+Regenerates: the three-arm ablation of
 :func:`repro.bench.run_pairing_kernels` on the dense re-read
 quality-SEQ workload.  All arms consume the *same* pre-built
 ``ColumnBatch`` streams through the same windowed SEQ query; only the
-Engine's tier flags differ:
+Engine's ``tier`` differs:
 
 * ``interpreted`` — tree-walking guard, the byte-identity reference,
 * ``scalar`` — compiled closures, one pairing check per candidate (the
   pre-mask hot path),
 * ``vector`` — per-anchor columnar masks over each partition's history
-  mirror (Python lists),
-* ``native`` — two-operand C pairing kernels over the mirror's packed
-  buffers, vector tier off so the gap is kernel vs scalar.
+  mirror (Python lists).
 
 The query hash-partitions on the tag equality, leaving ``Y.w - X.v >
 threshold`` as the only cross conjunct — deliberately not hoistable to
@@ -21,11 +19,9 @@ only prune: survivors re-run the scalar pairing check, and every arm
 must produce byte-identical output (values, timestamps, order) or the
 runner raises.
 
-The speedup floors self-gate the way ``bench_native_codegen`` does:
-the native floor needs a C compiler present, and both floors need more
-than one effective CPU (``cpu_limited`` runs are recorded but not
-gated — a shared single core makes best-of timings too noisy for a
-hard floor).
+The speedup floor needs more than one effective CPU (``cpu_limited``
+runs are recorded but not gated — a shared single core makes best-of
+timings too noisy for a hard floor).
 
 Writes ``BENCH_pairing_kernels.json`` to the repository root.
 """
@@ -37,7 +33,6 @@ from repro.bench import ResultTable, pairing_speedup, run_pairing_kernels
 REPS = int(os.environ.get("REPRO_BENCH_REPS", "3"))
 N_ROWS = int(os.environ.get("REPRO_BENCH_PAIRING_ROWS", "20000"))
 MIN_VECTOR_VS_SCALAR = 2.0
-MIN_NATIVE_VS_SCALAR = 2.0
 
 
 def test_pairing_kernels_ablation(table_printer):
@@ -45,19 +40,15 @@ def test_pairing_kernels_ablation(table_printer):
 
     table = ResultTable(
         "PAIRING  mask tier ablation (dense re-read quality SEQ)",
-        ["config", "tuples", "seconds", "tuples/s", "matches",
-         "masked windows", "masked rows"],
+        ["config", "tuples", "seconds", "tuples/s", "matches"],
     )
     for entry in report.experiments:
-        native = entry.get("native") or {}
         table.add(
             entry["label"],
             entry["n_tuples"],
             entry["seconds"],
             entry["throughput_tuples_per_s"],
             entry["rows_admitted"],
-            native.get("pairing_masked_windows", 0),
-            native.get("pairing_masked_rows", 0),
         )
     table_printer(table)
 
@@ -66,8 +57,8 @@ def test_pairing_kernels_ablation(table_printer):
 
     # Uniform meta: both the admission and the pairing tier are recorded.
     assert report.meta["effective_cpu_count"] >= 1
-    assert report.meta["execution_tier"] in ("native", "vector", "closure")
-    assert report.meta["pairing_tier"] in ("native", "closure")
+    assert report.meta["execution_tier"] == "vector"
+    assert report.meta["pairing_tier"] == "vector"
 
     # Report shape: every arm ran, with identical match counts (reaching
     # here at all means byte-identical output — the runner raises on
@@ -75,34 +66,18 @@ def test_pairing_kernels_ablation(table_printer):
     labels = {e["label"] for e in report.experiments}
     assert labels == {
         f"{arm}-pairing"
-        for arm in ("interpreted", "scalar", "vector", "native")
+        for arm in ("interpreted", "scalar", "vector")
     }
     counts = {e["rows_admitted"] for e in report.experiments}
     assert len(counts) == 1 and counts.pop() > 0
 
-    # With a compiler present the native arm must actually have consulted
-    # pairing kernels inside the run.
-    has_compiler = report.meta["compiler"] is not None
-    if has_compiler:
-        (native_entry,) = [
-            e for e in report.experiments if e["label"] == "native-pairing"
-        ]
-        assert native_entry["native"]["pairing_masked_windows"] > 0
-        assert native_entry["native"]["pairing_masked_rows"] > 0
-
     # The headline claim: columnar pairing masks >= 2x over the scalar
-    # per-candidate loop on the dense workload; the C kernels at least
-    # match that floor.  Self-gated as described in the module docstring.
-    vector = pairing_speedup(report, "vector")
-    native = pairing_speedup(report, "native")
-    assert vector is not None and native is not None
+    # per-candidate loop on the dense workload.  Self-gated as described
+    # in the module docstring.
+    vector = pairing_speedup(report)
+    assert vector is not None
     if not report.meta["cpu_limited"]:
         assert vector >= MIN_VECTOR_VS_SCALAR, (
             f"expected vectorized pairing >= {MIN_VECTOR_VS_SCALAR}x over "
             f"scalar, got {vector:.2f}x"
         )
-        if has_compiler:
-            assert native >= MIN_NATIVE_VS_SCALAR, (
-                f"expected native pairing kernels >= "
-                f"{MIN_NATIVE_VS_SCALAR}x over scalar, got {native:.2f}x"
-            )

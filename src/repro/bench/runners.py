@@ -23,9 +23,8 @@ from .harness import (
 
 
 def active_execution_tier(tier: str = "vector") -> str:
-    """The tier an Engine capped at *tier* actually runs at on this host
-    (native needs a C compiler), so bench metadata records what was
-    measured, not just what was requested."""
+    """The tier an Engine capped at *tier* actually runs at, so bench
+    metadata records what was measured, not just what was requested."""
     from ..dsms.lowering import execution_tier
 
     return execution_tier(tier)["active"]
@@ -367,327 +366,16 @@ def vectorized_speedup(
 
 
 # ---------------------------------------------------------------------------
-# native_codegen — C admission kernels vs the closure and interpreted tiers
-# ---------------------------------------------------------------------------
-
-#: Engine tiers the native ablation compares.  Where a predicate lowers
-#: to C the native arm never consults the vector masks beneath it, so the
-#: measured gap is kernel vs closure; where it cannot (or there is no
-#: compiler) the arm runs the vector tier and measures that, never breakage.
-_NATIVE_ARMS = ("interpreted", "closure", "native")
-
-
-def _native_seq_workload(
-    n_rows: int, batch_rows: int, seed: int
-) -> list[tuple[str, Any]]:
-    """Interleaved a/b ColumnBatches for the quality SEQ query.
-
-    Tag cardinality scales with size so pairing output stays linear-ish
-    and the timed region keeps measuring admission, not pair explosion.
-    """
-    from ..dsms.columns import ColumnBatch
-    from ..dsms.schema import Schema
-
-    rng = random.Random(seed)
-    tags = max(64, n_rows // 20)
-    schema_a = Schema.parse("tag_id str, v float")
-    schema_b = Schema.parse("tag_id str, w float")
-    per_stream = n_rows // 2
-    batches: list[tuple[str, Any]] = []
-    ts = 0.0
-    for start in range(0, per_stream, batch_rows):
-        count = min(batch_rows, per_stream - start)
-        a_rows = [
-            ({"tag_id": f"t{rng.randrange(tags)}", "v": rng.random()},
-             ts + index)
-            for index in range(count)
-        ]
-        b_rows = [
-            ({"tag_id": f"t{rng.randrange(tags)}", "w": rng.random()},
-             ts + count + index)
-            for index in range(count)
-        ]
-        batches.append(("a", ColumnBatch.from_rows(schema_a, a_rows)))
-        batches.append(("b", ColumnBatch.from_rows(schema_b, b_rows)))
-        ts += 2.0 * count
-    return batches
-
-
-def _native_dedup_workload(
-    n_rows: int, batch_rows: int, seed: int
-) -> list[Any]:
-    """Bursty duplicate readings for the paper's Example 1 dedup query."""
-    from ..dsms.columns import ColumnBatch
-    from ..dsms.schema import Schema
-
-    rng = random.Random(seed)
-    schema = Schema.parse("reader_id str, tag_id str, read_time float")
-    rows = []
-    ts = 0.0
-    while len(rows) < n_rows:
-        reader = f"g{rng.randrange(8)}"
-        tag = f"t{rng.randrange(500)}"
-        for _ in range(rng.randrange(1, 5)):  # in-window duplicates
-            rows.append(
-                ({"reader_id": reader, "tag_id": tag, "read_time": ts}, ts)
-            )
-            ts += 0.2
-        ts += 3.0  # gap: next burst is a fresh logical reading
-    rows = rows[:n_rows]
-    return [
-        ColumnBatch.from_rows(schema, rows[start:start + batch_rows])
-        for start in range(0, n_rows, batch_rows)
-    ]
-
-
-def run_native_codegen(
-    *,
-    n_rows: int = 100_000,
-    batch_rows: int = 512,
-    selectivities: Sequence[float] = (0.01, 0.10, 0.50),
-    seq_rows: int = 20_000,
-    dedup_rows: int = 20_000,
-    reps: int | None = None,
-    seed: int = 7,
-) -> BenchReport:
-    """Native C admission kernels vs the closure and interpreted tiers.
-
-    Three arms run every workload through identical pre-built
-    ColumnBatches; only the Engine ``tier`` differs:
-
-    * ``interpreted-*`` — the reference configuration: the tree-walking
-      evaluator checks every materialized row.
-    * ``closure-*`` — compiled Python closures per row (the pre-columnar
-      default), no admission masks.
-    * ``native-*`` — admission predicates compiled to C kernels over the
-      raw column buffers; survivors only are materialized.  Without a C
-      compiler on the host the arm degrades to the vector tier (the
-      report's ``compiler``/``execution_tier`` meta says which happened).
-
-    Workloads: the uniform-pressure filter selectivity sweep (mirroring
-    ``BENCH_vector_admission`` so the native and vector tiers are
-    directly comparable), the quality SEQ pairing workload (lenient
-    masks feeding a temporal operator), and the paper's Example 1
-    duplicate-filtering query — whose NOT EXISTS subquery deliberately
-    cannot lower to C, pinning the cost of the fallback chain at ~zero.
-    Every arm must produce byte-identical output or the runner raises.
-    """
-    from ..dsms.engine import Engine
-    from ..dsms.native import find_compiler
-
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-    selectivities = tuple(selectivities)
-    compiler = find_compiler()
-    native_tier = active_execution_tier("native")
-
-    report = BenchReport(
-        "native_codegen",
-        meta=standard_meta(
-            execution_tier=native_tier,
-            pairing_tier=native_tier,
-            workload="filter-sweep + quality-SEQ + example1-dedup",
-            n_rows=n_rows,
-            batch_rows=batch_rows,
-            selectivities=list(selectivities),
-            seq_rows=seq_rows,
-            dedup_rows=dedup_rows,
-            reps=reps,
-            compiler=compiler,
-            cpu_limited=effective_cpu_count() < 2,
-            note=(
-                "single process; all arms consume identical pre-built "
-                "ColumnBatches; the native arm compiles admission "
-                "predicates to C kernels (consulted before the vector "
-                "masks, so the gap is kernel vs closure); kernels "
-                "compile at query registration, outside every timed "
-                "region"
-            ),
-        ),
-    )
-
-    def _timed_arms(build, feed):
-        """Interleave best-of-*reps* over the three arms; assert equal
-        output; return ``{label: (seconds, rows, engine)}``."""
-        results: dict[str, Any] = {}
-        for _ in range(reps):
-            for label in _NATIVE_ARMS:
-                engine, rows_of = build(Engine(tier=label))
-                gc.disable()
-                try:
-                    start = time.perf_counter()
-                    feed(engine)
-                    seconds = time.perf_counter() - start
-                finally:
-                    gc.enable()
-                rows = rows_of()
-                best = results.get(label)
-                if best is None or seconds < best[0]:
-                    results[label] = (seconds, rows, engine)
-                else:
-                    results[label] = (best[0], rows, engine)
-        reference = results["interpreted"][1]
-        for label, (_s, rows, _e) in results.items():
-            if rows != reference:
-                raise AssertionError(
-                    f"{label} output diverged "
-                    f"({len(rows)} vs {len(reference)} rows)"
-                )
-        return results
-
-    def _native_stats(engine: Any) -> dict[str, Any]:
-        state = engine.native_state
-        return state.stats() if state is not None else {}
-
-    # -- workload 1: uniform-pressure filter selectivity sweep ----------
-    _schema, batches, _rows = _admission_workload(n_rows, batch_rows, seed)
-    speedups: dict[float, float] = {}
-    for threshold in selectivities:
-        pct = f"{threshold * 100:g}pct"
-
-        def build(engine, threshold=threshold):
-            engine.create_stream("readings", _ADMISSION_SCHEMA)
-            handle = engine.query(
-                "SELECT tag_id, pressure FROM readings AS R "
-                f"WHERE R.pressure < {threshold!r}"
-            )
-            return engine, lambda: [
-                (tup.values, tup.ts) for tup in handle.results
-            ]
-
-        def feed(engine):
-            for batch in batches:
-                engine.push_columns("readings", batch)
-
-        results = _timed_arms(build, feed)
-        for label, (seconds, rows, engine) in results.items():
-            report.add_experiment(
-                f"{label}-{pct}",
-                n_tuples=n_rows,
-                seconds=seconds,
-                params={
-                    "workload": "filter",
-                    "selectivity": threshold,
-                    "tier": (
-                        native_tier if label == "native" else label
-                    ),
-                },
-                rows_admitted=len(rows),
-                native=_native_stats(engine),
-            )
-        speedups[threshold] = (
-            results["closure"][0] / results["native"][0]
-            if results["native"][0]
-            else 0.0
-        )
-
-    # -- workload 2: quality SEQ pairing (lenient masks) -----------------
-    seq_batches = _native_seq_workload(seq_rows, batch_rows, seed)
-
-    def build_seq(engine):
-        engine.create_stream("a", "tag_id str, v float")
-        engine.create_stream("b", "tag_id str, w float")
-        handle = engine.query(
-            "SELECT X.tag_id, X.v, Y.w FROM a AS X, b AS Y "
-            "WHERE SEQ(X, Y) AND X.tag_id = Y.tag_id "
-            "AND X.v < 0.3 AND Y.w > 0.6"
-        )
-        return engine, lambda: [(tup.values, tup.ts) for tup in handle.results]
-
-    def feed_seq(engine):
-        for stream, batch in seq_batches:
-            engine.push_columns(stream, batch)
-
-    seq_results = _timed_arms(build_seq, feed_seq)
-    for label, (seconds, rows, engine) in seq_results.items():
-        report.add_experiment(
-            f"{label}-seq",
-            n_tuples=seq_rows,
-            seconds=seconds,
-            params={
-                "workload": "quality-seq",
-                "tier": native_tier if label == "native" else label,
-            },
-            rows_admitted=len(rows),
-            native=_native_stats(engine),
-        )
-    seq_speedup = (
-        seq_results["closure"][0] / seq_results["native"][0]
-        if seq_results["native"][0]
-        else 0.0
-    )
-
-    # -- workload 3: Example 1 dedup (subquery -> fallback chain) --------
-    dedup_batches = _native_dedup_workload(dedup_rows, batch_rows, seed)
-
-    def build_dedup(engine):
-        engine.create_stream(
-            "readings", "reader_id str, tag_id str, read_time float"
-        )
-        engine.create_stream(
-            "cleaned_readings", "reader_id str, tag_id str, read_time float"
-        )
-        engine.query(
-            "INSERT INTO cleaned_readings "
-            "SELECT * FROM readings AS r1 "
-            "WHERE NOT EXISTS "
-            "  (SELECT * FROM TABLE( readings OVER "
-            "     (RANGE 1 SECONDS PRECEDING CURRENT)) AS r2 "
-            "   WHERE r2.reader_id = r1.reader_id "
-            "     AND r2.tag_id = r1.tag_id)"
-        )
-        sink = engine.collect("cleaned_readings")
-        return engine, lambda: [(tup.values, tup.ts) for tup in sink.results]
-
-    def feed_dedup(engine):
-        for batch in dedup_batches:
-            engine.push_columns("readings", batch)
-
-    dedup_results = _timed_arms(build_dedup, feed_dedup)
-    for label, (seconds, rows, engine) in dedup_results.items():
-        report.add_experiment(
-            f"{label}-dedup",
-            n_tuples=dedup_rows,
-            seconds=seconds,
-            params={"workload": "example1-dedup", "tier": label},
-            rows_admitted=len(rows),
-            native=_native_stats(engine),
-        )
-    dedup_speedup = (
-        dedup_results["closure"][0] / dedup_results["native"][0]
-        if dedup_results["native"][0]
-        else 0.0
-    )
-
-    report.meta["speedup_native_vs_closure"] = speedups[min(selectivities)]
-    report.meta["speedup_native_vs_closure_by_selectivity"] = {
-        f"{threshold:g}": value for threshold, value in speedups.items()
-    }
-    report.meta["speedup_native_vs_closure_seq"] = seq_speedup
-    report.meta["speedup_native_vs_closure_dedup"] = dedup_speedup
-    return report
-
-
-def native_speedup(report: BenchReport, selectivity: float) -> float | None:
-    """Native-over-closure speedup at *selectivity*, if measured."""
-    by_sel = report.meta.get("speedup_native_vs_closure_by_selectivity", {})
-    value = by_sel.get(f"{selectivity:g}")
-    return float(value) if value is not None else None
-
-
-# ---------------------------------------------------------------------------
-# pairing_kernels — vectorized/native masks on the SEQ match-enumeration path
+# pairing_kernels — vectorized masks on the SEQ match-enumeration path
 # ---------------------------------------------------------------------------
 
 _PAIRING_ARMS = (
     # (label, Engine tier).  The interpreted arm is the byte-identity
     # reference; "scalar" is the compiled-closure pairing loop (the
-    # pre-mask hot path); "vector" adds the Python columnar stage masks;
-    # "native" consults the two-operand C pairing kernels first.
+    # pre-mask hot path); "vector" adds the Python columnar stage masks.
     ("interpreted", "interpreted"),
     ("scalar", "closure"),
     ("vector", "vector"),
-    ("native", "native"),
 )
 
 
@@ -747,31 +435,27 @@ def run_pairing_kernels(
 ) -> BenchReport:
     """Pairing-mask tiers on the SEQ match-enumeration hot path.
 
-    All four arms consume identical pre-built ColumnBatches through the
+    All three arms consume identical pre-built ColumnBatches through the
     same windowed quality-SEQ query; only the Engine ``tier`` differs.  The
     query hash-partitions on the tag equality, leaving ``Y.w - X.v >
     threshold`` as the sole cross conjunct — deliberately *not*
     hoistable to admission, so every arm pays for it at pairing time:
     the scalar arm once per candidate (dict store + closure tree per
     row), the vector arm once per anchor as a columnar mask over the
-    partition's history mirror, the native arm as a two-operand C
-    kernel over the mirror's packed buffers.  Masks only prune;
-    survivors re-run the scalar check, and every arm must produce the
-    interpreted arm's rows byte-identically or the runner raises.
+    partition's history mirror.  Masks only prune; survivors re-run the
+    scalar check, and every arm must produce the interpreted arm's rows
+    byte-identically or the runner raises.
     """
     from ..dsms.engine import Engine
-    from ..dsms.native import find_compiler
 
     if reps is None:
         reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-    compiler = find_compiler()
-    native_tier = active_execution_tier("native")
 
     report = BenchReport(
         "pairing_kernels",
         meta=standard_meta(
             execution_tier=active_execution_tier(),
-            pairing_tier=native_tier,
+            pairing_tier=active_execution_tier(),
             workload="dense-reread-quality-seq",
             n_rows=n_rows,
             batch_rows=batch_rows,
@@ -780,14 +464,12 @@ def run_pairing_kernels(
             window_s=window_s,
             threshold=threshold,
             reps=reps,
-            compiler=compiler,
             cpu_limited=effective_cpu_count() < 2,
             note=(
                 "single process; all arms consume identical pre-built "
                 "ColumnBatches; the cross conjunct cannot hoist to "
                 "admission, so the measured gap is the pairing loop "
-                "itself; pairing kernels compile at query registration, "
-                "outside every timed region"
+                "itself"
             ),
         ),
     )
@@ -818,42 +500,34 @@ def run_pairing_kernels(
             rows = [(tup.values, tup.ts) for tup in handle.results]
             best = results.get(label)
             if best is None or seconds < best[0]:
-                results[label] = (seconds, rows, engine)
+                results[label] = (seconds, rows)
             else:
-                results[label] = (best[0], rows, engine)
+                results[label] = (best[0], rows)
     reference = results["interpreted"][1]
-    for label, (_s, rows, _e) in results.items():
+    for label, (_s, rows) in results.items():
         if rows != reference:
             raise AssertionError(
                 f"{label} output diverged "
                 f"({len(rows)} vs {len(reference)} rows)"
             )
-    for label, (seconds, rows, engine) in results.items():
-        state = engine.native_state
+    for label, (seconds, rows) in results.items():
         report.add_experiment(
             f"{label}-pairing",
             n_tuples=n_rows,
             seconds=seconds,
-            params={
-                "workload": "dense-reread-quality-seq",
-                "tier": native_tier if label == "native" else label,
-            },
+            params={"workload": "dense-reread-quality-seq", "tier": label},
             rows_admitted=len(rows),
-            native=state.stats() if state is not None else {},
         )
     scalar_s = results["scalar"][0]
     report.meta["speedup_vector_vs_scalar_pairing"] = (
         scalar_s / results["vector"][0] if results["vector"][0] else 0.0
     )
-    report.meta["speedup_native_vs_scalar_pairing"] = (
-        scalar_s / results["native"][0] if results["native"][0] else 0.0
-    )
     return report
 
 
-def pairing_speedup(report: BenchReport, arm: str) -> float | None:
-    """Pairing speedup of *arm* ("vector" or "native") over scalar."""
-    value = report.meta.get(f"speedup_{arm}_vs_scalar_pairing")
+def pairing_speedup(report: BenchReport) -> float | None:
+    """Pairing speedup of the vector arm over scalar, if measured."""
+    value = report.meta.get("speedup_vector_vs_scalar_pairing")
     return float(value) if value is not None else None
 
 
@@ -1383,7 +1057,6 @@ def multi_query_speedup(report: BenchReport, queries: int) -> float | None:
 BENCH_RUNNERS: Mapping[str, Callable[..., BenchReport]] = {
     "sharded_scaling": run_sharded_scaling,
     "vector_admission": run_vectorized_admission,
-    "native_codegen": run_native_codegen,
     "pairing_kernels": run_pairing_kernels,
     "fault_tolerance": run_fault_tolerance,
     "multi_query": run_multi_query,

@@ -184,7 +184,7 @@ class CompiledGuard:
         schema: Schema,
         bound_aliases: Iterable[str],
         lowering: Lowering,
-    ) -> "tuple[Callable[[Any, Any, int], Any], tuple] | None":
+    ) -> "Callable[[Any, Any, int], Any] | None":
         """A candidate-slice pairing mask for one chain stage, or None.
 
         *alias* is the stage whose history is scanned, *bound_aliases*
@@ -192,10 +192,9 @@ class CompiledGuard:
         right-to-left enumeration: every later argument).  A cross term
         is stage-decidable when it references *alias* and only otherwise
         bound aliases; the decidable terms are handed to
-        :meth:`~repro.dsms.lowering.Lowering.pairing_mask`, whose
-        ``(mask_fn, packed_slots)`` result (or None when no term is
-        maskable) is returned as is.  Every mask survivor is re-checked
-        by the scalar :meth:`pairing`.
+        :meth:`~repro.dsms.lowering.Lowering.pairing_mask`, whose mask
+        function (or None when no term is maskable) is returned as is.
+        Every mask survivor is re-checked by the scalar :meth:`pairing`.
         """
         if self._ctx is None:
             return None

@@ -119,8 +119,8 @@ class _Partition:
             None
             if mirror_specs is None
             else [
-                None if spec is None else ColumnStore(spec[0], spec[1])
-                for spec in mirror_specs
+                None if schema is None else ColumnStore(schema)
+                for schema in mirror_specs
             ]
         )
 
@@ -280,13 +280,8 @@ class SeqOperator:
                         [arg.alias for arg in self.args[index + 1:]],
                         lowering,
                     )
-                if stage is None:
-                    plan.append(None)
-                    specs.append(None)
-                else:
-                    mask_fn, packed_slots = stage
-                    plan.append(mask_fn)
-                    specs.append((schema, packed_slots or None))
+                plan.append(stage)
+                specs.append(None if stage is None else schema)
             if any(entry is not None for entry in plan):
                 self._pairing_plan = plan
                 self._mirror_specs = specs

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import pickle
 import struct
-from array import array
 from collections.abc import Mapping as _MappingABC
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -399,39 +398,6 @@ class ColumnBatch:
 # ColumnStore — incremental columnar mirror of operator partition history
 # ---------------------------------------------------------------------------
 
-_I53 = 1 << 53  # largest int64 magnitude exactly representable as double
-
-
-class _StrTable:
-    """Append-only string intern table shared across partition mirrors.
-
-    Interned ids are stable for the table's lifetime, so the native
-    pairing kernels can compare strings by id across calls without
-    re-interning history on every anchor.  The blob/offsets pair is the
-    exact ``dict``/``dict_off`` side-table layout the kernel ABI reads
-    (NUL-terminated UTF-8 at ``blob + offsets[id]``).
-    """
-
-    __slots__ = ("ids", "blob", "offsets")
-
-    def __init__(self) -> None:
-        self.ids: dict[str, int] = {}
-        self.blob = array("b")
-        self.offsets = array("i")
-
-    def intern(self, text: str) -> int:
-        """Stable id for *text*; raises ValueError on an embedded NUL."""
-        ident = self.ids.get(text)
-        if ident is not None:
-            return ident
-        data = text.encode("utf-8")
-        if b"\x00" in data:
-            raise ValueError("embedded NUL in string value")
-        ident = self.ids[text] = len(self.offsets)
-        self.offsets.append(len(self.blob))
-        self.blob.frombytes(data + b"\x00")
-        return ident
-
 
 class ColumnStore:
     """A per-partition columnar mirror of a SEQ history list.
@@ -443,56 +409,20 @@ class ColumnStore:
     vectorized pairing tier evaluates masks over them with the same
     ``(cols, tss, n)`` protocol as :class:`ColumnBatch`.
 
-    When *packed_slots* is given (the column positions a native pairing
-    kernel reads, each tagged ``"i"``/``"d"``/``"s"``), the store also
-    maintains fixed-width buffers in the kernel ABI's layout: int64 /
-    double value arrays with a verdict-flag side array (0 = present,
-    2 = NULL, 3 = unrepresentable — out-of-int64 ints, type
-    mismatches), and interned int32 string-id arrays against a shared
-    :class:`_StrTable`.  Buffer addresses must be fetched per call
-    (appends reallocate).
-
     Poison semantics: a tuple from the wrong schema sets ``ok = False``
     (the whole mirror is untrusted and every mask consumer must fall
-    back to scalar); a string anomaly the ABI cannot express (non-str
-    value in a STR slot, embedded NUL) sets ``native_ok = False`` —
-    the packed side is abandoned but the object columns stay exact, so
-    the vectorized tier keeps working.
+    back to scalar).
     """
 
-    __slots__ = (
-        "schema", "columns", "timestamps", "ok", "native_ok",
-        "packed_slots", "packed", "nulls", "packed_ts", "strings",
-    )
+    __slots__ = ("schema", "columns", "timestamps", "ok")
 
-    def __init__(
-        self,
-        schema: Schema,
-        packed_slots: Sequence[tuple[int, str]] | None = None,
-        strings: "_StrTable | None" = None,
-    ) -> None:
+    def __init__(self, schema: Schema) -> None:
         self.schema = schema
         self.columns: tuple[list, ...] = tuple(
             [] for _ in range(len(schema))
         )
         self.timestamps: list[float] = []
         self.ok = True
-        self.packed_slots = tuple(packed_slots) if packed_slots else ()
-        self.native_ok = bool(self.packed_slots)
-        self.packed: list = []
-        self.nulls: list = []
-        for __, kind in self.packed_slots:
-            if kind == "i":
-                self.packed.append(array("q"))
-                self.nulls.append(array("b"))
-            elif kind == "d":
-                self.packed.append(array("d"))
-                self.nulls.append(array("b"))
-            else:  # "s"
-                self.packed.append(array("i"))
-                self.nulls.append(None)
-        self.packed_ts = array("d")
-        self.strings = strings if strings is not None else _StrTable()
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -505,53 +435,9 @@ class ColumnStore:
             # mask consumers check before trusting this store.
             self.ok = False
             return
-        values = tup.values
-        for column, value in zip(self.columns, values):
+        for column, value in zip(self.columns, tup.values):
             column.append(value)
         self.timestamps.append(tup.ts)
-        if self.native_ok:
-            self._append_packed(values, tup.ts)
-
-    def _append_packed(self, values: Sequence[Any], ts: float) -> None:
-        try:
-            for j, (position, kind) in enumerate(self.packed_slots):
-                value = values[position]
-                if kind == "s":
-                    if value is None:
-                        self.packed[j].append(-1)
-                    elif type(value) is str:
-                        self.packed[j].append(self.strings.intern(value))
-                    else:
-                        raise TypeError("non-string value in STR slot")
-                elif value is None:
-                    self.packed[j].append(0)
-                    self.nulls[j].append(2)
-                elif kind == "i":
-                    if isinstance(value, int) and (
-                        _I64_MIN <= value <= _I64_MAX
-                    ):
-                        self.packed[j].append(value)
-                        self.nulls[j].append(0)
-                    else:
-                        # Unrepresentable: flag 3 makes the kernel
-                        # verdict UNKNOWN, so the row always admits and
-                        # the scalar re-check decides.
-                        self.packed[j].append(0)
-                        self.nulls[j].append(3)
-                else:  # "d"
-                    if isinstance(value, (int, float)) and not (
-                        isinstance(value, int) and abs(value) > _I53
-                    ):
-                        self.packed[j].append(float(value))
-                        self.nulls[j].append(0)
-                    else:
-                        self.packed[j].append(0.0)
-                        self.nulls[j].append(3)
-            self.packed_ts.append(ts)
-        except (TypeError, ValueError, OverflowError):
-            # The packed side is now length-inconsistent mid-row; it is
-            # never read again once native_ok drops.
-            self.native_ok = False
 
     def evict_front(self, count: int) -> None:
         """Drop the *count* oldest mirrored rows (front eviction only)."""
@@ -560,13 +446,6 @@ class ColumnStore:
         for column in self.columns:
             del column[:count]
         del self.timestamps[:count]
-        if self.native_ok:
-            for j, buf in enumerate(self.packed):
-                del buf[:count]
-                side = self.nulls[j]
-                if side is not None:
-                    del side[:count]
-            del self.packed_ts[:count]
 
     def rebuild(self, history: Sequence[Any]) -> None:
         """Reset and re-mirror *history* (checkpoint restore path)."""
@@ -574,17 +453,11 @@ class ColumnStore:
             del column[:]
         del self.timestamps[:]
         self.ok = True
-        self.native_ok = bool(self.packed_slots)
-        for j, (__, kind) in enumerate(self.packed_slots):
-            ctype = {"i": "q", "d": "d", "s": "i"}[kind]
-            self.packed[j] = array(ctype)
-            self.nulls[j] = None if kind == "s" else array("b")
-        self.packed_ts = array("d")
         for tup in history:
             self.append(tup)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ColumnStore({len(self)} rows x {len(self.schema)} cols, "
-            f"ok={self.ok}, native_ok={self.native_ok})"
+            f"ok={self.ok})"
         )

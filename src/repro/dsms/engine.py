@@ -149,8 +149,8 @@ class QueryHandle:
 class Engine:
     """A self-contained DSMS instance.
 
-    ``tier`` caps the execution ladder — ``"native"``, ``"vector"`` (the
-    default), ``"closure"`` or ``"interpreted"`` — and each value enables
+    ``tier`` caps the execution ladder — ``"vector"`` (the default),
+    ``"closure"`` or ``"interpreted"`` — and each value enables
     every rung below it; :mod:`repro.dsms.lowering` describes the rungs
     and owns the fallback chain between them.  ``"interpreted"`` is the
     reference configuration (AST-walking evaluator, original SEQ
@@ -168,7 +168,6 @@ class Engine:
         self.histories: dict[str, Any] = {}  # stream -> SnapshotView
         self.lowering = Lowering(tier)
         self.tier = self.lowering.tier
-        self.native_state = self.lowering.native_state
         self._query_counter = 0
         # Slot consumed by the next _Sink the compiler builds: the
         # multi-query registry parks a fan-out collector here so a
@@ -206,9 +205,9 @@ class Engine:
         return Collector(label)
 
     def execution_tier(self) -> dict[str, Any]:
-        """Requested vs active tier, plus this engine's native counters
-        (see :func:`repro.dsms.lowering.execution_tier`)."""
-        return execution_tier(self.tier, self.native_state)
+        """Requested vs active tier (see
+        :func:`repro.dsms.lowering.execution_tier`)."""
+        return execution_tier(self.tier)
 
     # -- catalog --------------------------------------------------------
 

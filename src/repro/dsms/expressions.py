@@ -816,7 +816,7 @@ class InList(Expression):
 
 
 # Module-level LIKE pattern memo: every lowering tier (eval, closure,
-# vector, native) funnels through Like._regex, so identical patterns —
+# vector) funnels through Like._regex, so identical patterns —
 # common when the same EPC prefix appears in many registered queries —
 # compile exactly once per process rather than once per Like node.
 _LIKE_REGEX_MEMO: dict[str, Any] = {}

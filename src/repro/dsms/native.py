@@ -1,554 +1,19 @@
-"""Native predicate tier: runtime compilation, caching, ctypes dispatch.
+"""Host C-compiler probe, the last piece of the retired native tier.
 
-:mod:`repro.dsms.native_codegen` lowers expression IR to C source; this
-module turns that source into running machine code and exposes it
-through the exact mask-hook protocol the vectorized tier established
-(``(columns, timestamps, n) -> mask | None``), so every existing mask
-consumer — :meth:`Stream.column_mask`, the multi-query
-``StreamRouter`` — composes native kernels without change.
-
-The pipeline per predicate:
-
-1. :func:`native_admission_mask` lowers the predicate's terms with
-   :func:`~repro.dsms.native_codegen.lower_kernel`; unlowerable nodes
-   return None and the caller falls back to the vectorized tier.
-2. The translation unit is compiled with the platform C compiler
-   (``cc``/``gcc``/``clang``, override with ``REPRO_NATIVE_CC``,
-   disable entirely with ``REPRO_NATIVE_DISABLE=1``) into a shared
-   object cached on disk under a content hash of the C source
-   (``~/.cache/repro-native/<sha256>.so``, override the directory with
-   ``REPRO_NATIVE_CACHE``).  A second engine compiling the same
-   predicate reuses the cached object without invoking the compiler; a
-   cache entry that fails to load (truncated, corrupted, wrong
-   architecture) is discarded and rebuilt from source.
-3. Per batch, the mask closure converts column lists into fixed-width
-   buffers (``array('q')``/``array('d')`` fast paths, a null side-array
-   when a column holds ``None``, interned int32 ids plus a shared
-   dictionary blob for strings) and calls the kernel through ctypes.
-   Any value the C ABI cannot hold — an int beyond int64, an embedded
-   NUL, an unexpected type — abandons that *batch*'s native mask
-   (returns None) and the vectorized/scalar fallback takes over; the
-   kernel stays armed for the next batch.
-
-One deliberate precision note: FLOAT-typed columns are converted with
-``array('d')``, so an int value beyond 2**53 stored in a FLOAT column
-rounds exactly as it already does crossing the shard wire (the framed
-codec packs FLOAT columns as doubles); INT columns keep full int64
-precision with in-kernel overflow taint.
-
-All counters live on a per-engine :class:`NativeState`, surfaced by
-``Engine.execution_tier()`` and the bench metadata.
+Nothing in ``src/`` compiles or loads C any more; this stays only because
+``benchmarks/e2e/measure.py`` imports it for its informational ``meta``
+record.  Delete the module once that import goes.
 """
 
-from __future__ import annotations
-
-import ctypes
-import hashlib
-import os
 import shutil
-import subprocess
-import tempfile
-from array import array
-from pathlib import Path
-from typing import Any, Callable, Sequence
 
-from .expressions import Expression
-from .native_codegen import (
-    KernelSpec,
-    PairKernelSpec,
-    lower_kernel,
-    lower_pairing_kernel,
-    translation_unit,
-)
-from .schema import Schema
-from .tuples import Tuple
-
-#: Environment knobs (all read at call time, so tests can flip them).
-CACHE_ENV = "REPRO_NATIVE_CACHE"
-CC_ENV = "REPRO_NATIVE_CC"
-DISABLE_ENV = "REPRO_NATIVE_DISABLE"
-
-_CC_CANDIDATES = ("cc", "gcc", "clang")
-
-#: Memoized compiler discovery: None = not probed yet, (path,) = result.
-_compiler_memo: tuple[str | None] | None = None
+__all__ = ["find_compiler"]
 
 
 def find_compiler() -> str | None:
-    """Path of the platform C compiler, or None on a cc-less host.
-
-    Honors ``REPRO_NATIVE_DISABLE`` (any non-empty value masks the
-    compiler out — the CI fallback leg) and ``REPRO_NATIVE_CC`` (names
-    the binary to use).  The probe result is memoized; tests that
-    monkeypatch this function or flip the env vars see their change
-    because every caller goes through the module attribute.
-    """
-    global _compiler_memo
-    if os.environ.get(DISABLE_ENV):
-        return None
-    override = os.environ.get(CC_ENV)
-    if override:
-        return shutil.which(override)
-    if _compiler_memo is None:
-        found = None
-        for name in _CC_CANDIDATES:
-            found = shutil.which(name)
-            if found:
-                break
-        _compiler_memo = (found,)
-    return _compiler_memo[0]
-
-
-def default_cache_dir() -> Path:
-    """The on-disk .so cache directory (content-hash keyed)."""
-    override = os.environ.get(CACHE_ENV)
-    if override:
-        return Path(override).expanduser()
-    return Path("~/.cache/repro-native").expanduser()
-
-
-class NativeState:
-    """Per-engine native-tier bookkeeping: counters + loaded kernels.
-
-    Holding the loaded ``CDLL`` objects here pins their lifetime to the
-    engine's, so a mask closure can never outlive its machine code.
-    """
-
-    def __init__(self, cache_dir: Path | str | None = None) -> None:
-        self.cache_dir = (
-            Path(cache_dir).expanduser() if cache_dir is not None
-            else default_cache_dir()
-        )
-        self.kernels_built = 0      # compiled a fresh .so
-        self.cache_hits = 0         # reused a cached .so
-        self.compile_failures = 0   # cc rejected generated source
-        self.lowering_fallbacks = 0  # predicate not lowerable to C
-        self.runtime_fallbacks = 0  # a batch's values escaped the C ABI
-        self.masked_batches = 0     # batches masked natively
-        self.masked_rows = 0        # rows masked natively
-        self.pairing_masked_windows = 0  # candidate windows masked natively
-        self.pairing_masked_rows = 0     # candidate rows masked natively
-        self._libs: list[ctypes.CDLL] = []
-
-    @property
-    def active_kernels(self) -> int:
-        return len(self._libs)
-
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot (transport_stats()-style introspection)."""
-        return {
-            "active_kernels": self.active_kernels,
-            "kernels_built": self.kernels_built,
-            "cache_hits": self.cache_hits,
-            "compile_failures": self.compile_failures,
-            "lowering_fallbacks": self.lowering_fallbacks,
-            "runtime_fallbacks": self.runtime_fallbacks,
-            "masked_batches": self.masked_batches,
-            "masked_rows": self.masked_rows,
-            "pairing_masked_windows": self.pairing_masked_windows,
-            "pairing_masked_rows": self.pairing_masked_rows,
-        }
-
-
-class _RnCol(ctypes.Structure):
-    _fields_ = [("data", ctypes.c_void_p), ("nulls", ctypes.c_void_p)]
-
-
-class _RnCols(ctypes.Structure):
-    _fields_ = [
-        ("cols", ctypes.POINTER(_RnCol)),
-        ("ts", ctypes.c_void_p),
-        ("dict", ctypes.c_void_p),
-        ("dict_off", ctypes.c_void_p),
-    ]
-
-
-class _RnAnchor(ctypes.Structure):
-    _fields_ = [
-        ("ivals", ctypes.c_void_p),
-        ("dvals", ctypes.c_void_p),
-        ("sids", ctypes.c_void_p),
-        ("flags", ctypes.c_void_p),
-    ]
-
-
-def source_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _compile_so(cc: str, source: str, so_path: Path) -> bool:
-    """Compile *source* into *so_path* atomically; False on failure."""
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=str(so_path.parent)) as tmp:
-        c_path = os.path.join(tmp, "kernel.c")
-        tmp_so = os.path.join(tmp, "kernel.so")
-        with open(c_path, "w") as handle:
-            handle.write(source)
-        proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp_so, c_path],
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        if proc.returncode != 0 or not os.path.exists(tmp_so):
-            return False
-        # Atomic publish: concurrent builders race benignly — both
-        # write identical content under the content-hash name.
-        os.replace(tmp_so, so_path)
-    return True
-
-
-def load_kernel(spec: KernelSpec, state: NativeState) -> Callable | None:
-    """Compile (or cache-load) *spec* and return its ctypes entry point."""
-    cc = find_compiler()
-    if cc is None:
-        return None
-    source = translation_unit([spec])
-    so_path = state.cache_dir / f"{source_hash(source)}.so"
-    lib = None
-    if so_path.exists():
-        try:
-            lib = ctypes.CDLL(str(so_path))
-            state.cache_hits += 1
-        except OSError:
-            # Corrupted/foreign cache entry: rebuild it, never load it.
-            try:
-                so_path.unlink()
-            except OSError:  # pragma: no cover - racing unlink
-                pass
-            lib = None
-    if lib is None:
-        if not _compile_so(cc, source, so_path):
-            state.compile_failures += 1
-            return None
-        try:
-            lib = ctypes.CDLL(str(so_path))
-        except OSError:  # pragma: no cover - loader rejects fresh build
-            state.compile_failures += 1
-            return None
-        state.kernels_built += 1
-    state._libs.append(lib)
-    kern = getattr(lib, spec.name)
-    if isinstance(spec, PairKernelSpec):
-        kern.argtypes = [
-            ctypes.POINTER(_RnCols),
-            ctypes.c_int32,
-            ctypes.POINTER(_RnAnchor),
-            ctypes.POINTER(ctypes.c_uint8),
-        ]
-    else:
-        kern.argtypes = [
-            ctypes.POINTER(_RnCols),
-            ctypes.c_int32,
-            ctypes.POINTER(ctypes.c_uint8),
-        ]
-    kern.restype = ctypes.c_int
-    return kern
-
-
-# -- per-batch buffer conversion -------------------------------------------
-
-_EMPTY = b"\x00"
-
-
-def _int_buffer(col: Sequence[Any], n: int) -> tuple[array, bytearray | None]:
-    try:
-        return array("q", col), None
-    except (TypeError, OverflowError):
-        pass
-    values = array("q", bytes(8 * n))
-    nulls = bytearray(n)
-    for index, value in enumerate(col):
-        if value is None:
-            nulls[index] = 1
-        elif isinstance(value, int):  # bools included: True == 1 in Python
-            values[index] = value  # OverflowError -> batch fallback
-        else:
-            raise TypeError(f"non-integer value {value!r} in INT column")
-    return values, nulls
-
-
-def _float_buffer(col: Sequence[Any], n: int) -> tuple[array, bytearray | None]:
-    try:
-        return array("d", col), None
-    except TypeError:
-        pass
-    values = array("d", bytes(8 * n))
-    nulls = bytearray(n)
-    for index, value in enumerate(col):
-        if value is None:
-            nulls[index] = 1
-        elif isinstance(value, (int, float)):
-            values[index] = value
-        else:
-            raise TypeError(f"non-numeric value {value!r} in FLOAT column")
-    return values, nulls
-
-
-def _str_ids(
-    col: Sequence[Any], interned: dict[str, int], strings: list[str]
-) -> array:
-    ids = array("i", bytes(4 * len(col)))
-    for index, value in enumerate(col):
-        if value is None:
-            ids[index] = -1
-            continue
-        if not isinstance(value, str):
-            raise TypeError(f"non-string value {value!r} in STR column")
-        ident = interned.get(value)
-        if ident is None:
-            if "\x00" in value:
-                raise ValueError("embedded NUL in string value")
-            ident = interned[value] = len(strings)
-            strings.append(value)
-        ids[index] = ident
-    return ids
-
-
-def _addr(buf: array) -> int:
-    return buf.buffer_info()[0]
-
-
-def make_mask(
-    kern: Callable, spec: KernelSpec, state: NativeState
-) -> Callable[[Any, Any, int], Any]:
-    """Wrap a loaded kernel as a ``(cols, tss, n) -> mask | None`` hook.
-
-    The returned mask is a length-``n`` sequence of 0/1 (a bytearray);
-    None means "this batch's values escaped the C ABI — use the next
-    tier down".
-    """
-    slots = spec.slots
-    uses_ts = spec.uses_ts
-    uses_dict = spec.uses_dict
-
-    def native_mask(cols: Any, tss: Any, n: int) -> Any:
-        try:
-            keepalive: list[Any] = []
-            c_cols = (_RnCol * max(len(slots), 1))()
-            interned: dict[str, int] = {}
-            strings: list[str] = []
-            for slot, (position, kind) in enumerate(slots):
-                col = cols[position]
-                nulls: Any = None
-                if kind == "i":
-                    values, nulls = _int_buffer(col, n)
-                elif kind == "d":
-                    values, nulls = _float_buffer(col, n)
-                else:
-                    values = _str_ids(col, interned, strings)
-                keepalive.append(values)
-                c_cols[slot].data = _addr(values)
-                if nulls is not None:
-                    c_nulls = (ctypes.c_ubyte * n).from_buffer(nulls)
-                    keepalive.append((nulls, c_nulls))
-                    c_cols[slot].nulls = ctypes.addressof(c_nulls)
-                else:
-                    c_cols[slot].nulls = None
-            frame = _RnCols()
-            frame.cols = c_cols
-            if uses_ts:
-                ts_buf = array("d", tss)
-                keepalive.append(ts_buf)
-                frame.ts = _addr(ts_buf)
-            else:
-                frame.ts = None
-            if uses_dict and strings:
-                blob = b"".join(
-                    text.encode("utf-8") + _EMPTY for text in strings
-                )
-                offsets = array("i", bytes(4 * len(strings)))
-                offset = 0
-                for ident, text in enumerate(strings):
-                    offsets[ident] = offset
-                    offset += len(text.encode("utf-8")) + 1
-                c_blob = ctypes.c_char_p(blob)
-                keepalive.append((blob, c_blob, offsets))
-                frame.dict = ctypes.cast(c_blob, ctypes.c_void_p)
-                frame.dict_off = _addr(offsets)
-            else:
-                frame.dict = None
-                frame.dict_off = None
-            out = bytearray(n)
-            c_out = (ctypes.c_uint8 * n).from_buffer(out)
-            kern(ctypes.byref(frame), n, c_out)
-            state.masked_batches += 1
-            state.masked_rows += n
-            return out
-        except (TypeError, ValueError, OverflowError):
-            state.runtime_fallbacks += 1
-            return None
-
-    return native_mask
-
-
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-_I53 = 1 << 53
-
-
-def make_pairing_mask(
-    kern: Callable,
-    spec: PairKernelSpec,
-    state: NativeState,
-    outer_schemas: "dict[str, Schema]",
-) -> Callable[[Any, Any, int], Any]:
-    """Wrap a pairing kernel as a ``(bindings, store, n) -> mask | None`` hook.
-
-    *bindings* is the live pairing Env's alias->Tuple mapping (the bound
-    chain stages), *store* the candidate stage's
-    :class:`~repro.dsms.columns.ColumnStore` mirror, *n* the prefix of
-    the mirror to evaluate (enumeration bounds are always prefixes).
-    None means this anchor's values escaped the C ABI — use the next
-    tier down; the kernel stays armed for the next anchor.
-    """
-    extractors: list[tuple[str, int | None, str, Schema]] = []
-    for alias_key, field, kind in spec.anchor_slots:
-        schema = outer_schemas[alias_key]
-        position = None if field is None else schema.position(field)
-        extractors.append((alias_key, position, kind, schema))
-    n_slots = len(spec.slots)
-    uses_ts = spec.uses_ts
-    uses_dict = spec.uses_dict
-    n_anchors = len(extractors)
-
-    def pairing_mask(bindings: Any, store: Any, n: int) -> Any:
-        if not store.native_ok or n <= 0:
-            return None
-        try:
-            ivals = array("q", bytes(8 * max(n_anchors, 1)))
-            dvals = array("d", bytes(8 * max(n_anchors, 1)))
-            sids = array("i", bytes(4 * max(n_anchors, 1)))
-            flags = bytearray(max(n_anchors, 1))
-            strings = store.strings
-            for k, (alias_key, position, kind, expected) in enumerate(
-                extractors
-            ):
-                tup = bindings[alias_key]
-                if type(tup) is not Tuple or tup.schema is not expected:
-                    return None  # re-declared schema: stay scalar
-                if position is None:
-                    dvals[k] = tup.ts
-                    continue
-                value = tup.values[position]
-                if kind == "s":
-                    if value is None:
-                        sids[k] = -1
-                    elif type(value) is str:
-                        # May intern a new id; the table is append-only
-                        # so candidate ids stay valid.
-                        sids[k] = strings.intern(value)
-                    else:
-                        return None  # no UNKNOWN channel for string ids
-                elif value is None:
-                    flags[k] = 2
-                elif kind == "i":
-                    if isinstance(value, int) and (
-                        _I64_MIN <= value <= _I64_MAX
-                    ):
-                        ivals[k] = value
-                    else:
-                        flags[k] = 3  # unrepresentable: verdict UNKNOWN
-                else:  # "d"
-                    if isinstance(value, (int, float)) and not (
-                        isinstance(value, int) and abs(value) > _I53
-                    ):
-                        dvals[k] = value
-                    else:
-                        flags[k] = 3
-            keepalive: list[Any] = []
-            c_cols = (_RnCol * max(n_slots, 1))()
-            for slot in range(n_slots):
-                c_cols[slot].data = _addr(store.packed[slot])
-                side = store.nulls[slot]
-                c_cols[slot].nulls = (
-                    _addr(side) if side is not None else None
-                )
-            frame = _RnCols()
-            frame.cols = c_cols
-            frame.ts = _addr(store.packed_ts) if uses_ts else None
-            if uses_dict and len(strings.offsets):
-                frame.dict = _addr(strings.blob)
-                frame.dict_off = _addr(strings.offsets)
-            else:
-                frame.dict = None
-                frame.dict_off = None
-            anchor = _RnAnchor()
-            anchor.ivals = _addr(ivals)
-            anchor.dvals = _addr(dvals)
-            anchor.sids = _addr(sids)
-            c_flags = (ctypes.c_ubyte * len(flags)).from_buffer(flags)
-            keepalive.append((flags, c_flags))
-            anchor.flags = ctypes.addressof(c_flags)
-            out = bytearray(n)
-            c_out = (ctypes.c_uint8 * n).from_buffer(out)
-            kern(ctypes.byref(frame), n, ctypes.byref(anchor), c_out)
-            state.pairing_masked_windows += 1
-            state.pairing_masked_rows += n
-            return out
-        except (
-            TypeError, ValueError, OverflowError,
-            KeyError, AttributeError, IndexError,
-        ):
-            state.runtime_fallbacks += 1
-            return None
-
-    return pairing_mask
-
-
-def native_pairing_mask(
-    terms: Sequence[Expression],
-    schema: Schema,
-    alias: str | None,
-    outer_schemas: "dict[str, Schema]",
-    state: NativeState,
-) -> "tuple[Callable[[Any, Any, int], Any], PairKernelSpec] | None":
-    """Build a native pairing mask hook for one chain stage, or None.
-
-    Returns ``(mask_fn, spec)`` — the caller needs ``spec.slots`` to
-    provision the partition mirrors' packed buffers.  None means this
-    stage's pairing stays on the vectorized/scalar tiers (nothing
-    lowerable, no compiler, or the compiler rejected the source); other
-    stages of the same plan still go native independently.
-    """
-    if find_compiler() is None:
-        return None
-    spec = lower_pairing_kernel(
-        terms, schema, alias, outer_schemas, name="pair_0"
-    )
-    if spec is None:
-        state.lowering_fallbacks += 1
-        return None
-    kern = load_kernel(spec, state)
-    if kern is None:
-        return None
-    return make_pairing_mask(kern, spec, state, outer_schemas), spec
-
-
-def native_admission_mask(
-    terms: Sequence[Expression],
-    schema: Schema,
-    alias: str | None,
-    mode: str,
-    state: NativeState,
-) -> Callable[[Any, Any, int], Any] | None:
-    """Build a native mask hook for the conjunction of *terms*, or None.
-
-    None means this predicate stays on the vectorized/closure tiers —
-    because a node is not lowerable, no compiler exists on this host,
-    or the compiler rejected the generated source.  The decision is
-    per-predicate: other predicates on the same plan still go native.
-    """
-    if find_compiler() is None:
-        return None
-    # One kernel per translation unit, under a *fixed* name: the .so is
-    # keyed by a content hash of its source, so a deterministic name is
-    # what lets two engines compiling the same predicate share one
-    # cache entry.
-    spec = lower_kernel(terms, schema, alias, mode, name="kern_0")
-    if spec is None:
-        state.lowering_fallbacks += 1
-        return None
-    kern = load_kernel(spec, state)
-    if kern is None:
-        return None
-    return make_mask(kern, spec, state)
+    """Path of the first of ``cc``/``gcc``/``clang`` on PATH, else None."""
+    for name in ("cc", "gcc", "clang"):
+        path = shutil.which(name)
+        if path:
+            return path
+    return None

@@ -967,8 +967,7 @@ class ShardedEngine:
         shard_by: explicit ``{stream_name: key_field}`` routing overrides;
             takes precedence over hoisted partition keys.
         tier: execution-tier cap forwarded to every inner Engine
-            (``'native'``, ``'vector'``, ``'closure'`` or
-            ``'interpreted'``; see :class:`~repro.dsms.engine.Engine`).
+            (``'vector'``, ``'closure'`` or ``'interpreted'``; see :class:`~repro.dsms.engine.Engine`).
         batch_size: records buffered per shard before a parallel hand-off
             (the adaptive controller's starting point under ``parallel``).
         start_method: multiprocessing start method for pipe workers
@@ -1063,9 +1062,8 @@ class ShardedEngine:
             name.lower(): field.lower() for name, field in (shard_by or {}).items()
         }
         # The catalog engine holds schemas and compiled query metadata for
-        # routing decisions; it never receives data, so it stops at the
-        # vector tier rather than building native kernels nobody calls.
-        self.catalog = Engine(tier="vector" if tier == "native" else tier)
+        # routing decisions; it never receives data.
+        self.catalog = Engine(tier=tier)
         self._ops: list[tuple] = []
         self._sink_specs: list[tuple[str, str, str]] = []  # (sink_id, kind, target)
         self._routes: dict[str, _Route] = {}
@@ -1603,10 +1601,8 @@ class ShardedEngine:
         }
 
     def execution_tier(self) -> dict[str, Any]:
-        """Requested vs active tier of the inner engines on this host
-        (see :func:`repro.dsms.lowering.execution_tier`).  Per-shard
-        native counters live inside the worker processes and are not
-        aggregated here."""
+        """Requested vs active tier of the inner engines (see
+        :func:`repro.dsms.lowering.execution_tier`)."""
         return execution_tier(self.tier)
 
     def alive_workers(self) -> int:

@@ -3,12 +3,10 @@
 The pairing-kernel tier batches the SEQ match-enumeration hot path: each
 partition keeps a columnar mirror of its history, and cross-alias
 conjuncts are lowered to per-stage candidate masks — Python columnar
-closures (vector tier) and two-operand C kernels over the mirror's
-packed buffers (native tier).  Masks only prune: every survivor re-runs
-the scalar pairing check, so the contract is the vectorized-admission
-one, end to end — whatever the host, query output must be
-**byte-identical** to the interpreted engine in values, timestamps and
-order.
+closures (vector tier).  Masks only prune: every survivor re-runs the
+scalar pairing check, so the contract is the vectorized-admission one,
+end to end — query output must be **byte-identical** to the interpreted
+engine in values, timestamps and order.
 
 Covered here, all under the ``pairing`` marker (the eight paper queries
 run at every tier in ``tests/test_tier_matrix.py``):
@@ -18,24 +16,46 @@ run at every tier in ``tests/test_tier_matrix.py``):
   embedded-NUL, and Kleene-star traces,
 * mirror upkeep under window eviction and the checkpoint round trip
   (mirrors are derived state: restore must rebuild them exactly),
-* the fallback chain and the ``execution_tier()`` pairing report.
+* the ``execution_tier()`` pairing report.
 """
 
 import pytest
 
 from repro.core.operators.seq import SeqOperator
-from repro.dsms import native as native_mod
 from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
+from repro.dsms.columns import ColumnBatch
 from repro.dsms.engine import Engine
-from tests.test_native_codegen import HAS_CC, results_of, run_tiers
+from repro.dsms.lowering import TIERS
 
 pytestmark = pytest.mark.pairing
 
 
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Every test gets a private kernel cache directory."""
-    monkeypatch.setenv(native_mod.CACHE_ENV, str(tmp_path / "kernel-cache"))
+def run_tiers(setup, batches):
+    """Run one workload through every execution tier.
+
+    ``setup(engine)`` declares streams/queries and returns a list of
+    zero-arg result accessors; ``batches`` is ``[(stream, [(values, ts),
+    ...]), ...]`` fed via ``push_columns`` in order (so cross-stream
+    interleaving is preserved batch-for-batch).  Asserts byte-identical
+    results across tiers and returns ``(common_output, vector_engine)``.
+    """
+    per_tier = {}
+    for tier in TIERS:
+        engine = Engine(tier=tier)
+        accessors = setup(engine)
+        for stream, rows in batches:
+            schema = engine.streams.get(stream).schema
+            engine.push_columns(stream, ColumnBatch.from_rows(schema, rows))
+        per_tier[tier] = [accessor() for accessor in accessors]
+    baseline = per_tier["interpreted"]
+    for tier, output in per_tier.items():
+        assert output == baseline, f"tier {tier!r} diverged from interpreted"
+    assert engine.tier == "vector"
+    return baseline, engine
+
+
+def results_of(handle):
+    return lambda: [(t.values, t.ts, t.stream) for t in handle.results]
 
 
 def seq_operators(engine):
@@ -79,19 +99,15 @@ class TestPairingMaskDifferentials:
             "SELECT X.tag_id, X.v, Y.w FROM a AS X, b AS Y "
             "WHERE SEQ(X, Y) AND X.tag_id = Y.tag_id AND Y.w - X.v > 0.3"
         )
-        (out,), native_engine = run_tiers(
+        (out,), vector_engine = run_tiers(
             self._setup(query), dense_seq_batches()
         )
         assert out
-        (op,) = seq_operators(native_engine)
+        (op,) = seq_operators(vector_engine)
         assert op._pairing_plan is not None
-        if HAS_CC:
-            stats = native_engine.native_state.stats()
-            assert stats["pairing_masked_windows"] > 0
-            assert stats["pairing_masked_rows"] > 0
 
-    def test_vector_plan_without_native(self):
-        engine = Engine()  # vector tier, no native
+    def test_vector_plan(self):
+        engine = Engine()  # vector tier
         for name, ddl in self.AB_DDL:
             engine.create_stream(name, ddl)
         engine.query(
@@ -111,17 +127,12 @@ class TestPairingMaskDifferentials:
             "WHERE SEQ(X, Y) OVER [300 SECONDS PRECEDING Y] MODE RECENT "
             "AND X.tag_id = Y.tag_id AND Y.w - X.v > 0.3"
         )
-        (out,), native_engine = run_tiers(
+        (out,), vector_engine = run_tiers(
             self._setup(query), dense_seq_batches()
         )
         assert out
-        (op,) = seq_operators(native_engine)
+        (op,) = seq_operators(vector_engine)
         assert op._use_cuts and op._pairing_plan is not None
-        if HAS_CC:
-            assert (
-                native_engine.native_state.stats()["pairing_masked_windows"]
-                > 0
-            )
 
     def test_four_stage_chain_masks_multiple_stages(self):
         query = """
@@ -150,9 +161,9 @@ class TestPairingMaskDifferentials:
                     ({"readerid": stream, "tagid": f"pallet{wave % 6}",
                       "tagtime": ts}, ts)
                 ]))
-        (out,), native_engine = run_tiers(setup, batches)
+        (out,), vector_engine = run_tiers(setup, batches)
         assert out
-        (op,) = seq_operators(native_engine)
+        (op,) = seq_operators(vector_engine)
         plan = op._pairing_plan
         assert plan is not None
         # C4.tagtime - C1.tagtime is decidable at stage 0 (scanning C1
@@ -169,10 +180,9 @@ class TestPairingMaskDifferentials:
         )
         assert out
 
-    def test_unicode_and_embedded_nul_poison_packed_side(self):
-        """Unicode string operands flow through the interned-id path;
-        an embedded NUL cannot be interned, poisons only the mirror's
-        packed side, and every tier still agrees byte-for-byte."""
+    def test_unicode_and_embedded_nul(self):
+        """Unicode and embedded-NUL string operands leave the mirrors
+        trusted, and every tier still agrees byte-for-byte."""
         query = (
             "SELECT X.tag_id, Y.tag_id FROM a AS X, b AS Y "
             "WHERE SEQ(X, Y) AND X.loc <> Y.loc AND Y.w - X.v > 0.1"
@@ -198,19 +208,15 @@ class TestPairingMaskDifferentials:
             batches.append(("a", a_rows))
             batches.append(("b", b_rows))
             ts += 200.0
-        (out,), native_engine = run_tiers(setup, batches)
+        (out,), vector_engine = run_tiers(setup, batches)
         assert out
-        (op,) = seq_operators(native_engine)
+        (op,) = seq_operators(vector_engine)
         for partition in op._partitions.values():
             if partition.mirrors is None:
                 continue
             for store in partition.mirrors:
-                if store is None or not store.packed_slots:
-                    continue
-                # The NUL-carrying trace must have poisoned the packed
-                # side while the object columns stay exact.
-                assert store.ok
-                assert not store.native_ok
+                if store is not None:
+                    assert store.ok
 
     def test_kleene_star_trace(self):
         """Star sequences take the StarSeqOperator path — no mirrors,
@@ -242,9 +248,9 @@ class TestPairingMaskDifferentials:
                           "tagtime": ts}, ts)])
             )
             ts += 12.0
-        (out,), native_engine = run_tiers(setup, batches)
+        (out,), vector_engine = run_tiers(setup, batches)
         assert len(out) == 10
-        assert not seq_operators(native_engine)  # star path, not SeqOperator
+        assert not seq_operators(vector_engine)  # star path, not SeqOperator
 
 
 class TestMirrorUpkeep:
@@ -254,8 +260,8 @@ class TestMirrorUpkeep:
         "AND X.tag_id = Y.tag_id AND Y.w - X.v > 0.2"
     )
 
-    def _build(self, tier="vector"):
-        engine = Engine(tier=tier)
+    def _build(self):
+        engine = Engine()
         engine.create_stream("a", "tag_id str, v float")
         engine.create_stream("b", "tag_id str, w float")
         handle = engine.query(self.QUERY)
@@ -276,10 +282,6 @@ class TestMirrorUpkeep:
                 assert store.timestamps == [t.ts for t in history]
                 for j, column in enumerate(store.columns):
                     assert column == [t.values[j] for t in history]
-                if store.packed_slots and store.native_ok:
-                    assert len(store.packed_ts) == len(history)
-                    for buf in store.packed:
-                        assert len(buf) == len(history)
         assert checked  # the plan covered at least one stage somewhere
 
     def test_eviction_keeps_mirrors_in_sync(self):
@@ -298,20 +300,17 @@ class TestMirrorUpkeep:
         )
         self._assert_mirrors_exact(op)
 
-    @pytest.mark.parametrize(
-        "tier", ["vector"] + (["native"] if HAS_CC else [])
-    )
-    def test_checkpoint_roundtrip_rebuilds_mirrors(self, tier):
+    def test_checkpoint_roundtrip_rebuilds_mirrors(self):
         batches = dense_seq_batches()
         half = len(batches) // 2
 
-        source, source_handle = self._build(tier)
+        source, source_handle = self._build()
         for stream, rows in batches[:half]:
             for values, ts in rows:
                 source.push(stream, values, ts=ts)
         state = capture_engine_state(source)
 
-        restored, restored_handle = self._build(tier)
+        restored, restored_handle = self._build()
         restore_engine_state(restored, state)
 
         (src_op,) = seq_operators(source)
@@ -319,7 +318,7 @@ class TestMirrorUpkeep:
         assert dst_op._pairing_plan is not None
         self._assert_mirrors_exact(dst_op)
         # The rebuilt mirrors must equal the source's, column for
-        # column — including the packed buffers the C kernels read.
+        # column.
         assert set(src_op._partitions) == set(dst_op._partitions)
         for key, src_part in src_op._partitions.items():
             dst_part = dst_op._partitions[key]
@@ -331,14 +330,6 @@ class TestMirrorUpkeep:
                     continue
                 assert dst_store.columns == src_store.columns
                 assert dst_store.timestamps == src_store.timestamps
-                assert dst_store.packed_slots == src_store.packed_slots
-                assert dst_store.native_ok == src_store.native_ok
-                if src_store.native_ok:
-                    for src_buf, dst_buf in zip(
-                        src_store.packed, dst_store.packed
-                    ):
-                        assert dst_buf == src_buf
-                    assert dst_store.packed_ts == src_store.packed_ts
 
         # And the restored engine must keep producing exactly what the
         # uninterrupted source produces.
@@ -356,31 +347,7 @@ class TestMirrorUpkeep:
         assert tail  # the continuation actually matched something
 
 
-class TestFallbackAndReporting:
-    QUERY = (
-        "SELECT X.tag_id FROM a AS X, b AS Y "
-        "WHERE SEQ(X, Y) AND X.tag_id = Y.tag_id AND Y.w - X.v > 0.3"
-    )
-
-    def _run(self, tier="vector"):
-        engine = Engine(tier=tier)
-        engine.create_stream("a", "tag_id str, v float")
-        engine.create_stream("b", "tag_id str, w float")
-        handle = engine.query(self.QUERY)
-        for stream, rows in dense_seq_batches(n=200):
-            for values, ts in rows:
-                engine.push(stream, values, ts=ts)
-        return engine, [(t.values, t.ts) for t in handle.results]
-
-    def test_disable_env_degrades_pairing_with_admission(self, monkeypatch):
-        monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        engine, out = self._run("native")
-        tier = engine.execution_tier()
-        assert tier["pairing"] == {"requested": "native", "active": "vector"}
-        assert engine.native_state.stats()["kernels_built"] == 0
-        _, reference = self._run("interpreted")
-        assert out == reference
-
+class TestReporting:
     def test_tier_report_carries_pairing_ladder(self):
         assert Engine().execution_tier()["pairing"] == {
             "requested": "vector", "active": "vector",
@@ -389,10 +356,9 @@ class TestFallbackAndReporting:
             "requested": "interpreted", "active": "interpreted",
         }
 
-    def test_sharded_tier_report_carries_pairing(self, monkeypatch):
+    def test_sharded_tier_report_carries_pairing(self):
         from repro.dsms.sharding import ShardedEngine
 
-        monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        sharded = ShardedEngine(n_shards=2, tier="native")
+        sharded = ShardedEngine(n_shards=2, tier="closure")
         tier = sharded.execution_tier()
-        assert tier["pairing"] == {"requested": "native", "active": "vector"}
+        assert tier["pairing"] == {"requested": "closure", "active": "closure"}

@@ -6,11 +6,11 @@ paper's eight example queries runs at every ``tier`` value on ``Engine``,
 fed as column batches, and must emit **byte-identical** rows — same
 values, same timestamps, same order — to the reference configuration:
 a plain ``Engine(tier="interpreted")`` (AST-walking evaluator, original
-SEQ enumeration and sweep).  The native arm also runs with
-``REPRO_NATIVE_DISABLE`` set, i.e. as on a host without a C compiler.
+SEQ enumeration and sweep).
 
 Also here: what the ``tier`` knob accepts, and that the keyword arguments
-it replaced are gone rather than silently ignored.
+it replaced and the retired ``"native"`` value are gone rather than
+silently ignored.
 """
 
 import pytest
@@ -22,15 +22,8 @@ from repro.dsms import (
     MultiQueryEngine,
     ShardedEngine,
 )
-from repro.dsms import native as native_mod
 from repro.dsms.columns import ColumnBatch
 from repro.dsms.lowering import TIERS
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Every test gets a private kernel cache directory."""
-    monkeypatch.setenv(native_mod.CACHE_ENV, str(tmp_path / "kernel-cache"))
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +344,14 @@ def reference(name):
     return _references[name]
 
 
-# "native-nocc" is tier="native" on a host where no C compiler is found.
-ARMS = TIERS + ("native-nocc",)
-
-
-@pytest.mark.native
 @pytest.mark.pairing
 @pytest.mark.columnar
-@pytest.mark.parametrize("arm", ARMS)
+@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", list(CASES))
-def test_rows_identical_to_reference(name, kind, arm, monkeypatch):
+def test_rows_identical_to_reference(name, kind, tier):
     expected = reference(name)
     assert [len(rows) for rows in expected] == CASES[name]["counts"]
-    tier = arm
-    if arm == "native-nocc":
-        monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
-        tier = "native"
     assert run_case(CASES[name], kind, tier) == expected
 
 
@@ -378,7 +362,6 @@ def test_reference_configuration_is_interpreted_and_unindexed():
     case = CASES["ex6-quality"]
     engine, streams, _ = wire("engine", case, "interpreted")
     assert not engine.lowering.compiled and not engine.lowering.masks
-    assert engine.native_state is None
     for stream, rows in case["batches"]:
         schema = streams.get(stream).schema
         engine.push_columns(stream, ColumnBatch.from_rows(schema, rows))
@@ -414,13 +397,11 @@ def test_unknown_tier_names_the_legal_values(factory):
 
 @pytest.mark.parametrize("factory", ENGINES)
 @pytest.mark.parametrize("tier", TIERS)
-def test_tier_is_what_execution_tier_reports(factory, tier, monkeypatch):
-    monkeypatch.setenv(native_mod.DISABLE_ENV, "1")
+def test_tier_is_what_execution_tier_reports(factory, tier):
     report = factory(tier=tier).execution_tier()
-    active = "vector" if tier == "native" else tier
     assert report["requested"] == tier
-    assert report["active"] == active
-    assert report["pairing"] == {"requested": tier, "active": active}
+    assert report["active"] == tier
+    assert report["pairing"] == {"requested": tier, "active": tier}
 
 
 # Spelled in halves so that grepping the tree for a removed name finds
@@ -446,3 +427,12 @@ REMOVED = (
 def test_removed_keywords_are_rejected(factory, keyword):
     with pytest.raises(TypeError, match=keyword):
         factory(**{keyword: True})
+
+
+@pytest.mark.parametrize("factory", ENGINES)
+def test_removed_native_tier_is_rejected(factory):
+    with pytest.raises(EslSemanticError) as raised:
+        factory(tier="native")
+    assert str(raised.value).endswith(
+        "expected 'vector', 'closure', 'interpreted'"
+    )

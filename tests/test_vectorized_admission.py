@@ -175,6 +175,48 @@ class TestFilterDifferential:
         (out,) = run_differential(setup, [("readings", spaced(rows))])
         assert len(out) == 7  # 10 below threshold minus the NULLed ones
 
+    def test_between_and_inlist_over_nulls_and_unicode(self):
+        """BETWEEN and IN (with a NULL option) beside a LIKE whose
+        subjects include non-ASCII text."""
+
+        def setup(engine):
+            engine.create_stream("readings", "tid str, w float, k int")
+            return [
+                engine.query(
+                    "SELECT tid FROM readings AS R WHERE tid LIKE '20.%.ca' "
+                    "AND R.w BETWEEN 0.2 AND 0.8 AND R.k IN (1, 2, 5, NULL)"
+                )
+            ]
+
+        rows = [
+            {"tid": f"20.{i}.{('ca', 'fb', 'ガ')[i % 3]}",
+             "w": None if i % 11 == 0 else (i % 10) / 10.0,
+             "k": i % 7}
+            for i in range(400)
+        ]
+        (out,) = run_differential(setup, self._batches(rows, batch=80))
+        assert out
+
+    def test_huge_int_against_float_literal(self):
+        """Ints beyond 2**53 compared with a float literal keep exact
+        Python semantics in the mask."""
+
+        def setup(engine):
+            engine.create_stream("readings", "x int, p float")
+            return [
+                engine.query("SELECT x FROM readings AS R WHERE R.x > 100.5")
+            ]
+
+        huge = 1 << 61
+        rows = [
+            {"x": value, "p": 0.0}
+            for value in (huge, -huge, 3, 200, None, huge + 1, 7, 101)
+        ]
+        (out,) = run_differential(setup, [("readings", spaced(rows))])
+        assert [values[0] for values, _t, _s in out] == [
+            huge, 200, huge + 1, 101,
+        ]
+
     def test_fanout_union_mask(self):
         """Two filters on one stream: the stream materializes the union
         of the admission masks, and both queries still match scalar."""
