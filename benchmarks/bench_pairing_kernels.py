@@ -55,10 +55,9 @@ def test_pairing_kernels_ablation(table_printer):
     path = report.write(os.path.join(os.path.dirname(__file__), ".."))
     assert os.path.exists(path)
 
-    # Uniform meta: both the admission and the pairing tier are recorded.
+    # Uniform meta: the one tier cap (admission and pairing share it).
     assert report.meta["effective_cpu_count"] >= 1
-    assert report.meta["execution_tier"] == "vector"
-    assert report.meta["pairing_tier"] == "vector"
+    assert report.meta["tier"] == "vector"
 
     # Report shape: every arm ran, with identical match counts (reaching
     # here at all means byte-identical output — the runner raises on

@@ -3,31 +3,23 @@
 from .harness import (
     BenchReport,
     ResultTable,
-    Timed,
-    measure_latencies,
-    percentile,
     standard_meta,
-    sweep,
 )
 from .metrics import (
     Accuracy,
     containment_accuracy,
-    summarize_rows,
     throughput,
 )
 from .runners import (
     BENCH_RUNNERS,
-    active_execution_tier,
     checkpoint_overhead,
     effective_cpu_count,
-    multi_query_speedup,
     pairing_speedup,
+    run_arms,
     run_fault_tolerance,
-    run_multi_query,
     run_pairing_kernels,
     run_sharded_scaling,
     run_vectorized_admission,
-    scaling_speedup,
     vectorized_speedup,
     weak_efficiency,
 )
@@ -37,24 +29,16 @@ __all__ = [
     "BENCH_RUNNERS",
     "BenchReport",
     "ResultTable",
-    "Timed",
-    "active_execution_tier",
     "checkpoint_overhead",
     "containment_accuracy",
     "effective_cpu_count",
-    "measure_latencies",
-    "multi_query_speedup",
     "pairing_speedup",
-    "percentile",
+    "run_arms",
     "run_fault_tolerance",
-    "run_multi_query",
     "run_pairing_kernels",
     "run_sharded_scaling",
     "run_vectorized_admission",
-    "scaling_speedup",
     "standard_meta",
-    "summarize_rows",
-    "sweep",
     "throughput",
     "vectorized_speedup",
     "weak_efficiency",

@@ -8,20 +8,20 @@ reads like an evaluation section.
 
 For tracking performance over time, :class:`BenchReport` writes the same
 measurements machine-readably as ``BENCH_<name>.json`` in the repository
-root (or a caller-chosen directory): per-experiment throughput in
-tuples/s, p50/p99 per-tuple latency in microseconds, and operator state
-size, plus free-form parameters.  CI archives these files so perf
-trajectories survive across runs.
+root (or a caller-chosen directory): per-experiment seconds and
+throughput in tuples/s, plus free-form parameters.  CI archives these
+files so perf trajectories survive across runs.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
-import time
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
+
+from ..dsms.lowering import TIERS
+from .metrics import throughput
 
 
 def effective_cpu_count() -> int:
@@ -32,34 +32,22 @@ def effective_cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def standard_meta(
-    *,
-    execution_tier: str | None = None,
-    pairing_tier: str | None = None,
-    **extra: Any,
-) -> dict[str, Any]:
+def standard_meta(**extra: Any) -> dict[str, Any]:
     """The uniform meta keys every :class:`BenchReport` carries.
 
-    Runners historically hand-rolled their meta dicts and the keys
-    drifted: some emitted ``cpu_count``, some ``effective_cpu_count``,
-    some both, and none recorded which execution tier the engines ran
-    at.  Every runner now builds its meta through this helper, which
-    pins the house keys — ``effective_cpu_count`` (affinity-aware),
-    ``cpu_count`` (legacy alias, same value), ``python``, the active
-    admission ``execution_tier``, and the active ``pairing_tier`` (the
-    SEQ match-enumeration mask tier, which shares admission's ladder)
-    — and merges runner-specific keys on top.
+    Pins the house keys — ``effective_cpu_count`` (affinity-aware),
+    ``cpu_count`` (legacy alias, same value), ``python``, and ``tier``,
+    the engines' default execution tier (admission and SEQ pairing share
+    the one cap), which every arm runs at unless its ``params`` name
+    another — and merges runner-specific keys on top.
     """
     cpus = effective_cpu_count()
     meta: dict[str, Any] = {
         "effective_cpu_count": cpus,
         "cpu_count": cpus,
         "python": platform.python_version(),
+        "tier": TIERS[-1],
     }
-    if execution_tier is not None:
-        meta["execution_tier"] = execution_tier
-    if pairing_tier is not None:
-        meta["pairing_tier"] = pairing_tier
     meta.update(extra)
     return meta
 
@@ -115,59 +103,12 @@ def _format(value: Any) -> str:
     return str(value)
 
 
-class Timed:
-    """Context manager measuring wall-clock seconds."""
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-    def __enter__(self) -> "Timed":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.seconds = time.perf_counter() - self._start
-
-
-def sweep(values: Iterable[Any], fn: Callable[[Any], Sequence[Any]],
-          table: ResultTable) -> ResultTable:
-    """Run *fn* for each parameter value, adding its row to *table*."""
-    for value in values:
-        table.add(*fn(value))
-    return table
-
-
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The *q*-th percentile (0..100) with linear interpolation.
-
-    Matches ``statistics.quantiles(..., method='inclusive')`` at interior
-    points and clamps to min/max at the ends, so p50 of two samples is
-    their mean and p99 of a small sample set is (close to) its max.
-    """
-    if not samples:
-        raise ValueError("percentile of empty sample set")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile {q} outside [0, 100]")
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * (q / 100.0)
-    lower = math.floor(rank)
-    upper = math.ceil(rank)
-    if lower == upper:
-        return ordered[lower]
-    weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
-
-
 class BenchReport:
     """Accumulates experiments and writes them as ``BENCH_<name>.json``.
 
     Each experiment is one measured configuration: a label, its
-    parameters, and the house metrics — throughput (tuples/s), p50/p99
-    per-tuple latency (µs, from a list of per-tuple seconds), and state
-    size (resident operator state after the run, in whatever unit the
-    benchmark defines — typically retained tuples).
+    parameters, its best wall-clock seconds and the throughput
+    (tuples/s) they imply, plus whatever extra columns the runner adds.
     """
 
     SCHEMA_VERSION = 1
@@ -183,8 +124,6 @@ class BenchReport:
         *,
         n_tuples: int,
         seconds: float,
-        latencies_s: Sequence[float] | None = None,
-        state_size: int | None = None,
         shards: int | None = None,
         params: Mapping[str, Any] | None = None,
         **extra: Any,
@@ -198,68 +137,10 @@ class BenchReport:
             "label": label,
             "n_tuples": int(n_tuples),
             "seconds": float(seconds),
-            "throughput_tuples_per_s": (
-                n_tuples / seconds if seconds > 0 else 0.0
-            ),
+            "throughput_tuples_per_s": throughput(n_tuples, seconds),
         }
         if shards is not None:
             entry["shards"] = int(shards)
-        if latencies_s:
-            entry["latency_us"] = {
-                "p50": percentile(latencies_s, 50.0) * 1e6,
-                "p99": percentile(latencies_s, 99.0) * 1e6,
-                "max": max(latencies_s) * 1e6,
-                "samples": len(latencies_s),
-            }
-        if state_size is not None:
-            entry["state_size"] = int(state_size)
-        if params:
-            entry["params"] = dict(params)
-        entry.update(extra)
-        self.experiments.append(entry)
-        return entry
-
-    def add_scaling_curve(
-        self,
-        label: str,
-        points: Sequence[tuple[int, float]],
-        *,
-        n_tuples: int,
-        baseline_shards: int = 1,
-        params: Mapping[str, Any] | None = None,
-        **extra: Any,
-    ) -> dict[str, Any]:
-        """Record a shard-count scaling curve as one entry.
-
-        ``points`` is a sequence of ``(shards, seconds)`` measurements over
-        the *same* workload of ``n_tuples`` records.  Speedups are computed
-        against the ``baseline_shards`` point (which must be present).
-        """
-        by_shards = {int(shards): float(seconds) for shards, seconds in points}
-        if baseline_shards not in by_shards:
-            raise ValueError(
-                f"baseline shards={baseline_shards} missing from curve "
-                f"points {sorted(by_shards)}"
-            )
-        baseline_seconds = by_shards[baseline_shards]
-        curve = [
-            {
-                "shards": shards,
-                "seconds": seconds,
-                "throughput_tuples_per_s": (
-                    n_tuples / seconds if seconds > 0 else 0.0
-                ),
-                "speedup": (baseline_seconds / seconds if seconds > 0 else 0.0),
-            }
-            for shards, seconds in sorted(by_shards.items())
-        ]
-        entry: dict[str, Any] = {
-            "label": label,
-            "kind": "scaling_curve",
-            "n_tuples": int(n_tuples),
-            "baseline_shards": int(baseline_shards),
-            "curve": curve,
-        }
         if params:
             entry["params"] = dict(params)
         entry.update(extra)
@@ -282,21 +163,3 @@ class BenchReport:
             json.dump(payload, handle, indent=2, sort_keys=False)
             handle.write("\n")
         return target
-
-
-def measure_latencies(
-    push_one: Callable[[], Any], n: int
-) -> list[float]:
-    """Call *push_one* *n* times, returning per-call wall-clock seconds.
-
-    A helper for per-tuple latency sampling: the caller binds the record
-    iterator into ``push_one`` and this loop times each delivery
-    individually (distinct from throughput runs, which time the batch)."""
-    clock = time.perf_counter
-    out = []
-    append = out.append
-    for _ in range(n):
-        start = clock()
-        push_one()
-        append(clock() - start)
-    return out

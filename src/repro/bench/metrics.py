@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 
 class Accuracy:
@@ -68,8 +68,3 @@ def containment_accuracy(
 def throughput(n_tuples: int, seconds: float) -> float:
     """Tuples per wall-clock second (0 when the clock did not move)."""
     return n_tuples / seconds if seconds > 0 else 0.0
-
-
-def summarize_rows(rows: Sequence[dict[str, Any]], keys: Sequence[str]) -> list[tuple]:
-    """Project result rows onto key columns for set comparison."""
-    return [tuple(row.get(key) for key in keys) for row in rows]

@@ -1,10 +1,14 @@
 """Named benchmark runners shared by the CLI and ``benchmarks/`` scripts.
 
-Each runner builds its own workload, measures, and returns a
-:class:`BenchReport`; callers decide where to write it.  The registry maps
-the public benchmark name (as used by ``python -m repro bench <name>``)
-to its runner, so the CLI, CI smoke jobs, and the pytest wrappers under
-``benchmarks/`` all execute exactly the same measurement code.
+Each runner is a workload, a query, a table of labelled arms and the
+report rows built from them; the measurement loop itself lives once, in
+:func:`run_arms`.  The registry maps the public benchmark name (as used
+by ``python -m repro bench <name>``) to its runner, so the CLI, CI smoke
+jobs, and the pytest wrappers under ``benchmarks/`` all execute exactly
+the same measurement code.
+
+These four are ablations of this implementation's own layers; the paper
+queries are timed end to end by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -21,47 +25,84 @@ from .harness import (
     standard_meta,
 )
 
-
-def active_execution_tier(tier: str = "vector") -> str:
-    """The tier an Engine capped at *tier* actually runs at, so bench
-    metadata records what was measured, not just what was requested."""
-    from ..dsms.lowering import execution_tier
-
-    return execution_tier(tier)["active"]
+#: ``start(label, spec)`` builds one fresh arm outside the timed region
+#: and returns ``(feed, finish)``.
+ArmStart = Callable[[str, Any], "tuple[Callable[[], Any], Callable[[], list]]"]
 
 
-def _timed_feed(
-    make_scenario: Callable[[], Any], reps: int, keep: bool = False
-) -> tuple[float, list[dict], Any]:
-    """Best-of-*reps* wall-clock seconds for feeding one fresh scenario.
+def _reps(reps: int | None) -> int:
+    """Explicit *reps*, else ``REPRO_BENCH_REPS`` (default 3)."""
+    if reps is None:
+        return int(os.environ.get("REPRO_BENCH_REPS", "3"))
+    return reps
 
-    Every rep builds a fresh engine (sharded reps spawn fresh worker
-    processes, so startup cost is outside the timed region: the clock
-    starts at the first push).  Returns ``(best_seconds, rows, scenario)``
-    where *scenario* is the last rep's fed scenario when ``keep`` is set
-    (so callers can read operator statistics) and None otherwise — kept
-    scenarios are not closed; the caller owns them.
+
+def run_arms(
+    arms: Mapping[str, Any],
+    start: ArmStart,
+    *,
+    reps: int,
+    reference: str,
+) -> dict[str, tuple[float, list]]:
+    """Time every labelled arm; returns ``{label: (best_seconds, rows)}``.
+
+    *arms* maps each label to whatever spec ``start(label, spec)`` needs
+    to build that arm fresh; ``feed()`` is the timed region (GC off) and
+    ``finish()`` returns the arm's output rows and releases the arm.
+    Arms are interleaved inside each rep, so thermal and background drift
+    hits all of them equally, and the best (minimum) seconds across reps
+    is kept — the standard way to reject scheduler noise in CPython.
+    A fast arm with different rows is a bug, not a result: any arm whose
+    rows differ from the *reference* arm's raises.
     """
-    best = float("inf")
-    rows: list[dict] = []
-    scenario = None
-    for rep in range(reps):
-        scenario = make_scenario()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            scenario.feed()
-            seconds = time.perf_counter() - start
-        finally:
-            gc.enable()
+    best = {label: float("inf") for label in arms}
+    rows: dict[str, list] = {}
+    for _ in range(reps):
+        for label, spec in arms.items():
+            feed, finish = start(label, spec)
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                feed()
+                seconds = time.perf_counter() - started
+            finally:
+                gc.enable()
+            rows[label] = finish()
+            best[label] = min(best[label], seconds)
+    expected = rows[reference]
+    for label, got in rows.items():
+        if got != expected:
+            raise AssertionError(
+                f"{label} output diverged from {reference} "
+                f"({len(got)} vs {len(expected)} rows)"
+            )
+    return {label: (best[label], rows[label]) for label in arms}
+
+
+def _scenario_arm(
+    scenario: Any,
+) -> tuple[Callable[[], Any], Callable[[], list]]:
+    """``(feed, finish)`` for an :mod:`repro.rfid` scenario.
+
+    Sharded engines spawn their worker processes here, before the clock
+    starts, and are closed once their rows have been read.
+    """
+    engine = scenario.engine
+    if hasattr(engine, "start"):
+        engine.start()
+
+    def finish() -> list:
         rows = scenario.rows()
-        best = min(best, seconds)
-        if keep and rep == reps - 1:
-            break
-        close = getattr(scenario.engine, "close", None)
-        if close is not None:
-            close()
-    return best, rows, scenario if keep else None
+        if hasattr(engine, "close"):
+            engine.close()
+        return rows
+
+    return scenario.feed, finish
+
+
+def _result_pairs(handle: Any) -> list:
+    """A query's output as comparable ``(values, ts)`` pairs, in order."""
+    return [(tup.values, tup.ts) for tup in handle.results]
 
 
 # ---------------------------------------------------------------------------
@@ -80,33 +121,29 @@ def run_sharded_scaling(
 ) -> BenchReport:
     """Example 6 SEQ weak-scaling across shard counts, with correctness.
 
-    Each arm processes ``n_products * n_shards`` products — the workload
-    grows with the shard count, so an arm always has enough tuples to
-    amortize process hand-off (a fixed 298-tuple trace across 8 shards
-    measured dispatch overhead, not scaling).  Under ideal weak scaling
-    the wall-clock stays flat as shards grow; ``weak_efficiency`` is the
-    smallest arm's seconds over this arm's seconds.
+    Each shard count processes ``n_products * n_shards`` products — the
+    workload grows with the shard count, so an arm always has enough
+    tuples to amortize process hand-off (a fixed 298-tuple trace across 8
+    shards measured dispatch overhead, not scaling).  Under ideal weak
+    scaling the wall-clock stays flat as shards grow; ``weak_efficiency``
+    is the smallest arm's seconds over this arm's seconds.
 
-    Every arm is also timed against a single :class:`~repro.dsms.engine.
-    Engine` on the *same* workload (``speedup_vs_single``), and the merged
-    sharded output must equal the single-engine output row for row — a
-    wrong-but-fast shard is a bug, not a result.  Arms with more shards
-    than available CPUs are tagged ``cpu_limited`` so a flat-to-negative
-    point on a starved host isn't read as a real regression.
+    Every sharded arm is paired with a single :class:`~repro.dsms.engine.
+    Engine` arm on the *same* workload (``speedup_vs_single``), which is
+    also its row-for-row reference.  Arms with more shards than available
+    CPUs are tagged ``cpu_limited`` so a flat-to-negative point on a
+    starved host isn't read as a real regression.
     """
     from ..rfid import build_quality_check, build_quality_check_sharded
     from ..rfid import quality_check_workload
 
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
+    reps = _reps(reps)
     cpus = effective_cpu_count()
     shard_counts = tuple(shard_counts)
 
     report = BenchReport(
         "sharded_scaling",
         meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
             workload="example6-quality",
             scaling_mode="weak",
             n_products_per_shard=n_products,
@@ -123,36 +160,38 @@ def run_sharded_scaling(
         ),
     )
 
+    def start(_label: str, arm: tuple[Any, int | None]) -> Any:
+        workload, shards = arm
+        if shards is None:
+            return _scenario_arm(build_quality_check(workload))
+        return _scenario_arm(build_quality_check_sharded(
+            workload, n_shards=shards, executor=executor,
+            batch_size=batch_size,
+        ))
+
     baseline_seconds: float | None = None
     for n_shards in shard_counts:
         workload = quality_check_workload(
             n_products=n_products * n_shards, seed=seed
         )
-        n_tuples = len(workload.trace)
-        single_seconds, reference_rows, _ = _timed_feed(
-            lambda w=workload: build_quality_check(w), reps
+        single, sharded = f"single-{n_shards}x", f"sharded-{n_shards}"
+        results = run_arms(
+            {single: (workload, None), sharded: (workload, n_shards)},
+            start, reps=reps, reference=single,
         )
-        sharded_seconds, rows, _ = _timed_feed(
-            lambda w=workload, n=n_shards: build_quality_check_sharded(
-                w, n_shards=n, executor=executor, batch_size=batch_size
-            ),
-            reps,
-        )
-        if rows != reference_rows:
-            raise AssertionError(
-                f"sharded output diverged from single engine at "
-                f"{n_shards} shards ({len(rows)} vs {len(reference_rows)} rows)"
-            )
+        single_seconds = results[single][0]
+        sharded_seconds = results[sharded][0]
         if baseline_seconds is None:
             baseline_seconds = sharded_seconds
+        n_tuples = len(workload.trace)
         report.add_experiment(
-            f"single-{n_shards}x",
+            single,
             n_tuples=n_tuples,
             seconds=single_seconds,
             params={"engine": "Engine", "n_products": n_products * n_shards},
         )
         report.add_experiment(
-            f"sharded-{n_shards}",
+            sharded,
             n_tuples=n_tuples,
             seconds=sharded_seconds,
             shards=n_shards,
@@ -172,19 +211,6 @@ def run_sharded_scaling(
     return report
 
 
-def scaling_speedup(report: BenchReport, shards: int) -> float | None:
-    """Speedup at *shards*: the arm's single-engine speedup for weak-scaling
-    reports, or the curve point for (older) strong-scaling reports."""
-    for entry in report.experiments:
-        if entry.get("kind") == "scaling_curve":
-            for point in entry["curve"]:
-                if point["shards"] == shards:
-                    return point["speedup"]
-        elif entry.get("shards") == shards and "speedup_vs_single" in entry:
-            return entry["speedup_vs_single"]
-    return None
-
-
 def weak_efficiency(report: BenchReport, shards: int) -> float | None:
     """Weak-scaling efficiency at *shards* (1.0 = perfectly flat)."""
     for entry in report.experiments:
@@ -199,20 +225,25 @@ def weak_efficiency(report: BenchReport, shards: int) -> float | None:
 
 _ADMISSION_SCHEMA = "tag_id int, pressure float, loc str"
 
+_ADMISSION_ARMS = {
+    # label -> (Engine tier, input shape).  "scalar" is the reference.
+    "scalar": ("closure", "columns"),
+    "vectorized": ("vector", "columns"),
+    "rows": ("closure", "records"),
+}
+
 
 def _admission_workload(
     n_rows: int, batch_rows: int, seed: int
-) -> tuple[Any, list, list]:
+) -> tuple[list, list]:
     """A uniform-pressure readings trace, pre-shaped for every arm.
 
-    Returns ``(schema, column_batches, row_records)`` where the batches
-    and the flat ``(values, ts)`` record list carry identical rows —
-    pressures are uniform on [0, 1), so a ``pressure < T`` filter admits
-    a T fraction of them.  Shaping happens here, outside any timed
-    region: the benchmark measures admission, not input marshalling.
+    Returns ``(column_batches, row_records)`` where the batches and the
+    flat ``(values, ts)`` record list carry identical rows — pressures
+    are uniform on [0, 1), so a ``pressure < T`` filter admits a T
+    fraction of them.  Shaping happens here, outside any timed region:
+    the benchmark measures admission, not input marshalling.
     """
-    import random
-
     from ..dsms.columns import ColumnBatch
     from ..dsms.schema import Schema
 
@@ -230,7 +261,7 @@ def _admission_workload(
         ColumnBatch.from_rows(schema, rows[start:start + batch_rows])
         for start in range(0, n_rows, batch_rows)
     ]
-    return schema, batches, rows
+    return batches, rows
 
 
 def run_vectorized_admission(
@@ -258,22 +289,19 @@ def run_vectorized_admission(
     batches stayed columnar).  Selectivity is the filter threshold itself
     (pressures are uniform on [0, 1)): at 1% the vectorized arm skips
     materializing ~99% of rows, which is where the win concentrates; at
-    50% materialization dominates and the gap narrows.  Reps interleave
-    across arms, and each selectivity asserts exact output equality
-    between all three arms — same values, same timestamps, same order.
+    50% materialization dominates and the gap narrows.  Each selectivity
+    asserts exact output equality between all three arms — same values,
+    same timestamps, same order.
     """
     from ..dsms.engine import Engine
 
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
+    reps = _reps(reps)
     selectivities = tuple(selectivities)
-    _schema, batches, rows = _admission_workload(n_rows, batch_rows, seed)
+    batches, rows = _admission_workload(n_rows, batch_rows, seed)
 
     report = BenchReport(
         "vector_admission",
         meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
             workload="uniform-pressure-filter",
             n_rows=n_rows,
             batch_rows=batch_rows,
@@ -289,65 +317,50 @@ def run_vectorized_admission(
         ),
     )
 
-    def _make(tier: str, threshold: float) -> tuple[Any, Any]:
+    def start(_label: str, arm: tuple[str, str, float]) -> Any:
+        tier, shape, threshold = arm
         engine = Engine(tier=tier)
         engine.create_stream("readings", _ADMISSION_SCHEMA)
         handle = engine.query(
             "SELECT tag_id, pressure FROM readings AS R "
             f"WHERE R.pressure < {threshold!r}"
         )
-        return engine, handle
 
-    arms = (
-        ("scalar", "closure", "columns"),
-        ("vectorized", "vector", "columns"),
-        ("rows", "closure", "records"),
-    )
+        def feed() -> None:
+            if shape == "columns":
+                for batch in batches:
+                    engine.push_columns("readings", batch)
+            else:
+                engine.push_batch("readings", rows)
+
+        return feed, lambda: _result_pairs(handle)
+
     speedups: dict[float, float] = {}
     for threshold in selectivities:
         pct = f"{threshold * 100:g}pct"
-        arm_seconds = {label: float("inf") for label, _, _ in arms}
-        arm_rows: dict[str, list] = {}
-        for _ in range(reps):
-            for label, tier, shape in arms:
-                engine, handle = _make(tier, threshold)
-                gc.disable()
-                try:
-                    start = time.perf_counter()
-                    if shape == "columns":
-                        for batch in batches:
-                            engine.push_columns("readings", batch)
-                    else:
-                        engine.push_batch("readings", rows)
-                    seconds = time.perf_counter() - start
-                finally:
-                    gc.enable()
-                arm_seconds[label] = min(arm_seconds[label], seconds)
-                arm_rows[label] = [
-                    (tup.values, tup.ts) for tup in handle.results
-                ]
-        reference = arm_rows["scalar"]
-        for label, tier, shape in arms:
-            if arm_rows[label] != reference:
-                raise AssertionError(
-                    f"{label} output diverged at selectivity {threshold} "
-                    f"({len(arm_rows[label])} vs {len(reference)} rows)"
-                )
+        arms = {
+            f"{label}-{pct}": (tier, shape, threshold)
+            for label, (tier, shape) in _ADMISSION_ARMS.items()
+        }
+        results = run_arms(
+            arms, start, reps=reps, reference=f"scalar-{pct}"
+        )
+        for label, (tier, shape, _t) in arms.items():
+            seconds, admitted = results[label]
             report.add_experiment(
-                f"{label}-{pct}",
+                label,
                 n_tuples=n_rows,
-                seconds=arm_seconds[label],
+                seconds=seconds,
                 params={
                     "selectivity": threshold,
                     "tier": tier,
                     "input_shape": shape,
                 },
-                rows_admitted=len(arm_rows[label]),
+                rows_admitted=len(admitted),
             )
+        vectorized_s = results[f"vectorized-{pct}"][0]
         speedups[threshold] = (
-            arm_seconds["scalar"] / arm_seconds["vectorized"]
-            if arm_seconds["vectorized"]
-            else 0.0
+            results[f"scalar-{pct}"][0] / vectorized_s if vectorized_s else 0.0
         )
     report.meta["speedup_vectorized_vs_scalar"] = speedups[selectivities[0]]
     report.meta["speedup_vectorized_vs_scalar_by_selectivity"] = {
@@ -369,14 +382,14 @@ def vectorized_speedup(
 # pairing_kernels — vectorized masks on the SEQ match-enumeration path
 # ---------------------------------------------------------------------------
 
-_PAIRING_ARMS = (
-    # (label, Engine tier).  The interpreted arm is the byte-identity
+_PAIRING_ARMS = {
+    # label -> Engine tier.  The interpreted arm is the byte-identity
     # reference; "scalar" is the compiled-closure pairing loop (the
     # pre-mask hot path); "vector" adds the Python columnar stage masks.
-    ("interpreted", "interpreted"),
-    ("scalar", "closure"),
-    ("vector", "vector"),
-)
+    "interpreted": "interpreted",
+    "scalar": "closure",
+    "vector": "vector",
+}
 
 
 def _pairing_seq_workload(
@@ -448,14 +461,11 @@ def run_pairing_kernels(
     """
     from ..dsms.engine import Engine
 
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
+    reps = _reps(reps)
 
     report = BenchReport(
         "pairing_kernels",
         meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
             workload="dense-reread-quality-seq",
             n_rows=n_rows,
             batch_rows=batch_rows,
@@ -482,45 +492,32 @@ def run_pairing_kernels(
         f"AND Y.w - X.v > {threshold!r}"
     )
 
-    results: dict[str, Any] = {}
-    for _ in range(reps):
-        for label, tier in _PAIRING_ARMS:
-            engine = Engine(tier=tier)
-            engine.create_stream("a", "tag_id str, v float")
-            engine.create_stream("b", "tag_id str, w float")
-            handle = engine.query(query)
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                for stream, batch in batches:
-                    engine.push_columns(stream, batch)
-                seconds = time.perf_counter() - start
-            finally:
-                gc.enable()
-            rows = [(tup.values, tup.ts) for tup in handle.results]
-            best = results.get(label)
-            if best is None or seconds < best[0]:
-                results[label] = (seconds, rows)
-            else:
-                results[label] = (best[0], rows)
-    reference = results["interpreted"][1]
-    for label, (_s, rows) in results.items():
-        if rows != reference:
-            raise AssertionError(
-                f"{label} output diverged "
-                f"({len(rows)} vs {len(reference)} rows)"
-            )
-    for label, (seconds, rows) in results.items():
+    def start(_label: str, tier: str) -> Any:
+        engine = Engine(tier=tier)
+        engine.create_stream("a", "tag_id str, v float")
+        engine.create_stream("b", "tag_id str, w float")
+        handle = engine.query(query)
+
+        def feed() -> None:
+            for stream, batch in batches:
+                engine.push_columns(stream, batch)
+
+        return feed, lambda: _result_pairs(handle)
+
+    results = run_arms(
+        _PAIRING_ARMS, start, reps=reps, reference="interpreted"
+    )
+    for label, (seconds, matches) in results.items():
         report.add_experiment(
             f"{label}-pairing",
             n_tuples=n_rows,
             seconds=seconds,
             params={"workload": "dense-reread-quality-seq", "tier": label},
-            rows_admitted=len(rows),
+            rows_admitted=len(matches),
         )
-    scalar_s = results["scalar"][0]
+    vector_s = results["vector"][0]
     report.meta["speedup_vector_vs_scalar_pairing"] = (
-        scalar_s / results["vector"][0] if results["vector"][0] else 0.0
+        results["scalar"][0] / vector_s if vector_s else 0.0
     )
     return report
 
@@ -579,9 +576,8 @@ def run_fault_tolerance(
     from ..rfid import build_quality_check, build_quality_check_sharded
     from ..rfid import quality_check_workload
 
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-    cpus = effective_cpu_count()
+    reps = _reps(reps)
+    cpu_limited = effective_cpu_count() < n_shards + 1
     checkpoint_intervals = tuple(checkpoint_intervals)
     # Normalize stream time to a fixed span so the checkpoint intervals
     # mean the same cadence at every workload size: 60 s of stream time
@@ -605,13 +601,11 @@ def run_fault_tolerance(
     # under 5 s of normalized stream time), so a checkpoint's cost is
     # O(window contents), not O(everything seen so far) — matching how a
     # long-running deployment would actually run.
-    window_s = 5.0
+    window_minutes = 5.0 / 60.0
 
     report = BenchReport(
         "fault_tolerance",
         meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
             workload="example6-quality",
             n_products=n_products,
             n_shards=n_shards,
@@ -619,7 +613,7 @@ def run_fault_tolerance(
             checkpoint_intervals=list(checkpoint_intervals),
             stream_time_span_s=span,
             reps=reps,
-            cpu_limited=cpus < n_shards + 1,
+            cpu_limited=cpu_limited,
             note=(
                 "checkpoint overhead: identical trace, fault_tolerance "
                 "and checkpoint_interval vary, zero faults injected; "
@@ -631,156 +625,123 @@ def run_fault_tolerance(
         ),
     )
 
-    def _build(**kwargs: Any) -> Any:
+    # label -> ShardedEngine keyword arguments (None: the single Engine).
+    restart = {"fault_tolerance": "restart"}
+    relaxed = checkpoint_intervals[-1]
+    arms: dict[str, dict[str, Any] | None] = {
+        "single": None,
+        "overhead-fail-fast": {},
+        "overhead-ft-off": restart,
+    }
+    for interval in checkpoint_intervals:
+        arms[f"overhead-ft-{interval:g}s"] = {
+            **restart, "checkpoint_interval": interval,
+        }
+    arms["recovery-replay-from-start"] = restart
+    arms[f"recovery-restore-{relaxed:g}s"] = {
+        **restart, "checkpoint_interval": relaxed,
+    }
+    victim = n_shards - 1
+    # Land the kill mid-trace: roughly half the data frames a shard will
+    # see (records hash-split across shards, one frame per full batch).
+    kill_after = max(1, n_tuples // (n_shards * batch_size) // 2)
+    stats: dict[str, list[dict[str, Any]]] = {label: [] for label in arms}
+
+    def start(label: str, kwargs: dict[str, Any] | None) -> Any:
+        if kwargs is None:
+            return _scenario_arm(
+                build_quality_check(workload, window_minutes=window_minutes)
+            )
+        if label.startswith("recovery-"):
+            # Faults are one-shot, so every rep needs its own plan.
+            kwargs = dict(kwargs, fault_plan=FaultPlan().kill_worker(
+                victim, after_batches=kill_after
+            ))
         # Fixed-size batches keep the per-shard frame count deterministic,
         # so the kill trigger (counted in data frames) lands at the same
         # trace position every rep.
-        return build_quality_check_sharded(
+        scenario = build_quality_check_sharded(
             workload,
             n_shards=n_shards,
             executor="parallel",
             batch_size=batch_size,
             adaptive_batch=False,
-            window_minutes=window_s / 60.0,
+            window_minutes=window_minutes,
             **kwargs,
         )
+        feed, finish = _scenario_arm(scenario)
 
-    single_seconds, reference_rows, _ = _timed_feed(
-        lambda: build_quality_check(workload, window_minutes=window_s / 60.0),
-        reps,
-    )
+        def finish_with_stats() -> list:
+            rows = finish()
+            stats[label].append(scenario.engine.fault_stats())
+            return rows
+
+        return feed, finish_with_stats
+
+    results = run_arms(arms, start, reps=reps, reference="single")
+
     report.add_experiment(
         "single",
         n_tuples=n_tuples,
-        seconds=single_seconds,
+        seconds=results["single"][0],
         params={"engine": "Engine"},
     )
-
-    overhead_arms: list[tuple[str, dict[str, Any]]] = [
-        ("fail-fast", {}),
-        ("ft-off", {"fault_tolerance": "restart"}),
-    ]
-    for interval in checkpoint_intervals:
-        overhead_arms.append((
-            f"ft-{interval:g}s",
-            {"fault_tolerance": "restart", "checkpoint_interval": interval},
-        ))
-
-    arm_seconds = {label: float("inf") for label, _ in overhead_arms}
-    arm_stats: dict[str, dict[str, Any]] = {}
-    for _ in range(reps):
-        for label, kwargs in overhead_arms:
-            scenario = _build(**kwargs)
-            engine = scenario.engine.start()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                scenario.feed()
-                seconds = time.perf_counter() - start
-            finally:
-                gc.enable()
-            rows = scenario.rows()
-            arm_stats[label] = engine.fault_stats()
-            engine.close()
-            if rows != reference_rows:
-                raise AssertionError(
-                    f"{label} output diverged from single engine "
-                    f"({len(rows)} vs {len(reference_rows)} rows)"
-                )
-            arm_seconds[label] = min(arm_seconds[label], seconds)
-
-    baseline = arm_seconds["fail-fast"]
+    baseline = results["overhead-fail-fast"][0]
     overheads: dict[str, float] = {}
-    for label, kwargs in overhead_arms:
-        stats = arm_stats[label]
-        overhead = (
-            arm_seconds[label] / baseline - 1.0 if baseline else 0.0
-        )
-        overheads[label] = overhead
-        report.add_experiment(
-            f"overhead-{label}",
-            n_tuples=n_tuples,
-            seconds=arm_seconds[label],
-            shards=n_shards,
-            params={
-                "engine": "ShardedEngine",
-                "fault_tolerance": kwargs.get("fault_tolerance", "fail_fast"),
-                "checkpoint_interval": kwargs.get("checkpoint_interval"),
-            },
-            overhead_vs_fail_fast=overhead,
-            checkpoints=stats["checkpoints"],
-            cpu_limited=cpus < n_shards + 1,
-        )
-
-    recovery_arms: list[tuple[str, float | None]] = [
-        ("replay-from-start", None),
-        (f"restore-{checkpoint_intervals[-1]:g}s", checkpoint_intervals[-1]),
-    ]
-    victim = n_shards - 1
-    # Land the kill mid-trace: roughly half the data frames a shard will
-    # see (records hash-split across shards, one frame per full batch).
-    kill_after = max(1, n_tuples // (n_shards * batch_size) // 2)
-    for label, interval in recovery_arms:
-        best_seconds = float("inf")
-        latencies: list[float] = []
-        recoveries = 0
-        for _ in range(reps):
-            plan = FaultPlan().kill_worker(victim, after_batches=kill_after)
-            scenario = _build(
-                fault_tolerance="restart",
-                checkpoint_interval=interval,
-                fault_plan=plan,
+    for label, kwargs in arms.items():
+        seconds = results[label][0]
+        if label.startswith("overhead-"):
+            overhead = seconds / baseline - 1.0 if baseline else 0.0
+            overheads[label[len("overhead-"):]] = overhead
+            report.add_experiment(
+                label,
+                n_tuples=n_tuples,
+                seconds=seconds,
+                shards=n_shards,
+                params={
+                    "engine": "ShardedEngine",
+                    "fault_tolerance": kwargs.get(
+                        "fault_tolerance", "fail_fast"
+                    ),
+                    "checkpoint_interval": kwargs.get("checkpoint_interval"),
+                },
+                overhead_vs_fail_fast=overhead,
+                checkpoints=stats[label][-1]["checkpoints"],
+                cpu_limited=cpu_limited,
             )
-            engine = scenario.engine.start()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                scenario.feed()
-                seconds = time.perf_counter() - start
-            finally:
-                gc.enable()
-            rows = scenario.rows()
-            stats = engine.fault_stats()
-            engine.close()
-            if rows != reference_rows:
-                raise AssertionError(
-                    f"{label} output diverged after recovery "
-                    f"({len(rows)} vs {len(reference_rows)} rows)"
-                )
-            if stats["recoveries"] < 1:
-                raise AssertionError(
-                    f"{label}: injected kill never triggered a recovery "
-                    f"(events: {stats['events']})"
-                )
-            recoveries += stats["recoveries"]
-            latencies.extend(
+        elif label.startswith("recovery-"):
+            for rep_stats in stats[label]:
+                if rep_stats["recoveries"] < 1:
+                    raise AssertionError(
+                        f"{label}: injected kill never triggered a "
+                        f"recovery (events: {rep_stats['events']})"
+                    )
+            latencies = [
                 event["latency_s"]
-                for event in stats["events"]
+                for rep_stats in stats[label]
+                for event in rep_stats["events"]
                 if event.get("action") == "recovered"
+            ]
+            report.add_experiment(
+                label,
+                n_tuples=n_tuples,
+                seconds=seconds,
+                shards=n_shards,
+                params={
+                    "engine": "ShardedEngine",
+                    "fault_tolerance": "restart",
+                    "checkpoint_interval": kwargs.get("checkpoint_interval"),
+                    "kill_after_batches": kill_after,
+                    "victim_shard": victim,
+                },
+                recoveries=sum(s["recoveries"] for s in stats[label]),
+                recovery_latency_s=min(latencies),
+                recovery_latency_mean_s=sum(latencies) / len(latencies),
+                cpu_limited=cpu_limited,
             )
-            best_seconds = min(best_seconds, seconds)
-        report.add_experiment(
-            f"recovery-{label}",
-            n_tuples=n_tuples,
-            seconds=best_seconds,
-            shards=n_shards,
-            params={
-                "engine": "ShardedEngine",
-                "fault_tolerance": "restart",
-                "checkpoint_interval": interval,
-                "kill_after_batches": kill_after,
-                "victim_shard": victim,
-            },
-            recoveries=recoveries,
-            recovery_latency_s=min(latencies),
-            recovery_latency_mean_s=sum(latencies) / len(latencies),
-            cpu_limited=cpus < n_shards + 1,
-        )
 
     report.meta["overhead_by_arm"] = overheads
-    report.meta["checkpoint_overhead"] = overheads[
-        f"ft-{checkpoint_intervals[-1]:g}s"
-    ]
+    report.meta["checkpoint_overhead"] = overheads[f"ft-{relaxed:g}s"]
     return report
 
 
@@ -791,273 +752,9 @@ def checkpoint_overhead(report: BenchReport, interval: float) -> float | None:
     return float(value) if value is not None else None
 
 
-# ---------------------------------------------------------------------------
-# multi_query — shared registry execution vs one engine per query
-# ---------------------------------------------------------------------------
-
-
-def run_multi_query(
-    *,
-    query_counts: Sequence[int] = (1_000, 10_000, 100_000),
-    n_rows: int = 2_000,
-    naive_at: int = 1_000,
-    verify_sample: int = 25,
-    dedup_queries: int = 1_000,
-    reps: int | None = None,
-    seed: int = 11,
-) -> BenchReport:
-    """Shared multi-query execution vs one plain Engine per query.
-
-    The workload is the paper's deployment shape: N registered continuous
-    queries (one per tag of interest) over one RFID ``readings`` stream.
-    Every arm feeds the identical trace and the harness asserts that a
-    sample of subscriptions is byte-identical — same values, same
-    timestamps, same order — to an independent single-engine run of the
-    same query text, plus an exact answer-count check across *all*
-    subscriptions.
-
-    * ``shared-N`` — one Engine + QueryRegistry with N registered
-      queries.  Tag-equality predicates hoist into the router's hash
-      index, so per-tuple dispatch cost is one lookup, independent of N.
-    * ``naive-N`` — the baseline: N plain Engines built here, one query
-      each, every tuple pushed N times (only run up to *naive_at*
-      queries; beyond that it is pointless to wait for).
-
-    Registration (parse + compile, once per query) is timed separately
-    and reported as ``register_seconds`` — the headline arm seconds
-    measure steady-state feed throughput only, which is what a running
-    deployment pays per tuple.
-
-    A final pair of ``dedup-*`` arms registers *dedup_queries* identical
-    SEQ queries: sub-plan dedup collapses them onto one operator
-    (``shared_plans == 1``), against the distinct-filter arm where every
-    plan is unique.
-
-    Both arms are single-process and single-threaded, so the measured
-    speedup does not depend on free cores; ``cpu_limited`` is always
-    False for this report.
-    """
-    from ..dsms.engine import Engine
-    from ..dsms.multi_engine import MultiQueryEngine
-
-    if reps is None:
-        reps = int(os.environ.get("REPRO_BENCH_REPS", "3"))
-    query_counts = tuple(query_counts)
-    max_queries = max(query_counts)
-
-    schema = "reader_id str, tag_id str, read_time float"
-
-    def query_text(i: int) -> str:
-        return (
-            "SELECT reader_id, tag_id, read_time FROM readings "
-            f"WHERE tag_id = 't{i:06d}'"
-        )
-
-    # Rows cycle the registered tag universe with a coprime stride, so
-    # matches spread across queries: each row answers exactly one query.
-    rng = random.Random(seed)
-    stride = 7919  # prime, coprime with the power-of-ten query counts
-    rows = [
-        (
-            (f"r{rng.randrange(8)}", f"t{(j * stride) % max_queries:06d}", float(j)),
-            float(j),
-        )
-        for j in range(n_rows)
-    ]
-
-    def rows_for(count: int, offset: float) -> list:
-        # Re-key tags into [0, count) so every scale sees the same match
-        # density (one query answered per row), and shift timestamps so
-        # one engine can replay the trace across reps monotonically.
-        return [
-            ((reader, f"t{int(tag[1:]) % count:06d}", ts), ts + offset)
-            for (reader, tag, ts), _ in rows
-        ]
-
-    report = BenchReport(
-        "multi_query",
-        meta=standard_meta(
-            execution_tier=active_execution_tier(),
-            pairing_tier=active_execution_tier(),
-            workload="per-tag filter queries over one readings stream",
-            query_counts=list(query_counts),
-            n_rows=n_rows,
-            naive_at=naive_at,
-            reps=reps,
-            verify_sample=verify_sample,
-            cpu_limited=False,
-            note=(
-                "single process, single thread in every arm; arm seconds "
-                "are steady-state feed time only — per-query compile cost "
-                "is reported separately as register_seconds"
-            ),
-        ),
-    )
-
-    def _verify(subs: list, count: int, trace: list) -> None:
-        expected: dict[str, int] = {}
-        for (_reader, tag, _rt), _ts in trace:
-            expected[tag] = expected.get(tag, 0) + 1
-        for i, sub in enumerate(subs):
-            want = expected.get(f"t{i:06d}", 0)
-            if len(sub.results) != want:
-                raise AssertionError(
-                    f"query {i} of {count}: {len(sub.results)} answers, "
-                    f"expected {want}"
-                )
-        sample = range(0, count, max(1, count // verify_sample))
-        for i in sample:
-            engine = Engine()
-            engine.create_stream("readings", schema)
-            handle = engine.query(query_text(i))
-            engine.push_batch("readings", trace)
-            reference = [(tup.values, tup.ts) for tup in handle.results]
-            got = [(tup.values, tup.ts) for tup in subs[i].results]
-            if got != reference:
-                raise AssertionError(
-                    f"query {i} of {count} diverged from a single-engine "
-                    f"run ({len(got)} vs {len(reference)} rows)"
-                )
-
-    speedups: dict[int, float] = {}
-    shared_seconds: dict[int, float] = {}
-    for count in query_counts:
-        mq = MultiQueryEngine()
-        mq.create_stream("readings", schema)
-        start = time.perf_counter()
-        subs = [mq.register(query_text(i)) for i in range(count)]
-        register_seconds = time.perf_counter() - start
-        best = float("inf")
-        for rep in range(reps):
-            trace = rows_for(count, offset=rep * (n_rows + 1.0))
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                mq.push_batch("readings", trace)
-                seconds = time.perf_counter() - start
-            finally:
-                gc.enable()
-            best = min(best, seconds)
-            if rep == 0:
-                _verify(subs, count, trace)
-            for sub in subs:
-                sub.clear()
-        stats = mq.stats()
-        mq.close()
-        shared_seconds[count] = best
-        report.add_experiment(
-            f"shared-{count}",
-            n_tuples=n_rows,
-            seconds=best,
-            params={"queries": count, "mode": "shared"},
-            register_seconds=register_seconds,
-            indexed_entries=stats["indexed_entries"],
-            residual_entries=stats["residual_entries"],
-            deliveries=stats["deliveries"],
-        )
-
-        if count > naive_at:
-            continue
-        engines = []
-        handles = []
-        start = time.perf_counter()
-        for i in range(count):
-            engine = Engine()
-            engine.create_stream("readings", schema)
-            handles.append(engine.query(query_text(i)))
-            engines.append(engine)
-        register_seconds = time.perf_counter() - start
-        best = float("inf")
-        for rep in range(reps):
-            trace = rows_for(count, offset=rep * (n_rows + 1.0))
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                for engine in engines:
-                    engine.push_batch("readings", trace)
-                seconds = time.perf_counter() - start
-            finally:
-                gc.enable()
-            best = min(best, seconds)
-            if rep == 0:
-                _verify(handles, count, trace)
-            for handle in handles:
-                handle.clear()
-        report.add_experiment(
-            f"naive-{count}",
-            n_tuples=n_rows,
-            seconds=best,
-            params={"queries": count, "mode": "naive"},
-            register_seconds=register_seconds,
-        )
-        speedups[count] = best / shared_seconds[count] if shared_seconds[count] else 0.0
-
-    # Sub-plan dedup: identical SEQ queries collapse onto one operator.
-    seq_text = (
-        "SELECT S.tag_id, E.read_time FROM readings AS S, readings AS E "
-        "WHERE SEQ(S, E) OVER [60 SECONDS PRECEDING E] "
-        "AND S.tag_id = E.tag_id AND S.reader_id = 'r0'"
-    )
-    mq = MultiQueryEngine()
-    mq.create_stream("readings", schema)
-    subs = [mq.register(seq_text) for _ in range(dedup_queries)]
-    dedup_plans = mq.stats()["shared_plans"]
-    best = float("inf")
-    for rep in range(reps):
-        trace = rows_for(max(dedup_queries, 1), offset=rep * (n_rows + 1.0))
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            mq.push_batch("readings", trace)
-            seconds = time.perf_counter() - start
-        finally:
-            gc.enable()
-        best = min(best, seconds)
-        if rep == 0:
-            engine = Engine()
-            engine.create_stream("readings", schema)
-            handle = engine.query(seq_text)
-            engine.push_batch("readings", trace)
-            reference = [(tup.values, tup.ts) for tup in handle.results]
-            for sub in subs[:verify_sample]:
-                if [(tup.values, tup.ts) for tup in sub.results] != reference:
-                    raise AssertionError("dedup fan-out diverged")
-        for sub in subs:
-            sub.clear()
-    mq.close()
-    if dedup_plans != 1:
-        raise AssertionError(
-            f"{dedup_queries} identical queries produced {dedup_plans} plans"
-        )
-    report.add_experiment(
-        f"dedup-seq-{dedup_queries}",
-        n_tuples=n_rows,
-        seconds=best,
-        params={"queries": dedup_queries, "mode": "shared-dedup"},
-        shared_plans=dedup_plans,
-    )
-
-    headline = min(speedups) if speedups else None
-    report.meta["speedup_shared_vs_naive"] = (
-        speedups[headline] if headline is not None else None
-    )
-    report.meta["speedup_shared_vs_naive_by_queries"] = {
-        str(count): value for count, value in speedups.items()
-    }
-    return report
-
-
-def multi_query_speedup(report: BenchReport, queries: int) -> float | None:
-    """Shared-over-naive speedup at *queries* registered queries, if run."""
-    by_count = report.meta.get("speedup_shared_vs_naive_by_queries", {})
-    value = by_count.get(str(queries))
-    return float(value) if value is not None else None
-
-
 BENCH_RUNNERS: Mapping[str, Callable[..., BenchReport]] = {
     "sharded_scaling": run_sharded_scaling,
     "vector_admission": run_vectorized_admission,
     "pairing_kernels": run_pairing_kernels,
     "fault_tolerance": run_fault_tolerance,
-    "multi_query": run_multi_query,
 }

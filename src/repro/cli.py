@@ -162,11 +162,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         "--executor", choices=("serial", "parallel"), default=None,
         help="sharded executor to measure (runner-specific default)",
     )
-    parser.add_argument(
-        "--queries", default=None, metavar="N[,N...]",
-        help="registered-query scales to measure (multi_query only), "
-             "e.g. --queries 1000,10000",
-    )
     return parser
 
 
@@ -184,10 +179,6 @@ def run_bench(argv: Sequence[str]) -> int:
         kwargs["n_products"] = args.size
     if args.executor is not None:
         kwargs["executor"] = args.executor
-    if args.queries is not None:
-        kwargs["query_counts"] = tuple(
-            int(part) for part in args.queries.split(",") if part
-        )
     accepted = inspect.signature(runner).parameters
     if "n_products" in kwargs and "n_products" not in accepted and "n_rows" in accepted:
         kwargs["n_rows"] = kwargs.pop("n_products")  # row-sized workloads
@@ -201,40 +192,15 @@ def run_bench(argv: Sequence[str]) -> int:
     path = report.write(args.out)
     print(f"# wrote {path}", file=sys.stderr)
     for entry in report.experiments:
-        if entry.get("kind") == "scaling_curve":
-            for point in entry["curve"]:
-                print(
-                    f"{entry['label']}: shards={point['shards']} "
-                    f"seconds={point['seconds']:.4f} "
-                    f"speedup={point['speedup']:.2f}x",
-                    file=sys.stderr,
-                )
-            continue
         line = (
             f"{entry['label']}: {entry['throughput_tuples_per_s']:,.0f} "
             "tuples/s"
         )
-        latency = entry.get("latency_us")
-        if latency:
-            line += f" p99={latency['p99']:.0f}us"
-        if entry.get("state_size") is not None:
-            line += f" peak_state={entry['state_size']}"
         if "speedup_vs_single" in entry:
             line += f" speedup={entry['speedup_vs_single']:.2f}x"
         if entry.get("cpu_limited"):
             line += " (cpu-limited)"
         print(line, file=sys.stderr)
-    shared = report.meta.get("speedup_shared_vs_naive")
-    if shared:
-        by_count = report.meta.get("speedup_shared_vs_naive_by_queries", {})
-        detail = ", ".join(
-            f"{count} queries: {value:.2f}x" for count, value in by_count.items()
-        )
-        print(
-            f"# shared vs naive per-query engines: {shared:.2f}x"
-            + (f" ({detail})" if detail else ""),
-            file=sys.stderr,
-        )
     vectorized = report.meta.get("speedup_vectorized_vs_scalar")
     if vectorized:
         by_sel = report.meta.get(

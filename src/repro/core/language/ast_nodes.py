@@ -9,7 +9,7 @@ analyzer and compiler lower them onto the operator runtimes.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from ...dsms.errors import EslRuntimeError, EslSemanticError
 from ...dsms.expressions import Env, Expression
@@ -447,9 +447,3 @@ def iter_and_terms(expr: Expression | None) -> Iterator[Expression]:
             yield from iter_and_terms(operand)
     else:
         yield expr
-
-
-def walk_expressions(roots: Iterable[Expression]) -> Iterator[Expression]:
-    """Walk several expression trees depth-first."""
-    for root in roots:
-        yield from root.walk()

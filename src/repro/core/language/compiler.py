@@ -223,6 +223,7 @@ def _compile_select(
             handle = _compile_aggregate(engine, analysis, label)
         else:
             handle = _compile_filter(engine, analysis, label)
+    handle.analysis = analysis
     # Routing metadata for sharded execution (ShardedEngine): which streams
     # feed this query, and the hoisted all-alias equality key, if any.
     handle.partition_field = analysis.partition_field
@@ -1259,17 +1260,9 @@ def _resolved_items_temporal(
     return items
 
 
-def _eval_item(item: SelectItem, env: Env) -> Any:
-    """Evaluate a select item, yielding NULL for unbound references
-    (EXCEPTION_SEQ partial sequences leave later stages unbound)."""
-    try:
-        return item.expr.eval(env)
-    except EslRuntimeError:
-        return None
-
-
 def _eval_items(fns: Sequence[EvalFn], env: Env) -> list[Any]:
-    """Evaluate compiled select items with the same NULL-for-unbound rule."""
+    """Evaluate compiled select items, yielding NULL for unbound references
+    (EXCEPTION_SEQ partial sequences leave later stages unbound)."""
     values: list[Any] = []
     for fn in fns:
         try:

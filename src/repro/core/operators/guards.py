@@ -150,24 +150,13 @@ class CompiledGuard:
             strict=False,
         )
 
-    def pairing(self, bindings: Mapping[str, Any]) -> bool:
-        """Check only the cross-alias conjuncts (members already admitted)."""
-        if not self._cross:
-            return True
-        env = self._env
-        env.bindings = {alias.lower(): bound for alias, bound in bindings.items()}
-        for fn in self._cross:
-            if not fn(env):
-                return False
-        return True
-
     def pairing_prebound(self, bindings: Mapping[str, Any]) -> bool:
-        """:meth:`pairing` for bindings whose keys are already lower-cased.
+        """Check only the cross-alias conjuncts (members already admitted).
 
-        The indexed SEQ enumeration keeps one scratch bindings dict (keyed
-        by lower-cased alias) alive across all candidates of a scan, so
-        the per-candidate dict rebuild of :meth:`pairing` vanishes from
-        the hot loop; the env is simply repointed at the scratch mapping.
+        *bindings* keys must already be lower-cased aliases: the indexed
+        SEQ enumeration keeps one scratch bindings dict alive across all
+        candidates of a scan, and the env is simply repointed at it — no
+        per-candidate dict rebuild in the hot loop.
         """
         if not self._cross:
             return True

@@ -91,11 +91,14 @@ class QueryHandle:
     (:mod:`repro.dsms.sharding`): ``source_streams`` — the stream names the
     query reads (None on pure-DDL handles) — and ``partition_field`` — the
     hoisted all-alias equality key of a temporal query, if any.  INSERT INTO
-    table queries additionally carry ``sink_table``.
+    table queries additionally carry ``sink_table``.  ``analysis`` is the
+    compiler's :class:`~repro.core.language.analyzer.Analysis` of a SELECT
+    (the multi-query registry derives its routing gates from it).
     """
 
     # Class-level defaults so DDL handles (which skip _compile_select)
     # respond to the same metadata reads.
+    analysis = None
     partition_field: str | None = None
     source_streams: tuple[str, ...] | None = None
     sink_table = None

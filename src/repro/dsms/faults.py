@@ -5,9 +5,8 @@ A :class:`FaultPlan` is attached router-side to a
 across the pipe) and consulted from the client's send path:
 
 * :meth:`FaultPlan.before_send` may **corrupt** a frame (flip a payload
-  byte so the worker's CRC check fails), **drop** it entirely (the
-  in-flight slot is kept, so the router observes a hang), or **delay**
-  it (sleep before the write).
+  byte so the worker's CRC check fails) or **drop** it entirely (the
+  in-flight slot is kept, so the router observes a hang).
 * :meth:`FaultPlan.after_send` may **kill** the worker process
   (``SIGTERM``, simulating a crash) or **wedge** it (``SIGSTOP``,
   simulating a livelock) once a shard has been sent a given number of
@@ -24,20 +23,18 @@ from __future__ import annotations
 
 import os
 import signal
-import time
 from typing import Any
 
 __all__ = ["FaultPlan"]
 
 
 class _Fault:
-    __slots__ = ("kind", "shard", "trigger", "arg", "fired")
+    __slots__ = ("kind", "shard", "trigger", "fired")
 
-    def __init__(self, kind: str, shard: int, trigger: int, arg: Any = None):
+    def __init__(self, kind: str, shard: int, trigger: int):
         self.kind = kind
         self.shard = shard
         self.trigger = trigger
-        self.arg = arg
         self.fired = False
 
 
@@ -71,13 +68,6 @@ class FaultPlan:
         self._faults.append(_Fault("corrupt", shard, frame_index))
         return self
 
-    def delay_frame(
-        self, shard: int, frame_index: int, seconds: float
-    ) -> "FaultPlan":
-        """Sleep *seconds* before writing the *frame_index*-th frame."""
-        self._faults.append(_Fault("delay", shard, frame_index, seconds))
-        return self
-
     # -- client-facing hooks ------------------------------------------------
 
     def before_send(
@@ -100,13 +90,6 @@ class FaultPlan:
                     mutated[12] ^= 0xFF
                     return bytes(mutated)
                 return frame
-            if fault.kind == "delay" and frame_index == fault.trigger:
-                fault.fired = True
-                self._record(
-                    "delay", shard, frame_index=frame_index,
-                    seconds=fault.arg,
-                )
-                time.sleep(float(fault.arg))
         return frame
 
     def after_send(self, shard: int, n_records: int, process: Any) -> None:

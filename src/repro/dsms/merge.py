@@ -125,10 +125,6 @@ class RunCollector:
         """The per-shard sorted runs accumulated for *sink_id* so far."""
         return self._runs[sink_id]
 
-    def merged_for(self, sink_id: str) -> list[StampedRow]:
-        """K-way merge of *sink_id*'s runs, in single-engine order."""
-        return list(merge_runs(self.runs_for(sink_id)))
-
 
 def merge_runs(runs: Sequence[Sequence[StampedRow]]) -> Iterator[StampedRow]:
     """K-way merge of per-shard stamped runs into one deterministic stream.
@@ -138,8 +134,3 @@ def merge_runs(runs: Sequence[Sequence[StampedRow]]) -> Iterator[StampedRow]:
     docstring).  The output is globally sorted by the same key.
     """
     return heapq.merge(*runs)
-
-
-def merged_values(runs: Sequence[Sequence[StampedRow]]) -> list[tuple[float, tuple]]:
-    """Merge runs and project to ``(ts, values)`` pairs, in final order."""
-    return [(row[0], row[4]) for row in merge_runs(runs)]

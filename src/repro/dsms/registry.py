@@ -631,6 +631,10 @@ class QueryRegistry:
     def _compile_plan(
         self, statement: Any, text: str, fingerprint: Any, name: str | None
     ) -> SharedPlan:
+        # Not engine.query(text): the statement is already parsed, and the
+        # compiler's Analysis (left on the handle) feeds the gates below.
+        from ..core.language.compiler import compile_statement
+
         engine = self.engine
         before = {
             stream.name: stream.subscriber_count for stream in engine.streams
@@ -638,12 +642,12 @@ class QueryRegistry:
         collector = FanoutCollector()
         engine._pending_collector = collector
         try:
-            handle = engine.query(
-                text, name=name or f"mq{next(self._plan_counter)}"
+            handle = compile_statement(
+                engine, statement, name or f"mq{next(self._plan_counter)}"
             )
         finally:
             engine._pending_collector = None
-        gates, lenient = _plan_gates(engine, statement)
+        gates, lenient = _plan_gates(engine, handle.analysis)
         entries: list[tuple[StreamRouter, _PlanEntry]] = []
         plan = SharedPlan(fingerprint, text, handle, collector, ())
         for stream in engine.streams:
@@ -821,19 +825,17 @@ def _single_alias_terms(
 
 
 def _plan_gates(
-    engine: Engine, statement: Any
+    engine: Engine, analysis: Any
 ) -> tuple[Mapping[str, AdmissionConstraint], bool]:
-    """Derive per-stream routing gates for one analyzed statement.
+    """Derive per-stream routing gates from a compiled plan's Analysis.
 
     Returns ``({stream_name_lower: constraint}, lenient)``.  Streams
     absent from the mapping route residually.  Gating is conservative:
     any shape whose upstream drop is not provably output-identical gets
     no gate (see the module docstring's soundness notes).
     """
-    from ..core.language.analyzer import analyze
     from ..core.operators.base import PairingMode
 
-    analysis = analyze(statement, engine)
     if analysis.exists_terms:
         return {}, False
     if analysis.kind == "filter":

@@ -399,14 +399,12 @@ class _PipeExecutor:
         n_shards: int,
         batch_size: int,
         start_method: str | None = None,
-        max_inflight: int = 2,
         adaptive_batch: bool = True,
         fault_tolerance: str = "fail_fast",
         checkpoint_interval: float | None = None,
         hang_timeout: float | None = None,
         fault_plan: Any = None,
         max_restarts: int = 3,
-        restart_backoff_s: float = 0.05,
     ) -> None:
         import multiprocessing
 
@@ -419,7 +417,6 @@ class _PipeExecutor:
         # the replay logs stay empty and none of this is consulted on the
         # per-record path, so the no-fault hot path is unchanged.
         self._spec = spec
-        self._max_inflight = max_inflight
         self._hang_timeout = hang_timeout
         self._fault_plan = fault_plan
         self._ft = fault_tolerance != "fail_fast"
@@ -427,7 +424,6 @@ class _PipeExecutor:
         self._supervisor = ShardSupervisor(
             fault_tolerance,
             max_restarts=max_restarts,
-            backoff_s=restart_backoff_s,
         )
         self._replay_logs: list[list[tuple]] = [[] for _ in range(n_shards)]
         self._checkpoints: list[Any] = [None] * n_shards
@@ -452,7 +448,6 @@ class _PipeExecutor:
                         n_shards,
                         context,
                         self._collector.absorb,
-                        max_inflight=max_inflight,
                         hang_timeout=hang_timeout,
                         fault_plan=fault_plan,
                     )
@@ -565,7 +560,6 @@ class _PipeExecutor:
             self._n,
             self._context,
             self._dedup_absorb(shard),
-            max_inflight=self._max_inflight,
             hang_timeout=self._hang_timeout,
             fault_plan=self._fault_plan,
         )
@@ -972,8 +966,6 @@ class ShardedEngine:
             (the adaptive controller's starting point under ``parallel``).
         start_method: multiprocessing start method for pipe workers
             (``None`` = platform default); ignored by the serial executor.
-        max_inflight: un-acknowledged frames allowed per pipe worker
-            before dispatch blocks (double-buffered by default).
         adaptive_batch: let observed round-trip latency grow/shrink the
             per-shard dispatch threshold (``parallel`` only).
         fault_tolerance: what happens when a shard worker fails
@@ -995,7 +987,6 @@ class ShardedEngine:
             and benchmarks only.
         max_restarts: per-shard restart budget under ``restart`` /
             ``degrade`` before escalating.
-        restart_backoff_s: linear backoff base between restart attempts.
     """
 
     def __init__(
@@ -1006,14 +997,12 @@ class ShardedEngine:
         tier: str = "vector",
         batch_size: int = 2048,
         start_method: str | None = None,
-        max_inflight: int = 2,
         adaptive_batch: bool = True,
         fault_tolerance: str = "fail_fast",
         checkpoint_interval: float | None = None,
         hang_timeout: float | None = None,
         fault_plan: Any = None,
         max_restarts: int = 3,
-        restart_backoff_s: float = 0.05,
     ) -> None:
         if n_shards < 1:
             raise EslSemanticError(f"n_shards must be >= 1, got {n_shards}")
@@ -1042,14 +1031,12 @@ class ShardedEngine:
         self.executor_kind = executor
         self.batch_size = batch_size
         self.start_method = start_method
-        self.max_inflight = max_inflight
         self.adaptive_batch = adaptive_batch
         self.fault_tolerance = fault_tolerance
         self.checkpoint_interval = checkpoint_interval
         self.hang_timeout = hang_timeout
         self.fault_plan = fault_plan
         self.max_restarts = max_restarts
-        self.restart_backoff_s = restart_backoff_s
         # Under `degrade`, remember which partition keys each shard owns
         # so a dropped shard's stale partitions can be named exactly.
         self._shard_keys: dict[int, set[Any]] | None = (
@@ -1343,14 +1330,12 @@ class ShardedEngine:
                 self.n_shards,
                 self.batch_size,
                 start_method=self.start_method,
-                max_inflight=self.max_inflight,
                 adaptive_batch=self.adaptive_batch,
                 fault_tolerance=self.fault_tolerance,
                 checkpoint_interval=self.checkpoint_interval,
                 hang_timeout=self.hang_timeout,
                 fault_plan=self.fault_plan,
                 max_restarts=self.max_restarts,
-                restart_backoff_s=self.restart_backoff_s,
             )
 
     def start(self) -> "ShardedEngine":

@@ -37,6 +37,9 @@ __all__ = ["ShardSupervisor", "ESCALATION_POLICIES"]
 
 ESCALATION_POLICIES = ("fail_fast", "restart", "degrade")
 
+#: Linear backoff unit slept between restart attempts (``* attempt``).
+RESTART_BACKOFF_S = 0.05
+
 
 def classify_failure(exc: BaseException) -> str:
     """Map a transport exception to a failure class label."""
@@ -58,7 +61,7 @@ class ShardSupervisor:
         self,
         policy: str = "fail_fast",
         max_restarts: int = 3,
-        backoff_s: float = 0.05,
+        backoff_s: float = RESTART_BACKOFF_S,
     ) -> None:
         if policy not in ESCALATION_POLICIES:
             raise ValueError(
@@ -73,9 +76,6 @@ class ShardSupervisor:
         self.events: list[dict[str, Any]] = []
 
     # -- decisions ----------------------------------------------------------
-
-    def restartable(self, exc: BaseException) -> bool:
-        return classify_failure(exc) in ("crash", "hang", "corrupt")
 
     def on_failure(self, shard: int, exc: BaseException) -> str:
         """Record a failure and return the action to take.

@@ -22,8 +22,8 @@ does not consume the parallel speedup:
 * **Pipelined, backpressure-aware dispatch.**  Output frames are streamed
   back asynchronously: a per-shard reader thread drains the pipe into the
   merge collector while the router keeps sending, with a bounded number
-  of un-acknowledged frames in flight (double-buffered by default) so a
-  slow shard applies backpressure instead of accumulating unbounded
+  of un-acknowledged frames in flight (``MAX_INFLIGHT``: double-buffered)
+  so a slow shard applies backpressure instead of accumulating unbounded
   queue.  The reader thread also makes the protocol deadlock-free: the
   parent->worker pipe can only stall if the worker stops reading, and the
   worker only stops reading while blocked on a write the reader is, by
@@ -673,6 +673,12 @@ def _shutdown_worker(process: Any, conn: Any) -> None:
             pass
 
 
+#: Un-acknowledged frames allowed per worker before dispatch blocks:
+#: double-buffered, so the router encodes frame N+1 while the worker
+#: processes frame N.
+MAX_INFLIGHT = 2
+
+
 class ShardWorkerClient:
     """Router-side handle for one persistent shard worker.
 
@@ -689,7 +695,6 @@ class ShardWorkerClient:
         n_shards: int,
         context: Any,
         on_outputs: Callable[[int, Mapping[str, list[StampedRow]]], None],
-        max_inflight: int = 2,
         hang_timeout: float | None = None,
         fault_plan: Any = None,
     ) -> None:
@@ -698,7 +703,6 @@ class ShardWorkerClient:
         self.shard = shard
         self._codec = FrameCodec(spec)
         self._on_outputs = on_outputs
-        self._max_inflight = max(1, max_inflight)
         # Supervision knobs: when hang_timeout is set, the wait loops raise
         # WorkerHung if frames stay unacknowledged past the deadline with
         # no progress signal.  fault_plan (tests/benches only) intercepts
@@ -892,7 +896,7 @@ class ShardWorkerClient:
         wait_s = self._wait_interval()
         with self._cond:
             self._raise_if_failed()
-            while self._inflight >= self._max_inflight:
+            while self._inflight >= MAX_INFLIGHT:
                 self._cond.wait(timeout=wait_s)
                 self._raise_if_failed()
                 self._check_hang()

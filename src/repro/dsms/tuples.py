@@ -14,8 +14,7 @@ Sequence numbering is *per engine*: each :class:`~repro.dsms.streams.StreamRegis
 owns a counter, and every tuple delivered on one of its streams is stamped
 from it (at construction for stream-built tuples, at first delivery for
 standalone ones).  Tuples constructed standalone — outside any stream — fall
-back to a module-level counter, which :func:`reset_global_sequence` rewinds
-for tests that assert on raw sequence numbers.
+back to a module-level counter.
 """
 
 from __future__ import annotations
@@ -27,17 +26,6 @@ from .errors import SchemaError
 from .schema import Schema
 
 _GLOBAL_SEQ = itertools.count()
-
-
-def reset_global_sequence() -> None:
-    """Rewind the fallback counter used by standalone-constructed tuples.
-
-    Engine-delivered tuples are numbered by their engine's own counter and
-    are unaffected; this only exists so tests building bare Tuples get
-    reproducible sequence numbers.
-    """
-    global _GLOBAL_SEQ
-    _GLOBAL_SEQ = itertools.count()
 
 
 class Tuple:

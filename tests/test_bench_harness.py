@@ -1,16 +1,16 @@
-"""Unit tests for the benchmark harness (tables, timing, metrics)."""
+"""Unit tests for the benchmark harness (tables, metrics, the arm-runner)."""
 
-import time
+import gc
 
 import pytest
 
 from repro.bench import (
+    BENCH_RUNNERS,
     Accuracy,
+    BenchReport,
     ResultTable,
-    Timed,
     containment_accuracy,
-    summarize_rows,
-    sweep,
+    run_arms,
     throughput,
 )
 
@@ -53,18 +53,8 @@ class TestResultTable:
         table.print()
         assert "== t ==" in capsys.readouterr().out
 
-    def test_sweep_populates(self):
-        table = ResultTable("t", ["x", "double"])
-        sweep([1, 2, 3], lambda x: (x, 2 * x), table)
-        assert len(table.rows) == 3
 
-
-class TestTimedAndMetrics:
-    def test_timed_measures(self):
-        with Timed() as timer:
-            time.sleep(0.01)
-        assert timer.seconds >= 0.009
-
+class TestMetrics:
     def test_throughput(self):
         assert throughput(100, 2.0) == 50.0
         assert throughput(100, 0.0) == 0.0
@@ -94,80 +84,114 @@ class TestTimedAndMetrics:
         assert accuracy.tp == 1  # case2's item set differs
         assert accuracy.fp == 1 and accuracy.fn == 1
 
-    def test_summarize_rows(self):
-        rows = [{"a": 1, "b": 2}, {"a": 3}]
-        assert summarize_rows(rows, ["a", "b"]) == [(1, 2), (3, None)]
-
-
-class TestPercentile:
-    def test_single_sample(self):
-        from repro.bench import percentile
-        assert percentile([42.0], 0) == 42.0
-        assert percentile([42.0], 99) == 42.0
-
-    def test_interpolation(self):
-        from repro.bench import percentile
-        assert percentile([1.0, 2.0], 50) == 1.5
-        assert percentile([1.0, 2.0, 3.0, 4.0], 0) == 1.0
-        assert percentile([1.0, 2.0, 3.0, 4.0], 100) == 4.0
-
-    def test_order_independent(self):
-        from repro.bench import percentile
-        assert percentile([4.0, 1.0, 3.0, 2.0], 50) == 2.5
-
-    def test_p99_near_max(self):
-        from repro.bench import percentile
-        samples = [float(i) for i in range(100)]
-        assert 98.0 <= percentile(samples, 99) <= 99.0
-
-    def test_validation(self):
-        import pytest as _pytest
-        from repro.bench import percentile
-        with _pytest.raises(ValueError):
-            percentile([], 50)
-        with _pytest.raises(ValueError):
-            percentile([1.0], 101)
-
 
 class TestBenchReport:
     def test_writes_named_json(self, tmp_path):
         import json
-        from repro.bench import BenchReport
         report = BenchReport("demo", meta={"reps": 3})
         report.add_experiment(
-            "arm-a", n_tuples=1000, seconds=0.5,
-            latencies_s=[0.001, 0.002, 0.004],
-            state_size=17, params={"mode": "fast"}, rows=12,
+            "arm-a", n_tuples=1000, seconds=0.5, shards=2,
+            params={"mode": "fast"}, rows=12,
         )
+        report.add_experiment("arm-b", n_tuples=10, seconds=0.0)
         path = report.write(str(tmp_path))
         assert path.endswith("BENCH_demo.json")
         payload = json.loads(open(path).read())
         assert payload["schema_version"] == 1
         assert payload["name"] == "demo"
         assert payload["meta"] == {"reps": 3}
-        (entry,) = payload["experiments"]
-        assert entry["label"] == "arm-a"
-        assert entry["throughput_tuples_per_s"] == 2000.0
-        assert entry["state_size"] == 17
-        assert entry["params"] == {"mode": "fast"}
-        assert entry["rows"] == 12
-        assert entry["latency_us"]["samples"] == 3
-        assert entry["latency_us"]["p50"] == 2000.0  # 2 ms in µs
-        assert entry["latency_us"]["max"] == 4000.0
+        first, second = payload["experiments"]
+        assert first == {
+            "label": "arm-a", "n_tuples": 1000, "seconds": 0.5,
+            "throughput_tuples_per_s": 2000.0, "shards": 2,
+            "params": {"mode": "fast"}, "rows": 12,
+        }
+        assert second["throughput_tuples_per_s"] == 0.0
+        assert "params" not in second and "shards" not in second
 
-    def test_latency_block_optional(self, tmp_path):
-        import json
-        from repro.bench import BenchReport
-        report = BenchReport("nolat")
-        report.add_experiment("a", n_tuples=10, seconds=0.0)
-        path = report.write(str(tmp_path))
-        (entry,) = json.loads(open(path).read())["experiments"]
-        assert "latency_us" not in entry
-        assert entry["throughput_tuples_per_s"] == 0.0
 
-    def test_measure_latencies_counts(self):
-        from repro.bench import measure_latencies
-        calls = []
-        samples = measure_latencies(lambda: calls.append(1), 5)
-        assert len(samples) == 5 and len(calls) == 5
-        assert all(s >= 0.0 for s in samples)
+class TestRunArms:
+    def _start(self, log, rows_by_label):
+        def start(label, spec):
+            log.append(("build", label, spec))
+
+            def feed():
+                assert not gc.isenabled()
+                log.append(("feed", label))
+
+            return feed, lambda: rows_by_label[label]
+
+        return start
+
+    def test_interleaves_arms_and_keeps_best_seconds_and_rows(self):
+        log = []
+        rows = {"ref": [1, 2], "fast": [1, 2]}
+        out = run_arms(
+            {"ref": "r", "fast": "f"}, self._start(log, rows),
+            reps=2, reference="ref",
+        )
+        assert [e[1] for e in log if e[0] == "feed"] == [
+            "ref", "fast", "ref", "fast",
+        ]
+        assert ("build", "fast", "f") in log
+        assert gc.isenabled()
+        assert list(out) == ["ref", "fast"]
+        for seconds, got in out.values():
+            assert 0.0 <= seconds < 1.0 and got == [1, 2]
+
+    def test_raises_when_an_arm_diverges_from_the_reference(self):
+        rows = {"ref": [1, 2], "wrong": [1]}
+        with pytest.raises(AssertionError, match="wrong output diverged from ref"):
+            run_arms(
+                {"ref": None, "wrong": None}, self._start([], rows),
+                reps=1, reference="ref",
+            )
+
+    def test_gc_restored_when_feed_raises(self):
+        def start(label, spec):
+            def feed():
+                raise RuntimeError("boom")
+
+            return feed, list
+
+        with pytest.raises(RuntimeError):
+            run_arms({"a": None}, start, reps=1, reference="a")
+        assert gc.isenabled()
+
+
+#: Each remaining runner at its smallest useful size, with the arm labels
+#: its report must carry.
+RUNNER_SMOKE = {
+    "vector_admission": (
+        {"n_rows": 600, "batch_rows": 128, "selectivities": (0.5,)},
+        ["scalar-50pct", "vectorized-50pct", "rows-50pct"],
+    ),
+    "pairing_kernels": (
+        {"n_rows": 400, "batch_rows": 64},
+        ["interpreted-pairing", "scalar-pairing", "vector-pairing"],
+    ),
+    "sharded_scaling": (
+        {"n_products": 10, "shard_counts": (1, 2), "executor": "serial"},
+        ["single-1x", "sharded-1", "single-2x", "sharded-2"],
+    ),
+    "fault_tolerance": (
+        {"n_products": 40, "batch_size": 8, "checkpoint_intervals": (20.0,)},
+        [
+            "single", "overhead-fail-fast", "overhead-ft-off",
+            "overhead-ft-20s", "recovery-replay-from-start",
+            "recovery-restore-20s",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_RUNNERS))
+def test_runner_smoke(name):
+    """Every runner goes through run_arms (which raises on any arm whose
+    rows differ from its reference) and reports its arm table."""
+    kwargs, labels = RUNNER_SMOKE[name]
+    report = BENCH_RUNNERS[name](reps=1, **kwargs)
+    assert report.name == name
+    assert report.meta["tier"] == "vector"
+    assert [entry["label"] for entry in report.experiments] == labels
+    assert all(entry["seconds"] > 0.0 for entry in report.experiments)

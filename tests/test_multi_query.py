@@ -71,6 +71,13 @@ SHAPES = [
         "WHERE tag_id IN ('tA', 'tB') AND read_time < 6.0",
         "indexed",
     ),
+    # Two range conjuncts on one field: the only shape that reaches
+    # AdmissionConstraint.intersect's interval merge.
+    (
+        "SELECT tag_id FROM readings "
+        "WHERE read_time >= 2.0 AND read_time < 6.0",
+        "indexed",
+    ),
     ("SELECT tag_id FROM readings WHERE reader_id = tag_id", "residual"),
     (
         "SELECT S.tag_id, E.read_time FROM readings AS S, readings AS E "
@@ -220,6 +227,37 @@ class TestSubPlanDedup:
         assert reference
         for sub in subs:
             assert _answers(sub) == reference
+        mq.close()
+
+    def test_register_parses_and_analyzes_once_per_new_plan(self, monkeypatch):
+        from repro.core.language import analyzer, compiler, parser
+
+        calls = {"parse_program": 0, "analyze": 0}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # Every name the registry and the compiler reach the two through.
+        for module in (parser, compiler):
+            count(module, "parse_program")
+        for module in (analyzer, compiler):
+            count(module, "analyze")
+
+        mq = _shared()
+        for index, (text, _) in enumerate(SHAPES, start=1):
+            mq.register(text)
+            assert calls == {"parse_program": index, "analyze": index}, text
+        # A twin shares the plan: parsed for its fingerprint, not compiled.
+        mq.register(SHAPES[0][0])
+        assert calls == {
+            "parse_program": len(SHAPES) + 1, "analyze": len(SHAPES),
+        }
         mq.close()
 
     def test_cancel_one_twin_keeps_the_other_flowing(self):

@@ -314,6 +314,102 @@ class TestFilterDifferential:
         assert [t.values[0] for t in handle.results] == [0, 1]
 
 
+class TestNestedBooleanDifferential:
+    """OR and nested AND lower to the selection-mask short-circuit
+    (``_vector_conjunction`` / ``_vector_disjunction``): operands after
+    the first see only the still-undecided rows.  Rows *and* the error a
+    mid-batch operand raises must match ``tier="interpreted"`` exactly.
+    """
+
+    TIERS = ("interpreted", "closure", "vector")
+
+    def _run(self, schema, where, rows):
+        outcomes = {}
+        for tier in self.TIERS:
+            engine = Engine(tier=tier)
+            engine.create_stream("readings", schema)
+            handle = engine.query(
+                f"SELECT tag_id FROM readings AS R WHERE {where}"
+            )
+            stream = engine.streams.get("readings")
+            hooked = any(
+                getattr(callback, "vector_admission", None) is not None
+                for callback in stream._fanout
+            )
+            assert hooked is (tier == "vector")  # the predicate lowered
+            error = None
+            try:
+                engine.push_columns(
+                    "readings", ColumnBatch.from_rows(stream.schema, rows)
+                )
+            except Exception as exc:  # noqa: BLE001 - compared below
+                error = (type(exc).__name__, str(exc))
+            outcomes[tier] = (
+                [(t.values, t.ts) for t in handle.results], error,
+            )
+        assert outcomes["closure"] == outcomes["interpreted"]
+        assert outcomes["vector"] == outcomes["interpreted"]
+        return outcomes["interpreted"]
+
+    def test_or_over_nested_and_with_nulls_in_every_column(self):
+        rows = spaced(
+            [
+                {
+                    "tag_id": None if i % 5 == 0 else i,
+                    "pressure": None if i % 7 == 0 else (i % 10) / 10.0,
+                    "loc": None if i % 3 == 0 else ("yard", "dock")[i % 2],
+                }
+                for i in range(210)
+            ]
+        )
+        out, error = self._run(
+            "tag_id int, pressure float, loc str",
+            "(R.pressure < 0.2 AND R.loc = 'dock') OR R.tag_id IS NULL",
+            rows,
+        )
+        assert error is None
+        tags = [values[0] for values, _ts in out]
+        assert None in tags and any(tag is not None for tag in tags)
+
+    # Row 7's ``x`` is a string, so ``R.x + 1`` raises there and only
+    # there; the batch's earlier rows must already have been emitted.
+    RAISING_ROWS = spaced(
+        [
+            {"tag_id": i, "pressure": i / 20.0, "x": "oops" if i == 7 else i}
+            for i in range(12)
+        ]
+    )
+
+    def test_raising_operand_guarded_by_the_first(self):
+        out, error = self._run(
+            "tag_id int, pressure float, x any",
+            "(R.tag_id <> 7 AND R.x + 1 > 9) OR R.pressure < 0.1",
+            self.RAISING_ROWS,
+        )
+        assert error is None
+        assert [values[0] for values, _ts in out] == [0, 1, 9, 10, 11]
+
+    def test_raising_operand_unguarded(self):
+        out, error = self._run(
+            "tag_id int, pressure float, x any",
+            "(R.pressure < 2.0 AND R.x + 1 > 9) OR R.pressure < 0.1",
+            self.RAISING_ROWS,
+        )
+        assert error == ("EslRuntimeError", "cannot apply 'oops' + 1")
+        assert [values[0] for values, _ts in out] == [0, 1]
+
+    def test_null_valued_operand_mid_batch(self):
+        # Division by zero is NULL, not an error: row 7 is undecided by
+        # the AND and falls through to the OR's second operand.
+        out, error = self._run(
+            "tag_id int, pressure float, x any",
+            "(R.pressure < 2.0 AND 1 / (R.tag_id - 7) > 0) OR R.tag_id = 7",
+            self.RAISING_ROWS,
+        )
+        assert error is None
+        assert [values[0] for values, _ts in out] == [7, 8, 9, 10, 11]
+
+
 class TestTemporalDifferential:
     def _seq_setup(self, engine):
         engine.create_stream("a", "tag_id str, v float")
