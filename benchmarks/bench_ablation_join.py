@@ -35,7 +35,7 @@ def build_engine():
 def run_seq(workload, mode):
     engine = build_engine()
     op = make_sequence_operator(
-        engine, [SeqArg(s) for s in STREAMS], mode=mode, store_matches=False
+        engine, [SeqArg(s) for s in STREAMS], mode=mode
     )
     started = time.perf_counter()
     engine.run_trace(workload.trace)

@@ -26,14 +26,7 @@ def test_violation_detection_table(table_printer):
             n_runs=60, violation_rate=rate, seed=111
         )
         scenario = build_lab_workflow(workload).feed()
-        outcomes = scenario.handle.operator.outcomes
-        by_reason = {
-            reason: sum(
-                1 for o in outcomes
-                if o.is_exception and o.reason is reason
-            )
-            for reason in ExceptionReason
-        }
+        by_reason = scenario.handle.operator.reason_counts
         alerts = len(scenario.rows())
         injected = workload.truth["violations"]
         table.add(

@@ -43,12 +43,14 @@ def run_paper_trace(mode):
     engine = Engine()
     for name in ("c1", "c2", "c3", "c4"):
         engine.create_stream(name, "tagid str, tagtime float")
-    op = make_sequence_operator(
-        engine, [SeqArg(n) for n in ("c1", "c2", "c3", "c4")], mode=mode
+    matches = []
+    make_sequence_operator(
+        engine, [SeqArg(n) for n in ("c1", "c2", "c3", "c4")], mode=mode,
+        on_match=matches.append,
     )
     for stream, ts in PAPER_TRACE:
         engine.push(stream, {"tagid": "x", "tagtime": ts}, ts=ts)
-    return op
+    return matches
 
 
 def test_worked_example_table(table_printer):
@@ -58,15 +60,15 @@ def test_worked_example_table(table_printer):
         ["mode", "events", "paper_says", "chains"],
     )
     for mode in PairingMode:
-        op = run_paper_trace(mode)
+        matches = run_paper_trace(mode)
         chains = [
-            tuple(t.ts for t in m.all_tuples()) for m in op.matches
+            tuple(t.ts for t in m.all_tuples()) for m in matches
         ]
         table.add(
-            mode.value.upper(), len(op.matches), EXPECTED_EVENTS[mode],
+            mode.value.upper(), len(matches), EXPECTED_EVENTS[mode],
             " ".join(str(c) for c in chains) or "-",
         )
-        assert len(op.matches) == EXPECTED_EVENTS[mode]
+        assert len(matches) == EXPECTED_EVENTS[mode]
         if mode in EXPECTED_CHAINS:
             assert chains == EXPECTED_CHAINS[mode]
     table_printer(table)
@@ -88,7 +90,6 @@ def test_mode_event_explosion(table_printer):
                 engine.create_stream(f"s{index}", "tagid str, tagtime float")
             op = make_sequence_operator(
                 engine, [SeqArg(f"s{i}") for i in range(3)], mode=mode,
-                store_matches=False,
             )
             workload = uniform_sequence_workload(
                 n_streams=3, n_tuples=n_tuples, seed=131

@@ -14,6 +14,7 @@ Run:  python examples/lab_workflow.py
 """
 
 from repro import Engine
+from repro.core.operators import ExceptionReason
 from repro.rfid import lab_workflow_workload
 
 EXCEPTION_QUERY = """
@@ -52,11 +53,11 @@ def main() -> None:
     print(f"\nEXCEPTION_SEQ raised {len(handle.rows())} alerts "
           f"(ground truth: {workload.truth['violations']} violations).")
     print("Breakdown by detected reason:")
-    reasons: dict[str, int] = {}
-    for outcome in operator.outcomes:
-        if outcome.is_exception:
-            reasons[outcome.reason.value] = reasons.get(outcome.reason.value, 0) + 1
-    for reason, count in sorted(reasons.items()):
+    for reason, count in sorted(
+        (reason.value, count)
+        for reason, count in operator.reason_counts.items()
+        if count and reason is not ExceptionReason.COMPLETED
+    ):
         print(f"  {reason:<16} {count}")
 
     print("\nAlert rows (NULL = the stage never happened):")

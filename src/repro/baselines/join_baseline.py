@@ -100,11 +100,6 @@ class JoinSequenceBaseline:
     def state_size(self) -> int:
         return sum(len(history) for history in self._histories)
 
-    def drain_matches(self) -> list[dict[str, Tuple]]:
-        out = self.matches
-        self.matches = []
-        return out
-
     # -- ingestion ---------------------------------------------------------
 
     def _on_tuple(self, tup: Tuple) -> None:

@@ -16,6 +16,10 @@ immediately, and wires each SELECT into a live pipeline:
   states emitting updated rows per arrival;
 * **table queries** execute once and leave their rows on the handle.
 
+Every SELECT emits through one callback: a derived stream, a table, or a
+*deliver* callable (by default a fresh :class:`~repro.dsms.engine.Collector`
+on the handle).  Operators retain nothing themselves.
+
 Every query in the paper compiles through this module verbatim.
 """
 
@@ -81,24 +85,41 @@ from .ast_nodes import (
 )
 from .parser import AggregateCall, parse_program
 
+# The one output callback of a sink-less SELECT.
+Deliver = Callable[[Tuple], None]
+
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
 
-def compile_program(engine: Engine, text: str, label: str) -> QueryHandle:
-    """Compile every statement in *text*; return the last statement's handle."""
+def compile_program(
+    engine: Engine, text: str, label: str, deliver: Deliver | None = None
+) -> QueryHandle:
+    """Compile every statement in *text*; return the last statement's handle.
+
+    *deliver*, when given, receives the last statement's result tuples
+    in place of a Collector (see :class:`_Sink`).
+    """
     statements = parse_program(text)
     handle: QueryHandle | None = None
+    last = len(statements) - 1
     for index, statement in enumerate(statements):
-        suffix = f"{label}[{index}]" if len(statements) > 1 else label
-        handle = compile_statement(engine, statement, suffix)
+        suffix = f"{label}[{index}]" if last else label
+        handle = compile_statement(
+            engine, statement, suffix, deliver if index == last else None
+        )
     assert handle is not None  # parse_program rejects empty programs
     return handle
 
 
-def compile_statement(engine: Engine, statement: Statement, label: str) -> QueryHandle:
+def compile_statement(
+    engine: Engine,
+    statement: Statement,
+    label: str,
+    deliver: Deliver | None = None,
+) -> QueryHandle:
     if isinstance(statement, CreateStream):
         engine.create_stream(statement.name, _columns_to_schema(statement.columns))
         return _ddl_handle(engine, label)
@@ -123,7 +144,7 @@ def compile_statement(engine: Engine, statement: Statement, label: str) -> Query
     if isinstance(statement, UpdateStatement):
         return _execute_update(engine, statement, label)
     if isinstance(statement, SelectStatement):
-        return _compile_select(engine, statement, label)
+        return _compile_select(engine, statement, label, deliver)
     raise EslSemanticError(f"unsupported statement type {type(statement).__name__}")
 
 
@@ -208,21 +229,26 @@ def _execute_update(engine: Engine, statement: UpdateStatement, label: str) -> Q
 
 
 def _compile_select(
-    engine: Engine, statement: SelectStatement, label: str
+    engine: Engine,
+    statement: SelectStatement,
+    label: str,
+    deliver: Deliver | None,
 ) -> QueryHandle:
     analysis = analyze(statement, engine)
     if analysis.kind == "temporal":
-        handle = _compile_temporal(engine, analysis, label)
+        handle = _compile_temporal(engine, analysis, label, deliver)
     elif analysis.kind == "table_query":
-        handle = _compile_table_query(engine, analysis, label)
+        handle = _compile_table_query(engine, analysis, label, deliver)
     else:
         symmetric = _find_symmetric_exists(analysis)
         if symmetric is not None:
-            handle = _compile_symmetric(engine, analysis, symmetric, label)
+            handle = _compile_symmetric(
+                engine, analysis, symmetric, label, deliver
+            )
         elif analysis.kind == "aggregate":
-            handle = _compile_aggregate(engine, analysis, label)
+            handle = _compile_aggregate(engine, analysis, label, deliver)
         else:
-            handle = _compile_filter(engine, analysis, label)
+            handle = _compile_filter(engine, analysis, label, deliver)
     handle.analysis = analysis
     # Routing metadata for sharded execution (ShardedEngine): which streams
     # feed this query, and the hoisted all-alias equality key, if any.
@@ -237,7 +263,12 @@ def _compile_select(
 
 
 class _Sink:
-    """Where result rows go: a derived stream, a table, or a collector."""
+    """Where result rows go: a derived stream, a table, or *deliver*.
+
+    A SELECT without INSERT INTO hands each result Tuple to *deliver*;
+    when none is given, a fresh :class:`Collector` (left on the handle)
+    is the callback.
+    """
 
     def __init__(
         self,
@@ -245,19 +276,20 @@ class _Sink:
         target: str | None,
         schema: Schema,
         label: str,
+        deliver: Deliver | None = None,
     ) -> None:
         self.engine = engine
         self.schema = schema
         self.stream: Stream | None = None
         self.table: Table | None = None
         self.collector: Collector | None = None
+        self.deliver = deliver
         if target is None:
-            # Through the engine seam so the multi-query registry can
-            # substitute a fan-out collector for registered queries.
-            self.collector = engine.make_collector(label)
-            # Result-row schema, for consumers that rebuild Tuples from
-            # raw collected values (the sharded merge does).
-            self.collector.schema = schema
+            if deliver is None:
+                self.collector = self.deliver = Collector(label)
+                # Result-row schema, for consumers that rebuild Tuples
+                # from raw collected values (the sharded merge does).
+                self.collector.schema = schema
         elif target in engine.tables:
             self.table = engine.tables.get(target)
             self._check_arity(len(self.table.schema))
@@ -282,23 +314,21 @@ class _Sink:
         elif self.stream is not None:
             self.stream.push(Tuple(self.stream.schema, values, ts))
         else:
-            assert self.collector is not None
-            self.collector(Tuple(self.schema, values, ts))
+            self.deliver(Tuple(self.schema, values, ts))
 
     def bound_emit(self) -> Callable[[Sequence[Any], float], None]:
         """The emit path with the target decision made once, at wiring time."""
         if self.table is not None or self.stream is not None:
             return self.emit
         schema = self.schema
-        collector = self.collector
-        assert collector is not None
+        deliver = self.deliver
         trusted = Tuple.trusted
 
         def emit(values: Sequence[Any], ts: float) -> None:
             # Select-item evaluation yields exactly one value per schema
             # column and a float match timestamp, so the checked
             # constructor's re-validation is dead weight on this hot path.
-            collector(trusted(schema, values, ts))
+            deliver(trusted(schema, values, ts))
 
         return emit
 
@@ -597,7 +627,9 @@ def _stream_source(analysis: Analysis) -> Any:
     return streams[0]
 
 
-def _compile_filter(engine: Engine, analysis: Analysis, label: str) -> QueryHandle:
+def _compile_filter(
+    engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
+) -> QueryHandle:
     statement = analysis.statement
     source = _stream_source(analysis)
     if source.item.window is not None:
@@ -608,7 +640,7 @@ def _compile_filter(engine: Engine, analysis: Analysis, label: str) -> QueryHand
     table_sources = [s for s in analysis.sources if s.is_table]
     items = _resolved_items(analysis, engine)
     schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label)
+    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
     teardowns: list[Callable[[], None]] = []
     ctx = _compile_ctx(engine, analysis)
     exists_probes = [
@@ -823,7 +855,9 @@ class _AggQueryState:
             self.buffer.restore_state(blob["buffer"])
 
 
-def _compile_aggregate(engine: Engine, analysis: Analysis, label: str) -> QueryHandle:
+def _compile_aggregate(
+    engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
+) -> QueryHandle:
     statement = analysis.statement
     source = _stream_source(analysis)
     if [s for s in analysis.sources if s.is_table]:
@@ -847,7 +881,7 @@ def _compile_aggregate(engine: Engine, analysis: Analysis, label: str) -> QueryH
     calls = [call for call, _slot in slots.values()]
     slot_list = [slot for _call, slot in slots.values()]
     schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label)
+    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
     teardowns: list[Callable[[], None]] = []
     ctx = _compile_ctx(engine, analysis)
     exists_probes = [
@@ -932,12 +966,12 @@ def _compile_aggregate(engine: Engine, analysis: Analysis, label: str) -> QueryH
 
 
 def _compile_table_query(
-    engine: Engine, analysis: Analysis, label: str
+    engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
 ) -> QueryHandle:
     statement = analysis.statement
     items = _resolved_items(analysis, engine)
     schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label)
+    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
     teardowns: list[Callable[[], None]] = []
     ctx = _compile_ctx(engine, analysis)
     exists_probes = [
@@ -999,6 +1033,7 @@ def _compile_symmetric(
     analysis: Analysis,
     exists: ExistsPredicate,
     label: str,
+    deliver: Deliver | None,
 ) -> QueryHandle:
     statement = analysis.statement
     source = _stream_source(analysis)
@@ -1024,7 +1059,7 @@ def _compile_symmetric(
 
     items = _resolved_items(analysis, engine)
     schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label)
+    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
     inner_stream_schema = engine.streams.get(item.name).schema
     ctx = _compile_ctx(engine, analysis, {item.alias: inner_stream_schema})
     outer_fns = _term_evaluators(analysis.guard_terms, ctx)
@@ -1180,7 +1215,9 @@ def _make_guard(
     return guard
 
 
-def _compile_temporal(engine: Engine, analysis: Analysis, label: str) -> QueryHandle:
+def _compile_temporal(
+    engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
+) -> QueryHandle:
     statement = analysis.statement
     if statement.group_by or statement.having is not None:
         raise EslSemanticError(
@@ -1225,7 +1262,7 @@ def _compile_temporal(engine: Engine, analysis: Analysis, label: str) -> QueryHa
 
     items = _resolved_items_temporal(analysis, engine, args)
     schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label)
+    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
 
     if predicate.op_name == "SEQ":
         return _wire_seq(
@@ -1365,10 +1402,6 @@ def _wire_seq(
         guard=guard,
         partition_by=partition_by,
         on_match=on_match,
-        # The query consumes matches through on_match/sink; retaining every
-        # SeqMatch on the operator would grow without bound on a
-        # continuous query.
-        store_matches=False,
     )
     handle = QueryHandle(
         engine, label, sink.stream, sink.collector, [operator.stop]

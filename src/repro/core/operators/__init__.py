@@ -39,24 +39,20 @@ def make_sequence_operator(
     partition_by: Callable[[Tuple], Any] | None = None,
     on_match: MatchCallback | None = None,
     ttl: float | None = None,
-    store_matches: bool = True,
 ) -> SeqOperator | StarSeqOperator:
     """Build the right SEQ runtime for *args* (star-free vs. starred).
 
-    ``store_matches=False`` keeps the operator from accumulating
-    :class:`SeqMatch` objects — long-running deployments that consume
-    events solely through ``on_match`` should disable storage.
+    Matches leave the operator only through ``on_match``; nothing is
+    retained (pass ``on_match=got.append`` to collect them).
     """
     if any(arg.starred for arg in args):
         return StarSeqOperator(
             engine, args, mode=mode, window=window, guard=guard,
             partition_by=partition_by, on_match=on_match, ttl=ttl,
-            store_matches=store_matches,
         )
     return SeqOperator(
         engine, args, mode=mode, window=window, guard=guard,
         partition_by=partition_by, on_match=on_match,
-        store_matches=store_matches,
     )
 
 

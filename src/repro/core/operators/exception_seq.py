@@ -172,7 +172,8 @@ class ExceptionSeqOperator:
             stages bind as lists).
         partition_by: key function giving each entity (staff member, tag)
             its own automaton.
-        on_outcome: callback for every :class:`SequenceOutcome`.
+        on_outcome: callback for every :class:`SequenceOutcome` — the
+            operator's only output; nothing is retained.
         report_wrong_start: emit level-0 outcomes for tuples that cannot
             start a sequence (paper scenario 2).  Defaults to True.
     """
@@ -205,12 +206,11 @@ class ExceptionSeqOperator:
         self.guard = guard
         self.partition_by = partition_by
         self.report_wrong_start = report_wrong_start
-        self.outcomes: list[SequenceOutcome] = []
         self._on_outcome = on_outcome
         self._states: dict[Any, _SequenceState] = {}
         self._unsubscribes: list[Callable[[], None]] = []
-        self.exceptions_emitted = 0
-        self.completions_emitted = 0
+        # Bounded per-reason outcome tallies (one key per reason).
+        self.reason_counts = dict.fromkeys(ExceptionReason, 0)
 
         self._stage_streams = [arg.stream.lower() for arg in self.args]
         for stream_name in set(self._stage_streams):
@@ -239,14 +239,13 @@ class ExceptionSeqOperator:
             for state in self._states.values()
         )
 
-    def drain_outcomes(self) -> list[SequenceOutcome]:
-        out = self.outcomes
-        self.outcomes = []
-        return out
+    @property
+    def completions_emitted(self) -> int:
+        return self.reason_counts[ExceptionReason.COMPLETED]
 
-    def exceptions(self) -> list[SequenceOutcome]:
-        """Accumulated exception outcomes (level < n)."""
-        return [outcome for outcome in self.outcomes if outcome.is_exception]
+    @property
+    def exceptions_emitted(self) -> int:
+        return sum(self.reason_counts.values()) - self.completions_emitted
 
     # -- automaton ------------------------------------------------------------
 
@@ -395,7 +394,6 @@ class ExceptionSeqOperator:
                 self.args, len(self.args), ExceptionReason.COMPLETED, runs,
                 None, done_ts,
             )
-            self.completions_emitted += 1
             self._record(outcome)
         else:
             # A PRECEDING window violated at completion time: the sequence
@@ -405,7 +403,6 @@ class ExceptionSeqOperator:
                 self.args, len(self.args) - 1, ExceptionReason.WINDOW_EXPIRED,
                 runs[:-1], None, done_ts,
             )
-            self.exceptions_emitted += 1
             self._record(outcome)
         state.reset()
 
@@ -420,11 +417,10 @@ class ExceptionSeqOperator:
             self.args, state.level, reason,
             [list(run) for run in state.runs], offending, ts,
         )
-        self.exceptions_emitted += 1
         self._record(outcome)
 
     def _record(self, outcome: SequenceOutcome) -> None:
-        self.outcomes.append(outcome)
+        self.reason_counts[outcome.reason] += 1
         if self._on_outcome is not None:
             self._on_outcome(outcome)
 
@@ -464,7 +460,6 @@ class ExceptionSeqOperator:
             outcome = SequenceOutcome(
                 self.args, 0, ExceptionReason.WRONG_START, [], tup, tup.ts
             )
-            self.exceptions_emitted += 1
             self._record(outcome)
 
     def __repr__(self) -> str:

@@ -66,7 +66,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from ...dsms.checkpoint import pack_tuple, tuple_unpacker
 from ...dsms.columns import ColumnStore
 from ...dsms.engine import Engine
-from ...dsms.errors import CheckpointError, EslSemanticError
+from ...dsms.errors import EslSemanticError
 from ...dsms.tuples import Tuple
 from .base import (
     Guard,
@@ -159,7 +159,6 @@ class SeqOperator:
         guard: Guard | None = None,
         partition_by: Callable[[Tuple], Any] | None = None,
         on_match: MatchCallback | None = None,
-        store_matches: bool = True,
     ) -> None:
         validate_args(args)
         if any(arg.starred for arg in args):
@@ -214,8 +213,6 @@ class SeqOperator:
             and window.direction == "preceding"
             and window.anchor == len(args) - 1
         )
-        self.matches: list[SeqMatch] = []
-        self.store_matches = store_matches
         self._on_match = on_match
         self._partitions: dict[Any, _Partition] = {}
         # Next virtual time at which the reference path's cross-partition
@@ -323,11 +320,6 @@ class SeqOperator:
         operator is re-wired from its query, so only partition contents,
         expiry bookkeeping, and counters cross the checkpoint.
         """
-        if self.matches:
-            raise CheckpointError(
-                "SeqOperator with undrained stored matches cannot be "
-                "checkpointed; drain_matches() first or wire on_match"
-            )
         partitions = []
         for key, partition in self._partitions.items():
             partitions.append((
@@ -413,12 +405,6 @@ class SeqOperator:
     def state_size(self) -> int:
         """Total tuples currently held across all partitions (O(1))."""
         return self._held
-
-    def drain_matches(self) -> list[SeqMatch]:
-        """Return and clear accumulated matches (pull-style consumption)."""
-        out = self.matches
-        self.matches = []
-        return out
 
     # -- ingestion --------------------------------------------------------
 
@@ -1177,8 +1163,6 @@ class SeqOperator:
         # reuse the chain list), so hand it over without another copy.
         match = SeqMatch.owned(self.args, bindings, chain[-1].ts)
         self.matches_emitted += 1
-        if self.store_matches:
-            self.matches.append(match)
         if self._on_match is not None:
             self._on_match(match)
 

@@ -107,7 +107,6 @@ class StarSeqOperator:
         partition_by: Callable[[Tuple], Any] | None = None,
         on_match: MatchCallback | None = None,
         ttl: float | None = None,
-        store_matches: bool = True,
     ) -> None:
         """Args mirror :class:`~repro.core.operators.seq.SeqOperator`, plus:
 
@@ -128,8 +127,6 @@ class StarSeqOperator:
         self.guard = guard
         self.partition_by = partition_by
         self.ttl = ttl if ttl is not None else (window.duration if window else None)
-        self.matches: list[SeqMatch] = []
-        self.store_matches = store_matches
         self._on_match = on_match
         self._partials: dict[Any, list[_Partial]] = {}
         self._unsubscribes: list[Callable[[], None]] = []
@@ -161,11 +158,6 @@ class StarSeqOperator:
             for partials in self._partials.values()
             for partial in partials
         )
-
-    def drain_matches(self) -> list[SeqMatch]:
-        out = self.matches
-        self.matches = []
-        return out
 
     # -- ingestion ----------------------------------------------------------
 
@@ -301,8 +293,6 @@ class StarSeqOperator:
                 return
         match = SeqMatch(self.args, bindings, all_tuples[-1].ts)
         self.matches_emitted += 1
-        if self.store_matches:
-            self.matches.append(match)
         if self._on_match is not None:
             self._on_match(match)
 

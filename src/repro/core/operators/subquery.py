@@ -76,7 +76,7 @@ class SymmetricExistsOperator:
                 be 0, but not both negative).
             negate: True for NOT EXISTS (the theft alert), False for EXISTS.
             on_result: called with ``(outer_tuple, decided_at)`` for every
-                emission; results also accumulate in :attr:`results`.
+                emission — the operator's only output; nothing is retained.
         """
         if preceding < 0 or following < 0:
             raise WindowError("window half-widths must be non-negative")
@@ -88,7 +88,6 @@ class SymmetricExistsOperator:
         self.outer_where = outer_where
         self.inner_where = inner_where
         self.negate = negate
-        self.results: list[tuple[Tuple, float]] = []
         self._on_result = on_result
         self._pending: list[_Pending] = []
         # Inner history must cover [t - preceding, t + following] for outer
@@ -120,9 +119,6 @@ class SymmetricExistsOperator:
             ],
             "history": [pack_tuple(t) for t in self._history],
             "latest": self._history.latest_ts,
-            "results": [
-                (pack_tuple(t), decided) for t, decided in self.results
-            ],
             "emitted": self.emitted,
             "suppressed": self.suppressed,
         }
@@ -144,9 +140,6 @@ class SymmetricExistsOperator:
         for packed in blob["history"]:
             history._tuples.append(unpack(packed))
         history._latest = blob["latest"]
-        self.results = [
-            (unpack(p), decided) for p, decided in blob["results"]
-        ]
         self.emitted = blob["emitted"]
         self.suppressed = blob["suppressed"]
 
@@ -255,7 +248,6 @@ class SymmetricExistsOperator:
 
     def _emit(self, outer: Tuple, decided_at: float) -> None:
         self.emitted += 1
-        self.results.append((outer, decided_at))
         if self._on_result is not None:
             self._on_result(outer, decided_at)
 

@@ -29,10 +29,9 @@ from .errors import (
     UnknownTableError,
     WindowError,
 )
-from .merge import StampedSink, merge_runs
+from .merge import merge_runs
 from .multi_engine import MultiQueryEngine
 from .registry import (
-    FanoutCollector,
     QueryRegistry,
     StreamRouter,
     Subscription,
@@ -65,7 +64,6 @@ __all__ = [
     "EslRuntimeError",
     "EslSemanticError",
     "EslSyntaxError",
-    "FanoutCollector",
     "Field",
     "FieldType",
     "MultiQueryEngine",
@@ -79,7 +77,6 @@ __all__ = [
     "ShardedEngine",
     "ShardedQueryHandle",
     "SnapshotView",
-    "StampedSink",
     "SqlUda",
     "Stream",
     "StreamRegistry",

@@ -21,7 +21,12 @@ Typical use::
     out = engine.query(ESL_EV_TEXT)          # returns a QueryHandle
     engine.push('readings', {'reader_id': 'r1', 'tag_id': 't7',
                              'read_time': 3.0}, ts=3.0)
-    print(out.results)
+    print(out.rows())
+
+Results leave every query through one callback.  A SELECT without INSERT
+INTO delivers to a :class:`Collector` — the one place emitted rows are
+retained — unless the compiler is handed another callback (the
+multi-query registry's per-plan fan-out, a shard's stamping sink).
 """
 
 from __future__ import annotations
@@ -42,7 +47,12 @@ from .udf import UdfRegistry
 
 
 class Collector:
-    """A list-backed sink: subscribe it to any stream to capture output."""
+    """A list-backed sink: subscribe it to any stream to capture output.
+
+    The only component that retains emitted rows; operators, compiled
+    queries and registry plans hand each result to a callback and keep
+    nothing.
+    """
 
     def __init__(self, name: str = "collector") -> None:
         self.name = name
@@ -84,8 +94,9 @@ class Collector:
 class QueryHandle:
     """Handle for a registered continuous query.
 
-    Exposes the query's output (either a named derived stream or an internal
-    collector) and a :meth:`stop` method that detaches it from its sources.
+    Exposes the query's output — a named derived stream, a table, or
+    :attr:`collector` (None when the compiler delivered rows elsewhere) —
+    and a :meth:`stop` method that detaches it from its sources.
 
     The compiler also attaches routing metadata for sharded execution
     (:mod:`repro.dsms.sharding`): ``source_streams`` — the stream names the
@@ -114,27 +125,30 @@ class QueryHandle:
         self.engine = engine
         self.name = name
         self.output = output
-        self._collector = collector
+        self.collector = collector
         self._teardown = list(teardown)
         self.stopped = False
 
     @property
     def results(self) -> list[Tuple]:
         """Captured output tuples (only for queries without INSERT INTO)."""
-        if self._collector is None:
+        if self.collector is None:
             raise EslSemanticError(
                 f"query {self.name!r} writes to {self.output and self.output.name!r};"
                 " subscribe to that stream instead of reading .results"
             )
-        return self._collector.results
+        return self.collector.results
 
     def rows(self) -> list[dict[str, Any]]:
-        """Captured output as dicts."""
+        """Captured output as dicts — or, for an INSERT INTO table query,
+        the table's current rows."""
+        if self.collector is None and self.sink_table is not None:
+            return list(self.sink_table.scan())
         return [tup.as_dict() for tup in self.results]
 
     def clear(self) -> None:
-        if self._collector is not None:
-            self._collector.clear()
+        if self.collector is not None:
+            self.collector.clear()
 
     def stop(self) -> None:
         """Detach the query from all its source streams."""
@@ -172,11 +186,6 @@ class Engine:
         self.lowering = Lowering(tier)
         self.tier = self.lowering.tier
         self._query_counter = 0
-        # Slot consumed by the next _Sink the compiler builds: the
-        # multi-query registry parks a fan-out collector here so a
-        # registered query's results go to per-subscriber sinks instead
-        # of an unbounded list (see make_collector).
-        self._pending_collector: Collector | None = None
         # Checkpointable components (operators, window buffers) in compile
         # order.  Engines rebuilt from the same statements register the
         # same components in the same order, which is what lets
@@ -190,22 +199,6 @@ class Engine:
         wires; see :mod:`repro.dsms.checkpoint`.
         """
         self.checkpointables.append(component)
-
-    def make_collector(self, label: str) -> Collector:
-        """The collector a compiling query's sink should deliver to.
-
-        Normally a fresh list-backed :class:`Collector`.  When a caller
-        (the shared multi-query registry) has parked a pending collector
-        on the engine, that instance is consumed instead — a registered
-        continuous query must fan answers out to subscriber sinks rather
-        than accumulate them forever.
-        """
-        pending = self._pending_collector
-        if pending is not None:
-            self._pending_collector = None
-            pending.name = label
-            return pending
-        return Collector(label)
 
     def execution_tier(self) -> dict[str, Any]:
         """Requested vs active tier (see
@@ -273,12 +266,6 @@ class Engine:
         if isinstance(values, Mapping):
             return stream.push_dict(values, ts)
         return stream.push_row(values, ts)
-
-    def push_tuple(self, stream_name: str, tup: Tuple) -> None:
-        """Push an already-built tuple."""
-        stream = self.streams.get(stream_name)
-        self.clock.advance(tup.ts)
-        stream.push(tup)
 
     def push_batch(
         self,

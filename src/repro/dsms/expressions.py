@@ -58,9 +58,6 @@ class Env:
         """A nested scope sharing this env's functions."""
         return Env(bindings, self.functions, parent=self)
 
-    def bind(self, alias: str, tup: Tuple) -> None:
-        self.bindings[alias.lower()] = tup
-
     def lookup_alias(self, alias: str) -> Tuple:
         key = alias.lower()
         env: Env | None = self

@@ -14,9 +14,9 @@ Every emitted row is stamped ``(ts, g, shard, local)`` where
 * ``ts`` is the emission timestamp (for timer-driven EXCEPTION_SEQ
   violations this is the timer *deadline* — the clock fires callbacks with
   the deadline, not the arrival time that made it due);
-* ``g`` is the global input-record index that was current on the shard when
-  the row was drained (the router counts every pushed record once, across
-  all streams and shards);
+* ``g`` is the global input-record index of the step (record, clock
+  advance, flush) during which the shard emitted the row (the router counts
+  every pushed record once, across all streams and shards);
 * ``shard`` is the shard index;
 * ``local`` is a per-shard, per-sink emission counter.
 
@@ -49,48 +49,6 @@ from typing import Any, Iterator, Sequence
 # router) and directly comparable — (shard, local) is unique per shard, so
 # heap comparisons never reach the values payload.
 StampedRow = tuple[float, int, int, int, tuple[Any, ...]]
-
-
-class StampedSink:
-    """Stamps new rows appearing on one sink of one shard.
-
-    The sink's backing list is whatever the shard engine already appends
-    result tuples to (a :class:`~repro.dsms.engine.Collector`'s ``results``).
-    ``drain(g)`` is called after every ingest/advance step; it stamps any
-    rows that appeared since the previous drain with the current global
-    record index.  Emission order within the backing list is preserved via
-    the ``local`` counter.
-    """
-
-    __slots__ = ("sink_id", "shard", "_backing", "_cursor", "_local", "rows")
-
-    def __init__(self, sink_id: str, shard: int, backing: list) -> None:
-        self.sink_id = sink_id
-        self.shard = shard
-        self._backing = backing
-        self._cursor = 0
-        self._local = 0
-        self.rows: list[StampedRow] = []
-
-    def drain(self, g: int) -> None:
-        backing = self._backing
-        cursor = self._cursor
-        if len(backing) == cursor:
-            return
-        shard = self.shard
-        local = self._local
-        append = self.rows.append
-        for tup in backing[cursor:]:
-            append((tup.ts, g, shard, local, tup.values))
-            local += 1
-        self._cursor = len(backing)
-        self._local = local
-
-    def take(self) -> list[StampedRow]:
-        """Return and clear the stamped rows accumulated so far."""
-        out = self.rows
-        self.rows = []
-        return out
 
 
 class RunCollector:
@@ -130,7 +88,7 @@ def merge_runs(runs: Sequence[Sequence[StampedRow]]) -> Iterator[StampedRow]:
     """K-way merge of per-shard stamped runs into one deterministic stream.
 
     Each run must be internally sorted by ``(ts, g, shard, local)`` — true
-    by construction for runs produced by :class:`StampedSink` (see module
-    docstring).  The output is globally sorted by the same key.
+    by construction for a shard's stamped runs (see module docstring).
+    The output is globally sorted by the same key.
     """
     return heapq.merge(*runs)

@@ -24,7 +24,8 @@ cost far less than N engines, three ways:
 * **Sub-plan dedup.**  Statements are fingerprinted structurally; N
   registrations of an identical query share one compiled plan (one SEQ
   operator, one NFA state set) and fan out per-subscriber at the emit
-  stage through a :class:`FanoutCollector`.
+  stage: the plan's :meth:`SharedPlan.deliver` is the compiled query's
+  output callback and hands each answer to every live subscriber.
 
 Subscribers register/cancel at runtime (the SesameStream subscription
 model): :meth:`QueryRegistry.register` returns a :class:`Subscription`
@@ -63,7 +64,6 @@ from .streams import Stream
 from .tuples import Tuple
 
 __all__ = [
-    "FanoutCollector",
     "QueryRegistry",
     "StreamRouter",
     "Subscription",
@@ -203,7 +203,7 @@ def fingerprint_statement(statement: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Subscriptions and the fan-out collector
+# Subscriptions
 # ---------------------------------------------------------------------------
 
 
@@ -211,12 +211,13 @@ class Subscription:
     """A registered query's per-subscriber handle.
 
     Answers arrive on :attr:`on_answer` when given, else accumulate in
-    :attr:`results` (list of result Tuples, same shape as
-    ``QueryHandle.results``).  :meth:`cancel` detaches idempotently.
+    :attr:`collector` (a :class:`~repro.dsms.engine.Collector`, read via
+    :attr:`results` / :meth:`rows`).  :attr:`sink` is whichever of the two
+    the plan delivers to.  :meth:`cancel` detaches idempotently.
     """
 
     __slots__ = (
-        "id", "text", "on_answer", "results", "active", "plan",
+        "id", "text", "on_answer", "collector", "sink", "active", "plan",
         "_owner",
     )
 
@@ -230,24 +231,24 @@ class Subscription:
         self.id = sub_id
         self.text = text
         self.on_answer = on_answer
-        self.results: list[Tuple] = []
+        self.collector = (
+            Collector(f"sub#{sub_id}") if on_answer is None else None
+        )
+        self.sink: Callable[[Tuple], None] = (
+            self.collector if on_answer is None else on_answer
+        )
         self.active = True
         self.plan: "SharedPlan | None" = None
         self._owner = owner
 
-    def __call__(self, tup: Tuple) -> None:
-        """The sink the fan-out collector delivers to."""
-        if self.on_answer is not None:
-            self.on_answer(tup)
-        else:
-            self.results.append(tup)
+    @property
+    def results(self) -> list[Tuple]:
+        """Accumulated answers (always empty when :attr:`on_answer` is set)."""
+        return [] if self.collector is None else self.collector.results
 
     def rows(self) -> list[dict[str, Any]]:
         """Accumulated answers as plain dicts."""
         return [tup.as_dict() for tup in self.results]
-
-    def clear(self) -> None:
-        self.results.clear()
 
     def cancel(self) -> None:
         """Detach from the registry.  Safe to call repeatedly."""
@@ -256,35 +257,6 @@ class Subscription:
     def __repr__(self) -> str:
         state = "active" if self.active else "cancelled"
         return f"Subscription(#{self.id}, {state}, {len(self.results)} answers)"
-
-
-class FanoutCollector(Collector):
-    """A collector that fans results out to subscriber sinks.
-
-    Registered continuous queries must not accumulate answers in an
-    unbounded list, so the registry parks one of these on the engine
-    (:meth:`Engine.make_collector`) before compiling: the plan's emit
-    path then delivers each result tuple to every live sink — the
-    dedup fan-out point.
-    """
-
-    def __init__(self, name: str = "fanout") -> None:
-        super().__init__(name)
-        self._sinks: tuple[Callable[[Tuple], None], ...] = ()
-
-    def __call__(self, tup: Tuple) -> None:
-        for sink in self._sinks:
-            sink(tup)
-
-    def add_sink(self, sink: Callable[[Tuple], None]) -> None:
-        self._sinks = self._sinks + (sink,)
-
-    def discard_sink(self, sink: Callable[[Tuple], None]) -> None:
-        self._sinks = tuple(s for s in self._sinks if s is not sink)
-
-    @property
-    def sink_count(self) -> int:
-        return len(self._sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -558,24 +530,34 @@ class StreamRouter:
 
 
 class SharedPlan:
-    """One compiled plan shared by every structurally identical query."""
+    """One compiled plan shared by every structurally identical query.
 
-    __slots__ = ("fingerprint", "text", "handle", "collector", "entries", "sinks")
+    :meth:`deliver` is the compiled query's output callback — the dedup
+    fan-out point — handing each answer to every live subscriber's sink.
+    """
 
-    def __init__(
-        self,
-        fingerprint: Any,
-        text: str,
-        handle: QueryHandle,
-        collector: FanoutCollector,
-        entries: Sequence[tuple[StreamRouter, _PlanEntry]],
-    ) -> None:
+    __slots__ = ("fingerprint", "text", "handle", "entries", "sinks", "_fanout")
+
+    def __init__(self, fingerprint: Any, text: str) -> None:
         self.fingerprint = fingerprint
         self.text = text
-        self.handle = handle
-        self.collector = collector
-        self.entries = list(entries)
+        self.handle: QueryHandle | None = None
+        self.entries: list[tuple[StreamRouter, _PlanEntry]] = []
         self.sinks: list[Subscription] = []
+        self._fanout: tuple[Callable[[Tuple], None], ...] = ()
+
+    def deliver(self, tup: Tuple) -> None:
+        for sink in self._fanout:
+            sink(tup)
+
+    def attach(self, subscription: Subscription) -> None:
+        self.sinks.append(subscription)
+        self._fanout = self._fanout + (subscription.sink,)
+
+    def detach(self, subscription: Subscription) -> None:
+        if subscription in self.sinks:
+            self.sinks.remove(subscription)
+        self._fanout = tuple(sub.sink for sub in self.sinks)
 
     def __repr__(self) -> str:
         return (
@@ -624,8 +606,7 @@ class QueryRegistry:
             self._plans[fingerprint] = plan
         subscription = Subscription(self, next(self._counter), text, on_answer)
         subscription.plan = plan
-        plan.sinks.append(subscription)
-        plan.collector.add_sink(subscription)
+        plan.attach(subscription)
         return subscription
 
     def _compile_plan(
@@ -639,17 +620,15 @@ class QueryRegistry:
         before = {
             stream.name: stream.subscriber_count for stream in engine.streams
         }
-        collector = FanoutCollector()
-        engine._pending_collector = collector
-        try:
-            handle = compile_statement(
-                engine, statement, name or f"mq{next(self._plan_counter)}"
-            )
-        finally:
-            engine._pending_collector = None
+        plan = SharedPlan(fingerprint, text)
+        handle = plan.handle = compile_statement(
+            engine,
+            statement,
+            name or f"mq{next(self._plan_counter)}",
+            plan.deliver,
+        )
         gates, lenient = _plan_gates(engine, handle.analysis)
         entries: list[tuple[StreamRouter, _PlanEntry]] = []
-        plan = SharedPlan(fingerprint, text, handle, collector, ())
         for stream in engine.streams:
             taken = stream.take_subscribers(before.get(stream.name, 0))
             if not taken:
@@ -679,9 +658,7 @@ class QueryRegistry:
         plan = subscription.plan
         if plan is None:
             return
-        plan.collector.discard_sink(subscription)
-        if subscription in plan.sinks:
-            plan.sinks.remove(subscription)
+        plan.detach(subscription)
         if plan.sinks:
             return
         self._teardown_plan(plan)

@@ -90,10 +90,10 @@ from collections.abc import Mapping as _MappingABC
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .columns import ColumnBatch
-from .engine import Collector, Engine, QueryHandle
+from .engine import Engine, QueryHandle
 from .errors import EslSemanticError, TransportError
 from .lowering import execution_tier
-from .merge import RunCollector, StampedRow, StampedSink, merge_runs
+from .merge import RunCollector, StampedRow, merge_runs
 from .schema import Schema
 from .tuples import Tuple
 
@@ -156,20 +156,63 @@ class ShardSpec:
         self.stream_table = tuple(stream_table)
 
 
+class _StampedRun:
+    """One output of one shard: stamps each row as it is emitted.
+
+    The output callback of a query (or the subscriber of a stream); each
+    delivered tuple becomes ``(ts, g, shard, local)`` + values, where
+    ``g`` is the global record index the runtime set before the step
+    that emitted it.  :attr:`rows` holds only what was emitted since the
+    last :meth:`_ShardRuntime.take_outputs`.
+    """
+
+    __slots__ = ("sink_id", "runtime", "rows", "local")
+
+    def __init__(self, sink_id: str, runtime: "_ShardRuntime") -> None:
+        self.sink_id = sink_id
+        self.runtime = runtime
+        self.rows: list[StampedRow] = []
+        self.local = 0
+
+    def __call__(self, tup: Tuple) -> None:
+        runtime = self.runtime
+        self.rows.append(
+            (tup.ts, runtime.g, runtime.shard, self.local, tup.values)
+        )
+        self.local += 1
+
+
+def _discard(tup: Tuple) -> None:
+    """Output callback of a replicated query on a shard other than 0."""
+
+
 class _ShardRuntime:
     """One shard: a full Engine built from a :class:`ShardSpec`.
 
     Lives in-process (serial executor) or inside a worker process
     (parallel executor).  All mutation goes through :meth:`ingest`,
-    :meth:`advance`, and :meth:`flush`, each of which drains newly
-    emitted rows into stamped per-sink buffers.
+    :meth:`ingest_columns`, :meth:`advance`, and :meth:`flush`, each of
+    which first sets :attr:`g` so every row emitted during the step is
+    stamped with it (see :mod:`repro.dsms.merge`).
     """
 
     def __init__(self, spec: ShardSpec, shard: int, n_shards: int) -> None:
+        from ..core.language.compiler import compile_program
+
         self.shard = shard
         self.n_shards = n_shards
+        self.g: int | None = None
         self.engine = Engine(tier=spec.tier)
         self.handles: dict[str, QueryHandle] = {}
+        self._runs: list[_StampedRun] = []
+        outputs: dict[tuple[str, str], Any] = {}
+        for sink_id, kind, target, ship in spec.sinks:
+            if ship == "zero" and shard != 0:
+                outputs[kind, target] = _discard  # replicated: shard 0 ships
+            else:
+                run = _StampedRun(sink_id, self)
+                self._runs.append(run)
+                outputs[kind, target] = run
         for op in spec.ops:
             kind = op[0]
             if kind == "stream":
@@ -183,32 +226,39 @@ class _ShardRuntime:
                 self.engine.register_udf(name, fn, strict=strict)
             elif kind == "query":
                 _, text, label = op
-                self.handles[label] = self.engine.query(text, name=label)
+                # A query's sink-less output goes straight to its stamped
+                # run; INSERT INTO and table sinks ignore the callback.
+                self.handles[label] = compile_program(
+                    self.engine, text, label, outputs.get(("query", label))
+                )
             else:  # pragma: no cover - spec is built by ShardedEngine only
                 raise EslSemanticError(f"unknown shard op {kind!r}")
-        self._sinks: list[StampedSink] = []
-        for sink_id, kind, target, ship in spec.sinks:
-            if ship == "zero" and shard != 0:
-                continue  # replicated output: suppress duplicates
+        for (kind, target), output in outputs.items():
+            if output is _discard:
+                continue
             if kind == "query":
-                handle = self.handles[target]
-                if handle._collector is not None:
-                    backing = handle._collector.results
-                elif handle.output is not None:
-                    backing = self.engine.collect(handle.output.name).results
-                else:
-                    continue  # table sink: read via table_rows(), no stamps
+                stream = self.handles[target].output
+                if stream is None:
+                    continue  # delivered by the compiled query itself
             else:
-                backing = self.engine.collect(target).results
-            self._sinks.append(StampedSink(sink_id, shard, backing))
+                stream = self.engine.streams.get(target)
+            stream.subscribe(output)
+        # Rows a table-only SELECT emitted while compiling carry the g of
+        # the runtime's first step, which is not known yet.
+        self._unstamped = [run for run in self._runs if run.rows]
         self._ingesters: dict[str, Callable[[Any, float], Tuple]] = {}
         self._advance_if_due = self.engine.clock.advance_if_due
 
-    def _drain(self, g: int) -> None:
-        for sink in self._sinks:
-            sink.drain(g)
+    def _at(self, g: int) -> None:
+        """Enter a step: rows emitted from here on are stamped *g*."""
+        self.g = g
+        if self._unstamped:
+            for run in self._unstamped:
+                run.rows = [(ts, g, *rest) for ts, _, *rest in run.rows]
+            self._unstamped = []
 
     def ingest(self, g: int, stream: str, values: Any, ts: float) -> None:
+        self._at(g)
         self._advance_if_due(ts)
         ingest = self._ingesters.get(stream)
         if ingest is None:
@@ -216,22 +266,24 @@ class _ShardRuntime:
                 stream
             ).batch_ingester()
         ingest(values, ts)
-        self._drain(g)
 
     def ingest_columns(self, gs: Sequence[int], stream: str, batch: Any) -> None:
         """Columnar ingestion: the batch stays packed until admission.
 
-        ``gs`` carries each row's global record index; draining after every
-        row (with that row's ``g``) reproduces the exact merge stamps the
-        per-record :meth:`ingest` path would assign.
+        ``gs`` carries each row's global record index; the clock hook the
+        stream calls before every row enters that row's ``g``, giving the
+        exact merge stamps the per-record :meth:`ingest` path would assign.
         """
-        strm = self.engine.streams.get(stream)
-        drain = self._drain
-        strm.push_columns(
-            batch,
-            self._advance_if_due,
-            self.engine.lowering.masks,
-            on_row=lambda index: drain(gs[index]),
+        next_g = iter(gs).__next__
+        at = self._at
+        advance_if_due = self._advance_if_due
+
+        def advance(ts: float) -> None:
+            at(next_g())
+            advance_if_due(ts)
+
+        self.engine.streams.get(stream).push_columns(
+            batch, advance, self.engine.lowering.masks
         )
 
     def advance(self, g: int, ts: float) -> None:
@@ -240,21 +292,25 @@ class _ShardRuntime:
         Monotone-clamped (a stale heartbeat is a no-op) because batched
         hand-off can re-deliver an epoch boundary a shard already passed.
         """
+        self._at(g)
         clock = self.engine.clock
         if clock._now is None or ts > clock._now:
             self._advance_if_due(ts)
-        self._drain(g)
 
     def flush(self, g: int) -> None:
+        self._at(g)
         self.engine.flush()
-        self._drain(g)
 
     def take_outputs(self) -> dict[str, list[StampedRow]]:
-        """Stamped rows accumulated since the last take (picklable)."""
+        """Stamped rows emitted since the last take (picklable); the
+        runtime keeps none of them."""
+        if self._unstamped:
+            return {}  # no step yet: compile-time rows await their g
         out: dict[str, list[StampedRow]] = {}
-        for sink in self._sinks:
-            if sink.rows:
-                out[sink.sink_id] = sink.take()
+        for run in self._runs:
+            if run.rows:
+                out[run.sink_id] = run.rows
+                run.rows = []
         return out
 
     def query_state_size(self, label: str) -> int:
@@ -270,34 +326,32 @@ class _ShardRuntime:
         """Serialize all mutable shard state as plain picklable data.
 
         Called over the transport's RPC path after a drain barrier, so
-        every stamped sink buffer is empty (each data frame's outputs
-        were already shipped) and the captured state is a consistent cut.
+        every stamped run is empty (each data frame's outputs were
+        already shipped) and the captured state is a consistent cut.
         """
         from .checkpoint import capture_engine_state
 
         state = capture_engine_state(self.engine)
-        state["sink_locals"] = {
-            sink.sink_id: sink._local for sink in self._sinks
-        }
+        state["sink_locals"] = {run.sink_id: run.local for run in self._runs}
         return state
 
     def restore(self, state: Mapping[str, Any]) -> None:
         """Restore a freshly-built runtime to a checkpointed cut.
 
         The engine was just rebuilt from the spec, so compile-time rows
-        (one-shot table queries) sit undrained in the sink backings; the
-        cursor skips them — the original run already delivered them —
-        while ``_local`` resumes the checkpointed output numbering so
-        replayed batches regenerate byte-identical stamps.
+        (one-shot table queries) sit unshipped in the stamped runs; they
+        are dropped — the original run already delivered them — while
+        ``local`` resumes the checkpointed output numbering so replayed
+        batches regenerate byte-identical stamps.
         """
         from .checkpoint import restore_engine_state
 
         restore_engine_state(self.engine, state)
         sink_locals = state.get("sink_locals", {})
-        for sink in self._sinks:
-            sink._cursor = len(sink._backing)
-            sink._local = sink_locals.get(sink.sink_id, 0)
-            sink.rows.clear()
+        for run in self._runs:
+            run.local = sink_locals.get(run.sink_id, 0)
+            run.rows = []
+        self._unstamped = []
         # Cached ingest closures bind the pre-restore sequencer.
         self._ingesters.clear()
 
@@ -317,6 +371,9 @@ class _SerialExecutor:
 
     def __init__(self, spec: ShardSpec, n_shards: int) -> None:
         self._runtimes = [_ShardRuntime(spec, i, n_shards) for i in range(n_shards)]
+        self._collector = RunCollector()
+        for sink_id, _kind, _target, _ship in spec.sinks:
+            self._collector.register(sink_id, n_shards)
 
     def route_one(self, shard: int, g: int, stream: str, values: Any, ts: float) -> None:
         for index, runtime in enumerate(self._runtimes):
@@ -357,17 +414,14 @@ class _SerialExecutor:
         for runtime in self._runtimes:
             runtime.flush(g)
 
-    def sync(self) -> None:  # everything is already applied
-        pass
-
     def outputs(self) -> dict[str, list[list[StampedRow]]]:
-        runs: dict[str, list[list[StampedRow]]] = {}
-        n = len(self._runtimes)
+        collector = self._collector
         for index, runtime in enumerate(self._runtimes):
-            for sink in runtime._sinks:
-                per_shard = runs.setdefault(sink.sink_id, [[] for _ in range(n)])
-                per_shard[index] = sink.rows
-        return runs
+            collector.absorb(index, runtime.take_outputs())
+        return {
+            sink_id: collector.runs_for(sink_id)
+            for sink_id in collector.sink_ids()
+        }
 
     def query_state_sizes(self, label: str) -> list[int]:
         return [runtime.query_state_size(label) for runtime in self._runtimes]
@@ -894,9 +948,6 @@ class ShardedQueryHandle:
         self.partition_field = partition_field
         self.replicated = replicated
         self.stopped = False
-        # Scenario/rows() compatibility: anything with readable output
-        # reports a truthy collector so callers take the .rows() path.
-        self._collector = None if kind == "ddl" else self
 
     @property
     def results(self) -> list[Tuple]:
@@ -1186,7 +1237,7 @@ class ShardedEngine:
                 partition_field=partition_field,
                 replicated=replicated,
             )
-        elif catalog_handle._collector is not None:
+        elif catalog_handle.collector is not None:
             sink_id = f"q:{label}"
             self._sink_specs.append((sink_id, "query", label))
             handle = ShardedQueryHandle(
@@ -1194,7 +1245,7 @@ class ShardedEngine:
                 label,
                 "collector",
                 sink_id=sink_id,
-                schema=catalog_handle._collector.schema,
+                schema=catalog_handle.collector.schema,
                 partition_field=partition_field,
                 replicated=replicated,
             )
@@ -1544,9 +1595,6 @@ class ShardedEngine:
         if self._table_replicated.get(name.lower(), True):
             return per_shard[0]
         return [row for rows in per_shard for row in rows]
-
-    def handle(self, label: str) -> ShardedQueryHandle:
-        return self._handles[label]
 
     def route_for(self, stream_name: str) -> tuple[str | None, str | None]:
         """The (policy, field) a stream is routed by — for tests/tools."""

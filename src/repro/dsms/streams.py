@@ -310,7 +310,6 @@ class Stream:
         batch: "ColumnBatch",
         advance: Callable[[float], Any] | None = None,
         vectorized: bool = True,
-        on_row: Callable[[int], Any] | None = None,
     ) -> int:
         """Deliver a :class:`~repro.dsms.columns.ColumnBatch`.
 
@@ -322,8 +321,6 @@ class Stream:
         subscriber admission masks are evaluated over whole columns and
         only surviving rows are materialized into Tuples.  Bookkeeping
         (``count``, ``last_ts``) covers every row, survivor or not.
-        *on_row* is called with each row's index after that row completes
-        (the sharded runtime drains per-row merge stamps through it).
         Returns the number of rows accepted.
         """
         schema = self.schema
@@ -339,12 +336,10 @@ class Stream:
             # Reorder-buffered streams deliver through the heap; the
             # vectorized mask cannot apply before order is restored.
             ingest = self.batch_ingester()
-            for i, (values, ts) in enumerate(batch.rows()):
+            for values, ts in batch.rows():
                 if advance is not None:
                     advance(ts)
                 ingest(values, ts)
-                if on_row is not None:
-                    on_row(i)
             return n
         mask = self.column_mask(batch) if vectorized else None
         cols = batch.columns
@@ -380,8 +375,6 @@ class Stream:
                     tup.seq = next(sequencer)
                 for callback in self._fanout:
                     callback(tup)
-            if on_row is not None:
-                on_row(i)
         return n
 
     def __repr__(self) -> str:

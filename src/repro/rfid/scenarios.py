@@ -50,9 +50,6 @@ class Scenario:
     def rows(self) -> list[dict[str, Any]]:
         """Result rows: the handle's collected output, or — for queries that
         persist into a table (Example 2) — the table contents."""
-        sink_table = getattr(self.handle, "sink_table", None)
-        if self.handle._collector is None and sink_table is not None:
-            return list(sink_table.scan())
         return self.handle.rows()
 
     @property

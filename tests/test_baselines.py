@@ -82,15 +82,17 @@ class TestJoinBaseline:
         engine = Engine()
         for name in streams:
             engine.create_stream(name, "tagid str, tagtime float")
-        seq_op = make_sequence_operator(
+        seq_matches = []
+        make_sequence_operator(
             engine, [SeqArg(s) for s in streams],
             mode=PairingMode.UNRESTRICTED,
+            on_match=seq_matches.append,
         )
         baseline = JoinSequenceBaseline(engine, streams)
         engine.run_trace(workload.trace)
 
         seq_keys = sorted(
-            tuple((t.ts, t.seq) for t in m.all_tuples()) for m in seq_op.matches
+            tuple((t.ts, t.seq) for t in m.all_tuples()) for m in seq_matches
         )
         join_keys = sorted(
             tuple(

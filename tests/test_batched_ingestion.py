@@ -152,14 +152,18 @@ class TestRunTraceEquivalence:
 class TestActiveExpirationUnderBatching:
     """Timers due at a record's timestamp fire before the record lands."""
 
-    def build(self, engine):
+    def reasons(self, engine):
+        """Wire the operator; returns the live list of outcome reasons."""
         for name in ("a", "b", "c"):
             engine.create_stream(name, "tagid str, tagtime float")
-        return ExceptionSeqOperator(
+        reasons = []
+        ExceptionSeqOperator(
             engine,
             [SeqArg("a"), SeqArg("b"), SeqArg("c")],
             window=OperatorWindow(3600.0, 0, "following"),
+            on_outcome=lambda outcome: reasons.append(outcome.reason),
         )
+        return reasons
 
     TRACE = [
         ("a", {"tagid": "x", "tagtime": 0.0}, 0.0),
@@ -171,10 +175,10 @@ class TestActiveExpirationUnderBatching:
 
     def expected_reasons(self):
         engine = Engine()
-        op = self.build(engine)
+        reasons = self.reasons(engine)
         for stream, values, ts in self.TRACE:
             engine.push(stream, values, ts)
-        return [o.reason for o in op.outcomes]
+        return reasons
 
     def test_run_trace_preserves_timer_ordering(self):
         expected = self.expected_reasons()
@@ -182,20 +186,20 @@ class TestActiveExpirationUnderBatching:
             ExceptionReason.WINDOW_EXPIRED, ExceptionReason.WRONG_START,
         ]
         engine = Engine()
-        op = self.build(engine)
+        reasons = self.reasons(engine)
         engine.run_trace(self.TRACE)
-        assert [o.reason for o in op.outcomes] == expected
+        assert reasons == expected
 
     def test_push_batch_preserves_timer_ordering(self):
         engine = Engine()
-        op = self.build(engine)
+        reasons = self.reasons(engine)
         engine.push_batch("a", [({"tagid": "x", "tagtime": 0.0}, 0.0)])
         engine.push_batch("b", [({"tagid": "x", "tagtime": 10.0}, 10.0)])
         # The 3600s deadline falls before this batch's record: the timer
         # must fire mid-call, before the 4000s tuple is delivered — the
         # same WINDOW_EXPIRED-then-WRONG_START order the per-push feed gives.
         engine.push_batch("c", [({"tagid": "x", "tagtime": 4000.0}, 4000.0)])
-        assert [o.reason for o in op.outcomes] == [
+        assert reasons == [
             ExceptionReason.WINDOW_EXPIRED, ExceptionReason.WRONG_START,
         ]
         assert engine.now == 4000.0

@@ -17,7 +17,11 @@ def build(engine, streams=("a", "b", "c"), **kw):
     for name in streams:
         if name not in engine.streams:
             engine.create_stream(name, "tagid str, tagtime float")
-    return ExceptionSeqOperator(engine, [SeqArg(s) for s in streams], **kw)
+    got = []
+    op = ExceptionSeqOperator(
+        engine, [SeqArg(s) for s in streams], on_outcome=got.append, **kw
+    )
+    return op, got
 
 
 def feed(engine, trace, tag="x"):
@@ -25,12 +29,12 @@ def feed(engine, trace, tag="x"):
         engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
 
 
-def reasons(op):
-    return [o.reason for o in op.outcomes]
+def reasons(outcomes):
+    return [o.reason for o in outcomes]
 
 
-def levels(op):
-    return [o.level for o in op.outcomes]
+def levels(outcomes):
+    return [o.level for o in outcomes]
 
 
 class TestConstruction:
@@ -66,25 +70,25 @@ class TestConstruction:
 class TestCompletion:
     def test_clean_sequence_completes(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0)])
-        assert reasons(op) == [ExceptionReason.COMPLETED]
-        assert levels(op) == [3]
+        assert reasons(got) == [ExceptionReason.COMPLETED]
+        assert levels(got) == [3]
         assert op.completions_emitted == 1
         assert op.exceptions_emitted == 0
 
     def test_repeated_clean_sequences(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0),
                       ("a", 4.0), ("b", 5.0), ("c", 6.0)])
-        assert levels(op) == [3, 3]
+        assert levels(got) == [3, 3]
 
     def test_completion_binding_lookup(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0)])
-        outcome = op.outcomes[0]
+        outcome = got[0]
         assert outcome.tuple_for("a").ts == 1.0
         assert outcome.tuple_for("c").ts == 3.0
         assert not outcome.is_exception
@@ -93,29 +97,29 @@ class TestCompletion:
 class TestWrongTuple:
     def test_skipped_stage(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("c", 2.0)])
-        assert reasons(op) == [ExceptionReason.WRONG_TUPLE]
-        assert levels(op) == [1]
-        assert op.outcomes[0].expected == "b"
-        assert op.outcomes[0].offending.ts == 2.0
+        assert reasons(got) == [ExceptionReason.WRONG_TUPLE]
+        assert levels(got) == [1]
+        assert got[0].expected == "b"
+        assert got[0].offending.ts == 2.0
 
     def test_partial_preserved_in_outcome(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("a", 3.0)])
-        outcome = op.outcomes[0]
+        outcome = got[0]
         assert outcome.level == 2
         assert [t.ts for t in outcome.partial] == [1.0, 2.0]
         assert outcome.tuple_for("c") is None  # never bound
 
     def test_consecutive_recovery_restarts(self):
         engine = Engine()
-        op = build(engine, mode=PairingMode.CONSECUTIVE)
+        op, got = build(engine, mode=PairingMode.CONSECUTIVE)
         # a then c (exception), then a,b,c should complete.
         feed(engine, [("a", 1.0), ("c", 2.0),
                       ("a", 3.0), ("b", 4.0), ("c", 5.0)])
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.WRONG_TUPLE, ExceptionReason.COMPLETED,
         ]
 
@@ -123,20 +127,20 @@ class TestWrongTuple:
         """The paper's RECENT scenario: (A, B) + B raises an exception and
         the second B replaces the first."""
         engine = Engine()
-        op = build(engine, mode=PairingMode.RECENT)
+        op, got = build(engine, mode=PairingMode.RECENT)
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0), ("c", 4.0)])
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.WRONG_TUPLE, ExceptionReason.COMPLETED,
         ]
-        completed = op.outcomes[1]
+        completed = got[1]
         assert completed.tuple_for("b").ts == 3.0  # the replacement
 
     def test_recent_nonmember_dropped_partial_survives(self):
         engine = Engine()
-        op = build(engine, mode=PairingMode.RECENT)
+        op, got = build(engine, mode=PairingMode.RECENT)
         feed(engine, [("a", 1.0), ("c", 2.0), ("b", 3.0), ("c", 4.0)])
         # c@2 raises; (a) survives; b@3 extends; c@4 completes.
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.WRONG_TUPLE, ExceptionReason.COMPLETED,
         ]
 
@@ -144,25 +148,25 @@ class TestWrongTuple:
 class TestWrongStart:
     def test_level_zero_exception(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("b", 1.0)])
-        assert reasons(op) == [ExceptionReason.WRONG_START]
-        assert levels(op) == [0]
+        assert reasons(got) == [ExceptionReason.WRONG_START]
+        assert levels(got) == [0]
 
     def test_paper_scenario_after_completion(self):
         """(A,B,C) completes, then a lone C cannot start: level-0."""
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0), ("c", 4.0)])
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.COMPLETED, ExceptionReason.WRONG_START,
         ]
 
     def test_wrong_start_reporting_can_be_disabled(self):
         engine = Engine()
-        op = build(engine, report_wrong_start=False)
+        op, got = build(engine, report_wrong_start=False)
         feed(engine, [("b", 1.0)])
-        assert op.outcomes == []
+        assert got == []
 
 
 class TestActiveExpiration:
@@ -171,57 +175,57 @@ class TestActiveExpiration:
 
     def test_timeout_fires_without_arrivals(self):
         engine = Engine()
-        op = build(engine, window=self.window())
+        op, got = build(engine, window=self.window())
         feed(engine, [("a", 0.0), ("b", 10.0)])
         engine.advance_time(5000.0)  # heartbeat only — no tuples
-        assert reasons(op) == [ExceptionReason.WINDOW_EXPIRED]
-        assert levels(op) == [2]
+        assert reasons(got) == [ExceptionReason.WINDOW_EXPIRED]
+        assert levels(got) == [2]
 
     def test_completion_cancels_timer(self):
         engine = Engine()
-        op = build(engine, window=self.window())
+        op, got = build(engine, window=self.window())
         feed(engine, [("a", 0.0), ("b", 1.0), ("c", 2.0)])
         engine.advance_time(10000.0)
-        assert reasons(op) == [ExceptionReason.COMPLETED]
+        assert reasons(got) == [ExceptionReason.COMPLETED]
         assert engine.clock.pending_timers() == 0
 
     def test_timeout_fires_before_late_tuple(self):
         engine = Engine()
-        op = build(engine, window=self.window())
+        op, got = build(engine, window=self.window())
         feed(engine, [("a", 0.0), ("b", 10.0)])
         feed(engine, [("c", 4000.0)])  # arrives after the deadline
         # The expiration is detected first; the late c is then a wrong start.
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.WINDOW_EXPIRED, ExceptionReason.WRONG_START,
         ]
 
     def test_window_anchored_mid_sequence(self):
         """OVER [d FOLLOWING A2]: the timer arms when stage 2 binds."""
         engine = Engine()
-        op = build(engine, window=OperatorWindow(100.0, 1, "following"))
+        op, got = build(engine, window=OperatorWindow(100.0, 1, "following"))
         feed(engine, [("a", 0.0)])
         engine.advance_time(1000.0)  # no timer yet: anchor is stage 1
-        assert op.outcomes == []
+        assert got == []
         feed(engine, [("b", 1000.0)])
         engine.advance_time(2000.0)
-        assert reasons(op) == [ExceptionReason.WINDOW_EXPIRED]
+        assert reasons(got) == [ExceptionReason.WINDOW_EXPIRED]
 
     def test_preceding_window_checked_at_completion(self):
         engine = Engine()
-        op = build(engine, window=OperatorWindow(5.0, 2, "preceding"))
+        op, got = build(engine, window=OperatorWindow(5.0, 2, "preceding"))
         feed(engine, [("a", 0.0), ("b", 1.0), ("c", 100.0)])
-        assert reasons(op) == [ExceptionReason.WINDOW_EXPIRED]
+        assert reasons(got) == [ExceptionReason.WINDOW_EXPIRED]
 
     def test_timer_generation_guard(self):
         """A reset partial must not be killed by its predecessor's timer."""
         engine = Engine()
-        op = build(engine, window=self.window())
+        op, got = build(engine, window=self.window())
         feed(engine, [("a", 0.0), ("b", 1.0), ("c", 2.0)])   # completes
         feed(engine, [("a", 3599.0), ("b", 3599.5)])          # new run
         engine.advance_time(3601.0)  # first run's deadline passes
-        assert reasons(op) == [ExceptionReason.COMPLETED]
+        assert reasons(got) == [ExceptionReason.COMPLETED]
         feed(engine, [("c", 3602.0)])
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.COMPLETED, ExceptionReason.COMPLETED,
         ]
 
@@ -229,53 +233,45 @@ class TestActiveExpiration:
 class TestPartitioning:
     def test_per_tag_automata(self):
         engine = Engine()
-        op = build(engine, partition_by=lambda t: t["tagid"])
+        op, got = build(engine, partition_by=lambda t: t["tagid"])
         for stream, tag, ts in [
             ("a", "t1", 1.0), ("a", "t2", 2.0),
             ("b", "t1", 3.0), ("b", "t2", 4.0),
             ("c", "t1", 5.0), ("c", "t2", 6.0),
         ]:
             engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
-        assert levels(op) == [3, 3]
+        assert levels(got) == [3, 3]
 
     def test_guard_rejection_is_exception(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             guard=lambda b: len({t["tagid"] for t in b.values()}) == 1,
         )
         feed(engine, [("a", 1.0)], tag="t1")
         feed(engine, [("b", 2.0)], tag="t2")  # guard fails: wrong tuple
-        assert reasons(op) == [ExceptionReason.WRONG_TUPLE]
+        assert reasons(got) == [ExceptionReason.WRONG_TUPLE]
 
 
 class TestBookkeeping:
     def test_exceptions_helper(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0), ("b", 4.0)])
-        assert len(op.exceptions()) == 1
-        assert len(op.outcomes) == 2
-
-    def test_drain_outcomes(self):
-        engine = Engine()
-        op = build(engine)
-        feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0)])
-        assert len(op.drain_outcomes()) == 1
-        assert op.outcomes == []
+        assert [o.is_exception for o in got] == [False, True]
 
     def test_stop_cancels_timers(self):
         engine = Engine()
-        op = build(engine, window=OperatorWindow(100.0, 0, "following"))
+        op, got = build(engine, window=OperatorWindow(100.0, 0, "following"))
         feed(engine, [("a", 0.0)])
         op.stop()
         assert engine.clock.pending_timers() == 0
         engine.advance_time(1000.0)
-        assert op.outcomes == []
+        assert got == []
 
     def test_state_size(self):
         engine = Engine()
-        op = build(engine)
+        op, got = build(engine)
         feed(engine, [("a", 1.0), ("b", 2.0)])
         assert op.state_size == 2
 
@@ -289,62 +285,65 @@ class TestStarStages:
         for name in ("a", "b", "c"):
             if name not in engine.streams:
                 engine.create_stream(name, "tagid str, tagtime float")
-        return ExceptionSeqOperator(
+        got = []
+        op = ExceptionSeqOperator(
             engine,
             [SeqArg("a"), SeqArg("b", starred=True, max_gap=max_gap),
              SeqArg("c")],
+            on_outcome=got.append,
             **kw,
         )
+        return op, got
 
     def test_repeated_middle_stage_completes(self):
         engine = Engine()
-        op = self.build_star(engine)
+        op, got = self.build_star(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0), ("b", 4.0),
                       ("c", 5.0)])
-        assert reasons(op) == [ExceptionReason.COMPLETED]
-        done = op.outcomes[0]
+        assert reasons(got) == [ExceptionReason.COMPLETED]
+        done = got[0]
         assert len(done.run_for("b")) == 3
         assert done.tuple_for("b").ts == 4.0
 
     def test_level_counts_entered_stages(self):
         engine = Engine()
-        op = self.build_star(engine)
+        op, got = self.build_star(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0), ("a", 4.0)])
         # a@4 is a wrong extension while (A, B+) is open: level 2.
-        assert reasons(op) == [ExceptionReason.WRONG_TUPLE]
-        assert levels(op) == [2]
+        assert reasons(got) == [ExceptionReason.WRONG_TUPLE]
+        assert levels(got) == [2]
 
     def test_gap_violation_is_wrong_tuple(self):
         engine = Engine()
-        op = self.build_star(engine, max_gap=1.0)
+        op, got = self.build_star(engine, max_gap=1.0)
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 10.0)])  # gap 8 > 1
-        assert reasons(op) == [ExceptionReason.WRONG_TUPLE]
-        assert levels(op) == [2]
+        assert reasons(got) == [ExceptionReason.WRONG_TUPLE]
+        assert levels(got) == [2]
 
     def test_consecutive_recovery_after_star_break(self):
         engine = Engine()
-        op = self.build_star(engine)
+        op, got = self.build_star(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("a", 3.0),   # breaks, restarts
                       ("b", 4.0), ("c", 5.0)])
-        assert reasons(op) == [
+        assert reasons(got) == [
             ExceptionReason.WRONG_TUPLE, ExceptionReason.COMPLETED,
         ]
 
     def test_timer_arms_on_first_star_tuple(self):
         engine = Engine()
-        op = self.build_star(
+        op, got = self.build_star(
             engine,
             window=OperatorWindow(100.0, 1, "following"),
         )
         feed(engine, [("a", 0.0), ("b", 10.0), ("b", 20.0)])
         engine.advance_time(1000.0)
-        assert reasons(op) == [ExceptionReason.WINDOW_EXPIRED]
+        assert reasons(got) == [ExceptionReason.WINDOW_EXPIRED]
         # The deadline keyed off the FIRST b tuple (10.0 + 100.0).
-        assert op.outcomes[0].ts == 110.0
+        assert got[0].ts == 110.0
 
     def test_state_size_counts_run_tuples(self):
         engine = Engine()
-        op = self.build_star(engine)
+        op, got = self.build_star(engine)
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0)])
         assert op.state_size == 3
 

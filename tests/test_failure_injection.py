@@ -259,10 +259,11 @@ class TestBruteForceReference:
             engine = Engine()
             for name in ("a", "b", "c"):
                 engine.create_stream(name, "tagid str, tagtime float")
-            op = ExceptionSeqOperator(
-                engine, [SeqArg("a"), SeqArg("b"), SeqArg("c")]
+            got = []
+            ExceptionSeqOperator(
+                engine, [SeqArg("a"), SeqArg("b"), SeqArg("c")],
+                on_outcome=lambda o: got.append((o.reason.value, o.level)),
             )
             for stream, ts in trace:
                 engine.push(stream, {"tagid": "x", "tagtime": ts}, ts=ts)
-            got = [(o.reason.value, o.level) for o in op.outcomes]
             assert got == expected, f"trial {trial}: {trace}"

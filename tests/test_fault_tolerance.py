@@ -292,6 +292,25 @@ def test_fault_options_require_parallel_executor():
                       fault_tolerance="retry-forever")
 
 
+@pytest.mark.transport
+@pytest.mark.faults
+def test_forced_checkpoint_under_restart_policy():
+    """ShardedEngine.checkpoint() cuts one round across the live shards
+    mid-trace without perturbing the merged output."""
+    scenario, expected = _quality_pair(2, fault_tolerance="restart")
+    trace = scenario.workload.trace
+    half = len(trace) // 2
+    with scenario.engine as engine:
+        engine.start()
+        engine.run_trace(trace[:half])
+        engine.checkpoint()
+        assert engine.fault_stats()["checkpoints"] == 1
+        engine.run_trace(trace[half:])
+        engine.flush()
+        assert scenario.handle.rows() == expected
+        assert engine.fault_stats()["recoveries"] == 0
+
+
 # -- supervisor policy units --------------------------------------------------
 
 

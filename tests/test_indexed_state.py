@@ -83,24 +83,23 @@ def state_invariant(op):
 
 def run_one(tier, streams, mode, trace, window, guard, partition):
     engine = Engine(tier=tier)
+    matches = []
     op = build_op(
         engine, streams, mode, window=window, guard=guard,
         partition_by=(lambda t: t["tagid"]) if partition else None,
+        on_match=matches.append,
     )
     for stream, tag, ts in trace:
         engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
     state_invariant(op)
-    return op
+    return matches
 
 
 def assert_differential(streams, mode, trace, window=None, guard=None,
                         partition=False):
     reference = run_one("interpreted", streams, mode, trace, window, guard, partition)
     indexed = run_one("vector", streams, mode, trace, window, guard, partition)
-    assert [m.key() for m in indexed.matches] == [
-        m.key() for m in reference.matches
-    ]
-    return indexed
+    assert [m.key() for m in indexed] == [m.key() for m in reference]
 
 
 class TestDifferentialModes:
@@ -224,12 +223,14 @@ class TestDifferentialExceptionSeq:
         engine = Engine(tier=tier)
         for name in ("a1", "a2", "a3"):
             engine.create_stream(name, "tagid str, tagtime float")
+        outcomes = []
         op = ExceptionSeqOperator(
             engine,
             [SeqArg("a1"), SeqArg("a2"), SeqArg("a3")],
             window=OperatorWindow(10.0, 0, "following"),
             mode=mode,
             partition_by=lambda t: t["tagid"],
+            on_outcome=outcomes.append,
         )
         rng = random.Random(29)
         ts = 0.0
@@ -239,30 +240,30 @@ class TestDifferentialExceptionSeq:
             tag = rng.choice(["t1", "t2", "t3", "t4"])
             engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
         engine.advance_time(ts + 100.0)  # fire every remaining expiration
-        return engine, op
+        return engine, op, outcomes
 
     @pytest.mark.parametrize(
         "mode", [PairingMode.RECENT, PairingMode.CONSECUTIVE]
     )
     def test_outcome_sequences_identical(self, mode):
-        outcomes = []
+        per_tier = []
         for tier in ("interpreted", "vector"):
-            _, op = self.run_outcomes(tier, mode)
-            outcomes.append([
+            __, __, outcomes = self.run_outcomes(tier, mode)
+            per_tier.append([
                 (
                     o.level,
                     o.reason.value,
                     o.ts,
                     tuple((t.ts, t.seq) for t in o.partial),
                 )
-                for o in op.outcomes
+                for o in outcomes
             ])
-        assert outcomes[0] == outcomes[1]
+        assert per_tier[0] == per_tier[1]
 
     def test_idle_states_released(self):
         """Terminated automata leave no residue: after the final timers
         fire, every per-tag state entry is gone."""
-        engine, op = self.run_outcomes("vector", PairingMode.CONSECUTIVE)
+        engine, op, __ = self.run_outcomes("vector", PairingMode.CONSECUTIVE)
         # Any state still in the table is mid-sequence with an armed timer;
         # after the long advance above, expirations have all fired.
         assert op._states == {}

@@ -3,8 +3,8 @@
 Every differential here compares a registered query's answer stream —
 ``(values, ts)`` per tuple, in order — against an independent single
 :class:`~repro.dsms.Engine` running the same text over the same trace.
-Shared execution (predicate-indexed routing, sub-plan dedup, fan-out
-collectors) must be byte-identical to that reference.
+Shared execution (predicate-indexed routing, sub-plan dedup, per-plan
+fan-out) must be byte-identical to that reference.
 """
 
 import pytest
@@ -418,4 +418,19 @@ class TestPlannerDescription:
         assert "PredicateIndex" in rendered
         assert "ResidualScan" in rendered
         assert "fan-out x2" in rendered
+        mq.close()
+
+
+class TestBatchIngestion:
+    def test_push_batch_matches_per_row(self):
+        text = "SELECT reader_id, tag_id FROM readings WHERE tag_id = 'tA'"
+        mq = _shared()
+        sub = mq.register(text)
+        batch = [
+            ({"reader_id": reader, "tag_id": tag, "read_time": ts}, ts)
+            for reader, tag, ts in TRACE
+        ]
+        assert mq.push_batch("readings", batch) == len(TRACE)
+        mq.flush()
+        assert _answers(sub) == _single_run(text)
         mq.close()

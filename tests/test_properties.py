@@ -67,13 +67,15 @@ class TestSeqProperties:
         """Footnote 3: UNRESTRICTED SEQ == the n-way join formulation."""
         streams = ["s0", "s1", "s2"]
         engine = build_engine(3)
-        op = make_sequence_operator(
+        got = []
+        make_sequence_operator(
             engine, [SeqArg(s) for s in streams],
             mode=PairingMode.UNRESTRICTED,
+            on_match=got.append,
         )
         join = JoinSequenceBaseline(engine, streams)
         run_trace(engine, raw)
-        op_keys = sorted(m.key() for m in op.matches)
+        op_keys = sorted(m.key() for m in got)
         join_keys = sorted(
             tuple(((b[s].ts, b[s].seq),) for s in streams)
             for b in join.matches
@@ -88,15 +90,17 @@ class TestSeqProperties:
         for mode in (PairingMode.UNRESTRICTED, PairingMode.RECENT,
                      PairingMode.CHRONICLE):
             engine = build_engine(3)
-            op = make_sequence_operator(
-                engine, [SeqArg(f"s{i}") for i in range(3)], mode=mode
+            got = []
+            make_sequence_operator(
+                engine, [SeqArg(f"s{i}") for i in range(3)], mode=mode,
+                on_match=got.append,
             )
             run_trace(engine, raw)
             # Compare by timestamp chains: timestamps are strictly
             # increasing (gaps >= 0.1), so they identify tuples across the
             # three independent engine runs.
             results[mode] = {
-                tuple(t.ts for t in m.all_tuples()) for m in op.matches
+                tuple(t.ts for t in m.all_tuples()) for m in got
             }
         assert results[PairingMode.RECENT] <= results[PairingMode.UNRESTRICTED]
         assert results[PairingMode.CHRONICLE] <= results[
@@ -124,9 +128,11 @@ class TestSeqProperties:
         *complete* trace prefix, with no purging at all.
         """
         engine = build_engine(3)
-        op = make_sequence_operator(
+        matches = []
+        make_sequence_operator(
             engine, [SeqArg(f"s{i}") for i in range(3)],
             mode=PairingMode.RECENT,
+            on_match=matches.append,
         )
         fed = run_trace(engine, raw)
 
@@ -144,7 +150,7 @@ class TestSeqProperties:
                         expected.append((max(s0_candidates), s1, ts))
             seen[name].append(ts)
         got = [
-            tuple(t.ts for t in m.all_tuples()) for m in op.matches
+            tuple(t.ts for t in m.all_tuples()) for m in matches
         ]
         assert got == expected
 
@@ -152,13 +158,15 @@ class TestSeqProperties:
     @settings(max_examples=60, deadline=None)
     def test_chronicle_consumes_each_tuple_once(self, raw):
         engine = build_engine(3)
-        op = make_sequence_operator(
+        got = []
+        make_sequence_operator(
             engine, [SeqArg(f"s{i}") for i in range(3)],
             mode=PairingMode.CHRONICLE,
+            on_match=got.append,
         )
         run_trace(engine, raw)
         used: set[tuple[float, int]] = set()
-        for match in op.matches:
+        for match in got:
             for tup in match.all_tuples():
                 key = (tup.ts, tup.seq)
                 assert key not in used, "tuple reused under CHRONICLE"
@@ -168,13 +176,15 @@ class TestSeqProperties:
     @settings(max_examples=60, deadline=None)
     def test_consecutive_matches_are_adjacent(self, raw):
         engine = build_engine(2)
-        op = make_sequence_operator(
+        got = []
+        make_sequence_operator(
             engine, [SeqArg("s0"), SeqArg("s1")],
             mode=PairingMode.CONSECUTIVE,
+            on_match=got.append,
         )
         fed = run_trace(engine, raw)
         order = [ts for __, ts in fed]
-        for match in op.matches:
+        for match in got:
             stamps = [t.ts for t in match.all_tuples()]
             i = order.index(stamps[0])
             assert order[i : i + 2] == stamps  # adjacent in joint history
@@ -184,11 +194,13 @@ class TestSeqProperties:
     def test_matches_are_time_ordered(self, raw):
         for mode in PairingMode:
             engine = build_engine(2)
-            op = make_sequence_operator(
-                engine, [SeqArg("s0"), SeqArg("s1")], mode=mode
+            got = []
+            make_sequence_operator(
+                engine, [SeqArg("s0"), SeqArg("s1")], mode=mode,
+                on_match=got.append,
             )
             run_trace(engine, raw)
-            for match in op.matches:
+            for match in got:
                 stamps = [(t.ts, t.seq) for t in match.all_tuples()]
                 assert stamps == sorted(stamps)
 
@@ -206,10 +218,12 @@ class TestStarProperties:
         engine = Engine()
         engine.create_stream("p", "tagid str, tagtime float")
         engine.create_stream("c", "tagid str, tagtime float")
-        op = make_sequence_operator(
+        got = []
+        make_sequence_operator(
             engine,
             [SeqArg("p", starred=True, max_gap=1.0), SeqArg("c")],
             mode=PairingMode.CHRONICLE,
+            on_match=got.append,
         )
         t = 0.0
         stamps = []
@@ -221,7 +235,7 @@ class TestStarProperties:
         for i in range(len(gaps)):
             t += 10.0
             engine.push("c", {"tagid": f"c{i}", "tagtime": t}, ts=t)
-        emitted = [t.ts for m in op.matches for t in m.run_for("p")]
+        emitted = [t.ts for m in got for t in m.run_for("p")]
         assert sorted(emitted) == stamps
 
     @given(st.integers(min_value=1, max_value=10))
@@ -230,16 +244,18 @@ class TestStarProperties:
         engine = Engine()
         engine.create_stream("p", "tagid str, tagtime float")
         engine.create_stream("c", "tagid str, tagtime float")
-        op = make_sequence_operator(
+        got = []
+        make_sequence_operator(
             engine, [SeqArg("p", starred=True), SeqArg("c")],
             mode=PairingMode.CHRONICLE,
+            on_match=got.append,
         )
         for i in range(n_products):
             engine.push("p", {"tagid": f"p{i}", "tagtime": float(i)},
                         ts=float(i))
         engine.push("c", {"tagid": "c", "tagtime": 100.0}, ts=100.0)
-        assert len(op.matches) == 1
-        assert op.matches[0].count("p") == n_products
+        assert len(got) == 1
+        assert got[0].count("p") == n_products
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +516,19 @@ class TestStarReferenceModel:
             PairingMode, SeqArg, make_sequence_operator,
         )
 
-        op = make_sequence_operator(
+        matches = []
+        make_sequence_operator(
             engine,
             [SeqArg("a", starred=True, max_gap=max_gap), SeqArg("b")],
             mode=PairingMode.CHRONICLE,
+            on_match=matches.append,
         )
         for kind, ts in events:
             engine.push(kind, {"tagid": kind, "tagtime": ts}, ts=ts)
 
         got = [
             ([t.ts for t in m.run_for("a")], m.tuple_for("b").ts)
-            for m in op.matches
+            for m in matches
         ]
         expected = self.reference(events, max_gap)
         assert got == expected
@@ -538,15 +556,17 @@ class TestStarReferenceModel:
             PairingMode, SeqArg, make_sequence_operator,
         )
 
-        op = make_sequence_operator(
+        got = []
+        make_sequence_operator(
             engine,
             [SeqArg("a", starred=True, max_gap=1.0), SeqArg("b")],
             mode=PairingMode.CHRONICLE,
+            on_match=got.append,
         )
         for kind, ts in events:
             engine.push(kind, {"tagid": kind, "tagtime": ts}, ts=ts)
         seen: set[float] = set()
-        for match in op.matches:
+        for match in got:
             for tup in match.run_for("a"):
                 assert tup.ts not in seen  # no A tuple packed twice
                 seen.add(tup.ts)

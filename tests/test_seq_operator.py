@@ -18,7 +18,9 @@ def build(engine, streams, mode, **kw):
         if name not in engine.streams:
             engine.create_stream(name, "tagid str, tagtime float")
     args = [SeqArg(name) for name in streams]
-    return make_sequence_operator(engine, args, mode=mode, **kw)
+    got = []
+    kw.setdefault("on_match", got.append)
+    return make_sequence_operator(engine, args, mode=mode, **kw), got
 
 
 def feed(engine, trace):
@@ -37,8 +39,8 @@ PAPER_TRACE = [
 ]
 
 
-def chains(op):
-    return [[t.ts for t in m.all_tuples()] for m in op.matches]
+def chains(matches):
+    return [[t.ts for t in m.all_tuples()] for m in matches]
 
 
 class TestPaperWorkedExample:
@@ -47,13 +49,13 @@ class TestPaperWorkedExample:
 
     def run(self, mode):
         engine = Engine()
-        op = build(engine, ["c1", "c2", "c3", "c4"], mode)
+        __, got = build(engine, ["c1", "c2", "c3", "c4"], mode)
         feed(engine, PAPER_TRACE)
-        return op
+        return got
 
     def test_unrestricted_four_events(self):
-        op = self.run(PairingMode.UNRESTRICTED)
-        assert sorted(chains(op)) == [
+        got = self.run(PairingMode.UNRESTRICTED)
+        assert sorted(chains(got)) == [
             [1.0, 3.0, 4.0, 7.0],
             [1.0, 3.0, 5.0, 7.0],
             [2.0, 3.0, 4.0, 7.0],
@@ -61,16 +63,16 @@ class TestPaperWorkedExample:
         ]
 
     def test_recent_single_event(self):
-        op = self.run(PairingMode.RECENT)
-        assert chains(op) == [[2.0, 3.0, 5.0, 7.0]]
+        got = self.run(PairingMode.RECENT)
+        assert chains(got) == [[2.0, 3.0, 5.0, 7.0]]
 
     def test_chronicle_single_event(self):
-        op = self.run(PairingMode.CHRONICLE)
-        assert chains(op) == [[1.0, 3.0, 4.0, 7.0]]
+        got = self.run(PairingMode.CHRONICLE)
+        assert chains(got) == [[1.0, 3.0, 4.0, 7.0]]
 
     def test_consecutive_no_event(self):
-        op = self.run(PairingMode.CONSECUTIVE)
-        assert chains(op) == []
+        got = self.run(PairingMode.CONSECUTIVE)
+        assert chains(got) == []
 
 
 class TestBasicSemantics:
@@ -89,26 +91,30 @@ class TestBasicSemantics:
     def test_same_stream_twice_with_aliases(self):
         engine = Engine()
         engine.create_stream("a", "tagid str, tagtime float")
-        op = SeqOperator(
-            engine, [SeqArg("a", alias="x"), SeqArg("a", alias="y")]
+        got = []
+        SeqOperator(
+            engine, [SeqArg("a", alias="x"), SeqArg("a", alias="y")],
+            on_match=got.append,
         )
         feed(engine, [("a", 1.0), ("a", 2.0)])
-        assert chains(op) == [[1.0, 2.0]]
+        assert chains(got) == [[1.0, 2.0]]
 
     def test_no_self_match_on_equal_ts(self):
         engine = Engine()
         engine.create_stream("a", "tagid str, tagtime float")
-        op = SeqOperator(
-            engine, [SeqArg("a", alias="x"), SeqArg("a", alias="y")]
+        got = []
+        SeqOperator(
+            engine, [SeqArg("a", alias="x"), SeqArg("a", alias="y")],
+            on_match=got.append,
         )
         feed(engine, [("a", 1.0)])
-        assert op.matches == []  # a tuple cannot follow itself
+        assert got == []  # a tuple cannot follow itself
 
     def test_strict_order_required(self):
         engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.UNRESTRICTED)
+        op, got = build(engine, ["a", "b"], PairingMode.UNRESTRICTED)
         feed(engine, [("b", 1.0), ("a", 2.0)])  # wrong order
-        assert op.matches == []
+        assert got == []
 
     def test_star_args_rejected_here(self):
         engine = Engine()
@@ -120,23 +126,19 @@ class TestBasicSemantics:
     def test_on_match_callback(self):
         engine = Engine()
         got = []
-        op = build(engine, ["a", "b"], PairingMode.RECENT, on_match=got.append)
+        op, unused = build(
+            engine, ["a", "b"], PairingMode.RECENT, on_match=got.append
+        )
         feed(engine, [("a", 1.0), ("b", 2.0)])
-        assert len(got) == 1 and got[0] is op.matches[0]
-
-    def test_drain_matches(self):
-        engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.RECENT)
-        feed(engine, [("a", 1.0), ("b", 2.0)])
-        assert len(op.drain_matches()) == 1
-        assert op.matches == []
+        assert chains(got) == [[1.0, 2.0]] and unused == []
+        assert op.matches_emitted == 1
 
     def test_stop_detaches(self):
         engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.RECENT)
+        op, got = build(engine, ["a", "b"], PairingMode.RECENT)
         op.stop()
         feed(engine, [("a", 1.0), ("b", 2.0)])
-        assert op.matches == []
+        assert got == []
 
 
 class TestGuard:
@@ -146,45 +148,45 @@ class TestGuard:
             t1["tagid"] == t2["tagid"]
             for t1 in b.values() for t2 in b.values()
         )
-        op = build(engine, ["a", "b"], mode, guard=guard)
-        return engine, op
+        __, got = build(engine, ["a", "b"], mode, guard=guard)
+        return engine, got
 
     def test_guard_filters_unrestricted(self):
-        engine, op = self.make(PairingMode.UNRESTRICTED)
+        engine, got = self.make(PairingMode.UNRESTRICTED)
         feed_tagged(engine, [("a", "t1", 1.0), ("a", "t2", 2.0), ("b", "t1", 3.0)])
-        assert chains(op) == [[1.0, 3.0]]
+        assert chains(got) == [[1.0, 3.0]]
 
     def test_guard_steers_recent_selection(self):
         # Most recent *qualifying* tuple: t2@2 does not qualify for b:t1.
-        engine, op = self.make(PairingMode.RECENT)
+        engine, got = self.make(PairingMode.RECENT)
         feed_tagged(engine, [("a", "t1", 1.0), ("a", "t2", 2.0), ("b", "t1", 3.0)])
-        assert chains(op) == [[1.0, 3.0]]
+        assert chains(got) == [[1.0, 3.0]]
 
     def test_guard_steers_chronicle_selection(self):
-        engine, op = self.make(PairingMode.CHRONICLE)
+        engine, got = self.make(PairingMode.CHRONICLE)
         feed_tagged(engine, [("a", "t2", 1.0), ("a", "t1", 2.0), ("b", "t1", 3.0)])
-        assert chains(op) == [[2.0, 3.0]]
+        assert chains(got) == [[2.0, 3.0]]
 
 
 class TestChronicleConsumption:
     def test_tuples_used_once(self):
         engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.CHRONICLE)
+        op, got = build(engine, ["a", "b"], PairingMode.CHRONICLE)
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0)])
         # The second b finds no remaining a.
-        assert chains(op) == [[1.0, 2.0]]
+        assert chains(got) == [[1.0, 2.0]]
 
     def test_earliest_pairing(self):
         engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.CHRONICLE)
+        op, got = build(engine, ["a", "b"], PairingMode.CHRONICLE)
         feed(engine, [("a", 1.0), ("a", 2.0), ("b", 3.0), ("b", 4.0)])
-        assert chains(op) == [[1.0, 3.0], [2.0, 4.0]]
+        assert chains(got) == [[1.0, 3.0], [2.0, 4.0]]
 
 
 class TestRecentPurging:
     def test_recent_state_stays_small(self):
         engine = Engine()
-        op = build(engine, ["a", "b", "c"], PairingMode.RECENT)
+        op, got = build(engine, ["a", "b", "c"], PairingMode.RECENT)
         for i in range(100):
             feed(engine, [("a", float(3 * i)), ("b", float(3 * i + 1))])
         # Dominated tuples are purged: only a bounded frontier remains.
@@ -192,7 +194,7 @@ class TestRecentPurging:
 
     def test_unrestricted_state_grows(self):
         engine = Engine()
-        op = build(engine, ["a", "b", "c"], PairingMode.UNRESTRICTED)
+        op, got = build(engine, ["a", "b", "c"], PairingMode.UNRESTRICTED)
         for i in range(50):
             feed(engine, [("a", float(3 * i)), ("b", float(3 * i + 1))])
         assert op.state_size == 100
@@ -200,41 +202,41 @@ class TestRecentPurging:
     def test_purge_keeps_needed_history(self):
         """The worked example's C2:t3 must survive the arrival of C2:t6."""
         engine = Engine()
-        op = build(engine, ["c1", "c2", "c3", "c4"], PairingMode.RECENT)
+        op, got = build(engine, ["c1", "c2", "c3", "c4"], PairingMode.RECENT)
         feed(engine, PAPER_TRACE[:-1])  # everything up to t6
         feed(engine, [("c4", 7.0)])
-        assert chains(op) == [[2.0, 3.0, 5.0, 7.0]]
+        assert chains(got) == [[2.0, 3.0, 5.0, 7.0]]
 
 
 class TestConsecutive:
     def test_adjacent_run_matches(self):
         engine = Engine()
-        op = build(engine, ["a", "b", "c"], PairingMode.CONSECUTIVE)
+        op, got = build(engine, ["a", "b", "c"], PairingMode.CONSECUTIVE)
         feed(engine, [("a", 1.0), ("b", 2.0), ("c", 3.0)])
-        assert chains(op) == [[1.0, 2.0, 3.0]]
+        assert chains(got) == [[1.0, 2.0, 3.0]]
 
     def test_interloper_resets(self):
         engine = Engine()
-        op = build(engine, ["a", "b", "c"], PairingMode.CONSECUTIVE)
+        op, got = build(engine, ["a", "b", "c"], PairingMode.CONSECUTIVE)
         feed(engine, [("a", 1.0), ("c", 2.0), ("b", 3.0), ("c", 4.0)])
-        assert op.matches == []
+        assert got == []
 
     def test_interloper_can_restart(self):
         engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.CONSECUTIVE)
+        op, got = build(engine, ["a", "b"], PairingMode.CONSECUTIVE)
         feed(engine, [("a", 1.0), ("a", 2.0), ("b", 3.0)])
         # Second a interrupts the first but starts a new run.
-        assert chains(op) == [[2.0, 3.0]]
+        assert chains(got) == [[2.0, 3.0]]
 
     def test_back_to_back_sequences(self):
         engine = Engine()
-        op = build(engine, ["a", "b"], PairingMode.CONSECUTIVE)
+        op, got = build(engine, ["a", "b"], PairingMode.CONSECUTIVE)
         feed(engine, [("a", 1.0), ("b", 2.0), ("a", 3.0), ("b", 4.0)])
-        assert chains(op) == [[1.0, 2.0], [3.0, 4.0]]
+        assert chains(got) == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_state_bounded(self):
         engine = Engine()
-        op = build(engine, ["a", "b", "c"], PairingMode.CONSECUTIVE)
+        op, got = build(engine, ["a", "b", "c"], PairingMode.CONSECUTIVE)
         for i in range(100):
             feed(engine, [("a", float(2 * i)), ("b", float(2 * i + 1))])
         assert op.state_size <= 2
@@ -244,14 +246,14 @@ class TestWindows:
     def test_preceding_window_rejects_slow_sequences(self):
         engine = Engine()
         window = OperatorWindow(10.0, 1, "preceding")
-        op = build(engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window)
+        op, got = build(engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window)
         feed(engine, [("a", 0.0), ("b", 5.0), ("a", 20.0), ("b", 50.0)])
-        assert chains(op) == [[0.0, 5.0]]
+        assert chains(got) == [[0.0, 5.0]]
 
     def test_window_evicts_history(self):
         engine = Engine()
         window = OperatorWindow(10.0, 1, "preceding")
-        op = build(engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window)
+        op, got = build(engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window)
         for i in range(100):
             feed(engine, [("a", float(i * 5))])
         assert op.state_size <= 3  # only the last ~10s of a-tuples retained
@@ -259,15 +261,15 @@ class TestWindows:
     def test_following_window(self):
         engine = Engine()
         window = OperatorWindow(10.0, 0, "following")
-        op = build(engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window)
+        op, got = build(engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window)
         feed(engine, [("a", 0.0), ("b", 5.0), ("b", 20.0)])
-        assert chains(op) == [[0.0, 5.0]]
+        assert chains(got) == [[0.0, 5.0]]
 
 
 class TestPartitioning:
     def test_partition_by_tag(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine, ["a", "b"], PairingMode.CONSECUTIVE,
             partition_by=lambda t: t["tagid"],
         )
@@ -276,16 +278,16 @@ class TestPartitioning:
         feed_tagged(engine, [
             ("a", "t1", 1.0), ("a", "t2", 2.0), ("b", "t1", 3.0), ("b", "t2", 4.0),
         ])
-        assert sorted(chains(op)) == [[1.0, 3.0], [2.0, 4.0]]
+        assert sorted(chains(got)) == [[1.0, 3.0], [2.0, 4.0]]
 
     def test_partitions_isolated(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine, ["a", "b"], PairingMode.CHRONICLE,
             partition_by=lambda t: t["tagid"],
         )
         feed_tagged(engine, [("a", "t1", 1.0), ("b", "t2", 2.0)])
-        assert op.matches == []
+        assert got == []
 
 
 class TestWindowedStateBounded:
@@ -295,7 +297,7 @@ class TestWindowedStateBounded:
 
     def run_idle_tags(self, n_tags, window):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window,
             partition_by=lambda t: t["tagid"],
         )
@@ -316,7 +318,7 @@ class TestWindowedStateBounded:
     def test_windowed_matches_survive_sweep(self):
         engine = Engine()
         window = OperatorWindow(10.0, 1, "preceding")
-        op = build(
+        op, got = build(
             engine, ["a", "b"], PairingMode.UNRESTRICTED, window=window,
             partition_by=lambda t: t["tagid"],
         )
@@ -326,5 +328,5 @@ class TestWindowedStateBounded:
             ("b", "t1", 5.0),                        # in-window pair
             ("a", "t3", 40.0), ("b", "t3", 45.0),    # later pair, after sweep
         ])
-        assert sorted(chains(op)) == [[1.0, 5.0], [40.0, 45.0]]
+        assert sorted(chains(got)) == [[1.0, 5.0], [40.0, 45.0]]
         assert "t2" not in op._partitions

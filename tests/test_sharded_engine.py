@@ -400,3 +400,63 @@ def test_duplicate_and_stale_heartbeats_coalesce():
         assert totals["heartbeat_frames"] == baseline + 2
     finally:
         engine.close()
+
+
+# -- public surface: UDFs and batch ingestion -------------------------------
+
+
+def scaled_time(tagtime):
+    """Module-level so parallel workers can unpickle it."""
+    return tagtime * 10.0
+
+
+UDF_QUERY = (
+    "SELECT C1.tagid, scaled_time(C2.tagtime) AS scaled "
+    "FROM c1 AS C1, c2 AS C2 "
+    "WHERE SEQ(C1, C2) MODE RECENT AND C1.tagid = C2.tagid"
+)
+
+
+def _feed_pairs(engine, n=40):
+    for i in range(n):
+        tag = f"t{i % 7}"
+        engine.push("c1", {"readerid": "r1", "tagid": tag, "tagtime": i}, i)
+        engine.push(
+            "c2", {"readerid": "r2", "tagid": tag, "tagtime": i + 0.5}, i + 0.5
+        )
+    engine.flush()
+
+
+@pytest.mark.parametrize("executor", ["serial", "parallel"])
+def test_register_udf_matches_single(executor):
+    single = Engine()
+    for name, schema in QUALITY_DDL:
+        single.create_stream(name, schema)
+    single.register_udf("scaled_time", scaled_time)
+    expected_handle = single.query(UDF_QUERY)
+    _feed_pairs(single)
+    expected = expected_handle.rows()
+    assert expected
+
+    with _quality_engine(executor=executor) as engine:
+        engine.register_udf("scaled_time", scaled_time)
+        handle = engine.query(UDF_QUERY)
+        _feed_pairs(engine)
+        assert handle.rows() == expected
+
+
+@pytest.mark.parametrize("positional", [False, True], ids=["dict", "tuple"])
+def test_push_batch_matches_single(positional):
+    trace = quality_check_workload(n_products=20, seed=45).trace
+    single = build_quality_check(quality_check_workload(n_products=20, seed=45))
+    single.feed()
+    expected = single.rows()
+
+    fields = ("readerid", "tagid", "tagtime")
+    with _quality_engine() as engine:
+        handle = engine.query(quality_query_text())
+        for stream, values, ts in trace:
+            row = tuple(values[f] for f in fields) if positional else values
+            assert engine.push_batch(stream, [(row, ts)]) == 1
+        engine.flush()
+        assert handle.rows() == expected

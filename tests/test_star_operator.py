@@ -17,7 +17,11 @@ def build(engine, args, mode=PairingMode.CHRONICLE, **kw):
     for arg in args:
         if arg.stream not in engine.streams:
             engine.create_stream(arg.stream, "tagid str, tagtime float")
-    return make_sequence_operator(engine, args, mode=mode, **kw)
+    got = []
+    op = make_sequence_operator(
+        engine, args, mode=mode, on_match=got.append, **kw
+    )
+    return op, got
 
 
 def feed(engine, trace):
@@ -59,16 +63,16 @@ class TestConstruction:
 class TestLongestMatch:
     def test_only_longest_run_emits(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         feed(engine, [("e1", 1.0), ("e1", 2.0), ("e1", 3.0), ("e2", 4.0)])
-        assert len(op.matches) == 1
-        assert op.matches[0].count("e1") == 3
+        assert len(got) == 1
+        assert got[0].count("e1") == 3
 
     def test_first_last_count(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         feed(engine, [("e1", 1.0), ("e1", 2.0), ("e2", 3.0)])
-        match = op.matches[0]
+        match = got[0]
         assert match.first("e1").ts == 1.0
         assert match.last("e1").ts == 2.0
         assert match.count("e1") == 2
@@ -76,44 +80,44 @@ class TestLongestMatch:
 
     def test_star_requires_at_least_one_tuple(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         feed(engine, [("e2", 1.0)])  # no e1 run yet
-        assert op.matches == []
+        assert got == []
 
 
 class TestTrailingStarOnline:
     def test_event_per_trailing_arrival(self):
         """SEQ(E1*, E2*): one event per E2 arrival (paper 3.1.2)."""
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True), SeqArg("e2", starred=True)],
         )
         feed(engine, [("e1", 1.0), ("e1", 2.0),
                       ("e2", 3.0), ("e2", 4.0), ("e2", 5.0)])
-        assert len(op.matches) == 3
-        assert [m.count("e2") for m in op.matches] == [1, 2, 3]
-        assert all(m.count("e1") == 2 for m in op.matches)
+        assert len(got) == 3
+        assert [m.count("e2") for m in got] == [1, 2, 3]
+        assert all(m.count("e1") == 2 for m in got)
 
 
 class TestGapSegmentation:
     def test_max_gap_splits_runs(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True, max_gap=1.0), SeqArg("e2")],
         )
         # Two runs: [1.0, 1.5] then [4.0]; e2 at 4.5 matches the earliest.
         feed(engine, [("e1", 1.0), ("e1", 1.5), ("e1", 4.0), ("e2", 4.5)])
-        assert len(op.matches) == 1
-        assert op.matches[0].count("e1") == 2
-        assert op.matches[0].first("e1").ts == 1.0
+        assert len(got) == 1
+        assert got[0].count("e1") == 2
+        assert got[0].first("e1").ts == 1.0
 
     def test_gap_check_predicate(self):
         engine = Engine()
         # Custom predicate: consecutive tuples must have ascending tagtime
         # within 2 units.
-        op = build(
+        op, got = build(
             engine,
             [
                 SeqArg(
@@ -124,11 +128,11 @@ class TestGapSegmentation:
             ],
         )
         feed(engine, [("e1", 0.0), ("e1", 1.5), ("e1", 10.0), ("e2", 11.0)])
-        assert op.matches[0].count("e1") == 2
+        assert got[0].count("e1") == 2
 
     def test_second_run_matches_second_case(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True, max_gap=1.0), SeqArg("e2")],
         )
@@ -138,7 +142,7 @@ class TestGapSegmentation:
             ("e2", 4.5),                  # matches run 1 (chronicle)
             ("e2", 5.0),                  # matches run 2
         ])
-        assert [m.count("e1") for m in op.matches] == [2, 1]
+        assert [m.count("e1") for m in got] == [2, 1]
 
 
 class TestFigure1Overlap:
@@ -157,7 +161,7 @@ class TestFigure1Overlap:
                 return case.ts - run[-1].ts <= 5.0
             return True
 
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True, max_gap=1.0), SeqArg("e2")],
             guard=guard,
@@ -168,8 +172,8 @@ class TestFigure1Overlap:
             ("e2", 3.0),                   # case 1 tag (within 5s of 0.5)
             ("e2", 6.0),                   # case 2 tag (within 5s of 2.5)
         ])
-        assert len(op.matches) == 2
-        first, second = op.matches
+        assert len(got) == 2
+        first, second = got
         assert [t.ts for t in first.run_for("e1")] == [0.0, 0.5]
         assert first.tuple_for("e2").ts == 3.0
         assert [t.ts for t in second.run_for("e1")] == [2.0, 2.5]
@@ -178,57 +182,57 @@ class TestFigure1Overlap:
 class TestModes:
     def test_chronicle_consumes_runs(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True, max_gap=1.0),
+        op, got = build(engine, [SeqArg("e1", starred=True, max_gap=1.0),
                             SeqArg("e2")], mode=PairingMode.CHRONICLE)
         feed(engine, [("e1", 1.0), ("e2", 2.0), ("e2", 3.0)])
         # Second e2 finds no run left.
-        assert len(op.matches) == 1
+        assert len(got) == 1
 
     def test_recent_matches_latest_run(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True, max_gap=1.0),
+        op, got = build(engine, [SeqArg("e1", starred=True, max_gap=1.0),
                             SeqArg("e2")], mode=PairingMode.RECENT)
         feed(engine, [
             ("e1", 1.0),            # run 1
             ("e1", 5.0),            # run 2 (gap > 1)
             ("e2", 6.0),
         ])
-        assert len(op.matches) == 1
-        assert op.matches[0].first("e1").ts == 5.0
+        assert len(got) == 1
+        assert got[0].first("e1").ts == 5.0
 
     def test_consecutive_interloper_resets(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True), SeqArg("e2"), SeqArg("e3")],
             mode=PairingMode.CONSECUTIVE,
         )
         feed(engine, [("e1", 1.0), ("e3", 2.0),        # e3 interrupts
                       ("e1", 3.0), ("e2", 4.0), ("e3", 5.0)])
-        assert len(op.matches) == 1
-        assert op.matches[0].first("e1").ts == 3.0
+        assert len(got) == 1
+        assert got[0].first("e1").ts == 3.0
 
     def test_unrestricted_combines_runs_with_all_anchors(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True, max_gap=1.0), SeqArg("e2")],
             mode=PairingMode.UNRESTRICTED,
         )
         feed(engine, [("e1", 1.0), ("e2", 2.0), ("e2", 3.0)])
         # Both e2 tuples pair with the (single, longest) run.
-        assert len(op.matches) == 2
+        assert len(got) == 2
 
 
 class TestThreeStagePatterns:
     def test_star_middle(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("a"), SeqArg("b", starred=True), SeqArg("c")],
         )
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0), ("c", 4.0)])
-        match = op.matches[0]
+        match = got[0]
         assert match.tuple_for("a").ts == 1.0
         assert match.count("b") == 2
         assert match.tuple_for("c").ts == 4.0
@@ -236,7 +240,7 @@ class TestThreeStagePatterns:
     def test_paper_pattern_a_star_b_c_star_d(self):
         """SEQ(A*, B, C*, D) from section 3.1.2."""
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [
                 SeqArg("a", starred=True),
@@ -249,7 +253,7 @@ class TestThreeStagePatterns:
             ("a", 1.0), ("a", 2.0), ("b", 3.0),
             ("c", 4.0), ("c", 5.0), ("c", 6.0), ("d", 7.0),
         ])
-        match = op.matches[0]
+        match = got[0]
         assert match.count("a") == 2
         assert match.count("c") == 3
         assert match.tuple_for("b").ts == 3.0
@@ -259,28 +263,28 @@ class TestWindowsAndState:
     def test_preceding_window_rejects(self):
         engine = Engine()
         window = OperatorWindow(3.0, 1, "preceding")
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True), SeqArg("e2")],
             window=window,
         )
         feed(engine, [("e1", 0.0), ("e1", 1.0), ("e2", 10.0)])
-        assert op.matches == []
+        assert got == []
 
     def test_preceding_window_admits(self):
         engine = Engine()
         window = OperatorWindow(5.0, 1, "preceding")
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True), SeqArg("e2")],
             window=window,
         )
         feed(engine, [("e1", 0.0), ("e1", 1.0), ("e2", 4.0)])
-        assert len(op.matches) == 1
+        assert len(got) == 1
 
     def test_ttl_prunes_stale_partials(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True, max_gap=1.0), SeqArg("e2")],
             ttl=10.0,
@@ -291,13 +295,13 @@ class TestWindowsAndState:
 
     def test_state_size_counts_bound_tuples(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         feed(engine, [("e1", 0.0), ("e1", 0.5)])
         assert op.state_size == 2
 
     def test_partitioned_runs(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True), SeqArg("e2")],
             partition_by=lambda t: t["tagid"],
@@ -308,8 +312,8 @@ class TestWindowsAndState:
             ("e2", "k1", 3.0), ("e2", "k2", 4.0),
         ]:
             engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
-        assert len(op.matches) == 2
-        assert all(m.count("e1") == 1 for m in op.matches)
+        assert len(got) == 2
+        assert all(m.count("e1") == 1 for m in got)
 
 
 class TestUnrestrictedBranching:
@@ -317,7 +321,7 @@ class TestUnrestrictedBranching:
 
     def test_two_anchors_two_runs_all_pairs(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("e1", starred=True, max_gap=1.0), SeqArg("e2")],
             mode=PairingMode.UNRESTRICTED,
@@ -328,62 +332,56 @@ class TestUnrestrictedBranching:
             ("e2", 6.0), ("e2", 7.0),
         ])
         # Each anchor pairs with each preceding run: 2 runs x 2 anchors.
-        assert len(op.matches) == 4
+        assert len(got) == 4
         starts = sorted(
-            (m.first("e1").ts, m.tuple_for("e2").ts) for m in op.matches
+            (m.first("e1").ts, m.tuple_for("e2").ts) for m in got
         )
         assert starts == [(1.0, 6.0), (1.0, 7.0), (5.0, 6.0), (5.0, 7.0)]
 
     def test_three_stage_branching(self):
         engine = Engine()
-        op = build(
+        op, got = build(
             engine,
             [SeqArg("a", starred=True), SeqArg("b"), SeqArg("c")],
             mode=PairingMode.UNRESTRICTED,
         )
         feed(engine, [("a", 1.0), ("b", 2.0), ("b", 3.0), ("c", 4.0)])
         # The run [a@1] pairs with each b, then each with c: 2 matches.
-        assert len(op.matches) == 2
-        assert sorted(m.tuple_for("b").ts for m in op.matches) == [2.0, 3.0]
+        assert len(got) == 2
+        assert sorted(m.tuple_for("b").ts for m in got) == [2.0, 3.0]
 
     def test_store_matches_disabled(self):
+        """Matches leave only through on_match: the operator keeps none."""
         engine = Engine()
-        op = build(
+        for name in ("e1", "e2"):
+            engine.create_stream(name, "tagid str, tagtime float")
+        op = make_sequence_operator(
             engine,
             [SeqArg("e1", starred=True), SeqArg("e2")],
             mode=PairingMode.CHRONICLE,
-            store_matches=False,
         )
         feed(engine, [("e1", 1.0), ("e2", 2.0)])
-        assert op.matches == []
         assert op.matches_emitted == 1
+        assert not hasattr(op, "matches")
 
 
 class TestOperatorBookkeeping:
     def test_tuples_seen_counts_participating_only(self):
         engine = Engine()
         engine.create_stream("other", "tagid str, tagtime float")
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         feed(engine, [("e1", 1.0), ("e2", 2.0)])
         engine.push("other", {"tagid": "x", "tagtime": 3.0}, ts=3.0)
         assert op.tuples_seen == 2  # `other` is not subscribed
 
     def test_stop_detaches(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         op.stop()
         feed(engine, [("e1", 1.0), ("e2", 2.0)])
-        assert op.matches == []
-
-    def test_drain_matches(self):
-        engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
-        feed(engine, [("e1", 1.0), ("e2", 2.0)])
-        drained = op.drain_matches()
-        assert len(drained) == 1
-        assert op.matches == []
+        assert got == []
 
     def test_repr_mentions_pattern(self):
         engine = Engine()
-        op = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
+        op, got = build(engine, [SeqArg("e1", starred=True), SeqArg("e2")])
         assert "e1*" in repr(op)

@@ -19,7 +19,7 @@ def push(engine, tagid, tagtype, ts):
     )
 
 
-def make_theft_detector(engine, tau=60.0, negate=True):
+def make_theft_detector(engine, tau=60.0, negate=True, on_result=None):
     """Items with no person within tau before or after."""
     return SymmetricExistsOperator(
         engine,
@@ -30,6 +30,7 @@ def make_theft_detector(engine, tau=60.0, negate=True):
         outer_where=lambda t: t["tagtype"] == "item",
         inner_where=lambda cand, outer: cand["tagtype"] == "person",
         negate=negate,
+        on_result=on_result,
     )
 
 
@@ -53,13 +54,16 @@ class TestNotExists:
 
     def test_lonely_item_alerts_at_decision_point(self):
         engine = door_engine()
-        op = make_theft_detector(engine)
+        results = []
+        op = make_theft_detector(
+            engine, on_result=lambda *result: results.append(result)
+        )
         push(engine, "i1", "item", 100.0)
         engine.advance_time(159.0)
         assert op.emitted == 0  # still inside the following window
         engine.advance_time(161.0)
         assert op.emitted == 1
-        outer, decided_at = op.results[0]
+        outer, decided_at = results[0]
         assert outer["tagid"] == "i1"
         assert decided_at == 160.0
 
@@ -147,14 +151,16 @@ class TestSeparateStreams:
         engine = Engine()
         engine.create_stream("items", "tagid str, tagtime float")
         engine.create_stream("persons", "tagid str, tagtime float")
-        op = SymmetricExistsOperator(
-            engine, "items", "persons", 30.0, 30.0, negate=True
+        results = []
+        SymmetricExistsOperator(
+            engine, "items", "persons", 30.0, 30.0, negate=True,
+            on_result=lambda *result: results.append(result),
         )
         engine.push("items", {"tagid": "i1", "tagtime": 0.0}, ts=0.0)
         engine.push("persons", {"tagid": "p1", "tagtime": 10.0}, ts=10.0)
         engine.push("items", {"tagid": "i2", "tagtime": 100.0}, ts=100.0)
         engine.advance_time(300.0)
-        assert [t["tagid"] for t, __ in op.results] == ["i2"]
+        assert [t["tagid"] for t, __ in results] == ["i2"]
 
 
 class TestEdgeCases:
