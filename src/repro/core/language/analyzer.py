@@ -8,7 +8,8 @@ The analyzer sits between the parser and the compiler.  Given a parsed
   the (at most one) temporal operator predicate, EXISTS sub-queries,
   CLEVEL_SEQ threshold comparisons, star-gap (``previous``) constraints,
   equality join keys suitable for partition hoisting, and plain residual
-  predicates;
+  predicates (:func:`exists_correlation_keys` does the same for an EXISTS
+  sub-query's WHERE: the correlated equalities a probe can hash on);
 * promotes :class:`FunctionCall` nodes to :class:`AggregateCall` when the
   name is a registered aggregate (SELECT list and HAVING only);
 * determines the query's shape (temporal / aggregate / filter / one-shot
@@ -24,6 +25,7 @@ from typing import Iterator, Sequence
 
 from ...dsms.engine import Engine
 from ...dsms.errors import EslSemanticError
+from ...dsms.schema import FieldType, Schema
 from ...dsms.expressions import (
     And,
     Between,
@@ -411,6 +413,69 @@ def _hoist_partition_key(analysis: Analysis) -> None:
         analysis.guard_terms = [
             term for term in analysis.guard_terms if id(term) not in hoisted
         ]
+
+
+#: Node types a correlation key's outer side may be built from: pure,
+#: binding-only evaluation (no function calls, so a UDF's side effects
+#: never depend on whether the probe is keyed).
+_KEY_NODES = (Column, Literal, BinaryOp, Negate)
+
+
+def exists_correlation_keys(
+    exists: ExistsPredicate, inner_schema: Schema
+) -> list[tuple[str, Expression]]:
+    """The correlation keys of an EXISTS sub-query's WHERE.
+
+    A key is a top-level ``=`` conjunct with a typed (non-``any``) column
+    of the sub-query's own FROM item on one side and, on the other, an
+    expression over enclosing aliases only — at least one of them, so
+    uncorrelated terms are not keys.  Bare columns resolve the way
+    :meth:`Env.lookup_column` does: the sub-query's own item first (its
+    schema has the field), then outward.  ``r2.tag_id = r1.tag_id`` and
+    Example 2's ``tagid = tid`` are keys; ``r2.ts > r1.ts``, an ``OR`` of
+    equalities and ``r2.tag_id = 'x'`` are not.
+
+    Returns ``(inner field, outer expression)`` pairs sorted by field, the
+    first conjunct per field.  The conjuncts stay in the WHERE: a keyed
+    probe only narrows its candidates to one hash bucket and still
+    evaluates every conjunct on each of them.  Same role as
+    :func:`_hoist_partition_key`, for sub-queries.
+    """
+    inner_alias = exists.query.from_items[0].alias.lower()
+
+    def inner_field(expr: Expression) -> str | None:
+        """The field, when *expr* reads a typed column of the own item."""
+        if not isinstance(expr, Column) or expr.field not in inner_schema:
+            return None
+        if expr.alias is not None and expr.alias.lower() != inner_alias:
+            return None
+        field = inner_schema.fields[inner_schema.position(expr.field)]
+        return None if field.type is FieldType.ANY else expr.field
+
+    def outer_only(expr: Expression) -> bool:
+        correlated = False
+        for node in expr.walk():
+            if not isinstance(node, _KEY_NODES):
+                return False
+            if isinstance(node, Column):
+                if node.alias is None:
+                    if node.field in inner_schema:
+                        return False
+                elif node.alias.lower() == inner_alias:
+                    return False
+                correlated = True
+        return correlated
+
+    keys: dict[str, Expression] = {}
+    for term in iter_and_terms(exists.query.where):
+        if not isinstance(term, BinaryOp) or term.op != "=":
+            continue
+        for inner, outer in ((term.left, term.right), (term.right, term.left)):
+            field = inner_field(inner)
+            if field is not None and outer_only(outer):
+                keys.setdefault(field, outer)
+                break
+    return sorted(keys.items())
 
 
 def _detect_multi_return(analysis: Analysis) -> None:

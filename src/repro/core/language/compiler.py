@@ -10,7 +10,8 @@ immediately, and wires each SELECT into a live pipeline:
   gap checks, and all-alias equality chains hoisted into state partitioning;
 * **filter** queries over a stream (plus optional tables) become per-tuple
   evaluation pipelines, with EXISTS sub-queries compiled to window/table
-  probes — or, for symmetric PRECEDING-AND-FOLLOWING windows, to a
+  probes (hash-keyed on their correlated equalities) — or, for symmetric
+  PRECEDING-AND-FOLLOWING windows, to a
   :class:`~repro.core.operators.subquery.SymmetricExistsOperator`;
 * **aggregate** queries become running (or windowed, or grouped) aggregation
   states emitting updated rows per arrival;
@@ -25,7 +26,7 @@ Every query in the paper compiles through this module verbatim.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ...dsms.checkpoint import WindowBufferState
 from ...dsms.engine import Collector, Engine, QueryHandle
@@ -65,6 +66,7 @@ from .analyzer import (
     ClevelThreshold,
     analyze,
     collect_aggregate_calls,
+    exists_correlation_keys,
 )
 from .ast_nodes import (
     CreateAggregate,
@@ -509,6 +511,15 @@ def _compile_exists_probe(
     The probe loops candidates against one reused child Env (sub-query
     evaluation is synchronous, so rebinding is safe), with the inner WHERE
     terms compiled under *ctx* extended by the sub-query alias's schema.
+
+    On the compiled tiers (*ctx* given) a table or RANGE-window sub-query
+    with correlation keys (:func:`exists_correlation_keys`) reads one hash
+    bucket instead of every row: the table's index on the key columns, or
+    the window buffer's keyed side index, both created here.  Each bucket
+    candidate still runs the whole inner WHERE, so the index narrows the
+    candidates and never decides a result.  An outer key that cannot be
+    evaluated or hashed scans everything for that probe, and the
+    interpreted tier always scans: it is the reference.
     """
     inner = exists.query
     if len(inner.from_items) != 1:
@@ -559,13 +570,38 @@ def _compile_exists_probe(
                 return not negate
         return negate
 
+    keys = [] if ctx is None else exists_correlation_keys(exists, inner_schema)
+    key_fields = [field for field, _outer in keys]
+    key_fns = [outer.compile(ctx) for _field, outer in keys]
+
+    def probe_over(
+        everything: Callable[[Env], Iterable[Tuple]],
+        bucket: Callable[[Env, tuple], Iterable[Tuple]] | None = None,
+    ) -> Callable[[Env], bool]:
+        """The probe: over the outer key's bucket when given one, else
+        over everything."""
+        if bucket is None:
+            return lambda env: scan(env, everything(env))
+
+        def keyed_probe(env: Env) -> bool:
+            try:
+                candidates = bucket(env, tuple([fn(env) for fn in key_fns]))
+            except (EslRuntimeError, TypeError):  # unevaluable or unhashable
+                candidates = everything(env)
+            return scan(env, candidates)
+
+        return keyed_probe
+
     if is_table:
         table = engine.tables.get(item.name)
 
-        def table_probe(env: Env) -> bool:
-            return scan(env, table.as_tuples())
+        def rows(env: Env) -> Iterable[Tuple]:
+            return table.as_tuples()
 
-        return table_probe
+        if not keys:
+            return probe_over(rows)
+        index = table.create_index(*key_fields)
+        return probe_over(rows, lambda env, key: table.bucket(index, key))
 
     # Stream sub-query: needs a window (unbounded stream scans are rejected).
     window = item.window
@@ -580,39 +616,47 @@ def _compile_exists_probe(
             "they cannot be combined with other query shapes"
         )
     stream = engine.streams.get(item.name)
-    buffer: RangeWindowBuffer | RowsWindowBuffer
-    row_limit: int | None = None
+    anchor_name = window.anchor if window.anchor != "CURRENT" else outer_alias
+
+    def anchor_of(env: Env) -> Tuple:
+        if anchor_name is None:
+            raise EslRuntimeError(
+                "windowed EXISTS needs an outer stream tuple to anchor on"
+            )
+        return env.lookup_alias(anchor_name)
+
     if window.kind == "rows":
         row_limit = int(window.preceding or 0)
         # When the sub-query reads the same stream as the outer query, the
         # probing tuple itself sits in the buffer (it is excluded from the
         # probe by identity) — hold one extra row so N true predecessors
         # remain visible; the probe re-applies the N limit below.
-        buffer = RowsWindowBuffer(row_limit + 1)
-    else:
-        buffer = RangeWindowBuffer(window.preceding)
+        row_buffer = RowsWindowBuffer(row_limit + 1)
+        teardowns.append(stream.subscribe(row_buffer.append))
+        engine.register_checkpointable(WindowBufferState(engine, row_buffer))
+
+        def last_rows(env: Env) -> list[Tuple]:
+            anchor = anchor_of(env)
+            held = list(row_buffer.tuples_preceding(anchor, include_anchor=False))
+            return held[-row_limit:] if row_limit else []
+
+        return probe_over(last_rows)
+
+    buffer = RangeWindowBuffer(window.preceding)
     teardowns.append(stream.subscribe(buffer.append))
     engine.register_checkpointable(WindowBufferState(engine, buffer))
     duration = window.preceding if window.preceding is not None else float("inf")
-    anchor_name = window.anchor if window.anchor != "CURRENT" else outer_alias
-    is_range = isinstance(buffer, RangeWindowBuffer)
 
-    def stream_probe(env: Env) -> bool:
-        if anchor_name is None:
-            raise EslRuntimeError(
-                "windowed EXISTS needs an outer stream tuple to anchor on"
-            )
-        anchor = env.lookup_alias(anchor_name)
-        if is_range:
-            candidates: Any = buffer.tuples_preceding(
-                anchor, duration, include_anchor=False
-            )
-        else:
-            held = list(buffer.tuples_preceding(anchor, include_anchor=False))
-            candidates = held[-row_limit:] if row_limit else []
-        return scan(env, candidates)
+    def preceding(env: Env) -> Iterable[Tuple]:
+        return buffer.tuples_preceding(anchor_of(env), duration, include_anchor=False)
 
-    return stream_probe
+    if not keys:
+        return probe_over(preceding)
+    buffer.create_index(inner_schema.key_getter(key_fields))
+    return probe_over(
+        preceding,
+        lambda env, key: buffer.bucket_preceding(anchor_of(env), duration, key),
+    )
 
 
 # ---------------------------------------------------------------------------

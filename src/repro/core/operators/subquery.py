@@ -135,11 +135,7 @@ class SymmetricExistsOperator:
             self._pending.append(pending)
             if not resolved:
                 self._arm(pending)
-        history = self._history
-        history.clear()
-        for packed in blob["history"]:
-            history._tuples.append(unpack(packed))
-        history._latest = blob["latest"]
+        self._history.restore(map(unpack, blob["history"]), blob["latest"])
         self.emitted = blob["emitted"]
         self.suppressed = blob["suppressed"]
 

@@ -99,12 +99,7 @@ class WindowBufferState:
 
     def restore_state(self, blob: dict[str, Any]) -> None:
         unpack = tuple_unpacker(self.engine)
-        buffer = self.buffer
-        buffer.clear()
-        for packed in blob["tuples"]:
-            buffer._tuples.append(unpack(packed))
-        if hasattr(buffer, "_latest"):
-            buffer._latest = blob["latest"]
+        self.buffer.restore(map(unpack, blob["tuples"]), blob["latest"])
 
 
 class UnsupportedState:
@@ -221,9 +216,6 @@ def restore_engine_state(engine: Any, state: dict[str, Any]) -> None:
                 f"checkpoint carries state for table {key!r}, which the "
                 "rebuilt engine does not declare"
             )
-        table = engine.tables.get(key)
-        table._rows = [tuple(row) for row in blob["rows"]]
-        for columns in blob["indexes"]:
-            table.create_index(*columns)
+        engine.tables.get(key).restore(blob["rows"], blob["indexes"])
     for component, blob in zip(engine.checkpointables, components):
         component.restore_state(blob)

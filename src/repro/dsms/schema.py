@@ -13,7 +13,8 @@ silently wrong joins.
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaError
 
@@ -226,6 +227,15 @@ class Schema:
             raise SchemaError(
                 f"unknown field {name!r}; schema has {', '.join(self.names)}"
             ) from None
+
+    def key_getter(self, names: Sequence[str]) -> Callable[[Sequence[Any]], tuple]:
+        """A function reading the *names* columns of a positional row as a
+        tuple: the key a hash index files the row under."""
+        positions = [self.position(name) for name in names]
+        if len(positions) == 1:
+            (position,) = positions
+            return lambda values: (values[position],)
+        return itemgetter(*positions)
 
     def __contains__(self, name: object) -> bool:
         return name in self._index

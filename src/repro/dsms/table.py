@@ -9,7 +9,8 @@ preserving the query semantics the paper exercises.
 
 Rows are plain tuples validated against the table's schema.  Secondary hash
 indexes accelerate the equality probes the paper's queries use
-(``WHERE tagid = tid AND location = loc``).
+(``WHERE tagid = tid AND location = loc``); the query compiler creates one
+on the correlation keys of every table EXISTS sub-query it compiles.
 """
 
 from __future__ import annotations
@@ -29,8 +30,11 @@ class Table:
         self.name = name
         self.schema = Schema.parse(schema) if isinstance(schema, str) else schema
         self._rows: list[tuple[Any, ...]] = []
-        self._indexes: dict[tuple[str, ...], dict[tuple[Any, ...], list[int]]] = {}
-        self._dirty_indexes = False
+        # Index columns in sorted order -> (key getter, key -> row positions).
+        self._indexes: dict[
+            tuple[str, ...],
+            tuple[Callable[[Sequence[Any]], tuple], dict[tuple, list[int]]],
+        ] = {}
 
     # -- writes ---------------------------------------------------------
 
@@ -40,8 +44,8 @@ class Table:
         row = tuple(values)
         position = len(self._rows)
         self._rows.append(row)
-        for columns, index in self._indexes.items():
-            index[self._key_of(row, columns)].append(position)
+        for key_of, index in self._indexes.values():
+            index[key_of(row)].append(position)
 
     def insert_dict(self, mapping: Mapping[str, Any]) -> None:
         """Append a row given as ``{column: value}``; missing columns are NULL."""
@@ -68,39 +72,57 @@ class Table:
         predicate: Callable[[tuple[Any, ...]], bool],
         updates: Mapping[str, Any],
     ) -> int:
-        """Set *updates* on every row matching *predicate*.  Returns count."""
+        """Set *updates* on every row matching *predicate*.  Returns count.
+
+        Updated rows are validated like inserts (so an indexed column never
+        holds a value its hash index cannot file); a rejected update leaves
+        the table unchanged.
+        """
         positions = {self.schema.position(name): value for name, value in updates.items()}
-        changed = 0
+        updated: list[tuple[int, tuple[Any, ...]]] = []
         for i, row in enumerate(self._rows):
             if predicate(row):
                 new_row = list(row)
                 for pos, value in positions.items():
                     new_row[pos] = value
-                self._rows[i] = tuple(new_row)
-                changed += 1
-        if changed:
+                self.schema.validate(new_row)
+                updated.append((i, tuple(new_row)))
+        for i, row in updated:
+            self._rows[i] = row
+        if updated:
             self._rebuild_indexes()
-        return changed
+        return len(updated)
 
     def clear(self) -> None:
         self._rows.clear()
-        for index in self._indexes.values():
+        for _key_of, index in self._indexes.values():
             index.clear()
+
+    def restore(
+        self, rows: Iterable[Sequence[Any]], indexes: Iterable[Sequence[str]] = ()
+    ) -> None:
+        """Replace every row (checkpoint restore), then rebuild every index:
+        the ones the table already holds and the ones in *indexes*."""
+        self._rows = [tuple(row) for row in rows]
+        wanted = set(self._indexes) | {tuple(sorted(columns)) for columns in indexes}
+        for columns in wanted:
+            self.create_index(*columns)
 
     # -- indexes --------------------------------------------------------
 
-    def create_index(self, *columns: str) -> None:
-        """Build (or rebuild) a hash index on *columns*."""
-        key = tuple(columns)
-        for column in key:
-            self.schema.position(column)  # validates
-        index: dict[tuple[Any, ...], list[int]] = defaultdict(list)
-        for position, row in enumerate(self._rows):
-            index[self._key_of(row, key)].append(position)
-        self._indexes[key] = index
+    def create_index(self, *columns: str) -> tuple[str, ...]:
+        """Build (or rebuild) a hash index on *columns*.
 
-    def _key_of(self, row: tuple[Any, ...], columns: tuple[str, ...]) -> tuple[Any, ...]:
-        return tuple(row[self.schema.position(column)] for column in columns)
+        Returns the index's name: its columns in sorted order, the order
+        :meth:`bucket` keys and :meth:`lookup` criteria are matched in.
+        """
+        name = tuple(sorted(columns))
+        key_of = self.schema.key_getter(name)
+        index: dict[tuple, list[int]] = defaultdict(list)
+        for position, row in enumerate(self._rows):
+            index[key_of(row)].append(position)
+        self._indexes[name] = (key_of, index)
+        return name
 
     def _rebuild_indexes(self) -> None:
         for columns in list(self._indexes):
@@ -123,12 +145,12 @@ class Table:
         ``table.lookup(tagid='t1', location='dock')`` yields matching rows
         as dicts.
         """
-        key = tuple(sorted(criteria))
-        index = self._indexes.get(key)
+        columns = tuple(sorted(criteria))
+        entry = self._indexes.get(columns)
         names = self.schema.names
-        if index is not None:
-            wanted = tuple(criteria[column] for column in key)
-            for position in index.get(wanted, ()):
+        if entry is not None:
+            wanted = tuple(criteria[column] for column in columns)
+            for position in entry[1].get(wanted, ()):
                 yield dict(zip(names, self._rows[position]))
             return
         positions = {self.schema.position(c): v for c, v in criteria.items()}
@@ -144,6 +166,22 @@ class Table:
         """Rows as stream tuples (for table scans inside queries)."""
         for row in self._rows:
             yield Tuple(self.schema, row, ts, self.name)
+
+    def bucket(self, columns: tuple[str, ...], key: tuple) -> list[Tuple]:
+        """The rows filed under *key* in the index named *columns* (see
+        :meth:`create_index`), as :meth:`as_tuples` would yield them.
+
+        Callers go through the table on every probe and never keep the
+        index: :meth:`create_index`, :meth:`delete_where`,
+        :meth:`update_where` and :meth:`restore` replace it.  Raises
+        ``TypeError`` for an unhashable *key*.
+        """
+        rows = self._rows
+        schema, name = self.schema, self.name
+        return [
+            Tuple(schema, rows[position], 0.0, name)
+            for position in self._indexes[columns][1].get(key, ())
+        ]
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import chain
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import WindowError
 from .tuples import Tuple
@@ -139,9 +140,20 @@ class RangeWindowBuffer:
     amortized instead of one ``popleft`` per dropped tuple.
 
     ``duration=None`` means unbounded retention.
+
+    :meth:`create_index` adds a keyed side index: live tuples filed by a
+    key read from their values, each bucket in arrival order, kept up to
+    date by :meth:`append`, :meth:`evict`, :meth:`clear` and
+    :meth:`restore`.  Buckets are plain lists holding references to the
+    buffer's own tuples (eviction deletes from a bucket's front, which is
+    O(bucket) but keeps a short bucket at list size); a tuple whose key
+    cannot be hashed (streams do not validate values) goes to a spill list
+    that every keyed read also walks.
     """
 
-    __slots__ = ("duration", "_tuples", "_head", "_latest")
+    __slots__ = (
+        "duration", "_tuples", "_head", "_latest", "_key_of", "_buckets", "_spill",
+    )
 
     #: Dead-prefix compaction threshold (elements); below this the copy is
     #: cheaper to skip.
@@ -154,10 +166,52 @@ class RangeWindowBuffer:
         self._tuples: list[Tuple] = []
         self._head = 0
         self._latest: float | None = None
+        self._key_of: Callable[[Sequence[Any]], tuple] | None = None
+        self._buckets: dict[tuple, list[Tuple]] = {}
+        self._spill: list[Tuple] = []
+
+    def create_index(self, key_of: Callable[[Sequence[Any]], tuple]) -> None:
+        """File every live tuple, and every later one, under
+        ``key_of(tup.values)`` (see :meth:`Schema.key_getter`)."""
+        self._key_of = key_of
+        self._reindex()
+
+    def _reindex(self) -> None:
+        self._buckets = {}
+        self._spill = []
+        if self._key_of is not None:
+            for tup in self:
+                self._file(tup)
+
+    def _file(self, tup: Tuple) -> None:
+        key = self._key_of(tup.values)
+        try:
+            bucket = self._buckets.get(key)
+        except TypeError:  # unhashable key
+            self._spill.append(tup)
+            return
+        if bucket is None:
+            self._buckets[key] = [tup]
+        else:
+            bucket.append(tup)
+
+    def _unfile(self, tup: Tuple) -> None:
+        """Drop *tup*, the oldest live tuple, from the front of its bucket."""
+        key = self._key_of(tup.values)
+        try:
+            bucket = self._buckets[key]
+        except TypeError:
+            del self._spill[0]
+            return
+        del bucket[0]
+        if not bucket:
+            del self._buckets[key]
 
     def append(self, tup: Tuple) -> None:
         """Add *tup* and evict everything that fell out of the window."""
         self._tuples.append(tup)
+        if self._key_of is not None:
+            self._file(tup)
         self._latest = tup.ts
         self.evict(tup.ts)
 
@@ -171,6 +225,9 @@ class RangeWindowBuffer:
         keep = bisect_left(tuples, cutoff, lo=head, hi=len(tuples), key=_TS)
         dropped = keep - head
         if dropped:
+            if self._key_of is not None:
+                for index in range(head, keep):
+                    self._unfile(tuples[index])
             self._head = keep
             if keep >= self.COMPACT_MIN and keep * 2 >= len(tuples):
                 del tuples[:keep]
@@ -211,6 +268,21 @@ class RangeWindowBuffer:
                 continue
             yield tup
 
+    def bucket_preceding(
+        self, anchor: Tuple, duration: float, key: tuple
+    ) -> Iterator[Tuple]:
+        """:meth:`tuples_preceding` (anchor excluded) restricted to the
+        tuples filed under *key*, then the spill list.
+
+        Needs :meth:`create_index`.  An unhashable *key* raises
+        ``TypeError`` here, before any tuple is yielded.
+        """
+        lo = anchor.ts - duration
+        found = _preceding(self._buckets.get(key, ()), anchor, lo)
+        if self._spill:
+            return chain(found, _preceding(self._spill, anchor, lo))
+        return found
+
     def __iter__(self) -> Iterator[Tuple]:
         tuples = self._tuples
         return iter(tuples[self._head:] if self._head else tuples)
@@ -225,10 +297,33 @@ class RangeWindowBuffer:
     def clear(self) -> None:
         self._tuples.clear()
         self._head = 0
+        self._reindex()
+
+    def restore(self, tuples: Iterable[Tuple], latest: float | None) -> None:
+        """Replace the contents with *tuples* (arrival order) and the newest
+        observed time with *latest*, rebuilding the keyed index."""
+        self._tuples = list(tuples)
+        self._head = 0
+        self._latest = latest
+        self._reindex()
 
     def __repr__(self) -> str:
         span = "unbounded" if self.duration is None else f"{self.duration:g}s"
         return f"RangeWindowBuffer({span}, {len(self)} tuples)"
+
+
+def _preceding(tuples: Iterable[Tuple], anchor: Tuple, lo: float) -> Iterator[Tuple]:
+    """The members of an arrival-ordered run with ``ts >= lo`` up to
+    *anchor* in ``(ts, seq)`` order, the anchor itself excluded."""
+    anchor_ts, anchor_seq = anchor.ts, anchor.seq
+    for tup in tuples:
+        ts = tup.ts
+        if ts < lo:
+            continue
+        if ts > anchor_ts or (ts == anchor_ts and tup.seq > anchor_seq):
+            break
+        if tup is not anchor:
+            yield tup
 
 
 class RowsWindowBuffer:
@@ -268,6 +363,13 @@ class RowsWindowBuffer:
 
     def clear(self) -> None:
         self._tuples.clear()
+
+    def restore(self, tuples: Iterable[Tuple], latest: float | None = None) -> None:
+        """Replace the contents with *tuples* (arrival order).  *latest* is
+        accepted so both buffer kinds restore through one call; a count
+        window keeps no clock."""
+        self.clear()
+        self._tuples.extend(tuples)
 
     def __repr__(self) -> str:
         return f"RowsWindowBuffer({self.capacity}, {len(self)} tuples)"

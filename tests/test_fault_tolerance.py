@@ -36,6 +36,7 @@ from repro.rfid import (
     dedup_workload,
     quality_check_workload,
 )
+from repro.rfid.scenarios import DOOR_QUERY_THEFT
 
 
 def _dedup_pair(n_shards, **kwargs):
@@ -369,6 +370,7 @@ class TestCheckpointRoundTrip:
         b_tail = b_handle.results[b_before:]
         assert [t.values for t in a_tail] == [t.values for t in b_tail]
         assert [t.ts for t in a_tail] == [t.ts for t in b_tail]
+        return a_tail
 
     def test_seq_operator_roundtrip(self):
         workload = quality_check_workload(n_products=30, seed=5)
@@ -435,6 +437,32 @@ class TestCheckpointRoundTrip:
             engine.flush()
 
         self._roundtrip(make, feed_half, feed_rest)
+
+    def test_symmetric_exists_roundtrip(self):
+        """Example 8 cut while an item awaits its FOLLOWING half: the
+        pending decision (timer re-armed) and the inner history cross."""
+        before_cut = [
+            ("i1", "item", 0.0), ("p1", "person", 30.0),
+            ("p2", "person", 75.0), ("i2", "item", 100.0), ("i3", "item", 170.0),
+        ]
+        after_cut = [("p3", "person", 240.0), ("i4", "item", 400.0)]
+
+        def make():
+            engine = Engine()
+            engine.create_stream("tag_readings", "tagid str, tagtype str, tagtime float")
+            return engine, engine.query(DOOR_QUERY_THEFT, name="door")
+
+        def feed_half(engine):
+            for tagid, kind, ts in before_cut:
+                engine.push("tag_readings", [tagid, kind, ts], ts=ts)
+
+        def feed_rest(engine):
+            for tagid, kind, ts in after_cut:
+                engine.push("tag_readings", [tagid, kind, ts], ts=ts)
+            engine.flush()
+
+        tail = self._roundtrip(make, feed_half, feed_rest)
+        assert [(t.values, t.ts) for t in tail] == [(("i3",), 230.0), (("i4",), 460.0)]
 
     def test_unsupported_operator_raises_checkpoint_error(self):
         engine = Engine()
