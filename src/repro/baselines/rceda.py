@@ -100,9 +100,6 @@ class PrimitiveNode(Node):
     def ingest(self, tup: Tuple) -> None:
         self.publish(EventInstance([tup]))
 
-    def child_produced(self, child: Node, instance: EventInstance) -> None:
-        raise AssertionError("primitive nodes have no children")
-
 
 class SeqNode(Node):
     """Binary sequence: an E2 instance following an E1 instance.

@@ -21,7 +21,7 @@ The result is a :class:`Analysis` record the compiler consumes.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ...dsms.engine import Engine
 from ...dsms.errors import EslSemanticError
@@ -149,68 +149,70 @@ class Analysis:
 # ---------------------------------------------------------------------------
 
 
+def rewrite(
+    expr: Expression, fn: Callable[[Expression], Expression]
+) -> Expression:
+    """Rebuild *expr* bottom-up, replacing each node with ``fn(node)``.
+
+    Children are rewritten before their parent.  Leaves, aggregate calls
+    and the query-level nodes (EXISTS, SEQ) keep their subtrees as-is.
+    """
+
+    def sub(child: Expression) -> Expression:
+        return rewrite(child, fn)
+
+    if isinstance(expr, FunctionCall):
+        expr = FunctionCall(expr.name, [sub(arg) for arg in expr.args])
+    elif isinstance(expr, BinaryOp):
+        expr = BinaryOp(expr.op, sub(expr.left), sub(expr.right))
+    elif isinstance(expr, And):
+        expr = And(*map(sub, expr.operands))
+    elif isinstance(expr, Or):
+        expr = Or(*map(sub, expr.operands))
+    elif isinstance(expr, Not):
+        expr = Not(sub(expr.operand))
+    elif isinstance(expr, Negate):
+        expr = Negate(sub(expr.operand))
+    elif isinstance(expr, IsNull):
+        expr = IsNull(sub(expr.operand), expr.negate)
+    elif isinstance(expr, Between):
+        expr = Between(
+            sub(expr.operand), sub(expr.low), sub(expr.high), expr.negate
+        )
+    elif isinstance(expr, InList):
+        expr = InList(
+            sub(expr.operand), [sub(option) for option in expr.options],
+            expr.negate,
+        )
+    elif isinstance(expr, Like):
+        expr = Like(sub(expr.operand), sub(expr.pattern), expr.negate)
+    elif isinstance(expr, Case):
+        expr = Case(
+            [(sub(cond), sub(value)) for cond, value in expr.branches],
+            sub(expr.default) if expr.default is not None else None,
+        )
+    return fn(expr)
+
+
 def promote_aggregates(expr: Expression, engine: Engine) -> Expression:
     """Return *expr* with registered-aggregate calls promoted.
 
     Only single-argument calls are promoted (SQL aggregates take one
     argument); multi-argument calls stay scalar functions.
     """
-    if isinstance(expr, FunctionCall):
-        new_args = [promote_aggregates(arg, engine) for arg in expr.args]
-        if expr.name.lower() in engine.aggregates and len(new_args) <= 1:
+
+    def promote(node: Expression) -> Expression:
+        if (
+            isinstance(node, FunctionCall)
+            and node.name.lower() in engine.aggregates
+            and len(node.args) <= 1
+        ):
             return AggregateCall(
-                expr.name.lower(), new_args[0] if new_args else None
+                node.name.lower(), node.args[0] if node.args else None
             )
-        return FunctionCall(expr.name, new_args)
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            promote_aggregates(expr.left, engine),
-            promote_aggregates(expr.right, engine),
-        )
-    if isinstance(expr, And):
-        return And(*(promote_aggregates(op, engine) for op in expr.operands))
-    if isinstance(expr, Or):
-        return Or(*(promote_aggregates(op, engine) for op in expr.operands))
-    if isinstance(expr, Not):
-        return Not(promote_aggregates(expr.operand, engine))
-    if isinstance(expr, Negate):
-        return Negate(promote_aggregates(expr.operand, engine))
-    if isinstance(expr, IsNull):
-        return IsNull(promote_aggregates(expr.operand, engine), expr.negate)
-    if isinstance(expr, Between):
-        return Between(
-            promote_aggregates(expr.operand, engine),
-            promote_aggregates(expr.low, engine),
-            promote_aggregates(expr.high, engine),
-            expr.negate,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            promote_aggregates(expr.operand, engine),
-            [promote_aggregates(option, engine) for option in expr.options],
-            expr.negate,
-        )
-    if isinstance(expr, Like):
-        return Like(
-            promote_aggregates(expr.operand, engine),
-            promote_aggregates(expr.pattern, engine),
-            expr.negate,
-        )
-    if isinstance(expr, Case):
-        return Case(
-            [
-                (
-                    promote_aggregates(cond, engine),
-                    promote_aggregates(value, engine),
-                )
-                for cond, value in expr.branches
-            ],
-            promote_aggregates(expr.default, engine)
-            if expr.default is not None
-            else None,
-        )
-    return expr
+        return node
+
+    return rewrite(expr, promote)
 
 
 def collect_aggregate_calls(expr: Expression) -> Iterator[AggregateCall]:
@@ -229,14 +231,21 @@ def collect_aggregate_calls(expr: Expression) -> Iterator[AggregateCall]:
 
 def analyze(statement: SelectStatement, engine: Engine) -> Analysis:
     """Analyze *statement* against the engine catalogs."""
-    analysis = Analysis(statement)
-    _resolve_sources(analysis, engine)
-    _promote_select_aggregates(analysis, engine)
-    _classify_where(analysis)
+    analysis = classify(statement, engine)
     _detect_shape(analysis)
     if analysis.temporal is not None:
         _hoist_partition_key(analysis)
         _detect_multi_return(analysis)
+    return analysis
+
+
+def classify(statement: SelectStatement, engine: Engine) -> Analysis:
+    """Resolve FROM, promote aggregates and split WHERE, without fixing a
+    continuous-query shape (a snapshot may join several streams)."""
+    analysis = Analysis(statement)
+    _resolve_sources(analysis, engine)
+    _promote_select_aggregates(analysis, engine)
+    _classify_where(analysis)
     return analysis
 
 

@@ -180,8 +180,7 @@ class SeqPredicate(Expression):
 class ExistsPredicate(Expression):
     """``EXISTS (subquery)`` / ``NOT EXISTS (subquery)`` syntax node.
 
-    The compiler replaces it with a runtime
-    :class:`~repro.dsms.expressions.SubqueryPredicate` or a dedicated
+    The compiler replaces it with a window or table probe, or a dedicated
     operator (symmetric windows).
     """
 

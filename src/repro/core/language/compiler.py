@@ -13,9 +13,14 @@ immediately, and wires each SELECT into a live pipeline:
   probes (hash-keyed on their correlated equalities) — or, for symmetric
   PRECEDING-AND-FOLLOWING windows, to a
   :class:`~repro.core.operators.subquery.SymmetricExistsOperator`;
-* **aggregate** queries become running (or windowed, or grouped) aggregation
-  states emitting updated rows per arrival;
-* **table queries** execute once and leave their rows on the handle.
+* **aggregate** queries become running (or windowed) states per group key,
+  emitting updated rows per arrival;
+* **table queries** execute once and leave their rows on the handle;
+  :func:`execute_snapshot` (``Engine.snapshot``) runs the same one-shot
+  evaluation over stream histories and tables.
+
+Aggregate, table and snapshot queries share one source binder
+(:func:`_bind_sources`) and one grouping evaluator (:class:`_Grouping`).
 
 Every SELECT emits through one callback: a derived stream, a table, or a
 *deliver* callable (by default a fresh :class:`~repro.dsms.engine.Collector`
@@ -26,15 +31,12 @@ Every query in the paper compiles through this module verbatim.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
+from ...dsms.aggregates import Aggregate
 from ...dsms.checkpoint import WindowBufferState
 from ...dsms.engine import Collector, Engine, QueryHandle
-from ...dsms.errors import (
-    EslRuntimeError,
-    EslSemanticError,
-    SchemaError,
-)
+from ...dsms.errors import EslRuntimeError, EslSemanticError
 from ...dsms.expressions import (
     Column,
     CompileContext,
@@ -65,8 +67,9 @@ from .analyzer import (
     Analysis,
     ClevelThreshold,
     analyze,
-    collect_aggregate_calls,
+    classify,
     exists_correlation_keys,
+    rewrite,
 )
 from .ast_nodes import (
     CreateAggregate,
@@ -74,7 +77,6 @@ from .ast_nodes import (
     CreateTable,
     DeleteStatement,
     ExistsPredicate,
-    FromItem,
     InsertValues,
     PreviousRef,
     SelectItem,
@@ -400,13 +402,6 @@ def _resolved_items(analysis: Analysis, engine: Engine) -> list[SelectItem]:
 # -- shared predicate helpers ---------------------------------------------------
 
 
-def _make_env(engine: Engine, bindings: Mapping[str, Any]) -> Env:
-    env = Env(functions=engine.functions.as_mapping())
-    for alias, bound in bindings.items():
-        env.bindings[alias.lower()] = bound  # may be a Tuple or a star run list
-    return env
-
-
 def _eval_term_lenient(term: Expression, env: Env) -> bool:
     """Evaluate a predicate term; unbound aliases / star runs count as pass.
 
@@ -458,7 +453,6 @@ def _term_evaluators(
 
 
 def _compile_where_probe(
-    engine: Engine,
     terms: Sequence[Expression],
     exists_probes: Sequence[Callable[[Env], bool]],
     ctx: CompileContext | None = None,
@@ -476,6 +470,25 @@ def _compile_where_probe(
         return True
 
     return check
+
+
+def _bind_sources(
+    env: Env,
+    sources: Sequence[tuple[str, Callable[[], Iterable[Tuple]]]],
+    depth: int = 0,
+) -> Iterator[Env]:
+    """Nested-loop join: bind each ``(alias key, rows)`` source on *env* in
+    turn and yield *env* once per complete binding (the same object,
+    rebound — copy what must outlive the next step)."""
+    if depth == len(sources):
+        yield env
+        return
+    key, rows = sources[depth]
+    bindings = env.bindings
+    for tup in rows():
+        bindings[key] = tup
+        yield from _bind_sources(env, sources, depth + 1)
+    bindings.pop(key, None)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +694,11 @@ def _compile_filter(
             "a window on the main FROM stream is only meaningful for "
             "aggregates; use SnapshotView for ad-hoc windowed scans"
         )
-    table_sources = [s for s in analysis.sources if s.is_table]
+    table_sources = [
+        (s.alias.lower(), engine.tables.get(s.name).as_tuples)
+        for s in analysis.sources
+        if s.is_table
+    ]
     items = _resolved_items(analysis, engine)
     schema = _select_schema(items)
     sink = _Sink(engine, statement.insert_into, schema, label, deliver)
@@ -691,30 +708,18 @@ def _compile_filter(
         _compile_exists_probe(engine, ex, source.alias, teardowns, ctx)
         for ex in analysis.exists_terms
     ]
-    check = _compile_where_probe(engine, analysis.guard_terms, exists_probes, ctx)
+    check = _compile_where_probe(analysis.guard_terms, exists_probes, ctx)
     item_fns = _term_evaluators([item.expr for item in items], ctx)
     stream = engine.streams.get(source.name)
     functions = engine.functions.as_mapping()
     source_key = source.alias.lower()
     emit = sink.emit
 
-    def bind_tables(env: Env, depth: int) -> Any:
-        """Nested-loop the table sources; yields fully-bound envs."""
-        if depth == len(table_sources):
-            yield env
-            return
-        table_source = table_sources[depth]
-        table = engine.tables.get(table_source.name)
-        for row_tuple in table.as_tuples():
-            env.bindings[table_source.alias.lower()] = row_tuple
-            yield from bind_tables(env, depth + 1)
-        env.bindings.pop(table_source.alias.lower(), None)
-
     if table_sources:
 
         def on_tuple(tup: Tuple) -> None:
             base = Env({source_key: tup}, functions)
-            for env in bind_tables(base, 0):
+            for env in _bind_sources(base, table_sources):
                 if not check(env):
                     continue
                 emit([fn(env) for fn in item_fns], tup.ts)
@@ -745,7 +750,7 @@ def _compile_filter(
 
 
 # ---------------------------------------------------------------------------
-# Aggregate queries
+# Grouped evaluation (aggregate queries, table queries, snapshots)
 # ---------------------------------------------------------------------------
 
 
@@ -760,97 +765,122 @@ class _AggSlot(Expression):
     def eval(self, env: Env) -> Any:
         return self.cell[0]
 
-    def __repr__(self) -> str:
-        return f"_AggSlot({self.cell[0]!r})"
-
 
 def _rewrite_with_slots(
-    expr: Expression, slots: dict[int, tuple[AggregateCall, _AggSlot]]
+    expr: Expression, slots: list[tuple[AggregateCall, _AggSlot]]
 ) -> Expression:
-    """Replace AggregateCall nodes with slots, registering them by identity."""
-    if isinstance(expr, AggregateCall):
-        slot = _AggSlot()
-        slots[id(expr)] = (expr, slot)
-        return slot
-    # Reuse the promote machinery's shape: rebuild known node types.
-    from ...dsms.expressions import (
-        And, Between, BinaryOp, Case, InList, IsNull, Like, Negate, Not, Or,
-        FunctionCall,
-    )
+    """Replace AggregateCall nodes with slots, appending each to *slots*."""
 
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op,
-            _rewrite_with_slots(expr.left, slots),
-            _rewrite_with_slots(expr.right, slots),
-        )
-    if isinstance(expr, FunctionCall):
-        return FunctionCall(
-            expr.name, [_rewrite_with_slots(a, slots) for a in expr.args]
-        )
-    if isinstance(expr, And):
-        return And(*(_rewrite_with_slots(o, slots) for o in expr.operands))
-    if isinstance(expr, Or):
-        return Or(*(_rewrite_with_slots(o, slots) for o in expr.operands))
-    if isinstance(expr, Not):
-        return Not(_rewrite_with_slots(expr.operand, slots))
-    if isinstance(expr, Negate):
-        return Negate(_rewrite_with_slots(expr.operand, slots))
-    if isinstance(expr, IsNull):
-        return IsNull(_rewrite_with_slots(expr.operand, slots), expr.negate)
-    if isinstance(expr, Between):
-        return Between(
-            _rewrite_with_slots(expr.operand, slots),
-            _rewrite_with_slots(expr.low, slots),
-            _rewrite_with_slots(expr.high, slots),
-            expr.negate,
-        )
-    if isinstance(expr, InList):
-        return InList(
-            _rewrite_with_slots(expr.operand, slots),
-            [_rewrite_with_slots(o, slots) for o in expr.options],
-            expr.negate,
-        )
-    if isinstance(expr, Like):
-        return Like(
-            _rewrite_with_slots(expr.operand, slots),
-            _rewrite_with_slots(expr.pattern, slots),
-            expr.negate,
-        )
-    if isinstance(expr, Case):
-        return Case(
-            [
-                (_rewrite_with_slots(c, slots), _rewrite_with_slots(v, slots))
-                for c, v in expr.branches
-            ],
-            _rewrite_with_slots(expr.default, slots)
-            if expr.default is not None
-            else None,
-        )
-    return expr
+    def slot_for(node: Expression) -> Expression:
+        if not isinstance(node, AggregateCall):
+            return node
+        slot = _AggSlot()
+        slots.append((node, slot))
+        return slot
+
+    return rewrite(expr, slot_for)
 
 
 class _AggState:
     """Aggregate states for one group key."""
 
-    __slots__ = ("entries", "states")
+    __slots__ = ("aggs", "states")
 
-    def __init__(self, engine: Engine, calls: Sequence[AggregateCall]) -> None:
-        self.entries = [
-            (call, engine.aggregates.create(call.name)) for call in calls
-        ]
-        self.states = [agg.initialize() for _call, agg in self.entries]
+    def __init__(self, aggs: Sequence[Aggregate]) -> None:
+        self.aggs = aggs
+        self.states = [agg.initialize() for agg in aggs]
 
-    def update(self, env: Env) -> None:
-        for index, (call, agg) in enumerate(self.entries):
-            value = call.arg.eval(env) if call.arg is not None else 1
-            self.states[index] = agg.iterate(self.states[index], value)
+    def update(self, arg_fns: Sequence[EvalFn], env: Env) -> None:
+        states = self.states
+        for index, agg in enumerate(self.aggs):
+            states[index] = agg.iterate(states[index], arg_fns[index](env))
 
     def values(self) -> list[Any]:
-        return [
-            agg.terminate(state)
-            for (_call, agg), state in zip(self.entries, self.states)
-        ]
+        return [agg.terminate(state) for agg, state in zip(self.aggs, self.states)]
+
+
+class _Grouping:
+    """The one grouping evaluator of a SELECT: GROUP BY key, per-group
+    :class:`_AggState`, HAVING, and the projected row.
+
+    Aggregate calls in the select items and HAVING become slots; the group
+    keys, aggregate arguments, items and HAVING lower once through
+    :func:`_term_evaluators`, so the compiled tiers run closures and the
+    interpreted tier runs ``Expression.eval``.  Continuous queries drive
+    :meth:`key` / :meth:`new_state` / :meth:`row` per arrival; one-shot
+    queries hand every binding to :meth:`fold`.
+    """
+
+    def __init__(
+        self,
+        engine: Engine,
+        items: Sequence[SelectItem],
+        statement: SelectStatement,
+        ctx: CompileContext | None,
+    ) -> None:
+        slots: list[tuple[AggregateCall, _AggSlot]] = []
+        item_exprs = [_rewrite_with_slots(item.expr, slots) for item in items]
+        having = statement.having
+        having_fns = _term_evaluators(
+            [] if having is None else [_rewrite_with_slots(having, slots)], ctx
+        )
+        self.having_fn = having_fns[0] if having_fns else None
+        self.item_fns = _term_evaluators(item_exprs, ctx)
+        self.key_fns = _term_evaluators(list(statement.group_by), ctx)
+        self.calls = [call for call, _slot in slots]
+        self.slots = [slot for _call, slot in slots]
+        self.arg_fns = _term_evaluators(
+            [Literal(1) if call.arg is None else call.arg for call in self.calls],
+            ctx,
+        )
+        self.engine = engine
+
+    def key(self, env: Env) -> Any:
+        key_fns = self.key_fns
+        return tuple([fn(env) for fn in key_fns]) if key_fns else None
+
+    def new_state(self) -> _AggState:
+        create = self.engine.aggregates.create
+        return _AggState([create(call.name) for call in self.calls])
+
+    def row(self, state: _AggState, env: Env) -> list[Any] | None:
+        """The select row for one group's *state*, non-aggregate items read
+        from *env*; None when HAVING rejects the group."""
+        for slot, value in zip(self.slots, state.values()):
+            slot.cell[0] = value
+        if self.having_fn is not None and not truthy(self.having_fn(env)):
+            return None
+        return [fn(env) for fn in self.item_fns]
+
+    def fold(self, bound: Iterable[Env]) -> Iterator[list[Any]]:
+        """Fold every binding into its group, then yield one row per group
+        in first-seen order; non-aggregate items read the group's first
+        binding."""
+        groups: dict[Any, tuple[_AggState, Env]] = {}
+        for env in bound:
+            key = self.key(env)
+            entry = groups.get(key)
+            if entry is None:
+                entry = groups[key] = (
+                    self.new_state(),
+                    Env(env.bindings, env.functions),
+                )
+            entry[0].update(self.arg_fns, env)
+        if not groups and not self.key_fns:
+            # SQL: aggregates over empty input still form one group, of
+            # identities/NULLs — unless a non-aggregate item needs a row.
+            env = Env(functions=self.engine.functions.as_mapping())
+            try:
+                row = self.row(self.new_state(), env)
+            except EslRuntimeError:
+                return
+            if row is not None:
+                yield row
+            return
+        for state, env in groups.values():
+            row = self.row(state, env)
+            if row is not None:
+                yield row
 
 
 class _AggQueryState:
@@ -866,12 +896,11 @@ class _AggQueryState:
     def __init__(
         self,
         engine: Engine,
-        calls: Sequence[AggregateCall],
+        grouping: _Grouping,
         groups: dict[Any, _AggState],
         window_buffer: Any,
     ) -> None:
-        self.engine = engine
-        self.calls = calls
+        self.grouping = grouping
         self.groups = groups
         self.buffer = (
             WindowBufferState(engine, window_buffer)
@@ -892,7 +921,7 @@ class _AggQueryState:
     def restore_state(self, blob: Mapping[str, Any]) -> None:
         self.groups.clear()
         for key, states in blob["groups"]:
-            state = _AggState(self.engine, self.calls)
+            state = self.grouping.new_state()
             state.states = list(states)
             self.groups[key] = state
         if self.buffer is not None:
@@ -910,32 +939,20 @@ def _compile_aggregate(
             "stage the join through a derived stream first"
         )
     items = _resolved_items(analysis, engine)
-    # Replace aggregate calls with slots.
-    slots: dict[int, tuple[AggregateCall, _AggSlot]] = {}
-    rewritten: list[SelectItem] = []
-    for item in items:
-        rewritten.append(
-            SelectItem(_rewrite_with_slots(item.expr, slots), item.alias)
-        )
-    having = (
-        _rewrite_with_slots(statement.having, slots)
-        if statement.having is not None
-        else None
-    )
-    calls = [call for call, _slot in slots.values()]
-    slot_list = [slot for _call, slot in slots.values()]
-    schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
+    sink = _Sink(engine, statement.insert_into, _select_schema(items), label, deliver)
     teardowns: list[Callable[[], None]] = []
     ctx = _compile_ctx(engine, analysis)
     exists_probes = [
         _compile_exists_probe(engine, ex, source.alias, teardowns, ctx)
         for ex in analysis.exists_terms
     ]
-    check = _compile_where_probe(engine, analysis.guard_terms, exists_probes, ctx)
+    check = _compile_where_probe(analysis.guard_terms, exists_probes, ctx)
+    grouping = _Grouping(engine, items, statement, ctx)
+    arg_fns = grouping.arg_fns
     stream = engine.streams.get(source.name)
-    group_exprs = list(statement.group_by)
-    group_fns = _term_evaluators(group_exprs, ctx)
+    functions = engine.functions.as_mapping()
+    source_key = source.alias.lower()
+    emit = sink.emit
 
     window = source.item.window
     window_buffer: RangeWindowBuffer | RowsWindowBuffer | None = None
@@ -952,51 +969,34 @@ def _compile_aggregate(
     # Running (cumulative) state per group key.
     groups: dict[Any, _AggState] = {}
     engine.register_checkpointable(
-        _AggQueryState(engine, calls, groups, window_buffer)
+        _AggQueryState(engine, grouping, groups, window_buffer)
     )
 
-    def group_key(env: Env) -> Any:
-        if not group_fns:
-            return None
-        return tuple(fn(env) for fn in group_fns)
-
-    def emit_row(env: Env, agg_values: Sequence[Any], ts: float) -> None:
-        for slot, value in zip(slot_list, agg_values):
-            slot.cell[0] = value
-        if having is not None and not truthy(having.eval(env)):
-            return
-        sink.emit([item.expr.eval(env) for item in rewritten], ts)
-
     def on_tuple(tup: Tuple) -> None:
-        env = _make_env(engine, {source.alias: tup})
+        env = Env({source_key: tup}, functions)
         if not check(env):
             return
         if window_buffer is not None:
             window_buffer.append(tup)
-            key = group_key(env)
-            # Recompute over the (possibly grouped) window contents.
-            fresh = _AggState(engine, calls)
-            values_per_call: list[Any] = []
-            for call, agg in fresh.entries:
-                state = agg.initialize()
-                for held in window_buffer:
-                    held_env = _make_env(engine, {source.alias: held})
-                    if not check(held_env):
-                        continue
-                    if group_key(held_env) != key:
-                        continue
-                    value = call.arg.eval(held_env) if call.arg is not None else 1
-                    state = agg.iterate(state, value)
-                values_per_call.append(agg.terminate(state))
-            emit_row(env, values_per_call, tup.ts)
-            return
-        key = group_key(env)
-        state = groups.get(key)
-        if state is None:
-            state = _AggState(engine, calls)
-            groups[key] = state
-        state.update(env)
-        emit_row(env, state.values(), tup.ts)
+            key = grouping.key(env)
+            # Recompute the group over the window in one pass.  WHERE is
+            # re-checked on every held tuple: its EXISTS probes may have
+            # changed their answer since the tuple arrived.
+            state = grouping.new_state()
+            held_env = Env(functions=functions)
+            for held in window_buffer:
+                held_env.bindings[source_key] = held
+                if check(held_env) and grouping.key(held_env) == key:
+                    state.update(arg_fns, held_env)
+        else:
+            key = grouping.key(env)
+            state = groups.get(key)
+            if state is None:
+                state = groups[key] = grouping.new_state()
+            state.update(arg_fns, env)
+        row = grouping.row(state, env)
+        if row is not None:
+            emit(row, tup.ts)
 
     teardowns.append(stream.subscribe(on_tuple))
     handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
@@ -1005,63 +1005,49 @@ def _compile_aggregate(
 
 
 # ---------------------------------------------------------------------------
-# One-shot table queries
+# One-shot queries (table-only SELECTs and Engine.snapshot)
 # ---------------------------------------------------------------------------
 
 
-def _compile_table_query(
-    engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
-) -> QueryHandle:
+def _one_shot_rows(
+    engine: Engine,
+    analysis: Analysis,
+    items: Sequence[SelectItem],
+    rows_of: Sequence[Callable[[], Iterable[Tuple]]],
+    teardowns: list[Callable[[], None]],
+) -> Iterator[list[Any]]:
+    """The result rows of a one-shot SELECT; ``rows_of[i]()`` reads FROM
+    item *i*'s tuples.  Grouped or aggregate SELECTs fold through
+    :class:`_Grouping`; the rest project each qualifying binding."""
     statement = analysis.statement
-    items = _resolved_items(analysis, engine)
-    schema = _select_schema(items)
-    sink = _Sink(engine, statement.insert_into, schema, label, deliver)
-    teardowns: list[Callable[[], None]] = []
     ctx = _compile_ctx(engine, analysis)
     exists_probes = [
         _compile_exists_probe(engine, ex, None, teardowns, ctx)
         for ex in analysis.exists_terms
     ]
-    check = _compile_where_probe(engine, analysis.guard_terms, exists_probes, ctx)
+    check = _compile_where_probe(analysis.guard_terms, exists_probes, ctx)
+    sources = [
+        (source.alias.lower(), rows) for source, rows in zip(analysis.sources, rows_of)
+    ]
+    base = Env(functions=engine.functions.as_mapping())
+    bound = (env for env in _bind_sources(base, sources) if check(env))
+    if analysis.has_aggregates or statement.group_by:
+        return _Grouping(engine, items, statement, ctx).fold(bound)
+    item_fns = _term_evaluators([item.expr for item in items], ctx)
+    return ([fn(env) for fn in item_fns] for env in bound)
 
-    def bind(depth: int, env: Env) -> Any:
-        if depth == len(analysis.sources):
-            yield env
-            return
-        source = analysis.sources[depth]
-        table = engine.tables.get(source.name)
-        for row_tuple in table.as_tuples():
-            env.bindings[source.alias.lower()] = row_tuple
-            yield from bind(depth + 1, env)
-        env.bindings.pop(source.alias.lower(), None)
 
-    base = _make_env(engine, {})
-    if analysis.has_aggregates:
-        slots: dict[int, tuple[AggregateCall, _AggSlot]] = {}
-        rewritten = [
-            SelectItem(_rewrite_with_slots(item.expr, slots), item.alias)
-            for item in items
-        ]
-        calls = [call for call, _slot in slots.values()]
-        slot_list = [slot for _call, slot in slots.values()]
-        fresh = _AggState(engine, calls)
-        states = [(call, agg, agg.initialize()) for call, agg in fresh.entries]
-        updated = []
-        for call, agg, state in states:
-            for env in bind(0, base):
-                if not check(env):
-                    continue
-                value = call.arg.eval(env) if call.arg is not None else 1
-                state = agg.iterate(state, value)
-            updated.append(agg.terminate(state))
-        for slot, value in zip(slot_list, updated):
-            slot.cell[0] = value
-        sink.emit([item.expr.eval(base) for item in rewritten], engine.now)
-    else:
-        for env in bind(0, base):
-            if not check(env):
-                continue
-            sink.emit([item.expr.eval(env) for item in items], engine.now)
+def _compile_table_query(
+    engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
+) -> QueryHandle:
+    items = _resolved_items(analysis, engine)
+    sink = _Sink(
+        engine, analysis.statement.insert_into, _select_schema(items), label, deliver
+    )
+    teardowns: list[Callable[[], None]] = []
+    rows_of = [engine.tables.get(source.name).as_tuples for source in analysis.sources]
+    for values in _one_shot_rows(engine, analysis, items, rows_of, teardowns):
+        sink.emit(values, engine.now)
     handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
     handle.sink_table = sink.table  # type: ignore[attr-defined]
     return engine.register_query(handle)
@@ -1522,9 +1508,10 @@ def execute_snapshot(engine: Engine, text: str) -> list[dict[str, Any]]:
 
     Streams in FROM read from their enabled histories
     (:meth:`Engine.enable_history`); tables read their current rows.
-    Supports WHERE, projection, aggregates, GROUP BY/HAVING, and EXISTS
-    over tables.  Temporal operators and stream EXISTS sub-queries are for
-    continuous queries, not snapshots.
+    Evaluation is the one-shot path table-only queries compile to, so
+    ``snapshot()`` and ``query(...).rows()`` agree row for row on tables.
+    Temporal operators and stream EXISTS sub-queries are for continuous
+    queries, not snapshots.
     """
     statements = parse_program(text)
     if len(statements) != 1 or not isinstance(statements[0], SelectStatement):
@@ -1532,167 +1519,30 @@ def execute_snapshot(engine: Engine, text: str) -> list[dict[str, Any]]:
     statement = statements[0]
     if statement.insert_into is not None:
         raise EslSemanticError("snapshot queries cannot INSERT")
-
-    # Resolve sources to (alias, materialized tuples, declared schema).
-    sources: list[tuple[str, list[Tuple], Schema]] = []
-    for item in statement.from_items:
-        if item.window is not None:
-            raise EslSemanticError(
-                "snapshot FROM items take no window; the retention was set "
-                "by enable_history()"
-            )
-        if item.name in engine.streams:
-            view = engine.history(item.name)
-            schema = engine.streams.get(item.name).schema
-            sources.append((item.alias, view.current(), schema))
-        elif item.name in engine.tables:
-            table = engine.tables.get(item.name)
-            sources.append(
-                (item.alias, list(table.as_tuples(ts=engine.now)), table.schema)
-            )
-        else:
-            raise EslSemanticError(
-                f"unknown stream or table {item.name!r} in snapshot FROM"
-            )
-    alias_seen: set[str] = set()
-    for alias, __, __schema in sources:
-        if alias.lower() in alias_seen:
-            raise EslSemanticError(f"duplicate FROM alias {alias!r}")
-        alias_seen.add(alias.lower())
-    ctx = (
-        CompileContext(
-            engine.functions.as_mapping(),
-            {alias: schema for alias, __, schema in sources},
+    if any(item.window is not None for item in statement.from_items):
+        raise EslSemanticError(
+            "snapshot FROM items take no window; the retention was set "
+            "by enable_history()"
         )
-        if engine.lowering.compiled
-        else None
-    )
-
-    # Classify WHERE.
-    plain_terms: list[Expression] = []
-    exists_probes: list[Callable[[Env], bool]] = []
-    throwaway: list[Callable[[], None]] = []
-    for term in iter_and_terms(statement.where):
-        if isinstance(term, SeqPredicate) or any(
-            isinstance(node, SeqPredicate) for node in term.walk()
-        ):
-            raise EslSemanticError(
-                "temporal operators need a continuous query, not a snapshot"
-            )
-        if isinstance(term, ExistsPredicate):
-            if term.query.from_items[0].name not in engine.tables:
-                raise EslSemanticError(
-                    "snapshot EXISTS sub-queries must read tables"
-                )
-            exists_probes.append(
-                _compile_exists_probe(engine, term, None, throwaway, ctx)
-            )
-            continue
-        plain_terms.append(term)
-    for undo in throwaway:
-        undo()  # table probes never subscribe, but be safe
-    check = _compile_where_probe(engine, plain_terms, exists_probes, ctx)
-
-    # Select items (promote aggregates against the engine registries).
-    from .analyzer import promote_aggregates
-
-    if statement.select_star:
-        items = []
-        many = len(sources) > 1
-        # Expand from the declared schema of each FROM item — resolved by
-        # FROM *name* at source-binding time, never by alias (an alias that
-        # happens to collide with another stream's name must not change the
-        # expansion).
-        for alias, __tuples, schema in sources:
-            for field in schema.names:
-                name = f"{alias}_{field}" if many else field
-                items.append(SelectItem(Column(field, alias=alias), name))
-    else:
-        items = [
-            SelectItem(promote_aggregates(item.expr, engine), item.alias)
-            for item in statement.select_items
-        ]
-    having = (
-        promote_aggregates(statement.having, engine)
-        if statement.having is not None
-        else None
-    )
-    has_aggregates = any(
-        any(True for __ in collect_aggregate_calls(item.expr)) for item in items
-    ) or (having is not None and any(
-        True for __ in collect_aggregate_calls(having)
-    ))
-
-    names = _unique_names([_item_name(item, i) for i, item in enumerate(items)])
-
-    def bindings() -> Any:
-        def descend(depth: int, env: Env) -> Any:
-            if depth == len(sources):
-                if check(env):
-                    yield env
-                return
-            alias, tuples, __schema = sources[depth]
-            for tup in tuples:
-                env.bindings[alias.lower()] = tup
-                yield from descend(depth + 1, env)
-            env.bindings.pop(alias.lower(), None)
-
-        yield from descend(0, _make_env(engine, {}))
-
-    rows: list[dict[str, Any]] = []
-    if has_aggregates or statement.group_by:
-        slots: dict[int, tuple[AggregateCall, _AggSlot]] = {}
-        rewritten = [
-            SelectItem(_rewrite_with_slots(item.expr, slots), item.alias)
-            for item in items
-        ]
-        having_rewritten = (
-            _rewrite_with_slots(having, slots) if having is not None else None
+    analysis = classify(statement, engine)
+    if analysis.temporal is not None or analysis.clevel is not None:
+        raise EslSemanticError(
+            "temporal operators need a continuous query, not a snapshot"
         )
-        calls = [call for call, __ in slots.values()]
-        slot_list = [slot for __, slot in slots.values()]
-        group_exprs = list(statement.group_by)
-        groups: dict[Any, _AggState] = {}
-        group_envs: dict[Any, Env] = {}
-        for env in bindings():
-            key = (
-                tuple(expr.eval(env) for expr in group_exprs)
-                if group_exprs else None
-            )
-            state = groups.get(key)
-            if state is None:
-                state = _AggState(engine, calls)
-                groups[key] = state
-                # Freeze a representative binding for non-aggregate items.
-                group_envs[key] = _make_env(engine, dict(env.bindings))
-            state.update(env)
-        for key, state in groups.items():
-            env = group_envs[key]
-            for slot, value in zip(slot_list, state.values()):
-                slot.cell[0] = value
-            if having_rewritten is not None and not truthy(
-                having_rewritten.eval(env)
-            ):
-                continue
-            rows.append(
-                dict(zip(names, (item.expr.eval(env) for item in rewritten)))
-            )
-        if not groups and not group_exprs:
-            # Aggregates over an empty input still yield one row of
-            # identities/NULLs, per SQL.
-            state = _AggState(engine, calls)
-            env = _make_env(engine, {})
-            for slot, value in zip(slot_list, state.values()):
-                slot.cell[0] = value
-            try:
-                rows.append(
-                    dict(zip(names, (item.expr.eval(env) for item in rewritten)))
-                )
-            except EslRuntimeError:
-                pass  # non-aggregate items unbound on empty input: no row
-    else:
-        for env in bindings():
-            rows.append(
-                dict(zip(names, (item.expr.eval(env) for item in items)))
-            )
-    return rows
+    if any(
+        ex.query.from_items[0].name not in engine.tables
+        for ex in analysis.exists_terms
+    ):
+        raise EslSemanticError("snapshot EXISTS sub-queries must read tables")
+    rows_of = [
+        engine.history(source.name).current
+        if source.is_stream
+        else engine.tables.get(source.name).as_tuples
+        for source in analysis.sources
+    ]
+    items = _resolved_items(analysis, engine)
+    names = _select_schema(items).names
+    return [
+        dict(zip(names, values))
+        for values in _one_shot_rows(engine, analysis, items, rows_of, [])
+    ]

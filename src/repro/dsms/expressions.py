@@ -190,12 +190,6 @@ class Literal(Expression):
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Literal) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(("Literal", self.value))
-
 
 class Column(Expression):
     """A column reference, optionally alias-qualified: ``r1.tag_id``."""
@@ -254,46 +248,6 @@ class Column(Expression):
         if self.alias:
             return f"Column({self.alias}.{self.field})"
         return f"Column({self.field})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Column)
-            and self.alias == other.alias
-            and self.field == other.field
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Column", self.alias, self.field))
-
-
-class TimestampRef(Expression):
-    """The event timestamp of an alias's current tuple (``r1.__ts__``)."""
-
-    __slots__ = ("alias",)
-
-    def __init__(self, alias: str) -> None:
-        self.alias = alias
-
-    def eval(self, env: Env) -> Any:
-        return env.lookup_alias(self.alias).ts
-
-    def compile(self, ctx: CompileContext) -> EvalFn:
-        alias = self.alias
-        key = alias.lower()
-
-        def timestamp(env: Env) -> Any:
-            bound = env.bindings.get(key)
-            if type(bound) is Tuple:
-                return bound.ts
-            return env.lookup_alias(alias).ts
-
-        return timestamp
-
-    def references(self) -> Iterator[tuple[str | None, str]]:
-        yield (self.alias, "__ts__")
-
-    def __repr__(self) -> str:
-        return f"TimestampRef({self.alias})"
 
 
 def _is_null(value: Any) -> bool:
@@ -998,41 +952,6 @@ class Case(Expression):
         return f"Case({len(self.branches)} branches)"
 
 
-class SubqueryPredicate(Expression):
-    """``EXISTS`` / ``NOT EXISTS`` over a compiled sub-query.
-
-    The sub-query itself is compiled to a callable by the query compiler;
-    this node just invokes it with the current Env so correlated references
-    resolve against outer bindings.
-    """
-
-    __slots__ = ("probe", "negate", "description")
-
-    def __init__(
-        self,
-        probe: Callable[[Env], bool],
-        negate: bool = False,
-        description: str = "subquery",
-    ) -> None:
-        self.probe = probe
-        self.negate = negate
-        self.description = description
-
-    def eval(self, env: Env) -> bool:
-        result = self.probe(env)
-        return not result if self.negate else result
-
-    def compile(self, ctx: CompileContext) -> EvalFn:
-        probe = self.probe
-        if self.negate:
-            return lambda env: not probe(env)
-        return probe
-
-    def __repr__(self) -> str:
-        word = "NOT EXISTS" if self.negate else "EXISTS"
-        return f"SubqueryPredicate({word} {self.description})"
-
-
 def truthy(value: Any) -> bool:
     """SQL WHERE-clause semantics: NULL counts as false."""
     return value is True
@@ -1086,11 +1005,6 @@ class AdmissionConstraint:
         self.field = field
         self.values = values
         self.ranges = tuple(ranges)
-
-    @property
-    def empty(self) -> bool:
-        """True when no value can ever satisfy the constraint."""
-        return not self.ranges and self.values is not None and not self.values
 
     def admits(self, value: Any) -> bool:
         """Whether a non-None *value* may satisfy the indexed conjuncts.
@@ -1372,14 +1286,6 @@ def _lower_vector(  # noqa: PLR0911, PLR0912 - one dispatch, many node kinds
             return cols[_pos]
 
         return column
-    if kind is TimestampRef:
-        if expr.alias.lower() != alias:
-            return None
-
-        def timestamp(cols: Any, tss: Any, n: int) -> list:
-            return tss if type(tss) is list else list(tss)
-
-        return timestamp
     if kind is BinaryOp:
         left = lower(expr.left, schema, alias)
         if left is None:
@@ -1609,7 +1515,7 @@ def _lower_vector(  # noqa: PLR0911, PLR0912 - one dispatch, many node kinds
             None if v is None else match(str(v)) is not None
             for v in operand(cols, tss, n)
         ]
-    # FunctionCall, Case, SubqueryPredicate, and anything unknown: not
+    # FunctionCall, Case, and anything unknown: not
     # vectorizable (side effects, state, or re-evaluation hazards).
     return None
 
@@ -1747,8 +1653,8 @@ def compile_vector(
 # simply abandoned for that anchor.
 
 #: Sentinel node kinds never safe inside a broadcast anchor cell: UDFs may
-#: be stateful (call counts are observable), CASE/probes re-evaluate state.
-_IMPURE_NODES = (FunctionCall, Case, SubqueryPredicate)
+#: be stateful (call counts are observable), CASE re-evaluates state.
+_IMPURE_NODES = (FunctionCall, Case)
 
 
 class _PairCell:

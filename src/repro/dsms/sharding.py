@@ -947,7 +947,6 @@ class ShardedQueryHandle:
         self.table_name = table_name
         self.partition_field = partition_field
         self.replicated = replicated
-        self.stopped = False
 
     @property
     def results(self) -> list[Tuple]:
@@ -989,9 +988,6 @@ class ShardedQueryHandle:
         """True when a shard feeding this output was dropped (``degrade``
         policy): merged results miss that shard's post-failure rows."""
         return self.sharded.stale
-
-    def stop(self) -> None:
-        self.stopped = True
 
     def __repr__(self) -> str:
         return (

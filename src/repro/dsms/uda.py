@@ -83,10 +83,6 @@ class _StateTuple:
     def __contains__(self, name: object) -> bool:
         return name in self.state
 
-    @property
-    def ts(self) -> float:
-        return 0.0
-
 
 class SqlUda:
     """An ESL-style UDA interpreted from assignment blocks.

@@ -342,9 +342,6 @@ class RowsWindowBuffer:
     def append(self, tup: Tuple) -> None:
         self._tuples.append(tup)
 
-    def evict(self, now: float) -> int:
-        return 0  # deque maxlen handles eviction on append
-
     def tuples_preceding(
         self, anchor: Tuple, duration: float | None = None, include_anchor: bool = False
     ) -> Iterator[Tuple]:

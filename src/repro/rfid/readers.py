@@ -42,18 +42,6 @@ class Reading:
     def __repr__(self) -> str:
         return f"Reading({self.reader_id}, {self.tag_id}, {self.ts:g})"
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Reading):
-            return NotImplemented
-        return (
-            self.reader_id == other.reader_id
-            and self.tag_id == other.tag_id
-            and self.ts == other.ts
-        )
-
-    def __lt__(self, other: "Reading") -> bool:
-        return self.ts < other.ts
-
 
 class ReaderModel:
     """Stochastic model of one reader's reporting behaviour.

@@ -52,10 +52,6 @@ class Scenario:
         persist into a table (Example 2) — the table contents."""
         return self.handle.rows()
 
-    @property
-    def truth(self) -> Any:
-        return self.workload.truth
-
     def __repr__(self) -> str:
         return f"Scenario({self.name}, fed={self.fed})"
 

@@ -155,9 +155,11 @@ class TestRcedaGraph:
         )
         feed(engine, [("a", 0.0), ("b", 0.5),   # vetoed
                       ("a", 10.0)])               # clean
+        assert negated.state_size == 2  # both positives pending
         negated.evaluate(now=20.0)
         assert len(negated.instances) == 1
         assert negated.instances[0].start == 10.0
+        assert negated.state_size == 1
 
     def test_state_grows_without_sweep(self):
         """The paper's critique: no automatic purging."""
@@ -191,6 +193,16 @@ class TestRcedaContainment:
         detected = {case: tuple(items) for case, items in detector.results}
         expected = {case: tuple(items) for case, items in workload.truth.items()}
         assert detected == expected
+
+    def test_stop_detaches_from_streams(self):
+        engine = Engine()
+        engine.create_stream("r1", "readerid str, tagid str, tagtime float")
+        engine.create_stream("r2", "readerid str, tagid str, tagtime float")
+        detector = StarContainmentDetector(engine, "r1", "r2")
+        detector.stop()
+        engine.run_trace(packing_workload(n_cases=3).trace)
+        assert detector.results == [] and detector.state_size == 0
+        assert detector.graph.tuples_seen == 0
 
     def test_holds_more_state_than_eslev(self):
         workload = packing_workload(n_cases=30)

@@ -18,8 +18,6 @@ from repro.dsms.expressions import (
     Negate,
     Not,
     Or,
-    SubqueryPredicate,
-    TimestampRef,
     conjoin,
     truthy,
 )
@@ -61,9 +59,6 @@ class TestColumns:
         inner = outer.child({"inner": Tuple(SCHEMA, ["x", 9, 1.0], 1.0)})
         assert Column("tagid", "outer").eval(inner) == "20.1.5001"
         assert Column("tagid", "inner").eval(inner) == "x"
-
-    def test_timestamp_ref(self):
-        assert TimestampRef("r").eval(env_with(tagtime=7.5)) == 7.5
 
 
 class TestComparisons:
@@ -260,13 +255,3 @@ class TestStructure:
         lit = Literal(5)
         assert conjoin([lit]) is lit
 
-    def test_subquery_predicate(self):
-        probe_calls = []
-
-        def probe(env):
-            probe_calls.append(env)
-            return True
-
-        assert SubqueryPredicate(probe).eval(Env()) is True
-        assert SubqueryPredicate(probe, negate=True).eval(Env()) is False
-        assert len(probe_calls) == 2

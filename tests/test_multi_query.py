@@ -15,6 +15,7 @@ from repro.dsms import (
     EslSemanticError,
     MultiQueryEngine,
     QueryRegistry,
+    uda_from_callables,
 )
 
 pytestmark = pytest.mark.multiquery
@@ -79,6 +80,15 @@ SHAPES = [
         "indexed",
     ),
     ("SELECT tag_id FROM readings WHERE reader_id = tag_id", "residual"),
+    # Every expression node kind in one filter: the gate reads each
+    # node's column references.
+    (
+        "SELECT tag_id FROM readings WHERE read_time BETWEEN 1.0 AND 6.0 "
+        "AND reader_id IS NOT NULL AND NOT (tag_id = 'tC') "
+        "AND (tag_id = 'tA' OR -read_time < -4.5) AND lower(tag_id) <> 'x' "
+        "AND CASE WHEN read_time > 2.0 THEN 1 ELSE 0 END = 1",
+        "indexed",
+    ),
     (
         "SELECT S.tag_id, E.read_time FROM readings AS S, readings AS E "
         "WHERE SEQ(S, E) OVER [10 SECONDS PRECEDING E] "
@@ -334,6 +344,13 @@ class TestIdempotentTeardown:
         assert registry.closed
         assert engine.streams.get("readings").subscriber_count == 0
 
+    def test_engine_context_manager_closes(self):
+        with _shared() as mq:
+            sub = mq.register("SELECT tag_id FROM readings WHERE tag_id = 'tA'")
+            assert mq.subscription_count == 1
+        assert mq.closed and not sub.active
+        assert mq.subscription_count == 0
+
 
 class TestValidation:
     def test_ddl_text_rejected(self):
@@ -401,6 +418,28 @@ class TestCatalog:
         mq.flush()
         assert len(sub.results) == 3
         assert [tup.values for tup in sub2.results] == [(5,)]
+        mq.close()
+
+    def test_registered_uda_answers_like_a_single_engine(self):
+        text = "SELECT tag_id, total(read_time) AS s FROM readings GROUP BY tag_id"
+
+        def total():
+            return uda_from_callables(
+                "total", lambda: 0, lambda state, value: state + value,
+                lambda state: state,
+            )
+
+        mq = _shared()
+        mq.register_uda("total", total())
+        sub = mq.register(text)
+        _feed(mq)
+        engine = Engine()
+        engine.create_stream("readings", READINGS)
+        engine.register_uda("total", total())
+        handle = engine.query(text)
+        _feed(engine)
+        assert sub.rows() == handle.rows()
+        assert sub.rows()[-1] == {"tag_id": "tC", "s": 11.0}
         mq.close()
 
 

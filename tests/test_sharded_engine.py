@@ -15,15 +15,17 @@ from repro.rfid import (
     build_dedup,
     build_dedup_sharded,
     build_lab_workflow,
+    build_location,
     build_lab_workflow_sharded,
     build_quality_check,
     build_quality_check_sharded,
     dedup_workload,
     lab_workflow_workload,
+    location_workload,
     quality_check_workload,
     quality_query_text,
 )
-from repro.rfid.scenarios import DEDUP_QUERY
+from repro.rfid.scenarios import DEDUP_QUERY, LOCATION_QUERY
 
 
 QUALITY_DDL = [
@@ -460,3 +462,38 @@ def test_push_batch_matches_single(positional):
             assert engine.push_batch(stream, [(row, ts)]) == 1
         engine.flush()
         assert handle.rows() == expected
+
+
+# -- parallel handle reads: table sinks, state size, clock -----------------
+
+
+def test_parallel_table_sink_and_state_size_match_single():
+    """An INSERT INTO table query's rows() and a SEQ handle's state_size
+    read through the worker pipes like the serial executor reads them."""
+    location = location_workload(n_tags=12, moves_per_tag=4, seed=51)
+    expected = build_location(location).feed().rows()
+    quality = quality_check_workload(n_products=30, seed=52)
+    single = build_quality_check(quality).feed()
+    sharded = ShardedEngine(
+        n_shards=2, executor="parallel", shard_by={"tag_locations": "tid"}
+    )
+    try:
+        sharded.create_stream(
+            "tag_locations", "readerid str, tid str, tagtime float, loc str"
+        )
+        sharded.create_table(
+            "object_movement", "tagid str, location str, start_time float"
+        )
+        table_handle = sharded.query(LOCATION_QUERY, name="location")
+        for stream, ddl in QUALITY_DDL:
+            sharded.create_stream(stream, ddl)
+        seq_handle = sharded.query(quality_query_text(), name="quality")
+        trace = sorted(location.trace + quality.trace, key=lambda r: r[2])
+        sharded.run_trace(trace)
+        sharded.flush()
+        key = lambda row: (row["tagid"], row["start_time"])  # noqa: E731
+        assert sorted(table_handle.rows(), key=key) == sorted(expected, key=key)
+        assert seq_handle.state_size == single.handle.operator.state_size
+        assert sharded.now == trace[-1][2]
+    finally:
+        sharded.close()

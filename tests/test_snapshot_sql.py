@@ -165,3 +165,100 @@ class TestSnapshotErrors:
         view1 = tracked.enable_history("locs")
         view2 = tracked.enable_history("locs")
         assert view1 is view2
+
+
+TIERS = ("vector", "closure", "interpreted")
+
+
+def kv_engine(tier):
+    """Tables t(k, v) with NULLs, an empty e(v), and a lookup u(k, w)."""
+    engine = Engine(tier=tier)
+    engine.query(
+        "CREATE TABLE t(k str, v int); CREATE TABLE e(v int); "
+        "CREATE TABLE u(k str, w int); "
+        "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5), (NULL, 7), "
+        "('c', NULL); "
+        "INSERT INTO u VALUES ('a', 10), ('b', 20), ('z', 30)"
+    )
+    return engine
+
+
+TABLE_QUERIES = [
+    "SELECT k, v FROM t",
+    "SELECT * FROM t",
+    "SELECT k FROM t WHERE v > 1",
+    "SELECT k FROM t WHERE v IS NULL OR k IS NULL",
+    "SELECT k, sum(v) AS s, count(*) AS n FROM t GROUP BY k",
+    "SELECT k, count(v) AS n FROM t GROUP BY k HAVING count(*) > 1",
+    "SELECT sum(v) AS s FROM t HAVING sum(v) > 100",
+    "SELECT sum(v) AS s FROM t HAVING sum(v) > 10",
+    "SELECT count(*) AS n, sum(v) AS s FROM e",
+    "SELECT count(*) AS n FROM e HAVING count(*) > 0",
+    "SELECT v, count(*) AS n FROM e",
+    "SELECT k, count(*) AS n FROM e GROUP BY v",
+    "SELECT t.k, t.v, u.w FROM t, u WHERE t.k = u.k",
+    "SELECT k, v FROM t AS x WHERE NOT EXISTS "
+    "(SELECT * FROM u WHERE u.k = x.k)",
+]
+
+
+class TestQueryAgreesWithSnapshot:
+    """A table-only SELECT gives the same rows through query() and
+    snapshot(): both run one evaluator."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("text", TABLE_QUERIES)
+    def test_same_rows(self, text, tier):
+        engine = kv_engine(tier)
+        assert engine.query(text).rows() == engine.snapshot(text)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_group_by_query(self, tier):
+        engine = Engine(tier=tier)
+        engine.query(
+            "CREATE TABLE t(k str, v int); "
+            "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)"
+        )
+        text = "SELECT k, SUM(v) AS s FROM t GROUP BY k"
+        expected = [{"k": "a", "s": 3}, {"k": "b", "s": 5}]
+        assert engine.query(text).rows() == expected
+        assert engine.snapshot(text) == expected
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_having_without_group_by(self, tier):
+        engine = Engine(tier=tier)
+        engine.query(
+            "CREATE TABLE t(k str, v int); "
+            "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)"
+        )
+        text = "SELECT SUM(v) AS s FROM t HAVING SUM(v) > 100"
+        assert engine.query(text).rows() == []
+        assert engine.snapshot(text) == []
+
+    def test_null_group_key_is_one_group(self):
+        engine = kv_engine("vector")
+        rows = engine.snapshot("SELECT k, count(*) AS n FROM t GROUP BY k")
+        assert rows == [
+            {"k": "a", "n": 2}, {"k": "b", "n": 1}, {"k": None, "n": 1},
+            {"k": "c", "n": 1},
+        ]
+
+    def test_empty_input_aggregate_row(self):
+        engine = kv_engine("vector")
+        assert engine.snapshot("SELECT count(*) AS n, sum(v) AS s FROM e") == [
+            {"n": 0, "s": None}
+        ]
+        assert engine.snapshot("SELECT k, count(*) AS n FROM e GROUP BY v") == []
+
+    def test_snapshot_joins_two_stream_histories(self, engine):
+        engine.create_stream("a", "tag str, x int")
+        engine.create_stream("b", "tag str, y int")
+        engine.enable_history("a")
+        engine.enable_history("b")
+        engine.push("a", {"tag": "t1", "x": 1}, ts=1.0)
+        engine.push("b", {"tag": "t1", "y": 2}, ts=2.0)
+        engine.push("b", {"tag": "t2", "y": 3}, ts=3.0)
+        rows = engine.snapshot(
+            "SELECT a.tag, a.x, b.y FROM a, b WHERE a.tag = b.tag"
+        )
+        assert rows == [{"tag": "t1", "x": 1, "y": 2}]

@@ -217,6 +217,33 @@ class TestFilterDifferential:
             huge, 200, huge + 1, 101,
         ]
 
+    def test_literal_left_negation_not_and_constant_terms(self):
+        """A literal on the left of a comparison, unary minus, NOT and a
+        constant conjunct each lower to a column kernel; a LIKE whose
+        pattern is a column stays scalar."""
+
+        def setup(engine):
+            engine.create_stream("readings", "tid str, pat str, w float, k int")
+            return [
+                engine.query(
+                    "SELECT tid FROM readings AS R WHERE 0.3 < R.w "
+                    "AND -R.k > -5 AND NOT (R.k = 2) AND 1 = 1"
+                ),
+                engine.query(
+                    "SELECT tid FROM readings AS R WHERE R.tid LIKE R.pat"
+                ),
+            ]
+
+        rows = [
+            {"tid": f"20.{i}.ca",
+             "pat": (None, "20.%", "%.fb", "20._.ca")[i % 4],
+             "w": None if i % 9 == 0 else (i % 10) / 10.0,
+             "k": None if i % 13 == 0 else i % 7}
+            for i in range(300)
+        ]
+        ranged, patterned = run_differential(setup, self._batches(rows, batch=64))
+        assert ranged and patterned
+
     def test_fanout_union_mask(self):
         """Two filters on one stream: the stream materializes the union
         of the admission masks, and both queries still match scalar."""
