@@ -19,8 +19,6 @@ from .runners import (
     run_fault_tolerance,
     run_pairing_kernels,
     run_sharded_scaling,
-    run_vectorized_admission,
-    vectorized_speedup,
     weak_efficiency,
 )
 
@@ -37,9 +35,7 @@ __all__ = [
     "run_fault_tolerance",
     "run_pairing_kernels",
     "run_sharded_scaling",
-    "run_vectorized_admission",
     "standard_meta",
     "throughput",
-    "vectorized_speedup",
     "weak_efficiency",
 ]

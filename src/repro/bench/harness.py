@@ -37,9 +37,8 @@ def standard_meta(**extra: Any) -> dict[str, Any]:
 
     Pins the house keys — ``effective_cpu_count`` (affinity-aware),
     ``cpu_count`` (legacy alias, same value), ``python``, and ``tier``,
-    the engines' default execution tier (admission and SEQ pairing share
-    the one cap), which every arm runs at unless its ``params`` name
-    another — and merges runner-specific keys on top.
+    the engines' default execution tier, which every arm runs at unless
+    its ``params`` name another — and merges runner-specific keys on top.
     """
     cpus = effective_cpu_count()
     meta: dict[str, Any] = {

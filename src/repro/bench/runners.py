@@ -7,7 +7,7 @@ by ``python -m repro bench <name>``) to its runner, so the CLI, CI smoke
 jobs, and the pytest wrappers under ``benchmarks/`` all execute exactly
 the same measurement code.
 
-These four are ablations of this implementation's own layers; the paper
+These three are ablations of this implementation's own layers; the paper
 queries are timed end to end by ``benchmarks/e2e/run.py``.
 """
 
@@ -217,165 +217,6 @@ def weak_efficiency(report: BenchReport, shards: int) -> float | None:
         if entry.get("shards") == shards and "weak_efficiency" in entry:
             return entry["weak_efficiency"]
     return None
-
-
-# ---------------------------------------------------------------------------
-# vector_admission — columnar batch admission vs the scalar tuple path
-# ---------------------------------------------------------------------------
-
-_ADMISSION_SCHEMA = "tag_id int, pressure float, loc str"
-
-_ADMISSION_ARMS = {
-    # label -> (Engine tier, input shape).  "scalar" is the reference.
-    "scalar": ("closure", "columns"),
-    "vectorized": ("vector", "columns"),
-    "rows": ("closure", "records"),
-}
-
-
-def _admission_workload(
-    n_rows: int, batch_rows: int, seed: int
-) -> tuple[list, list]:
-    """A uniform-pressure readings trace, pre-shaped for every arm.
-
-    Returns ``(column_batches, row_records)`` where the batches and the
-    flat ``(values, ts)`` record list carry identical rows — pressures
-    are uniform on [0, 1), so a ``pressure < T`` filter admits a T
-    fraction of them.  Shaping happens here, outside any timed region:
-    the benchmark measures admission, not input marshalling.
-    """
-    from ..dsms.columns import ColumnBatch
-    from ..dsms.schema import Schema
-
-    rng = random.Random(seed)
-    schema = Schema.parse(_ADMISSION_SCHEMA)
-    locations = ("dock", "yard", "belt", "gate")
-    rows = [
-        (
-            (index % 10_000, rng.random(), locations[index % 4]),
-            float(index),
-        )
-        for index in range(n_rows)
-    ]
-    batches = [
-        ColumnBatch.from_rows(schema, rows[start:start + batch_rows])
-        for start in range(0, n_rows, batch_rows)
-    ]
-    return batches, rows
-
-
-def run_vectorized_admission(
-    *,
-    n_rows: int = 100_000,
-    batch_rows: int = 512,
-    selectivities: Sequence[float] = (0.01, 0.10, 0.50),
-    reps: int | None = None,
-    seed: int = 7,
-) -> BenchReport:
-    """Columnar vectorized admission vs the scalar compiled path.
-
-    Both headline arms consume the *same* pre-built
-    :class:`~repro.dsms.columns.ColumnBatch` stream through a compiled
-    filter query; the only difference is the Engine's ``tier``:
-
-    * ``scalar-*`` — ``tier="closure"``: every row materializes a
-      ``Tuple`` and the compiled WHERE closure runs per tuple.
-    * ``vectorized-*`` — ``tier="vector"``: the WHERE conjuncts evaluate
-      once per batch over whole column arrays and only surviving rows
-      materialize.
-
-    A third ``rows-*`` arm feeds the identical records through the
-    per-record ``push_batch`` path for context (what callers paid before
-    batches stayed columnar).  Selectivity is the filter threshold itself
-    (pressures are uniform on [0, 1)): at 1% the vectorized arm skips
-    materializing ~99% of rows, which is where the win concentrates; at
-    50% materialization dominates and the gap narrows.  Each selectivity
-    asserts exact output equality between all three arms — same values,
-    same timestamps, same order.
-    """
-    from ..dsms.engine import Engine
-
-    reps = _reps(reps)
-    selectivities = tuple(selectivities)
-    batches, rows = _admission_workload(n_rows, batch_rows, seed)
-
-    report = BenchReport(
-        "vector_admission",
-        meta=standard_meta(
-            workload="uniform-pressure-filter",
-            n_rows=n_rows,
-            batch_rows=batch_rows,
-            selectivities=list(selectivities),
-            reps=reps,
-            note=(
-                "single process; scalar and vectorized arms consume "
-                "identical pre-built ColumnBatches through the same "
-                "compiled filter query, differing only in the Engine's "
-                "tier (closure vs vector); the rows arm is the "
-                "per-record push_batch path for context"
-            ),
-        ),
-    )
-
-    def start(_label: str, arm: tuple[str, str, float]) -> Any:
-        tier, shape, threshold = arm
-        engine = Engine(tier=tier)
-        engine.create_stream("readings", _ADMISSION_SCHEMA)
-        handle = engine.query(
-            "SELECT tag_id, pressure FROM readings AS R "
-            f"WHERE R.pressure < {threshold!r}"
-        )
-
-        def feed() -> None:
-            if shape == "columns":
-                for batch in batches:
-                    engine.push_columns("readings", batch)
-            else:
-                engine.push_batch("readings", rows)
-
-        return feed, lambda: _result_pairs(handle)
-
-    speedups: dict[float, float] = {}
-    for threshold in selectivities:
-        pct = f"{threshold * 100:g}pct"
-        arms = {
-            f"{label}-{pct}": (tier, shape, threshold)
-            for label, (tier, shape) in _ADMISSION_ARMS.items()
-        }
-        results = run_arms(
-            arms, start, reps=reps, reference=f"scalar-{pct}"
-        )
-        for label, (tier, shape, _t) in arms.items():
-            seconds, admitted = results[label]
-            report.add_experiment(
-                label,
-                n_tuples=n_rows,
-                seconds=seconds,
-                params={
-                    "selectivity": threshold,
-                    "tier": tier,
-                    "input_shape": shape,
-                },
-                rows_admitted=len(admitted),
-            )
-        vectorized_s = results[f"vectorized-{pct}"][0]
-        speedups[threshold] = (
-            results[f"scalar-{pct}"][0] / vectorized_s if vectorized_s else 0.0
-        )
-    report.meta["speedup_vectorized_vs_scalar"] = speedups[selectivities[0]]
-    report.meta["speedup_vectorized_vs_scalar_by_selectivity"] = {
-        f"{threshold:g}": value for threshold, value in speedups.items()
-    }
-    return report
-
-
-def vectorized_speedup(
-    report: BenchReport, selectivity: float
-) -> float | None:
-    """Vectorized-over-scalar speedup at *selectivity*, if measured."""
-    by_sel = report.meta.get("speedup_vectorized_vs_scalar_by_selectivity", {})
-    value = by_sel.get(f"{selectivity:g}")
-    return float(value) if value is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +595,6 @@ def checkpoint_overhead(report: BenchReport, interval: float) -> float | None:
 
 BENCH_RUNNERS: Mapping[str, Callable[..., BenchReport]] = {
     "sharded_scaling": run_sharded_scaling,
-    "vector_admission": run_vectorized_admission,
     "pairing_kernels": run_pairing_kernels,
     "fault_tolerance": run_fault_tolerance,
 }

@@ -201,19 +201,9 @@ def run_bench(argv: Sequence[str]) -> int:
         if entry.get("cpu_limited"):
             line += " (cpu-limited)"
         print(line, file=sys.stderr)
-    vectorized = report.meta.get("speedup_vectorized_vs_scalar")
-    if vectorized:
-        by_sel = report.meta.get(
-            "speedup_vectorized_vs_scalar_by_selectivity", {}
-        )
-        detail = ", ".join(
-            f"{sel}: {value:.2f}x" for sel, value in by_sel.items()
-        )
-        print(
-            f"# vectorized vs scalar: {vectorized:.2f}x"
-            + (f" ({detail})" if detail else ""),
-            file=sys.stderr,
-        )
+    pairing = report.meta.get("speedup_vector_vs_scalar_pairing")
+    if pairing:
+        print(f"# vector vs scalar pairing: {pairing:.2f}x", file=sys.stderr)
     return 0
 
 

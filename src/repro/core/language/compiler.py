@@ -733,16 +733,6 @@ def _compile_filter(
             if check(env):
                 emit([fn(env) for fn in item_fns], tup.ts)
 
-        # Columnar admission: a strict mask over the residual guard terms
-        # only.  EXISTS probes still run scalar-side, but a row failing a
-        # guard term fails the full check regardless, so the stream may
-        # skip materializing it; survivors are re-evaluated by on_tuple.
-        hook = engine.lowering.admission_mask(
-            analysis.guard_terms, stream.schema, source.alias, strict=True
-        )
-        if hook is not None:
-            on_tuple.vector_admission = hook  # type: ignore[attr-defined]
-
     teardowns.append(stream.subscribe(on_tuple))
     handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
     handle.sink_table = sink.table  # type: ignore[attr-defined]

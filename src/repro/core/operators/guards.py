@@ -84,8 +84,7 @@ class CompiledGuard:
     """
 
     __slots__ = (
-        "_admission", "_cross", "_env", "_admission_terms",
-        "_cross_terms", "_ctx", "aliases",
+        "_admission", "_cross", "_env", "_cross_terms", "_ctx", "aliases",
     )
 
     def __init__(
@@ -93,7 +92,6 @@ class CompiledGuard:
         admission: Mapping[str, Sequence[Callable[[Env], bool]]],
         cross: Sequence[Callable[[Env], bool]],
         env: Env,
-        admission_terms: Mapping[str, Sequence[Expression]] | None = None,
         cross_terms: Sequence[tuple[Expression, frozenset | None]] | None = None,
         ctx: CompileContext | None = None,
     ) -> None:
@@ -103,13 +101,6 @@ class CompiledGuard:
         # synchronous and operator-local, so rebinding per call is safe and
         # avoids an allocation per check.
         self._env = env
-        # Raw expression IR of the admission terms, kept so the mask tiers
-        # can re-lower them against a concrete stream schema (compile()
-        # bakes in Env access; masks need columns).
-        self._admission_terms = {
-            alias.lower(): tuple(terms)
-            for alias, terms in (admission_terms or {}).items()
-        }
         # Cross-term IR with the (lower-cased) alias sets each references,
         # kept for the pairing mask tiers (None = indeterminate — bare
         # references — never maskable).
@@ -133,22 +124,6 @@ class CompiledGuard:
             if not fn(env):
                 return False
         return True
-
-    def vector_admission(
-        self, alias: str, schema: Schema, lowering: Lowering
-    ) -> Callable[[Any, Any, int], Any] | None:
-        """A whole-batch admission mask for *alias*, or None if unavailable.
-
-        *schema* is the stream delivering that argument.  The returned
-        ``(columns, timestamps, n)`` hook follows the lenient discipline
-        of :meth:`admit`: rows it masks out are guaranteed to fail
-        :meth:`admit`, survivors must still take it (see
-        :mod:`repro.dsms.lowering` for the mask contract and tiers).
-        """
-        return lowering.admission_mask(
-            self._admission_terms.get(alias.lower(), ()), schema, alias,
-            strict=False,
-        )
 
     def pairing_prebound(self, bindings: Mapping[str, Any]) -> bool:
         """Check only the cross-alias conjuncts (members already admitted).
@@ -222,7 +197,6 @@ def build_compiled_guard(
     """Compile guard *terms*, splitting them over *arg_aliases*."""
     known = {alias.lower(): None for alias in arg_aliases}
     admission: dict[str, list[Callable[[Env], bool]]] = {}
-    admission_terms: dict[str, list[Expression]] = {}
     cross: list[Callable[[Env], bool]] = []
     cross_terms: list[tuple[Expression, frozenset | None]] = []
     for term in terms:
@@ -231,13 +205,11 @@ def build_compiled_guard(
         if aliases is not None and len(aliases) == 1:
             alias = next(iter(aliases))
             admission.setdefault(alias, []).append(fn)
-            admission_terms.setdefault(alias, []).append(term)
         else:
             cross.append(fn)
             cross_terms.append(
                 (term, frozenset(aliases) if aliases is not None else None)
             )
     return CompiledGuard(
-        admission, cross, Env(functions=ctx.functions), admission_terms,
-        cross_terms, ctx,
+        admission, cross, Env(functions=ctx.functions), cross_terms, ctx
     )

@@ -293,18 +293,6 @@ class SeqOperator:
                 and len(positions) == 1
             ):
                 callback = self._dispatch_for(stream.name, positions[0])
-                if self._admission is not None:
-                    # Columnar ingestion hook: the guard's single-alias
-                    # conjuncts for this argument, lowered over column
-                    # arrays.  Rows the mask rejects are exactly rows
-                    # admission would drop, so the stream may skip
-                    # materializing them; survivors are re-checked by the
-                    # scalar admission call in the dispatch closure.
-                    hook = self.guard.vector_admission(
-                        self.args[positions[0]].alias, stream.schema, lowering
-                    )
-                    if hook is not None:
-                        callback.vector_admission = hook
             self._unsubscribes.append(stream.subscribe(callback))
         register = getattr(engine, "register_checkpointable", None)
         if register is not None:

@@ -3,17 +3,17 @@
 This module is the single home of the engine's columnar representation:
 
 * :class:`ColumnBatch` — a schema-typed batch of rows stored as per-field
-  column lists plus a timestamp column.  It is the first-class unit of
-  ingestion for the vectorized admission path
-  (:meth:`~repro.dsms.engine.Engine.push_columns`): admission predicates
-  are evaluated over whole columns and ``Tuple`` objects are materialized
-  only for surviving rows.
+  column lists plus a timestamp column.  It is an input format, not an
+  execution path: every engine's ``push_columns`` checks the batch at the
+  stream edge (:meth:`~repro.dsms.streams.Stream.unpack`) and feeds its
+  :meth:`~ColumnBatch.rows` through the same loop row pushes use.
+
+* :class:`ColumnStore` — the incremental columnar mirror of a SEQ
+  partition's history that the ``tier="vector"`` pairing masks read.
 
 * The struct-based column codec (``pack_column`` / ``unpack_column`` and
-  the tag tables) that the shard transport uses on the wire.  It lived in
-  :mod:`repro.dsms.transport` until the execution layer grew its own
-  columnar path; keeping one schema-driven packing definition here means
-  the codec and the executor cannot drift.
+  the tag tables) that the shard transport's batch and output frames use
+  on the wire.
 
 The transport depends on this module, never the reverse.
 """
@@ -286,12 +286,6 @@ class ColumnBatch:
     row ``i``'s event timestamp.  Rows within a batch must already be in
     timestamp order — the ingestion paths enforce the same monotonicity
     contract as scalar pushes.
-
-    A batch is the unit the vectorized admission tier operates on:
-    compiled predicates evaluate whole columns at once and only rows that
-    some subscriber admits are materialized into
-    :class:`~repro.dsms.tuples.Tuple` objects.  The same object crosses
-    the shard transport without being exploded into per-record tuples.
     """
 
     __slots__ = ("schema", "columns", "timestamps")
@@ -316,8 +310,6 @@ class ColumnBatch:
                 )
         self.schema = schema
         self.columns = tuple(columns)
-        # Timestamps are coerced to float once here so survivor-only Tuple
-        # materialization can use trusted slot assignment per row.
         self.timestamps = [float(ts) for ts in timestamps]
 
     @classmethod
@@ -367,25 +359,15 @@ class ColumnBatch:
 
     def rows(self) -> Iterator[tuple[tuple, float]]:
         """Iterate ``(values, ts)`` records — the scalar-path view."""
-        return zip(zip(*self.columns) if self.columns else iter(()),
-                   self.timestamps)
+        if not self.columns:
+            return iter(self.to_records())
+        return zip(zip(*self.columns), self.timestamps)
 
     def to_records(self) -> list[tuple[tuple, float]]:
         """Materialize every row as a ``(values, ts)`` record."""
         if not self.columns:
             return [((), ts) for ts in self.timestamps]
         return list(zip(zip(*self.columns), self.timestamps))
-
-    def select(self, indices: Sequence[int]) -> "ColumnBatch":
-        """A new batch containing only the given row indices (in order)."""
-        timestamps = self.timestamps
-        return ColumnBatch(
-            self.schema,
-            tuple(
-                [column[i] for i in indices] for column in self.columns
-            ),
-            [timestamps[i] for i in indices],
-        )
 
     def __repr__(self) -> str:
         return (
@@ -406,8 +388,8 @@ class ColumnStore:
     admit, ``evict_front`` on window eviction, ``rebuild`` after a
     checkpoint restore.  ``columns[j][i]`` / ``timestamps[i]`` mirror
     field ``j`` / the timestamp of ``history[i]`` exactly, so the
-    vectorized pairing tier evaluates masks over them with the same
-    ``(cols, tss, n)`` protocol as :class:`ColumnBatch`.
+    vectorized pairing tier evaluates masks over them through the
+    ``(cols, tss, n)`` protocol.
 
     Poison semantics: a tuple from the wrong schema sets ``ok = False``
     (the whole mirror is untrusted and every mask consumer must fall
@@ -423,9 +405,6 @@ class ColumnStore:
         )
         self.timestamps: list[float] = []
         self.ok = True
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
 
     def append(self, tup: Any) -> None:
         """Mirror an admitted tuple (history.append happened alongside)."""
@@ -458,6 +437,6 @@ class ColumnStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ColumnStore({len(self)} rows x {len(self.schema)} cols, "
-            f"ok={self.ok})"
+            f"ColumnStore({len(self.timestamps)} rows x "
+            f"{len(self.schema)} cols, ok={self.ok})"
         )

@@ -298,16 +298,12 @@ class Engine:
     def push_columns(self, stream_name: str, batch: ColumnBatch) -> int:
         """Push a :class:`~repro.dsms.columns.ColumnBatch` to one stream.
 
-        Output-identical to :meth:`push_batch` over the batch's rows (the
-        clock advances to every row's timestamp in order, firing due
-        timers before that row is delivered), but at ``tier="vector"``
-        and above the subscribers' admission predicates run once per
-        column batch and only surviving rows are materialized into Tuples.
+        The stream checks the batch (:meth:`Stream.unpack`), then its rows
+        take :meth:`push_batch`, so the result is exactly that of pushing
+        them one by one.
         """
-        stream = self.streams.get(stream_name)
-        return stream.push_columns(
-            batch, self.clock.advance_if_due, self.lowering.masks
-        )
+        rows = self.streams.get(stream_name).unpack(batch)
+        return self.push_batch(stream_name, rows)
 
     def run_trace(
         self, trace: Iterable[tuple[str, Mapping[str, Any] | Sequence[Any], float]]

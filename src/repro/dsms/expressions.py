@@ -648,6 +648,23 @@ class IsNull(Expression):
         return f"IsNull({self.operand!r} {op})"
 
 
+def _between(value: Any, low: Any, high: Any, negate: bool) -> bool | None:
+    """SQL's ``value >= low AND value <= high`` in Kleene logic — a NULL
+    bound decides nothing once the other bound fails — then NOT when
+    *negate*."""
+    if value is None:
+        return None
+    above = None if low is None else low <= value
+    below = None if above is False or high is None else value <= high
+    if above is False or below is False:
+        result = False
+    elif above is None or below is None:
+        return None
+    else:
+        result = True
+    return not result if negate else result
+
+
 class Between(Expression):
     """``expr BETWEEN low AND high`` (inclusive both ends, per SQL)."""
 
@@ -666,13 +683,10 @@ class Between(Expression):
         self.negate = negate
 
     def eval(self, env: Env) -> bool | None:
-        value = self.operand.eval(env)
-        low = self.low.eval(env)
-        high = self.high.eval(env)
-        if value is None or low is None or high is None:
-            return None
-        result = low <= value <= high
-        return not result if self.negate else result
+        return _between(
+            self.operand.eval(env), self.low.eval(env), self.high.eval(env),
+            self.negate,
+        )
 
     def compile(self, ctx: CompileContext) -> EvalFn:
         operand = self.operand.compile(ctx)
@@ -681,13 +695,7 @@ class Between(Expression):
         negate = self.negate
 
         def between(env: Env) -> bool | None:
-            value = operand(env)
-            lo = low(env)
-            hi = high(env)
-            if value is None or lo is None or hi is None:
-                return None
-            result = lo <= value <= hi
-            return not result if negate else result
+            return _between(operand(env), low(env), high(env), negate)
 
         return between
 
@@ -1206,31 +1214,30 @@ def admission_constraint(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized lowering (column-batch admission)
+# Vectorized lowering (column operators for the SEQ pairing masks)
 # ---------------------------------------------------------------------------
 #
-# A second lowering tier over the same expression IR: where ``compile()``
+# A second lowering over the same expression IR: where ``compile()``
 # produces ``Env -> value`` closures evaluated once per tuple,
-# ``compile_vector`` produces ``(columns, timestamps, n) -> list`` closures
-# evaluated once per :class:`~repro.dsms.columns.ColumnBatch`, returning the
+# ``_lower_vector`` produces ``(columns, timestamps, n) -> list`` closures
+# evaluated once per column set (a partition-history mirror), returning the
 # per-row Kleene values (True/False/None, or arbitrary values for arithmetic
-# sub-expressions).  The admission paths turn those values into a
-# materialization mask, so a 512-row batch costs a handful of list
-# comprehensions instead of 512 Env constructions.
+# sub-expressions).  :func:`compile_pairing_vector` turns those values into
+# a candidate mask, so a long history costs a handful of list
+# comprehensions instead of one Env and closure tree per candidate.
 #
-# Only *pure, time-independent, single-alias* expressions lower: literals,
-# column/timestamp references against the target schema, comparisons,
-# arithmetic, Kleene AND/OR/NOT, IS NULL, BETWEEN, IN over constant option
-# lists, and LIKE with a constant pattern.  Function calls (UDFs may be
-# stateful or re-registered), CASE, and subquery probes (state-dependent:
+# Only *pure, time-independent* expressions lower: literals, column
+# references against the target schema, comparisons, arithmetic, Kleene
+# AND/OR/NOT, IS NULL, BETWEEN, IN over constant option lists, and LIKE
+# with a constant pattern.  Function calls (UDFs may be stateful or
+# re-registered), CASE, and subquery probes (state-dependent:
 # re-evaluation order matters) return None — the caller keeps the scalar
-# path for those.  Purity is what makes whole-batch evaluation safe: every
+# path for those.  Purity is what makes whole-column evaluation safe: every
 # consumer re-checks survivors with the scalar predicate, so a vector mask
 # only has to promise it never *drops* a row the scalar path would admit.
-# On that contract, a closure that raises mid-batch is simply abandoned
-# (the caller falls back to delivering every row) and per-row error
-# semantics — lenient admission, errors surfacing at the offending tuple —
-# are preserved exactly by the scalar re-check.
+# On that contract, a closure that raises mid-column is simply abandoned
+# (the caller visits every row) and per-row error semantics are preserved
+# exactly by the scalar re-check.
 
 #: ``(columns, timestamps, n) -> [value, ...]`` — one value per batch row.
 VectorFn = Callable[[Sequence[Sequence[Any]], Sequence[float], int], list]
@@ -1254,23 +1261,17 @@ def _vector_rows(item: Any, cols: Any, tss: Any, n: int) -> list:
 
 def _lower_vector(  # noqa: PLR0911, PLR0912 - one dispatch, many node kinds
     expr: Expression, schema: Schema, alias: str | None,
-    lower: "Callable[[Expression, Schema, str | None], Any] | None" = None,
+    lower: "Callable[[Expression, Schema, str | None], Any]",
 ) -> Any:
     """Lower *expr* to a :data:`VectorFn` or :class:`_VConst`, else None.
 
-    *alias* is the lower-cased binding name of the target stream's tuple;
-    bare column references (no alias) also resolve against *schema*, which
-    is correct in the single-binding admission/filter contexts this tier
-    serves.
-
-    *lower* is the recursion hook: every sub-expression is lowered through
-    it (default: this function).  :func:`compile_pairing_vector` passes a
-    hook that intercepts references to *other* aliases — unloweraable
-    here, constant-per-anchor there — and vetoes bare columns, reusing
-    every operator lowering below unchanged.
+    *alias* is the lower-cased binding name whose values *schema*'s
+    columns hold.  *lower* is the recursion hook every sub-expression is
+    lowered through: :func:`compile_pairing_vector` passes one that
+    intercepts references to *other* aliases — constant per anchor there
+    — and vetoes bare columns, reusing every operator lowering below
+    unchanged.
     """
-    if lower is None:
-        lower = _lower_vector
     kind = type(expr)
     if kind is Literal:
         return _VConst(expr.value)
@@ -1441,18 +1442,14 @@ def _lower_vector(  # noqa: PLR0911, PLR0912 - one dispatch, many node kinds
         invert = expr.negate
 
         def between(cols: Any, tss: Any, n: int) -> list:
-            vals = _vector_rows(operand, cols, tss, n)
-            lows = _vector_rows(low, cols, tss, n)
-            highs = _vector_rows(high, cols, tss, n)
-            out = []
-            append = out.append
-            for v, lo, hi in zip(vals, lows, highs):
-                if v is None or lo is None or hi is None:
-                    append(None)
-                else:
-                    result = lo <= v <= hi
-                    append(not result if invert else result)
-            return out
+            return [
+                _between(v, lo, hi, invert)
+                for v, lo, hi in zip(
+                    _vector_rows(operand, cols, tss, n),
+                    _vector_rows(low, cols, tss, n),
+                    _vector_rows(high, cols, tss, n),
+                )
+            ]
 
         return between
     if kind is InList:
@@ -1611,46 +1608,18 @@ def _vector_disjunction(items: list) -> VectorFn:
     return disjunction
 
 
-def compile_vector(
-    expr: Expression, schema: Schema, alias: str | None = None
-) -> VectorFn | None:
-    """Lower *expr* to a whole-batch closure, or None if not vectorizable.
-
-    The closure maps ``(columns, timestamps, n)`` — the column arrays of a
-    :class:`~repro.dsms.columns.ColumnBatch` whose rows are bound to
-    *alias* (lower-cased; bare references also resolve against *schema*)
-    — to the per-row values :meth:`Expression.eval` would produce.  The
-    caller derives its admission mask from those values (``is not False``
-    for lenient guards, ``is True`` for WHERE clauses) and must treat any
-    exception as "mask unavailable", falling back to full materialization.
-    """
-    lowered = _lower_vector(expr, schema, alias.lower() if alias else None)
-    if lowered is None:
-        return None
-    if type(lowered) is _VConst:
-        value = lowered.value
-
-        def const(cols: Any, tss: Any, n: int) -> list:
-            return [value] * n
-
-        return const
-    return lowered
-
-
 # ---------------------------------------------------------------------------
 # Pairing lowering (cross-alias conjuncts over partition-history mirrors)
 # ---------------------------------------------------------------------------
 #
-# The third lowering tier: SEQ pairing guards compare the *arriving*
-# tuples of one chain stage (the anchor side, already bound) against the
-# candidate history of another stage (one column store).  Relative to the
-# admission tier the only new ingredient is that sub-expressions over the
-# bound aliases are constants *per mask evaluation* — so they compile
-# through the scalar closure tier once and broadcast, while candidate-side
-# references lower to column reads exactly as admission does.  The same
-# over-admit-never-under-admit contract applies: every mask survivor is
-# re-checked by the scalar ``pairing()`` closure, so a raising mask is
-# simply abandoned for that anchor.
+# SEQ pairing guards compare the *arriving* tuples of one chain stage (the
+# anchor side, already bound) against the candidate history of another
+# stage (one column store).  Sub-expressions over the bound aliases are
+# constants *per mask evaluation* — so they compile through the scalar
+# closure tier once and broadcast — while candidate-side references lower
+# to column reads.  The over-admit-never-under-admit contract applies:
+# every mask survivor is re-checked by the scalar ``pairing()`` closure,
+# so a raising mask is simply abandoned for that anchor.
 
 #: Sentinel node kinds never safe inside a broadcast anchor cell: UDFs may
 #: be stateful (call counts are observable), CASE re-evaluates state.
@@ -1691,13 +1660,12 @@ def compile_pairing_vector(
     None when the term cannot be lowered soundly:
 
     * a bare (unqualified) column reference — ambiguous across the
-      multiple bindings of a pairing Env, unlike the single-binding
-      admission context;
+      multiple bindings of a pairing Env;
     * a reference to an alias that is neither the candidate nor provably
       bound at this stage;
     * an impure node (UDF call, CASE, sub-query probe) anywhere, on
       either side;
-    * any node the admission vector tier already declines.
+    * any node :func:`_lower_vector` declines.
 
     Anchor-side sub-expressions (references only to bound aliases) become
     :class:`_PairCell` broadcasts compiled through the scalar closure

@@ -14,9 +14,10 @@ closure        expressions lowered to Python closures, operator
                dispatch specialized at wiring time, and the indexed SEQ
                state layer (predecessor cuts, bisected eviction, expiry
                heap) — the production path all higher tiers share.
-vector         (default) + whole-batch masks over
-               :class:`~repro.dsms.columns.ColumnBatch` columns
-               (admission) and partition-history mirrors (SEQ pairing).
+vector         (default) + SEQ pairing masks: cross-alias conjuncts
+               evaluated per anchor over a columnar mirror of each
+               partition's history (``ColumnStore``), built from tuples
+               whatever container the rows arrived in.
 =============  ========================================================
 
 A **mask** is a per-row hint that lets a consumer skip rows without
@@ -26,15 +27,14 @@ under-admit*: a falsy entry proves the scalar predicate rejects that
 row; a truthy entry proves nothing, and the caller re-checks survivors
 with the scalar predicate.  Hence any tier may decline at any granularity
 and the output cannot change: a predicate that does not lower gets no
-mask (``None`` from the builder), a batch whose values escape a tier's
-representation gets no mask *for that call* (``None`` from the mask
-function), and "no mask" means "visit every row", which is exactly the
-scalar path.
+mask (``None`` from the builder), a history whose values escape a
+tier's representation gets no mask *for that call* (``None`` from the
+mask function), and "no mask" means "visit every row", which is exactly
+the scalar path.
 
-The two mask disciplines differ only in which Kleene value rejects:
-*strict* (a WHERE clause) keeps a row only when every term ``is True``;
-*lenient* (a temporal operator's guard) keeps it unless some term
-``is False`` — NULL passes, to be re-checked once more aliases bind.
+Pairing masks are *lenient*, like the guard they stand in for: a row is
+kept unless some term ``is False`` — NULL passes, to be re-checked once
+more aliases bind.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .expressions import (
     Env,
     Expression,
     compile_pairing_vector,
-    compile_vector,
 )
 from .schema import Schema
 
@@ -56,8 +55,7 @@ __all__ = ["TIERS", "Lowering", "execution_tier"]
 #: Legal ``tier`` values, lowest rung first.
 TIERS = ("interpreted", "closure", "vector")
 
-#: ``(a, b, n) -> mask | None`` — admission masks take ``(columns,
-#: timestamps, n)``, pairing masks ``(bindings, store, n)``.
+#: ``(bindings, store, n) -> mask | None`` over a history mirror.
 MaskFn = Callable[[Any, Any, int], Any]
 
 
@@ -75,20 +73,18 @@ def execution_tier(tier: str) -> dict[str, Any]:
     }
 
 
-def _conjunction(fns: Sequence[Callable[..., list]], strict: bool) -> MaskFn:
-    """Row mask for the conjunction of vectorized terms *fns*.
+def _conjunction(fns: Sequence[Callable[..., list]]) -> MaskFn:
+    """Lenient row mask for the conjunction of vectorized terms *fns*.
 
-    Each fn returns the per-row Kleene values of one term.  ``(value is
-    strict) is strict`` reads ``value is True`` under the strict
-    discipline and ``value is not False`` under the lenient one.  A term
-    that raises mid-batch abandons the mask (None) rather than guessing.
+    Each fn returns the per-row Kleene values of one term; a row survives
+    unless some term ``is False``.  A term that raises mid-history
+    abandons the mask (None) rather than guessing.
     """
 
     def mask(*args: Any) -> list | None:
         try:
             masks = [
-                [(value is strict) is strict for value in fn(*args)]
-                for fn in fns
+                [value is not False for value in fn(*args)] for fn in fns
             ]
         except Exception:  # noqa: BLE001 - any error -> scalar path
             return None
@@ -113,27 +109,8 @@ class Lowering:
         #: False only in the reference configuration (AST-walking
         #: evaluator + original SEQ enumeration and sweep).
         self.compiled = rank >= 1
-        #: Whether column batches are admitted through masks at all.
+        #: Whether SEQ pairing masks are built at all.
         self.masks = rank >= 2
-
-    def admission_mask(
-        self,
-        terms: Sequence[Expression],
-        schema: Schema,
-        alias: str | None,
-        strict: bool,
-    ) -> MaskFn | None:
-        """A ``(columns, timestamps, n) -> mask | None`` hook for the
-        conjunction of *terms* over one stream's batches, or None.
-
-        *terms* reference only *alias* (bare columns resolve against
-        *schema*).  The vector rung needs every term to lower: admission
-        masks decide materialization, so a partial mask would buy little.
-        """
-        if not self.masks or not terms:
-            return None
-        fns = [compile_vector(term, schema, alias) for term in terms]
-        return None if None in fns else _conjunction(fns, strict)
 
     def pairing_mask(
         self,
@@ -170,7 +147,7 @@ class Lowering:
         ]
         if not fns:
             return None
-        conjunction = _conjunction(fns, strict=False)
+        conjunction = _conjunction(fns)
 
         def vector_fn(bindings: Any, store: Any, n: int) -> Any:
             env.bindings = bindings

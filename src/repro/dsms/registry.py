@@ -6,9 +6,8 @@ the same RFID streams.  :class:`QueryRegistry` makes N registered queries
 cost far less than N engines, three ways:
 
 * **Shared ingestion.**  Every query compiles into the one engine, so
-  stream admission, schema decode, clock advancement, and columnar batch
-  handling run once per tuple/batch for the whole registry, not once per
-  query.
+  stream admission, schema decode and clock advancement run once per
+  tuple for the whole registry, not once per query.
 
 * **Predicate-indexed routing.**  Each compiled plan's stream callbacks
   are relocated behind a per-stream :class:`StreamRouter`.  Plans whose
@@ -18,8 +17,8 @@ cost far less than N engines, three ways:
   index; an incoming tuple is dispatched only to candidate plans, plus a
   residual scan list for everything unindexable.  Routing may over-admit
   — every plan re-checks delivered tuples with its own compiled
-  predicate — but never under-admits, the same contract the vectorized
-  admission masks follow.
+  predicate — but never under-admits, the same contract the SEQ pairing
+  masks follow.
 
 * **Sub-plan dedup.**  Statements are fingerprinted structurally; N
   registrations of an identical query share one compiled plan (one SEQ
@@ -267,7 +266,7 @@ class Subscription:
 class _PlanEntry:
     """One plan's relocated callbacks on one stream, plus its gate."""
 
-    __slots__ = ("plan", "callbacks", "constraint", "lenient", "hooks")
+    __slots__ = ("plan", "callbacks", "constraint", "lenient")
 
     def __init__(
         self,
@@ -280,14 +279,6 @@ class _PlanEntry:
         self.callbacks = tuple(callbacks)
         self.constraint = constraint
         self.lenient = lenient
-        # The callbacks' own vectorized-admission hooks, when all are
-        # present (residual entries fold them into the router's batch
-        # mask; gated entries use the gate itself).
-        hooks = [
-            getattr(callback, "vector_admission", None)
-            for callback in self.callbacks
-        ]
-        self.hooks = tuple(hooks) if all(hooks) else None
 
     def deliver(self, tup: Tuple) -> None:
         for callback in self.callbacks:
@@ -327,7 +318,6 @@ class StreamRouter:
         self.residual: list[_PlanEntry] = []
         self._fields: dict[str, _FieldIndex] = {}
         self._field_list: tuple[_FieldIndex, ...] = ()
-        self._vector_ready = True
         self.dispatched = 0
         self.delivered = 0
         self._unsubscribe: Callable[[], None] | None = stream.subscribe(self)
@@ -373,7 +363,6 @@ class StreamRouter:
                     index.eq.setdefault(value, []).append(entry)
                 if lenient:
                     index.lenient.append(entry)
-        self._refresh_vector_ready()
         return entry
 
     def remove(self, entry: _PlanEntry) -> None:
@@ -397,7 +386,6 @@ class StreamRouter:
                 if index.empty:
                     del self._fields[constraint.field.lower()]
                     self._field_list = tuple(self._fields.values())
-        self._refresh_vector_ready()
 
     @property
     def empty(self) -> bool:
@@ -438,64 +426,6 @@ class StreamRouter:
             delivered += 1
             entry.deliver(tup)
         self.delivered = delivered
-
-    # -- columnar admission ----------------------------------------------
-
-    def vector_admission(
-        self, cols: Sequence[Sequence[Any]], tss: Sequence[float], n: int
-    ) -> list | None:
-        """The union materialization mask across all routed plans.
-
-        Gated entries contribute index membership per row; residual
-        entries contribute their callbacks' own admission masks.  Any
-        entry that cannot mask makes the whole batch materialize — the
-        scalar dispatch then re-gates exactly.
-        """
-        if not self._vector_ready:
-            return None
-        mask = [False] * n
-        for entry in self.residual:
-            for hook in entry.hooks:
-                sub_mask = hook(cols, tss, n)
-                if sub_mask is None:
-                    return None
-                for i in range(n):
-                    if sub_mask[i]:
-                        mask[i] = True
-        try:
-            for index in self._field_list:
-                column = cols[index.position]
-                eq = index.eq
-                has_lenient = bool(index.lenient)
-                for i in range(n):
-                    if mask[i]:
-                        continue
-                    value = column[i]
-                    if value is None:
-                        if has_lenient:
-                            mask[i] = True
-                    elif eq and value in eq:
-                        mask[i] = True
-                for entry in index.scan:
-                    constraint = entry.constraint
-                    lenient = entry.lenient
-                    for i in range(n):
-                        if mask[i]:
-                            continue
-                        value = column[i]
-                        if value is None:
-                            if lenient:
-                                mask[i] = True
-                        elif constraint.admits(value):
-                            mask[i] = True
-        except TypeError:
-            return None  # unhashable batch values: materialize everything
-        return mask
-
-    def _refresh_vector_ready(self) -> None:
-        self._vector_ready = all(
-            entry.hooks is not None for entry in self.residual
-        )
 
     # -- introspection ----------------------------------------------------
 

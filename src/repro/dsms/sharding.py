@@ -191,9 +191,9 @@ class _ShardRuntime:
 
     Lives in-process (serial executor) or inside a worker process
     (parallel executor).  All mutation goes through :meth:`ingest`,
-    :meth:`ingest_columns`, :meth:`advance`, and :meth:`flush`, each of
-    which first sets :attr:`g` so every row emitted during the step is
-    stamped with it (see :mod:`repro.dsms.merge`).
+    :meth:`advance`, and :meth:`flush`, each of which first sets
+    :attr:`g` so every row emitted during the step is stamped with it
+    (see :mod:`repro.dsms.merge`).
     """
 
     def __init__(self, spec: ShardSpec, shard: int, n_shards: int) -> None:
@@ -266,25 +266,6 @@ class _ShardRuntime:
                 stream
             ).batch_ingester()
         ingest(values, ts)
-
-    def ingest_columns(self, gs: Sequence[int], stream: str, batch: Any) -> None:
-        """Columnar ingestion: the batch stays packed until admission.
-
-        ``gs`` carries each row's global record index; the clock hook the
-        stream calls before every row enters that row's ``g``, giving the
-        exact merge stamps the per-record :meth:`ingest` path would assign.
-        """
-        next_g = iter(gs).__next__
-        at = self._at
-        advance_if_due = self._advance_if_due
-
-        def advance(ts: float) -> None:
-            at(next_g())
-            advance_if_due(ts)
-
-        self.engine.streams.get(stream).push_columns(
-            batch, advance, self.engine.lowering.masks
-        )
 
     def advance(self, g: int, ts: float) -> None:
         """Clock broadcast: fire timers due at or before *ts*.
@@ -380,26 +361,6 @@ class _SerialExecutor:
             if index == shard:
                 runtime.ingest(g, stream, values, ts)
             else:
-                runtime.advance(g, ts)
-
-    def route_columns(
-        self,
-        entries: Sequence[tuple[int, Sequence[int], str, Any]],
-        advance_to: tuple[int, float] | None,
-    ) -> None:
-        """Apply pre-split column batches synchronously, still packed.
-
-        Mirrors the pipe worker's COLBATCH handling: each target shard
-        ingests its sub-batch columnar (per-row ``g`` stamps via the
-        ``gs`` list), then every shard — touched or not — receives the
-        epoch-boundary clock heartbeat.  ``advance`` is monotone-clamped,
-        so re-advancing a shard that just ingested is a no-op.
-        """
-        for shard, gs, stream, batch in entries:
-            self._runtimes[shard].ingest_columns(gs, stream, batch)
-        if advance_to is not None:
-            g, ts = advance_to
-            for runtime in self._runtimes:
                 runtime.advance(g, ts)
 
     def broadcast_one(self, g: int, stream: str, values: Any, ts: float) -> None:
@@ -538,8 +499,6 @@ class _PipeExecutor:
         kind = entry[0]
         if kind == "batch":
             client.send_batch(entry[1], entry[2])
-        elif kind == "colbatch":
-            client.send_column_batch(entry[1], entry[2])
         elif kind == "advance":
             client.send_advance(entry[1], entry[2])
         else:  # "flush"
@@ -772,61 +731,6 @@ class _PipeExecutor:
     def advance_all(self, g: int, ts: float) -> None:
         self._note(g, ts)
         self._guard(self._dispatch_all, (g, ts))
-        if self._ckpt_interval is not None:
-            self._guard(self._maybe_checkpoint)
-
-    def _route_columns(
-        self,
-        entries: Sequence[tuple[int, Sequence[int], str, Any]],
-        advance_to: tuple[int, float] | None,
-    ) -> None:
-        touched = set()
-        for shard, gs, stream, batch in entries:
-            if self._remap:
-                shard = self._remap.get(shard, shard)
-            if shard in self._degraded:
-                continue
-            records = self._buffers[shard]
-            if records:
-                # Row-buffered records precede this batch in global order;
-                # flush them first so the worker applies them first.
-                self._buffers[shard] = []
-                self._entry_send(shard, ("batch", records, None))
-            self._entry_send(
-                shard, ("colbatch", [(stream, gs, batch)], advance_to)
-            )
-            if shard in self._degraded:
-                continue
-            client = self._clients[shard]
-            batcher = self._batchers[shard]
-            for rtt_s, n_records in client.take_rtt_samples():
-                batcher.observe(rtt_s, n_records)
-            touched.add(shard)
-        if advance_to is None:
-            return
-        for shard in self._active:
-            if shard in touched:
-                continue
-            client = self._clients[shard]
-            if client.last_sent_ts is None or advance_to[1] > client.last_sent_ts:
-                self._entry_send(
-                    shard, ("advance", advance_to[0], advance_to[1])
-                )
-
-    def route_columns(
-        self,
-        entries: Sequence[tuple[int, Sequence[int], str, Any]],
-        advance_to: tuple[int, float] | None,
-    ) -> None:
-        """Hand pre-split column batches to their shards, still packed.
-
-        ``entries`` is ``[(shard, gs, stream, ColumnBatch)]``; untouched
-        shards get a clock heartbeat so timers expire at the same epoch
-        boundary as the row path.
-        """
-        if advance_to is not None:
-            self._note(advance_to[0], advance_to[1])
-        self._guard(self._route_columns, entries, advance_to)
         if self._ckpt_interval is not None:
             self._guard(self._maybe_checkpoint)
 
@@ -1447,79 +1351,11 @@ class ShardedEngine:
             self._executor.broadcast_one(g, route.stream, values, ts)
 
     def push_columns(self, stream_name: str, batch: ColumnBatch) -> int:
-        """Route a whole :class:`~repro.dsms.columns.ColumnBatch`.
-
-        The batch is key-split into per-shard sub-batches that stay
-        columnar — under the parallel executor across the wire too — all
-        the way into shard admission (survivor-only materialization),
-        record-for-record equivalent to per-row :meth:`push`.
-        """
-        self._freeze()
-        route = self._routes.get(stream_name.lower())
-        if route is None:
-            self.catalog.streams.get(stream_name)  # raises UnknownStreamError
-            raise AssertionError("unreachable")  # pragma: no cover
-        schema = self.catalog.streams.get(stream_name).schema
-        if batch.schema is not schema and batch.schema != schema:
-            raise EslSemanticError(
-                f"column batch schema {batch.schema!r} does not match stream "
-                f"{stream_name!r} schema {schema!r}"
-            )
-        n = len(batch)
-        if not n:
-            return 0
-        executor = self._executor
-        g0 = self._g
-        self._g = g0 + n
-        tss = batch.timestamps
-        ts_max = max(tss)
-        if self._max_ts is None or ts_max > self._max_ts:
-            self._max_ts = ts_max
-        advance_to = (self._g - 1, self._max_ts)
-        if route.policy == "hash":
-            if route.key_fn is None:
-                raise EslSemanticError(
-                    f"stream {route.stream!r} is partitioned by its producing "
-                    "query but carries no known shard key; it can be collected "
-                    "but not pushed to"
-                )
-            position = next(
-                index
-                for index, name in enumerate(schema.names)
-                if name.lower() == route.field
-            )
-            key_column = batch.columns[position]
-            n_shards = self.n_shards
-            track = self._shard_keys
-            buckets: dict[int, list[int]] = {}
-            for i in range(n):
-                shard = shard_of(key_column[i], n_shards)
-                buckets.setdefault(shard, []).append(i)
-                if track is not None:
-                    track[shard].add(key_column[i])
-            remap = getattr(executor, "_remap", None)
-            if remap:
-                # Degraded shards: fold their buckets into the survivor's
-                # before assembly so each sub-batch stays ascending in g
-                # (and therefore in per-stream timestamp order).
-                for src, dst in remap.items():
-                    moved = buckets.pop(src, None)
-                    if moved is not None:
-                        buckets.setdefault(dst, []).extend(moved)
-                        buckets[dst].sort()
-            entries = []
-            for shard in sorted(buckets):
-                indices = buckets[shard]
-                sub = batch if len(indices) == n else batch.select(indices)
-                entries.append((shard, [g0 + i for i in indices], route.stream, sub))
-        else:
-            gs = list(range(g0, g0 + n))
-            entries = [
-                (shard, gs, route.stream, batch)
-                for shard in range(self.n_shards)
-            ]
-        executor.route_columns(entries, advance_to)
-        return n
+        """Route a :class:`~repro.dsms.columns.ColumnBatch`: the catalog
+        stream checks it (:meth:`Stream.unpack`), then each row is routed
+        by :meth:`push`."""
+        rows = self.catalog.streams.get(stream_name).unpack(batch)
+        return self.push_batch(stream_name, rows)
 
     def push_batch(
         self,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from collections.abc import Mapping as _MappingABC
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -268,60 +269,14 @@ class Stream:
         self._ingester = ingest
         return ingest
 
-    # -- columnar ingestion ---------------------------------------------
+    def unpack(self, batch: ColumnBatch) -> Iterator[tuple[tuple, float]]:
+        """The ``(values, ts)`` records of *batch*, once it fits this stream.
 
-    def column_mask(self, batch: "ColumnBatch") -> list | None:
-        """The batch's materialization mask, or None to materialize all.
-
-        Each subscriber callback may expose a ``vector_admission``
-        attribute — a ``(columns, timestamps, n) -> [bool] | None``
-        closure promising that rows it masks False can never contribute
-        to that subscriber's output (it re-checks survivors itself).  The
-        stream materializes the union: a row any subscriber might admit
-        becomes a :class:`~repro.dsms.tuples.Tuple`.  If any subscriber
-        lacks the hook (generic operators, collectors, application
-        callbacks need every tuple) or a hook declines (returns None),
-        the whole batch materializes — the scalar-equivalent fallback.
-        """
-        fanout = self._fanout
-        if not fanout:
-            return None
-        cols = batch.columns
-        tss = batch.timestamps
-        n = len(batch)
-        combined: list | None = None
-        for callback in fanout:
-            hook = getattr(callback, "vector_admission", None)
-            if hook is None:
-                return None
-            mask = hook(cols, tss, n)
-            if mask is None:
-                return None
-            if combined is None:
-                combined = list(mask)
-            else:
-                for index, admit in enumerate(mask):
-                    if admit:
-                        combined[index] = True
-        return combined
-
-    def push_columns(
-        self,
-        batch: "ColumnBatch",
-        advance: Callable[[float], Any] | None = None,
-        vectorized: bool = True,
-    ) -> int:
-        """Deliver a :class:`~repro.dsms.columns.ColumnBatch`.
-
-        Semantically identical to pushing the batch's rows one at a time
-        (*advance* — normally the engine clock's ``advance_if_due`` — is
-        called with every row's timestamp before that row is delivered,
-        preserving the timer-before-tuple discipline, and dropped rows
-        still advance the clock), but when *vectorized* is true the
-        subscriber admission masks are evaluated over whole columns and
-        only surviving rows are materialized into Tuples.  Bookkeeping
-        (``count``, ``last_ts``) covers every row, survivor or not.
-        Returns the number of rows accepted.
+        A :class:`~repro.dsms.columns.ColumnBatch` is an input format, not
+        an execution path: every engine's ``push_columns`` checks the batch
+        here and then feeds these records through its row path.  The batch
+        must carry this stream's schema and, unless the stream reorders,
+        rows already in timestamp order (the batch's own contract).
         """
         schema = self.schema
         if batch.schema is not schema and batch.schema != schema:
@@ -329,53 +284,16 @@ class Stream:
                 f"column batch schema {batch.schema!r} does not match stream "
                 f"{self.name!r} schema {schema!r}"
             )
-        n = len(batch)
-        if not n:
-            return 0
-        if self._allow_ooo:
-            # Reorder-buffered streams deliver through the heap; the
-            # vectorized mask cannot apply before order is restored.
-            ingest = self.batch_ingester()
-            for values, ts in batch.rows():
-                if advance is not None:
-                    advance(ts)
-                ingest(values, ts)
-            return n
-        mask = self.column_mask(batch) if vectorized else None
-        cols = batch.columns
         tss = batch.timestamps
-        name = self.name
-        sequencer = self._sequencer
-        new = Tuple.__new__
-        for i in range(n):
-            ts = tss[i]
-            if advance is not None:
-                advance(ts)
-            last = self.last_ts
-            if last is not None and ts < last:
-                raise OutOfOrderError(
-                    f"stream {name!r}: tuple at ts={ts:g} after ts={last:g}",
-                    stream=name, ts=ts, last_ts=last,
-                )
-            self.last_ts = ts
-            self.count += 1
-            if mask is None or mask[i]:
-                row = tuple(column[i] for column in cols)
-                if sequencer is None:
-                    tup = Tuple(schema, row, ts, name)
-                else:
-                    # Survivor-only materialization: same trusted-slot
-                    # construction as the scalar ingester (the batch's
-                    # schema match and float timestamps are established).
-                    tup = new(Tuple)
-                    tup.schema = schema
-                    tup.values = row
-                    tup.ts = ts
-                    tup.stream = name
-                    tup.seq = next(sequencer)
-                for callback in self._fanout:
-                    callback(tup)
-        return n
+        if not self._allow_ooo and not all(map(operator.le, tss, tss[1:])):
+            last, ts = next(
+                pair for pair in zip(tss, tss[1:]) if pair[1] < pair[0]
+            )
+            raise OutOfOrderError(
+                f"stream {self.name!r}: tuple at ts={ts:g} after ts={last:g}",
+                stream=self.name, ts=ts, last_ts=last,
+            )
+        return batch.rows()
 
     def __repr__(self) -> str:
         return f"Stream({self.name!r}, {len(self.schema)} cols, {self.count} tuples)"

@@ -46,10 +46,9 @@ import traceback
 import zlib
 from collections import deque
 from collections.abc import Mapping as _MappingABC
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from .columns import (
-    ColumnBatch,
     dumps_oob,
     loads_oob,
     pack_column as _pack_column,
@@ -82,11 +81,10 @@ FT_CALL = 6
 FT_REPLY = 7
 FT_STOP = 8
 FT_ERROR = 9
-FT_COLBATCH = 10
 
 _FRAME_TYPES = frozenset(
     (FT_HELLO, FT_BATCH, FT_ADVANCE, FT_FLUSH, FT_OUTPUT, FT_CALL, FT_REPLY,
-     FT_STOP, FT_ERROR, FT_COLBATCH)
+     FT_STOP, FT_ERROR)
 )
 
 
@@ -122,8 +120,6 @@ def decode_frame(data: bytes) -> tuple[int, memoryview]:
     if zlib.crc32(payload) != crc:
         raise FrameCorrupt("frame CRC mismatch (corrupt payload)")
     return ftype, payload
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -283,101 +279,6 @@ class FrameCodec:
             ], advance_to
         except struct.error as exc:
             raise FrameCodecError(f"truncated batch frame: {exc}") from exc
-
-    # -- column batches (router -> worker, no explode/re-pack) ------------
-
-    def encode_column_batch(
-        self,
-        seq: int,
-        entries: list[tuple[str, Sequence[int], ColumnBatch]],
-        advance_to: tuple[int, float] | None,
-    ) -> bytes:
-        """Pack ``(stream, gs, ColumnBatch)`` groups into one COLBATCH frame.
-
-        Unlike :meth:`encode_batch`, the rows never exist as per-record
-        tuples on either side of the pipe: the router ships the batch's
-        column lists as-is and the worker rebuilds a :class:`ColumnBatch`
-        straight from the unpacked columns.
-        """
-        parts: list[bytes] = [struct.pack("<Q", seq)]
-        if advance_to is None:
-            parts.append(struct.pack("<B", 0))
-        else:
-            parts.append(struct.pack("<BQd", 1, advance_to[0], advance_to[1]))
-        parts.append(struct.pack("<H", len(entries)))
-        for stream, gs, batch in entries:
-            stream_id = self._stream_ids.get(stream)
-            if stream_id is None:
-                raise FrameCodecError(
-                    f"stream {stream!r} is not in the transport's interned "
-                    "table; was it declared before the engine froze?"
-                )
-            schema = self._schemas[stream_id]
-            if batch.schema != schema:
-                raise SchemaError(
-                    f"column batch schema {batch.schema!r} does not match "
-                    f"stream {stream!r} schema {schema!r}"
-                )
-            n_rows = len(batch)
-            n_cols = len(batch.columns)
-            parts.append(struct.pack("<HIB", stream_id, n_rows, n_cols))
-            parts.append(struct.pack(f"<{n_rows}Q", *gs))
-            parts.append(struct.pack(f"<{n_rows}d", *batch.timestamps))
-            hints = self._hints[stream_id]
-            for col, column in enumerate(batch.columns):
-                _pack_column(column, hints[col], parts)
-        return encode_frame(FT_COLBATCH, b"".join(parts))
-
-    def decode_column_batch(
-        self, payload: memoryview
-    ) -> tuple[
-        int,
-        list[tuple[str, tuple[int, ...], ColumnBatch]],
-        tuple[int, float] | None,
-    ]:
-        try:
-            (seq,) = struct.unpack_from("<Q", payload, 0)
-            offset = 8
-            (has_advance,) = struct.unpack_from("<B", payload, offset)
-            offset += 1
-            advance_to = None
-            if has_advance:
-                g_adv, ts_adv = struct.unpack_from("<Qd", payload, offset)
-                advance_to = (g_adv, ts_adv)
-                offset += 16
-            (n_entries,) = struct.unpack_from("<H", payload, offset)
-            offset += 2
-            entries = []
-            for _ in range(n_entries):
-                stream_id, n_rows, n_cols = struct.unpack_from(
-                    "<HIB", payload, offset
-                )
-                offset += 7
-                if stream_id >= len(self._stream_names):
-                    raise FrameCodecError(f"unknown stream id {stream_id}")
-                schema = self._schemas[stream_id]
-                if n_cols != len(schema):
-                    raise FrameCodecError(
-                        f"column batch for stream id {stream_id} has "
-                        f"{n_cols} columns for {len(schema)}-column schema"
-                    )
-                gs = struct.unpack_from(f"<{n_rows}Q", payload, offset)
-                offset += 8 * n_rows
-                tss = list(struct.unpack_from(f"<{n_rows}d", payload, offset))
-                offset += 8 * n_rows
-                columns = []
-                for _col in range(n_cols):
-                    column, offset = _unpack_column(payload, offset, n_rows)
-                    columns.append(column)
-                entries.append((
-                    self._stream_names[stream_id], gs,
-                    ColumnBatch(schema, columns, tss),
-                ))
-            return seq, entries, advance_to
-        except struct.error as exc:
-            raise FrameCodecError(
-                f"truncated column batch frame: {exc}"
-            ) from exc
 
     # -- small control frames --------------------------------------------
 
@@ -598,13 +499,6 @@ def shard_worker_main(
                 ingest = runtime.ingest
                 for g, stream, values, ts in records:
                     ingest(g, stream, values, ts)
-                if advance_to is not None:
-                    runtime.advance(advance_to[0], advance_to[1])
-            elif ftype == FT_COLBATCH:
-                seq, entries, advance_to = codec.decode_column_batch(payload)
-                decode_s += clock() - started
-                for stream, gs, batch in entries:
-                    runtime.ingest_columns(gs, stream, batch)
                 if advance_to is not None:
                     runtime.advance(advance_to[0], advance_to[1])
             elif ftype == FT_ADVANCE:
@@ -940,21 +834,6 @@ class ShardWorkerClient:
         if advance_to is not None:
             self.last_sent_ts = advance_to[1]
         self._send(frame, len(records), heartbeat=not records)
-
-    def send_column_batch(
-        self,
-        entries: list[tuple[str, Sequence[int], ColumnBatch]],
-        advance_to: tuple[int, float] | None,
-    ) -> None:
-        started = time.perf_counter()
-        frame = self._codec.encode_column_batch(
-            self._next_seq(), entries, advance_to
-        )
-        self.encode_s += time.perf_counter() - started
-        if advance_to is not None:
-            self.last_sent_ts = advance_to[1]
-        n_rows = sum(len(batch) for _stream, _gs, batch in entries)
-        self._send(frame, n_rows, heartbeat=not n_rows)
 
     def send_advance(self, g: int, ts: float) -> None:
         frame = self._codec.encode_advance(self._next_seq(), g, ts)

@@ -162,10 +162,6 @@ class TestRunArms:
 #: Each remaining runner at its smallest useful size, with the arm labels
 #: its report must carry.
 RUNNER_SMOKE = {
-    "vector_admission": (
-        {"n_rows": 600, "batch_rows": 128, "selectivities": (0.5,)},
-        ["scalar-50pct", "vectorized-50pct", "rows-50pct"],
-    ),
     "pairing_kernels": (
         {"n_rows": 400, "batch_rows": 64},
         ["interpreted-pairing", "scalar-pairing", "vector-pairing"],

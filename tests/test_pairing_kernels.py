@@ -4,9 +4,8 @@ The pairing-kernel tier batches the SEQ match-enumeration hot path: each
 partition keeps a columnar mirror of its history, and cross-alias
 conjuncts are lowered to per-stage candidate masks — Python columnar
 closures (vector tier).  Masks only prune: every survivor re-runs the
-scalar pairing check, so the contract is the vectorized-admission one,
-end to end — query output must be **byte-identical** to the interpreted
-engine in values, timestamps and order.
+scalar pairing check, so query output must be **byte-identical** to the
+interpreted engine in values, timestamps and order.
 
 Covered here, all under the ``pairing`` marker (the eight paper queries
 run at every tier in ``tests/test_tier_matrix.py``):
@@ -14,6 +13,10 @@ run at every tier in ``tests/test_tier_matrix.py``):
 * dense SEQ traces that actually engage the masks (UNRESTRICTED and
   RECENT, two- and four-stage chains), plus NULL-heavy, unicode /
   embedded-NUL, and Kleene-star traces,
+* every predicate shape the column kernels lower (comparisons either way
+  round, arithmetic, ``||``, NOT, unary minus, BETWEEN, IN, LIKE, IS NULL,
+  Kleene AND/OR, constant terms, a raising operand), each as a
+  cross-alias pairing conjunct,
 * mirror upkeep under window eviction and the checkpoint round trip
   (mirrors are derived state: restore must rebuild them exactly),
 * the ``execution_tier()`` pairing report.
@@ -251,6 +254,89 @@ class TestPairingMaskDifferentials:
         (out,), vector_engine = run_tiers(setup, batches)
         assert len(out) == 10
         assert not seq_operators(vector_engine)  # star path, not SeqOperator
+
+
+def shape_batches(n=160, tags=4, block=40):
+    """Dense a/b batches with NULLs in every non-key column, unicode and
+    embedded-NUL text, int64-edge ints, and a string ``x`` on every
+    ``k = 7`` row (``X.x + ...`` raises there and only there)."""
+    huge = 1 << 61
+    ks = (1, 2, 5, None, 7, huge, -huge, 3)
+    locs = ("dock", "ガ-dock", "yard", None, "d\x00ck")
+    batches = []
+    ts = 0.0
+    for start in range(0, n, block):
+        a_rows = []
+        b_rows = []
+        for i in range(block):
+            j = start + i
+            k = ks[j % 8]
+            a_rows.append(({
+                "tag_id": f"t{j % tags}",
+                "v": None if j % 7 == 0 else (j * 13 % 100) / 100.0,
+                "k": k,
+                "x": "oops" if k == 7 else (None if j % 9 == 0 else j % 12),
+                "loc": locs[j % 5],
+            }, ts + i))
+            b_rows.append(({
+                "tag_id": f"t{(j * 3) % tags}",
+                "w": None if j % 6 == 0 else (j * 29 % 100) / 100.0,
+                "k": ks[(j * 5) % 8],
+                "loc": locs[(j * 2) % 5],
+            }, ts + block + 10.0 + i))
+        batches.append(("a", a_rows))
+        batches.append(("b", b_rows))
+        ts += 2 * block + 40.0
+    return batches
+
+
+#: The predicate shapes of the row-filter differentials, each rewritten
+#: as a conjunct over both aliases so it lowers to the stage-0 pairing
+#: mask (X's history scanned while Y is bound).
+PAIRING_SHAPES = {
+    "literal-left": "0.5 < X.v + Y.w",
+    "arith-by-constant": "X.v * 2 > Y.w",
+    "division-and-concat": "(X.v / 2 < Y.w AND X.loc || Y.loc <> 'dockdock')",
+    "not": "NOT (X.k = Y.k)",
+    "unary-minus": "-X.k > -Y.k",
+    "between": "X.v BETWEEN Y.w - 0.5 AND Y.w",
+    "not-between": "X.v NOT BETWEEN Y.w - 0.5 AND Y.w",
+    "in-with-null": "X.k + Y.k IN (1, 2, 5, 8, NULL)",
+    "not-in": "X.k - Y.k NOT IN (0, 3)",
+    "huge-int-vs-float": "X.k + Y.k > 100.5",
+    "like-or": "Y.loc LIKE 'd%' OR Y.w > X.v",
+    "unicode-like": "X.loc NOT LIKE 'ガ%' OR X.loc = Y.loc",
+    "is-null": "(X.v IS NULL OR X.loc IS NOT NULL) AND X.v <> Y.w",
+    "or-over-nested-and": "(X.v < 0.5 AND X.loc = Y.loc) OR Y.w IS NULL",
+    "constant-null": "X.v + Y.w > NULL",
+    "constant-terms": "(1 = 1 AND X.v < Y.w) OR (1 = 2 AND X.k = Y.k)",
+    "raising-guarded": "(X.k <> 7 AND X.x + Y.k > 9) OR Y.w < 0.1",
+    "raising-unguarded": "(X.v < 2.0 AND X.x + Y.k > 9) OR Y.w < 0.1",
+}
+
+
+class TestPairingConjunctShapes:
+    """Each shape's kernels run over real partition histories and every
+    tier emits what ``tier="interpreted"`` emits."""
+
+    @pytest.mark.parametrize(
+        "conjunct", PAIRING_SHAPES.values(), ids=PAIRING_SHAPES.keys()
+    )
+    def test_shape_matches_interpreted(self, conjunct):
+        query = (
+            "SELECT X.tag_id, X.v, X.k, Y.w, Y.k FROM a AS X, b AS Y "
+            f"WHERE SEQ(X, Y) AND X.tag_id = Y.tag_id AND ({conjunct})"
+        )
+
+        def setup(engine):
+            engine.create_stream("a", "tag_id str, v float, k int, x any, loc str")
+            engine.create_stream("b", "tag_id str, w float, k int, loc str")
+            return [results_of(engine.query(query))]
+
+        (out,), vector_engine = run_tiers(setup, shape_batches())
+        assert out
+        (op,) = seq_operators(vector_engine)
+        assert op._pairing_plan is not None and op._pairing_plan[0] is not None
 
 
 class TestMirrorUpkeep:

@@ -212,27 +212,27 @@ class TestBenchSubcommand:
         # --size maps onto n_rows for runners sized in rows, and the
         # stderr summary carries the runner's headline speedup.
         code = main([
-            "bench", "vector_admission",
-            "--out", str(tmp_path), "--reps", "1", "--size", "2000",
+            "bench", "pairing_kernels",
+            "--out", str(tmp_path), "--reps", "1", "--size", "400",
         ])
         assert code == 0
         import json
 
         payload = json.loads(
-            (tmp_path / "BENCH_vector_admission.json").read_text()
+            (tmp_path / "BENCH_pairing_kernels.json").read_text()
         )
-        assert payload["name"] == "vector_admission"
-        assert payload["meta"]["n_rows"] == 2000
-        assert "speedup_vectorized_vs_scalar" in payload["meta"]
+        assert payload["name"] == "pairing_kernels"
+        assert payload["meta"]["n_rows"] == 400
+        assert "speedup_vector_vs_scalar_pairing" in payload["meta"]
         by_label = {
             entry["label"]: entry for entry in payload["experiments"]
         }
         assert (
-            by_label["vectorized-1pct"]["rows_admitted"]
-            == by_label["scalar-1pct"]["rows_admitted"]
+            by_label["vector-pairing"]["rows_admitted"]
+            == by_label["interpreted-pairing"]["rows_admitted"]
         )
-        assert by_label["vectorized-1pct"]["params"]["tier"] == "vector"
-        assert "# vectorized vs scalar:" in capsys.readouterr().err
+        assert by_label["vector-pairing"]["params"]["tier"] == "vector"
+        assert "# vector vs scalar pairing:" in capsys.readouterr().err
 
     def test_bench_unknown_name(self):
         with pytest.raises(SystemExit):

@@ -1,11 +1,13 @@
-"""Differential tests for columnar vectorized admission.
+"""Ingest differentials: rows vs :class:`ColumnBatch`.
 
-Every test here runs the same input three ways — per-record ``push``,
-``push_columns`` at ``tier="closure"`` (no masks), and ``push_columns`` at
-the default ``tier="vector"`` — and asserts byte-identical output: same values, same
-timestamps, same order, same timer interleaving.  The vectorized tier is
-allowed to *skip materializing* rows it proves inadmissible, never to
-change a result.
+A reading is the same reading whether it arrives as a row or in a
+``ColumnBatch``.  Every differential here runs the same input three ways —
+per-record ``push``, ``push_columns`` at ``tier="closure"``, and
+``push_columns`` at the default ``tier="vector"`` — and asserts
+byte-identical output: same values, same timestamps, same order, same
+timer interleaving.  ``push_columns`` checks the batch at the stream edge
+and then takes the row path, so the only thing that may differ is the
+error a malformed batch raises, and that is pinned below too.
 """
 
 import pytest
@@ -24,7 +26,9 @@ from repro.dsms.columns import (
 )
 from repro.dsms.engine import Engine
 from repro.dsms.errors import OutOfOrderError, SchemaError
+from repro.dsms.multi_engine import MultiQueryEngine
 from repro.dsms.schema import Schema
+from repro.dsms.sharding import ShardedEngine
 
 pytestmark = pytest.mark.columnar
 
@@ -64,6 +68,20 @@ def run_differential(setup, batches, post=None):
 
 def spaced(rows, start=0.0, step=1.0):
     return [(values, start + index * step) for index, values in enumerate(rows)]
+
+
+#: The four ``push_columns`` entry points, each built empty.
+BUILDERS = {
+    "engine": Engine,
+    "multi": MultiQueryEngine,
+    "sharded": lambda: ShardedEngine(n_shards=2, executor="serial"),
+    "parallel": lambda: ShardedEngine(n_shards=2, executor="parallel"),
+}
+
+
+def _close(engine):
+    if hasattr(engine, "close"):  # a plain Engine holds nothing to close
+        engine.close()
 
 
 class TestFilterDifferential:
@@ -157,7 +175,7 @@ class TestFilterDifferential:
 
     def test_null_values_reject_strictly(self):
         """NULL comparison results are Kleene-NULL: the strict WHERE
-        rejects them, in both the scalar and the vectorized tier."""
+        rejects them on every ingest path."""
 
         def setup(engine):
             engine.create_stream("readings", self.SCHEMA)
@@ -218,9 +236,8 @@ class TestFilterDifferential:
         ]
 
     def test_literal_left_negation_not_and_constant_terms(self):
-        """A literal on the left of a comparison, unary minus, NOT and a
-        constant conjunct each lower to a column kernel; a LIKE whose
-        pattern is a column stays scalar."""
+        """A literal on the left of a comparison, unary minus, NOT, a
+        constant conjunct, and a LIKE whose pattern is a column."""
 
         def setup(engine):
             engine.create_stream("readings", "tid str, pat str, w float, k int")
@@ -245,8 +262,8 @@ class TestFilterDifferential:
         assert ranged and patterned
 
     def test_fanout_union_mask(self):
-        """Two filters on one stream: the stream materializes the union
-        of the admission masks, and both queries still match scalar."""
+        """Two filters on one stream: every row reaches both queries, and
+        both match the per-record push."""
 
         def setup(engine):
             engine.create_stream("readings", self.SCHEMA)
@@ -263,8 +280,7 @@ class TestFilterDifferential:
         assert low and high
 
     def test_udf_predicate_falls_back(self):
-        """A UDF in the WHERE clause cannot vector-compile; the hook
-        declines and the batch materializes fully — same outputs."""
+        """A UDF in the WHERE clause: same outputs on every ingest path."""
 
         def setup(engine):
             engine.register_udf("halve", lambda v: v / 2.0)
@@ -278,45 +294,24 @@ class TestFilterDifferential:
 
         run_differential(setup, self._batches(self._readings(n=200)))
 
-    def test_hook_attachment(self):
-        """The filter subscription carries the vector hook exactly when
-        the engine opts in and the predicate vector-compiles."""
-        for tier, vectorizable, expect in (
-            ("vector", True, True),
-            ("closure", True, False),
-            ("vector", False, False),
-        ):
-            engine = Engine(tier=tier)
-            engine.register_udf("halve", lambda v: v / 2.0)
-            engine.create_stream("readings", self.SCHEMA)
-            predicate = (
-                "R.pressure < 0.5" if vectorizable else "halve(R.pressure) < 0.25"
-            )
-            engine.query(
-                f"SELECT tag_id FROM readings AS R WHERE {predicate}"
-            )
-            stream = engine.streams.get("readings")
-            hooked = [
-                callback
-                for callback in stream._fanout
-                if getattr(callback, "vector_admission", None) is not None
-            ]
-            assert bool(hooked) is expect
-
     def test_out_of_order_batch_raises(self):
-        engine = Engine()
-        engine.create_stream("readings", self.SCHEMA)
-        engine.query("SELECT tag_id FROM readings AS R WHERE R.pressure < 0.5")
-        schema = engine.streams.get("readings").schema
-        batch = ColumnBatch.from_rows(
-            schema,
-            [
-                ({"tag_id": 1, "pressure": 0.1, "loc": "dock"}, 5.0),
-                ({"tag_id": 2, "pressure": 0.1, "loc": "dock"}, 1.0),
-            ],
-        )
-        with pytest.raises((OutOfOrderError, Exception)):
-            engine.push_columns("readings", batch)
+        """A batch whose rows go back in time is refused at the stream
+        edge, with the stream's own OutOfOrderError, on every engine."""
+        for build in BUILDERS.values():
+            engine = build()
+            stream = engine.create_stream("readings", self.SCHEMA)
+            batch = ColumnBatch.from_rows(
+                stream.schema,
+                [
+                    ({"tag_id": 1, "pressure": 0.1, "loc": "dock"}, 5.0),
+                    ({"tag_id": 2, "pressure": 0.1, "loc": "dock"}, 1.0),
+                ],
+            )
+            try:
+                with pytest.raises(OutOfOrderError, match="ts=1 after ts=5"):
+                    engine.push_columns("readings", batch)
+            finally:
+                _close(engine)
 
     def test_run_trace_mixed_entries(self):
         """run_trace accepts (stream, batch) pairs interleaved with
@@ -342,10 +337,10 @@ class TestFilterDifferential:
 
 
 class TestNestedBooleanDifferential:
-    """OR and nested AND lower to the selection-mask short-circuit
-    (``_vector_conjunction`` / ``_vector_disjunction``): operands after
-    the first see only the still-undecided rows.  Rows *and* the error a
-    mid-batch operand raises must match ``tier="interpreted"`` exactly.
+    """OR over nested AND, fed as one ``ColumnBatch``: rows *and* the
+    error a mid-batch operand raises must match ``tier="interpreted"``
+    exactly (the same shapes run as SEQ pairing conjuncts in
+    ``test_pairing_kernels.py``).
     """
 
     TIERS = ("interpreted", "closure", "vector")
@@ -359,11 +354,6 @@ class TestNestedBooleanDifferential:
                 f"SELECT tag_id FROM readings AS R WHERE {where}"
             )
             stream = engine.streams.get("readings")
-            hooked = any(
-                getattr(callback, "vector_admission", None) is not None
-                for callback in stream._fanout
-            )
-            assert hooked is (tier == "vector")  # the predicate lowered
             error = None
             try:
                 engine.push_columns(
@@ -470,8 +460,8 @@ class TestTemporalDifferential:
         return batches
 
     def test_seq_admission_guard(self):
-        """Single-alias SEQ conjuncts become admission masks; pairing
-        output must match the scalar engine exactly."""
+        """Single-alias SEQ conjuncts are checked at admission; pairing
+        output must match the per-record push exactly."""
         (out,) = run_differential(self._seq_setup, self._seq_batches())
         assert out
         assert all(values[1] < 0.3 and values[2] > 0.6 for values, _t, _s in out)
@@ -518,8 +508,8 @@ class TestTemporalDifferential:
 @pytest.mark.transport
 class TestShardedColumnar:
     def test_pipe_columnar_matches_row_path(self):
-        """ColumnBatch routing over the framed pipe transport produces
-        the same merged rows as per-record routing and a single engine."""
+        """ColumnBatch ingest on both executors produces the same merged
+        rows as per-record routing."""
         import random
 
         from repro.dsms.sharding import ShardedEngine
@@ -573,52 +563,7 @@ class TestShardedColumnar:
             run(True, executor="parallel", tier="closure")
             == reference
         )
-        # The serial executor now routes batches columnar too, mirroring
-        # the pipe worker's COLBATCH epoch semantics.
         assert run(True, executor="serial") == reference
-
-    def test_serial_columnar_takes_batch_path(self):
-        """Serial ``push_columns`` goes through the executor's columnar
-        route — never the per-row ``push`` fallback — and matches the
-        per-row reference exactly, including clock-heartbeat timing for
-        untouched shards."""
-        from repro.dsms.sharding import ShardedEngine, _SerialExecutor
-
-        assert hasattr(_SerialExecutor, "route_columns")
-
-        def build():
-            sharded = ShardedEngine(n_shards=3, executor="serial")
-            sharded.create_stream("readings", "tag_id int, pressure float")
-            handle = sharded.query(
-                "SELECT tag_id, pressure FROM readings AS R "
-                "WHERE R.pressure < 0.4"
-            )
-            sharded.start()
-            return sharded, handle
-
-        rows = [
-            ({"tag_id": i, "pressure": (i * 37 % 100) / 100.0}, float(i))
-            for i in range(300)
-        ]
-
-        ref_engine, ref_handle = build()
-        for values, ts in rows:
-            ref_engine.push("readings", values, ts)
-        ref_engine.flush()
-        reference = [(t.values, t.ts) for t in ref_handle.results]
-        ref_engine.close()
-
-        col_engine, col_handle = build()
-        col_engine.push = None  # any per-row fallback would blow up here
-        schema = col_engine.catalog.streams.get("readings").schema
-        for start in range(0, len(rows), 64):
-            col_engine.push_columns(
-                "readings",
-                ColumnBatch.from_rows(schema, rows[start:start + 64]),
-            )
-        col_engine.flush()
-        assert [(t.values, t.ts) for t in col_handle.results] == reference
-        col_engine.close()
 
 
 class TestColumnBatch:
@@ -646,20 +591,6 @@ class TestColumnBatch:
         with pytest.raises(SchemaError):
             ColumnBatch.from_rows(self.SCHEMA, [((1, 2.0), 0.0)])
 
-    def test_select_gathers_rows(self):
-        batch = ColumnBatch.from_rows(
-            self.SCHEMA,
-            spaced(
-                [{"tag_id": i, "pressure": i / 10.0, "loc": "d"}
-                 for i in range(5)]
-            ),
-        )
-        sub = batch.select([0, 3, 4])
-        assert len(sub) == 3
-        assert list(sub.columns[0]) == [0, 3, 4]
-        assert sub.timestamps == [0.0, 3.0, 4.0]
-        assert sub.schema is batch.schema
-
     def test_push_columns_schema_mismatch(self):
         engine = Engine()
         engine.create_stream("readings", "tag_id int, pressure float, loc str")
@@ -667,6 +598,25 @@ class TestColumnBatch:
         batch = ColumnBatch.from_rows(other, [((1, 2.0), 0.0)])
         with pytest.raises(SchemaError):
             engine.push_columns("readings", batch)
+
+    @pytest.mark.parametrize("engine_kind", sorted(BUILDERS))
+    def test_mismatched_batch_raises_one_error_everywhere(self, engine_kind):
+        """Every engine checks the batch at the same stream edge, so a
+        batch of the wrong schema raises the same SchemaError on all."""
+        engine = BUILDERS[engine_kind]()
+        engine.create_stream("readings", "tag_id int, pressure float, loc str")
+        other = Schema.parse("x int, y float")
+        batch = ColumnBatch.from_rows(other, [((1, 2.0), 0.0)])
+        try:
+            with pytest.raises(SchemaError) as caught:
+                engine.push_columns("readings", batch)
+        finally:
+            _close(engine)
+        assert str(caught.value) == (
+            f"column batch schema {other!r} does not match stream "
+            f"'readings' schema "
+            f"{Schema.parse('tag_id int, pressure float, loc str')!r}"
+        )
 
 
 class TestSharedPacking:
