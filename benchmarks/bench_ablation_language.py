@@ -7,8 +7,8 @@ API with an equivalent Python guard, and the operator API with hoisted
 
 Expected shape: identical detections in all three; the compiled query's
 per-tuple overhead stays within a small factor of the hand-built operator
-(the compiler wires the same runtime; the extra cost is guard expressions
-interpreted per extension).
+(the compiler wires the same runtime; the extra cost is the compiled
+guard expressions run per extension).
 """
 
 import time

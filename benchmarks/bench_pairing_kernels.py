@@ -1,23 +1,22 @@
 """PAIRING — mask tiers on the SEQ match-enumeration hot path.
 
-Regenerates: the three-arm ablation of
+Regenerates: the two-arm ablation of
 :func:`repro.bench.run_pairing_kernels` on the dense re-read
-quality-SEQ workload.  All arms consume the *same* pre-built
+quality-SEQ workload.  Both arms consume the *same* pre-built
 ``ColumnBatch`` streams through the same windowed SEQ query; only the
 Engine's ``tier`` differs:
 
-* ``interpreted`` — tree-walking guard, the byte-identity reference,
 * ``scalar`` — compiled closures, one pairing check per candidate (the
-  pre-mask hot path),
+  pre-mask hot path), the byte-identity reference,
 * ``vector`` — per-anchor columnar masks over each partition's history
   mirror (Python lists).
 
 The query hash-partitions on the tag equality, leaving ``Y.w - X.v >
 threshold`` as the only cross conjunct — deliberately not hoistable to
 admission, so every arm pays for it at match-enumeration time.  Masks
-only prune: survivors re-run the scalar pairing check, and every arm
-must produce byte-identical output (values, timestamps, order) or the
-runner raises.
+only prune: survivors re-run the scalar pairing check, and the vector
+arm must produce byte-identical output (values, timestamps, order) or
+the runner raises.
 
 The speedup floor needs more than one effective CPU (``cpu_limited``
 runs are recorded but not gated — a shared single core makes best-of
@@ -65,7 +64,7 @@ def test_pairing_kernels_ablation(table_printer):
     labels = {e["label"] for e in report.experiments}
     assert labels == {
         f"{arm}-pairing"
-        for arm in ("interpreted", "scalar", "vector")
+        for arm in ("scalar", "vector")
     }
     counts = {e["rows_admitted"] for e in report.experiments}
     assert len(counts) == 1 and counts.pop() > 0

@@ -224,10 +224,9 @@ def weak_efficiency(report: BenchReport, shards: int) -> float | None:
 # ---------------------------------------------------------------------------
 
 _PAIRING_ARMS = {
-    # label -> Engine tier.  The interpreted arm is the byte-identity
-    # reference; "scalar" is the compiled-closure pairing loop (the
-    # pre-mask hot path); "vector" adds the Python columnar stage masks.
-    "interpreted": "interpreted",
+    # label -> Engine tier.  "scalar" is the compiled-closure pairing loop
+    # (the pre-mask hot path) and the byte-identity reference; "vector"
+    # adds the Python columnar stage masks.
     "scalar": "closure",
     "vector": "vector",
 }
@@ -289,7 +288,7 @@ def run_pairing_kernels(
 ) -> BenchReport:
     """Pairing-mask tiers on the SEQ match-enumeration hot path.
 
-    All three arms consume identical pre-built ColumnBatches through the
+    Both arms consume identical pre-built ColumnBatches through the
     same windowed quality-SEQ query; only the Engine ``tier`` differs.  The
     query hash-partitions on the tag equality, leaving ``Y.w - X.v >
     threshold`` as the sole cross conjunct — deliberately *not*
@@ -297,7 +296,7 @@ def run_pairing_kernels(
     the scalar arm once per candidate (dict store + closure tree per
     row), the vector arm once per anchor as a columnar mask over the
     partition's history mirror.  Masks only prune; survivors re-run the
-    scalar check, and every arm must produce the interpreted arm's rows
+    scalar check, and the vector arm must produce the scalar arm's rows
     byte-identically or the runner raises.
     """
     from ..dsms.engine import Engine
@@ -346,7 +345,7 @@ def run_pairing_kernels(
         return feed, lambda: _result_pairs(handle)
 
     results = run_arms(
-        _PAIRING_ARMS, start, reps=reps, reference="interpreted"
+        _PAIRING_ARMS, start, reps=reps, reference="scalar"
     )
     for label, (seconds, matches) in results.items():
         report.add_experiment(

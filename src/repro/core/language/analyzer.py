@@ -233,7 +233,7 @@ def analyze(statement: SelectStatement, engine: Engine) -> Analysis:
     """Analyze *statement* against the engine catalogs."""
     analysis = classify(statement, engine)
     _detect_shape(analysis)
-    if analysis.temporal is not None:
+    if analysis.kind == "temporal":
         _hoist_partition_key(analysis)
         _detect_multi_return(analysis)
     return analysis

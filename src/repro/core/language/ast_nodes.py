@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-from ...dsms.errors import EslRuntimeError, EslSemanticError
-from ...dsms.expressions import Env, Expression
+from ...dsms.errors import EslSemanticError
+from ...dsms.expressions import CompileContext, Env, EvalFn, Expression, Literal
 from ...dsms.tuples import Tuple
 
 
@@ -41,19 +41,24 @@ class StarAggregate(Expression):
         self.alias = alias
         self.field = field
 
-    def eval(self, env: Env) -> Any:
-        bound = env.lookup_alias(self.alias)
-        run: list[Tuple] = bound if isinstance(bound, list) else [bound]
-        if not run:
-            return 0 if self.func == "count" else None
-        if self.func == "count":
-            return len(run)
-        tup = run[0] if self.func == "first" else run[-1]
-        if self.field is None:
-            return tup
-        if self.field == "__ts__":
-            return tup.ts
-        return tup[self.field]
+    def compile(self, ctx: CompileContext) -> EvalFn:
+        func, alias, field = self.func, self.alias, self.field
+
+        def star(env: Env) -> Any:
+            bound = env.lookup_alias(alias)
+            run: list[Tuple] = bound if isinstance(bound, list) else [bound]
+            if not run:
+                return 0 if func == "count" else None
+            if func == "count":
+                return len(run)
+            tup = run[0] if func == "first" else run[-1]
+            if field is None:
+                return tup
+            if field == "__ts__":
+                return tup.ts
+            return tup[field]
+
+        return star
 
     def references(self) -> Iterator[tuple[str | None, str]]:
         yield (self.alias, self.field or "*")
@@ -77,11 +82,14 @@ class PreviousRef(Expression):
         self.alias = alias
         self.field = field
 
-    def eval(self, env: Env) -> Any:
-        tup = env.lookup_alias(f"{self.alias}.previous")
-        if self.field == "__ts__":
-            return tup.ts
-        return tup[self.field]
+    def compile(self, ctx: CompileContext) -> EvalFn:
+        key, field = f"{self.alias}.previous", self.field
+
+        def previous(env: Env) -> Any:
+            tup = env.lookup_alias(key)
+            return tup.ts if field == "__ts__" else tup[field]
+
+        return previous
 
     def references(self) -> Iterator[tuple[str | None, str]]:
         yield (f"{self.alias}.previous", self.field)
@@ -99,8 +107,8 @@ class DurationLiteral(Expression):
         self.seconds = seconds
         self.text = text
 
-    def eval(self, env: Env) -> float:
-        return self.seconds
+    def compile(self, ctx: CompileContext) -> EvalFn:
+        return Literal(self.seconds).compile(ctx)
 
     def __repr__(self) -> str:
         return f"DurationLiteral({self.text} = {self.seconds:g}s)"
@@ -141,8 +149,8 @@ class SeqPredicate(Expression):
 
     ``op_name`` is SEQ, EXCEPTION_SEQ, or CLEVEL_SEQ.  These nodes are never
     evaluated directly — the compiler extracts them and wires the operator
-    runtimes; reaching :meth:`eval` indicates a compiler bug or an
-    unsupported position (e.g. inside OR).
+    runtimes; compiling one rejects an unsupported position (e.g. inside
+    OR).
     """
 
     __slots__ = ("op_name", "args", "window", "mode")
@@ -158,12 +166,6 @@ class SeqPredicate(Expression):
         self.args = tuple(args)
         self.window = window
         self.mode = mode
-
-    def eval(self, env: Env) -> Any:
-        raise EslRuntimeError(
-            f"{self.op_name} must appear as a top-level AND-term of WHERE; "
-            "it cannot be evaluated as a scalar expression"
-        )
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -181,7 +183,8 @@ class ExistsPredicate(Expression):
     """``EXISTS (subquery)`` / ``NOT EXISTS (subquery)`` syntax node.
 
     The compiler replaces it with a window or table probe, or a dedicated
-    operator (symmetric windows).
+    operator (symmetric windows); compiling one rejects an unsupported
+    position (e.g. inside OR).
     """
 
     __slots__ = ("query", "negate")
@@ -189,11 +192,6 @@ class ExistsPredicate(Expression):
     def __init__(self, query: "SelectStatement", negate: bool) -> None:
         self.query = query
         self.negate = negate
-
-    def eval(self, env: Env) -> Any:
-        raise EslRuntimeError(
-            "EXISTS subquery was not compiled; this is a compiler bug"
-        )
 
     def __repr__(self) -> str:
         word = "NOT EXISTS" if self.negate else "EXISTS"

@@ -178,26 +178,38 @@ def _compile_insert_values(
             f"INSERT ... VALUES targets a table; {statement.target!r} is not one"
         )
     table = engine.tables.get(statement.target)
-    env = Env(functions=engine.functions.as_mapping())
+    ctx = CompileContext(engine.functions.as_mapping())
+    env = Env(functions=ctx.functions)
     for row in statement.rows:
-        table.insert([expr.eval(env) for expr in row])
+        table.insert([expr.compile(ctx)(env) for expr in row])
     return _ddl_handle(engine, label)
 
 
-def _row_predicate(engine: Engine, table: Table, where):
-    """Build a row-level predicate for DELETE/UPDATE (the table's columns
-    are in scope unqualified or under the table name)."""
+def _row_evaluator(
+    engine: Engine, table: Table, exprs: Sequence[Expression]
+) -> Callable[[tuple[Any, ...]], list[Any]]:
+    """Compile *exprs* once for DELETE/UPDATE: the returned function
+    evaluates them over one table row (the table's columns are in scope
+    unqualified or under the table name)."""
+    key = table.name.lower()
+    ctx = CompileContext(engine.functions.as_mapping(), {key: table.schema})
+    fns = [expr.compile(ctx) for expr in exprs]
+
+    def evaluate(row: tuple[Any, ...]) -> list[Any]:
+        env = Env({key: Tuple(table.schema, row, 0.0, table.name)}, ctx.functions)
+        return [fn(env) for fn in fns]
+
+    return evaluate
+
+
+def _row_predicate(
+    engine: Engine, table: Table, where: Expression | None
+) -> Callable[[tuple[Any, ...]], bool]:
+    """The WHERE of a DELETE/UPDATE as a predicate over table rows."""
     if where is None:
         return lambda row: True
-
-    def predicate(row) -> bool:
-        tup = Tuple(table.schema, row, 0.0, table.name)
-        env = Env(
-            {table.name.lower(): tup}, engine.functions.as_mapping()
-        )
-        return truthy(where.eval(env))
-
-    return predicate
+    evaluate = _row_evaluator(engine, table, [where])
+    return lambda row: evaluate(row)[0] is True
 
 
 def _execute_delete(engine: Engine, statement: DeleteStatement, label: str) -> QueryHandle:
@@ -210,18 +222,14 @@ def _execute_delete(engine: Engine, statement: DeleteStatement, label: str) -> Q
 
 def _execute_update(engine: Engine, statement: UpdateStatement, label: str) -> QueryHandle:
     table = engine.tables.get(statement.target)
-    predicate = _row_predicate(engine, table, statement.where)
-    changed = 0
-    for row in list(table.rows()):
-        if not predicate(row):
-            continue
-        tup = Tuple(table.schema, row, 0.0, table.name)
-        env = Env({table.name.lower(): tup}, engine.functions.as_mapping())
-        updates = {
-            column: expr.eval(env) for column, expr in statement.assignments
-        }
-        table.update_where(lambda r, target=row: r is target or r == target, updates)
-        changed += 1
+    columns = [column for column, _expr in statement.assignments]
+    evaluate = _row_evaluator(
+        engine, table, [expr for _column, expr in statement.assignments]
+    )
+    changed = table.update_where(
+        _row_predicate(engine, table, statement.where),
+        lambda row: dict(zip(columns, evaluate(row))),
+    )
     handle = _ddl_handle(engine, label)
     handle.affected_rows = changed  # type: ignore[attr-defined]
     return handle
@@ -402,18 +410,6 @@ def _resolved_items(analysis: Analysis, engine: Engine) -> list[SelectItem]:
 # -- shared predicate helpers ---------------------------------------------------
 
 
-def _eval_term_lenient(term: Expression, env: Env) -> bool:
-    """Evaluate a predicate term; unbound aliases / star runs count as pass.
-
-    This is the guard discipline: a conjunct that cannot be checked yet must
-    not reject the candidate (it will be checked when its references bind).
-    """
-    try:
-        return term.eval(env) is not False
-    except (EslRuntimeError, TypeError):
-        return True
-
-
 def _source_schema(engine: Engine, source: Any) -> Schema:
     if source.is_stream:
         return engine.streams.get(source.name).schema
@@ -424,15 +420,11 @@ def _compile_ctx(
     engine: Engine,
     analysis: Analysis | None = None,
     extra: Mapping[str, Schema] | None = None,
-) -> CompileContext | None:
-    """The query's :class:`CompileContext`, or None when the engine runs
-    the interpreted reference tier.
-
-    The context carries the engine's live UDF mapping and every FROM alias's
-    schema, so column references lower to positional access.
+) -> CompileContext:
+    """The query's :class:`CompileContext`: the engine's live UDF mapping
+    and every FROM alias's schema, so column references lower to
+    positional access.
     """
-    if not engine.lowering.compiled:
-        return None
     schemas: dict[str, Schema] = {}
     if analysis is not None:
         for source in analysis.sources:
@@ -444,18 +436,16 @@ def _compile_ctx(
 
 
 def _term_evaluators(
-    terms: Sequence[Expression], ctx: CompileContext | None
+    terms: Sequence[Expression], ctx: CompileContext
 ) -> list[EvalFn]:
-    """Closures for *terms*: compiled under *ctx*, else the eval methods."""
-    if ctx is None:
-        return [term.eval for term in terms]
+    """Closures for *terms*, compiled under *ctx*."""
     return [term.compile(ctx) for term in terms]
 
 
 def _compile_where_probe(
     terms: Sequence[Expression],
     exists_probes: Sequence[Callable[[Env], bool]],
-    ctx: CompileContext | None = None,
+    ctx: CompileContext,
 ) -> Callable[[Env], bool]:
     """A strict WHERE evaluator over residual terms plus compiled EXISTS."""
     fns = _term_evaluators(terms, ctx)
@@ -513,7 +503,7 @@ def _compile_exists_probe(
     exists: ExistsPredicate,
     outer_alias: str | None,
     teardowns: list[Callable[[], None]],
-    ctx: CompileContext | None = None,
+    ctx: CompileContext,
 ) -> Callable[[Env], bool]:
     """Compile EXISTS/NOT EXISTS into a synchronous probe.
 
@@ -525,14 +515,13 @@ def _compile_exists_probe(
     evaluation is synchronous, so rebinding is safe), with the inner WHERE
     terms compiled under *ctx* extended by the sub-query alias's schema.
 
-    On the compiled tiers (*ctx* given) a table or RANGE-window sub-query
-    with correlation keys (:func:`exists_correlation_keys`) reads one hash
-    bucket instead of every row: the table's index on the key columns, or
-    the window buffer's keyed side index, both created here.  Each bucket
-    candidate still runs the whole inner WHERE, so the index narrows the
-    candidates and never decides a result.  An outer key that cannot be
-    evaluated or hashed scans everything for that probe, and the
-    interpreted tier always scans: it is the reference.
+    A table or RANGE-window sub-query with correlation keys
+    (:func:`exists_correlation_keys`) reads one hash bucket instead of
+    every row: the table's index on the key columns, or the window buffer's
+    keyed side index, both created here.  Each bucket candidate still runs
+    the whole inner WHERE, so the index narrows the candidates and never
+    decides a result.  An outer key that cannot be evaluated or hashed
+    scans everything for that probe, and so does a sub-query with no key.
     """
     inner = exists.query
     if len(inner.from_items) != 1:
@@ -547,10 +536,8 @@ def _compile_exists_probe(
         if is_table
         else engine.streams.get(item.name).schema
     )
-    inner_ctx = (
-        None
-        if ctx is None
-        else CompileContext(ctx.functions, {**ctx.schemas, inner_key: inner_schema})
+    inner_ctx = CompileContext(
+        ctx.functions, {**ctx.schemas, inner_key: inner_schema}
     )
     inner_terms = list(iter_and_terms(inner.where))
     nested = [t for t in inner_terms if isinstance(t, ExistsPredicate)]
@@ -583,7 +570,7 @@ def _compile_exists_probe(
                 return not negate
         return negate
 
-    keys = [] if ctx is None else exists_correlation_keys(exists, inner_schema)
+    keys = exists_correlation_keys(exists, inner_schema)
     key_fields = [field for field, _outer in keys]
     key_fns = [outer.compile(ctx) for _field, outer in keys]
 
@@ -752,8 +739,9 @@ class _AggSlot(Expression):
     def __init__(self) -> None:
         self.cell: list[Any] = [None]
 
-    def eval(self, env: Env) -> Any:
-        return self.cell[0]
+    def compile(self, ctx: CompileContext) -> EvalFn:
+        cell = self.cell
+        return lambda env: cell[0]
 
 
 def _rewrite_with_slots(
@@ -795,8 +783,7 @@ class _Grouping:
 
     Aggregate calls in the select items and HAVING become slots; the group
     keys, aggregate arguments, items and HAVING lower once through
-    :func:`_term_evaluators`, so the compiled tiers run closures and the
-    interpreted tier runs ``Expression.eval``.  Continuous queries drive
+    :func:`_term_evaluators`.  Continuous queries drive
     :meth:`key` / :meth:`new_state` / :meth:`row` per arrival; one-shot
     queries hand every binding to :meth:`fold`.
     """
@@ -806,7 +793,7 @@ class _Grouping:
         engine: Engine,
         items: Sequence[SelectItem],
         statement: SelectStatement,
-        ctx: CompileContext | None,
+        ctx: CompileContext,
     ) -> None:
         slots: list[tuple[AggregateCall, _AggSlot]] = []
         item_exprs = [_rewrite_with_slots(item.expr, slots) for item in items]
@@ -1129,7 +1116,7 @@ def _build_seq_args(
     engine: Engine,
     analysis: Analysis,
     predicate: SeqPredicate,
-    ctx: CompileContext | None = None,
+    ctx: CompileContext,
 ) -> list[SeqArg]:
     args: list[SeqArg] = []
     gap_terms_by_alias: dict[str, list[Expression]] = {}
@@ -1208,33 +1195,6 @@ def _build_window(
     )
 
 
-def _make_guard(
-    engine: Engine,
-    guard_terms: Sequence[Expression],
-    ctx: CompileContext | None = None,
-    arg_aliases: Sequence[str] = (),
-) -> Callable[[Mapping[str, Any]], bool] | None:
-    """The operator guard for the residual WHERE conjuncts.
-
-    Compiled engines get a :class:`~repro.core.operators.guards.CompiledGuard`
-    (single-alias conjuncts decided at admission time, cross-alias ones at
-    pairing time); interpreted engines get the lenient closure over eval().
-    """
-    if not guard_terms:
-        return None
-    if ctx is not None:
-        return build_compiled_guard(guard_terms, ctx, arg_aliases)
-    functions = engine.functions.as_mapping()
-
-    def guard(bindings: Mapping[str, Any]) -> bool:
-        env = Env(functions=functions)
-        for alias, bound in bindings.items():
-            env.bindings[alias.lower()] = bound
-        return all(_eval_term_lenient(term, env) for term in guard_terms)
-
-    return guard
-
-
 def _compile_temporal(
     engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
 ) -> QueryHandle:
@@ -1251,34 +1211,30 @@ def _compile_temporal(
     ctx = _compile_ctx(engine, analysis)
     args = _build_seq_args(engine, analysis, predicate, ctx)
     window = _build_window(predicate, args)
-    guard = _make_guard(
-        engine, analysis.guard_terms, ctx, [arg.alias for arg in args]
+    # Single-alias conjuncts are decided at admission time, cross-alias
+    # ones at pairing time.
+    guard = (
+        build_compiled_guard(analysis.guard_terms, ctx, [arg.alias for arg in args])
+        if analysis.guard_terms
+        else None
     )
     partition_by = None
     if analysis.partition_field is not None:
         field = analysis.partition_field
-        schemas = [engine.streams.get(arg.stream).schema for arg in args]
-        unique = []
-        for s in schemas:
-            if not any(s is seen for seen in unique):
-                unique.append(s)
-        if ctx is not None and all(field in s for s in unique):
-            # Every argument stream's schema carries the partition field:
-            # route on a positional read keyed by schema identity (id() of
-            # objects the streams keep alive), falling back to name lookup
-            # for pass-through tuples from elsewhere.
-            position_of = {id(s): s.position(field) for s in unique}.get
+        # Route on a positional read keyed by schema identity (id() of
+        # objects the streams keep alive), falling back to name lookup for
+        # pass-through tuples from elsewhere.
+        position_of = {
+            id(schema): schema.position(field)
+            for schema in (engine.streams.get(arg.stream).schema for arg in args)
+            if field in schema
+        }.get
 
-            def partition_by(tup: Tuple) -> Any:
-                position = position_of(id(tup.schema))
-                if position is not None:
-                    return tup.values[position]
-                return tup.get(field)
-
-        else:
-
-            def partition_by(tup: Tuple) -> Any:  # noqa: F811
-                return tup.get(field)
+        def partition_by(tup: Tuple) -> Any:
+            position = position_of(id(tup.schema))
+            if position is not None:
+                return tup.values[position]
+            return tup.get(field)
 
     items = _resolved_items_temporal(analysis, engine, args)
     schema = _select_schema(items)
@@ -1333,18 +1289,16 @@ def _column_extraction_plan(
     engine: Engine,
     args: Sequence[SeqArg],
     items: Sequence[SelectItem],
-    ctx: CompileContext | None,
     multi_alias: str | None,
 ) -> list[tuple[str, int]] | None:
     """A direct positional plan for an all-Column SEQ select list, or None.
 
     Returns ``[(binding_key, position), ...]`` — one entry per item — when
-    compiled execution is on, no item needs a star run, and every item is
-    an ``alias.field`` read on a star-free operator argument whose stream
-    schema carries the field.  Anything else (expressions, bare columns,
+    no item needs a star run, and every item is an ``alias.field`` read on
+    a star-free operator argument whose stream schema carries the field.  Anything else (expressions, bare columns,
     star aliases) falls back to the general Env-based evaluation.
     """
-    if ctx is None or multi_alias is not None:
+    if multi_alias is not None:
         return None
     by_alias: dict[str, tuple[str, Any]] = {}
     for arg in args:
@@ -1374,7 +1328,7 @@ def _wire_seq(
     items: list[SelectItem],
     sink: _Sink,
     label: str,
-    ctx: CompileContext | None = None,
+    ctx: CompileContext,
 ) -> QueryHandle:
     mode = (
         PairingMode.parse(predicate.mode)
@@ -1386,7 +1340,7 @@ def _wire_seq(
     functions = engine.functions.as_mapping()
     emit = sink.bound_emit()
 
-    plan = _column_extraction_plan(engine, args, items, ctx, multi_alias)
+    plan = _column_extraction_plan(engine, args, items, multi_alias)
     if plan is not None:
         # Every select item is a plain alias.field read on a star-free
         # argument: extract positionally from the match bindings.  A
@@ -1442,7 +1396,7 @@ def _wire_exception_seq(
     items: list[SelectItem],
     sink: _Sink,
     label: str,
-    ctx: CompileContext | None = None,
+    ctx: CompileContext,
 ) -> QueryHandle:
     clevel: ClevelThreshold | None = analysis.clevel
     n = len(args)

@@ -87,14 +87,6 @@ class AggregateCall(Expression):
         self.name = name
         self.arg = arg
 
-    def eval(self, env):  # pragma: no cover - replaced during compilation
-        from ...dsms.errors import EslRuntimeError
-
-        raise EslRuntimeError(
-            f"aggregate {self.name!r} must be evaluated by the aggregation "
-            "pipeline, not as a scalar"
-        )
-
     def references(self):
         if self.arg is not None:
             yield from self.arg.references()

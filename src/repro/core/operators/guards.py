@@ -2,9 +2,9 @@
 
 A temporal operator's residual WHERE conjuncts (the "qualifying
 conditions") are evaluated *leniently*: a conjunct whose references are not
-all bound yet must pass, because it will be re-checked once they bind.  The
-interpreted engine realizes this by re-running every conjunct against every
-partial binding — O(terms) work per extension attempt.
+all bound yet must pass, because it will be re-checked once they bind.
+Re-running every conjunct against every partial binding would cost
+O(terms) work per extension attempt.
 
 :class:`CompiledGuard` lowers each conjunct to a closure once (via
 :meth:`~repro.dsms.expressions.Expression.compile`) and splits the
@@ -42,9 +42,8 @@ __all__ = ["CompiledGuard", "build_compiled_guard"]
 def _lenient(fn: EvalFn) -> Callable[[Env], bool]:
     """Wrap a compiled term with the lenient-pass discipline.
 
-    Mirrors ``_eval_term_lenient``: unbound aliases raise EslRuntimeError and
-    star-run list bindings raise TypeError; both count as "cannot be checked
-    yet" and pass.
+    Unbound aliases raise EslRuntimeError and star-run list bindings raise
+    TypeError; both count as "cannot be checked yet" and pass.
     """
 
     def check(env: Env) -> bool:

@@ -21,8 +21,7 @@ holds at most n-1 tuples, UNRESTRICTED retains everything the window admits.
 The ``state_size`` property exposes held-tuple counts for the state-size
 ablation benchmark.
 
-Indexed state (every ``Engine`` tier except ``"interpreted"``) layers three
-incremental indexes over the same semantics:
+Three incremental indexes keep the state:
 
 * **Predecessor cuts** (SASE-style Active Instance Stacks): each tuple
   admitted at stage i caches, at admission time, how many stage-(i-1)
@@ -44,12 +43,6 @@ incremental indexes over the same semantics:
   work no longer grows with the number of idle partitions.  A self-re-arming
   clock timer drives the heap even when no tuple arrives.
 
-``Engine(tier="interpreted")`` — the reference configuration — keeps the
-original enumeration/sweep (``_enumerate_chains``, ``_recent_chain``,
-``_sweep``, ``_evict_windowed``) alongside the AST-walking evaluator; both
-paths emit identical match sequences — see ``tests/test_indexed_state.py``
-and ``tests/test_tier_matrix.py``.
-
 Star-sequence patterns are handled by
 :class:`repro.core.operators.star.StarSeqOperator`; use
 :func:`repro.core.operators.make_sequence_operator` to pick automatically.
@@ -61,7 +54,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from math import inf, nextafter
 from operator import attrgetter
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ...dsms.checkpoint import pack_tuple, tuple_unpacker
 from ...dsms.columns import ColumnStore
@@ -133,9 +126,8 @@ class SeqOperator:
 
     Args:
         engine: the owning :class:`~repro.dsms.engine.Engine`.  Its
-            ``tier`` selects between the incremental-index state layer
-            and the reference enumeration, and caps the admission and
-            pairing mask tiers (see module docstring).
+            ``tier`` decides whether pairing masks are built (see
+            :mod:`repro.dsms.lowering`).
         args: the argument list (no starred entries).
         mode: tuple pairing mode.
         window: optional :class:`OperatorWindow`.
@@ -195,13 +187,11 @@ class SeqOperator:
             mode is PairingMode.RECENT and self._pairing is None
         )
         lowering = engine.lowering
-        self._indexed = lowering.compiled
         # Stored predecessor cuts stay exact only under front-only history
         # shrinkage; CHRONICLE consumes mid-list and the RECENT purge deletes
         # mid-list, so those keep per-enumeration bisect instead.
-        self._use_cuts = self._indexed and (
-            mode is PairingMode.UNRESTRICTED
-            or (mode is PairingMode.RECENT and not self._purge_on_admit)
+        self._use_cuts = mode is PairingMode.UNRESTRICTED or (
+            mode is PairingMode.RECENT and not self._purge_on_admit
         )
         # With a PRECEDING window anchored at the last argument (the
         # canonical OVER [.. PRECEDING last] shape), per-arrival eviction
@@ -215,25 +205,22 @@ class SeqOperator:
         )
         self._on_match = on_match
         self._partitions: dict[Any, _Partition] = {}
-        # Next virtual time at which the reference path's cross-partition
-        # eviction sweep runs (see _sweep); -inf so the first windowed
-        # arrival sweeps.  The indexed path replaces the sweep with the
-        # expiry heap below.
-        self._sweep_due = float("-inf")
-        # Lazy expiry heap: (deadline, partition_key), at most one *valid*
-        # entry per key, recorded in _heap_deadlines.  Entries whose dict
-        # deadline no longer matches are stale and skipped on pop.
-        self._expiry_heap: list[tuple[float, Any]] = []
+        # Lazy expiry heap: (deadline, push number, partition_key), at most
+        # one *valid* entry per key, recorded in _heap_deadlines.  Entries
+        # whose dict deadline no longer matches are stale and skipped on
+        # pop.  The push number breaks deadline ties, so keys (NULL next
+        # to an int, say) are never compared.
+        self._expiry_heap: list[tuple[float, int, Any]] = []
+        self._heap_pushes = 0
         self._heap_deadlines: dict[Any, float] = {}
         self._expiry_timer = None
         # Incremental held-tuple counter backing state_size, plus its
         # high-water mark.
         self._held = 0
         self.peak_state_size = 0
-        # Partitions examined by expiry work (sweep walks or heap pops):
-        # the proof that a tick no longer touches idle state.
-        # max_tick_touches is the worst single tick — the reference sweep
-        # pays O(partitions) on one arrival, the heap spreads pops out.
+        # Partitions examined by expiry work (heap pops): the proof that a
+        # tick does not touch idle state.  max_tick_touches is the worst
+        # single tick.
         self.sweep_touches = 0
         self.max_tick_touches = 0
         self._unsubscribes: list[Callable[[], None]] = []
@@ -287,11 +274,7 @@ class SeqOperator:
             positions = self._positions[stream_name]
             self._positions.setdefault(stream.name, positions)
             callback: Callable[[Tuple], None] = self._on_tuple
-            if (
-                lowering.compiled
-                and mode is not PairingMode.CONSECUTIVE
-                and len(positions) == 1
-            ):
+            if mode is not PairingMode.CONSECUTIVE and len(positions) == 1:
                 callback = self._dispatch_for(stream.name, positions[0])
             self._unsubscribes.append(stream.subscribe(callback))
         register = getattr(engine, "register_checkpointable", None)
@@ -323,8 +306,8 @@ class SeqOperator:
             ))
         return {
             "partitions": partitions,
-            "sweep_due": self._sweep_due,
             "expiry_heap": list(self._expiry_heap),
+            "heap_pushes": self._heap_pushes,
             "heap_deadlines": dict(self._heap_deadlines),
             "held": self._held,
             "peak_state_size": self.peak_state_size,
@@ -363,9 +346,9 @@ class SeqOperator:
                     if store is not None:
                         store.rebuild(history)
             self._partitions[key] = partition
-        self._sweep_due = blob["sweep_due"]
         self._expiry_heap = [tuple(entry) for entry in blob["expiry_heap"]]
         heapq.heapify(self._expiry_heap)
+        self._heap_pushes = blob["heap_pushes"]
         self._heap_deadlines = dict(blob["heap_deadlines"])
         self._held = blob["held"]
         self.peak_state_size = blob["peak_state_size"]
@@ -421,11 +404,7 @@ class SeqOperator:
         evict = self._evict_partition
         track_cuts = self._use_cuts
         mirror_specs = self._mirror_specs
-        after = (
-            self._after_arrival
-            if self._indexed and window is not None
-            else None
-        )
+        after = self._after_arrival if window is not None else None
 
         if admission is None:
 
@@ -518,7 +497,7 @@ class SeqOperator:
                 self._attempt_matches(partition, tup)
             else:
                 self._admit(partition, tup, index)
-        if windowed and self._indexed:
+        if windowed:
             self._after_arrival(partition, tup.ts)
 
     def _admit(self, partition: _Partition, tup: Tuple, index: int) -> None:
@@ -551,55 +530,29 @@ class SeqOperator:
 
     def _evict_partition(self, partition: _Partition, now: float) -> None:
         """Window-based eviction of one partition's dead history."""
-        horizon = self.window.horizon(now)
-        if self._indexed:
-            self._evict_windowed_indexed(partition, horizon)
-        else:
-            self._evict_windowed(partition, horizon)
+        self._evict_before(partition, self.window.horizon(now))
 
     def _tick(self, now: float) -> None:
-        """Cross-partition expiry work due at *now*.
-
-        Reference path: the amortized all-partition sweep.  Indexed path:
-        pop due entries off the expiry heap, touching only partitions whose
-        oldest bounded tuple actually left the window.
+        """Cross-partition expiry work due at *now*: pop due entries off
+        the expiry heap, touching only partitions whose oldest tuple
+        actually left the window.
         """
-        if not self._indexed:
-            if now >= self._sweep_due:
-                self._sweep(now)
-            return
         heap = self._expiry_heap
         if heap and heap[0][0] <= now:
             self._process_expiry(now)
 
-    def _bounded_range(self, partition: _Partition) -> range:
-        """History positions the window actually bounds: a PRECEDING window
-        anchored at argument k bounds positions 0..k-1; a FOLLOWING window
-        anchored at k bounds positions k..n-2."""
-        if self.window.direction == "preceding":
-            return range(0, min(self.window.anchor, len(partition.histories)))
-        return range(self.window.anchor, len(partition.histories))
+    def _evict_before(self, partition: _Partition, horizon: float) -> None:
+        """Bisected eviction of every tuple stamped before *horizon*,
+        keeping the cut/removed bookkeeping in sync.
 
-    def _evict_windowed(self, partition: _Partition, horizon: float) -> None:
-        for index in self._bounded_range(partition):
-            history = partition.histories[index]
-            keep_from = 0
-            while keep_from < len(history) and history[keep_from].ts < horizon:
-                keep_from += 1
-            if keep_from:
-                del history[:keep_from]
-                self._held -= keep_from
-
-    def _evict_windowed_indexed(
-        self, partition: _Partition, horizon: float
-    ) -> None:
-        """Bisected eviction, keeping the cut/removed bookkeeping in sync."""
+        It applies to every history position, whatever the window's
+        anchor: a match triggered at T lies in a window that reaches T, so
+        each of its tuples is stamped at or after T - duration.
+        """
         use_cuts = self._use_cuts
-        histories = partition.histories
         removed = partition.removed
         mirrors = partition.mirrors
-        for index in self._bounded_range(partition):
-            history = histories[index]
+        for index, history in enumerate(partition.histories):
             if not history or history[0].ts >= horizon:
                 continue
             keep = bisect_left(history, horizon, key=_TS)
@@ -614,44 +567,12 @@ class SeqOperator:
                 if index:
                     del partition.cuts[index][:keep]
 
-    def _sweep(self, now: float) -> None:
-        """Cross-partition eviction sweep, amortized to once per window width
-        (the ``tier="interpreted"`` reference path).
-
-        Per-arrival eviction only touches the arriving tuple's partition, so
-        in UNRESTRICTED mode a partition that stops receiving tuples (a tag
-        that left the facility) would otherwise retain its windowed history
-        forever.  Sweeping every ``window.duration`` of virtual time evicts
-        expired history in *every* partition and drops partitions that
-        become empty, bounding total state by the tuples inside one window
-        plus at most one window width of slack — at O(1) amortized cost per
-        arrival, but with O(partitions) latency spikes on the arrival that
-        pays for the sweep.  The indexed path's expiry heap removes those
-        spikes.
-        """
-        horizon = self.window.horizon(now)
-        dead = []
-        touched = len(self._partitions)
-        self.sweep_touches += touched
-        if touched > self.max_tick_touches:
-            self.max_tick_touches = touched
-        for key, partition in self._partitions.items():
-            self._evict_windowed(partition, horizon)
-            if not partition.run and all(
-                not history for history in partition.histories
-            ):
-                dead.append(key)
-        for key in dead:
-            del self._partitions[key]
-        self._sweep_due = now + self.window.duration
-
-    # -- expiry heap (indexed path) ---------------------------------------
+    # -- expiry heap -------------------------------------------------------
 
     def _oldest_bounded(self, partition: _Partition) -> float | None:
         """Timestamp of the oldest tuple the window can still expire."""
         oldest = None
-        for index in self._bounded_range(partition):
-            history = partition.histories[index]
+        for history in partition.histories:
             if history and (oldest is None or history[0].ts < oldest):
                 oldest = history[0].ts
         return oldest
@@ -675,7 +596,10 @@ class SeqOperator:
                 # makes progress.
                 deadline = nextafter(now, inf)
             self._heap_deadlines[key] = deadline
-            heapq.heappush(self._expiry_heap, (deadline, key))
+            self._heap_pushes += 1
+            heapq.heappush(
+                self._expiry_heap, (deadline, self._heap_pushes, key)
+            )
         elif not partition.run and all(
             not history for history in partition.histories
         ):
@@ -696,7 +620,7 @@ class SeqOperator:
         horizon = self.window.horizon(now)
         touched = 0
         while heap and heap[0][0] <= now:
-            deadline, key = heapq.heappop(heap)
+            deadline, _push, key = heapq.heappop(heap)
             if deadlines.get(key) != deadline:
                 continue  # stale: superseded by a later reschedule
             del deadlines[key]
@@ -704,7 +628,7 @@ class SeqOperator:
             if partition is None:
                 continue
             touched += 1
-            self._evict_windowed_indexed(partition, horizon)
+            self._evict_before(partition, horizon)
             self._schedule_expiry(partition, key, now)
         self.sweep_touches += touched
         if touched > self.max_tick_touches:
@@ -792,11 +716,7 @@ class SeqOperator:
 
     def _attempt_matches(self, partition: _Partition, anchor: Tuple) -> None:
         if self.mode is PairingMode.UNRESTRICTED:
-            if self._use_cuts:
-                self._attempt_indexed(partition, anchor)
-            else:
-                for chain in self._enumerate_chains(partition, anchor):
-                    self._emit(chain)
+            self._attempt_indexed(partition, anchor)
         elif self.mode is PairingMode.RECENT:
             if self._use_cuts:
                 chain = self._recent_chain_indexed(partition, anchor)
@@ -822,12 +742,12 @@ class SeqOperator:
     def _attempt_indexed(self, partition: _Partition, anchor: Tuple) -> None:
         """UNRESTRICTED enumeration over stored predecessor cuts.
 
-        Emits the same chains in the same order as
-        :meth:`_enumerate_chains`: forward over each stage's viable prefix,
-        recursing toward stage 0 — but each stage's prefix bound is a cached
-        integer (stored cut minus front evictions) instead of a fresh
-        bisect, and the canonical-window check is skipped entirely when
-        eviction already guarantees it (``_window_exact``).
+        Walks forward over each stage's viable prefix, recursing toward
+        stage 0, so chains come out in ascending ``(t(n-1), ..., t1)``
+        order.  Each stage's prefix bound is a cached integer (stored cut
+        minus front evictions) instead of a fresh bisect, and the
+        canonical-window check is skipped entirely when eviction already
+        guarantees it (``_window_exact``).
         """
         n = len(self.args)
         histories = partition.histories
@@ -925,7 +845,8 @@ class SeqOperator:
         """Backward-greedy selection over stored predecessor cuts.
 
         Only reached with a pairing guard (guard-free RECENT purges
-        mid-list and keeps the reference bisect path): scan each stage's
+        mid-list and keeps the bisect path of :meth:`_recent_chain`): scan
+        each stage's
         viable prefix newest-first for the first qualifying tuple, then hop
         to that tuple's cached cut.
         """
@@ -980,78 +901,21 @@ class SeqOperator:
             return chain
         return chain if self._window_ok(chain) else None
 
-    def _enumerate_chains(
-        self, partition: _Partition, anchor: Tuple
-    ) -> Iterator[list[Tuple]]:
-        """All time-ordered combinations ending at *anchor* (UNRESTRICTED)."""
-        n = len(self.args)
-        bind_keys = self._bind_keys
-        chain: list[Tuple | None] = [None] * n
-        chain[n - 1] = anchor
-        bindings: dict[str, Tuple] = {bind_keys[n - 1]: anchor}
-        if not self._guard_ok(bindings):
-            return
-
-        def extend(index: int, upper: Tuple) -> Iterator[list[Tuple]]:
-            history = partition.histories[index]
-            cut = bisect_left(history, upper)
-            for candidate in history[:cut]:
-                bindings[bind_keys[index]] = candidate
-                if not self._guard_ok(bindings):
-                    del bindings[bind_keys[index]]
-                    continue
-                chain[index] = candidate
-                if index == 0:
-                    full = [tup for tup in chain]  # all bound now
-                    if self._window_ok(full):  # type: ignore[arg-type]
-                        yield list(full)  # type: ignore[arg-type]
-                else:
-                    yield from extend(index - 1, candidate)
-                del bindings[bind_keys[index]]
-                chain[index] = None
-
-        yield from extend(n - 2, anchor)
-
     def _recent_chain(
         self, partition: _Partition, anchor: Tuple
     ) -> list[Tuple] | None:
-        """Backward-greedy most-recent-qualifying selection."""
-        n = len(self.args)
-        if self._pairing is None:
-            # No pairing-time predicate: the most recent earlier tuple at
-            # each level is qualifying by construction, so the backward
-            # pass needs no binding bookkeeping or guard probes at all.
-            chain = [anchor]
-            upper = anchor
-            for index in range(n - 2, -1, -1):
-                history = partition.histories[index]
-                cut = bisect_left(history, upper)
-                if not cut:
-                    return None
-                upper = history[cut - 1]
-                chain.append(upper)
-            chain.reverse()
-            return chain if self._window_ok(chain) else None
-        bind_keys = self._bind_keys
-        bindings: dict[str, Tuple] = {bind_keys[n - 1]: anchor}
-        if not self._guard_ok(bindings):
-            return None
+        """Backward-greedy selection without a pairing-time predicate: the
+        most recent earlier tuple at each level is qualifying by
+        construction, so the pass needs no bindings or guard probes."""
         chain = [anchor]
         upper = anchor
-        for index in range(n - 2, -1, -1):
+        for index in range(len(self.args) - 2, -1, -1):
             history = partition.histories[index]
             cut = bisect_left(history, upper)
-            chosen: Tuple | None = None
-            for candidate in reversed(history[:cut]):
-                bindings[bind_keys[index]] = candidate
-                if self._guard_ok(bindings):
-                    chosen = candidate
-                    break
-                del bindings[bind_keys[index]]
-            if chosen is None:
+            if not cut:
                 return None
-            chain.append(chosen)
-            upper = chosen
+            upper = history[cut - 1]
+            chain.append(upper)
         chain.reverse()
         return chain if self._window_ok(chain) else None
 

@@ -166,12 +166,11 @@ class QueryHandle:
 class Engine:
     """A self-contained DSMS instance.
 
-    ``tier`` caps the execution ladder — ``"vector"`` (the default),
-    ``"closure"`` or ``"interpreted"`` — and each value enables
-    every rung below it; :mod:`repro.dsms.lowering` describes the rungs
-    and owns the fallback chain between them.  ``"interpreted"`` is the
-    reference configuration (AST-walking evaluator, original SEQ
-    enumeration and sweep); every tier emits byte-identical output, and
+    ``tier`` caps the execution ladder — ``"vector"`` (the default) or
+    ``"closure"`` — and each value enables every rung below it;
+    :mod:`repro.dsms.lowering` describes the rungs and owns the fallback
+    chain between them.  Both tiers emit byte-identical output, held
+    against the independent oracle in ``tests/oracle``, and
     :meth:`execution_tier` reports which one is actually active.
     """
 

@@ -1,4 +1,4 @@
-"""Expression AST and evaluator.
+"""Expression AST and its one evaluator, ``compile``.
 
 ESL-EV predicates and select-list items compile into these nodes.  Evaluation
 follows SQL three-valued logic: any comparison involving NULL (Python
@@ -9,18 +9,12 @@ Evaluation happens against an :class:`Env`, which binds stream aliases to
 tuples.  A column reference ``r1.tag_id`` looks up alias ``r1``; a bare
 ``tag_id`` searches all bound tuples and must be unambiguous.
 
-These nodes are deliberately plain (no metaclass tricks): each has an
-``eval(env)`` method and a ``references()`` helper used by the optimizer for
-predicate pushdown.
-
-Besides the tree-walking ``eval(env)``, every node supports
-``compile(ctx) -> Callable[[Env], Any]``: lowering to nested Python
-closures.  The compiled form is semantically identical (same three-valued
-logic, same errors) but skips per-eval dispatch, folds constants, and —
-when the :class:`CompileContext` knows an alias's schema — turns
-``alias.field`` into a single positional list index instead of a schema
-lookup.  Nodes without a specialized lowering fall back to their ``eval``
-bound method, so ``compile`` never changes behaviour, only speed.
+These nodes are deliberately plain (no metaclass tricks): each has a
+``compile(ctx) -> Callable[[Env], Any]`` method, lowering it to nested
+Python closures, and a ``references()`` helper used by the optimizer for
+predicate pushdown.  Lowering folds constants and — when the
+:class:`CompileContext` knows an alias's schema — turns ``alias.field``
+into a single positional list index instead of a schema lookup.
 """
 
 from __future__ import annotations
@@ -101,7 +95,7 @@ class CompileContext:
 
     ``functions`` should be the engine's *live* UDF mapping
     (:meth:`UdfRegistry.as_mapping`) so re-registered functions are picked
-    up per call, exactly as interpreted evaluation does.  ``schemas`` maps
+    up per call.  ``schemas`` maps
     alias -> :class:`Schema` for aliases whose layout is known at compile
     time; those column references lower to positional access.
     """
@@ -148,16 +142,18 @@ class Expression:
 
     __slots__ = ()
 
-    def eval(self, env: Env) -> Any:
-        raise NotImplementedError
-
     def compile(self, ctx: CompileContext) -> EvalFn:
-        """Lower to a ``Callable[[Env], Any]`` equivalent to :meth:`eval`.
+        """Lower to a ``Callable[[Env], Any]``: the node's evaluator.
 
-        The default lowering is the ``eval`` bound method itself, so nodes
-        without a specialized ``compile`` still work — just uncompiled.
+        Syntax nodes the compiler extracts before evaluation (temporal
+        operators, EXISTS, aggregate calls) keep this one, which rejects
+        them anywhere else.
         """
-        return self.eval
+        raise EslSemanticError(
+            f"{self!r} cannot be evaluated here: temporal operators and "
+            "EXISTS must be top-level AND-terms of WHERE, and aggregates "
+            "belong in SELECT or HAVING"
+        )
 
     def references(self) -> Iterator[tuple[str | None, str]]:
         """Yield (alias, field) pairs this expression reads."""
@@ -181,9 +177,6 @@ class Literal(Expression):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def eval(self, env: Env) -> Any:
-        return self.value
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         return _ConstFn(self.value)
 
@@ -200,17 +193,12 @@ class Column(Expression):
         self.alias = alias
         self.field = field
 
-    def eval(self, env: Env) -> Any:
-        return env.lookup_column(self.alias, self.field)
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         alias, field = self.alias, self.field
-        if alias is None:
-            # Bare columns need the dynamic multi-binding search.
-            return self.eval
-        key = alias.lower()
-        schema = ctx.schema_for(key)
+        # Bare columns need the dynamic multi-binding search.
+        schema = None if alias is None else ctx.schema_for(alias)
         if schema is not None and field in schema:
+            key = alias.lower()
             position = schema.position(field)
 
             def positional(
@@ -230,8 +218,8 @@ class Column(Expression):
                             return bound.values[_pos]
                         break  # star-run list or re-declared schema
                     scope = scope.parent
-                # Fall back to the interpreted lookup (same binding, named
-                # access, full error handling).
+                # Fall back to the named lookup (same binding, full error
+                # handling).
                 return env.lookup_column(alias, field)
 
             return positional
@@ -375,13 +363,6 @@ class BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def eval(self, env: Env) -> Any:
-        left = self.left.eval(env)
-        right = self.right.eval(env)
-        if self.op in self.COMPARISONS:
-            return _compare(self.op, left, right)
-        return _arith(self.op, left, right)
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         left = self.left.compile(ctx)
         right = self.right.compile(ctx)
@@ -392,7 +373,7 @@ class BinaryOp(Expression):
             try:
                 return _ConstFn(apply(op, left.value, right.value))
             except EslRuntimeError:
-                pass  # defer the error to evaluation time, like eval() does
+                pass  # defer the error to evaluation time
         if comparison:
             return _compile_comparison(op, left, right)
         return _compile_arithmetic(op, left, right)
@@ -416,16 +397,6 @@ class And(Expression):
     def __init__(self, *operands: Expression) -> None:
         self.operands = operands
 
-    def eval(self, env: Env) -> bool | None:
-        saw_null = False
-        for operand in self.operands:
-            value = operand.eval(env)
-            if value is False:
-                return False
-            if value is None:
-                saw_null = True
-        return None if saw_null else True
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         fns: list[EvalFn] = []
         saw_const_null = False
@@ -433,7 +404,7 @@ class And(Expression):
             fn = operand.compile(ctx)
             if isinstance(fn, _ConstFn):
                 if fn.value is False:
-                    # Note eval() short-circuits on the first False, so a
+                    # Evaluation short-circuits on the first False, so a
                     # constant False makes later operands unreachable *after
                     # the ones already collected* — but since those earlier
                     # closures may themselves raise, only fold when False is
@@ -491,16 +462,6 @@ class Or(Expression):
     def __init__(self, *operands: Expression) -> None:
         self.operands = operands
 
-    def eval(self, env: Env) -> bool | None:
-        saw_null = False
-        for operand in self.operands:
-            value = operand.eval(env)
-            if value is True:
-                return True
-            if value is None:
-                saw_null = True
-        return None if saw_null else False
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         fns: list[EvalFn] = []
         saw_const_null = False
@@ -550,12 +511,6 @@ class Not(Expression):
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
 
-    def eval(self, env: Env) -> bool | None:
-        value = self.operand.eval(env)
-        if value is None:
-            return None
-        return not value
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         fn = self.operand.compile(ctx)
         if isinstance(fn, _ConstFn):
@@ -586,10 +541,6 @@ class Negate(Expression):
 
     def __init__(self, operand: Expression) -> None:
         self.operand = operand
-
-    def eval(self, env: Env) -> Any:
-        value = self.operand.eval(env)
-        return None if value is None else -value
 
     def compile(self, ctx: CompileContext) -> EvalFn:
         fn = self.operand.compile(ctx)
@@ -623,10 +574,6 @@ class IsNull(Expression):
     def __init__(self, operand: Expression, negate: bool = False) -> None:
         self.operand = operand
         self.negate = negate
-
-    def eval(self, env: Env) -> bool:
-        result = self.operand.eval(env) is None
-        return not result if self.negate else result
 
     def compile(self, ctx: CompileContext) -> EvalFn:
         fn = self.operand.compile(ctx)
@@ -682,12 +629,6 @@ class Between(Expression):
         self.high = high
         self.negate = negate
 
-    def eval(self, env: Env) -> bool | None:
-        return _between(
-            self.operand.eval(env), self.low.eval(env), self.high.eval(env),
-            self.negate,
-        )
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         operand = self.operand.compile(ctx)
         low = self.low.compile(ctx)
@@ -724,21 +665,6 @@ class InList(Expression):
         self.options = tuple(options)
         self.negate = negate
 
-    def eval(self, env: Env) -> bool | None:
-        value = self.operand.eval(env)
-        if value is None:
-            return None
-        saw_null = False
-        for option in self.options:
-            candidate = option.eval(env)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return False if self.negate else True
-        if saw_null:
-            return None
-        return True if self.negate else False
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         operand = self.operand.compile(ctx)
         option_fns = [option.compile(ctx) for option in self.options]
@@ -774,8 +700,8 @@ class InList(Expression):
         return f"InList({self.operand!r} {word} {list(self.options)!r})"
 
 
-# Module-level LIKE pattern memo: every lowering tier (eval, closure,
-# vector) funnels through Like._regex, so identical patterns —
+# Module-level LIKE pattern memo: every lowering tier (closure, vector)
+# funnels through Like._regex, so identical patterns —
 # common when the same EPC prefix appears in many registered queries —
 # compile exactly once per process rather than once per Like node.
 _LIKE_REGEX_MEMO: dict[str, Any] = {}
@@ -784,7 +710,7 @@ _LIKE_REGEX_MEMO: dict[str, Any] = {}
 class Like(Expression):
     """SQL ``LIKE`` with ``%`` and ``_`` wildcards (used for EPC prefixes)."""
 
-    __slots__ = ("operand", "pattern", "negate", "_compiled")
+    __slots__ = ("operand", "pattern", "negate")
 
     def __init__(
         self, operand: Expression, pattern: Expression, negate: bool = False
@@ -792,7 +718,6 @@ class Like(Expression):
         self.operand = operand
         self.pattern = pattern
         self.negate = negate
-        self._compiled: tuple[str, Any] | None = None
 
     @staticmethod
     def _regex(pattern: str) -> Any:
@@ -807,16 +732,6 @@ class Like(Expression):
                 re.DOTALL,
             )
         return compiled
-
-    def eval(self, env: Env) -> bool | None:
-        value = self.operand.eval(env)
-        pattern = self.pattern.eval(env)
-        if value is None or pattern is None:
-            return None
-        if self._compiled is None or self._compiled[0] != pattern:
-            self._compiled = (pattern, self._regex(pattern))
-        result = self._compiled[1].match(str(value)) is not None
-        return not result if self.negate else result
 
     def compile(self, ctx: CompileContext) -> EvalFn:
         operand = self.operand.compile(ctx)
@@ -870,17 +785,11 @@ class FunctionCall(Expression):
         self.name = name
         self.args = tuple(args)
 
-    def eval(self, env: Env) -> Any:
-        fn = env.lookup_function(self.name)
-        values = [arg.eval(env) for arg in self.args]
-        return fn(*values)
-
     def compile(self, ctx: CompileContext) -> EvalFn:
         arg_fns = [arg.compile(ctx) for arg in self.args]
         key = self.name.lower()
         # ctx.functions is the engine's live registry mapping: look the
-        # callable up per call so a later re-registration is honoured, just
-        # as interpreted lookup_function would.
+        # callable up per call so a later re-registration is honoured.
         functions = ctx.functions
 
         def call(env: Env) -> Any:
@@ -914,14 +823,6 @@ class Case(Expression):
     ) -> None:
         self.branches = tuple(branches)
         self.default = default
-
-    def eval(self, env: Env) -> Any:
-        for condition, value in self.branches:
-            if condition.eval(env) is True:
-                return value.eval(env)
-        if self.default is not None:
-            return self.default.eval(env)
-        return None
 
     def compile(self, ctx: CompileContext) -> EvalFn:
         branch_fns = [

@@ -6,14 +6,10 @@ enables every rung at and below it:
 =============  ========================================================
 ``tier``       what runs
 =============  ========================================================
-interpreted    the **reference configuration**: tree-walking
-               ``Expression.eval`` per row and the original SEQ
-               enumeration / all-partition sweep.  Every other tier is
-               tested byte-for-byte against it.
 closure        expressions lowered to Python closures, operator
                dispatch specialized at wiring time, and the indexed SEQ
                state layer (predecessor cuts, bisected eviction, expiry
-               heap) — the production path all higher tiers share.
+               heap) — the one production path.
 vector         (default) + SEQ pairing masks: cross-alias conjuncts
                evaluated per anchor over a columnar mirror of each
                partition's history (``ColumnStore``), built from tuples
@@ -53,7 +49,7 @@ from .schema import Schema
 __all__ = ["TIERS", "Lowering", "execution_tier"]
 
 #: Legal ``tier`` values, lowest rung first.
-TIERS = ("interpreted", "closure", "vector")
+TIERS = ("closure", "vector")
 
 #: ``(bindings, store, n) -> mask | None`` over a history mirror.
 MaskFn = Callable[[Any, Any, int], Any]
@@ -98,19 +94,15 @@ def _conjunction(fns: Sequence[Callable[..., list]]) -> MaskFn:
 class Lowering:
     """One engine's tier cap, and the mask builders that honour it."""
 
-    __slots__ = ("tier", "compiled", "masks")
+    __slots__ = ("tier", "masks")
 
     def __init__(self, tier: str = "vector") -> None:
         if tier not in TIERS:
             names = ", ".join(repr(name) for name in reversed(TIERS))
             raise EslSemanticError(f"unknown tier {tier!r}: expected {names}")
-        rank = TIERS.index(tier)
         self.tier = tier
-        #: False only in the reference configuration (AST-walking
-        #: evaluator + original SEQ enumeration and sweep).
-        self.compiled = rank >= 1
         #: Whether SEQ pairing masks are built at all.
-        self.masks = rank >= 2
+        self.masks = tier == "vector"
 
     def pairing_mask(
         self,

@@ -16,27 +16,28 @@ Every emitted row is stamped ``(ts, g, shard, local)`` where
   the deadline, not the arrival time that made it due);
 * ``g`` is the global input-record index of the step (record, clock
   advance, flush) during which the shard emitted the row (the router counts
-  every pushed record once, across all streams and shards);
+  every pushed record once, across all streams and shards); a row a timer
+  emits carries the step that armed the timer, and a row emitted before
+  the first step (a table-only SELECT's, at compile time) carries -1;
 * ``shard`` is the shard index;
 * ``local`` is a per-shard, per-sink emission counter.
 
 Within one shard a run is already sorted by this key: the shard clock only
 moves forward, tuple-driven emissions carry the triggering input's
 timestamp, timer-driven emissions carry deadlines that are due at or before
-the current clock, and ``g``/``local`` are monotone by construction.  The
-merge is therefore a streaming :func:`heapq.merge` over already-sorted runs.
+the current clock, timers due at one timestamp fire in arming order, and
+``local`` is monotone by construction.  The merge is therefore a streaming
+:func:`heapq.merge` over already-sorted runs.
 
 Why this reproduces single-engine order: a single engine's collector list is
 ordered by emission time, which is non-decreasing in ``ts`` (clock
 discipline) and, within equal ``ts``, by triggering input record (``g``) —
 timers due at a record's timestamp fire *before* the record is delivered,
-and timer outputs carry ``ts`` = deadline <= record ts.  Sorting the union
-of shard runs by ``(ts, g, shard, local)`` hence reconstructs that order
-exactly, up to cross-shard ties in the full ``(ts, g)`` pair — which cannot
-occur for tuple-driven outputs (one input record triggers output on exactly
-one shard) and are measure-zero for timer outputs on float-timestamped
-workloads (they need two timers armed for the *same* deadline from anchors
-on different shards).  See ``docs/PERFORMANCE.md`` for the full argument.
+in the order they were armed, and timer outputs carry ``ts`` = deadline <=
+record ts.  Sorting the union of shard runs by ``(ts, g, shard, local)``
+hence reconstructs that order exactly: one input record triggers output on
+exactly one shard, and arms timers on exactly one shard.  See
+``docs/PERFORMANCE.md`` for the full argument.
 """
 
 from __future__ import annotations

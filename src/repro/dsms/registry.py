@@ -37,16 +37,15 @@ Routing soundness notes (why gating a tuple away from a plan is exact):
   state, so dropping a tuple that provably fails an indexed conjunct
   cannot change any other output row.  NULL field values fail strict
   comparisons, so a strict gate drops them.
-* Temporal SEQ plans are gated only when compiled guards are active
-  (any tier above ``"interpreted"``), the pairing mode is not
-  CONSECUTIVE (where non-matching arrivals interrupt runs), and no
+* Temporal SEQ plans are gated only when the pairing mode is not
+  CONSECUTIVE (where non-matching arrivals interrupt runs) and no
   argument is starred: on
   those plans the operator's own admission check drops exactly the same
   tuples before *any* state mutation, so upstream gating is
   output-identical.  SEQ admission is lenient — a NULL comparison passes
   — so temporal gates deliver NULL-valued rows.
 * Everything else (EXCEPTION_SEQ/CLEVEL, CONSECUTIVE, starred args,
-  EXISTS probes, aggregates with window buffers, interpreted engines)
+  EXISTS probes, aggregates with window buffers)
   routes through the residual list and sees every tuple, exactly as if
   directly subscribed.
 """
@@ -529,6 +528,12 @@ class QueryRegistry:
         if self.closed:
             raise EslSemanticError("query registry is closed")
         statement = _parse_select(text)
+        if all(item.name in self.engine.tables for item in statement.from_items):
+            raise EslSemanticError(
+                "a SELECT over tables only answers once, when it is "
+                "compiled, so there is nothing to subscribe to; run it "
+                "with Engine.query or Engine.snapshot"
+            )
         fingerprint = fingerprint_statement(statement)
         plan = self._plans.get(fingerprint)
         if plan is None:
@@ -557,7 +562,7 @@ class QueryRegistry:
             name or f"mq{next(self._plan_counter)}",
             plan.deliver,
         )
-        gates, lenient = _plan_gates(engine, handle.analysis)
+        gates, lenient = _plan_gates(handle.analysis)
         entries: list[tuple[StreamRouter, _PlanEntry]] = []
         for stream in engine.streams:
             taken = stream.take_subscribers(before.get(stream.name, 0))
@@ -732,7 +737,7 @@ def _single_alias_terms(
 
 
 def _plan_gates(
-    engine: Engine, analysis: Any
+    analysis: Any,
 ) -> tuple[Mapping[str, AdmissionConstraint], bool]:
     """Derive per-stream routing gates from a compiled plan's Analysis.
 
@@ -761,8 +766,8 @@ def _plan_gates(
         return {source.name.lower(): constraint}, False
     if analysis.kind != "temporal":
         return {}, False
-    # Temporal plans: SEQ only, compiled guards, non-CONSECUTIVE, star-free.
-    if analysis.clevel is not None or not engine.lowering.compiled:
+    # Temporal plans: SEQ only, non-CONSECUTIVE, star-free.
+    if analysis.clevel is not None:
         return {}, True
     predicate = analysis.temporal
     if predicate is None or predicate.op_name != "SEQ":

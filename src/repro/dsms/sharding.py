@@ -201,8 +201,13 @@ class _ShardRuntime:
 
         self.shard = shard
         self.n_shards = n_shards
-        self.g: int | None = None
+        # -1 stamps what comes before every step: the rows a table-only
+        # SELECT emits while compiling, and timers a restore re-arms.
+        self.g = -1
         self.engine = Engine(tier=spec.tier)
+        self.engine.clock.schedule = self._stamped_at_arming(
+            self.engine.clock.schedule
+        )
         self.handles: dict[str, QueryHandle] = {}
         self._runs: list[_StampedRun] = []
         outputs: dict[tuple[str, str], Any] = {}
@@ -243,19 +248,37 @@ class _ShardRuntime:
             else:
                 stream = self.engine.streams.get(target)
             stream.subscribe(output)
-        # Rows a table-only SELECT emitted while compiling carry the g of
-        # the runtime's first step, which is not known yet.
-        self._unstamped = [run for run in self._runs if run.rows]
         self._ingesters: dict[str, Callable[[Any, float], Tuple]] = {}
         self._advance_if_due = self.engine.clock.advance_if_due
+
+    def _stamped_at_arming(self, schedule: Callable[..., Any]) -> Callable[..., Any]:
+        """Wrap the shard clock's ``schedule`` so the rows a timer emits
+        are stamped with the step that armed it, not the step it fires in.
+
+        One engine fires due timers before the step's record, in arming
+        order; the arming step keeps both orders across shards (see
+        :mod:`repro.dsms.merge`).
+        """
+
+        def schedule_at_step(
+            deadline: float, callback: Callable[[float], None], periodic: bool = False
+        ) -> Any:
+            armed = self.g
+
+            def fire(fired_at: float) -> None:
+                step, self.g = self.g, armed
+                try:
+                    callback(fired_at)
+                finally:
+                    self.g = step
+
+            return schedule(deadline, fire, periodic)
+
+        return schedule_at_step
 
     def _at(self, g: int) -> None:
         """Enter a step: rows emitted from here on are stamped *g*."""
         self.g = g
-        if self._unstamped:
-            for run in self._unstamped:
-                run.rows = [(ts, g, *rest) for ts, _, *rest in run.rows]
-            self._unstamped = []
 
     def ingest(self, g: int, stream: str, values: Any, ts: float) -> None:
         self._at(g)
@@ -285,8 +308,6 @@ class _ShardRuntime:
     def take_outputs(self) -> dict[str, list[StampedRow]]:
         """Stamped rows emitted since the last take (picklable); the
         runtime keeps none of them."""
-        if self._unstamped:
-            return {}  # no step yet: compile-time rows await their g
         out: dict[str, list[StampedRow]] = {}
         for run in self._runs:
             if run.rows:
@@ -332,7 +353,6 @@ class _ShardRuntime:
         for run in self._runs:
             run.local = sink_locals.get(run.sink_id, 0)
             run.rows = []
-        self._unstamped = []
         # Cached ingest closures bind the pre-restore sequencer.
         self._ingesters.clear()
 
@@ -756,6 +776,7 @@ class _PipeExecutor:
         self._guard(self._sync)
 
     def outputs(self) -> dict[str, list[list[StampedRow]]]:
+        self.warm_up()  # the HELLOs carry the rows emitted while compiling
         self.sync()
         collector = self._collector
         return {
@@ -912,7 +933,7 @@ class ShardedEngine:
         shard_by: explicit ``{stream_name: key_field}`` routing overrides;
             takes precedence over hoisted partition keys.
         tier: execution-tier cap forwarded to every inner Engine
-            (``'vector'``, ``'closure'`` or ``'interpreted'``; see :class:`~repro.dsms.engine.Engine`).
+            (``'vector'`` or ``'closure'``; see :class:`~repro.dsms.engine.Engine`).
         batch_size: records buffered per shard before a parallel hand-off
             (the adaptive controller's starting point under ``parallel``).
         start_method: multiprocessing start method for pipe workers

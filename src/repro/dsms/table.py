@@ -70,21 +70,26 @@ class Table:
     def update_where(
         self,
         predicate: Callable[[tuple[Any, ...]], bool],
-        updates: Mapping[str, Any],
+        updates: Mapping[str, Any] | Callable[[tuple[Any, ...]], Mapping[str, Any]],
     ) -> int:
         """Set *updates* on every row matching *predicate*.  Returns count.
 
+        *updates* maps columns to new values, or is a function from a row
+        to such a mapping.  One pass: every row is matched and given its
+        new values from its own pre-update contents, and then all of them
+        are written at once, so duplicate rows are each updated once.
         Updated rows are validated like inserts (so an indexed column never
         holds a value its hash index cannot file); a rejected update leaves
         the table unchanged.
         """
-        positions = {self.schema.position(name): value for name, value in updates.items()}
+        assign = updates if callable(updates) else lambda row: updates
+        position = self.schema.position
         updated: list[tuple[int, tuple[Any, ...]]] = []
         for i, row in enumerate(self._rows):
             if predicate(row):
                 new_row = list(row)
-                for pos, value in positions.items():
-                    new_row[pos] = value
+                for name, value in assign(row).items():
+                    new_row[position(name)] = value
                 self.schema.validate(new_row)
                 updated.append((i, tuple(new_row)))
         for i, row in updated:

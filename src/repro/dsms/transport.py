@@ -310,6 +310,7 @@ class FrameCodec:
         outputs: Mapping[str, list[StampedRow]],
         decode_s: float,
         encode_s: float,
+        ftype: int = FT_OUTPUT,
     ) -> bytes:
         head = struct.pack("<Qdd", ack_seq, decode_s, encode_s)
         parts: list[bytes] = [head, struct.pack("<H", len(outputs))]
@@ -325,7 +326,7 @@ class FrameCodec:
                 continue
             tss, gs, _shards, locals_, values = zip(*rows)
             parts.append(struct.pack(f"<{n}d", *tss))
-            parts.append(struct.pack(f"<{n}Q", *gs))
+            parts.append(struct.pack(f"<{n}q", *gs))  # signed: -1 is pre-step
             parts.append(struct.pack(f"<{n}Q", *locals_))
             widths = {len(v) for v in values}
             if len(widths) == 1:
@@ -336,7 +337,7 @@ class FrameCodec:
             else:  # ragged values: whole-block pickle fallback
                 parts.append(struct.pack("<B", 0))
                 parts.append(dumps_oob(list(values)))
-        return encode_frame(FT_OUTPUT, b"".join(parts))
+        return encode_frame(ftype, b"".join(parts))
 
     def decode_outputs(
         self, payload: memoryview, shard: int
@@ -354,7 +355,7 @@ class FrameCodec:
                     raise FrameCodecError(f"unknown sink index {sink_index}")
                 tss = struct.unpack_from(f"<{n}d", payload, offset)
                 offset += 8 * n
-                gs = struct.unpack_from(f"<{n}Q", payload, offset)
+                gs = struct.unpack_from(f"<{n}q", payload, offset)
                 offset += 8 * n
                 locals_ = struct.unpack_from(f"<{n}Q", payload, offset)
                 offset += 8 * n
@@ -380,10 +381,6 @@ class FrameCodec:
             return ack_seq, outputs, decode_s, encode_s
         except struct.error as exc:
             raise FrameCodecError(f"truncated output frame: {exc}") from exc
-
-
-def encode_hello(shard: int) -> bytes:
-    return encode_frame(FT_HELLO, struct.pack("<H", shard))
 
 
 def encode_error(exc: BaseException) -> bytes:
@@ -469,8 +466,9 @@ def shard_worker_main(
 ) -> None:
     """Entry point of one persistent shard worker process.
 
-    Builds the shard's engine once, announces readiness (HELLO), then
-    serves frames until STOP or pipe close.  Every data frame is answered
+    Builds the shard's engine once, announces readiness with a HELLO
+    carrying the rows it emitted while compiling (a table-only SELECT's),
+    then serves frames until STOP or pipe close.  Every data frame is answered
     with exactly one OUTPUT frame acknowledging it and carrying whatever
     stamped rows the step produced, so the router's in-flight accounting
     is a plain counter.  Failures are reported as ERROR frames with the
@@ -485,7 +483,9 @@ def shard_worker_main(
     try:
         codec = FrameCodec(spec)
         runtime = _ShardRuntime(spec, shard, n_shards)
-        conn.send_bytes(encode_hello(shard))
+        conn.send_bytes(
+            codec.encode_outputs(0, runtime.take_outputs(), 0.0, 0.0, FT_HELLO)
+        )
         while True:
             try:
                 data = conn.recv_bytes()
@@ -690,6 +690,11 @@ class ShardWorkerClient:
                         self._inflight -= 1
                         cond.notify_all()
                 elif ftype == FT_HELLO:
+                    _, outputs, _, _ = self._codec.decode_outputs(
+                        payload, self.shard
+                    )
+                    if outputs:
+                        self._on_outputs(self.shard, outputs)
                     with cond:
                         self._last_progress = time.monotonic()
                         self._ready = True

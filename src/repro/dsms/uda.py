@@ -9,9 +9,10 @@ This module gives two ways to define a UDA:
 
 * :func:`uda_from_callables` — wrap three Python callables (the common path
   for library users).
-* :class:`SqlUda` — an interpreter for the ESL textual form, where each
-  block is a tiny sequence of assignments over a named state; the ESL-EV
-  parser produces these from ``CREATE AGGREGATE`` statements.
+* :class:`SqlUda` — the ESL textual form, where each block is a tiny
+  sequence of assignments over a named state, compiled once per
+  aggregate; the ESL-EV parser produces these from ``CREATE AGGREGATE``
+  statements.
 
 Both produce ordinary :class:`~repro.dsms.aggregates.Aggregate` factories,
 so UDAs and built-ins are indistinguishable to the engine.
@@ -23,7 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .aggregates import Aggregate
 from .errors import EslSemanticError
-from .expressions import Env, Expression
+from .expressions import CompileContext, Env, EvalFn, Expression
 
 
 def uda_from_callables(
@@ -85,7 +86,7 @@ class _StateTuple:
 
 
 class SqlUda:
-    """An ESL-style UDA interpreted from assignment blocks.
+    """An ESL-style UDA defined by assignment blocks.
 
     Example — average, the canonical ESL demo::
 
@@ -110,6 +111,16 @@ class SqlUda:
         self.iterate_block = [StateAssignment(t, e) for t, e in iterate]
         self.terminate_expr = terminate
         self._functions = dict(functions or {})
+        ctx = CompileContext(self._functions)
+        self._initialize = self._compile(self.initialize_block, ctx)
+        self._iterate = self._compile(self.iterate_block, ctx)
+        self._terminate = terminate.compile(ctx)
+
+    @staticmethod
+    def _compile(
+        block: Sequence[StateAssignment], ctx: CompileContext
+    ) -> list[tuple[str, EvalFn]]:
+        return [(step.target, step.expression.compile(ctx)) for step in block]
 
     def _env_for(self, state: dict[str, Any]) -> Env:
         env = Env(functions=self._functions)
@@ -117,15 +128,15 @@ class SqlUda:
         return env
 
     def _run_block(
-        self, block: Sequence[StateAssignment], state: dict[str, Any]
+        self, block: Sequence[tuple[str, EvalFn]], state: dict[str, Any]
     ) -> dict[str, Any]:
         env = self._env_for(state)
-        for assignment in block:
-            state[assignment.target] = assignment.expression.eval(env)
+        for target, fn in block:
+            state[target] = fn(env)
         return state
 
     def factory(self) -> Callable[[], Aggregate]:
-        """Return an Aggregate factory executing the interpreted blocks."""
+        """Return an Aggregate factory running the compiled blocks."""
 
         param = self.param
 
@@ -136,7 +147,7 @@ class SqlUda:
             return None
 
         def iterate(state: dict[str, Any] | None, value: Any) -> dict[str, Any]:
-            block = self.initialize_block if state is None else self.iterate_block
+            block = self._initialize if state is None else self._iterate
             if state is None:
                 state = {}
             state[param] = value
@@ -149,8 +160,7 @@ class SqlUda:
                 return None  # no input rows: SQL aggregates yield NULL
             state = dict(state)
             state.setdefault(param, None)
-            env = self._env_for(state)
-            return self.terminate_expr.eval(env)
+            return self._terminate(self._env_for(state))
 
         uda_name = self.name
 

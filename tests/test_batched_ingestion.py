@@ -138,9 +138,9 @@ class TestRunTraceEquivalence:
 
         assert batched.rows() == single.rows()
 
-    def test_interpreted_engine_also_supports_run_trace(self):
+    def test_closure_engine_also_supports_run_trace(self):
         workload = quality_check_workload(n_products=15, seed=9)
-        slow = build_quality_check(workload, tier="interpreted")
+        slow = build_quality_check(workload, tier="closure")
         slow.engine.run_trace(workload.trace)
         slow.engine.flush()
         fast = build_quality_check(workload)

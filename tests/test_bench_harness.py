@@ -164,7 +164,7 @@ class TestRunArms:
 RUNNER_SMOKE = {
     "pairing_kernels": (
         {"n_rows": 400, "batch_rows": 64},
-        ["interpreted-pairing", "scalar-pairing", "vector-pairing"],
+        ["scalar-pairing", "vector-pairing"],
     ),
     "sharded_scaling": (
         {"n_products": 10, "shard_counts": (1, 2), "executor": "serial"},

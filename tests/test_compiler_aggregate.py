@@ -3,6 +3,9 @@
 import pytest
 
 from repro.dsms import Engine
+from repro.dsms.lowering import TIERS
+
+from .oracle.relational import run_program
 
 
 @pytest.fixture
@@ -180,33 +183,41 @@ GROUPED_AGGREGATES = [
 ]
 
 
+GROUPS = ["a", None, "b", "a", None, "a", "b", None]
+TRACE = [
+    ("r", {"grp": GROUPS[index % 8], "v": None if index % 7 == 3 else index % 5},
+     index * 0.5)
+    for index in range(40)
+]
+
+
 def grouped_rows(tier, text):
     engine = Engine(tier=tier)
     engine.create_stream("r", "grp str, v int")
     engine.register_udf("scaled", scaled)
     handle = engine.query(text)
-    groups = ["a", None, "b", "a", None, "a", "b", None]
-    for index in range(40):
-        value = None if index % 7 == 3 else index % 5
-        engine.push("r", {"grp": groups[index % 8], "v": value}, ts=index * 0.5)
-    return handle.rows()
+    engine.run_trace(TRACE)
+    return [(tuple(tup.values), tup.ts) for tup in handle.results]
 
 
 class TestAggregateTierDifferential:
-    """Compiled tiers agree with the interpreted reference on grouped
-    aggregates with HAVING, a UDF argument and NULL group keys."""
+    """Both tiers agree with the oracle on grouped aggregates with HAVING,
+    a UDF argument and NULL group keys.  The oracle reads the UDF
+    inlined: ``scaled(v)`` is ``v * 2``, NULL in, NULL out."""
 
-    @pytest.mark.parametrize("tier", ["vector", "closure"])
+    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("text", GROUPED_AGGREGATES)
-    def test_matches_interpreted(self, text, tier):
-        reference = grouped_rows("interpreted", text)
+    def test_matches_oracle(self, text, tier):
+        (reference,) = run_program(
+            text.replace("scaled(v)", "(v * 2)"), {"r": "grp str, v int"}, {}, TRACE
+        )
         assert reference  # HAVING leaves rows to compare
-        assert any(row["grp"] is None for row in reference)
+        assert any(values[0] is None for values, _ts in reference)
         assert grouped_rows(tier, text) == reference
 
 
 class TestWindowedRecomputeCost:
-    @pytest.mark.parametrize("tier", ["vector", "closure", "interpreted"])
+    @pytest.mark.parametrize("tier", TIERS)
     def test_one_pass_per_arrival(self, tier):
         """A windowed recompute checks WHERE and the group key once per held
         tuple, and each aggregate's argument once per held tuple — not once

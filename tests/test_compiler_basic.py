@@ -262,6 +262,13 @@ class TestErrorPaths:
                 "(SELECT tagid FROM t)"
             )
 
+    def test_exists_under_or_rejected_at_compile_time(self, engine):
+        # It used to compile and then raise on the first tuple.
+        engine.create_stream("s", "x int")
+        engine.create_table("t", "y int")
+        with pytest.raises(EslSemanticError, match="top-level AND-terms"):
+            engine.query("SELECT x FROM s WHERE x = 1 OR EXISTS (SELECT * FROM t)")
+
     def test_temporal_arg_must_be_stream(self, engine):
         engine.create_stream("a", "tagid str")
         engine.create_table("t", "tagid str")
@@ -308,6 +315,15 @@ class TestDeleteUpdate:
         stocked.query("UPDATE inventory SET qty = qty + 10")
         quantities = sorted(r["qty"] for r in stocked.table("inventory").scan())
         assert quantities == [13, 15, 19]
+
+    def test_update_duplicate_rows_once_each(self, engine):
+        # SET reads each row's pre-update values: duplicates are updated
+        # once each (this used to cascade every row to ('a', 3)).
+        engine.query("CREATE TABLE t(k str, x int)")
+        engine.query("INSERT INTO t VALUES ('a', 1), ('a', 1), ('a', 2)")
+        handle = engine.query("UPDATE t SET x = x + 1")
+        assert handle.affected_rows == 3
+        assert list(engine.table("t").rows()) == [("a", 2), ("a", 2), ("a", 3)]
 
     def test_update_multiple_columns(self, stocked):
         stocked.query(

@@ -9,6 +9,7 @@ from repro.dsms.expressions import (
     BinaryOp,
     Case,
     Column,
+    CompileContext,
     Env,
     FunctionCall,
     InList,
@@ -28,6 +29,11 @@ from repro.dsms.tuples import Tuple
 SCHEMA = Schema.parse("tagid str, serial int, tagtime float")
 
 
+def evaluate(expr, env):
+    """*expr*'s value in *env*, through its one evaluator."""
+    return expr.compile(CompileContext())(env)
+
+
 def env_with(tagid="20.1.5001", serial=5001, tagtime=3.0, alias="r"):
     tup = Tuple(SCHEMA, [tagid, serial, tagtime], tagtime)
     return Env({alias: tup}, default_functions())
@@ -35,30 +41,30 @@ def env_with(tagid="20.1.5001", serial=5001, tagtime=3.0, alias="r"):
 
 class TestColumns:
     def test_qualified_lookup(self):
-        assert Column("tagid", "r").eval(env_with()) == "20.1.5001"
+        assert evaluate(Column("tagid", "r"), env_with()) == "20.1.5001"
 
     def test_bare_lookup_unambiguous(self):
-        assert Column("serial").eval(env_with()) == 5001
+        assert evaluate(Column("serial"), env_with()) == 5001
 
     def test_bare_lookup_ambiguous_raises(self):
         tup = Tuple(SCHEMA, ["a", 1, 0.0], 0.0)
         env = Env({"x": tup, "y": tup})
         with pytest.raises(EslRuntimeError, match="ambiguous"):
-            Column("tagid").eval(env)
+            evaluate(Column("tagid"), env)
 
     def test_unbound_alias_raises(self):
         with pytest.raises(EslRuntimeError):
-            Column("tagid", "nope").eval(env_with())
+            evaluate(Column("tagid", "nope"), env_with())
 
     def test_unbound_bare_column_raises(self):
         with pytest.raises(EslRuntimeError):
-            Column("nope").eval(env_with())
+            evaluate(Column("nope"), env_with())
 
     def test_parent_scope_lookup(self):
         outer = env_with(alias="outer")
         inner = outer.child({"inner": Tuple(SCHEMA, ["x", 9, 1.0], 1.0)})
-        assert Column("tagid", "outer").eval(inner) == "20.1.5001"
-        assert Column("tagid", "inner").eval(inner) == "x"
+        assert evaluate(Column("tagid", "outer"), inner) == "20.1.5001"
+        assert evaluate(Column("tagid", "inner"), inner) == "x"
 
 
 class TestComparisons:
@@ -68,38 +74,38 @@ class TestComparisons:
     ])
     def test_operators(self, op, expected):
         expr = BinaryOp(op, Literal(1), Literal(2))
-        assert expr.eval(Env()) is expected
+        assert evaluate(expr, Env()) is expected
 
     def test_null_propagates(self):
         expr = BinaryOp("=", Literal(None), Literal(1))
-        assert expr.eval(Env()) is None
+        assert evaluate(expr, Env()) is None
 
     def test_incomparable_types_raise(self):
         with pytest.raises(EslRuntimeError):
-            BinaryOp("<", Literal("a"), Literal(1)).eval(Env())
+            evaluate(BinaryOp("<", Literal("a"), Literal(1)), Env())
 
 
 class TestArithmetic:
     def test_basics(self):
         env = Env()
-        assert BinaryOp("+", Literal(2), Literal(3)).eval(env) == 5
-        assert BinaryOp("-", Literal(2), Literal(3)).eval(env) == -1
-        assert BinaryOp("*", Literal(2), Literal(3)).eval(env) == 6
-        assert BinaryOp("/", Literal(6), Literal(3)).eval(env) == 2
+        assert evaluate(BinaryOp("+", Literal(2), Literal(3)), env) == 5
+        assert evaluate(BinaryOp("-", Literal(2), Literal(3)), env) == -1
+        assert evaluate(BinaryOp("*", Literal(2), Literal(3)), env) == 6
+        assert evaluate(BinaryOp("/", Literal(6), Literal(3)), env) == 2
 
     def test_division_by_zero_yields_null(self):
-        assert BinaryOp("/", Literal(1), Literal(0)).eval(Env()) is None
-        assert BinaryOp("%", Literal(1), Literal(0)).eval(Env()) is None
+        assert evaluate(BinaryOp("/", Literal(1), Literal(0)), Env()) is None
+        assert evaluate(BinaryOp("%", Literal(1), Literal(0)), Env()) is None
 
     def test_concat(self):
-        assert BinaryOp("||", Literal("a"), Literal("b")).eval(Env()) == "ab"
+        assert evaluate(BinaryOp("||", Literal("a"), Literal("b")), Env()) == "ab"
 
     def test_null_propagates(self):
-        assert BinaryOp("+", Literal(None), Literal(1)).eval(Env()) is None
+        assert evaluate(BinaryOp("+", Literal(None), Literal(1)), Env()) is None
 
     def test_negate(self):
-        assert Negate(Literal(5)).eval(Env()) == -5
-        assert Negate(Literal(None)).eval(Env()) is None
+        assert evaluate(Negate(Literal(5)), Env()) == -5
+        assert evaluate(Negate(Literal(None)), Env()) is None
 
 
 class TestKleeneLogic:
@@ -107,23 +113,23 @@ class TestKleeneLogic:
 
     def test_and_truth_table(self):
         env = Env()
-        assert And(self.T, self.T).eval(env) is True
-        assert And(self.T, self.F).eval(env) is False
-        assert And(self.T, self.N).eval(env) is None
-        assert And(self.F, self.N).eval(env) is False  # false dominates
+        assert evaluate(And(self.T, self.T), env) is True
+        assert evaluate(And(self.T, self.F), env) is False
+        assert evaluate(And(self.T, self.N), env) is None
+        assert evaluate(And(self.F, self.N), env) is False  # false dominates
 
     def test_or_truth_table(self):
         env = Env()
-        assert Or(self.F, self.F).eval(env) is False
-        assert Or(self.F, self.T).eval(env) is True
-        assert Or(self.F, self.N).eval(env) is None
-        assert Or(self.T, self.N).eval(env) is True  # true dominates
+        assert evaluate(Or(self.F, self.F), env) is False
+        assert evaluate(Or(self.F, self.T), env) is True
+        assert evaluate(Or(self.F, self.N), env) is None
+        assert evaluate(Or(self.T, self.N), env) is True  # true dominates
 
     def test_not(self):
         env = Env()
-        assert Not(self.T).eval(env) is False
-        assert Not(self.F).eval(env) is True
-        assert Not(self.N).eval(env) is None
+        assert evaluate(Not(self.T), env) is False
+        assert evaluate(Not(self.F), env) is True
+        assert evaluate(Not(self.N), env) is None
 
     def test_truthy_where_semantics(self):
         assert truthy(True)
@@ -134,70 +140,70 @@ class TestKleeneLogic:
 class TestPredicates:
     def test_is_null(self):
         env = Env()
-        assert IsNull(Literal(None)).eval(env) is True
-        assert IsNull(Literal(1)).eval(env) is False
-        assert IsNull(Literal(None), negate=True).eval(env) is False
+        assert evaluate(IsNull(Literal(None)), env) is True
+        assert evaluate(IsNull(Literal(1)), env) is False
+        assert evaluate(IsNull(Literal(None), negate=True), env) is False
 
     def test_between_inclusive(self):
         env = Env()
-        assert Between(Literal(5), Literal(5), Literal(9)).eval(env) is True
-        assert Between(Literal(9), Literal(5), Literal(9)).eval(env) is True
-        assert Between(Literal(10), Literal(5), Literal(9)).eval(env) is False
+        assert evaluate(Between(Literal(5), Literal(5), Literal(9)), env) is True
+        assert evaluate(Between(Literal(9), Literal(5), Literal(9)), env) is True
+        assert evaluate(Between(Literal(10), Literal(5), Literal(9)), env) is False
 
     def test_between_null(self):
-        assert Between(Literal(None), Literal(1), Literal(2)).eval(Env()) is None
+        assert evaluate(Between(Literal(None), Literal(1), Literal(2)), Env()) is None
 
     def test_not_between(self):
         expr = Between(Literal(10), Literal(5), Literal(9), negate=True)
-        assert expr.eval(Env()) is True
+        assert evaluate(expr, Env()) is True
 
     def test_in_list(self):
         env = Env()
-        assert InList(Literal(2), [Literal(1), Literal(2)]).eval(env) is True
-        assert InList(Literal(3), [Literal(1), Literal(2)]).eval(env) is False
+        assert evaluate(InList(Literal(2), [Literal(1), Literal(2)]), env) is True
+        assert evaluate(InList(Literal(3), [Literal(1), Literal(2)]), env) is False
 
     def test_in_list_negated(self):
         env = Env()
-        assert InList(Literal(3), [Literal(1)], negate=True).eval(env) is True
-        assert InList(Literal(1), [Literal(1)], negate=True).eval(env) is False
+        assert evaluate(InList(Literal(3), [Literal(1)], negate=True), env) is True
+        assert evaluate(InList(Literal(1), [Literal(1)], negate=True), env) is False
 
     def test_in_list_with_null_member(self):
         # 3 IN (1, NULL) is NULL per SQL
         expr = InList(Literal(3), [Literal(1), Literal(None)])
-        assert expr.eval(Env()) is None
+        assert evaluate(expr, Env()) is None
 
 
 class TestLike:
     def test_percent_wildcard(self):
         expr = Like(Literal("20.1.5001"), Literal("20.%"))
-        assert expr.eval(Env()) is True
+        assert evaluate(expr, Env()) is True
 
     def test_paper_pattern(self):
         expr = Like(Column("tagid", "r"), Literal("20.%.%"))
-        assert expr.eval(env_with(tagid="20.7.999")) is True
-        assert expr.eval(env_with(tagid="21.7.999")) is False
+        assert evaluate(expr, env_with(tagid="20.7.999")) is True
+        assert evaluate(expr, env_with(tagid="21.7.999")) is False
 
     def test_underscore_wildcard(self):
-        assert Like(Literal("cat"), Literal("c_t")).eval(Env()) is True
-        assert Like(Literal("cart"), Literal("c_t")).eval(Env()) is False
+        assert evaluate(Like(Literal("cat"), Literal("c_t")), Env()) is True
+        assert evaluate(Like(Literal("cart"), Literal("c_t")), Env()) is False
 
     def test_special_chars_escaped(self):
         # The '.' in EPC patterns must match literally, not as regex-any.
-        assert Like(Literal("20x1"), Literal("20.1")).eval(Env()) is False
-        assert Like(Literal("20.1"), Literal("20.1")).eval(Env()) is True
+        assert evaluate(Like(Literal("20x1"), Literal("20.1")), Env()) is False
+        assert evaluate(Like(Literal("20.1"), Literal("20.1")), Env()) is True
 
     def test_not_like(self):
         expr = Like(Literal("abc"), Literal("z%"), negate=True)
-        assert expr.eval(Env()) is True
+        assert evaluate(expr, Env()) is True
 
     def test_null_operand(self):
-        assert Like(Literal(None), Literal("a%")).eval(Env()) is None
+        assert evaluate(Like(Literal(None), Literal("a%")), Env()) is None
 
     def test_pattern_change_recompiles(self):
         pattern_col = Column("tagid", "r")
         expr = Like(Literal("abc"), pattern_col)
-        assert expr.eval(env_with(tagid="a%")) is True
-        assert expr.eval(env_with(tagid="z%")) is False
+        assert evaluate(expr, env_with(tagid="a%")) is True
+        assert evaluate(expr, env_with(tagid="z%")) is False
 
     def test_pattern_memoized_across_nodes(self):
         # The module-level memo means two Like nodes (e.g. the same EPC
@@ -205,33 +211,32 @@ class TestLike:
         assert Like._regex("20.%.5001") is Like._regex("20.%.5001")
         first = Like(Literal("20.1.5001"), Literal("20.%.5001"))
         second = Like(Literal("20.2.5001"), Literal("20.%.5001"))
-        assert first.eval(Env()) is True and second.eval(Env()) is True
-        assert first._compiled[1] is second._compiled[1]
+        assert evaluate(first, Env()) is True and evaluate(second, Env()) is True
 
 
 class TestFunctionsAndCase:
     def test_function_call(self):
         expr = FunctionCall("upper", [Literal("abc")])
-        assert expr.eval(Env(functions=default_functions())) == "ABC"
+        assert evaluate(expr, Env(functions=default_functions())) == "ABC"
 
     def test_unknown_function(self):
         with pytest.raises(UnknownFunctionError):
-            FunctionCall("nope", []).eval(Env())
+            evaluate(FunctionCall("nope", []), Env())
 
     def test_case_branches(self):
         expr = Case(
             [(Literal(False), Literal("a")), (Literal(True), Literal("b"))],
             Literal("z"),
         )
-        assert expr.eval(Env()) == "b"
+        assert evaluate(expr, Env()) == "b"
 
     def test_case_default(self):
         expr = Case([(Literal(False), Literal("a"))], Literal("z"))
-        assert expr.eval(Env()) == "z"
+        assert evaluate(expr, Env()) == "z"
 
     def test_case_no_default_yields_null(self):
         expr = Case([(Literal(False), Literal("a"))])
-        assert expr.eval(Env()) is None
+        assert evaluate(expr, Env()) is None
 
 
 class TestStructure:
@@ -249,7 +254,7 @@ class TestStructure:
         assert kinds.count("Literal") == 3
 
     def test_conjoin_empty_is_true(self):
-        assert conjoin([]).eval(Env()) is True
+        assert evaluate(conjoin([]), Env()) is True
 
     def test_conjoin_single_passthrough(self):
         lit = Literal(5)

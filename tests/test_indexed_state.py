@@ -1,12 +1,11 @@
-"""Differential tests: indexed sequence state vs. the reference path.
+"""Indexed sequence state against the oracle.
 
-``Engine()`` (every tier but the reference) runs SEQ with cached
-predecessor cuts, bisected eviction, and the lazy partition-expiry heap;
-``Engine(tier="interpreted")`` — the reference configuration — keeps the
-original enumeration and the amortized all-partition sweep.  The contract is *byte-identical output*: for any
-workload, both paths must emit the same match sequence — same chains, same
-order — across all four pairing modes, window shapes, guards, star
-sequences, and timer-driven EXCEPTION_SEQ violations.
+SEQ keeps cached predecessor cuts, bisected eviction and the lazy
+partition-expiry heap.  Hand-built operators (plain-callable guards,
+explicit partition functions) must emit exactly the matches, in the same
+order, that the oracle (``tests/oracle/temporal.py``) reads off the
+equivalent statement — across all four pairing modes, window shapes,
+guards, star sequences, and timer-driven EXCEPTION_SEQ violations.
 
 The second half covers the state-bounds regression the heap exists for:
 windowed UNRESTRICTED with many one-shot tags must keep ``state_size``
@@ -31,6 +30,10 @@ from repro.rfid import (
     build_quality_check_sharded,
     quality_check_workload,
 )
+from repro.rfid.scenarios import quality_query_text
+
+from .oracle.relational import run_program
+from .oracle.temporal import seq_statement_text
 
 MODES = [
     PairingMode.UNRESTRICTED,
@@ -44,6 +47,8 @@ MODES = [
 #: a mid-anchored PRECEDING window, and a FOLLOWING window.
 WINDOW_SHAPES = ["none", "preceding_last", "preceding_mid", "following"]
 
+SCHEMA = "tagid str, tagtime float"
+
 
 def window_for(shape, n_args, duration=12.0):
     if shape == "none":
@@ -55,12 +60,14 @@ def window_for(shape, n_args, duration=12.0):
     return OperatorWindow(duration, 0, "following")
 
 
+def aliases_for(streams):
+    return [f"{name}{i}" for i, name in enumerate(streams)]
+
+
 def build_op(engine, streams, mode, **kw):
     for name in set(streams):
-        engine.create_stream(name, "tagid str, tagtime float")
-    args = [
-        SeqArg(name, alias=f"{name}{i}") for i, name in enumerate(streams)
-    ]
+        engine.create_stream(name, SCHEMA)
+    args = [SeqArg(name, alias=alias) for name, alias in zip(streams, aliases_for(streams))]
     return make_sequence_operator(engine, args, mode=mode, **kw)
 
 
@@ -74,6 +81,10 @@ def random_trace(seed, n=240, streams=("a", "b", "c"), tags=("t1", "t2", "t3")):
     return trace
 
 
+def records(trace):
+    return [(stream, {"tagid": tag, "tagtime": ts}, ts) for stream, tag, ts in trace]
+
+
 def state_invariant(op):
     """The incremental held-tuple counter must equal a from-scratch sum."""
     assert op.state_size == sum(
@@ -81,25 +92,53 @@ def state_invariant(op):
     )
 
 
-def run_one(tier, streams, mode, trace, window, guard, partition):
-    engine = Engine(tier=tier)
+def same_tag(bindings):
+    """The plain guard: every bound tuple carries one tag."""
+    return len({t["tagid"] for t in bindings.values()}) == 1
+
+
+def run_one(streams, mode, trace, window, guard, partition):
+    engine = Engine()
     matches = []
     op = build_op(
         engine, streams, mode, window=window, guard=guard,
         partition_by=(lambda t: t["tagid"]) if partition else None,
         on_match=matches.append,
     )
-    for stream, tag, ts in trace:
-        engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
+    engine.run_trace(records(trace))
     state_invariant(op)
-    return matches
+    aliases = aliases_for(streams)
+    return [
+        (tuple(v for alias in aliases for v in m.tuple_for(alias).values), m.ts)
+        for m in matches
+    ]
+
+
+def oracle_rows(streams, mode, trace, window, guard, partition):
+    """The oracle's reading of the hand-built operator: the partition is
+    an equality chain it hoists, the guard pairwise terms it does not."""
+    aliases = aliases_for(streams)
+    terms = []
+    if partition:
+        terms += [f"{aliases[0]}.tagid = {alias}.tagid" for alias in aliases[1:]]
+    if guard is not None:
+        terms += [
+            f"lower({a}.tagid) = lower({b}.tagid)"
+            for i, a in enumerate(aliases) for b in aliases[i + 1:]
+        ]
+    text = seq_statement_text(
+        aliases, streams, mode.value,
+        None if window is None else (window.duration, window.direction, window.anchor),
+        terms,
+    )
+    (rows,) = run_program(text, {name: SCHEMA for name in streams}, {}, records(trace))
+    return rows
 
 
 def assert_differential(streams, mode, trace, window=None, guard=None,
                         partition=False):
-    reference = run_one("interpreted", streams, mode, trace, window, guard, partition)
-    indexed = run_one("vector", streams, mode, trace, window, guard, partition)
-    assert [m.key() for m in indexed] == [m.key() for m in reference]
+    expected = oracle_rows(streams, mode, trace, window, guard, partition)
+    assert run_one(streams, mode, trace, window, guard, partition) == expected
 
 
 class TestDifferentialModes:
@@ -128,15 +167,10 @@ class TestDifferentialModes:
     def test_pairing_guard(self, mode, shape):
         """A plain (pairing-time) guard: RECENT keeps full history and the
         indexed path walks stored cuts under guard probes."""
-
-        def guard(bindings):
-            tags = {t["tagid"] for t in bindings.values()}
-            return len(tags) == 1
-
         trace = random_trace(11, n=160)
         assert_differential(
             ["a", "b", "c"], mode, trace,
-            window=window_for(shape, 3), guard=guard,
+            window=window_for(shape, 3), guard=same_tag,
         )
 
     @pytest.mark.parametrize("mode", MODES[:3])
@@ -167,62 +201,70 @@ AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
 AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS
 """
 
+QUALITY_STREAMS = {name: "readerid str, tagid str, tagtime float"
+                   for name in ("c1", "c2", "c3", "c4")}
+
+
+def values_of(rows):
+    return [tuple(row.values()) for row in rows]
+
 
 class TestDifferentialQueries:
     def test_star_sequence_rows_identical(self):
         rng = random.Random(23)
-        rows = []
-        for tier in ("interpreted", "vector"):
-            engine = Engine(tier=tier)
-            engine.create_stream("r1", "readerid str, tagid str, tagtime float")
-            engine.create_stream("r2", "readerid str, tagid str, tagtime float")
-            handle = engine.query(STAR_QUERY, name="star")
-            ts = 0.0
-            rng = random.Random(23)
-            for _ in range(150):
-                ts += rng.choice([0.3, 0.8, 2.0, 6.0])
-                stream = "r1" if rng.random() < 0.8 else "r2"
-                engine.push(
-                    stream, {"readerid": "r", "tagid": "t1", "tagtime": ts},
-                    ts=ts,
-                )
-            rows.append(handle.rows())
-        assert rows[0] == rows[1]
+        trace, ts = [], 0.0
+        for _ in range(150):
+            ts += rng.choice([0.3, 0.8, 2.0, 6.0])
+            stream = "r1" if rng.random() < 0.8 else "r2"
+            trace.append((stream, {"readerid": "r", "tagid": "t1", "tagtime": ts}, ts))
+        engine = Engine()
+        for name in ("r1", "r2"):
+            engine.create_stream(name, "readerid str, tagid str, tagtime float")
+        handle = engine.query(STAR_QUERY, name="star")
+        engine.run_trace(trace)
+        (expected,) = run_program(
+            STAR_QUERY,
+            {name: "readerid str, tagid str, tagtime float" for name in ("r1", "r2")},
+            {}, trace,
+        )
+        assert expected
+        assert values_of(handle.rows()) == [values for values, _ts in expected]
 
     @pytest.mark.parametrize("mode", ["UNRESTRICTED", "RECENT", "CHRONICLE"])
     def test_quality_scenario_rows_identical(self, mode):
         workload = quality_check_workload(n_products=40, seed=51)
-        reference = build_quality_check(
-            workload, mode=mode, window_minutes=30.0, tier="interpreted"
-        ).feed()
+        (expected,) = run_program(
+            quality_query_text(mode, window_minutes=30.0), QUALITY_STREAMS, {},
+            workload.trace,
+        )
         indexed = build_quality_check(
             workload, mode=mode, window_minutes=30.0
         ).feed()
-        assert indexed.rows() == reference.rows()
+        assert values_of(indexed.rows()) == [values for values, _ts in expected]
 
     def test_sharded_indexed_matches_reference(self):
         workload = quality_check_workload(n_products=40, seed=52)
-        expected = build_quality_check(
-            workload, mode="UNRESTRICTED", window_minutes=30.0,
-            tier="interpreted",
-        ).feed().rows()
+        (expected,) = run_program(
+            quality_query_text("UNRESTRICTED", window_minutes=30.0),
+            QUALITY_STREAMS, {}, workload.trace,
+        )
         scenario = build_quality_check_sharded(
             workload, n_shards=3, mode="UNRESTRICTED", window_minutes=30.0,
         ).feed()
         try:
-            assert scenario.rows() == expected
+            assert values_of(scenario.rows()) == [values for values, _ts in expected]
         finally:
             scenario.engine.close()
 
 
 class TestDifferentialExceptionSeq:
-    """Active-expiration timers must behave identically on the reference
-    and the default tier (they share the clock and engine)."""
+    """Active-expiration timers on a hand-built operator against the
+    oracle's completion levels."""
 
-    def run_outcomes(self, tier, mode):
-        engine = Engine(tier=tier)
+    def run_outcomes(self, mode):
+        engine = Engine()
         for name in ("a1", "a2", "a3"):
-            engine.create_stream(name, "tagid str, tagtime float")
+            engine.create_stream(name, SCHEMA)
         outcomes = []
         op = ExceptionSeqOperator(
             engine,
@@ -234,36 +276,38 @@ class TestDifferentialExceptionSeq:
         )
         rng = random.Random(29)
         ts = 0.0
+        trace = []
         for _ in range(120):
             ts += rng.choice([0.5, 2.0, 7.0])
             stream = rng.choice(["a1", "a2", "a3"])
             tag = rng.choice(["t1", "t2", "t3", "t4"])
-            engine.push(stream, {"tagid": tag, "tagtime": ts}, ts=ts)
+            trace.append((stream, {"tagid": tag, "tagtime": ts}, ts))
+        engine.run_trace(trace)
         engine.advance_time(ts + 100.0)  # fire every remaining expiration
-        return engine, op, outcomes
+        return engine, op, outcomes, trace, ts + 100.0
 
     @pytest.mark.parametrize(
         "mode", [PairingMode.RECENT, PairingMode.CONSECUTIVE]
     )
     def test_outcome_sequences_identical(self, mode):
-        per_tier = []
-        for tier in ("interpreted", "vector"):
-            __, __, outcomes = self.run_outcomes(tier, mode)
-            per_tier.append([
-                (
-                    o.level,
-                    o.reason.value,
-                    o.ts,
-                    tuple((t.ts, t.seq) for t in o.partial),
-                )
-                for o in outcomes
-            ])
-        assert per_tier[0] == per_tier[1]
+        __, __, outcomes, trace, until = self.run_outcomes(mode)
+        (expected,) = run_program(
+            "SELECT a1.tagtime, a2.tagtime, a3.tagtime FROM a1, a2, a3 "
+            "WHERE (CLEVEL_SEQ(a1, a2, a3) OVER [10 SECONDS FOLLOWING a1] "
+            f"MODE {mode.value}) >= 0 "
+            "AND a1.tagid = a2.tagid AND a1.tagid = a3.tagid",
+            {name: SCHEMA for name in ("a1", "a2", "a3")}, {}, trace, until,
+        )
+        got = [
+            (tuple([t.ts for t in o.partial] + [None] * (3 - o.level)), o.ts)
+            for o in outcomes
+        ]
+        assert got == expected
 
     def test_idle_states_released(self):
         """Terminated automata leave no residue: after the final timers
         fire, every per-tag state entry is gone."""
-        engine, op, __ = self.run_outcomes("vector", PairingMode.CONSECUTIVE)
+        engine, op, __, __, __ = self.run_outcomes(PairingMode.CONSECUTIVE)
         # Any state still in the table is mid-sequence with an armed timer;
         # after the long advance above, expirations have all fired.
         assert op._states == {}
@@ -306,8 +350,7 @@ class TestStateBounds:
 
     def test_idle_engine_expires_via_heartbeat(self):
         """With no further arrivals, a clock heartbeat alone must drain the
-        remaining windowed state (the reference sweep cannot do this — it
-        only runs on arrivals)."""
+        remaining windowed state."""
         engine, op = self.one_shot_engine(50)
         assert op.state_size > 0
         engine.advance_time(1000.0)
@@ -321,8 +364,6 @@ class TestStateBounds:
         assert engine.clock.pending_timers() == 0
 
     def test_sharded_one_shot_tags_bounded(self):
-        from repro.rfid.scenarios import quality_query_text
-
         engine = ShardedEngine(n_shards=4)
         for name in ("c1", "c2", "c3", "c4"):
             engine.create_stream(name, "readerid str, tagid str, tagtime float")

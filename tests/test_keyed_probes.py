@@ -1,11 +1,12 @@
 """Keyed EXISTS probes: correlation keys, the indexes behind them, and
-differentials against the interpreted tier's linear scan.
+differentials against the oracle and against the scan.
 
-On the compiled tiers an EXISTS sub-query whose WHERE has correlated
-equalities (``r2.tag_id = r1.tag_id``, Example 2's ``tagid = tid``) reads
-one hash bucket — a Table index or a RANGE window buffer's keyed side
-index — and still runs its whole WHERE on every bucket candidate.
-``tier="interpreted"`` scans every candidate and is the reference here.
+An EXISTS sub-query whose WHERE has correlated equalities
+(``r2.tag_id = r1.tag_id``, Example 2's ``tagid = tid``) reads one hash
+bucket — a Table index or a RANGE window buffer's keyed side index — and
+still runs its whole WHERE on every bucket candidate.  The references
+are the oracle (``tests/oracle/relational.py``) and the same query with
+its keys spelled ``NOT (a <> b)``, which is no key, so the probe scans.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from repro.core.language.ast_nodes import ExistsPredicate, iter_and_terms
 from repro.dsms import Engine, Schema, Tuple
 from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
 from repro.dsms.errors import EslRuntimeError, SchemaError
+from repro.dsms.lowering import TIERS
 from repro.dsms.table import Table
 from repro.dsms.windows import RangeWindowBuffer, RowsWindowBuffer
+
+from .oracle.relational import run_program
 
 EX1_DEDUP = """
 SELECT * FROM readings AS r1
@@ -197,8 +201,8 @@ class TestTableIndex:
         assert [t.values[0] for t in table.bucket(("start_time",), (5.0,))] == ["t9"]
 
 
-def _location_engine(**kwargs) -> tuple[Engine, object]:
-    engine = Engine(**kwargs)
+def _location_engine() -> tuple[Engine, object]:
+    engine = Engine()
     engine.create_stream("tag_locations", "readerid str, tid str, tagtime float, loc str")
     engine.create_table("object_movement", "tagid str, location str, start_time float")
     return engine, engine.query(EX2_LOCATION)
@@ -208,8 +212,6 @@ class TestTableProbe:
     def test_compiler_creates_the_key_index(self):
         engine, _handle = _location_engine()
         assert list(engine.table("object_movement")._indexes) == [("location", "tagid")]
-        reference, _ = _location_engine(tier="interpreted")
-        assert not reference.table("object_movement")._indexes
 
     def test_probe_survives_index_replacement_and_restore(self):
         """The probe goes through the table on every call, so a replaced
@@ -315,7 +317,7 @@ class TestWindowIndex:
 
 
 # ---------------------------------------------------------------------------
-# Differentials: keyed (default tier) vs the interpreted scan
+# Differentials: keyed probes vs the oracle and the scan
 # ---------------------------------------------------------------------------
 
 NESTED = """
@@ -363,15 +365,19 @@ def test_window_probes_match_the_scan(steps):
     alias, a key-less window and a ROWS window: NULL and cross-type keys,
     unicode, unhashable values in a str column (spill list + unhashable
     outer key), timestamp ties and the exact window edge."""
-    runs = []
-    for tier in ("vector", "closure", "interpreted"):
+    trace, ts = [], 0.0
+    for reader, tag, gap in steps:
+        ts += gap
+        trace.append(("readings", {"reader_id": reader, "tag_id": tag, "read_time": ts}, ts))
+    expected = run_program(
+        "INSERT INTO known VALUES ('a'), ('é');\n"
+        + ";\n".join((EX1_DEDUP, NESTED, NO_KEY, ROWS_WINDOW)),
+        {"readings": READINGS}, {"known": "tag str"}, trace,
+    )
+    for tier in TIERS:
         engine, handles = _window_engine(tier)
-        ts = 0.0
-        for reader, tag, gap in steps:
-            ts += gap
-            engine.push("readings", [reader, tag, ts], ts=ts)
-        runs.append([_rows(handle) for handle in handles])
-    assert runs[0] == runs[2] and runs[1] == runs[2]
+        engine.run_trace(trace)
+        assert [_rows(handle) for handle in handles] == expected
 
 
 PROBE_TABLE = """
@@ -396,17 +402,30 @@ _TABLE_OPS = st.one_of(
 )
 
 
+def _scanning(text: str) -> str:
+    """*text* with every correlation key spelled ``NOT (a <> b)``: the same
+    predicate in SQL's three-valued logic, but no key, so the probe scans."""
+    for key in ("tagid = tid", "location = loc", "m.tagid = p.tid",
+                "m.location = p.loc", "start_time = p.at"):
+        left, right = key.split(" = ")
+        text = text.replace(key, f"NOT ({left} <> {right})")
+    return text
+
+
 @given(st.lists(_TABLE_OPS, max_size=40))
 @settings(max_examples=80, deadline=None)
 def test_table_probes_match_the_scan(ops):
     """Example 2 writing the table, two keyed readers of it (string pair
     key; a float key probed with 1 / 1.0 / TRUE / '1'), and delete_where /
-    update_where between pushes."""
+    update_where between pushes, against the same queries scanning."""
     runs = []
-    for tier in ("vector", "interpreted"):
-        engine, _ = _location_engine(tier=tier)
+    for spell in (str, _scanning):
+        engine = Engine()
+        engine.create_stream("tag_locations", "readerid str, tid str, tagtime float, loc str")
+        engine.create_table("object_movement", "tagid str, location str, start_time float")
+        engine.query(spell(EX2_LOCATION))
         engine.create_stream("probes", "tid str, loc str, at float")
-        handles = [engine.query(PROBE_TABLE), engine.query(PROBE_NUMERIC)]
+        handles = [engine.query(spell(PROBE_TABLE)), engine.query(spell(PROBE_NUMERIC))]
         table = engine.table("object_movement")
         ts = 0.0
         for kind, a, b, c in ops:
@@ -424,24 +443,30 @@ def test_table_probes_match_the_scan(ops):
 
 
 def test_raising_residual_is_evaluated_only_on_the_bucket():
-    """The one intended divergence (docs/LANGUAGE.md): a residual conjunct
-    that raises, written before the key, raises under the scan for every
-    candidate but under a keyed probe only for the key's bucket."""
+    """The reading docs/LANGUAGE.md states: a residual conjunct that
+    raises, written before the key, raises for every candidate under a
+    scan but under a keyed probe (and in the oracle) only for the key's
+    bucket."""
     text = EX1_DEDUP.replace(
         "WHERE r2.reader_id = r1.reader_id", "WHERE r2.read_time < 'late'"
     )
+    trace = [
+        ("readings", {"reader_id": "rd", "tag_id": tag, "read_time": ts}, ts)
+        for tag, ts in (("x", 0.0), ("y", 0.5))
+    ]
+    (expected,) = run_program(text, {"readings": READINGS}, {}, trace)
     outcomes = []
-    for tier in ("vector", "interpreted"):
-        engine = Engine(tier=tier)
+    for spelling in (text, text.replace("r2.tag_id = r1.tag_id", "NOT (r2.tag_id <> r1.tag_id)")):
+        engine = Engine()
         engine.create_stream("readings", READINGS)
-        handle = engine.query(text)
-        engine.push("readings", ["rd", "x", 0.0], ts=0.0)
+        handle = engine.query(spelling)
         try:
-            engine.push("readings", ["rd", "y", 0.5], ts=0.5)
-            outcomes.append(len(handle.results))
+            engine.run_trace(trace)
+            outcomes.append(_rows(handle))
         except EslRuntimeError:
             outcomes.append("raised")
-    assert outcomes == [2, "raised"]
+    assert len(expected) == 2
+    assert outcomes == [expected, "raised"]
 
 
 # ---------------------------------------------------------------------------

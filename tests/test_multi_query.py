@@ -126,14 +126,6 @@ class TestSharedMatchesSingleEngine:
             assert _answers(sub) == _single_run(text), text
         mq.close()
 
-    def test_interpreted_engine_stays_residual_and_identical(self):
-        text = SHAPES[0][0]
-        mq = _shared(tier="interpreted")
-        sub = mq.register(text)
-        _feed(mq)
-        assert _answers(sub) == _single_run(text, tier="interpreted")
-        mq.close()
-
     def test_null_values_route_exactly(self):
         # Strict filter: NULL tag_id fails '=' and is gated away; lenient
         # SEQ admission: NULL passes.  Both must match the single engine.
@@ -367,6 +359,19 @@ class TestValidation:
                 "INSERT INTO out SELECT tag_id FROM readings "
                 "WHERE tag_id = 'tA'"
             )
+        mq.close()
+
+    def test_table_only_select_rejected(self):
+        # It answers once, at compile time, before any subscriber could
+        # attach: registering it used to yield a silently empty answer.
+        mq = _shared()
+        mq.create_table("staff", "badge str, ward str")
+        mq.ddl("INSERT INTO staff VALUES ('b-1', 'icu')")
+        with pytest.raises(EslSemanticError, match="Engine.query"):
+            mq.register("SELECT ward FROM staff")
+        assert mq.engine.query("SELECT ward FROM staff").rows() == [
+            {"ward": "icu"}
+        ]
         mq.close()
 
     def test_unknown_stream_rejected_and_leaves_no_state(self):

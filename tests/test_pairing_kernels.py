@@ -5,7 +5,7 @@ partition keeps a columnar mirror of its history, and cross-alias
 conjuncts are lowered to per-stage candidate masks — Python columnar
 closures (vector tier).  Masks only prune: every survivor re-runs the
 scalar pairing check, so query output must be **byte-identical** to the
-interpreted engine in values, timestamps and order.
+mask-free ``tier="closure"`` engine in values, timestamps and order.
 
 Covered here, all under the ``pairing`` marker (the eight paper queries
 run at every tier in ``tests/test_tier_matrix.py``):
@@ -50,9 +50,9 @@ def run_tiers(setup, batches):
             schema = engine.streams.get(stream).schema
             engine.push_columns(stream, ColumnBatch.from_rows(schema, rows))
         per_tier[tier] = [accessor() for accessor in accessors]
-    baseline = per_tier["interpreted"]
+    baseline = per_tier["closure"]
     for tier, output in per_tier.items():
-        assert output == baseline, f"tier {tier!r} diverged from interpreted"
+        assert output == baseline, f"tier {tier!r} diverged from closure"
     assert engine.tier == "vector"
     return baseline, engine
 
@@ -316,13 +316,13 @@ PAIRING_SHAPES = {
 
 
 class TestPairingConjunctShapes:
-    """Each shape's kernels run over real partition histories and every
-    tier emits what ``tier="interpreted"`` emits."""
+    """Each shape's kernels run over real partition histories and the
+    vector tier emits what the mask-free ``tier="closure"`` emits."""
 
     @pytest.mark.parametrize(
         "conjunct", PAIRING_SHAPES.values(), ids=PAIRING_SHAPES.keys()
     )
-    def test_shape_matches_interpreted(self, conjunct):
+    def test_shape_matches_closure(self, conjunct):
         query = (
             "SELECT X.tag_id, X.v, X.k, Y.w, Y.k FROM a AS X, b AS Y "
             f"WHERE SEQ(X, Y) AND X.tag_id = Y.tag_id AND ({conjunct})"
@@ -438,8 +438,8 @@ class TestReporting:
         assert Engine().execution_tier()["pairing"] == {
             "requested": "vector", "active": "vector",
         }
-        assert Engine(tier="interpreted").execution_tier()["pairing"] == {
-            "requested": "interpreted", "active": "interpreted",
+        assert Engine(tier="closure").execution_tier()["pairing"] == {
+            "requested": "closure", "active": "closure",
         }
 
     def test_sharded_tier_report_carries_pairing(self):

@@ -215,8 +215,8 @@ class TestExpressions:
         assert parse_expression("'str'").value == "str"
 
     def test_unary_minus(self):
-        from repro.dsms.expressions import Env
-        assert parse_expression("-5 + 1").eval(Env()) == -4
+        from repro.dsms.expressions import CompileContext, Env
+        assert parse_expression("-5 + 1").compile(CompileContext())(Env()) == -4
 
     def test_duration_literal(self):
         expr = parse_expression("5 SECONDS")

@@ -12,6 +12,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import JoinSequenceBaseline
+from repro.core.language import parse_program
 from repro.core.operators import (
     PairingMode,
     SeqArg,
@@ -20,6 +21,8 @@ from repro.core.operators import (
 from repro.dsms import Engine, Schema, Tuple, VirtualClock
 from repro.dsms.windows import RangeWindowBuffer
 from repro.epc import EpcCode, EpcPattern, pattern_to_sql
+
+from .oracle.temporal import run_temporal
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -468,27 +471,24 @@ class TestClockProperties:
 
 
 class TestStarReferenceModel:
-    """The star runtime against an independent forward simulation of the
-    documented semantics for SEQ(A*, B) MODE CHRONICLE."""
+    """A hand-built star operator against the oracle's reading of
+    SEQ(A*, B) MODE CHRONICLE (``tests/oracle/temporal.py``)."""
 
     @staticmethod
     def reference(events, max_gap):
         """events: list of ('a'|'b', ts).  Returns list of (run, b_ts)."""
-        closed = []           # FIFO of closed runs
-        open_run = []
+        (statement,) = parse_program(
+            "SELECT p.tagtime, c.tagtime FROM a AS p, b AS c "
+            "WHERE SEQ(p*, c) MODE CHRONICLE "
+            f"AND p.tagtime - p.previous.tagtime <= {max_gap!r}"
+        )
+        trace = [(kind, {"tagid": kind, "tagtime": ts}, ts) for kind, ts in events]
+        fields = {"a": ["tagid", "tagtime"], "b": ["tagid", "tagtime"]}
         emitted = []
-        for kind, ts in events:
-            if kind == "a":
-                if open_run and ts - open_run[-1] > max_gap:
-                    closed.append(open_run)
-                    open_run = []
-                open_run.append(ts)
-            else:  # b
-                if closed:
-                    emitted.append((closed.pop(0), ts))
-                elif open_run:
-                    emitted.append((open_run, ts))
-                    open_run = []
+        for (run_ts, b_ts), _ in run_temporal(statement, trace, fields):
+            if not emitted or emitted[-1][1] != b_ts:
+                emitted.append(([], b_ts))
+            emitted[-1][0].append(run_ts)
         return emitted
 
     @given(

@@ -8,6 +8,9 @@ import pytest
 
 from repro.dsms import Engine
 from repro.dsms.errors import EslSemanticError
+from repro.dsms.lowering import TIERS
+
+from .oracle.relational import run_program
 
 
 @pytest.fixture
@@ -167,19 +170,20 @@ class TestSnapshotErrors:
         assert view1 is view2
 
 
-TIERS = ("vector", "closure", "interpreted")
+KV_TABLES = {"t": "k str, v int", "e": "v int", "u": "k str, w int"}
+KV_ROWS = (
+    "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5), (NULL, 7), "
+    "('c', NULL); "
+    "INSERT INTO u VALUES ('a', 10), ('b', 20), ('z', 30)"
+)
 
 
 def kv_engine(tier):
     """Tables t(k, v) with NULLs, an empty e(v), and a lookup u(k, w)."""
     engine = Engine(tier=tier)
-    engine.query(
-        "CREATE TABLE t(k str, v int); CREATE TABLE e(v int); "
-        "CREATE TABLE u(k str, w int); "
-        "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5), (NULL, 7), "
-        "('c', NULL); "
-        "INSERT INTO u VALUES ('a', 10), ('b', 20), ('z', 30)"
-    )
+    for name, spec in KV_TABLES.items():
+        engine.create_table(name, spec)
+    engine.query(KV_ROWS)
     return engine
 
 
@@ -204,13 +208,18 @@ TABLE_QUERIES = [
 
 class TestQueryAgreesWithSnapshot:
     """A table-only SELECT gives the same rows through query() and
-    snapshot(): both run one evaluator."""
+    snapshot(): both run one evaluator, and it agrees with the oracle."""
 
     @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("text", TABLE_QUERIES)
     def test_same_rows(self, text, tier):
         engine = kv_engine(tier)
-        assert engine.query(text).rows() == engine.snapshot(text)
+        rows = engine.query(text).rows()
+        assert rows == engine.snapshot(text)
+        (expected,) = run_program(f"{KV_ROWS}; {text}", {}, KV_TABLES, [])
+        assert [tuple(row.values()) for row in rows] == [
+            values for values, _ts in expected
+        ]
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_group_by_query(self, tier):

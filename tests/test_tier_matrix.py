@@ -4,18 +4,16 @@ One differential for the whole configuration surface.  Each of the
 paper's eight example queries runs at every ``tier`` value on ``Engine``,
 ``ShardedEngine(n_shards=2)`` (serial executor) and ``MultiQueryEngine``,
 fed as column batches, and must emit **byte-identical** rows — same
-values, same timestamps, same order — to the reference configuration:
-a plain ``Engine(tier="interpreted")`` (AST-walking evaluator, original
-SEQ enumeration and sweep).
+values, same timestamps, same order — to the oracle's reading of the
+query (``tests/oracle``), which shares no code with the engine.
 
 Also here: what the ``tier`` knob accepts, and that the keyword arguments
-it replaced and the retired ``"native"`` value are gone rather than
-silently ignored.
+it replaced and the retired ``"native"`` and ``"interpreted"`` values are
+gone rather than silently ignored.
 """
 
 import pytest
 
-from repro.core.operators.seq import SeqOperator
 from repro.dsms import (
     Engine,
     EslSemanticError,
@@ -24,6 +22,8 @@ from repro.dsms import (
 )
 from repro.dsms.columns import ColumnBatch
 from repro.dsms.lowering import TIERS
+
+from .oracle.relational import run_program
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +338,16 @@ _references = {}
 
 
 def reference(name):
-    """The case's rows on the reference configuration, computed once."""
+    """The oracle's rows for the case, computed once."""
     if name not in _references:
-        _references[name] = run_case(CASES[name], "engine", "interpreted")
+        case = CASES[name]
+        _references[name] = run_program(
+            ";\n".join(text for text, _ in case["statements"]),
+            dict(case["streams"]),
+            dict(case.get("tables", ())),
+            [(stream, row, ts) for stream, rows in case["batches"] for row, ts in rows],
+            case.get("advance"),
+        )
     return _references[name]
 
 
@@ -353,31 +360,6 @@ def test_rows_identical_to_reference(name, kind, tier):
     expected = reference(name)
     assert [len(rows) for rows in expected] == CASES[name]["counts"]
     assert run_case(CASES[name], kind, tier) == expected
-
-
-def test_reference_configuration_is_interpreted_and_unindexed():
-    """tier="interpreted" really is the twin: no closures, no dispatch
-    specialization, no masks, and SEQ on the original enumeration with
-    the all-partition sweep instead of cuts and the expiry heap."""
-    case = CASES["ex6-quality"]
-    engine, streams, _ = wire("engine", case, "interpreted")
-    assert not engine.lowering.compiled and not engine.lowering.masks
-    for stream, rows in case["batches"]:
-        schema = streams.get(stream).schema
-        engine.push_columns(stream, ColumnBatch.from_rows(schema, rows))
-    plain, windowed = [
-        c for c in engine.checkpointables if isinstance(c, SeqOperator)
-    ]
-    for operator in (plain, windowed):
-        assert not operator._indexed and not operator._use_cuts
-        assert operator._pairing_plan is None
-        assert not operator._expiry_heap
-    assert windowed._sweep_due > float("-inf")  # the sweep ran
-    # ... whereas every other tier takes the indexed production path.
-    engine, _, _ = wire("engine", case, "closure")
-    for operator in engine.checkpointables:
-        if isinstance(operator, SeqOperator):
-            assert operator._indexed and operator._use_cuts
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +413,7 @@ def test_removed_keywords_are_rejected(factory, keyword):
 
 @pytest.mark.parametrize("factory", ENGINES)
 def test_removed_native_tier_is_rejected(factory):
-    with pytest.raises(EslSemanticError) as raised:
-        factory(tier="native")
-    assert str(raised.value).endswith(
-        "expected 'vector', 'closure', 'interpreted'"
-    )
+    for retired in ("native", "interpreted"):
+        with pytest.raises(EslSemanticError) as raised:
+            factory(tier=retired)
+        assert str(raised.value).endswith("expected 'vector', 'closure'")

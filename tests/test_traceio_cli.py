@@ -229,7 +229,7 @@ class TestBenchSubcommand:
         }
         assert (
             by_label["vector-pairing"]["rows_admitted"]
-            == by_label["interpreted-pairing"]["rows_admitted"]
+            == by_label["scalar-pairing"]["rows_admitted"]
         )
         assert by_label["vector-pairing"]["params"]["tier"] == "vector"
         assert "# vector vs scalar pairing:" in capsys.readouterr().err

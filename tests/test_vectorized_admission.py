@@ -24,11 +24,15 @@ from repro.dsms.columns import (
     schema_hints,
     unpack_column,
 )
+from repro.core.language import parse_program
 from repro.dsms.engine import Engine
 from repro.dsms.errors import OutOfOrderError, SchemaError
+from repro.dsms.lowering import TIERS
 from repro.dsms.multi_engine import MultiQueryEngine
 from repro.dsms.schema import Schema
 from repro.dsms.sharding import ShardedEngine
+
+from .oracle.filter import run_filter
 
 pytestmark = pytest.mark.columnar
 
@@ -337,22 +341,27 @@ class TestFilterDifferential:
 
 
 class TestNestedBooleanDifferential:
-    """OR over nested AND, fed as one ``ColumnBatch``: rows *and* the
-    error a mid-batch operand raises must match ``tier="interpreted"``
-    exactly (the same shapes run as SEQ pairing conjuncts in
+    """OR over nested AND, fed as one ``ColumnBatch``: every tier emits the
+    oracle's rows up to the row whose operand raises, then raises the same
+    error (the same shapes run as SEQ pairing conjuncts in
     ``test_pairing_kernels.py``).
     """
 
-    TIERS = ("interpreted", "closure", "vector")
-
     def _run(self, schema, where, rows):
+        text = f"SELECT tag_id FROM readings AS R WHERE {where}"
+        (statement,) = parse_program(text)
+        expected, raises = [], False
+        for row, ts in rows:
+            try:
+                expected += run_filter(statement, [(row, ts)])
+            except TypeError:  # the oracle's error: the batch stops here
+                raises = True
+                break
         outcomes = {}
-        for tier in self.TIERS:
+        for tier in TIERS:
             engine = Engine(tier=tier)
             engine.create_stream("readings", schema)
-            handle = engine.query(
-                f"SELECT tag_id FROM readings AS R WHERE {where}"
-            )
+            handle = engine.query(text)
             stream = engine.streams.get("readings")
             error = None
             try:
@@ -364,9 +373,10 @@ class TestNestedBooleanDifferential:
             outcomes[tier] = (
                 [(t.values, t.ts) for t in handle.results], error,
             )
-        assert outcomes["closure"] == outcomes["interpreted"]
-        assert outcomes["vector"] == outcomes["interpreted"]
-        return outcomes["interpreted"]
+            assert outcomes[tier][0] == expected
+            assert (error is not None) == raises
+        assert outcomes["vector"] == outcomes["closure"]
+        return outcomes["closure"]
 
     def test_or_over_nested_and_with_nulls_in_every_column(self):
         rows = spaced(
