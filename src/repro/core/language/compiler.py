@@ -58,6 +58,7 @@ from ..operators import (
     PairingMode,
     SeqArg,
     SeqMatch,
+    SeqOperator,
     SymmetricExistsOperator,
     make_sequence_operator,
 )
@@ -91,6 +92,9 @@ from .parser import AggregateCall, parse_program
 
 # The one output callback of a sink-less SELECT.
 Deliver = Callable[[Tuple], None]
+
+# Bound once here rather than per query: every emit closure shares it.
+_trusted = Tuple.trusted
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +324,25 @@ class _Sink:
                 f"target expects {expected}"
             )
 
-    def emit(self, values: Sequence[Any], ts: float) -> None:
-        if self.table is not None:
-            self.table.insert(list(values))
-        elif self.stream is not None:
-            self.stream.push(Tuple(self.stream.schema, values, ts))
-        else:
-            self.deliver(Tuple(self.schema, values, ts))
-
     def bound_emit(self) -> Callable[[Sequence[Any], float], None]:
-        """The emit path with the target decision made once, at wiring time."""
-        if self.table is not None or self.stream is not None:
-            return self.emit
-        schema = self.schema
-        deliver = self.deliver
-        trusted = Tuple.trusted
+        """The emit path ``(values, ts) -> None``: the one place the target
+        is decided, once, at wiring time."""
+        if self.table is not None:
+            insert = self.table.insert
+            return lambda values, ts: insert(list(values))
+        if self.stream is not None:
+            push, stream_schema = self.stream.push, self.stream.schema
+            return lambda values, ts: push(Tuple(stream_schema, values, ts))
+        schema, collector = self.schema, self.collector
+        # A collecting query appends to its own Collector's list directly,
+        # skipping a Python-level __call__ per row.
+        deliver = self.deliver if collector is None else collector.results.append
 
         def emit(values: Sequence[Any], ts: float) -> None:
             # Select-item evaluation yields exactly one value per schema
-            # column and a float match timestamp, so the checked
-            # constructor's re-validation is dead weight on this hot path.
-            deliver(trusted(schema, values, ts))
+            # column and a float timestamp, so the checked constructor's
+            # re-validation is dead weight on this hot path.
+            deliver(_trusted(schema, values, ts))
 
         return emit
 
@@ -700,7 +702,7 @@ def _compile_filter(
     stream = engine.streams.get(source.name)
     functions = engine.functions.as_mapping()
     source_key = source.alias.lower()
-    emit = sink.emit
+    emit = sink.bound_emit()
 
     if table_sources:
 
@@ -929,7 +931,7 @@ def _compile_aggregate(
     stream = engine.streams.get(source.name)
     functions = engine.functions.as_mapping()
     source_key = source.alias.lower()
-    emit = sink.emit
+    emit = sink.bound_emit()
 
     window = source.item.window
     window_buffer: RangeWindowBuffer | RowsWindowBuffer | None = None
@@ -1023,8 +1025,9 @@ def _compile_table_query(
     )
     teardowns: list[Callable[[], None]] = []
     rows_of = [engine.tables.get(source.name).as_tuples for source in analysis.sources]
+    emit = sink.bound_emit()
     for values in _one_shot_rows(engine, analysis, items, rows_of, teardowns):
-        sink.emit(values, engine.now)
+        emit(values, float(engine.now))
     handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
     handle.sink_table = sink.table  # type: ignore[attr-defined]
     return engine.register_query(handle)
@@ -1075,6 +1078,7 @@ def _compile_symmetric(
     functions = engine.functions.as_mapping()
     outer_key = source.alias.lower()
     inner_key = item.alias.lower()
+    emit = sink.bound_emit()
 
     def outer_where(tup: Tuple) -> bool:
         env = Env({outer_key: tup}, functions)
@@ -1086,7 +1090,7 @@ def _compile_symmetric(
 
     def on_result(outer: Tuple, decided_at: float) -> None:
         env = Env({outer_key: outer}, functions)
-        sink.emit([fn(env) for fn in item_fns], decided_at)
+        emit([fn(env) for fn in item_fns], decided_at)
 
     operator = SymmetricExistsOperator(
         engine,
@@ -1290,22 +1294,23 @@ def _column_extraction_plan(
     args: Sequence[SeqArg],
     items: Sequence[SelectItem],
     multi_alias: str | None,
-) -> list[tuple[str, int]] | None:
+) -> list[tuple[int, int]] | None:
     """A direct positional plan for an all-Column SEQ select list, or None.
 
-    Returns ``[(binding_key, position), ...]`` — one entry per item — when
-    no item needs a star run, and every item is an ``alias.field`` read on
-    a star-free operator argument whose stream schema carries the field.  Anything else (expressions, bare columns,
-    star aliases) falls back to the general Env-based evaluation.
+    Returns ``[(argument index, field position), ...]``, one entry per
+    item, when every argument is star-free and every item is an
+    ``alias.field`` read whose stream schema carries the field: a match
+    chain then yields each value as ``chain[index].values[position]``.
+    Anything else (expressions, bare columns, ``previous``, star runs)
+    takes the general Env-based evaluation over a SeqMatch.
     """
-    if multi_alias is not None:
+    if multi_alias is not None or any(arg.starred for arg in args):
         return None
-    by_alias: dict[str, tuple[str, Any]] = {}
-    for arg in args:
-        if not arg.starred:
-            schema = engine.streams.get(arg.stream).schema
-            by_alias[arg.alias.lower()] = (arg.alias, schema)
-    plan: list[tuple[str, int]] = []
+    by_alias = {
+        arg.alias.lower(): (index, engine.streams.get(arg.stream).schema)
+        for index, arg in enumerate(args)
+    }
+    plan: list[tuple[int, int]] = []
     for item in items:
         expr = item.expr
         if type(expr) is not Column or expr.alias is None:
@@ -1336,26 +1341,28 @@ def _wire_seq(
         else PairingMode.UNRESTRICTED
     )
     multi_alias = analysis.multi_return_alias
-    item_fns = _term_evaluators([item.expr for item in items], ctx)
-    functions = engine.functions.as_mapping()
     emit = sink.bound_emit()
 
     plan = _column_extraction_plan(engine, args, items, multi_alias)
     if plan is not None:
-        # Every select item is a plain alias.field read on a star-free
-        # argument: extract positionally from the match bindings.  A
-        # star-free SEQ match always binds every alias, and any tuple bound
-        # for an alias was delivered on that alias's stream, whose push
-        # contract guarantees an equal schema — hence an identical field
-        # layout — so the positional read needs no per-match checks.
+        # Build each row straight from the match chain: no bindings dict,
+        # no SeqMatch.  A tuple at chain[index] arrived on that argument's
+        # stream, whose push contract guarantees an equal schema, so the
+        # positional read needs no per-match checks.  The values are
+        # copied out at once because UNRESTRICTED reuses the chain list.
+
+        def on_chain(chain: Sequence[Tuple]) -> None:
+            values = tuple([chain[index].values[pos] for index, pos in plan])
+            emit(values, chain[-1].ts)
+
+        operator = SeqOperator(
+            engine, args, mode, window, guard, partition_by, on_chain
+        )
+    else:
+        item_fns = _term_evaluators([item.expr for item in items], ctx)
+        functions = engine.functions.as_mapping()
 
         def on_match(match: SeqMatch) -> None:
-            bound = match.bindings
-            emit([bound[key].values[pos] for key, pos in plan], match.ts)
-
-    else:
-
-        def on_match(match: SeqMatch) -> None:  # noqa: F811
             env = Env(functions=functions)
             bindings = env.bindings
             for alias, bound in match.bindings.items():
@@ -1368,15 +1375,9 @@ def _wire_seq(
                 return
             emit(_eval_items(item_fns, env), match.ts)
 
-    operator = make_sequence_operator(
-        engine,
-        args,
-        mode=mode,
-        window=window,
-        guard=guard,
-        partition_by=partition_by,
-        on_match=on_match,
-    )
+        operator = make_sequence_operator(
+            engine, args, mode, window, guard, partition_by, on_match
+        )
     handle = QueryHandle(
         engine, label, sink.stream, sink.collector, [operator.stop]
     )
@@ -1409,6 +1410,7 @@ def _wire_exception_seq(
     functions = engine.functions.as_mapping()
     alias_keys = [arg.alias.lower() for arg in args]
     starred = [arg.starred for arg in args]
+    emit = sink.bound_emit()
 
     def accepts(level: int) -> bool:
         if clevel is not None:
@@ -1422,7 +1424,7 @@ def _wire_exception_seq(
         bindings = env.bindings
         for key, is_star, run in zip(alias_keys, starred, outcome.runs):
             bindings[key] = list(run) if is_star else run[-1]
-        sink.emit(_eval_items(item_fns, env), outcome.ts)
+        emit(_eval_items(item_fns, env), outcome.ts)
 
     operator = ExceptionSeqOperator(
         engine,

@@ -43,16 +43,28 @@ def make_sequence_operator(
     """Build the right SEQ runtime for *args* (star-free vs. starred).
 
     Matches leave the operator only through ``on_match``; nothing is
-    retained (pass ``on_match=got.append`` to collect them).
+    retained (pass ``on_match=got.append`` to collect them).  A star-free
+    :class:`SeqOperator` emits chains; the adapter here builds the
+    :class:`SeqMatch` from each one.
     """
     if any(arg.starred for arg in args):
         return StarSeqOperator(
             engine, args, mode=mode, window=window, guard=guard,
             partition_by=partition_by, on_match=on_match, ttl=ttl,
         )
+    on_chain = None
+    if on_match is not None:
+        match_args = tuple(args)
+
+        def on_chain(chain: Sequence[Tuple]) -> None:
+            # The dictcomp is this match's private copy of the chain,
+            # which enumeration may reuse.
+            bindings = {arg.alias: tup for arg, tup in zip(match_args, chain)}
+            on_match(SeqMatch(match_args, bindings, chain[-1].ts))
+
     return SeqOperator(
         engine, args, mode=mode, window=window, guard=guard,
-        partition_by=partition_by, on_match=on_match,
+        partition_by=partition_by, on_chain=on_chain,
     )
 
 

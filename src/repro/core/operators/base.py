@@ -153,34 +153,21 @@ class SeqMatch:
 
     ``bindings[alias]`` is a single :class:`Tuple` for plain arguments and a
     list of tuples (the star run, oldest first) for starred arguments.
+    The constructor takes *args* and *bindings* over without copying them:
+    every producer builds a fresh bindings dict per match.
     """
 
     __slots__ = ("args", "bindings", "ts")
 
     def __init__(
         self,
-        args: Sequence[SeqArg],
-        bindings: Mapping[str, Tuple | list[Tuple]],
-        ts: float,
-    ) -> None:
-        self.args = tuple(args)
-        self.bindings = dict(bindings)
-        self.ts = ts
-
-    @classmethod
-    def owned(
-        cls,
-        args: tuple["SeqArg", ...],
+        args: tuple[SeqArg, ...],
         bindings: dict[str, Tuple | list[Tuple]],
         ts: float,
-    ) -> "SeqMatch":
-        """Construct from an args tuple and bindings dict the caller hands
-        over (no defensive copies) — the operator emission hot path."""
-        match = cls.__new__(cls)
-        match.args = args
-        match.bindings = bindings
-        match.ts = ts
-        return match
+    ) -> None:
+        self.args = args
+        self.bindings = bindings
+        self.ts = ts
 
     def _lookup(self, alias: str) -> Tuple | list[Tuple]:
         if alias in self.bindings:

@@ -63,11 +63,9 @@ from ...dsms.errors import EslSemanticError
 from ...dsms.tuples import Tuple
 from .base import (
     Guard,
-    MatchCallback,
     OperatorWindow,
     PairingMode,
     SeqArg,
-    SeqMatch,
     validate_args,
 )
 from .guards import CompiledGuard
@@ -139,7 +137,13 @@ class SeqOperator:
             kept per key.  The standard RFID idiom is partitioning by tag id,
             which turns the WHERE equality conditions of paper Example 6
             into hash routing.
-        on_match: callback receiving each :class:`SeqMatch`.
+        on_chain: callback receiving each match as its chain, the bound
+            tuples in argument order.  UNRESTRICTED enumeration reuses one
+            chain list for every match of an anchor, so the callback must
+            copy out what it needs and never keep the list.
+            :func:`~repro.core.operators.make_sequence_operator` adapts a
+            :class:`~repro.core.operators.base.SeqMatch` callback
+            (``on_match``) to this one.
     """
 
     def __init__(
@@ -150,7 +154,7 @@ class SeqOperator:
         window: OperatorWindow | None = None,
         guard: Guard | None = None,
         partition_by: Callable[[Tuple], Any] | None = None,
-        on_match: MatchCallback | None = None,
+        on_chain: Callable[[Sequence[Tuple]], None] | None = None,
     ) -> None:
         validate_args(args)
         if any(arg.starred for arg in args):
@@ -203,7 +207,7 @@ class SeqOperator:
             and window.direction == "preceding"
             and window.anchor == len(args) - 1
         )
-        self._on_match = on_match
+        self._on_chain = on_chain
         self._partitions: dict[Any, _Partition] = {}
         # Lazy expiry heap: (deadline, push number, partition_key), at most
         # one *valid* entry per key, recorded in _heap_deadlines.  Entries
@@ -1008,15 +1012,9 @@ class SeqOperator:
     # -- emission -----------------------------------------------------------
 
     def _emit(self, chain: Sequence[Tuple]) -> None:
-        bindings = {
-            arg.alias: tup for arg, tup in zip(self.args, chain)
-        }
-        # The dictcomp above is this match's private copy (enumeration may
-        # reuse the chain list), so hand it over without another copy.
-        match = SeqMatch.owned(self.args, bindings, chain[-1].ts)
         self.matches_emitted += 1
-        if self._on_match is not None:
-            self._on_match(match)
+        if self._on_chain is not None:
+            self._on_chain(chain)
 
     def __repr__(self) -> str:
         inner = ", ".join(arg.alias for arg in self.args)

@@ -14,7 +14,8 @@ tables, and operators in the same order.  What a checkpoint carries is
 only the *mutable* state layered on that skeleton:
 
 * the virtual clock's current time,
-* per-stream bookkeeping (last accepted ts, tuple count, reorder buffer),
+* per-stream bookkeeping (last accepted ts, tuple and late-drop counts,
+  reorder buffer),
 * the engine-scoped tuple sequence counter (captured **non-consumingly**,
   so checkpointing never perturbs sequence numbering),
 * table rows and index definitions, and
@@ -143,6 +144,7 @@ def capture_engine_state(engine: Any) -> dict[str, Any]:
         streams_state[stream.name.lower()] = {
             "last_ts": stream.last_ts,
             "count": stream.count,
+            "late_dropped": stream.late_dropped,
             "max_seen": stream._max_seen,
             "reorder": [pack_tuple(t) for t in stream._reorder_buffer],
         }
@@ -205,6 +207,7 @@ def restore_engine_state(engine: Any, state: dict[str, Any]) -> None:
         stream = engine.streams.get(key)
         stream.last_ts = blob["last_ts"]
         stream.count = blob["count"]
+        stream.late_dropped = blob["late_dropped"]
         stream._max_seen = blob["max_seen"]
         stream._reorder_buffer = [unpack(p) for p in blob["reorder"]]
     for stream in engine.streams:

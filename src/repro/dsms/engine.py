@@ -31,6 +31,7 @@ multi-query registry's per-plan fan-out, a shard's stamping sink).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregates import Aggregate, AggregateRegistry
@@ -42,8 +43,10 @@ from .lowering import Lowering, execution_tier
 from .schema import Schema
 from .streams import Stream, StreamRegistry
 from .table import Table, TableRegistry
-from .tuples import Tuple
+from .tuples import Tuple, dict_rows
 from .udf import UdfRegistry
+
+_VALUES = attrgetter("values")
 
 
 class Collector:
@@ -78,8 +81,13 @@ class Collector:
         self.results.clear()
 
     def rows(self) -> list[dict[str, Any]]:
-        """Captured tuples as plain dicts."""
-        return [tup.as_dict() for tup in self.results]
+        """Captured tuples as plain dicts.  Every tuple one collector
+        captures shares one schema (its query's result schema, or its
+        stream's), so the field names come from the first."""
+        results = self.results
+        if not results:
+            return []
+        return dict_rows(results[0].schema.names, map(_VALUES, results))
 
     def __len__(self) -> int:
         return len(self.results)
@@ -142,9 +150,11 @@ class QueryHandle:
     def rows(self) -> list[dict[str, Any]]:
         """Captured output as dicts — or, for an INSERT INTO table query,
         the table's current rows."""
-        if self.collector is None and self.sink_table is not None:
+        if self.collector is not None:
+            return self.collector.rows()
+        if self.sink_table is not None:
             return list(self.sink_table.scan())
-        return [tup.as_dict() for tup in self.results]
+        return self.results  # raises: the rows went to a derived stream
 
     def clear(self) -> None:
         if self.collector is not None:

@@ -246,7 +246,7 @@ class Subscription:
 
     def rows(self) -> list[dict[str, Any]]:
         """Accumulated answers as plain dicts."""
-        return [tup.as_dict() for tup in self.results]
+        return [] if self.collector is None else self.collector.rows()
 
     def cancel(self) -> None:
         """Detach from the registry.  Safe to call repeatedly."""

@@ -87,6 +87,7 @@ import heapq
 import time
 import zlib
 from collections.abc import Mapping as _MappingABC
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .columns import ColumnBatch
@@ -95,7 +96,7 @@ from .errors import EslSemanticError, TransportError
 from .lowering import execution_tier
 from .merge import RunCollector, StampedRow, merge_runs
 from .schema import Schema
-from .tuples import Tuple
+from .tuples import Tuple, dict_rows
 
 
 def shard_of(key: Any, n_shards: int) -> int:
@@ -901,7 +902,10 @@ class ShardedQueryHandle:
             return self.sharded.table_rows(self.table_name)
         if self.kind == "ddl":
             return []
-        return [tup.as_dict() for tup in self.results]
+        # Straight from the merged (ts, g, shard, local, values) rows.
+        assert self.sink_id is not None and self.schema is not None
+        merged = self.sharded._merged(self.sink_id)
+        return dict_rows(self.schema.names, map(itemgetter(4), merged))
 
     @property
     def state_size(self) -> int:

@@ -37,6 +37,8 @@ class Stream:
         schema: its :class:`Schema`.
         last_ts: timestamp of the most recently emitted tuple (None if none).
         count: total tuples emitted so far.
+        late_dropped: tuples a reordering stream discarded because they
+            arrived older than ``max_seen - reorder_slack``.
     """
 
     def __init__(
@@ -51,6 +53,7 @@ class Stream:
         self.schema = schema
         self.last_ts: float | None = None
         self.count = 0
+        self.late_dropped = 0
         self._subscribers: list[Subscriber] = []
         self._fanout: tuple[Subscriber, ...] = ()
         self._allow_ooo = allow_out_of_order
@@ -122,7 +125,8 @@ class Stream:
             return
         if self._max_seen is not None and tup.ts < self._max_seen - self._reorder_slack:
             # Too late even for the reorder buffer: drop, as ALE-style
-            # middleware does with stale reads.
+            # middleware does with stale reads, and count the drop.
+            self.late_dropped += 1
             return
         self._max_seen = tup.ts if self._max_seen is None else max(
             self._max_seen, tup.ts

@@ -20,12 +20,20 @@ back to a module-level counter.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaError
 from .schema import Schema
 
 _GLOBAL_SEQ = itertools.count()
+
+
+def dict_rows(
+    names: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> list[dict[str, Any]]:
+    """Positional rows of one schema as ``{field: value}`` dicts, with the
+    field *names* read once for the whole list rather than once per row."""
+    return [dict(zip(names, values)) for values in rows]
 
 
 class Tuple:

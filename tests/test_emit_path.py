@@ -1,14 +1,18 @@
 """One emit path: every producer hands results to a callback, and only a
 Collector (or, sharded, the router's stamped runs) retains rows.
 
-Each test counts live objects with :mod:`gc` after a run, so a producer
-that quietly keeps its own list of outcomes, alerts or shipped rows fails
-here even when its output is correct.
+The retention tests count live objects with :mod:`gc` after a run, so a
+producer that quietly keeps its own list of outcomes, alerts or shipped
+rows fails here even when its output is correct.  The fused-SEQ tests at
+the end hold the chain-built rows of Example 6 against the SeqMatch path.
 """
 
 import gc
+import sys
 
-from repro.core.operators import SequenceOutcome, SymmetricExistsOperator
+import pytest
+
+from repro.core.operators import SeqMatch, SequenceOutcome, SymmetricExistsOperator
 from repro.dsms import Engine, MultiQueryEngine, ShardedEngine, Tuple
 from repro.rfid import door_workload, lab_workflow_workload, quality_check_workload
 from repro.rfid.scenarios import (
@@ -135,3 +139,109 @@ def test_serial_shard_runtime_keeps_no_emitted_rows():
         assert runtime.take_outputs() == {}
     assert _alive(Tuple, lambda t: t.schema == handle.schema) == 0
     sharded.close()
+
+
+# -- fused SEQ emission ---------------------------------------------------------
+#
+# An all-column select list on a star-free SEQ builds each row straight from
+# the match chain; one item spelled as an expression sends the same query
+# through the general SeqMatch path.  The two must agree row for row.
+
+QUALITY_SCHEMA = "readerid str, tagid str, tagtime float"
+MODES = ("UNRESTRICTED", "RECENT", "CHRONICLE", "CONSECUTIVE")
+
+
+def _general(text):
+    return text.replace(
+        "SELECT C1.tagid, C1.tagtime,", "SELECT C1.tagid, C1.tagtime + 0 AS tagtime,"
+    )
+
+
+def _quality_rows(kind, text, trace):
+    if kind == "engine":
+        engine = Engine()
+    elif kind == "multi":
+        engine = MultiQueryEngine()
+    else:
+        engine = ShardedEngine(2, executor="serial")
+    for name in ("c1", "c2", "c3", "c4"):
+        engine.create_stream(name, QUALITY_SCHEMA)
+    if kind == "multi":
+        answers = []
+        engine.register(text, on_answer=answers.append)
+        read = lambda: [tup.as_dict() for tup in answers]  # noqa: E731
+    else:
+        read = engine.query(text).rows
+    engine.run_trace(trace)
+    engine.flush()
+    rows = read()
+    if kind == "serial":
+        engine.close()
+    return rows
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_fused_rows_match_general_path(mode):
+    # A re-read interrupts a CONSECUTIVE run, so that mode reads each once.
+    rereads = 1 if mode == "CONSECUTIVE" else 2
+    trace = quality_check_workload(n_products=25, rereads=rereads, seed=8).trace
+    fused = quality_query_text(mode)
+    assert _general(fused) != fused
+    reference = _quality_rows("engine", _general(fused), trace)
+    assert reference
+    for kind in ("engine", "multi", "serial"):
+        assert _quality_rows(kind, fused, trace) == reference, kind
+        assert _quality_rows(kind, _general(fused), trace) == reference, kind
+
+
+def test_example6_builds_no_seq_match(monkeypatch):
+    trace = quality_check_workload(n_products=25, rereads=2, seed=8).trace
+    built = []
+
+    class Counting(SeqMatch):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(1)
+            return super().__new__(cls)
+
+    # Every module of the package that names SeqMatch builds the counting
+    # subclass instead, whichever constructor it calls.
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("repro") and getattr(module, "SeqMatch", None) is SeqMatch:
+            monkeypatch.setattr(module, "SeqMatch", Counting)
+    fused = _quality_rows("engine", quality_query_text(None), trace)
+    assert fused and built == []
+    general = _quality_rows("engine", _general(quality_query_text(None)), trace)
+    assert general == fused and len(built) == len(fused)
+
+
+def test_fused_insert_into_stream_and_table():
+    trace = quality_check_workload(n_products=25, rereads=2, seed=8).trace
+    engine = Engine()
+    for name in ("c1", "c2", "c3", "c4"):
+        engine.create_stream(name, QUALITY_SCHEMA)
+    engine.create_table("done", "tagid str, t1 float, t2 float, t3 float, t4 float")
+    text = quality_query_text(None)
+    select = engine.query(text)
+    engine.query("INSERT INTO finished " + text)
+    engine.query("INSERT INTO done " + text)
+    finished = engine.collect("finished")
+    engine.run_trace(trace)
+    want = [tuple(row.values()) for row in select.rows()]
+    assert want
+    assert [tuple(row.values()) for row in finished.rows()] == want
+    assert [tup.ts for tup in finished] == [tup.ts for tup in select.results]
+    assert [tuple(row.values()) for row in engine.table("done").scan()] == want
+
+
+def test_unrestricted_rows_stay_distinct_with_many_matches_per_anchor():
+    """Each anchor completes rereads**3 chains through one reused chain
+    list; a fused emitter that kept the list would repeat rows."""
+    workload = quality_check_workload(n_products=20, rereads=3, seed=4)
+    rows = _quality_rows("engine", quality_query_text(None), workload.trace)
+    values = [tuple(row.values()) for row in rows]
+    assert len(values) == 3 ** 4 * len(workload.truth)
+    assert len(set(values)) == len(values)
+    assert {row["tagid"] for row in rows} == set(workload.truth)

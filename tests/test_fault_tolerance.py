@@ -475,6 +475,23 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="EXCEPTION_SEQ"):
             capture_engine_state(engine)
 
+    def test_stream_late_drop_count_roundtrip(self):
+        def make():
+            engine = Engine()
+            engine.create_stream(
+                "r", "tagid str", allow_out_of_order=True, reorder_slack=1.0
+            )
+            return engine
+        source = make()
+        source.streams.get("r").push_row(["a"], ts=10.0)
+        source.streams.get("r").push_row(["late"], ts=1.0)
+        restored = make()
+        restore_engine_state(restored, capture_engine_state(source))
+        stream = restored.streams.get("r")
+        assert stream.late_dropped == 1
+        stream.push_row(["later"], ts=2.0)
+        assert stream.late_dropped == 2
+
     def test_version_mismatch_rejected(self):
         engine = Engine()
         engine.create_stream("s", "a str")

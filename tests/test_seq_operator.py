@@ -92,7 +92,7 @@ class TestBasicSemantics:
         engine = Engine()
         engine.create_stream("a", "tagid str, tagtime float")
         got = []
-        SeqOperator(
+        make_sequence_operator(
             engine, [SeqArg("a", alias="x"), SeqArg("a", alias="y")],
             on_match=got.append,
         )
@@ -103,7 +103,7 @@ class TestBasicSemantics:
         engine = Engine()
         engine.create_stream("a", "tagid str, tagtime float")
         got = []
-        SeqOperator(
+        make_sequence_operator(
             engine, [SeqArg("a", alias="x"), SeqArg("a", alias="y")],
             on_match=got.append,
         )

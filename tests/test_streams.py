@@ -103,8 +103,10 @@ class TestOrdering:
         stream.subscribe(got.append)
         stream.push_row(["a", 10.0], ts=10.0)
         stream.push_row(["late", 1.0], ts=1.0)  # far beyond slack: dropped
+        stream.push_row(["ok", 9.5], ts=9.5)  # within slack: reordered in
         stream.flush()
-        assert [t["tagid"] for t in got] == ["a"]
+        assert [t["tagid"] for t in got] == ["ok", "a"]
+        assert stream.late_dropped == 1 and stream.count == 2
 
     def test_flush_releases_held_tuples(self):
         stream = make_stream(allow_out_of_order=True, reorder_slack=100.0)
