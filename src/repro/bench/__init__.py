@@ -14,10 +14,8 @@ from .runners import (
     BENCH_RUNNERS,
     checkpoint_overhead,
     effective_cpu_count,
-    pairing_speedup,
     run_arms,
     run_fault_tolerance,
-    run_pairing_kernels,
     run_sharded_scaling,
     weak_efficiency,
 )
@@ -30,10 +28,8 @@ __all__ = [
     "checkpoint_overhead",
     "containment_accuracy",
     "effective_cpu_count",
-    "pairing_speedup",
     "run_arms",
     "run_fault_tolerance",
-    "run_pairing_kernels",
     "run_sharded_scaling",
     "standard_meta",
     "throughput",

@@ -20,7 +20,6 @@ import os
 import platform
 from typing import Any, Mapping, Sequence
 
-from ..dsms.lowering import TIERS
 from .metrics import throughput
 
 
@@ -36,16 +35,14 @@ def standard_meta(**extra: Any) -> dict[str, Any]:
     """The uniform meta keys every :class:`BenchReport` carries.
 
     Pins the house keys — ``effective_cpu_count`` (affinity-aware),
-    ``cpu_count`` (legacy alias, same value), ``python``, and ``tier``,
-    the engines' default execution tier, which every arm runs at unless
-    its ``params`` name another — and merges runner-specific keys on top.
+    ``cpu_count`` (legacy alias, same value) and ``python`` — and merges
+    runner-specific keys on top.
     """
     cpus = effective_cpu_count()
     meta: dict[str, Any] = {
         "effective_cpu_count": cpus,
         "cpu_count": cpus,
         "python": platform.python_version(),
-        "tier": TIERS[-1],
     }
     meta.update(extra)
     return meta

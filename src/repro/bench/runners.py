@@ -7,7 +7,7 @@ by ``python -m repro bench <name>``) to its runner, so the CLI, CI smoke
 jobs, and the pytest wrappers under ``benchmarks/`` all execute exactly
 the same measurement code.
 
-These three are ablations of this implementation's own layers; the paper
+These two are ablations of this implementation's own layers; the paper
 queries are timed end to end by ``benchmarks/e2e/run.py``.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import gc
 import os
-import random
 import time
 from typing import Any, Callable, Mapping, Sequence
 
@@ -98,11 +97,6 @@ def _scenario_arm(
         return rows
 
     return scenario.feed, finish
-
-
-def _result_pairs(handle: Any) -> list:
-    """A query's output as comparable ``(values, ts)`` pairs, in order."""
-    return [(tup.values, tup.ts) for tup in handle.results]
 
 
 # ---------------------------------------------------------------------------
@@ -217,155 +211,6 @@ def weak_efficiency(report: BenchReport, shards: int) -> float | None:
         if entry.get("shards") == shards and "weak_efficiency" in entry:
             return entry["weak_efficiency"]
     return None
-
-
-# ---------------------------------------------------------------------------
-# pairing_kernels — vectorized masks on the SEQ match-enumeration path
-# ---------------------------------------------------------------------------
-
-_PAIRING_ARMS = {
-    # label -> Engine tier.  "scalar" is the compiled-closure pairing loop
-    # (the pre-mask hot path) and the byte-identity reference; "vector"
-    # adds the Python columnar stage masks.
-    "scalar": "closure",
-    "vector": "vector",
-}
-
-
-def _pairing_seq_workload(
-    n_rows: int, batch_rows: int, rereads: int, tags: int, seed: int
-) -> list[tuple[str, Any]]:
-    """Dense re-read quality-SEQ trace: interleaved a/b ColumnBatches.
-
-    Every logical reading is emitted *rereads* times (the RFID re-read
-    burst of a tag sitting on a checkpoint reader) and tag cardinality
-    is kept low, so each partition's history — and therefore every
-    anchor's candidate slice — grows long enough that match enumeration,
-    not admission, dominates the run.
-    """
-    from ..dsms.columns import ColumnBatch
-    from ..dsms.schema import Schema
-
-    rng = random.Random(seed)
-    schema_a = Schema.parse("tag_id str, v float")
-    schema_b = Schema.parse("tag_id str, w float")
-    per_stream = n_rows // 2
-    batches: list[tuple[str, Any]] = []
-    ts = 0.0
-    remaining = per_stream
-    while remaining:
-        count = min(batch_rows, remaining)
-        block: dict[str, list[tuple[dict, float]]] = {"a": [], "b": []}
-        for stream, field in (("a", "v"), ("b", "w")):
-            rows = block[stream]
-            while len(rows) < count:
-                tag = f"t{rng.randrange(tags)}"
-                base = rng.random()
-                for _ in range(min(rereads, count - len(rows))):
-                    # Re-reads jitter the measured value slightly, as a
-                    # real reader would; timestamps stay strictly
-                    # increasing across the whole trace (the a-block
-                    # precedes its b-block, matching the push order).
-                    value = min(1.0, base + rng.random() * 0.02)
-                    rows.append(({"tag_id": tag, field: value}, ts))
-                    ts += 1.0
-        batches.append(("a", ColumnBatch.from_rows(schema_a, block["a"])))
-        batches.append(("b", ColumnBatch.from_rows(schema_b, block["b"])))
-        remaining -= count
-    return batches
-
-
-def run_pairing_kernels(
-    *,
-    n_rows: int = 20_000,
-    batch_rows: int = 512,
-    rereads: int = 3,
-    tags: int = 8,
-    window_s: float = 2_000.0,
-    threshold: float = 0.85,
-    reps: int | None = None,
-    seed: int = 11,
-) -> BenchReport:
-    """Pairing-mask tiers on the SEQ match-enumeration hot path.
-
-    Both arms consume identical pre-built ColumnBatches through the
-    same windowed quality-SEQ query; only the Engine ``tier`` differs.  The
-    query hash-partitions on the tag equality, leaving ``Y.w - X.v >
-    threshold`` as the sole cross conjunct — deliberately *not*
-    hoistable to admission, so every arm pays for it at pairing time:
-    the scalar arm once per candidate (dict store + closure tree per
-    row), the vector arm once per anchor as a columnar mask over the
-    partition's history mirror.  Masks only prune; survivors re-run the
-    scalar check, and the vector arm must produce the scalar arm's rows
-    byte-identically or the runner raises.
-    """
-    from ..dsms.engine import Engine
-
-    reps = _reps(reps)
-
-    report = BenchReport(
-        "pairing_kernels",
-        meta=standard_meta(
-            workload="dense-reread-quality-seq",
-            n_rows=n_rows,
-            batch_rows=batch_rows,
-            rereads=rereads,
-            tags=tags,
-            window_s=window_s,
-            threshold=threshold,
-            reps=reps,
-            cpu_limited=effective_cpu_count() < 2,
-            note=(
-                "single process; all arms consume identical pre-built "
-                "ColumnBatches; the cross conjunct cannot hoist to "
-                "admission, so the measured gap is the pairing loop "
-                "itself"
-            ),
-        ),
-    )
-
-    batches = _pairing_seq_workload(n_rows, batch_rows, rereads, tags, seed)
-    query = (
-        "SELECT X.tag_id, X.v, Y.w FROM a AS X, b AS Y "
-        f"WHERE SEQ(X, Y) OVER [{window_s:g} SECONDS PRECEDING Y] "
-        "AND X.tag_id = Y.tag_id "
-        f"AND Y.w - X.v > {threshold!r}"
-    )
-
-    def start(_label: str, tier: str) -> Any:
-        engine = Engine(tier=tier)
-        engine.create_stream("a", "tag_id str, v float")
-        engine.create_stream("b", "tag_id str, w float")
-        handle = engine.query(query)
-
-        def feed() -> None:
-            for stream, batch in batches:
-                engine.push_columns(stream, batch)
-
-        return feed, lambda: _result_pairs(handle)
-
-    results = run_arms(
-        _PAIRING_ARMS, start, reps=reps, reference="scalar"
-    )
-    for label, (seconds, matches) in results.items():
-        report.add_experiment(
-            f"{label}-pairing",
-            n_tuples=n_rows,
-            seconds=seconds,
-            params={"workload": "dense-reread-quality-seq", "tier": label},
-            rows_admitted=len(matches),
-        )
-    vector_s = results["vector"][0]
-    report.meta["speedup_vector_vs_scalar_pairing"] = (
-        results["scalar"][0] / vector_s if vector_s else 0.0
-    )
-    return report
-
-
-def pairing_speedup(report: BenchReport) -> float | None:
-    """Pairing speedup of the vector arm over scalar, if measured."""
-    value = report.meta.get("speedup_vector_vs_scalar_pairing")
-    return float(value) if value is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +439,5 @@ def checkpoint_overhead(report: BenchReport, interval: float) -> float | None:
 
 BENCH_RUNNERS: Mapping[str, Callable[..., BenchReport]] = {
     "sharded_scaling": run_sharded_scaling,
-    "pairing_kernels": run_pairing_kernels,
     "fault_tolerance": run_fault_tolerance,
 }

@@ -156,7 +156,7 @@ def build_bench_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--size", type=int, default=None,
-        help="workload size knob (products/tags, runner-specific default)",
+        help="workload size knob (products, runner-specific default)",
     )
     parser.add_argument(
         "--executor", choices=("serial", "parallel"), default=None,
@@ -180,8 +180,6 @@ def run_bench(argv: Sequence[str]) -> int:
     if args.executor is not None:
         kwargs["executor"] = args.executor
     accepted = inspect.signature(runner).parameters
-    if "n_products" in kwargs and "n_products" not in accepted and "n_rows" in accepted:
-        kwargs["n_rows"] = kwargs.pop("n_products")  # row-sized workloads
     dropped = sorted(set(kwargs) - set(accepted))
     if dropped:
         print(
@@ -201,9 +199,6 @@ def run_bench(argv: Sequence[str]) -> int:
         if entry.get("cpu_limited"):
             line += " (cpu-limited)"
         print(line, file=sys.stderr)
-    pairing = report.meta.get("speedup_vector_vs_scalar_pairing")
-    if pairing:
-        print(f"# vector vs scalar pairing: {pairing:.2f}x", file=sys.stderr)
     return 0
 
 

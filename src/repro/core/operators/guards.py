@@ -33,8 +33,6 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ...dsms.errors import EslRuntimeError
 from ...dsms.expressions import CompileContext, Env, EvalFn, Expression
-from ...dsms.lowering import Lowering
-from ...dsms.schema import Schema
 
 __all__ = ["CompiledGuard", "build_compiled_guard"]
 
@@ -82,17 +80,13 @@ class CompiledGuard:
     members all passed admission.
     """
 
-    __slots__ = (
-        "_admission", "_cross", "_env", "_cross_terms", "_ctx", "aliases",
-    )
+    __slots__ = ("_admission", "_cross", "_env", "aliases")
 
     def __init__(
         self,
         admission: Mapping[str, Sequence[Callable[[Env], bool]]],
         cross: Sequence[Callable[[Env], bool]],
         env: Env,
-        cross_terms: Sequence[tuple[Expression, frozenset | None]] | None = None,
-        ctx: CompileContext | None = None,
     ) -> None:
         self._admission = {alias.lower(): tuple(fns) for alias, fns in admission.items()}
         self._cross = tuple(cross)
@@ -100,11 +94,6 @@ class CompiledGuard:
         # synchronous and operator-local, so rebinding per call is safe and
         # avoids an allocation per check.
         self._env = env
-        # Cross-term IR with the (lower-cased) alias sets each references,
-        # kept for the pairing mask tiers (None = indeterminate — bare
-        # references — never maskable).
-        self._cross_terms = tuple(cross_terms or ())
-        self._ctx = ctx
         self.aliases = frozenset(self._admission)
 
     @property
@@ -141,38 +130,6 @@ class CompiledGuard:
                 return False
         return True
 
-    def vector_pairing(
-        self,
-        alias: str,
-        schema: Schema,
-        bound_aliases: Iterable[str],
-        lowering: Lowering,
-    ) -> "Callable[[Any, Any, int], Any] | None":
-        """A candidate-slice pairing mask for one chain stage, or None.
-
-        *alias* is the stage whose history is scanned, *bound_aliases*
-        the stages already bound whenever that scan runs (for SEQ's
-        right-to-left enumeration: every later argument).  A cross term
-        is stage-decidable when it references *alias* and only otherwise
-        bound aliases; the decidable terms are handed to
-        :meth:`~repro.dsms.lowering.Lowering.pairing_mask`, whose mask
-        function (or None when no term is maskable) is returned as is.
-        Every mask survivor is re-checked by the scalar :meth:`pairing`.
-        """
-        if self._ctx is None:
-            return None
-        cand = alias.lower()
-        bound = {name.lower() for name in bound_aliases}
-        known = bound | {cand}
-        decidable = [
-            term
-            for term, refs in self._cross_terms
-            if refs is not None and cand in refs and refs <= known
-        ]
-        return lowering.pairing_mask(
-            decidable, schema, alias, self._ctx, bound, self._env
-        )
-
     def __call__(self, bindings: Mapping[str, Any]) -> bool:
         """Full lenient conjunction — the plain :data:`Guard` contract."""
         env = self._env
@@ -197,7 +154,6 @@ def build_compiled_guard(
     known = {alias.lower(): None for alias in arg_aliases}
     admission: dict[str, list[Callable[[Env], bool]]] = {}
     cross: list[Callable[[Env], bool]] = []
-    cross_terms: list[tuple[Expression, frozenset | None]] = []
     for term in terms:
         fn = _lenient(term.compile(ctx))
         aliases = _term_aliases(term, known)
@@ -206,9 +162,4 @@ def build_compiled_guard(
             admission.setdefault(alias, []).append(fn)
         else:
             cross.append(fn)
-            cross_terms.append(
-                (term, frozenset(aliases) if aliases is not None else None)
-            )
-    return CompiledGuard(
-        admission, cross, Env(functions=ctx.functions), cross_terms, ctx
-    )
+    return CompiledGuard(admission, cross, Env(functions=ctx.functions))

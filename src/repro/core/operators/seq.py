@@ -57,7 +57,6 @@ from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
 from ...dsms.checkpoint import pack_tuple, tuple_unpacker
-from ...dsms.columns import ColumnStore
 from ...dsms.engine import Engine
 from ...dsms.errors import EslSemanticError
 from ...dsms.tuples import Tuple
@@ -72,24 +71,13 @@ from .guards import CompiledGuard
 
 _TS = attrgetter("ts")
 
-# Candidate slices shorter than this skip the pairing mask: a mask call
-# has fixed costs (anchor packing, ctypes marshalling or closure setup)
-# that only amortize over enough rows.
-_MASK_MIN = 8
-
 
 class _Partition:
     """Per-partition-key operator state."""
 
-    __slots__ = ("key", "histories", "run", "cuts", "removed", "mirrors")
+    __slots__ = ("key", "histories", "run", "cuts", "removed")
 
-    def __init__(
-        self,
-        n: int,
-        key: Any = None,
-        track_cuts: bool = False,
-        mirror_specs: Sequence[Any] | None = None,
-    ) -> None:
+    def __init__(self, n: int, key: Any = None, track_cuts: bool = False) -> None:
         self.key = key
         # Positions 0..n-2 keep history; the last position's tuples are only
         # ever anchors and are matched immediately on arrival.
@@ -102,18 +90,6 @@ class _Partition:
             [[] for _ in range(n - 1)] if track_cuts else None
         )
         self.removed: list[int] = [0] * (n - 1)
-        # Columnar mirrors of the histories, parallel to them, maintained
-        # only for stages the operator's pairing-mask plan covers (None
-        # entries are plan-less stages).  Derived state: never
-        # checkpointed, rebuilt from histories on restore.
-        self.mirrors: list[ColumnStore | None] | None = (
-            None
-            if mirror_specs is None
-            else [
-                None if schema is None else ColumnStore(schema)
-                for schema in mirror_specs
-            ]
-        )
 
     def state_size(self) -> int:
         return sum(len(history) for history in self.histories) + len(self.run)
@@ -123,9 +99,7 @@ class SeqOperator:
     """Runtime instance of a star-free SEQ operator.
 
     Args:
-        engine: the owning :class:`~repro.dsms.engine.Engine`.  Its
-            ``tier`` decides whether pairing masks are built (see
-            :mod:`repro.dsms.lowering`).
+        engine: the owning :class:`~repro.dsms.engine.Engine`.
         args: the argument list (no starred entries).
         mode: tuple pairing mode.
         window: optional :class:`OperatorWindow`.
@@ -190,7 +164,6 @@ class SeqOperator:
         self._purge_on_admit = (
             mode is PairingMode.RECENT and self._pairing is None
         )
-        lowering = engine.lowering
         # Stored predecessor cuts stay exact only under front-only history
         # shrinkage; CHRONICLE consumes mid-list and the RECENT purge deletes
         # mid-list, so those keep per-enumeration bisect instead.
@@ -238,41 +211,6 @@ class SeqOperator:
         self._positions: dict[str, list[int]] = {}
         for index, arg in enumerate(self.args):
             self._positions.setdefault(arg.stream.lower(), []).append(index)
-        # Pairing-mask plan: one candidate-slice mask per chain stage.
-        # Stage *index* scans histories[index] while aliases index+1..n-1
-        # are already bound (SEQ enumerates right to left), so each
-        # stage's decidable cross conjuncts lower against that bound set,
-        # on whichever mask tiers the engine's Lowering enables.
-        # Masks only prune: every survivor is still re-checked by the
-        # scalar pairing call, so over-admission is safe and
-        # under-admission impossible by construction.  Mirrors are
-        # maintained only for stages that actually got a mask, and only
-        # under front-only history shrinkage (_use_cuts modes).
-        self._pairing_plan: list | None = None
-        self._mirror_specs: list | None = None
-        if (
-            isinstance(guard, CompiledGuard)
-            and self._pairing is not None
-            and self._use_cuts
-        ):
-            plan: list = []
-            specs: list = []
-            for index in range(len(self.args) - 1):
-                stream = engine.streams.get(self.args[index].stream.lower())
-                schema = getattr(stream, "schema", None)
-                stage = None
-                if schema is not None:
-                    stage = guard.vector_pairing(
-                        self.args[index].alias,
-                        schema,
-                        [arg.alias for arg in self.args[index + 1:]],
-                        lowering,
-                    )
-                plan.append(stage)
-                specs.append(None if stage is None else schema)
-            if any(entry is not None for entry in plan):
-                self._pairing_plan = plan
-                self._mirror_specs = specs
         for stream_name in list(self._positions):
             stream = engine.streams.get(stream_name)
             positions = self._positions[stream_name]
@@ -330,9 +268,7 @@ class SeqOperator:
         # would leave the hot path feeding a stale, empty mapping.
         self._partitions.clear()
         for key, histories, run, cuts, removed in blob["partitions"]:
-            partition = _Partition(
-                n, key, track_cuts=False, mirror_specs=self._mirror_specs
-            )
+            partition = _Partition(n, key)
             partition.histories = [
                 [unpack(p) for p in history] for history in histories
             ]
@@ -341,14 +277,6 @@ class SeqOperator:
                 None if cuts is None else [list(stage) for stage in cuts]
             )
             partition.removed = list(removed)
-            # Mirrors are derived state: re-mirror the restored histories
-            # rather than checkpointing column copies of the same tuples.
-            if partition.mirrors is not None:
-                for store, history in zip(
-                    partition.mirrors, partition.histories
-                ):
-                    if store is not None:
-                        store.rebuild(history)
             self._partitions[key] = partition
         self._expiry_heap = [tuple(entry) for entry in blob["expiry_heap"]]
         heapq.heapify(self._expiry_heap)
@@ -407,7 +335,6 @@ class SeqOperator:
         tick = self._tick
         evict = self._evict_partition
         track_cuts = self._use_cuts
-        mirror_specs = self._mirror_specs
         after = self._after_arrival if window is not None else None
 
         if admission is None:
@@ -422,9 +349,7 @@ class SeqOperator:
                 key = partition_by(tup) if partition_by is not None else None
                 partition = partitions.get(key)
                 if partition is None:
-                    partition = partitions[key] = _Partition(
-                        n_args, key, track_cuts, mirror_specs
-                    )
+                    partition = partitions[key] = _Partition(n_args, key, track_cuts)
                 if window is not None:
                     evict(partition, tup.ts)
                 if is_last:
@@ -448,9 +373,7 @@ class SeqOperator:
                 key = partition_by(tup) if partition_by is not None else None
                 partition = partitions.get(key)
                 if partition is None:
-                    partition = partitions[key] = _Partition(
-                        n_args, key, track_cuts, mirror_specs
-                    )
+                    partition = partitions[key] = _Partition(n_args, key, track_cuts)
                 if window is not None:
                     evict(partition, tup.ts)
                 if is_last:
@@ -466,9 +389,7 @@ class SeqOperator:
         key = self.partition_by(tup) if self.partition_by else None
         partition = self._partitions.get(key)
         if partition is None:
-            partition = _Partition(
-                len(self.args), key, self._use_cuts, self._mirror_specs
-            )
+            partition = _Partition(len(self.args), key, self._use_cuts)
             self._partitions[key] = partition
         return partition
 
@@ -506,11 +427,6 @@ class SeqOperator:
 
     def _admit(self, partition: _Partition, tup: Tuple, index: int) -> None:
         partition.histories[index].append(tup)
-        mirrors = partition.mirrors
-        if mirrors is not None:
-            store = mirrors[index]
-            if store is not None:
-                store.append(tup)
         if self._use_cuts and index:
             # Cache the predecessor boundary at admission.  The clock is
             # monotone and tuples order by (ts, seq), so everything already
@@ -555,17 +471,12 @@ class SeqOperator:
         """
         use_cuts = self._use_cuts
         removed = partition.removed
-        mirrors = partition.mirrors
         for index, history in enumerate(partition.histories):
             if not history or history[0].ts >= horizon:
                 continue
             keep = bisect_left(history, horizon, key=_TS)
             del history[:keep]
             self._held -= keep
-            if mirrors is not None:
-                store = mirrors[index]
-                if store is not None:
-                    store.evict_front(keep)
             if use_cuts:
                 removed[index] += keep
                 if index:
@@ -796,36 +707,14 @@ class SeqOperator:
         bindings: dict[str, Tuple] = {bind_keys[n - 1]: anchor}
         if not pairing(bindings):
             return
-        plan = self._pairing_plan
-        mirrors = partition.mirrors
 
         def extend(index: int, hi: int) -> None:  # noqa: F811
             history = histories[index]
             alias = bind_keys[index]
-            # Stage mask over the viable prefix [0, hi): the mirror's
-            # columns line up with the history positionally, so the mask
-            # is evaluated on exactly the rows the loop would visit.
-            # Consulted only when the mirror is trusted (schema-clean and
-            # length-consistent) and the slice is long enough to amortize
-            # the call; False rows are guaranteed scalar-rejected, True
-            # rows still take the pairing() re-check below.
-            mask = None
-            if plan is not None and hi >= _MASK_MIN:
-                stage = plan[index]
-                if stage is not None:
-                    store = mirrors[index] if mirrors is not None else None
-                    if (
-                        store is not None
-                        and store.ok
-                        and len(store.timestamps) == len(history)
-                    ):
-                        mask = stage(bindings, store, hi)
             if index:
                 stage_cuts = cuts[index]
                 gone = removed[index - 1]
             for pos in range(hi):
-                if mask is not None and not mask[pos]:
-                    continue
                 candidate = history[pos]
                 bindings[alias] = candidate
                 if not pairing(bindings):
@@ -863,31 +752,13 @@ class SeqOperator:
         histories = partition.histories
         cuts = partition.cuts
         removed = partition.removed
-        plan = self._pairing_plan
-        mirrors = partition.mirrors
         cut = self._anchor_cut(histories[n - 2], anchor)
         chain = [anchor]
         for index in range(n - 2, -1, -1):
             history = histories[index]
             alias = bind_keys[index]
-            # Same prefix-mask discipline as _attempt_indexed: the
-            # newest-first scan skips rows the mask already rejected and
-            # re-checks the rest with the scalar pairing call.
-            mask = None
-            if plan is not None and cut >= _MASK_MIN:
-                stage = plan[index]
-                if stage is not None:
-                    store = mirrors[index] if mirrors is not None else None
-                    if (
-                        store is not None
-                        and store.ok
-                        and len(store.timestamps) == len(history)
-                    ):
-                        mask = stage(bindings, store, cut)
             chosen_pos = -1
             for pos in range(cut - 1, -1, -1):
-                if mask is not None and not mask[pos]:
-                    continue
                 bindings[alias] = history[pos]
                 if pairing(bindings):
                     chosen_pos = pos

@@ -8,9 +8,6 @@ This module is the single home of the engine's columnar representation:
   stream edge (:meth:`~repro.dsms.streams.Stream.unpack`) and feeds its
   :meth:`~ColumnBatch.rows` through the same loop row pushes use.
 
-* :class:`ColumnStore` — the incremental columnar mirror of a SEQ
-  partition's history that the ``tier="vector"`` pairing masks read.
-
 * The struct-based column codec (``pack_column`` / ``unpack_column`` and
   the tag tables) that the shard transport's batch and output frames use
   on the wire.
@@ -70,9 +67,14 @@ def loads_oob(view: memoryview | bytes, offset: int = 0) -> tuple[Any, int]:
             offset += 4
             buffers.append(view[offset:offset + buf_len])
             offset += buf_len
-        return pickle.loads(body, buffers=buffers), offset
-    except (struct.error, pickle.UnpicklingError, EOFError, ValueError) as exc:
+    except struct.error as exc:
         raise FrameCodecError(f"corrupt pickle section: {exc}") from exc
+    try:
+        return pickle.loads(body, buffers=buffers), offset
+    except Exception as exc:  # noqa: BLE001 - a damaged pickle raises anything
+        raise FrameCodecError(
+            f"corrupt pickle section: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +206,28 @@ def pack_column(values: Sequence, hint: int | None, out: list[bytes]) -> None:
 def unpack_column(
     view: memoryview, offset: int, n: int
 ) -> tuple[list, int]:
-    (tag,) = struct.unpack_from("<B", view, offset)
-    offset += 1
-    if tag == TAG_PICKLE:
-        values, offset = loads_oob(view, offset)
-        if not isinstance(values, list) or len(values) != n:
-            raise FrameCodecError("pickle column has wrong row count")
-        return values, offset
-    if tag not in (TAG_I64, TAG_F64, TAG_BOOL, TAG_STR):
-        raise FrameCodecError(f"unknown column tag {tag}")
-    (has_none,) = struct.unpack_from("<B", view, offset)
-    offset += 1
-    bitmap = None
-    if has_none:
-        bitmap = view[offset:offset + (n + 7) // 8]
-        offset += (n + 7) // 8
+    """Inverse of :func:`pack_column`; returns ``(values, next_offset)``.
+
+    A damaged column raises :class:`FrameCodecError` and nothing else.
+    """
     try:
+        (tag,) = struct.unpack_from("<B", view, offset)
+        offset += 1
+        if tag == TAG_PICKLE:
+            values, offset = loads_oob(view, offset)
+            if not isinstance(values, list) or len(values) != n:
+                raise FrameCodecError("pickle column has wrong row count")
+            return values, offset
+        if tag not in (TAG_I64, TAG_F64, TAG_BOOL, TAG_STR):
+            raise FrameCodecError(f"unknown column tag {tag}")
+        (has_none,) = struct.unpack_from("<B", view, offset)
+        offset += 1
+        bitmap = None
+        if has_none:
+            bitmap = view[offset:offset + (n + 7) // 8]
+            if len(bitmap) != (n + 7) // 8:
+                raise FrameCodecError("truncated NULL bitmap")
+            offset += (n + 7) // 8
         if tag == TAG_I64:
             raw: Sequence = struct.unpack_from(f"<{n}q", view, offset)
             offset += 8 * n
@@ -265,6 +273,8 @@ def unpack_column(
                     position += length
     except struct.error as exc:
         raise FrameCodecError(f"truncated column data: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FrameCodecError(f"corrupt string column: {exc}") from exc
     if bitmap is None:
         return list(raw), offset
     values = list(raw)
@@ -373,70 +383,4 @@ class ColumnBatch:
         return (
             f"ColumnBatch({len(self)} rows x {len(self.schema)} cols, "
             f"schema={self.schema!r})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# ColumnStore — incremental columnar mirror of operator partition history
-# ---------------------------------------------------------------------------
-
-
-class ColumnStore:
-    """A per-partition columnar mirror of a SEQ history list.
-
-    Maintained incrementally alongside the row history: ``append`` on
-    admit, ``evict_front`` on window eviction, ``rebuild`` after a
-    checkpoint restore.  ``columns[j][i]`` / ``timestamps[i]`` mirror
-    field ``j`` / the timestamp of ``history[i]`` exactly, so the
-    vectorized pairing tier evaluates masks over them through the
-    ``(cols, tss, n)`` protocol.
-
-    Poison semantics: a tuple from the wrong schema sets ``ok = False``
-    (the whole mirror is untrusted and every mask consumer must fall
-    back to scalar).
-    """
-
-    __slots__ = ("schema", "columns", "timestamps", "ok")
-
-    def __init__(self, schema: Schema) -> None:
-        self.schema = schema
-        self.columns: tuple[list, ...] = tuple(
-            [] for _ in range(len(schema))
-        )
-        self.timestamps: list[float] = []
-        self.ok = True
-
-    def append(self, tup: Any) -> None:
-        """Mirror an admitted tuple (history.append happened alongside)."""
-        if tup.schema is not self.schema:
-            # A foreign-schema tuple can't be mirrored positionally; the
-            # resulting length divergence from the row history is what
-            # mask consumers check before trusting this store.
-            self.ok = False
-            return
-        for column, value in zip(self.columns, tup.values):
-            column.append(value)
-        self.timestamps.append(tup.ts)
-
-    def evict_front(self, count: int) -> None:
-        """Drop the *count* oldest mirrored rows (front eviction only)."""
-        if count <= 0:
-            return
-        for column in self.columns:
-            del column[:count]
-        del self.timestamps[:count]
-
-    def rebuild(self, history: Sequence[Any]) -> None:
-        """Reset and re-mirror *history* (checkpoint restore path)."""
-        for column in self.columns:
-            del column[:]
-        del self.timestamps[:]
-        self.ok = True
-        for tup in history:
-            self.append(tup)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ColumnStore({len(self.timestamps)} rows x "
-            f"{len(self.schema)} cols, ok={self.ok})"
         )

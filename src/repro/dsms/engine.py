@@ -39,7 +39,6 @@ from .clock import VirtualClock
 from .columns import ColumnBatch
 from .errors import EslSemanticError
 from .functions import default_functions
-from .lowering import Lowering, execution_tier
 from .schema import Schema
 from .streams import Stream, StreamRegistry
 from .table import Table, TableRegistry
@@ -173,18 +172,29 @@ class QueryHandle:
         return f"QueryHandle({self.name!r} -> {target})"
 
 
+def execution_tier() -> dict[str, Any]:
+    """The execution path report every engine returns.
+
+    There is one path — expressions lowered to Python closures, operator
+    dispatch specialized at wiring time, and the indexed SEQ state layer
+    (predecessor cuts, bisected eviction, expiry heap) — so the report is
+    a constant.  ``pairing`` names the path SEQ pairs candidates on.
+    """
+    return {
+        "requested": "closure",
+        "active": "closure",
+        "pairing": {"requested": "closure", "active": "closure"},
+    }
+
+
 class Engine:
     """A self-contained DSMS instance.
 
-    ``tier`` caps the execution ladder — ``"vector"`` (the default) or
-    ``"closure"`` — and each value enables every rung below it;
-    :mod:`repro.dsms.lowering` describes the rungs and owns the fallback
-    chain between them.  Both tiers emit byte-identical output, held
-    against the independent oracle in ``tests/oracle``, and
-    :meth:`execution_tier` reports which one is actually active.
+    There is one execution path, held against the independent oracle in
+    ``tests/oracle``; :meth:`execution_tier` reports it.
     """
 
-    def __init__(self, tier: str = "vector") -> None:
+    def __init__(self) -> None:
         self.clock = VirtualClock()
         self.streams = StreamRegistry()
         self.tables = TableRegistry()
@@ -192,8 +202,6 @@ class Engine:
         self.aggregates = AggregateRegistry()
         self.queries: list[QueryHandle] = []
         self.histories: dict[str, Any] = {}  # stream -> SnapshotView
-        self.lowering = Lowering(tier)
-        self.tier = self.lowering.tier
         self._query_counter = 0
         # Checkpointable components (operators, window buffers) in compile
         # order.  Engines rebuilt from the same statements register the
@@ -210,9 +218,8 @@ class Engine:
         self.checkpointables.append(component)
 
     def execution_tier(self) -> dict[str, Any]:
-        """Requested vs active tier (see
-        :func:`repro.dsms.lowering.execution_tier`)."""
-        return execution_tier(self.tier)
+        """The execution path report (see :func:`execution_tier`)."""
+        return execution_tier()
 
     # -- catalog --------------------------------------------------------
 

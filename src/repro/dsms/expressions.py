@@ -12,7 +12,7 @@ tuples.  A column reference ``r1.tag_id`` looks up alias ``r1``; a bare
 These nodes are deliberately plain (no metaclass tricks): each has a
 ``compile(ctx) -> Callable[[Env], Any]`` method, lowering it to nested
 Python closures, and a ``references()`` helper used by the optimizer for
-predicate pushdown.  Lowering folds constants and — when the
+predicate pushdown.  Compilation folds constants and — when the
 :class:`CompileContext` knows an alias's schema — turns ``alias.field``
 into a single positional list index instead of a schema lookup.
 """
@@ -700,8 +700,8 @@ class InList(Expression):
         return f"InList({self.operand!r} {word} {list(self.options)!r})"
 
 
-# Module-level LIKE pattern memo: every lowering tier (closure, vector)
-# funnels through Like._regex, so identical patterns —
+# Module-level LIKE pattern memo: every Like node funnels through
+# Like._regex, so identical patterns —
 # common when the same EPC prefix appears in many registered queries —
 # compile exactly once per process rather than once per Like node.
 _LIKE_REGEX_MEMO: dict[str, Any] = {}
@@ -884,12 +884,11 @@ def conjoin(terms: Sequence[Expression]) -> Expression:
 # single-alias ``column = literal`` / ``IN (literals)`` / range conjuncts a
 # tuple can be tested against *before* the plan's own callbacks run.  An
 # :class:`AdmissionConstraint` is the index key material for one alias —
-# one field plus an equality value set and/or literal ranges.  The routing
-# contract mirrors the vector-mask contract above: a constraint may
-# over-admit (the plan re-checks every delivered tuple) but must never
-# reject a tuple the plan's own predicate would accept, so extraction is
-# deliberately conservative — anything it cannot prove indexable simply
-# contributes no constraint.
+# one field plus an equality value set and/or literal ranges.  A
+# constraint may over-admit (the plan re-checks every delivered tuple)
+# but must never reject a tuple the plan's own predicate would accept, so
+# extraction is deliberately conservative — anything it cannot prove
+# indexable simply contributes no constraint.
 
 
 class AdmissionConstraint:
@@ -1113,509 +1112,3 @@ def admission_constraint(
             best = constraint
     return best
 
-
-# ---------------------------------------------------------------------------
-# Vectorized lowering (column operators for the SEQ pairing masks)
-# ---------------------------------------------------------------------------
-#
-# A second lowering over the same expression IR: where ``compile()``
-# produces ``Env -> value`` closures evaluated once per tuple,
-# ``_lower_vector`` produces ``(columns, timestamps, n) -> list`` closures
-# evaluated once per column set (a partition-history mirror), returning the
-# per-row Kleene values (True/False/None, or arbitrary values for arithmetic
-# sub-expressions).  :func:`compile_pairing_vector` turns those values into
-# a candidate mask, so a long history costs a handful of list
-# comprehensions instead of one Env and closure tree per candidate.
-#
-# Only *pure, time-independent* expressions lower: literals, column
-# references against the target schema, comparisons, arithmetic, Kleene
-# AND/OR/NOT, IS NULL, BETWEEN, IN over constant option lists, and LIKE
-# with a constant pattern.  Function calls (UDFs may be stateful or
-# re-registered), CASE, and subquery probes (state-dependent:
-# re-evaluation order matters) return None — the caller keeps the scalar
-# path for those.  Purity is what makes whole-column evaluation safe: every
-# consumer re-checks survivors with the scalar predicate, so a vector mask
-# only has to promise it never *drops* a row the scalar path would admit.
-# On that contract, a closure that raises mid-column is simply abandoned
-# (the caller visits every row) and per-row error semantics are preserved
-# exactly by the scalar re-check.
-
-#: ``(columns, timestamps, n) -> [value, ...]`` — one value per batch row.
-VectorFn = Callable[[Sequence[Sequence[Any]], Sequence[float], int], list]
-
-
-class _VConst:
-    """Constant-folding marker for the vector tier (mirrors _ConstFn)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
-def _vector_rows(item: Any, cols: Any, tss: Any, n: int) -> list:
-    """Materialize an operand as a per-row list, broadcasting constants."""
-    if type(item) is _VConst:
-        return [item.value] * n
-    return item(cols, tss, n)
-
-
-def _lower_vector(  # noqa: PLR0911, PLR0912 - one dispatch, many node kinds
-    expr: Expression, schema: Schema, alias: str | None,
-    lower: "Callable[[Expression, Schema, str | None], Any]",
-) -> Any:
-    """Lower *expr* to a :data:`VectorFn` or :class:`_VConst`, else None.
-
-    *alias* is the lower-cased binding name whose values *schema*'s
-    columns hold.  *lower* is the recursion hook every sub-expression is
-    lowered through: :func:`compile_pairing_vector` passes one that
-    intercepts references to *other* aliases — constant per anchor there
-    — and vetoes bare columns, reusing every operator lowering below
-    unchanged.
-    """
-    kind = type(expr)
-    if kind is Literal:
-        return _VConst(expr.value)
-    if kind is Column:
-        ref_alias = expr.alias.lower() if expr.alias is not None else None
-        if ref_alias is not None and ref_alias != alias:
-            return None
-        if expr.field not in schema:
-            return None
-        position = schema.position(expr.field)
-
-        def column(cols: Any, tss: Any, n: int, _pos: int = position) -> list:
-            return cols[_pos]
-
-        return column
-    if kind is BinaryOp:
-        left = lower(expr.left, schema, alias)
-        if left is None:
-            return None
-        right = lower(expr.right, schema, alias)
-        if right is None:
-            return None
-        op = expr.op
-        cmp_base = _CMP_FUNCS.get(op)
-        if type(left) is _VConst and type(right) is _VConst:
-            try:
-                if cmp_base is not None:
-                    return _VConst(_compare(op, left.value, right.value))
-                return _VConst(_arith(op, left.value, right.value))
-            except EslRuntimeError:
-                return None  # defer the error to the scalar path
-        if cmp_base is not None:
-            if type(right) is _VConst:
-                rv = right.value
-                if rv is None:
-                    return _VConst(None)
-
-                def compare_vc(cols: Any, tss: Any, n: int) -> list:
-                    return [
-                        None if v is None else cmp_base(v, rv)
-                        for v in left(cols, tss, n)
-                    ]
-
-                return compare_vc
-            if type(left) is _VConst:
-                lv = left.value
-                if lv is None:
-                    return _VConst(None)
-
-                def compare_cv(cols: Any, tss: Any, n: int) -> list:
-                    return [
-                        None if v is None else cmp_base(lv, v)
-                        for v in right(cols, tss, n)
-                    ]
-
-                return compare_cv
-
-            def compare_vv(cols: Any, tss: Any, n: int) -> list:
-                return [
-                    None if a is None or b is None else cmp_base(a, b)
-                    for a, b in zip(left(cols, tss, n), right(cols, tss, n))
-                ]
-
-            return compare_vv
-        arith_base = _ARITH_FUNCS.get(op)
-        if arith_base is not None:
-            if type(right) is _VConst:
-                rv = right.value
-                if rv is None:
-                    return _VConst(None)
-
-                def arith_vc(cols: Any, tss: Any, n: int) -> list:
-                    return [
-                        None if v is None else arith_base(v, rv)
-                        for v in left(cols, tss, n)
-                    ]
-
-                return arith_vc
-
-            def arith_gen(cols: Any, tss: Any, n: int) -> list:
-                lvs = _vector_rows(left, cols, tss, n)
-                rvs = _vector_rows(right, cols, tss, n)
-                return [
-                    None if a is None or b is None else arith_base(a, b)
-                    for a, b in zip(lvs, rvs)
-                ]
-
-            return arith_gen
-
-        def arith_slow(cols: Any, tss: Any, n: int) -> list:
-            # Division/modulo (zero -> NULL) and || keep the shared helper.
-            lvs = _vector_rows(left, cols, tss, n)
-            rvs = _vector_rows(right, cols, tss, n)
-            return [_arith(op, a, b) for a, b in zip(lvs, rvs)]
-
-        return arith_slow
-    if kind is And or kind is Or:
-        items = []
-        for operand in expr.operands:
-            item = lower(operand, schema, alias)
-            if item is None:
-                return None
-            items.append(item)
-        if all(type(item) is _VConst for item in items):
-            values = [item.value for item in items]
-            if kind is And:
-                if any(value is False for value in values):
-                    return _VConst(False)
-                return _VConst(
-                    None if any(value is None for value in values) else True
-                )
-            if any(value is True for value in values):
-                return _VConst(True)
-            return _VConst(
-                None if any(value is None for value in values) else False
-            )
-        if kind is And:
-            return _vector_conjunction(items)
-        return _vector_disjunction(items)
-    if kind is Not:
-        item = lower(expr.operand, schema, alias)
-        if item is None:
-            return None
-        if type(item) is _VConst:
-            value = item.value
-            return _VConst(None if value is None else not value)
-
-        def negation(cols: Any, tss: Any, n: int) -> list:
-            return [
-                None if v is None else not v for v in item(cols, tss, n)
-            ]
-
-        return negation
-    if kind is Negate:
-        item = lower(expr.operand, schema, alias)
-        if item is None:
-            return None
-        if type(item) is _VConst:
-            try:
-                value = item.value
-                return _VConst(None if value is None else -value)
-            except TypeError:
-                return None  # defer the error to the scalar path
-
-        def negate(cols: Any, tss: Any, n: int) -> list:
-            return [None if v is None else -v for v in item(cols, tss, n)]
-
-        return negate
-    if kind is IsNull:
-        item = lower(expr.operand, schema, alias)
-        if item is None:
-            return None
-        invert = expr.negate
-        if type(item) is _VConst:
-            result = item.value is None
-            return _VConst(not result if invert else result)
-        if invert:
-            return lambda cols, tss, n: [
-                v is not None for v in item(cols, tss, n)
-            ]
-        return lambda cols, tss, n: [v is None for v in item(cols, tss, n)]
-    if kind is Between:
-        operand = lower(expr.operand, schema, alias)
-        low = lower(expr.low, schema, alias)
-        high = lower(expr.high, schema, alias)
-        if operand is None or low is None or high is None:
-            return None
-        invert = expr.negate
-
-        def between(cols: Any, tss: Any, n: int) -> list:
-            return [
-                _between(v, lo, hi, invert)
-                for v, lo, hi in zip(
-                    _vector_rows(operand, cols, tss, n),
-                    _vector_rows(low, cols, tss, n),
-                    _vector_rows(high, cols, tss, n),
-                )
-            ]
-
-        return between
-    if kind is InList:
-        operand = lower(expr.operand, schema, alias)
-        if operand is None:
-            return None
-        options = []
-        for option in expr.options:
-            item = lower(option, schema, alias)
-            if type(item) is not _VConst:
-                return None  # dynamic options keep the scalar path
-            options.append(item.value)
-        saw_null = any(option is None for option in options)
-        # A tuple scan uses == exactly like the scalar candidate loop.
-        table = tuple(option for option in options if option is not None)
-        invert = expr.negate
-        if type(operand) is _VConst:
-            value = operand.value
-            if value is None:
-                return _VConst(None)
-            if value in table:
-                return _VConst(False if invert else True)
-            return _VConst(None if saw_null else invert)
-
-        def membership(cols: Any, tss: Any, n: int) -> list:
-            out = []
-            append = out.append
-            for v in operand(cols, tss, n):
-                if v is None:
-                    append(None)
-                elif v in table:
-                    append(False if invert else True)
-                else:
-                    append(None if saw_null else invert)
-            return out
-
-        return membership
-    if kind is Like:
-        operand = lower(expr.operand, schema, alias)
-        if operand is None:
-            return None
-        pattern = lower(expr.pattern, schema, alias)
-        if type(pattern) is not _VConst or pattern.value is None:
-            return None  # dynamic patterns keep the scalar regex cache
-        match = Like._regex(pattern.value).match
-        invert = expr.negate
-        if type(operand) is _VConst:
-            value = operand.value
-            if value is None:
-                return _VConst(None)
-            result = match(str(value)) is not None
-            return _VConst(not result if invert else result)
-
-        if invert:
-            return lambda cols, tss, n: [
-                None if v is None else match(str(v)) is None
-                for v in operand(cols, tss, n)
-            ]
-        return lambda cols, tss, n: [
-            None if v is None else match(str(v)) is not None
-            for v in operand(cols, tss, n)
-        ]
-    # FunctionCall, Case, and anything unknown: not
-    # vectorizable (side effects, state, or re-evaluation hazards).
-    return None
-
-
-def _vector_conjunction(items: list) -> VectorFn:
-    """Kleene AND over lowered operands with selection-mask short-circuit.
-
-    Operands are evaluated left to right over the still-undecided rows
-    only: a row decided False leaves the active set, and the remaining
-    operands see columns gathered down to the active rows.  Error
-    semantics match the scalar closure chain — operands run in order, so
-    an operand that raises does so before any later operand is consulted.
-    """
-
-    def conjunction(cols: Any, tss: Any, n: int) -> list:
-        result: list = [True] * n
-        active = range(n)
-        acols, atss = cols, tss
-        last = len(items) - 1
-        for index, item in enumerate(items):
-            if not active:
-                break
-            if type(item) is _VConst:
-                value = item.value
-                if value is None:
-                    for i in active:
-                        result[i] = None
-                elif value is False:
-                    for i in active:
-                        result[i] = False
-                    active = ()
-                continue
-            vals = item(acols, atss, len(active))
-            survivors = []
-            keep = survivors.append
-            for v, i in zip(vals, active):
-                if v is False:
-                    result[i] = False
-                else:
-                    if v is None:
-                        result[i] = None
-                    keep(i)
-            if index != last and len(survivors) != len(active):
-                active = survivors
-                acols = [[c[i] for i in active] for c in cols]
-                atss = [tss[i] for i in active]
-            elif len(survivors) != len(active):
-                active = survivors
-        return result
-
-    return conjunction
-
-
-def _vector_disjunction(items: list) -> VectorFn:
-    """Kleene OR, dual of :func:`_vector_conjunction` (True decides)."""
-
-    def disjunction(cols: Any, tss: Any, n: int) -> list:
-        result: list = [False] * n
-        active = range(n)
-        acols, atss = cols, tss
-        last = len(items) - 1
-        for index, item in enumerate(items):
-            if not active:
-                break
-            if type(item) is _VConst:
-                value = item.value
-                if value is None:
-                    for i in active:
-                        result[i] = None
-                elif value is True:
-                    for i in active:
-                        result[i] = True
-                    active = ()
-                continue
-            vals = item(acols, atss, len(active))
-            survivors = []
-            keep = survivors.append
-            for v, i in zip(vals, active):
-                if v is True:
-                    result[i] = True
-                else:
-                    if v is None:
-                        result[i] = None
-                    keep(i)
-            if index != last and len(survivors) != len(active):
-                active = survivors
-                acols = [[c[i] for i in active] for c in cols]
-                atss = [tss[i] for i in active]
-            elif len(survivors) != len(active):
-                active = survivors
-        return result
-
-    return disjunction
-
-
-# ---------------------------------------------------------------------------
-# Pairing lowering (cross-alias conjuncts over partition-history mirrors)
-# ---------------------------------------------------------------------------
-#
-# SEQ pairing guards compare the *arriving* tuples of one chain stage (the
-# anchor side, already bound) against the candidate history of another
-# stage (one column store).  Sub-expressions over the bound aliases are
-# constants *per mask evaluation* — so they compile through the scalar
-# closure tier once and broadcast — while candidate-side references lower
-# to column reads.  The over-admit-never-under-admit contract applies:
-# every mask survivor is re-checked by the scalar ``pairing()`` closure,
-# so a raising mask is simply abandoned for that anchor.
-
-#: Sentinel node kinds never safe inside a broadcast anchor cell: UDFs may
-#: be stateful (call counts are observable), CASE re-evaluates state.
-_IMPURE_NODES = (FunctionCall, Case)
-
-
-class _PairCell:
-    """An anchor-side sub-expression broadcast over the candidate slice.
-
-    Compiled once to a scalar closure; ``value`` is refreshed from the
-    live Env bindings at every mask evaluation, then the cell behaves as
-    a :data:`VectorFn` producing that value for all *n* candidate rows.
-    """
-
-    __slots__ = ("fn", "value")
-
-    def __init__(self, fn: EvalFn) -> None:
-        self.fn = fn
-        self.value: Any = None
-
-    def __call__(self, cols: Any, tss: Any, n: int) -> list:
-        return [self.value] * n
-
-
-def compile_pairing_vector(
-    expr: Expression,
-    schema: Schema,
-    alias: str,
-    ctx: CompileContext,
-    bound_aliases: Iterable[str],
-) -> Callable[[Env, Any, Any, int], list] | None:
-    """Lower a cross-alias pairing conjunct to a broadcast-mask closure.
-
-    *alias* names the candidate stage whose history mirror supplies the
-    columns; *bound_aliases* are the chain stages already bound when this
-    stage's candidates are scanned.  Returns ``(env, cols, tss, n) ->
-    values`` (the per-row Kleene values the scalar term would produce) or
-    None when the term cannot be lowered soundly:
-
-    * a bare (unqualified) column reference — ambiguous across the
-      multiple bindings of a pairing Env;
-    * a reference to an alias that is neither the candidate nor provably
-      bound at this stage;
-    * an impure node (UDF call, CASE, sub-query probe) anywhere, on
-      either side;
-    * any node :func:`_lower_vector` declines.
-
-    Anchor-side sub-expressions (references only to bound aliases) become
-    :class:`_PairCell` broadcasts compiled through the scalar closure
-    tier; the rest reuses :func:`_lower_vector`'s operator lowerings via
-    its recursion hook.
-    """
-    cand = alias.lower()
-    bound = {name.lower() for name in bound_aliases}
-    cells: list[_PairCell] = []
-
-    def hook(node: Expression, lschema: Schema, lalias: str | None) -> Any:
-        refs = list(node.references())
-        if refs:
-            ref_aliases = {
-                ref_alias.lower() if ref_alias is not None else None
-                for ref_alias, __ in refs
-            }
-            if None in ref_aliases:
-                return None  # bare column: ambiguous across bindings
-            if cand not in ref_aliases:
-                if not ref_aliases <= bound:
-                    return None  # references an alias not yet bound
-                for sub in node.walk():
-                    if isinstance(sub, _IMPURE_NODES):
-                        return None
-                cell = _PairCell(node.compile(ctx))
-                cells.append(cell)
-                return cell
-            if not ref_aliases <= bound | {cand}:
-                return None
-        elif any(isinstance(sub, _IMPURE_NODES) for sub in node.walk()):
-            return None  # e.g. a zero-argument UDF call
-        return _lower_vector(node, lschema, lalias, hook)
-
-    lowered = hook(expr, schema, cand)
-    if lowered is None:
-        return None
-    if type(lowered) is _VConst:
-        value = lowered.value
-
-        def pair_const(env: Env, cols: Any, tss: Any, n: int) -> list:
-            return [value] * n
-
-        return pair_const
-    frozen = tuple(cells)
-
-    def pair(env: Env, cols: Any, tss: Any, n: int) -> list:
-        for cell in frozen:
-            cell.value = cell.fn(env)
-        return lowered(cols, tss, n)
-
-    return pair

@@ -29,14 +29,13 @@ class MultiQueryEngine:
     """Register N continuous queries over one shared ingestion path.
 
     Catalog DDL (streams, tables, UDFs, UDAs) and ingestion go to the
-    underlying :attr:`engine` (built at the given ``tier``; see
-    :class:`~repro.dsms.engine.Engine`); query text is registered via
+    underlying :attr:`engine`; query text is registered via
     :meth:`register`, which returns a
     :class:`~repro.dsms.registry.Subscription`.
     """
 
-    def __init__(self, *, tier: str = "vector") -> None:
-        self.engine = Engine(tier=tier)
+    def __init__(self) -> None:
+        self.engine = Engine()
         self.registry = QueryRegistry(self.engine)
         self.closed = False
 
@@ -149,7 +148,7 @@ class MultiQueryEngine:
         return self.registry.state_size()
 
     def execution_tier(self) -> dict[str, Any]:
-        """Requested vs active tier of the underlying engine."""
+        """The underlying engine's execution path report."""
         return self.engine.execution_tier()
 
     def stats(self) -> dict[str, Any]:

@@ -17,8 +17,7 @@ cost far less than N engines, three ways:
   index; an incoming tuple is dispatched only to candidate plans, plus a
   residual scan list for everything unindexable.  Routing may over-admit
   — every plan re-checks delivered tuples with its own compiled
-  predicate — but never under-admits, the same contract the SEQ pairing
-  masks follow.
+  predicate — but never under-admits.
 
 * **Sub-plan dedup.**  Statements are fingerprinted structurally; N
   registrations of an identical query share one compiled plan (one SEQ

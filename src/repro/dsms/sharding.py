@@ -91,9 +91,8 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .columns import ColumnBatch
-from .engine import Engine, QueryHandle
+from .engine import Engine, QueryHandle, execution_tier
 from .errors import EslSemanticError, TransportError
-from .lowering import execution_tier
 from .merge import RunCollector, StampedRow, merge_runs
 from .schema import Schema
 from .tuples import Tuple, dict_rows
@@ -142,18 +141,16 @@ class ShardSpec:
     tables from it, so ids agree without crossing the wire.
     """
 
-    __slots__ = ("ops", "sinks", "tier", "stream_table")
+    __slots__ = ("ops", "sinks", "stream_table")
 
     def __init__(
         self,
         ops: Sequence[tuple],
         sinks: Sequence[tuple[str, str, str, str]],
-        tier: str,
         stream_table: Sequence[tuple[str, Schema]] = (),
     ) -> None:
         self.ops = list(ops)
         self.sinks = list(sinks)
-        self.tier = tier
         self.stream_table = tuple(stream_table)
 
 
@@ -205,7 +202,7 @@ class _ShardRuntime:
         # -1 stamps what comes before every step: the rows a table-only
         # SELECT emits while compiling, and timers a restore re-arms.
         self.g = -1
-        self.engine = Engine(tier=spec.tier)
+        self.engine = Engine()
         self.engine.clock.schedule = self._stamped_at_arming(
             self.engine.clock.schedule
         )
@@ -936,8 +933,6 @@ class ShardedEngine:
             (persistent pipe workers, framed transport).
         shard_by: explicit ``{stream_name: key_field}`` routing overrides;
             takes precedence over hoisted partition keys.
-        tier: execution-tier cap forwarded to every inner Engine
-            (``'vector'`` or ``'closure'``; see :class:`~repro.dsms.engine.Engine`).
         batch_size: records buffered per shard before a parallel hand-off
             (the adaptive controller's starting point under ``parallel``).
         start_method: multiprocessing start method for pipe workers
@@ -957,7 +952,8 @@ class ShardedEngine:
             run.
         hang_timeout: wall-clock seconds a worker may sit on in-flight
             frames without progress before it is declared hung
-            (``parallel`` only; ``None`` disables hang detection).
+            (``parallel`` only; ``None`` disables hang detection; any
+            other value must be positive).
         fault_plan: a :class:`~repro.dsms.faults.FaultPlan` injecting
             crashes/drops/corruption/wedges into the transport — tests
             and benchmarks only.
@@ -970,7 +966,6 @@ class ShardedEngine:
         n_shards: int = 4,
         executor: str = "serial",
         shard_by: Mapping[str, str] | None = None,
-        tier: str = "vector",
         batch_size: int = 2048,
         start_method: str | None = None,
         adaptive_batch: bool = True,
@@ -1003,6 +998,11 @@ class ShardedEngine:
                 "checkpoint_interval, hang_timeout, fault_plan) require "
                 "executor='parallel'"
             )
+        if hang_timeout is not None and not hang_timeout > 0:
+            raise EslSemanticError(
+                f"hang_timeout must be > 0 seconds (or None to disable hang "
+                f"detection), got {hang_timeout!r}"
+            )
         self.n_shards = n_shards
         self.executor_kind = executor
         self.batch_size = batch_size
@@ -1020,13 +1020,12 @@ class ShardedEngine:
             if fault_tolerance == "degrade"
             else None
         )
-        self.tier = tier
         self.shard_by = {
             name.lower(): field.lower() for name, field in (shard_by or {}).items()
         }
         # The catalog engine holds schemas and compiled query metadata for
         # routing decisions; it never receives data.
-        self.catalog = Engine(tier=tier)
+        self.catalog = Engine()
         self._ops: list[tuple] = []
         self._sink_specs: list[tuple[str, str, str]] = []  # (sink_id, kind, target)
         self._routes: dict[str, _Route] = {}
@@ -1297,7 +1296,7 @@ class ShardedEngine:
             (stream.name.lower(), stream.schema)
             for stream in self.catalog.streams
         )
-        spec = ShardSpec(self._ops, sinks, self.tier, stream_table)
+        spec = ShardSpec(self._ops, sinks, stream_table)
         if self.executor_kind == "serial":
             self._executor = _SerialExecutor(spec, self.n_shards)
         else:
@@ -1491,9 +1490,9 @@ class ShardedEngine:
         }
 
     def execution_tier(self) -> dict[str, Any]:
-        """Requested vs active tier of the inner engines (see
-        :func:`repro.dsms.lowering.execution_tier`)."""
-        return execution_tier(self.tier)
+        """The inner engines' execution path report (see
+        :func:`repro.dsms.engine.execution_tier`)."""
+        return execution_tier()
 
     def alive_workers(self) -> int:
         """Worker processes still running (always 0 for the serial

@@ -257,6 +257,10 @@ class FrameCodec:
                 offset += 7
                 if stream_id >= len(self._stream_names):
                     raise FrameCodecError(f"unknown stream id {stream_id}")
+                if n_cols != len(self._names[stream_id]):
+                    raise FrameCodecError(
+                        f"{n_cols} columns for stream id {stream_id}"
+                    )
                 indices = struct.unpack_from(f"<{n_rows}I", payload, offset)
                 offset += 4 * n_rows
                 columns = []
@@ -374,6 +378,8 @@ class FrameCodec:
                         values = [()] * n
                 else:
                     values, offset = loads_oob(payload, offset)
+                    if not isinstance(values, list) or len(values) != n:
+                        raise FrameCodecError("output block has wrong row count")
                 shards = [shard] * n
                 outputs[self._sink_ids[sink_index]] = list(
                     zip(tss, gs, shards, locals_, values)

@@ -69,10 +69,8 @@ WHERE NOT EXISTS
 """
 
 
-def build_dedup(
-    workload: WorkloadResult, tier: str = "vector"
-) -> Scenario:
-    engine = Engine(tier=tier)
+def build_dedup(workload: WorkloadResult) -> Scenario:
+    engine = Engine()
     engine.create_stream("readings", "reader_id str, tag_id str, read_time float")
     engine.create_stream(
         "cleaned_readings", "reader_id str, tag_id str, read_time float"
@@ -87,7 +85,6 @@ def build_dedup_sharded(
     workload: WorkloadResult,
     n_shards: int = 4,
     executor: str = "serial",
-    tier: str = "vector",
     **engine_kwargs: Any,
 ) -> Scenario:
     """Example 1 dedup on a :class:`ShardedEngine`.
@@ -101,7 +98,6 @@ def build_dedup_sharded(
         n_shards=n_shards,
         executor=executor,
         shard_by={"readings": "tag_id"},
-        tier=tier,
         **engine_kwargs,
     )
     engine.create_stream("readings", "reader_id str, tag_id str, read_time float")
@@ -124,10 +120,8 @@ FROM tag_locations WHERE NOT EXISTS
 """
 
 
-def build_location(
-    workload: WorkloadResult, tier: str = "vector"
-) -> Scenario:
-    engine = Engine(tier=tier)
+def build_location(workload: WorkloadResult) -> Scenario:
+    engine = Engine()
     engine.create_stream(
         "tag_locations", "readerid str, tid str, tagtime float, loc str"
     )
@@ -145,10 +139,8 @@ AND extract_serial(tid) < 9999
 """
 
 
-def build_epc_aggregation(
-    workload: WorkloadResult, tier: str = "vector"
-) -> Scenario:
-    engine = Engine(tier=tier)
+def build_epc_aggregation(workload: WorkloadResult) -> Scenario:
+    engine = Engine()
     engine.create_stream("readings", "reader_id str, tid str, read_time float")
     handle = engine.query(EPC_AGG_QUERY, name="epc-agg")
     return Scenario(engine, handle, workload, "example3-epc")
@@ -176,9 +168,8 @@ AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS
 def build_containment(
     workload: WorkloadResult,
     per_item: bool = False,
-    tier: str = "vector",
 ) -> Scenario:
-    engine = Engine(tier=tier)
+    engine = Engine()
     engine.create_stream("r1", "readerid str, tagid str, tagtime float")
     engine.create_stream("r2", "readerid str, tagid str, tagtime float")
     query = CONTAINMENT_PER_ITEM_QUERY if per_item else CONTAINMENT_QUERY
@@ -219,9 +210,8 @@ def build_lab_workflow(
     workload: WorkloadResult,
     use_clevel: bool = False,
     partitioned: bool = False,
-    tier: str = "vector",
 ) -> Scenario:
-    engine = Engine(tier=tier)
+    engine = Engine()
     for name in ("a1", "a2", "a3"):
         engine.create_stream(name, "tagid str, tagtime float")
     if use_clevel:
@@ -238,7 +228,6 @@ def build_lab_workflow_sharded(
     workload: WorkloadResult,
     n_shards: int = 4,
     executor: str = "serial",
-    tier: str = "vector",
     **engine_kwargs: Any,
 ) -> Scenario:
     """Example 5 on a :class:`ShardedEngine`, using the tagid-partitioned
@@ -247,7 +236,6 @@ def build_lab_workflow_sharded(
     engine = ShardedEngine(
         n_shards=n_shards,
         executor=executor,
-        tier=tier,
         **engine_kwargs,
     )
     for name in ("a1", "a2", "a3"):
@@ -290,14 +278,13 @@ def build_quality_check(
     workload: WorkloadResult,
     mode: str | None = "RECENT",
     window_minutes: float | None = None,
-    tier: str = "vector",
 ) -> Scenario:
     """Example 6, optionally with MODE and the 30-minute window variant.
 
     The paper's verbatim query is UNRESTRICTED; RECENT is the optimized
     evaluation it recommends for this scenario, so it is the default here.
     """
-    engine = Engine(tier=tier)
+    engine = Engine()
     for name in ("c1", "c2", "c3", "c4"):
         engine.create_stream(name, "readerid str, tagid str, tagtime float")
     handle = engine.query(quality_query_text(mode, window_minutes), name="quality")
@@ -310,7 +297,6 @@ def build_quality_check_sharded(
     executor: str = "serial",
     mode: str | None = "RECENT",
     window_minutes: float | None = None,
-    tier: str = "vector",
     batch_size: int = 2048,
     **engine_kwargs: Any,
 ) -> Scenario:
@@ -322,7 +308,6 @@ def build_quality_check_sharded(
     engine = ShardedEngine(
         n_shards=n_shards,
         executor=executor,
-        tier=tier,
         batch_size=batch_size,
         **engine_kwargs,
     )
@@ -359,9 +344,8 @@ WHERE item.tagtype = 'item' AND NOT EXISTS
 def build_door(
     workload: WorkloadResult,
     theft_variant: bool = True,
-    tier: str = "vector",
 ) -> Scenario:
-    engine = Engine(tier=tier)
+    engine = Engine()
     engine.create_stream("tag_readings", "tagid str, tagtype str, tagtime float")
     query = DOOR_QUERY_THEFT if theft_variant else DOOR_QUERY_PERSONS
     handle = engine.query(query, name="door")

@@ -12,7 +12,6 @@ from repro.core.language import parse_program
 from repro.core.language.ast_nodes import SelectStatement
 from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
 from repro.dsms.engine import Engine
-from repro.dsms.lowering import TIERS
 from repro.dsms.multi_engine import MultiQueryEngine
 from repro.dsms.sharding import ShardedEngine
 
@@ -23,7 +22,7 @@ def pairs(results):
     return [(tuple(tup.values), tup.ts) for tup in results]
 
 
-def wire(kind, statements, streams, tables, tier="vector"):
+def wire(kind, statements, streams, tables):
     """*kind* of engine (``engine``, ``serial``, ``parallel`` or
     ``multi``) with the program registered: ``(engine, readers)``, one
     reader per SELECT.
@@ -32,12 +31,12 @@ def wire(kind, statements, streams, tables, tier="vector"):
     and table-only SELECTs (one-shot reads) run on its shared engine.
     """
     if kind == "engine":
-        engine = host = Engine(tier=tier)
+        engine = host = Engine()
     elif kind == "multi":
-        engine = MultiQueryEngine(tier=tier)
+        engine = MultiQueryEngine()
         host = engine.engine
     else:
-        engine = ShardedEngine(2, executor=kind, tier=tier)
+        engine = ShardedEngine(2, executor=kind)
         host = engine.catalog
     for name, spec in streams.items():
         engine.create_stream(name, spec)
@@ -79,9 +78,9 @@ def _close(engine):
         close()
 
 
-def run(kind, statements, streams, tables, trace, until=None, tier="vector"):
+def run(kind, statements, streams, tables, trace, until=None):
     """The program's outputs on one configuration after *trace*."""
-    engine, readers = wire(kind, statements, streams, tables, tier)
+    engine, readers = wire(kind, statements, streams, tables)
     try:
         engine.run_trace(trace)
         if until is not None:
@@ -91,26 +90,24 @@ def run(kind, statements, streams, tables, trace, until=None, tier="vector"):
         _close(engine)
 
 
-def run_restored(statements, streams, trace, cut, tier="vector"):
+def run_restored(statements, streams, trace, cut):
     """A SELECT-only program's outputs when one ``Engine`` runs
     ``trace[:cut]``, is checkpointed, and a fresh engine restored from the
     checkpoint runs the rest: each query's rows before the cut, then after.
     """
-    first, before = wire("engine", statements, streams, {}, tier)
+    first, before = wire("engine", statements, streams, {})
     first.run_trace(trace[:cut])
-    second, after = wire("engine", statements, streams, {}, tier)
+    second, after = wire("engine", statements, streams, {})
     restore_engine_state(second, capture_engine_state(first))
     second.run_trace(trace[cut:])
     return [head() + tail() for head, tail in zip(before, after)]
 
 
 def configurations(executors=("serial",)):
-    """``(label, kind, tier)`` for every configuration to hold against
-    the oracle: ``Engine`` at each tier, ``MultiQueryEngine`` and
-    ``ShardedEngine(2)`` on each of *executors*."""
-    yield from ((f"engine-{tier}", "engine", tier) for tier in TIERS)
-    yield "multi", "multi", "vector"
-    yield from ((executor, executor, "vector") for executor in executors)
+    """Every configuration to hold against the oracle: ``Engine``,
+    ``MultiQueryEngine`` and ``ShardedEngine(2)`` on each of
+    *executors*."""
+    return ("engine", "multi", *executors)
 
 
 def check(case, executors=("serial",)):
@@ -119,10 +116,10 @@ def check(case, executors=("serial",)):
     expected = run_program(
         case.text, case.streams, case.tables, case.trace, case.until
     )
-    for label, kind, tier in configurations(executors):
+    for kind in configurations(executors):
         got = run(
             kind, case.statements, case.streams, case.tables, case.trace,
-            case.until, tier,
+            case.until,
         )
-        assert got == expected, f"{label} diverged on {case.statements}"
+        assert got == expected, f"{kind} diverged on {case.statements}"
     return expected

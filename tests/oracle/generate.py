@@ -15,6 +15,9 @@ KEYS = (0, 1, 2, 0, 1, None, 2**63 - 1, -(2**63))
 VALUES = (0.5, -2.25, 7.0, -0.0, 1e3, 2.0**53, 0.75)
 TAGS = ("a", "ab", "ガ-dock", "été", "", "a_b", "b")
 STEPS = (0.0, 0.0, 0.5, 1.0, 1.5, 3.0)
+#: Dense traces: two keys, short steps, re-read bursts.
+DENSE_KEYS = (0, 1, 0, 1, None)
+DENSE_STEPS = (0.0, 0.25, 0.25, 0.5)
 
 
 @dataclass
@@ -34,17 +37,23 @@ def _maybe_null(rng, value, p=0.2):
     return None if rng.random() < p else value
 
 
-def trace(rng, schemas, n=36, time_field=None):
+def trace(rng, schemas, n=36, time_field=None, dense=False):
     """*n* records over the streams of *schemas* (name -> column spec).
 
     Columns named ``k`` draw partition keys, ``v`` floats and the text
     columns tags; *time_field* columns carry the record's timestamp.
-    About one record in seven re-reads the previous one.
+    About one record in seven re-reads the previous one.  A *dense*
+    trace draws from two keys (and NULL), steps time in quarter seconds
+    and re-reads every other record, so each key's per-stream history
+    runs to dozens of rows.
     """
     out, ts = [], 0.0
     names = list(schemas)
+    keys, steps, reread = (
+        (DENSE_KEYS, DENSE_STEPS, 0.5) if dense else (KEYS, STEPS, 0.15)
+    )
     for _ in range(n):
-        if out and rng.random() < 0.15:
+        if out and rng.random() < reread:
             stream, row, _ = out[-1]
             out.append((stream, dict(row), ts))
         else:
@@ -55,13 +64,13 @@ def trace(rng, schemas, n=36, time_field=None):
                 if column == time_field:
                     row[column] = _maybe_null(rng, ts, 0.05)
                 elif kind == "int":
-                    row[column] = rng.choice(KEYS)
+                    row[column] = rng.choice(keys)
                 elif kind == "float":
                     row[column] = _maybe_null(rng, rng.choice(VALUES))
                 else:
                     row[column] = _maybe_null(rng, rng.choice(TAGS))
             out.append((stream, row, ts))
-        ts += rng.choice(STEPS)
+        ts += rng.choice(steps)
     return out
 
 
@@ -121,8 +130,10 @@ def _window(rng, aliases, directions=("PRECEDING", "FOLLOWING")):
     return f" OVER [{seconds} SECONDS {rng.choice(directions)} {rng.choice(aliases)}]"
 
 
-def seq_case(rng, mode=None):
-    n = rng.choice((2, 2, 3, 3, 4))
+def seq_case(rng, mode=None, dense=False):
+    """A star-free SEQ; *dense* draws two or three stages over a long
+    :func:`trace` ``(dense=True)``."""
+    n = rng.choice((2, 2, 3) if dense else (2, 2, 3, 3, 4))
     aliases = ["x", "y", "z", "w"][:n]
     streams = rng.sample(["s0", "s1", "s2", "s3"], n)
     if n > 2 and mode != "CONSECUTIVE" and rng.random() < 0.15:
@@ -141,6 +152,8 @@ def seq_case(rng, mode=None):
     froms = ", ".join(f"{s} AS {a}" for a, s in zip(aliases, streams))
     text = f"SELECT {_items(rng, aliases)} FROM {froms} WHERE {' AND '.join(terms)}"
     schemas = {s: SEQ_SCHEMA for s in sorted(set(streams))}
+    if dense:
+        return Case(schemas, [text], trace(rng, schemas, n=120, dense=True))
     return Case(schemas, [text], trace(rng, schemas))
 
 

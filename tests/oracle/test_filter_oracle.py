@@ -1,7 +1,7 @@
 """Random single-stream filters x random traces, held against the oracle.
 
-Every configuration we ship must emit exactly the oracle's rows: each
-``tier`` fed as rows and as ``ColumnBatch``es, ``MultiQueryEngine``, and
+Every configuration we ship must emit exactly the oracle's rows: ``Engine``
+fed as rows and as ``ColumnBatch``es, ``MultiQueryEngine``, and
 ``ShardedEngine`` on the serial executor (plus one parallel case).
 """
 
@@ -12,7 +12,6 @@ import pytest
 from repro.core.language import parse_program
 from repro.dsms.columns import ColumnBatch
 from repro.dsms.engine import Engine
-from repro.dsms.lowering import TIERS
 from repro.dsms.multi_engine import MultiQueryEngine
 from repro.dsms.schema import Schema
 from repro.dsms.sharding import ShardedEngine
@@ -117,13 +116,12 @@ def pairs(tuples):
 def outputs(text_, rows, executors=("serial",)):
     """Rows per configuration, keyed by a readable label."""
     out = {}
-    for tier in TIERS:
-        for columnar in (False, True):
-            engine = Engine(tier=tier)
-            engine.create_stream("s", SCHEMA)
-            handle = engine.query(text_)
-            feed(engine, rows, columnar)
-            out[tier, "columns" if columnar else "rows"] = pairs(handle.results)
+    for columnar in (False, True):
+        engine = Engine()
+        engine.create_stream("s", SCHEMA)
+        handle = engine.query(text_)
+        feed(engine, rows, columnar)
+        out["columns" if columnar else "rows"] = pairs(handle.results)
     multi = MultiQueryEngine()
     multi.create_stream("s", SCHEMA)
     subscription = multi.register(text_)

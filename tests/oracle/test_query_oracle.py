@@ -2,8 +2,8 @@
 against the oracle.
 
 Each test draws one program and one trace from :mod:`.generate` and
-requires every configuration we ship to emit the oracle's rows: ``Engine``
-at each ``tier``, ``MultiQueryEngine`` and ``ShardedEngine(2)`` on the
+requires every configuration we ship to emit the oracle's rows:
+``Engine``, ``MultiQueryEngine`` and ``ShardedEngine(2)`` on the
 serial executor (plus one parallel case).  Shapes: star-free SEQ in the
 four pairing modes with and without PRECEDING / FOLLOWING windows, star
 sequences, EXCEPTION_SEQ / CLEVEL_SEQ with expiry, the windowed, table and
@@ -14,8 +14,6 @@ SELECTs over tables.
 import random
 
 import pytest
-
-from repro.dsms.lowering import TIERS
 
 from . import generate
 from .engines import check, run_restored
@@ -33,6 +31,14 @@ def _mode_id(mode):
 @pytest.mark.parametrize("seed", range(24))
 def test_seq_matches_oracle(seed, mode):
     check(generate.seq_case(random.Random(seed), mode))
+
+
+@pytest.mark.parametrize("mode", SEQ_MODES, ids=_mode_id)
+@pytest.mark.parametrize("seed", range(8))
+def test_dense_seq_matches_oracle(seed, mode):
+    """Two keys and re-read bursts: per-key stage histories run to dozens
+    of rows, so the pairing loop walks long candidate slices."""
+    check(generate.seq_case(random.Random(seed), mode, dense=True))
 
 
 @pytest.mark.parametrize("mode", SEQ_MODES, ids=_mode_id)
@@ -64,9 +70,8 @@ def test_seq_restored_from_a_checkpoint_matches_oracle(seed):
     case = generate.seq_case(rng, rng.choice(SEQ_MODES))
     cut = rng.randrange(len(case.trace) + 1)
     expected = run_program(case.text, case.streams, {}, case.trace)
-    for tier in TIERS:
-        got = run_restored(case.statements, case.streams, case.trace, cut, tier)
-        assert got == expected, f"{tier} restored at {cut}: {case.statements}"
+    got = run_restored(case.statements, case.streams, case.trace, cut)
+    assert got == expected, f"restored at {cut}: {case.statements}"
 
 
 @pytest.mark.transport

@@ -138,15 +138,16 @@ class TestRunTraceEquivalence:
 
         assert batched.rows() == single.rows()
 
-    def test_closure_engine_also_supports_run_trace(self):
+    def test_quality_check_run_trace_matches_push(self):
         workload = quality_check_workload(n_products=15, seed=9)
-        slow = build_quality_check(workload, tier="closure")
-        slow.engine.run_trace(workload.trace)
-        slow.engine.flush()
-        fast = build_quality_check(workload)
-        fast.engine.run_trace(workload.trace)
-        fast.engine.flush()
-        assert slow.rows() == fast.rows()
+        batched = build_quality_check(workload)
+        batched.engine.run_trace(workload.trace)
+        batched.engine.flush()
+        single = build_quality_check(workload)
+        for stream_name, values, ts in workload.trace:
+            single.engine.push(stream_name, values, ts)
+        single.engine.flush()
+        assert batched.rows() == single.rows()
 
 
 class TestActiveExpirationUnderBatching:

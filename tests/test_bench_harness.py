@@ -162,10 +162,6 @@ class TestRunArms:
 #: Each remaining runner at its smallest useful size, with the arm labels
 #: its report must carry.
 RUNNER_SMOKE = {
-    "pairing_kernels": (
-        {"n_rows": 400, "batch_rows": 64},
-        ["scalar-pairing", "vector-pairing"],
-    ),
     "sharded_scaling": (
         {"n_products": 10, "shard_counts": (1, 2), "executor": "serial"},
         ["single-1x", "sharded-1", "single-2x", "sharded-2"],
@@ -188,6 +184,5 @@ def test_runner_smoke(name):
     kwargs, labels = RUNNER_SMOKE[name]
     report = BENCH_RUNNERS[name](reps=1, **kwargs)
     assert report.name == name
-    assert report.meta["tier"] == "vector"
     assert [entry["label"] for entry in report.experiments] == labels
     assert all(entry["seconds"] > 0.0 for entry in report.experiments)

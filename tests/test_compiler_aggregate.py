@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dsms import Engine
-from repro.dsms.lowering import TIERS
 
 from .oracle.relational import run_program
 
@@ -191,8 +190,8 @@ TRACE = [
 ]
 
 
-def grouped_rows(tier, text):
-    engine = Engine(tier=tier)
+def grouped_rows(text):
+    engine = Engine()
     engine.create_stream("r", "grp str, v int")
     engine.register_udf("scaled", scaled)
     handle = engine.query(text)
@@ -200,25 +199,23 @@ def grouped_rows(tier, text):
     return [(tuple(tup.values), tup.ts) for tup in handle.results]
 
 
-class TestAggregateTierDifferential:
-    """Both tiers agree with the oracle on grouped aggregates with HAVING,
+class TestAggregateMatchesOracle:
+    """Grouped aggregates agree with the oracle with HAVING,
     a UDF argument and NULL group keys.  The oracle reads the UDF
     inlined: ``scaled(v)`` is ``v * 2``, NULL in, NULL out."""
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("text", GROUPED_AGGREGATES)
-    def test_matches_oracle(self, text, tier):
+    def test_matches_oracle(self, text):
         (reference,) = run_program(
             text.replace("scaled(v)", "(v * 2)"), {"r": "grp str, v int"}, {}, TRACE
         )
         assert reference  # HAVING leaves rows to compare
         assert any(values[0] is None for values, _ts in reference)
-        assert grouped_rows(tier, text) == reference
+        assert grouped_rows(text) == reference
 
 
 class TestWindowedRecomputeCost:
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_one_pass_per_arrival(self, tier):
+    def test_one_pass_per_arrival(self):
         """A windowed recompute checks WHERE and the group key once per held
         tuple, and each aggregate's argument once per held tuple — not once
         per aggregate call."""
@@ -231,7 +228,7 @@ class TestWindowedRecomputeCost:
 
             return fn
 
-        engine = Engine(tier=tier)
+        engine = Engine()
         engine.create_stream("r", "grp str, v int")
         for name in calls:
             engine.register_udf(f"n_{name}", counter(name))

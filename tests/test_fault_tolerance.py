@@ -293,6 +293,15 @@ def test_fault_options_require_parallel_executor():
                       fault_tolerance="retry-forever")
 
 
+def test_non_positive_hang_timeout_is_rejected():
+    """A zero or negative hang timeout would declare every worker hung on
+    its first in-flight frame; None is how hang detection is turned off."""
+    for timeout in (0, 0.0, -1, float("nan")):
+        with pytest.raises(EslSemanticError, match="hang_timeout"):
+            ShardedEngine(n_shards=2, executor="parallel", hang_timeout=timeout)
+    ShardedEngine(n_shards=2, executor="parallel", hang_timeout=None).close()
+
+
 @pytest.mark.transport
 @pytest.mark.faults
 def test_forced_checkpoint_under_restart_policy():

@@ -20,7 +20,6 @@ from repro.core.language.ast_nodes import ExistsPredicate, iter_and_terms
 from repro.dsms import Engine, Schema, Tuple
 from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
 from repro.dsms.errors import EslRuntimeError, SchemaError
-from repro.dsms.lowering import TIERS
 from repro.dsms.table import Table
 from repro.dsms.windows import RangeWindowBuffer, RowsWindowBuffer
 
@@ -345,8 +344,8 @@ WHERE NOT EXISTS
 """
 
 
-def _window_engine(tier: str) -> tuple[Engine, list]:
-    engine = Engine(tier=tier)
+def _window_engine() -> tuple[Engine, list]:
+    engine = Engine()
     engine.create_stream("readings", READINGS)
     engine.create_table("known", "tag str")
     for tag in ("a", "é"):
@@ -374,10 +373,9 @@ def test_window_probes_match_the_scan(steps):
         + ";\n".join((EX1_DEDUP, NESTED, NO_KEY, ROWS_WINDOW)),
         {"readings": READINGS}, {"known": "tag str"}, trace,
     )
-    for tier in TIERS:
-        engine, handles = _window_engine(tier)
-        engine.run_trace(trace)
-        assert [_rows(handle) for handle in handles] == expected
+    engine, handles = _window_engine()
+    engine.run_trace(trace)
+    assert [_rows(handle) for handle in handles] == expected
 
 
 PROBE_TABLE = """

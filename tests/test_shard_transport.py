@@ -15,9 +15,18 @@ fork-built router encoded.  These are marked ``transport``.
 
 import multiprocessing
 import random
+import struct
 
 import pytest
 
+from repro.dsms.columns import (
+    TAG_BOOL,
+    TAG_F64,
+    TAG_I64,
+    TAG_STR,
+    pack_column,
+    unpack_column,
+)
 from repro.dsms.errors import FrameCodecError, SchemaError, TransportError
 from repro.dsms.schema import FieldType, Schema
 from repro.dsms.transport import (
@@ -273,6 +282,108 @@ def test_outputs_unknown_sink_raises():
     codec = FrameCodec(make_spec())
     with pytest.raises(FrameCodecError, match="unknown sink"):
         codec.encode_outputs(0, {"nope": []}, 0.0, 0.0)
+
+
+# -- damaged payloads -------------------------------------------------------
+
+
+def _mutations(rng, payload, count):
+    """*count* copies of *payload*, each with one to three random bytes
+    overwritten, or cut short at a random length."""
+    for _ in range(count):
+        damaged = bytearray(payload)
+        if rng.random() < 0.2:
+            del damaged[rng.randrange(len(damaged)):]
+        else:
+            for _ in range(rng.randint(1, 3)):
+                damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+        yield memoryview(bytes(damaged))
+
+
+def _only_codec_errors(decode, payload, seed, count=3000):
+    """*decode* either returns or raises FrameCodecError on every mutation:
+    the worker treats only that as wire damage (restart and replay)."""
+    rng = random.Random(seed)
+    for damaged in _mutations(rng, payload, count):
+        try:
+            decode(damaged)
+        except FrameCodecError:
+            pass
+
+
+def test_damaged_batch_payloads_raise_only_codec_errors():
+    codec = FrameCodec(make_spec())
+    records = random_records(random.Random(3), n=40)
+    _, payload = decode_frame(codec.encode_batch(5, records, (40, 1.0)))
+    _only_codec_errors(codec.decode_batch, bytes(payload), seed=1)
+
+
+@pytest.mark.parametrize("block", ["uniform", "ragged"])
+def test_damaged_output_payloads_raise_only_codec_errors(block):
+    codec = FrameCodec(make_spec())
+    if block == "uniform":
+        rows = [
+            (i * 0.5, i, 1, i, (f"tág{i}", None if i % 3 else float(i), i % 2 == 0))
+            for i in range(12)
+        ]
+    else:  # ragged widths force the pickle block
+        rows = [
+            (1.0, 1, 1, 0, (None, "x\x00y")),
+            (2.0, 2, 1, 1, ({"deep": [1, 2.5]},)),
+            (3.0, 3, 1, 2, ("κ", 7, None)),
+        ]
+    _, payload = decode_frame(codec.encode_outputs(4, {"q1": rows}, 0.0, 0.0))
+    _only_codec_errors(
+        lambda view: codec.decode_outputs(view, 1), bytes(payload), seed=2
+    )
+
+
+def test_batch_with_a_wrong_column_count_is_damage():
+    """A group whose column count disagrees with its stream's schema is a
+    damaged frame, not rows of the wrong width for the shard to reject."""
+    codec = FrameCodec(make_spec())
+    _, payload = decode_frame(
+        codec.encode_batch(0, [(0, "readings", ("r", "t", 1.5), 1.0)], None)
+    )
+    damaged = bytearray(payload)
+    # seq, no advance, n, one g, one ts, n_groups, stream_id, n_rows
+    n_cols_at = 8 + 1 + 4 + 8 + 8 + 2 + 2 + 4
+    assert damaged[n_cols_at] == 3
+    damaged[n_cols_at] = 2
+    with pytest.raises(FrameCodecError, match="columns"):
+        codec.decode_batch(memoryview(bytes(damaged)))
+
+
+def test_ragged_output_block_with_missing_rows_is_damage():
+    """A pickled output block shorter than its run's row count would
+    otherwise decode as a shorter valid run."""
+    codec = FrameCodec(make_spec())
+    n = 3
+    payload = b"".join([
+        struct.pack("<Qdd", 1, 0.0, 0.0), struct.pack("<H", 1),
+        struct.pack("<HI", 0, n), struct.pack(f"<{n}d", 1.0, 2.0, 3.0),
+        struct.pack(f"<{n}q", 1, 2, 3), struct.pack(f"<{n}Q", 0, 1, 2),
+        struct.pack("<B", 0), dumps_oob([(1,), (2, 3)]),
+    ])
+    with pytest.raises(FrameCodecError, match="row count"):
+        codec.decode_outputs(memoryview(payload), 0)
+
+
+@pytest.mark.parametrize("values,hint", [
+    (["dock", None, "ガ", "x\x00y"] * 3, TAG_STR),
+    (["dock", "yard", "ガ"] * 4, TAG_STR),
+    ([1, None, -(2**63)] * 4, TAG_I64),
+    ([0.5, None, 2.0] * 4, TAG_F64),
+    ([True, None, False] * 4, TAG_BOOL),
+    ([{"a": 1}, None, (2, 3)] * 4, None),
+], ids=["str-nulls", "str-joined", "i64", "f64", "bool", "pickle"])
+def test_damaged_columns_raise_only_codec_errors(values, hint):
+    parts = []
+    pack_column(values, hint, parts)
+    _only_codec_errors(
+        lambda view: unpack_column(view, 0, len(values)), b"".join(parts),
+        seed=len(values) + (hint or 0),
+    )
 
 
 # -- adaptive batcher -------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from repro.dsms import Engine
 from repro.dsms.errors import EslSemanticError
-from repro.dsms.lowering import TIERS
 
 from .oracle.relational import run_program
 
@@ -178,9 +177,9 @@ KV_ROWS = (
 )
 
 
-def kv_engine(tier):
+def kv_engine():
     """Tables t(k, v) with NULLs, an empty e(v), and a lookup u(k, w)."""
-    engine = Engine(tier=tier)
+    engine = Engine()
     for name, spec in KV_TABLES.items():
         engine.create_table(name, spec)
     engine.query(KV_ROWS)
@@ -210,10 +209,9 @@ class TestQueryAgreesWithSnapshot:
     """A table-only SELECT gives the same rows through query() and
     snapshot(): both run one evaluator, and it agrees with the oracle."""
 
-    @pytest.mark.parametrize("tier", TIERS)
     @pytest.mark.parametrize("text", TABLE_QUERIES)
-    def test_same_rows(self, text, tier):
-        engine = kv_engine(tier)
+    def test_same_rows(self, text):
+        engine = kv_engine()
         rows = engine.query(text).rows()
         assert rows == engine.snapshot(text)
         (expected,) = run_program(f"{KV_ROWS}; {text}", {}, KV_TABLES, [])
@@ -221,9 +219,8 @@ class TestQueryAgreesWithSnapshot:
             values for values, _ts in expected
         ]
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_group_by_query(self, tier):
-        engine = Engine(tier=tier)
+    def test_group_by_query(self):
+        engine = Engine()
         engine.query(
             "CREATE TABLE t(k str, v int); "
             "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)"
@@ -233,9 +230,8 @@ class TestQueryAgreesWithSnapshot:
         assert engine.query(text).rows() == expected
         assert engine.snapshot(text) == expected
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_having_without_group_by(self, tier):
-        engine = Engine(tier=tier)
+    def test_having_without_group_by(self):
+        engine = Engine()
         engine.query(
             "CREATE TABLE t(k str, v int); "
             "INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)"
@@ -245,7 +241,7 @@ class TestQueryAgreesWithSnapshot:
         assert engine.snapshot(text) == []
 
     def test_null_group_key_is_one_group(self):
-        engine = kv_engine("vector")
+        engine = kv_engine()
         rows = engine.snapshot("SELECT k, count(*) AS n FROM t GROUP BY k")
         assert rows == [
             {"k": "a", "n": 2}, {"k": "b", "n": 1}, {"k": None, "n": 1},
@@ -253,7 +249,7 @@ class TestQueryAgreesWithSnapshot:
         ]
 
     def test_empty_input_aggregate_row(self):
-        engine = kv_engine("vector")
+        engine = kv_engine()
         assert engine.snapshot("SELECT count(*) AS n, sum(v) AS s FROM e") == [
             {"n": 0, "s": None}
         ]

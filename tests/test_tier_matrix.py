@@ -1,27 +1,26 @@
-"""The tier matrix: eight paper queries x every ``tier`` x every engine.
+"""The paper-query matrix: eight paper queries x every engine.
 
 One differential for the whole configuration surface.  Each of the
-paper's eight example queries runs at every ``tier`` value on ``Engine``,
+paper's eight example queries runs on ``Engine``,
 ``ShardedEngine(n_shards=2)`` (serial executor) and ``MultiQueryEngine``,
 fed as column batches, and must emit **byte-identical** rows — same
 values, same timestamps, same order — to the oracle's reading of the
 query (``tests/oracle``), which shares no code with the engine.
 
-Also here: what the ``tier`` knob accepts, and that the keyword arguments
-it replaced and the retired ``"native"`` and ``"interpreted"`` values are
-gone rather than silently ignored.
+Each run also checks that the engine reports the one execution path,
+``"closure"``, by the name its rows are filed under.  And the removed
+keyword arguments (the ``tier`` option among them) are gone rather than
+silently ignored.
 """
 
 import pytest
 
 from repro.dsms import (
     Engine,
-    EslSemanticError,
     MultiQueryEngine,
     ShardedEngine,
 )
 from repro.dsms.columns import ColumnBatch
-from repro.dsms.lowering import TIERS
 
 from .oracle.relational import run_program
 
@@ -274,16 +273,16 @@ def _tuples(results):
     return [(tuple(tup.values), tup.ts) for tup in results]
 
 
-def wire(kind, case, tier):
+def wire(kind, case):
     """Build *kind* of engine for *case*: ``(engine, stream registry,
     readers)``, one reader per statement returning that statement's rows."""
     if kind == "engine":
-        engine = host = Engine(tier=tier)
+        engine = host = Engine()
     elif kind == "sharded":
-        engine = ShardedEngine(n_shards=2, executor="serial", tier=tier)
+        engine = ShardedEngine(n_shards=2, executor="serial")
         host = engine.catalog
     else:
-        engine = MultiQueryEngine(tier=tier)
+        engine = MultiQueryEngine()
         host = engine.engine
     _declare(engine, case)
     readers = []
@@ -319,9 +318,10 @@ def _declare(engine, case):
         engine.create_table(name, schema)
 
 
-def run_case(case, kind, tier):
-    engine, streams, readers = wire(kind, case, tier)
+def run_case(case, kind, path):
+    engine, streams, readers = wire(kind, case)
     try:
+        assert engine.execution_tier()["active"] == path
         for stream, rows in case["batches"]:
             schema = streams.get(stream).schema
             engine.push_columns(stream, ColumnBatch.from_rows(schema, rows))
@@ -351,39 +351,36 @@ def reference(name):
     return _references[name]
 
 
-@pytest.mark.pairing
+# The execution path, as ``execution_tier()`` names it: there is one.
+PATHS = ("closure",)
+
+
 @pytest.mark.columnar
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", list(CASES))
-def test_rows_identical_to_reference(name, kind, tier):
+def test_rows_identical_to_reference(name, kind, path):
     expected = reference(name)
     assert [len(rows) for rows in expected] == CASES[name]["counts"]
-    assert run_case(CASES[name], kind, tier) == expected
+    assert run_case(CASES[name], kind, path) == expected
 
 
 # ---------------------------------------------------------------------------
-# The knob itself
+# One execution path, and no knobs
 # ---------------------------------------------------------------------------
 
 ENGINES = [Engine, ShardedEngine, MultiQueryEngine]
 
 
 @pytest.mark.parametrize("factory", ENGINES)
-def test_unknown_tier_names_the_legal_values(factory):
-    with pytest.raises(EslSemanticError) as raised:
-        factory(tier="auto")
-    for tier in TIERS:
-        assert repr(tier) in str(raised.value)
-
-
-@pytest.mark.parametrize("factory", ENGINES)
-@pytest.mark.parametrize("tier", TIERS)
-def test_tier_is_what_execution_tier_reports(factory, tier):
-    report = factory(tier=tier).execution_tier()
-    assert report["requested"] == tier
-    assert report["active"] == tier
-    assert report["pairing"] == {"requested": tier, "active": tier}
+@pytest.mark.parametrize("path", PATHS)
+def test_tier_is_what_execution_tier_reports(factory, path):
+    """One constant report, with the keys it had when the path was a knob."""
+    assert factory().execution_tier() == {
+        "requested": path,
+        "active": path,
+        "pairing": {"requested": path, "active": path},
+    }
 
 
 # Spelled in halves so that grepping the tree for a removed name finds
@@ -396,7 +393,7 @@ _TIER_FLAGS = [
     )
 ]
 REMOVED = (
-    [(factory, flag) for factory in ENGINES for flag in _TIER_FLAGS]
+    [(factory, flag) for factory in ENGINES for flag in _TIER_FLAGS + ["tier"]]
     + [(ShardedEngine, "codec"), (ShardedEngine, "_".join(("measure", "bytes")))]
     + [(MultiQueryEngine, "_".join(("shared", "execution")))]
 )
@@ -413,7 +410,6 @@ def test_removed_keywords_are_rejected(factory, keyword):
 
 @pytest.mark.parametrize("factory", ENGINES)
 def test_removed_native_tier_is_rejected(factory):
-    for retired in ("native", "interpreted"):
-        with pytest.raises(EslSemanticError) as raised:
+    for retired in ("native", "interpreted", "vector", "closure"):
+        with pytest.raises(TypeError, match="tier"):
             factory(tier=retired)
-        assert str(raised.value).endswith("expected 'vector', 'closure'")

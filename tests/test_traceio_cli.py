@@ -208,32 +208,6 @@ class TestBenchSubcommand:
         assert all("cpu_limited" in entry for entry in sharded)
         assert all("speedup_vs_single" in entry for entry in sharded)
 
-    def test_bench_row_sized_runner_writes_report(self, tmp_path, capsys):
-        # --size maps onto n_rows for runners sized in rows, and the
-        # stderr summary carries the runner's headline speedup.
-        code = main([
-            "bench", "pairing_kernels",
-            "--out", str(tmp_path), "--reps", "1", "--size", "400",
-        ])
-        assert code == 0
-        import json
-
-        payload = json.loads(
-            (tmp_path / "BENCH_pairing_kernels.json").read_text()
-        )
-        assert payload["name"] == "pairing_kernels"
-        assert payload["meta"]["n_rows"] == 400
-        assert "speedup_vector_vs_scalar_pairing" in payload["meta"]
-        by_label = {
-            entry["label"]: entry for entry in payload["experiments"]
-        }
-        assert (
-            by_label["vector-pairing"]["rows_admitted"]
-            == by_label["scalar-pairing"]["rows_admitted"]
-        )
-        assert by_label["vector-pairing"]["params"]["tier"] == "vector"
-        assert "# vector vs scalar pairing:" in capsys.readouterr().err
-
     def test_bench_unknown_name(self):
         with pytest.raises(SystemExit):
             main(["bench", "no_such_benchmark"])

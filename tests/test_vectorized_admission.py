@@ -1,10 +1,9 @@
 """Ingest differentials: rows vs :class:`ColumnBatch`.
 
 A reading is the same reading whether it arrives as a row or in a
-``ColumnBatch``.  Every differential here runs the same input three ways —
-per-record ``push``, ``push_columns`` at ``tier="closure"``, and
-``push_columns`` at the default ``tier="vector"`` — and asserts
-byte-identical output: same values, same timestamps, same order, same
+``ColumnBatch``.  Every differential here runs the same input two ways —
+per-record ``push`` and ``push_columns`` — and asserts byte-identical
+output: same values, same timestamps, same order, same
 timer interleaving.  ``push_columns`` checks the batch at the stream edge
 and then takes the row path, so the only thing that may differ is the
 error a malformed batch raises, and that is pinned below too.
@@ -27,7 +26,6 @@ from repro.dsms.columns import (
 from repro.core.language import parse_program
 from repro.dsms.engine import Engine
 from repro.dsms.errors import OutOfOrderError, SchemaError
-from repro.dsms.lowering import TIERS
 from repro.dsms.multi_engine import MultiQueryEngine
 from repro.dsms.schema import Schema
 from repro.dsms.sharding import ShardedEngine
@@ -36,18 +34,16 @@ from .oracle.filter import run_filter
 
 pytestmark = pytest.mark.columnar
 
-MODES = ("rows", "scalar-columns", "vectorized-columns")
+MODES = ("rows", "columns")
 
 
 def run_differential(setup, batches, post=None):
-    """Feed *batches* (``[(stream, [(values, ts), ...]), ...]``) through
-    all three ingestion modes; assert exact output equality and return
-    the common output per handle."""
+    """Feed *batches* (``[(stream, [(values, ts), ...]), ...]``) as rows
+    and as column batches; assert exact output equality and return the
+    common output per handle."""
     per_mode = []
     for mode in MODES:
-        engine = Engine(
-            tier="vector" if mode == "vectorized-columns" else "closure"
-        )
+        engine = Engine()
         handles = setup(engine)
         for stream, rows in batches:
             if mode == "rows":
@@ -66,7 +62,7 @@ def run_differential(setup, batches, post=None):
                 for handle in handles
             ]
         )
-    assert per_mode[0] == per_mode[1] == per_mode[2]
+    assert per_mode[0] == per_mode[1]
     return per_mode[0]
 
 
@@ -341,10 +337,10 @@ class TestFilterDifferential:
 
 
 class TestNestedBooleanDifferential:
-    """OR over nested AND, fed as one ``ColumnBatch``: every tier emits the
-    oracle's rows up to the row whose operand raises, then raises the same
-    error (the same shapes run as SEQ pairing conjuncts in
-    ``test_pairing_kernels.py``).
+    """OR over nested AND, fed as one ``ColumnBatch``: the engine emits
+    the oracle's rows up to the row whose operand raises, then raises
+    (the same shapes run as SEQ pairing conjuncts in
+    ``test_seq_pairing.py``).
     """
 
     def _run(self, schema, where, rows):
@@ -357,26 +353,21 @@ class TestNestedBooleanDifferential:
             except TypeError:  # the oracle's error: the batch stops here
                 raises = True
                 break
-        outcomes = {}
-        for tier in TIERS:
-            engine = Engine(tier=tier)
-            engine.create_stream("readings", schema)
-            handle = engine.query(text)
-            stream = engine.streams.get("readings")
-            error = None
-            try:
-                engine.push_columns(
-                    "readings", ColumnBatch.from_rows(stream.schema, rows)
-                )
-            except Exception as exc:  # noqa: BLE001 - compared below
-                error = (type(exc).__name__, str(exc))
-            outcomes[tier] = (
-                [(t.values, t.ts) for t in handle.results], error,
+        engine = Engine()
+        engine.create_stream("readings", schema)
+        handle = engine.query(text)
+        stream = engine.streams.get("readings")
+        error = None
+        try:
+            engine.push_columns(
+                "readings", ColumnBatch.from_rows(stream.schema, rows)
             )
-            assert outcomes[tier][0] == expected
-            assert (error is not None) == raises
-        assert outcomes["vector"] == outcomes["closure"]
-        return outcomes["closure"]
+        except Exception as exc:  # noqa: BLE001 - returned to the caller
+            error = (type(exc).__name__, str(exc))
+        got = [(t.values, t.ts) for t in handle.results]
+        assert got == expected
+        assert (error is not None) == raises
+        return got, error
 
     def test_or_over_nested_and_with_nulls_in_every_column(self):
         rows = spaced(
@@ -569,10 +560,6 @@ class TestShardedColumnar:
 
         reference = run(False, executor="serial")
         assert run(True, executor="parallel") == reference
-        assert (
-            run(True, executor="parallel", tier="closure")
-            == reference
-        )
         assert run(True, executor="serial") == reference
 
 

@@ -29,7 +29,7 @@ from collections import defaultdict
 from pathlib import Path
 
 # Never-entered functions allowed under src/repro (the CI gate).
-CEILING = 89
+CEILING = 87
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
