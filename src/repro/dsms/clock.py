@@ -72,7 +72,8 @@ class VirtualClock:
 
     The clock starts at ``-inf``-like ``None`` meaning "no time observed yet";
     the first advance establishes the epoch.  Moving backwards raises
-    :class:`ClockError` — streams are timestamp-ordered by contract.
+    :class:`ClockError` — streams are timestamp-ordered by contract — and
+    so does a NaN time, which no order can place.
     """
 
     #: Compaction kicks in only past this heap size; below it the cancelled
@@ -143,10 +144,12 @@ class VirtualClock:
         supported: a callback may schedule new timers, and those fire in the
         same advance when already due.
         """
-        if self._now is not None and to < self._now:
-            raise ClockError(
-                f"clock cannot move backwards: at {self._now:g}, asked for {to:g}"
-            )
+        now = self._now
+        if now is None:
+            if to != to:
+                raise ClockError(_refusal(now, to))
+        elif not to >= now:
+            raise ClockError(_refusal(now, to))
         if self._firing:
             # A timer callback pushed a tuple; time is already being advanced.
             # Deadlines it creates are handled by the outer loop.
@@ -185,13 +188,13 @@ class VirtualClock:
             return self.advance(to)
         now = self._now
         if now is None:
+            if to != to:
+                raise ClockError(_refusal(now, to))
             self._now = to
         elif to > now:
             self._now = to
-        elif to < now:
-            raise ClockError(
-                f"clock cannot move backwards: at {now:g}, asked for {to:g}"
-            )
+        elif to != now:
+            raise ClockError(_refusal(now, to))
         return 0
 
     def drain(self) -> int:
@@ -220,6 +223,13 @@ class VirtualClock:
 
     def __repr__(self) -> str:
         return f"VirtualClock(now={self.now:g}, timers={self.pending_timers()})"
+
+
+def _refusal(now: float | None, to: float) -> str:
+    """Why the clock refuses to move to *to*: NaN, or backwards."""
+    if to != to:
+        return "clock cannot move to a NaN timestamp"
+    return f"clock cannot move backwards: at {now:g}, asked for {to:g}"
 
 
 def make_clock(value: Any = None) -> VirtualClock:

@@ -339,6 +339,10 @@ class ColumnBatch:
         n_cols = len(names)
         covers = schema.covers
         columns: list[list[Any]] = [[] for _ in range(n_cols)]
+        # Bound appends, so no row is held as a tuple: a tuple per row kept
+        # until a transpose wakes the cyclic GC over all the caller holds.
+        appends = [column.append for column in columns]
+        plan = list(zip(appends, names))
         timestamps: list[float] = []
         for values, ts in records:
             if type(values) is dict or isinstance(values, _MappingABC):
@@ -347,7 +351,9 @@ class ColumnBatch:
                     raise SchemaError(
                         f"unknown fields {sorted(extra)} for {schema!r}"
                     )
-                row = tuple(map(values.get, names))
+                get = values.get
+                for append, name in plan:
+                    append(get(name))
             else:
                 row = tuple(values)
                 if len(row) != n_cols:
@@ -355,8 +361,8 @@ class ColumnBatch:
                         f"tuple has {len(row)} values for {n_cols}-column "
                         f"schema {schema!r}"
                     )
-            for column, value in zip(columns, row):
-                column.append(value)
+                for append, value in zip(appends, row):
+                    append(value)
             timestamps.append(float(ts))
         return cls(schema, columns, timestamps)
 

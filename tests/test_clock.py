@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.dsms import Engine
 from repro.dsms.clock import VirtualClock, make_clock
+from repro.dsms.columns import ColumnBatch
 from repro.dsms.errors import ClockError
+
+NAN = float("nan")
 
 
 class TestAdvance:
@@ -32,6 +36,66 @@ class TestAdvance:
         assert not clock.started
         clock.advance(0.0)
         assert clock.started
+
+
+class TestNaN:
+    """A NaN timestamp is neither before nor after any time, so the clock
+    refuses it rather than letting it through every ordering check."""
+
+    @pytest.mark.parametrize("started", [False, True])
+    @pytest.mark.parametrize("method", ["advance", "advance_if_due"])
+    def test_clock_rejects_nan(self, method, started):
+        clock = VirtualClock()
+        if started:
+            clock.advance(5.0)
+        with pytest.raises(ClockError, match="NaN"):
+            getattr(clock, method)(NAN)
+        assert clock.started is started
+        assert clock.now == (5.0 if started else 0.0)
+        clock.advance(6.0)
+        with pytest.raises(ClockError, match="backwards"):
+            getattr(clock, method)(1.0)
+
+    def test_nan_with_a_due_timer_rejected(self):
+        clock = VirtualClock()
+        fired = []
+        clock.schedule(1.0, fired.append)
+        clock.advance_if_due(0.5)
+        with pytest.raises(ClockError):
+            clock.advance_if_due(NAN)
+        assert fired == []
+
+    @staticmethod
+    def _push(engine, entry, ts):
+        values = {"a": 1}
+        if entry == "push":
+            engine.push("s", values, ts=ts)
+        elif entry == "push_batch":
+            engine.push_batch("s", [(values, ts)])
+        elif entry == "run_trace":
+            engine.run_trace([("s", values, ts)])
+        else:
+            schema = engine.streams.get("s").schema
+            engine.push_columns("s", ColumnBatch.from_rows(schema, [(values, ts)]))
+
+    @pytest.mark.parametrize("started", [False, True])
+    @pytest.mark.parametrize(
+        "entry", ["push", "push_batch", "run_trace", "push_columns"]
+    )
+    def test_engine_rejects_nan_ts(self, entry, started):
+        engine = Engine()
+        engine.create_stream("s", "a int")
+        got = engine.collect("s")
+        if started:
+            engine.push("s", {"a": 0}, ts=1.0)
+        with pytest.raises(ClockError, match="NaN"):
+            self._push(engine, entry, NAN)
+        # The clock is not poisoned: going back in time is still refused.
+        if started:
+            with pytest.raises(ClockError, match="backwards"):
+                self._push(engine, entry, 0.0)
+        self._push(engine, entry, 2.0)
+        assert [t.ts for t in got.results] == ([1.0, 2.0] if started else [2.0])
 
 
 class TestTimers:

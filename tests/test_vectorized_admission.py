@@ -588,6 +588,47 @@ class TestColumnBatch:
         with pytest.raises(SchemaError):
             ColumnBatch.from_rows(self.SCHEMA, [((1, 2.0), 0.0)])
 
+    def test_from_rows_edges(self):
+        empty = ColumnBatch.from_rows(self.SCHEMA, [])
+        assert empty.columns == ([], [], [])
+        assert empty.timestamps == [] and len(empty) == 0
+        assert empty.to_records() == []
+        # Mapping and positional rows mix; a mapping's missing field is None.
+        mixed = ColumnBatch.from_rows(
+            self.SCHEMA,
+            [
+                ({"loc": "dock", "tag_id": 1}, 0),
+                ([2, 0.75, "yard"], 0.5),
+                ({}, 1.0),
+            ],
+        )
+        assert mixed.columns == ([1, 2, None], [None, 0.75, None],
+                                 ["dock", "yard", None])
+        assert mixed.timestamps == [0.0, 0.5, 1.0]
+
+        def reused_mapping():  # a producer that refills one dict per row
+            values = {}
+            for tag in range(3):
+                values["tag_id"] = tag
+                yield values, float(tag)
+
+        reused = ColumnBatch.from_rows(self.SCHEMA, reused_mapping())
+        assert reused.columns[0] == [0, 1, 2]
+        with pytest.raises(SchemaError) as unknown:
+            ColumnBatch.from_rows(
+                self.SCHEMA, [((1, 0.5, "a"), 0.0), ({"bogus": 2, "x": 1}, 1.0)]
+            )
+        assert str(unknown.value) == (
+            f"unknown fields ['bogus', 'x'] for {self.SCHEMA!r}"
+        )
+        with pytest.raises(SchemaError) as width:
+            ColumnBatch.from_rows(
+                self.SCHEMA, [({"tag_id": 1}, 0.0), ((1, 2.0, "a", "b"), 1.0)]
+            )
+        assert str(width.value) == (
+            f"tuple has 4 values for 3-column schema {self.SCHEMA!r}"
+        )
+
     def test_push_columns_schema_mismatch(self):
         engine = Engine()
         engine.create_stream("readings", "tag_id int, pressure float, loc str")
