@@ -12,10 +12,8 @@ from .metrics import (
 )
 from .runners import (
     BENCH_RUNNERS,
-    checkpoint_overhead,
     effective_cpu_count,
     run_arms,
-    run_fault_tolerance,
     run_sharded_scaling,
     weak_efficiency,
 )
@@ -25,11 +23,9 @@ __all__ = [
     "BENCH_RUNNERS",
     "BenchReport",
     "ResultTable",
-    "checkpoint_overhead",
     "containment_accuracy",
     "effective_cpu_count",
     "run_arms",
-    "run_fault_tolerance",
     "run_sharded_scaling",
     "standard_meta",
     "throughput",

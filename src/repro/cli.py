@@ -166,8 +166,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
 
 
 def run_bench(argv: Sequence[str]) -> int:
-    import inspect
-
     from .bench import BENCH_RUNNERS
 
     args = build_bench_parser().parse_args(argv)
@@ -179,13 +177,6 @@ def run_bench(argv: Sequence[str]) -> int:
         kwargs["n_products"] = args.size
     if args.executor is not None:
         kwargs["executor"] = args.executor
-    accepted = inspect.signature(runner).parameters
-    dropped = sorted(set(kwargs) - set(accepted))
-    if dropped:
-        print(
-            f"# {args.name} ignores: {', '.join(dropped)}", file=sys.stderr
-        )
-        kwargs = {key: kwargs[key] for key in kwargs if key in accepted}
     report = runner(**kwargs)
     path = report.write(args.out)
     print(f"# wrote {path}", file=sys.stderr)

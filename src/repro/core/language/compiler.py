@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ...dsms.aggregates import Aggregate
-from ...dsms.checkpoint import WindowBufferState
 from ...dsms.engine import Collector, Engine, QueryHandle
 from ...dsms.errors import EslRuntimeError, EslSemanticError
 from ...dsms.expressions import (
@@ -635,7 +634,6 @@ def _compile_exists_probe(
         # remain visible; the probe re-applies the N limit below.
         row_buffer = RowsWindowBuffer(row_limit + 1)
         teardowns.append(stream.subscribe(row_buffer.append))
-        engine.register_checkpointable(WindowBufferState(engine, row_buffer))
 
         def last_rows(env: Env) -> list[Tuple]:
             anchor = anchor_of(env)
@@ -646,7 +644,6 @@ def _compile_exists_probe(
 
     buffer = RangeWindowBuffer(window.preceding)
     teardowns.append(stream.subscribe(buffer.append))
-    engine.register_checkpointable(WindowBufferState(engine, buffer))
     duration = window.preceding if window.preceding is not None else float("inf")
 
     def preceding(env: Env) -> Iterable[Tuple]:
@@ -862,51 +859,6 @@ class _Grouping:
                 yield row
 
 
-class _AggQueryState:
-    """Checkpoint adapter for one aggregate query's mutable state.
-
-    The running group states and the optional window buffer live in
-    closure scope; this adapter holds references to both so the engine's
-    checkpoint machinery can capture them.  Aggregate states are already
-    plain data (numbers, tuples, SQL-UDA table rows), so they cross the
-    checkpoint as-is; :class:`_AggState` wrappers are rebuilt at restore.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        grouping: _Grouping,
-        groups: dict[Any, _AggState],
-        window_buffer: Any,
-    ) -> None:
-        self.grouping = grouping
-        self.groups = groups
-        self.buffer = (
-            WindowBufferState(engine, window_buffer)
-            if window_buffer is not None
-            else None
-        )
-
-    def snapshot_state(self) -> dict[str, Any]:
-        return {
-            "groups": [
-                (key, list(state.states)) for key, state in self.groups.items()
-            ],
-            "buffer": (
-                self.buffer.snapshot_state() if self.buffer is not None else None
-            ),
-        }
-
-    def restore_state(self, blob: Mapping[str, Any]) -> None:
-        self.groups.clear()
-        for key, states in blob["groups"]:
-            state = self.grouping.new_state()
-            state.states = list(states)
-            self.groups[key] = state
-        if self.buffer is not None:
-            self.buffer.restore_state(blob["buffer"])
-
-
 def _compile_aggregate(
     engine: Engine, analysis: Analysis, label: str, deliver: Deliver | None
 ) -> QueryHandle:
@@ -947,9 +899,6 @@ def _compile_aggregate(
 
     # Running (cumulative) state per group key.
     groups: dict[Any, _AggState] = {}
-    engine.register_checkpointable(
-        _AggQueryState(engine, grouping, groups, window_buffer)
-    )
 
     def on_tuple(tup: Tuple) -> None:
         env = Env({source_key: tup}, functions)

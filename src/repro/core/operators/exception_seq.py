@@ -216,11 +216,6 @@ class ExceptionSeqOperator:
         for stream_name in set(self._stage_streams):
             stream = engine.streams.get(stream_name)
             self._unsubscribes.append(stream.subscribe(self._on_tuple))
-        register = getattr(engine, "register_checkpointable", None)
-        if register is not None:
-            from ...dsms.checkpoint import UnsupportedState
-
-            register(UnsupportedState("EXCEPTION_SEQ"))
 
     # -- public ------------------------------------------------------------
 

@@ -56,7 +56,6 @@ from math import inf, nextafter
 from operator import attrgetter
 from typing import Any, Callable, Mapping, Sequence
 
-from ...dsms.checkpoint import pack_tuple, tuple_unpacker
 from ...dsms.engine import Engine
 from ...dsms.errors import EslSemanticError
 from ...dsms.tuples import Tuple
@@ -219,79 +218,6 @@ class SeqOperator:
             if mode is not PairingMode.CONSECUTIVE and len(positions) == 1:
                 callback = self._dispatch_for(stream.name, positions[0])
             self._unsubscribes.append(stream.subscribe(callback))
-        register = getattr(engine, "register_checkpointable", None)
-        if register is not None:
-            register(self)
-
-    # -- checkpointing ----------------------------------------------------
-
-    def snapshot_state(self) -> dict[str, Any]:
-        """Capture all mutable operator state as plain picklable data.
-
-        Derived configuration (``_use_cuts``, ``_window_exact``, stream
-        positions, dispatch closures) is rebuilt identically when the
-        operator is re-wired from its query, so only partition contents,
-        expiry bookkeeping, and counters cross the checkpoint.
-        """
-        partitions = []
-        for key, partition in self._partitions.items():
-            partitions.append((
-                key,
-                [
-                    [pack_tuple(t) for t in history]
-                    for history in partition.histories
-                ],
-                [pack_tuple(t) for t in partition.run],
-                None if partition.cuts is None
-                else [list(stage) for stage in partition.cuts],
-                list(partition.removed),
-            ))
-        return {
-            "partitions": partitions,
-            "expiry_heap": list(self._expiry_heap),
-            "heap_pushes": self._heap_pushes,
-            "heap_deadlines": dict(self._heap_deadlines),
-            "held": self._held,
-            "peak_state_size": self.peak_state_size,
-            "sweep_touches": self.sweep_touches,
-            "max_tick_touches": self.max_tick_touches,
-            "tuples_seen": self.tuples_seen,
-            "matches_emitted": self.matches_emitted,
-        }
-
-    def restore_state(self, blob: Mapping[str, Any]) -> None:
-        """Apply a :meth:`snapshot_state` blob to this (fresh) operator."""
-        unpack = tuple_unpacker(self.engine)
-        n = len(self.args)
-        # Mutate the existing dict: the per-stream dispatch closures built by
-        # _dispatch_for captured it by reference, so rebinding the attribute
-        # would leave the hot path feeding a stale, empty mapping.
-        self._partitions.clear()
-        for key, histories, run, cuts, removed in blob["partitions"]:
-            partition = _Partition(n, key)
-            partition.histories = [
-                [unpack(p) for p in history] for history in histories
-            ]
-            partition.run = [unpack(p) for p in run]
-            partition.cuts = (
-                None if cuts is None else [list(stage) for stage in cuts]
-            )
-            partition.removed = list(removed)
-            self._partitions[key] = partition
-        self._expiry_heap = [tuple(entry) for entry in blob["expiry_heap"]]
-        heapq.heapify(self._expiry_heap)
-        self._heap_pushes = blob["heap_pushes"]
-        self._heap_deadlines = dict(blob["heap_deadlines"])
-        self._held = blob["held"]
-        self.peak_state_size = blob["peak_state_size"]
-        self.sweep_touches = blob["sweep_touches"]
-        self.max_tick_touches = blob["max_tick_touches"]
-        self.tuples_seen = blob["tuples_seen"]
-        self.matches_emitted = blob["matches_emitted"]
-        if self._expiry_timer is not None:
-            self._expiry_timer.cancel()
-            self._expiry_timer = None
-        self._ensure_timer()
 
     # -- public ----------------------------------------------------------
 

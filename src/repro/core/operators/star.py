@@ -138,11 +138,6 @@ class StarSeqOperator:
         for stream_name in self._participating:
             stream = engine.streams.get(stream_name)
             self._unsubscribes.append(stream.subscribe(self._on_tuple))
-        register = getattr(engine, "register_checkpointable", None)
-        if register is not None:
-            from ...dsms.checkpoint import UnsupportedState
-
-            register(UnsupportedState("SEQ with starred arguments"))
 
     # -- public -----------------------------------------------------------
 

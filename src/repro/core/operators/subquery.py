@@ -30,9 +30,8 @@ Semantics summary (``negate=True`` = NOT EXISTS):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-from ...dsms.checkpoint import pack_tuple, tuple_unpacker
 from ...dsms.clock import Timer
 from ...dsms.engine import Engine
 from ...dsms.errors import WindowError
@@ -103,41 +102,6 @@ class SymmetricExistsOperator:
             self._unsubscribes.append(self.outer.subscribe(self._on_outer))
         self.emitted = 0
         self.suppressed = 0
-        register = getattr(engine, "register_checkpointable", None)
-        if register is not None:
-            register(self)
-
-    # -- checkpointing -----------------------------------------------------
-
-    def snapshot_state(self) -> dict[str, Any]:
-        """All mutable state as plain data: pending decisions (timers are
-        re-armed at restore), the inner-history window, and counters."""
-        return {
-            "pending": [
-                (pack_tuple(p.outer), p.deadline, p.resolved)
-                for p in self._pending
-            ],
-            "history": [pack_tuple(t) for t in self._history],
-            "latest": self._history.latest_ts,
-            "emitted": self.emitted,
-            "suppressed": self.suppressed,
-        }
-
-    def restore_state(self, blob: Mapping[str, Any]) -> None:
-        unpack = tuple_unpacker(self.engine)
-        for pending in self._pending:
-            if pending.timer is not None:
-                pending.timer.cancel()
-        self._pending = []
-        for packed, deadline, resolved in blob["pending"]:
-            pending = _Pending(unpack(packed), deadline)
-            pending.resolved = resolved
-            self._pending.append(pending)
-            if not resolved:
-                self._arm(pending)
-        self._history.restore(map(unpack, blob["history"]), blob["latest"])
-        self.emitted = blob["emitted"]
-        self.suppressed = blob["suppressed"]
 
     # -- public --------------------------------------------------------------
 
@@ -214,14 +178,6 @@ class SymmetricExistsOperator:
             return
         pending = _Pending(tup, tup.ts + self.following)
         self._pending.append(pending)
-        self._arm(pending)
-
-    def _arm(self, pending: _Pending) -> None:
-        """Schedule the decision-point timer for *pending*.
-
-        A method (not an inline closure) so a checkpoint restore can
-        re-arm restored pending entries through the same path.
-        """
         pending.timer = self.engine.clock.schedule(
             pending.deadline,
             lambda fired_at, pending=pending: self._resolve_deadline(

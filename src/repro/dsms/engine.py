@@ -160,12 +160,17 @@ class QueryHandle:
             self.collector.clear()
 
     def stop(self) -> None:
-        """Detach the query from all its source streams."""
+        """Detach the query from all its source streams and drop it from
+        its engine, which then holds no reference to its state."""
         if self.stopped:
             return
         for teardown in self._teardown:
             teardown()
         self.stopped = True
+        try:
+            self.engine.queries.remove(self)
+        except ValueError:
+            pass  # built outside Engine.register_query
 
     def __repr__(self) -> str:
         target = self.output.name if self.output is not None else "<collector>"
@@ -203,19 +208,6 @@ class Engine:
         self.queries: list[QueryHandle] = []
         self.histories: dict[str, Any] = {}  # stream -> SnapshotView
         self._query_counter = 0
-        # Checkpointable components (operators, window buffers) in compile
-        # order.  Engines rebuilt from the same statements register the
-        # same components in the same order, which is what lets
-        # dsms.checkpoint align a state blob with a fresh engine.
-        self.checkpointables: list[Any] = []
-
-    def register_checkpointable(self, component: Any) -> None:
-        """Register a component exposing ``snapshot_state``/``restore_state``.
-
-        Called by the query compiler for every stateful operator it
-        wires; see :mod:`repro.dsms.checkpoint`.
-        """
-        self.checkpointables.append(component)
 
     def execution_tier(self) -> dict[str, Any]:
         """The execution path report (see :func:`execution_tier`)."""
@@ -437,7 +429,7 @@ class Engine:
         return collector
 
     def stop_all(self) -> None:
-        for handle in self.queries:
+        for handle in list(self.queries):
             handle.stop()
 
     def __repr__(self) -> str:

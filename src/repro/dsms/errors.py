@@ -96,32 +96,18 @@ class TransportError(EslRuntimeError):
 
 class WorkerCrashed(TransportError):
     """A shard worker process died: the pipe reached EOF, a send hit a
-    closed pipe, or the process exited without a STOP handshake.  A
-    crash is restartable — the worker's engine state is gone, but a
-    checkpoint + replay log can rebuild it."""
+    closed pipe, or the process exited without a STOP handshake."""
 
 
 class WorkerHung(TransportError):
     """A shard worker stopped making progress: frames are in flight but
-    no acknowledgement arrived within the hang deadline.  Hangs are
-    restartable under supervision (the wedged process is killed first)."""
+    no acknowledgement arrived within the hang deadline."""
 
 
 class FrameCodecError(TransportError):
     """A transport frame could not be encoded or decoded: short, truncated,
-    corrupt (CRC mismatch), or referencing unknown interned ids."""
-
-
-class FrameCorrupt(FrameCodecError):
-    """A frame failed its integrity check on the wire (CRC mismatch,
-    truncation, bad magic) — distinguished from codec misuse so the
-    supervisor can classify it as a transport fault and restart."""
-
-
-class CheckpointError(EslRuntimeError):
-    """Shard state could not be checkpointed or restored: an operator in
-    the plan does not support state capture, or the checkpoint blob does
-    not match the engine the restore is applied to."""
+    corrupt (bad magic, CRC mismatch), or referencing unknown interned
+    ids."""
 
 
 class EpcFormatError(EslError):

@@ -41,7 +41,7 @@ class MultiQueryEngine:
 
     def _check_open(self) -> None:
         if self.closed:
-            raise EslSemanticError("multi-query engine is closed")
+            raise EslSemanticError("MultiQueryEngine is closed")
 
     # -- catalog ----------------------------------------------------------
 
@@ -99,6 +99,7 @@ class MultiQueryEngine:
         values: Mapping[str, Any] | Sequence[Any],
         ts: float,
     ) -> None:
+        self._check_open()
         self.engine.push(stream_name, values, ts)
 
     def push_batch(
@@ -106,21 +107,26 @@ class MultiQueryEngine:
         stream_name: str,
         batch: Iterable[tuple[Mapping[str, Any] | Sequence[Any], float]],
     ) -> int:
+        self._check_open()
         return self.engine.push_batch(stream_name, batch)
 
     def push_columns(self, stream_name: str, batch: ColumnBatch) -> int:
+        self._check_open()
         return self.engine.push_columns(stream_name, batch)
 
     def run_trace(
         self,
         trace: Iterable[tuple[str, Mapping[str, Any] | Sequence[Any], float]],
     ) -> int:
+        self._check_open()
         return self.engine.run_trace(trace)
 
     def advance_time(self, ts: float) -> int:
+        self._check_open()
         return self.engine.advance_time(ts)
 
     def flush(self) -> int:
+        self._check_open()
         return self.engine.flush()
 
     # -- lifecycle ------------------------------------------------------

@@ -608,10 +608,6 @@ class QueryRegistry:
         # stop() cancels operator timers and is already idempotent; the
         # stream unsubscribes inside it are no-ops for moved callbacks.
         plan.handle.stop()
-        try:
-            self.engine.queries.remove(plan.handle)
-        except ValueError:
-            pass
 
     def close(self) -> None:
         """Cancel every subscription and release all routers.  Idempotent."""

@@ -83,8 +83,6 @@ Typical use::
 
 from __future__ import annotations
 
-import heapq
-import time
 import zlib
 from collections.abc import Mapping as _MappingABC
 from operator import itemgetter
@@ -200,7 +198,7 @@ class _ShardRuntime:
         self.shard = shard
         self.n_shards = n_shards
         # -1 stamps what comes before every step: the rows a table-only
-        # SELECT emits while compiling, and timers a restore re-arms.
+        # SELECT emits while compiling.
         self.g = -1
         self.engine = Engine()
         self.engine.clock.schedule = self._stamped_at_arming(
@@ -320,40 +318,6 @@ class _ShardRuntime:
     def table_rows(self, name: str) -> list[dict[str, Any]]:
         return list(self.engine.tables.get(name).scan())
 
-    # -- checkpoint / restore (fault tolerance) -------------------------
-
-    def checkpoint(self) -> dict[str, Any]:
-        """Serialize all mutable shard state as plain picklable data.
-
-        Called over the transport's RPC path after a drain barrier, so
-        every stamped run is empty (each data frame's outputs were
-        already shipped) and the captured state is a consistent cut.
-        """
-        from .checkpoint import capture_engine_state
-
-        state = capture_engine_state(self.engine)
-        state["sink_locals"] = {run.sink_id: run.local for run in self._runs}
-        return state
-
-    def restore(self, state: Mapping[str, Any]) -> None:
-        """Restore a freshly-built runtime to a checkpointed cut.
-
-        The engine was just rebuilt from the spec, so compile-time rows
-        (one-shot table queries) sit unshipped in the stamped runs; they
-        are dropped — the original run already delivered them — while
-        ``local`` resumes the checkpointed output numbering so replayed
-        batches regenerate byte-identical stamps.
-        """
-        from .checkpoint import restore_engine_state
-
-        restore_engine_state(self.engine, state)
-        sink_locals = state.get("sink_locals", {})
-        for run in self._runs:
-            run.local = sink_locals.get(run.sink_id, 0)
-            run.rows = []
-        # Cached ingest closures bind the pre-restore sequencer.
-        self._ingesters.clear()
-
 
 # ---------------------------------------------------------------------------
 # Executors
@@ -421,7 +385,7 @@ class _PipeExecutor:
     wrapping one long-lived worker process, outputs stream back on reader
     threads into a :class:`~repro.dsms.merge.RunCollector`, and dispatch
     thresholds per shard are governed by an
-    :class:`~repro.dsms.transport.AdaptiveBatcher` (when enabled).  Any
+    :class:`~repro.dsms.transport.AdaptiveBatcher`.  Any
     exception escaping a transport operation tears the workers down
     before re-raising — a dead executor must not hold N processes.
     """
@@ -432,45 +396,17 @@ class _PipeExecutor:
         n_shards: int,
         batch_size: int,
         start_method: str | None = None,
-        adaptive_batch: bool = True,
-        fault_tolerance: str = "fail_fast",
-        checkpoint_interval: float | None = None,
         hang_timeout: float | None = None,
-        fault_plan: Any = None,
-        max_restarts: int = 3,
     ) -> None:
         import multiprocessing
 
-        from .supervisor import ShardSupervisor
         from .transport import AdaptiveBatcher, ShardWorkerClient
 
-        self._n = n_shards
         self._closed = False
-        # Fault-tolerance machinery.  With the default fail_fast policy
-        # the replay logs stay empty and none of this is consulted on the
-        # per-record path, so the no-fault hot path is unchanged.
-        self._spec = spec
-        self._hang_timeout = hang_timeout
-        self._fault_plan = fault_plan
-        self._ft = fault_tolerance != "fail_fast"
-        self._ckpt_interval = checkpoint_interval or None
-        self._supervisor = ShardSupervisor(
-            fault_tolerance,
-            max_restarts=max_restarts,
-        )
-        self._replay_logs: list[list[tuple]] = [[] for _ in range(n_shards)]
-        self._checkpoints: list[Any] = [None] * n_shards
-        self._last_ckpt_ts: float | None = None
-        self._degraded: set[int] = set()
-        self._active: list[int] = list(range(n_shards))
-        self._remap: dict[int, int] = {}
-        self.recoveries = 0
-        self.checkpoints_taken = 0
         self._collector = RunCollector()
         for sink_id, _kind, _target, _ship in spec.sinks:
             self._collector.register(sink_id, n_shards)
         context = multiprocessing.get_context(start_method)
-        self._context = context
         self._clients: list[ShardWorkerClient] = []
         try:
             for shard in range(n_shards):
@@ -482,18 +418,12 @@ class _PipeExecutor:
                         context,
                         self._collector.absorb,
                         hang_timeout=hang_timeout,
-                        fault_plan=fault_plan,
                     )
                 )
         except BaseException:
             self.close(sync=False)
             raise
-        self._batchers = [
-            AdaptiveBatcher(batch_size) if adaptive_batch
-            else AdaptiveBatcher(batch_size, min_size=batch_size,
-                                 max_size=batch_size)
-            for _ in range(n_shards)
-        ]
+        self._batchers = [AdaptiveBatcher(batch_size) for _ in range(n_shards)]
         self._buffers: list[list[tuple[int, str, Any, float]]] = [
             [] for _ in range(n_shards)
         ]
@@ -509,192 +439,14 @@ class _PipeExecutor:
             self.close(sync=False)
             raise
 
-    # -- fault tolerance ---------------------------------------------------
-
-    @staticmethod
-    def _raw_send(client: Any, entry: tuple) -> None:
-        """Replay-log entry -> wire frame.  Raw: never re-logs."""
-        kind = entry[0]
-        if kind == "batch":
-            client.send_batch(entry[1], entry[2])
-        elif kind == "advance":
-            client.send_advance(entry[1], entry[2])
-        else:  # "flush"
-            client.send_flush(entry[1])
-
-    def _entry_send(self, shard: int, entry: tuple) -> None:
-        """Send one entry to a shard, logging it first (append-before-send)
-        so a mid-send crash replays it along with everything since the
-        last checkpoint."""
-        if shard in self._degraded:
-            return
-        if self._ft:
-            self._replay_logs[shard].append(entry)
-        try:
-            self._raw_send(self._clients[shard], entry)
-        except TransportError as exc:
-            # Recovery replays the whole log — including this entry — so
-            # a successful return here means the entry was delivered.
-            self._on_shard_failure(shard, exc)
-
-    def _on_shard_failure(self, shard: int, exc: BaseException) -> None:
-        """Escalation loop: restart (possibly repeatedly), degrade, or
-        re-raise per the supervisor's policy decision."""
-        if shard in self._degraded:
-            return
-        while True:
-            action = self._supervisor.on_failure(shard, exc)
-            if action == "raise":
-                raise exc
-            if action == "degrade":
-                self._degrade_shard(shard)
-                return
-            try:
-                self._restart_shard(shard)
-                return
-            except TransportError as next_exc:  # cascade: count it again
-                exc = next_exc
-
-    def _dedup_absorb(self, shard: int) -> Callable[[int, dict], None]:
-        """Output filter for a restarted worker: replay regenerates every
-        post-checkpoint emission, so rows whose local counter falls below
-        what this shard already delivered are duplicates and are dropped."""
-        collector = self._collector
-        seen = {
-            sink_id: len(collector.runs_for(sink_id)[shard])
-            for sink_id in collector.sink_ids()
-        }
-        def absorb(s: int, outputs: dict) -> None:
-            filtered = {}
-            for sink_id, rows in outputs.items():
-                cut = seen.get(sink_id, 0)
-                kept = [row for row in rows if row[3] >= cut]
-                if kept:
-                    filtered[sink_id] = kept
-            if filtered:
-                collector.absorb(s, filtered)
-        return absorb
-
-    def _restart_shard(self, shard: int) -> None:
-        """Respawn a shard worker, restore its last checkpoint (or rebuild
-        from the spec when none was taken), and replay the logged frames."""
-        from .transport import ShardWorkerClient
-
-        started = time.monotonic()
-        try:
-            self._clients[shard].close()
-        except Exception:  # noqa: BLE001 - dead worker teardown is best-effort
-            pass
-        client = ShardWorkerClient(
-            self._spec,
-            shard,
-            self._n,
-            self._context,
-            self._dedup_absorb(shard),
-            hang_timeout=self._hang_timeout,
-            fault_plan=self._fault_plan,
-        )
-        self._clients[shard] = client
-        client.wait_ready()
-        blob = self._checkpoints[shard]
-        if blob is not None:
-            client.call("restore", blob)
-        for entry in self._replay_logs[shard]:
-            self._raw_send(client, entry)
-        client.drain()
-        self._supervisor.on_recovered(shard, time.monotonic() - started)
-        self.recoveries += 1
-
-    def _degrade_shard(self, shard: int) -> None:
-        """Drop a shard permanently: its traffic remaps to a survivor and
-        every affected output is flagged stale (see degraded_shards())."""
-        self._degraded.add(shard)
-        self._active = [s for s in range(self._n) if s not in self._degraded]
-        if not self._active:
-            raise TransportError(
-                "every shard worker has failed; no survivor to degrade to"
-            )
-        target = self._active[shard % len(self._active)]
-        self._remap[shard] = target
-        for src, dst in list(self._remap.items()):
-            if dst == shard:
-                self._remap[src] = target
-        pending = self._buffers[shard]
-        if pending:
-            # Both buffers are ascending in g; merging by g keeps the
-            # survivor's per-stream timestamps monotone.
-            self._buffers[shard] = []
-            merged = list(
-                heapq.merge(
-                    self._buffers[target], pending, key=lambda r: r[0]
-                )
-            )
-            self._buffers[target] = merged
-        try:
-            self._clients[shard].close()
-        except Exception:  # noqa: BLE001
-            pass
-        self._replay_logs[shard] = []
-        self._checkpoints[shard] = None
-
-    def _client_call(self, shard: int, method: str, *args: Any) -> Any:
-        """RPC with recovery: on a restartable failure the shard is
-        restarted (state restored + log replayed) and the call retried."""
-        while True:
-            if shard in self._degraded:
-                return None
-            try:
-                return self._clients[shard].call(method, *args)
-            except TransportError as exc:
-                self._on_shard_failure(shard, exc)
-
-    def _drain_all(self) -> None:
-        for shard in range(self._n):
-            while shard not in self._degraded:
-                try:
-                    self._clients[shard].drain()
-                    break
-                except TransportError as exc:
-                    self._on_shard_failure(shard, exc)
-
-    def _maybe_checkpoint(self) -> None:
-        if self._max_ts is None:
-            return
-        last = self._last_ckpt_ts
-        if last is not None and self._max_ts - last < self._ckpt_interval:
-            return
-        self._checkpoint_now()
-
-    def _checkpoint_now(self) -> None:
-        """Checkpoint every live shard and clear its replay log.
-
-        ``call`` drains first, so the captured state reflects every frame
-        sent so far and the emptied log loses nothing."""
-        self._last_ckpt_ts = self._max_ts
-        for shard in self._active:
-            blob = self._client_call(shard, "checkpoint")
-            if shard in self._degraded:
-                continue
-            self._checkpoints[shard] = blob
-            self._replay_logs[shard] = []
-        self.checkpoints_taken += 1
-
-    def checkpoint_now(self) -> None:
-        self._guard(self._checkpoint_now)
-
-    def degraded_shards(self) -> set[int]:
-        return set(self._degraded)
-
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch_all(self, advance_to: tuple[int, float] | None) -> None:
-        for shard in self._active:
-            client = self._clients[shard]
+        for shard, client in enumerate(self._clients):
             records = self._buffers[shard]
             if records:
                 self._buffers[shard] = []
-                self._entry_send(shard, ("batch", records, advance_to))
-                client = self._clients[shard]  # may have been restarted
+                client.send_batch(records, advance_to)
                 batcher = self._batchers[shard]
                 for rtt_s, n_records in client.take_rtt_samples():
                     batcher.observe(rtt_s, n_records)
@@ -706,9 +458,11 @@ class _PipeExecutor:
                 # when the stamp is newer — a stale clock cannot fire
                 # timers or produce outputs, so skipping preserves the
                 # merge order exactly.
-                self._entry_send(
-                    shard, ("advance", advance_to[0], advance_to[1])
-                )
+                client.send_advance(advance_to[0], advance_to[1])
+
+    def _drain_all(self) -> None:
+        for client in self._clients:
+            client.drain()
 
     def _note(self, g: int, ts: float) -> None:
         self._max_g = g
@@ -724,38 +478,29 @@ class _PipeExecutor:
 
     def route_one(self, shard: int, g: int, stream: str, values: Any, ts: float) -> None:
         self._note(g, ts)
-        if self._remap:
-            shard = self._remap.get(shard, shard)
         buffer = self._buffers[shard]
         buffer.append((g, stream, values, ts))
         if len(buffer) >= self._batchers[shard].size:
             self._guard(self._dispatch_all, (g, self._max_ts))
-        if self._ckpt_interval is not None:
-            self._guard(self._maybe_checkpoint)
 
     def broadcast_one(self, g: int, stream: str, values: Any, ts: float) -> None:
         self._note(g, ts)
         record = (g, stream, values, ts)
         full = False
-        for shard in self._active:
-            buffer = self._buffers[shard]
+        for buffer, batcher in zip(self._buffers, self._batchers):
             buffer.append(record)
-            full = full or len(buffer) >= self._batchers[shard].size
+            full = full or len(buffer) >= batcher.size
         if full:
             self._guard(self._dispatch_all, (g, self._max_ts))
-        if self._ckpt_interval is not None:
-            self._guard(self._maybe_checkpoint)
 
     def advance_all(self, g: int, ts: float) -> None:
         self._note(g, ts)
         self._guard(self._dispatch_all, (g, ts))
-        if self._ckpt_interval is not None:
-            self._guard(self._maybe_checkpoint)
 
     def _flush_all(self, g: int) -> None:
         self._dispatch_all(None)
-        for shard in list(self._active):
-            self._entry_send(shard, ("flush", g))
+        for client in self._clients:
+            client.send_flush(g)
         self._drain_all()
 
     def flush_all(self, g: int) -> None:
@@ -786,29 +531,23 @@ class _PipeExecutor:
         self.sync()
         return self._guard(
             lambda: [
-                self._client_call(shard, "query_state_size", label) or 0
-                for shard in range(self._n)
+                client.call("query_state_size", label) for client in self._clients
             ]
         )
 
     def table_rows(self, name: str) -> list[list[dict[str, Any]]]:
         self.sync()
         return self._guard(
-            lambda: [
-                self._client_call(shard, "table_rows", name) or []
-                for shard in range(self._n)
-            ]
+            lambda: [client.call("table_rows", name) for client in self._clients]
         )
 
     def stats(self) -> list[dict[str, Any]]:
         stats = []
-        for shard, client in enumerate(self._clients):
+        for client, batcher in zip(self._clients, self._batchers):
             entry = client.stats()
-            batcher = self._batchers[shard] if self._batchers else None
-            if batcher is not None:
-                entry["batch_size"] = batcher.size
-                entry["batch_growths"] = batcher.growths
-                entry["batch_shrinks"] = batcher.shrinks
+            entry["batch_size"] = batcher.size
+            entry["batch_growths"] = batcher.growths
+            entry["batch_shrinks"] = batcher.shrinks
             stats.append(entry)
         return stats
 
@@ -909,12 +648,6 @@ class ShardedQueryHandle:
         """Total retained operator state, summed across shards."""
         return sum(self.sharded._executor_for_stats().query_state_sizes(self.name))
 
-    @property
-    def stale(self) -> bool:
-        """True when a shard feeding this output was dropped (``degrade``
-        policy): merged results miss that shard's post-failure rows."""
-        return self.sharded.stale
-
     def __repr__(self) -> str:
         return (
             f"ShardedQueryHandle({self.name!r}, kind={self.kind}, "
@@ -937,28 +670,16 @@ class ShardedEngine:
             (the adaptive controller's starting point under ``parallel``).
         start_method: multiprocessing start method for pipe workers
             (``None`` = platform default); ignored by the serial executor.
-        adaptive_batch: let observed round-trip latency grow/shrink the
-            per-shard dispatch threshold (``parallel`` only).
-        fault_tolerance: what happens when a shard worker fails
-            (``parallel`` only; see ``docs/FAULT_TOLERANCE.md``):
-            ``'fail_fast'`` (default — re-raise, tear down, exactly the
-            pre-existing behaviour), ``'restart'`` (respawn the worker,
-            restore its last checkpoint, replay the logged frames), or
-            ``'degrade'`` (restart up to the budget, then drop the shard
-            and remap its traffic to survivors, flagging outputs stale).
-        checkpoint_interval: stream-time seconds between shard state
-            checkpoints (``parallel`` only); ``None``/0 disables periodic
-            checkpoints — recovery then replays from the start of the
-            run.
         hang_timeout: wall-clock seconds a worker may sit on in-flight
             frames without progress before it is declared hung
             (``parallel`` only; ``None`` disables hang detection; any
             other value must be positive).
-        fault_plan: a :class:`~repro.dsms.faults.FaultPlan` injecting
-            crashes/drops/corruption/wedges into the transport — tests
-            and benchmarks only.
-        max_restarts: per-shard restart budget under ``restart`` /
-            ``degrade`` before escalating.
+
+    A worker failure under ``parallel`` is never recovered: it raises
+    :class:`~repro.dsms.errors.WorkerCrashed`,
+    :class:`~repro.dsms.errors.WorkerHung` or
+    :class:`~repro.dsms.errors.TransportError` (carrying the worker's
+    traceback), and every worker is reaped first.
     """
 
     def __init__(
@@ -968,12 +689,7 @@ class ShardedEngine:
         shard_by: Mapping[str, str] | None = None,
         batch_size: int = 2048,
         start_method: str | None = None,
-        adaptive_batch: bool = True,
-        fault_tolerance: str = "fail_fast",
-        checkpoint_interval: float | None = None,
         hang_timeout: float | None = None,
-        fault_plan: Any = None,
-        max_restarts: int = 3,
     ) -> None:
         if n_shards < 1:
             raise EslSemanticError(f"n_shards must be >= 1, got {n_shards}")
@@ -982,22 +698,8 @@ class ShardedEngine:
                 f"unknown executor {executor!r}: expected 'serial' or "
                 "'parallel'"
             )
-        if fault_tolerance not in ("fail_fast", "restart", "degrade"):
-            raise EslSemanticError(
-                f"unknown fault_tolerance {fault_tolerance!r}: expected "
-                "'fail_fast', 'restart', or 'degrade'"
-            )
-        if executor != "parallel" and (
-            fault_tolerance != "fail_fast"
-            or checkpoint_interval
-            or hang_timeout is not None
-            or fault_plan is not None
-        ):
-            raise EslSemanticError(
-                "fault-tolerance options (fault_tolerance, "
-                "checkpoint_interval, hang_timeout, fault_plan) require "
-                "executor='parallel'"
-            )
+        if executor != "parallel" and hang_timeout is not None:
+            raise EslSemanticError("hang_timeout requires executor='parallel'")
         if hang_timeout is not None and not hang_timeout > 0:
             raise EslSemanticError(
                 f"hang_timeout must be > 0 seconds (or None to disable hang "
@@ -1007,19 +709,7 @@ class ShardedEngine:
         self.executor_kind = executor
         self.batch_size = batch_size
         self.start_method = start_method
-        self.adaptive_batch = adaptive_batch
-        self.fault_tolerance = fault_tolerance
-        self.checkpoint_interval = checkpoint_interval
         self.hang_timeout = hang_timeout
-        self.fault_plan = fault_plan
-        self.max_restarts = max_restarts
-        # Under `degrade`, remember which partition keys each shard owns
-        # so a dropped shard's stale partitions can be named exactly.
-        self._shard_keys: dict[int, set[Any]] | None = (
-            {shard: set() for shard in range(n_shards)}
-            if fault_tolerance == "degrade"
-            else None
-        )
         self.shard_by = {
             name.lower(): field.lower() for name, field in (shard_by or {}).items()
         }
@@ -1032,6 +722,7 @@ class ShardedEngine:
         self._handles: dict[str, ShardedQueryHandle] = {}
         self._table_replicated: dict[str, bool] = {}
         self._executor: _SerialExecutor | _PipeExecutor | None = None
+        self._closed = False
         self._g = 0
         self._max_ts: float | None = None
         self._query_counter = 0
@@ -1305,12 +996,7 @@ class ShardedEngine:
                 self.n_shards,
                 self.batch_size,
                 start_method=self.start_method,
-                adaptive_batch=self.adaptive_batch,
-                fault_tolerance=self.fault_tolerance,
-                checkpoint_interval=self.checkpoint_interval,
                 hang_timeout=self.hang_timeout,
-                fault_plan=self.fault_plan,
-                max_restarts=self.max_restarts,
             )
 
     def start(self) -> "ShardedEngine":
@@ -1337,6 +1023,13 @@ class ShardedEngine:
         """Latest timestamp routed through the engine (0.0 before any)."""
         return self._max_ts if self._max_ts is not None else 0.0
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise EslSemanticError(
+                "ShardedEngine is closed: it accepts no more data or clock "
+                "operations (reads still work)"
+            )
+
     def push(
         self,
         stream_name: str,
@@ -1348,6 +1041,15 @@ class ShardedEngine:
         every shard.  Unlike :meth:`Engine.push` this cannot return the
         delivered Tuple — with the parallel executor delivery happens in a
         worker process."""
+        self._check_open()
+        self._route(stream_name, values, ts)
+
+    def _route(
+        self,
+        stream_name: str,
+        values: Mapping[str, Any] | Sequence[Any],
+        ts: float,
+    ) -> None:
         self._freeze()
         route = self._routes.get(stream_name.lower())
         if route is None:
@@ -1366,10 +1068,7 @@ class ShardedEngine:
                     "query but carries no known shard key; it can be collected "
                     "but not pushed to"
                 )
-            key = key_fn(values)
-            shard = shard_of(key, self.n_shards)
-            if self._shard_keys is not None:
-                self._shard_keys[shard].add(key)
+            shard = shard_of(key_fn(values), self.n_shards)
             self._executor.route_one(shard, g, route.stream, values, ts)
         else:
             self._executor.broadcast_one(g, route.stream, values, ts)
@@ -1377,9 +1076,10 @@ class ShardedEngine:
     def push_columns(self, stream_name: str, batch: ColumnBatch) -> int:
         """Route a :class:`~repro.dsms.columns.ColumnBatch`: the catalog
         stream checks it (:meth:`Stream.unpack`), then each row is routed
-        by :meth:`push`."""
+        as by :meth:`push`."""
+        self._check_open()
         rows = self.catalog.streams.get(stream_name).unpack(batch)
-        return self.push_batch(stream_name, rows)
+        return self._route_rows(stream_name, rows)
 
     def push_batch(
         self,
@@ -1392,10 +1092,18 @@ class ShardedEngine:
         stream."""
         if isinstance(batch, ColumnBatch):
             return self.push_columns(stream_name, batch)
-        push = self.push
+        self._check_open()
+        return self._route_rows(stream_name, batch)
+
+    def _route_rows(
+        self,
+        stream_name: str,
+        rows: Iterable[tuple[Mapping[str, Any] | Sequence[Any], float]],
+    ) -> int:
+        route = self._route
         count = 0
-        for values, ts in batch:
-            push(stream_name, values, ts)
+        for values, ts in rows:
+            route(stream_name, values, ts)
             count += 1
         return count
 
@@ -1404,7 +1112,8 @@ class ShardedEngine:
     ) -> int:
         """Route a whole trace in order: ``(stream, values, ts)`` records
         and ``(stream, ColumnBatch)`` entries may be interleaved."""
-        push = self.push
+        self._check_open()
+        route = self._route
         count = 0
         for record in trace:
             if len(record) == 2:
@@ -1412,12 +1121,13 @@ class ShardedEngine:
                 count += self.push_columns(stream_name, batch)
                 continue
             stream_name, values, ts = record
-            push(stream_name, values, ts)
+            route(stream_name, values, ts)
             count += 1
         return count
 
     def advance_time(self, ts: float) -> None:
         """Heartbeat: broadcast a clock advance to every shard."""
+        self._check_open()
         self._freeze()
         ts = float(ts)
         if self._max_ts is None or ts > self._max_ts:
@@ -1426,6 +1136,7 @@ class ShardedEngine:
 
     def flush(self) -> None:
         """End of stream: release reorder buffers, fire remaining timers."""
+        self._check_open()
         self._freeze()
         self._executor.flush_all(self._g)
 
@@ -1502,66 +1213,15 @@ class ShardedEngine:
         fn = getattr(self._executor, "alive_workers", None)
         return fn() if fn is not None else 0
 
-    # -- fault tolerance --------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Force an immediate checkpoint of every live shard.
-
-        Normally checkpoints fire on ``checkpoint_interval`` stream-time
-        boundaries; this forces one now (``parallel`` executor only).
-        """
-        self._freeze()
-        fn = getattr(self._executor, "checkpoint_now", None)
-        if fn is None:
-            raise EslSemanticError(
-                "checkpointing requires executor='parallel'"
-            )
-        fn()
-
-    @property
-    def degraded_shards(self) -> set[int]:
-        """Shards dropped by the ``degrade`` policy (empty otherwise)."""
-        if self._executor is None:
-            return set()
-        fn = getattr(self._executor, "degraded_shards", None)
-        return fn() if fn is not None else set()
-
-    @property
-    def stale(self) -> bool:
-        """True when any shard was dropped: merged outputs are missing
-        that shard's post-failure contribution."""
-        return bool(self.degraded_shards)
-
-    def stale_partitions(self) -> dict[int, list[Any]]:
-        """Partition keys whose owning shard was dropped, per shard.
-
-        Only populated under ``fault_tolerance='degrade'`` (key tracking
-        is off otherwise — it costs a set insert per routed record).
-        """
-        degraded = self.degraded_shards
-        if not degraded or self._shard_keys is None:
-            return {shard: [] for shard in degraded}
-        return {
-            shard: sorted(self._shard_keys.get(shard, ()), key=str)
-            for shard in degraded
-        }
-
-    def fault_stats(self) -> dict[str, Any]:
-        """Recovery counters and the supervisor's decision log."""
-        executor = self._executor
-        supervisor = getattr(executor, "_supervisor", None)
-        return {
-            "policy": self.fault_tolerance,
-            "recoveries": getattr(executor, "recoveries", 0),
-            "checkpoints": getattr(executor, "checkpoints_taken", 0),
-            "degraded_shards": sorted(self.degraded_shards),
-            "events": list(getattr(supervisor, "events", []) or []),
-        }
-
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down worker processes (parallel) / stop queries (serial)."""
+        """Shut down worker processes (parallel) / stop queries (serial).
+
+        Idempotent.  Afterwards data and clock operations raise
+        :class:`~repro.dsms.errors.EslSemanticError`; merged reads and
+        :meth:`transport_stats` keep working."""
+        self._closed = True
         if self._executor is not None:
             self._executor.close()
 

@@ -103,16 +103,6 @@ class Table:
         for _key_of, index in self._indexes.values():
             index.clear()
 
-    def restore(
-        self, rows: Iterable[Sequence[Any]], indexes: Iterable[Sequence[str]] = ()
-    ) -> None:
-        """Replace every row (checkpoint restore), then rebuild every index:
-        the ones the table already holds and the ones in *indexes*."""
-        self._rows = [tuple(row) for row in rows]
-        wanted = set(self._indexes) | {tuple(sorted(columns)) for columns in indexes}
-        for columns in wanted:
-            self.create_index(*columns)
-
     # -- indexes --------------------------------------------------------
 
     def create_index(self, *columns: str) -> tuple[str, ...]:

@@ -57,7 +57,6 @@ from .columns import (
 )
 from .errors import (
     FrameCodecError,
-    FrameCorrupt,
     SchemaError,
     TransportError,
     WorkerCrashed,
@@ -103,22 +102,22 @@ def decode_frame(data: bytes) -> tuple[int, memoryview]:
     one.
     """
     if len(data) < _HEADER.size:
-        raise FrameCorrupt(
+        raise FrameCodecError(
             f"short frame: {len(data)} bytes < {_HEADER.size}-byte header"
         )
     magic, ftype, _flags, length, crc = _HEADER.unpack_from(data)
     if magic != MAGIC:
-        raise FrameCorrupt(f"bad frame magic 0x{magic:04x}")
+        raise FrameCodecError(f"bad frame magic 0x{magic:04x}")
     if ftype not in _FRAME_TYPES:
         raise FrameCodecError(f"unknown frame type {ftype}")
     payload = memoryview(data)[_HEADER.size:]
     if len(payload) != length:
-        raise FrameCorrupt(
+        raise FrameCodecError(
             f"truncated frame: header declares {length} payload bytes, "
             f"got {len(payload)}"
         )
     if zlib.crc32(payload) != crc:
-        raise FrameCorrupt("frame CRC mismatch (corrupt payload)")
+        raise FrameCodecError("frame CRC mismatch (corrupt payload)")
     return ftype, payload
 
 
@@ -441,13 +440,9 @@ class AdaptiveBatcher:
         self.shrinks = 0
 
     def observe(self, rtt_s: float, n_records: int) -> None:
-        # Clock-anomaly clamp: a worker restart can yield RTT samples
-        # computed across two different processes' sends — zero, negative
-        # (non-monotonic readings), NaN, or absurd values.  Non-finite and
-        # non-positive samples carry no latency signal, so they must not
-        # drive the batch size anywhere (a burst of zeros would otherwise
-        # grow past every queueing signal; negatives from a restarted
-        # pending queue would never shrink a saturated shard).
+        # Non-finite and non-positive samples carry no latency signal, so
+        # they must not drive the batch size anywhere (a burst of zeros
+        # would otherwise grow past every queueing signal).
         if not (0.0 < rtt_s < float("inf")):
             return
         if rtt_s > self.high_water_s and self.size > self.min_size:
@@ -596,19 +591,15 @@ class ShardWorkerClient:
         context: Any,
         on_outputs: Callable[[int, Mapping[str, list[StampedRow]]], None],
         hang_timeout: float | None = None,
-        fault_plan: Any = None,
     ) -> None:
         import weakref
 
         self.shard = shard
         self._codec = FrameCodec(spec)
         self._on_outputs = on_outputs
-        # Supervision knobs: when hang_timeout is set, the wait loops raise
-        # WorkerHung if frames stay unacknowledged past the deadline with
-        # no progress signal.  fault_plan (tests/benches only) intercepts
-        # sends to inject crashes, drops, corruption, and wedges.
+        # When hang_timeout is set, the wait loops raise WorkerHung if
+        # frames stay unacknowledged past the deadline with no progress.
         self._hang_timeout = hang_timeout
-        self.fault_plan = fault_plan
         self._last_progress = time.monotonic()
         conn, worker_conn = context.Pipe(duplex=True)
         self._conn = conn
@@ -715,17 +706,8 @@ class ShardWorkerClient:
                         cond.notify_all()
                 elif ftype == FT_ERROR:
                     (name, message, trace), _ = loads_oob(payload)
-                    # Classify by the worker-side exception: a frame the
-                    # worker could not verify is transport corruption (the
-                    # supervisor may restart and replay); anything else is
-                    # an application failure that would recur on replay.
-                    exc_cls = (
-                        FrameCorrupt
-                        if name in ("FrameCorrupt", "FrameCodecError")
-                        else TransportError
-                    )
                     with cond:
-                        self._error = exc_cls(
+                        self._error = TransportError(
                             f"shard {self.shard} worker failed: {name}: "
                             f"{message}\n--- worker traceback ---\n{trace}"
                         )
@@ -763,9 +745,9 @@ class ShardWorkerClient:
 
         A worker that died of something it could report (a corrupt frame,
         an application error) wrote an ERROR frame before closing; wait
-        for the reader thread to reach it or EOF, so the failure is
-        classified by its cause rather than as a bare crash whenever the
-        router happens to win the race.
+        for the reader thread to reach it or EOF, so the raised error
+        carries the worker's traceback rather than a bare crash whenever
+        the router happens to win the race.
         """
         with self._cond:
             self._cond.wait_for(
@@ -808,28 +790,20 @@ class ShardWorkerClient:
 
     def _send(self, frame: bytes, n_records: int, heartbeat: bool) -> None:
         self._admit()
-        plan = self.fault_plan
-        if plan is not None:
-            frame = plan.before_send(
-                self.shard, self.frames_sent, frame, n_records
-            )
         with self._cond:
             self._seq += 1
             self._pending.append((self._seq, time.perf_counter(), n_records))
             self._inflight += 1
             self.frames_sent += 1
-            self.bytes_sent += len(frame) if frame is not None else 0
+            self.bytes_sent += len(frame)
             self.records_sent += n_records
             if heartbeat:
                 self.heartbeat_frames += 1
             self._last_progress = time.monotonic()
-        if frame is not None:  # a dropped frame keeps its in-flight slot
-            try:
-                self._conn.send_bytes(frame)
-            except (OSError, ValueError, BrokenPipeError) as exc:
-                raise self._pipe_closed(exc, "sending") from exc
-        if plan is not None:
-            plan.after_send(self.shard, n_records, self._process)
+        try:
+            self._conn.send_bytes(frame)
+        except (OSError, ValueError, BrokenPipeError) as exc:
+            raise self._pipe_closed(exc, "sending") from exc
 
     def _next_seq(self) -> int:
         return self._seq + 1

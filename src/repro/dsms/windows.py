@@ -143,8 +143,7 @@ class RangeWindowBuffer:
 
     :meth:`create_index` adds a keyed side index: live tuples filed by a
     key read from their values, each bucket in arrival order, kept up to
-    date by :meth:`append`, :meth:`evict`, :meth:`clear` and
-    :meth:`restore`.  Buckets are plain lists holding references to the
+    date by :meth:`append`, :meth:`evict` and :meth:`clear`.  Buckets are plain lists holding references to the
     buffer's own tuples (eviction deletes from a bucket's front, which is
     O(bucket) but keeps a short bucket at list size); a tuple whose key
     cannot be hashed (streams do not validate values) goes to a spill list
@@ -290,21 +289,9 @@ class RangeWindowBuffer:
     def __len__(self) -> int:
         return len(self._tuples) - self._head
 
-    @property
-    def latest_ts(self) -> float | None:
-        return self._latest
-
     def clear(self) -> None:
         self._tuples.clear()
         self._head = 0
-        self._reindex()
-
-    def restore(self, tuples: Iterable[Tuple], latest: float | None) -> None:
-        """Replace the contents with *tuples* (arrival order) and the newest
-        observed time with *latest*, rebuilding the keyed index."""
-        self._tuples = list(tuples)
-        self._head = 0
-        self._latest = latest
         self._reindex()
 
     def __repr__(self) -> str:
@@ -357,16 +344,6 @@ class RowsWindowBuffer:
 
     def __len__(self) -> int:
         return len(self._tuples)
-
-    def clear(self) -> None:
-        self._tuples.clear()
-
-    def restore(self, tuples: Iterable[Tuple], latest: float | None = None) -> None:
-        """Replace the contents with *tuples* (arrival order).  *latest* is
-        accepted so both buffer kinds restore through one call; a count
-        window keeps no clock."""
-        self.clear()
-        self._tuples.extend(tuples)
 
     def __repr__(self) -> str:
         return f"RowsWindowBuffer({self.capacity}, {len(self)} tuples)"

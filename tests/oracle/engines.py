@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.core.language import parse_program
 from repro.core.language.ast_nodes import SelectStatement
-from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
 from repro.dsms.engine import Engine
 from repro.dsms.multi_engine import MultiQueryEngine
 from repro.dsms.sharding import ShardedEngine
@@ -88,19 +87,6 @@ def run(kind, statements, streams, tables, trace, until=None):
         return [reader() for reader in readers]
     finally:
         _close(engine)
-
-
-def run_restored(statements, streams, trace, cut):
-    """A SELECT-only program's outputs when one ``Engine`` runs
-    ``trace[:cut]``, is checkpointed, and a fresh engine restored from the
-    checkpoint runs the rest: each query's rows before the cut, then after.
-    """
-    first, before = wire("engine", statements, streams, {})
-    first.run_trace(trace[:cut])
-    second, after = wire("engine", statements, streams, {})
-    restore_engine_state(second, capture_engine_state(first))
-    second.run_trace(trace[cut:])
-    return [head() + tail() for head, tail in zip(before, after)]
 
 
 def configurations(executors=("serial",)):

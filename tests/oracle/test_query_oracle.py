@@ -16,8 +16,7 @@ import random
 import pytest
 
 from . import generate
-from .engines import check, run_restored
-from .relational import run_program
+from .engines import check
 
 SEQ_MODES = (None, "UNRESTRICTED", "RECENT", "CHRONICLE", "CONSECUTIVE")
 EXCEPTION_MODES = (None, "RECENT", "CONSECUTIVE")
@@ -60,18 +59,6 @@ def test_exception_seq_matches_oracle(seed, mode):
 @pytest.mark.parametrize("seed", range(24))
 def test_relational_shape_matches_oracle(shape, seed):
     check(generate.SHAPES[shape](random.Random(seed)))
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_seq_restored_from_a_checkpoint_matches_oracle(seed):
-    """An ``Engine`` checkpointed at a random cut and restored into a fresh
-    one finishes the trace with the oracle's rows."""
-    rng = random.Random(seed)
-    case = generate.seq_case(rng, rng.choice(SEQ_MODES))
-    cut = rng.randrange(len(case.trace) + 1)
-    expected = run_program(case.text, case.streams, {}, case.trace)
-    got = run_restored(case.statements, case.streams, case.trace, cut)
-    assert got == expected, f"restored at {cut}: {case.statements}"
 
 
 @pytest.mark.transport

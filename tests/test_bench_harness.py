@@ -166,14 +166,6 @@ RUNNER_SMOKE = {
         {"n_products": 10, "shard_counts": (1, 2), "executor": "serial"},
         ["single-1x", "sharded-1", "single-2x", "sharded-2"],
     ),
-    "fault_tolerance": (
-        {"n_products": 40, "batch_size": 8, "checkpoint_intervals": (20.0,)},
-        [
-            "single", "overhead-fail-fast", "overhead-ft-off",
-            "overhead-ft-20s", "recovery-replay-from-start",
-            "recovery-restore-20s",
-        ],
-    ),
 }
 
 

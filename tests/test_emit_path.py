@@ -97,7 +97,7 @@ def test_symmetric_alerts_not_retained_through_registry():
     )
 
 
-def _theft_snapshot(n_alerts):
+def _theft_state(n_alerts):
     engine = Engine()
     engine.create_stream("tag_readings", DOOR_SCHEMA)
     op = SymmetricExistsOperator(
@@ -113,17 +113,11 @@ def _theft_snapshot(n_alerts):
         )
     engine.advance_time(n_alerts * 1000.0)
     assert op.emitted == n_alerts
-    return op.snapshot_state()
+    return len(op._pending), len(op._history)
 
 
 def test_symmetric_snapshot_does_not_grow_with_alerts():
-    def shape(blob):
-        return {key: len(value) for key, value in blob.items()
-                if isinstance(value, list)}
-
-    small, large = _theft_snapshot(10), _theft_snapshot(1000)
-    assert set(small) == set(large)
-    assert shape(small) == shape(large)
+    assert _theft_state(10) == _theft_state(1000)
 
 
 def test_serial_shard_runtime_keeps_no_emitted_rows():

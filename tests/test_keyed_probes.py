@@ -18,10 +18,9 @@ from repro.core.language import parse_program
 from repro.core.language.analyzer import exists_correlation_keys
 from repro.core.language.ast_nodes import ExistsPredicate, iter_and_terms
 from repro.dsms import Engine, Schema, Tuple
-from repro.dsms.checkpoint import capture_engine_state, restore_engine_state
 from repro.dsms.errors import EslRuntimeError, SchemaError
 from repro.dsms.table import Table
-from repro.dsms.windows import RangeWindowBuffer, RowsWindowBuffer
+from repro.dsms.windows import RangeWindowBuffer
 
 from .oracle.relational import run_program
 
@@ -191,14 +190,6 @@ class TestTableIndex:
         assert table.update_where(lambda row: row[1] == "dock", {"location": "bay"}) == 2
         assert [t.values[0] for t in table.bucket(index, ("bay",))] == ["t1", "t2"]
 
-    def test_restore_rebuilds_every_index_the_table_holds(self):
-        table = _movement_table()
-        held = table.create_index("tagid", "location")
-        table.restore([("t9", "gate", 5.0), ("t1", "dock", 6.0)], [["start_time"]])
-        assert [t.values for t in table.bucket(held, ("dock", "t1"))] == [("t1", "dock", 6.0)]
-        assert table.bucket(held, ("gate", "t9"))[0].ts == 0.0
-        assert [t.values[0] for t in table.bucket(("start_time",), (5.0,))] == ["t9"]
-
 
 def _location_engine() -> tuple[Engine, object]:
     engine = Engine()
@@ -212,9 +203,9 @@ class TestTableProbe:
         engine, _handle = _location_engine()
         assert list(engine.table("object_movement")._indexes) == [("location", "tagid")]
 
-    def test_probe_survives_index_replacement_and_restore(self):
+    def test_probe_survives_index_replacement(self):
         """The probe goes through the table on every call, so a replaced
-        index dict (create_index, delete, restore) is what it reads."""
+        index dict (create_index, delete) is what it reads."""
         engine, _ = _location_engine()
         table = engine.table("object_movement")
         engine.push("tag_locations", ["r", "t1", 1.0, "dock"], ts=1.0)
@@ -224,18 +215,6 @@ class TestTableProbe:
         table.delete_where(lambda row: True)
         engine.push("tag_locations", ["r", "t1", 3.0, "dock"], ts=3.0)
         assert [row["start_time"] for row in table.scan()] == [3.0]
-
-    def test_restore_engine_state_rebuilds_the_compiled_index(self):
-        """A rebuilt engine compiles Example 2 (creating an empty index)
-        before the checkpoint's rows arrive; restore must re-file them."""
-        source, _ = _location_engine()
-        source.push("tag_locations", ["r", "t1", 1.0, "dock"], ts=1.0)
-        state = capture_engine_state(source)
-        state["tables"]["object_movement"]["indexes"] = []  # listed or not
-        restored, _ = _location_engine()
-        restore_engine_state(restored, state)
-        restored.push("tag_locations", ["r", "t1", 2.0, "dock"], ts=2.0)
-        assert len(restored.table("object_movement")) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +267,12 @@ class TestWindowIndex:
         buffer.append(_tup("b", 5.0))
         assert buffer._spill == [] and list(buffer._buckets) == [("b",)]
 
-    def test_restore_and_clear_rebuild_the_index(self):
+    def test_clear_empties_the_index(self):
         buffer = RangeWindowBuffer(10.0)
         buffer.create_index(_SCHEMA.key_getter(["k"]))
-        kept = [_tup("a", 1.0), _tup(["x"], 2.0), _tup("a", 3.0)]
-        buffer.restore(kept, 3.0)
-        anchor = _tup("a", 4.0)
-        bucket_then_spill = [kept[0], kept[2], kept[1]]
-        assert list(buffer.bucket_preceding(anchor, 10.0, ("a",))) == bucket_then_spill
-        assert buffer.latest_ts == 3.0
+        for tup in (_tup("a", 1.0), _tup(["x"], 2.0), _tup("a", 3.0)):
+            buffer.append(tup)
+        assert buffer._buckets and buffer._spill
         buffer.clear()
         assert len(buffer) == 0 and buffer._buckets == {} and buffer._spill == []
 
@@ -307,12 +283,6 @@ class TestWindowIndex:
         buffer.append(second)
         buffer.create_index(_SCHEMA.key_getter(["k", "v"]))
         assert list(buffer.bucket_preceding(_tup("z", 9.0), 99.0, ("a", 0))) == [first]
-
-    def test_rows_buffer_restore(self):
-        buffer = RowsWindowBuffer(2)
-        buffer.append(_tup("a", 1.0))
-        buffer.restore([_tup("b", 2.0), _tup("c", 3.0), _tup("d", 4.0)])
-        assert [t.values[0] for t in buffer] == ["c", "d"]
 
 
 # ---------------------------------------------------------------------------
@@ -509,41 +479,3 @@ def test_window_probe_calls_residual_at_most_bucket_size_times():
         engine.push("s", [f"t{n // 2}", n], ts=float(n))
         assert len(calls) - before <= 1  # the anchor is not its own candidate
     assert len(handle.results) == 1_000
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint / restore
-# ---------------------------------------------------------------------------
-
-
-def test_example_1_restored_mid_trace_matches_uninterrupted_run():
-    """Checkpoint at a cut where the window holds live tuples, restore
-    into a fresh engine, finish there: the window's keyed index must be
-    rebuilt, or the restored engine re-emits the duplicates."""
-    trace = [
-        (reader, tag, step * 0.3)
-        for step in range(40)
-        for reader, tag in [("d1", f"t{step % 5}"), ("d2", f"t{step % 3}")]
-    ]
-
-    def make():
-        engine = Engine()
-        engine.create_stream("readings", READINGS)
-        return engine, engine.query(EX1_DEDUP)
-
-    def feed(engine, records):
-        for reader, tag, ts in records:
-            engine.push("readings", [reader, tag, ts], ts=ts)
-
-    whole, whole_handle = make()
-    feed(whole, trace)
-
-    cut = len(trace) // 2
-    first, first_handle = make()
-    feed(first, trace[:cut])
-    second, second_handle = make()
-    restore_engine_state(second, capture_engine_state(first))
-    feed(second, trace[cut:])
-    resumed = _rows(first_handle) + _rows(second_handle)
-    assert resumed == _rows(whole_handle)
-    assert len(resumed) < len(trace)  # the dedup did suppress readings

