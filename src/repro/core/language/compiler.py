@@ -31,6 +31,7 @@ Every query in the paper compiles through this module verbatim.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ...dsms.aggregates import Aggregate
@@ -63,6 +64,7 @@ from ..operators import (
 )
 from ..operators.exception_seq import SequenceOutcome
 from ..operators.guards import build_compiled_guard
+from ..operators.seq import RunCallback
 from .analyzer import (
     Analysis,
     ClevelThreshold,
@@ -301,10 +303,7 @@ class _Sink:
         self.deliver = deliver
         if target is None:
             if deliver is None:
-                self.collector = self.deliver = Collector(label)
-                # Result-row schema, for consumers that rebuild Tuples
-                # from raw collected values (the sharded merge does).
-                self.collector.schema = schema
+                self.collector = self.deliver = Collector(label, schema)
         elif target in engine.tables:
             self.table = engine.tables.get(target)
             self._check_arity(len(self.table.schema))
@@ -332,10 +331,11 @@ class _Sink:
         if self.stream is not None:
             push, stream_schema = self.stream.push, self.stream.schema
             return lambda values, ts: push(Tuple(stream_schema, values, ts))
-        schema, collector = self.schema, self.collector
-        # A collecting query appends to its own Collector's list directly,
-        # skipping a Python-level __call__ per row.
-        deliver = self.deliver if collector is None else collector.results.append
+        if self.collector is not None:
+            # A collecting query appends its values straight to its own
+            # Collector's columns: no Tuple is built.
+            return self.collector.append
+        schema, deliver = self.schema, self.deliver
 
         def emit(values: Sequence[Any], ts: float) -> None:
             # Select-item evaluation yields exactly one value per schema
@@ -344,6 +344,23 @@ class _Sink:
             deliver(_trusted(schema, values, ts))
 
         return emit
+
+    def register(
+        self,
+        label: str,
+        teardowns: Sequence[Callable[[], None]],
+        operator: Any = None,
+    ) -> QueryHandle:
+        """Register the query's handle: its outputs, teardowns and (for
+        operator-backed queries) its operator."""
+        handle = QueryHandle(
+            self.engine, label, self.stream, self.collector, teardowns
+        )
+        handle.schema = self.schema
+        handle.sink_table = self.table
+        if operator is not None:
+            handle.operator = operator  # type: ignore[attr-defined]
+        return self.engine.register_query(handle)
 
 
 def _unique_names(raw: Sequence[str]) -> list[str]:
@@ -720,9 +737,7 @@ def _compile_filter(
                 emit([fn(env) for fn in item_fns], tup.ts)
 
     teardowns.append(stream.subscribe(on_tuple))
-    handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
-    handle.sink_table = sink.table  # type: ignore[attr-defined]
-    return engine.register_query(handle)
+    return sink.register(label, teardowns)
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +942,7 @@ def _compile_aggregate(
             emit(row, tup.ts)
 
     teardowns.append(stream.subscribe(on_tuple))
-    handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
-    handle.sink_table = sink.table  # type: ignore[attr-defined]
-    return engine.register_query(handle)
+    return sink.register(label, teardowns)
 
 
 # ---------------------------------------------------------------------------
@@ -977,9 +990,7 @@ def _compile_table_query(
     emit = sink.bound_emit()
     for values in _one_shot_rows(engine, analysis, items, rows_of, teardowns):
         emit(values, float(engine.now))
-    handle = QueryHandle(engine, label, sink.stream, sink.collector, teardowns)
-    handle.sink_table = sink.table  # type: ignore[attr-defined]
-    return engine.register_query(handle)
+    return sink.register(label, teardowns)
 
 
 # ---------------------------------------------------------------------------
@@ -1052,12 +1063,7 @@ def _compile_symmetric(
         negate=exists.negate,
         on_result=on_result,
     )
-    handle = QueryHandle(
-        engine, label, sink.stream, sink.collector, [operator.stop]
-    )
-    handle.operator = operator  # type: ignore[attr-defined]
-    handle.sink_table = sink.table  # type: ignore[attr-defined]
-    return engine.register_query(handle)
+    return sink.register(label, [operator.stop], operator)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,6 +1277,67 @@ def _column_extraction_plan(
     return plan
 
 
+def _run_emitter(plan: Sequence[tuple[int, int]], sink: _Sink) -> RunCallback:
+    """The fused SEQ callback: rows built straight from each run, with no
+    bindings dict and no SeqMatch.
+
+    A tuple at ``chain[index]`` arrived on that argument's stream, whose
+    push contract guarantees an equal schema, so the positional reads of
+    *plan* need no per-row checks.  Every row of a run shares the prefix
+    ``chain[1:]``, so a prefix column takes one value for the whole run.
+    A collecting query extends its collector's column lists once per
+    column per run; any other sink receives each row through its emit.
+    Values are copied out at once: enumeration reuses both lists.
+    """
+    prefix_slots = [
+        (slot, index, pos) for slot, (index, pos) in enumerate(plan) if index
+    ]
+    stage0_slots = [
+        (slot, pos) for slot, (index, pos) in enumerate(plan) if not index
+    ]
+    collector = sink.collector
+    if collector is not None:
+        columns = collector.columns
+        prefix_columns = [
+            (columns[slot].extend, index, pos) for slot, index, pos in prefix_slots
+        ]
+        stage0_columns = [
+            (columns[slot].extend, itemgetter(pos)) for slot, pos in stage0_slots
+        ]
+        extend_ts = collector.ts.extend
+
+        def on_run(
+            chain: Sequence[Tuple], stage0: Sequence[Tuple], hi: int
+        ) -> None:
+            for extend, index, pos in prefix_columns:
+                extend([chain[index].values[pos]] * hi)
+            if stage0_columns:
+                block = [tup.values for tup in stage0[:hi]]
+                for extend, get in stage0_columns:
+                    extend(map(get, block))
+            extend_ts([chain[-1].ts] * hi)
+
+        return on_run
+
+    width = len(plan)
+    emit = sink.bound_emit()
+
+    def on_run(  # noqa: F811
+        chain: Sequence[Tuple], stage0: Sequence[Tuple], hi: int
+    ) -> None:
+        row: list[Any] = [None] * width
+        for slot, index, pos in prefix_slots:
+            row[slot] = chain[index].values[pos]
+        ts = chain[-1].ts
+        for tup in stage0[:hi]:
+            values = tup.values
+            for slot, pos in stage0_slots:
+                row[slot] = values[pos]
+            emit(tuple(row), ts)
+
+    return on_run
+
+
 def _wire_seq(
     engine: Engine,
     analysis: Analysis,
@@ -1290,24 +1357,14 @@ def _wire_seq(
         else PairingMode.UNRESTRICTED
     )
     multi_alias = analysis.multi_return_alias
-    emit = sink.bound_emit()
-
     plan = _column_extraction_plan(engine, args, items, multi_alias)
     if plan is not None:
-        # Build each row straight from the match chain: no bindings dict,
-        # no SeqMatch.  A tuple at chain[index] arrived on that argument's
-        # stream, whose push contract guarantees an equal schema, so the
-        # positional read needs no per-match checks.  The values are
-        # copied out at once because UNRESTRICTED reuses the chain list.
-
-        def on_chain(chain: Sequence[Tuple]) -> None:
-            values = tuple([chain[index].values[pos] for index, pos in plan])
-            emit(values, chain[-1].ts)
-
         operator = SeqOperator(
-            engine, args, mode, window, guard, partition_by, on_chain
+            engine, args, mode, window, guard, partition_by,
+            _run_emitter(plan, sink),
         )
     else:
+        emit = sink.bound_emit()
         item_fns = _term_evaluators([item.expr for item in items], ctx)
         functions = engine.functions.as_mapping()
 
@@ -1327,12 +1384,7 @@ def _wire_seq(
         operator = make_sequence_operator(
             engine, args, mode, window, guard, partition_by, on_match
         )
-    handle = QueryHandle(
-        engine, label, sink.stream, sink.collector, [operator.stop]
-    )
-    handle.operator = operator  # type: ignore[attr-defined]
-    handle.sink_table = sink.table
-    return engine.register_query(handle)
+    return sink.register(label, [operator.stop], operator)
 
 
 def _wire_exception_seq(
@@ -1384,12 +1436,7 @@ def _wire_exception_seq(
         partition_by=partition_by,
         on_outcome=on_outcome,
     )
-    handle = QueryHandle(
-        engine, label, sink.stream, sink.collector, [operator.stop]
-    )
-    handle.operator = operator  # type: ignore[attr-defined]
-    handle.sink_table = sink.table
-    return engine.register_query(handle)
+    return sink.register(label, [operator.stop], operator)
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,9 @@ def tokenize(text: str) -> list[Token]:
             start = i
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
+            word = text[start:i]
             tokens.append(
-                Token(TokenType.IDENT, text[start:i], line, column(start))
+                Token(TokenType.IDENT, word, line, column(start), word.upper())
             )
             continue
         # Star (disambiguated by the parser)

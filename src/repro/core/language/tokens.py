@@ -49,27 +49,33 @@ TIME_UNIT_KEYWORDS = frozenset(
 
 
 class Token:
-    """One lexical token with its source position."""
+    """One lexical token with its source position.
 
-    __slots__ = ("type", "value", "line", "column")
+    ``upper`` is an identifier's upper-case spelling, computed once when
+    the lexer builds the token (None for every other token type), so a
+    keyword test is one membership check.
+    """
 
-    def __init__(self, type: TokenType, value: Any, line: int, column: int) -> None:
+    __slots__ = ("type", "value", "line", "column", "upper")
+
+    def __init__(
+        self,
+        type: TokenType,
+        value: Any,
+        line: int,
+        column: int,
+        upper: str | None = None,
+    ) -> None:
         self.type = type
         self.value = value
         self.line = line
         self.column = column
+        self.upper = upper
 
     def is_keyword(self, *words: str) -> bool:
-        """True when this token is an identifier matching one of *words*
-        case-insensitively."""
-        if self.type is not TokenType.IDENT:
-            return False
-        upper = str(self.value).upper()
-        return any(upper == word.upper() for word in words)
-
-    @property
-    def upper(self) -> str:
-        return str(self.value).upper()
+        """True when this token is an identifier spelling one of *words*
+        in any case; *words* are given upper-case."""
+        return self.upper in words
 
     def __repr__(self) -> str:
         return f"Token({self.type.value}, {self.value!r}, {self.line}:{self.column})"

@@ -44,27 +44,34 @@ def make_sequence_operator(
 
     Matches leave the operator only through ``on_match``; nothing is
     retained (pass ``on_match=got.append`` to collect them).  A star-free
-    :class:`SeqOperator` emits chains; the adapter here builds the
-    :class:`SeqMatch` from each one.
+    :class:`SeqOperator` emits runs; the adapter here builds one
+    :class:`SeqMatch` per row of each run.
     """
     if any(arg.starred for arg in args):
         return StarSeqOperator(
             engine, args, mode=mode, window=window, guard=guard,
             partition_by=partition_by, on_match=on_match, ttl=ttl,
         )
-    on_chain = None
+    on_run = None
     if on_match is not None:
         match_args = tuple(args)
+        first = match_args[0].alias
+        rest = [arg.alias for arg in match_args[1:]]
 
-        def on_chain(chain: Sequence[Tuple]) -> None:
-            # The dictcomp is this match's private copy of the chain,
-            # which enumeration may reuse.
-            bindings = {arg.alias: tup for arg, tup in zip(match_args, chain)}
-            on_match(SeqMatch(match_args, bindings, chain[-1].ts))
+        def on_run(
+            chain: Sequence[Tuple], stage0: Sequence[Tuple], hi: int
+        ) -> None:
+            # Copied out now: enumeration may reuse both lists.
+            prefix = list(zip(rest, chain[1:]))
+            ts = chain[-1].ts
+            for tup in stage0[:hi]:
+                bindings = {first: tup}
+                bindings.update(prefix)
+                on_match(SeqMatch(match_args, bindings, ts))
 
     return SeqOperator(
         engine, args, mode=mode, window=window, guard=guard,
-        partition_by=partition_by, on_chain=on_chain,
+        partition_by=partition_by, on_run=on_run,
     )
 
 

@@ -70,6 +70,9 @@ from .guards import CompiledGuard
 
 _TS = attrgetter("ts")
 
+# on_run(chain, stage0, hi): the rows chain[1:] x stage0[:hi].
+RunCallback = Callable[[Sequence[Tuple], Sequence[Tuple], int], None]
+
 
 class _Partition:
     """Per-partition-key operator state."""
@@ -110,10 +113,14 @@ class SeqOperator:
             kept per key.  The standard RFID idiom is partitioning by tag id,
             which turns the WHERE equality conditions of paper Example 6
             into hash routing.
-        on_chain: callback receiving each match as its chain, the bound
-            tuples in argument order.  UNRESTRICTED enumeration reuses one
-            chain list for every match of an anchor, so the callback must
-            copy out what it needs and never keep the list.
+        on_run: callback receiving matches one run at a time, as
+            ``on_run(chain, stage0, hi)``: the rows are ``chain[1:]`` (the
+            bound tuples of arguments 1..n-1) completed by each of
+            ``stage0[:hi]`` at argument 0, in ascending stage-0 order.
+            UNRESTRICTED enumeration reuses one chain list for every run of
+            an anchor and passes the stage-0 history itself (``chain[0]`` is
+            then stale), so the callback must copy out what it needs and
+            never keep either list.
             :func:`~repro.core.operators.make_sequence_operator` adapts a
             :class:`~repro.core.operators.base.SeqMatch` callback
             (``on_match``) to this one.
@@ -127,7 +134,7 @@ class SeqOperator:
         window: OperatorWindow | None = None,
         guard: Guard | None = None,
         partition_by: Callable[[Tuple], Any] | None = None,
-        on_chain: Callable[[Sequence[Tuple]], None] | None = None,
+        on_run: RunCallback | None = None,
     ) -> None:
         validate_args(args)
         if any(arg.starred for arg in args):
@@ -173,13 +180,12 @@ class SeqOperator:
         # canonical OVER [.. PRECEDING last] shape), per-arrival eviction
         # prunes every history to exactly the window's lower bound before
         # the match attempt, so enumerated chains satisfy the window by
-        # construction and the per-chain check can be skipped.
-        self._window_exact = (
-            window is not None
-            and window.direction == "preceding"
-            and window.anchor == len(args) - 1
+        # construction and the per-chain check can be skipped — as it can
+        # when there is no window at all.
+        self._window_exact = window is None or (
+            window.direction == "preceding" and window.anchor == len(args) - 1
         )
-        self._on_chain = on_chain
+        self._on_run = on_run
         self._partitions: dict[Any, _Partition] = {}
         # Lazy expiry heap: (deadline, push number, partition_key), at most
         # one *valid* entry per key, recorded in _heap_deadlines.  Entries
@@ -558,18 +564,18 @@ class SeqOperator:
     def _attempt_matches(self, partition: _Partition, anchor: Tuple) -> None:
         if self.mode is PairingMode.UNRESTRICTED:
             self._attempt_indexed(partition, anchor)
-        elif self.mode is PairingMode.RECENT:
+            return
+        if self.mode is PairingMode.RECENT:
             if self._use_cuts:
                 chain = self._recent_chain_indexed(partition, anchor)
             else:
                 chain = self._recent_chain(partition, anchor)
-            if chain is not None:
-                self._emit(chain)
-        elif self.mode is PairingMode.CHRONICLE:
+        else:  # CHRONICLE
             chain = self._chronicle_chain(partition, anchor)
             if chain is not None:
                 self._consume(partition, chain)
-                self._emit(chain)
+        if chain is not None:
+            self._emit(chain, [chain[0]], 1)
 
     def _anchor_cut(self, history: list[Tuple], anchor: Tuple) -> int:
         """Live predecessor boundary for the arriving anchor: the whole
@@ -586,9 +592,13 @@ class SeqOperator:
         Walks forward over each stage's viable prefix, recursing toward
         stage 0, so chains come out in ascending ``(t(n-1), ..., t1)``
         order.  Each stage's prefix bound is a cached integer (stored cut
-        minus front evictions) instead of a fresh bisect, and the
-        canonical-window check is skipped entirely when eviction already
-        guarantees it (``_window_exact``).
+        minus front evictions) instead of a fresh bisect.  Stage 0 is
+        never walked tuple by tuple when nothing can reject a candidate
+        there (no pairing closure, and ``_window_exact``: no window, or
+        eviction already guarantees it): each prefix hands its run, the
+        stage-0 history and its cut, to the callback in one call.
+        Otherwise the surviving candidates are gathered into a list and
+        handed over as one run.
         """
         n = len(self.args)
         histories = partition.histories
@@ -609,14 +619,15 @@ class SeqOperator:
                 history = histories[index]
                 if index == 0:
                     if window_check is None:
-                        for pos in range(hi):
-                            chain[0] = history[pos]
-                            emit(chain)
-                    else:
-                        for pos in range(hi):
-                            chain[0] = history[pos]
-                            if window_check(chain):
-                                emit(chain)
+                        emit(chain, history, hi)  # the block path
+                        return
+                    survivors = []
+                    for pos in range(hi):
+                        chain[0] = history[pos]
+                        if window_check(chain):
+                            survivors.append(chain[0])
+                    if survivors:
+                        emit(chain, survivors, len(survivors))
                     return
                 stage_cuts = cuts[index]
                 gone = removed[index - 1]
@@ -640,6 +651,8 @@ class SeqOperator:
             if index:
                 stage_cuts = cuts[index]
                 gone = removed[index - 1]
+            else:
+                survivors = []
             for pos in range(hi):
                 candidate = history[pos]
                 bindings[alias] = candidate
@@ -649,12 +662,14 @@ class SeqOperator:
                 chain[index] = candidate
                 if index == 0:
                     if window_check is None or window_check(chain):
-                        emit(chain)
+                        survivors.append(candidate)
                 else:
                     nxt = stage_cuts[pos] - gone
                     if nxt > 0:
                         extend(index - 1, nxt)
                 del bindings[alias]
+            if not index and survivors:
+                emit(chain, survivors, len(survivors))
 
         extend(n - 2, top)
 
@@ -790,7 +805,7 @@ class SeqOperator:
                 partition.run = []
                 self._held -= len(chain)
                 if self._window_ok(chain):
-                    self._emit(chain)
+                    self._emit(chain, [chain[0]], 1)
             return
         # Interruption: purge history (paper: "tuple history can be safely
         # purged each time a sequence is finished or interrupted"), then see
@@ -808,10 +823,13 @@ class SeqOperator:
 
     # -- emission -----------------------------------------------------------
 
-    def _emit(self, chain: Sequence[Tuple]) -> None:
-        self.matches_emitted += 1
-        if self._on_chain is not None:
-            self._on_chain(chain)
+    def _emit(
+        self, chain: Sequence[Tuple], stage0: Sequence[Tuple], hi: int
+    ) -> None:
+        """Hand over the run ``chain[1:]`` x ``stage0[:hi]`` (``hi`` rows)."""
+        self.matches_emitted += hi
+        if self._on_run is not None:
+            self._on_run(chain, stage0, hi)
 
     def __repr__(self) -> str:
         inner = ", ".join(arg.alias for arg in self.args)

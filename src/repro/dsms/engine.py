@@ -31,7 +31,7 @@ multi-query registry's per-plan fan-out, a shard's stamping sink).
 
 from __future__ import annotations
 
-from operator import attrgetter
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .aggregates import Aggregate, AggregateRegistry
@@ -45,29 +45,60 @@ from .table import Table, TableRegistry
 from .tuples import Tuple, dict_rows
 from .udf import UdfRegistry
 
-_VALUES = attrgetter("values")
+_APPEND = list.append
 
 
 class Collector:
-    """A list-backed sink: subscribe it to any stream to capture output.
+    """A column-wise sink: attach it to any stream to capture output.
 
     The only component that retains emitted rows; operators, compiled
     queries and registry plans hand each result to a callback and keep
-    nothing.
+    nothing.  Rows are kept as values, not :class:`Tuple` objects: one
+    list per column of :attr:`schema` in :attr:`columns`, plus the
+    parallel :attr:`ts` list.  A collector attached to a stream also keeps
+    each tuple's arrival ``seq`` and source ``stream`` name, so
+    :attr:`results` rebuilds those tuples exactly.  Compiled emit paths
+    bind the lists themselves, so :meth:`clear` empties them in place.
+
+    Give the schema at construction or :meth:`attach` to a stream; an
+    unbound collector has no columns and refuses rows.
     """
 
-    def __init__(self, name: str = "collector") -> None:
+    def __init__(
+        self, name: str = "collector", schema: Schema | None = None
+    ) -> None:
         self.name = name
-        self.results: list[Tuple] = []
-        # Result-row schema when known (set by the compiler for query
-        # collectors); lets consumers rebuild Tuples from raw values.
+        # The row schema, fixed when the collector is created or attached.
         self.schema: Schema | None = None
+        self.columns: list[list[Any]] | None = None
+        self.ts: list[float] = []
+        self._seqs: list[int] | None = None
+        self._streams: list[str] | None = None
         self._unsubscribe: Callable[[], None] | None = None
+        if schema is not None:
+            self._bind(schema)
+
+    def _bind(self, schema: Schema) -> None:
+        self.schema = schema
+        self.columns = [[] for _ in schema.names]
+
+    def append(self, values: Sequence[Any], ts: float) -> None:
+        """Keep one row: *values* in schema order, stamped *ts*."""
+        # list.append returns None, so any() runs the whole map in C.
+        any(map(_APPEND, self.columns, values))
+        self.ts.append(ts)
 
     def __call__(self, tup: Tuple) -> None:
-        self.results.append(tup)
+        # append(), inlined: this is the per-row subscriber callback.
+        any(map(_APPEND, self.columns, tup.values))
+        self.ts.append(tup.ts)
+        if self._seqs is not None:
+            self._seqs.append(tup.seq)
+            self._streams.append(tup.stream)
 
     def attach(self, stream: Stream) -> "Collector":
+        self._bind(stream.schema)
+        self._seqs, self._streams = [], []
         self._unsubscribe = stream.subscribe(self)
         return self
 
@@ -77,25 +108,57 @@ class Collector:
             self._unsubscribe = None
 
     def clear(self) -> None:
-        self.results.clear()
+        for column in self.columns or ():
+            column.clear()
+        self.ts.clear()
+        if self._seqs is not None:
+            self._seqs.clear()
+            self._streams.clear()
+
+    @property
+    def results(self) -> list[Tuple]:
+        """The captured rows as :class:`Tuple` objects, built on each read.
+
+        A stream-attached collector returns each tuple with its arrival
+        ``seq`` and ``stream``; any other collector's tuples carry no
+        stream name and fresh sequence numbers, as a compiled query's
+        rows always did."""
+        if not self.ts:
+            return []
+        schema = self.schema
+        rows = self._value_rows()
+        if self._seqs is None:
+            trusted = Tuple.trusted
+            return [
+                trusted(schema, values, ts)
+                for values, ts in zip(rows, self.ts)
+            ]
+        return [
+            Tuple(schema, values, ts, stream, seq)
+            for values, ts, stream, seq in zip(
+                rows, self.ts, self._streams, self._seqs
+            )
+        ]
 
     def rows(self) -> list[dict[str, Any]]:
-        """Captured tuples as plain dicts.  Every tuple one collector
-        captures shares one schema (its query's result schema, or its
-        stream's), so the field names come from the first."""
-        results = self.results
-        if not results:
+        """Captured rows as plain dicts."""
+        if not self.ts:
             return []
-        return dict_rows(results[0].schema.names, map(_VALUES, results))
+        return dict_rows(self.schema.names, self._value_rows())
+
+    def _value_rows(self) -> Iterator[tuple[Any, ...]]:
+        if self.columns:
+            return zip(*self.columns)
+        return repeat((), len(self.ts))  # a zero-column schema
 
     def __len__(self) -> int:
-        return len(self.results)
+        return len(self.ts)
 
     def __iter__(self) -> Iterator[Tuple]:
         return iter(self.results)
 
     def __repr__(self) -> str:
-        return f"Collector({self.name!r}, {len(self.results)} tuples)"
+        return f"Collector({self.name!r}, {len(self.ts)} tuples)"
 
 
 class QueryHandle:
@@ -111,12 +174,14 @@ class QueryHandle:
     hoisted all-alias equality key of a temporal query, if any.  INSERT INTO
     table queries additionally carry ``sink_table``.  ``analysis`` is the
     compiler's :class:`~repro.core.language.analyzer.Analysis` of a SELECT
-    (the multi-query registry derives its routing gates from it).
+    (the multi-query registry derives its routing gates from it), and
+    ``schema`` its result-row schema, whatever the sink.
     """
 
     # Class-level defaults so DDL handles (which skip _compile_select)
     # respond to the same metadata reads.
     analysis = None
+    schema: Schema | None = None
     partition_field: str | None = None
     source_streams: tuple[str, ...] | None = None
     sink_table = None
@@ -138,7 +203,8 @@ class QueryHandle:
 
     @property
     def results(self) -> list[Tuple]:
-        """Captured output tuples (only for queries without INSERT INTO)."""
+        """Captured output tuples (only for queries without INSERT INTO),
+        rebuilt from the collector's columns on each read."""
         if self.collector is None:
             raise EslSemanticError(
                 f"query {self.name!r} writes to {self.output and self.output.name!r};"
@@ -424,9 +490,7 @@ class Engine:
 
     def collect(self, stream_name: str) -> Collector:
         """Attach a :class:`Collector` to a stream and return it."""
-        collector = Collector(stream_name)
-        collector.attach(self.streams.get(stream_name))
-        return collector
+        return Collector(stream_name).attach(self.streams.get(stream_name))
 
     def stop_all(self) -> None:
         for handle in list(self.queries):

@@ -57,6 +57,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from .engine import Collector, Engine, QueryHandle
 from .errors import EslSemanticError
 from .expressions import AdmissionConstraint, admission_constraint
+from .schema import Schema
 from .streams import Stream
 from .tuples import Tuple
 
@@ -224,12 +225,13 @@ class Subscription:
         sub_id: int,
         text: str,
         on_answer: Callable[[Tuple], None] | None,
+        schema: Schema | None,
     ) -> None:
         self.id = sub_id
         self.text = text
         self.on_answer = on_answer
         self.collector = (
-            Collector(f"sub#{sub_id}") if on_answer is None else None
+            Collector(f"sub#{sub_id}", schema) if on_answer is None else None
         )
         self.sink: Callable[[Tuple], None] = (
             self.collector if on_answer is None else on_answer
@@ -253,7 +255,8 @@ class Subscription:
 
     def __repr__(self) -> str:
         state = "active" if self.active else "cancelled"
-        return f"Subscription(#{self.id}, {state}, {len(self.results)} answers)"
+        answers = 0 if self.collector is None else len(self.collector)
+        return f"Subscription(#{self.id}, {state}, {answers} answers)"
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,9 @@ class QueryRegistry:
         if plan is None:
             plan = self._compile_plan(statement, text, fingerprint, name)
             self._plans[fingerprint] = plan
-        subscription = Subscription(self, next(self._counter), text, on_answer)
+        subscription = Subscription(
+            self, next(self._counter), text, on_answer, plan.handle.schema
+        )
         subscription.plan = plan
         plan.attach(subscription)
         return subscription

@@ -98,6 +98,23 @@ class TestCommentsAndPositions:
         assert token.is_keyword("SELECT")
         assert not token.is_keyword("FROM")
 
+    def test_mixed_case_keywords_match(self):
+        select, mode, recent = tokenize("sElEcT mode Recent")[:3]
+        assert select.is_keyword("SELECT") and select.upper == "SELECT"
+        assert select.value == "sElEcT"  # the spelling itself is kept
+        assert mode.is_keyword("OVER", "MODE")
+        assert recent.is_keyword("RECENT")
+
+    def test_string_literal_is_never_a_keyword(self):
+        token = tokenize("'select'")[0]
+        assert token.type is TokenType.STRING
+        assert token.upper is None
+        assert not token.is_keyword("SELECT")
+
+    def test_only_identifiers_carry_an_upper_spelling(self):
+        tokens = tokenize("x = 1 , 'y'")[:-1]
+        assert [t.upper for t in tokens] == ["X", None, None, None, None]
+
 
 class TestPaperQueries:
     def test_example1_lexes(self):

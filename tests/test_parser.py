@@ -261,6 +261,21 @@ class TestTemporalSyntax:
         assert pred.window.anchor == "C4"
         assert pred.mode == "RECENT"
 
+    def test_keywords_match_in_any_case(self):
+        stmt = parse_one(
+            "sElEcT c1.tagid fRoM c1, c2 WhErE seq(C1, C2) "
+            "over [30 minutes preceding C2] mode Recent"
+        )
+        assert isinstance(stmt, SelectStatement)
+        assert stmt.where.op_name == "SEQ"
+        assert stmt.where.mode == "RECENT"
+        assert stmt.where.window.seconds == 1800.0
+
+    def test_keyword_spelled_in_a_string_stays_a_literal(self):
+        stmt = parse_one("SELECT a FROM s WHERE a = 'select' AND b = 'MODE'")
+        literals = [term.right.value for term in stmt.where.operands]
+        assert literals == ["select", "MODE"]
+
     def test_mode_before_over(self):
         stmt = parse_one(
             "SELECT a FROM r1, r2 WHERE SEQ(R1, R2) MODE CHRONICLE "

@@ -29,7 +29,7 @@ from collections import defaultdict
 from pathlib import Path
 
 # Never-entered functions allowed under src/repro (the CI gate).
-CEILING = 84
+CEILING = 82
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
