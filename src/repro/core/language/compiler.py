@@ -441,16 +441,20 @@ def _compile_ctx(
 ) -> CompileContext:
     """The query's :class:`CompileContext`: the engine's live UDF mapping
     and every FROM alias's schema, so column references lower to
-    positional access.
+    positional access.  With one FROM source and no EXISTS sub-query a
+    bare column can only mean that source, so it lowers too.
     """
     schemas: dict[str, Schema] = {}
+    bare = None
     if analysis is not None:
         for source in analysis.sources:
             schemas[source.alias.lower()] = _source_schema(engine, source)
+        if len(analysis.sources) == 1 and not analysis.exists_terms:
+            bare = analysis.sources[0].alias
     if extra:
         for alias, schema in extra.items():
             schemas[alias.lower()] = schema
-    return CompileContext(engine.functions.as_mapping(), schemas)
+    return CompileContext(engine.functions.as_mapping(), schemas, bare)
 
 
 def _term_evaluators(

@@ -105,7 +105,9 @@ def describe_registry(registry: Any) -> PlanNode:
             node.add(PlanNode(
                 "PredicateIndex",
                 f"field={field['field']}, eq_keys={field['eq_keys']}, "
-                f"ranges={field['range_entries']}",
+                f"ranges={field['range_entries']}, "
+                f"range_points={field['range_points']}, "
+                f"range_fallbacks={field['range_fallbacks']}",
             ))
         if info["residual"]:
             node.add(PlanNode("ResidualScan", f"{info['residual']} plans"))

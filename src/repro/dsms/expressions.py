@@ -97,15 +97,19 @@ class CompileContext:
     (:meth:`UdfRegistry.as_mapping`) so re-registered functions are picked
     up per call.  ``schemas`` maps
     alias -> :class:`Schema` for aliases whose layout is known at compile
-    time; those column references lower to positional access.
+    time; those column references lower to positional access.  ``bare``
+    names the one alias a bare column can mean — a plan whose FROM has a
+    single source and no EXISTS sub-query — so bare columns lower too;
+    None keeps them on the dynamic multi-binding search.
     """
 
-    __slots__ = ("functions", "schemas")
+    __slots__ = ("functions", "schemas", "bare")
 
     def __init__(
         self,
         functions: Mapping[str, Callable[..., Any]] | None = None,
         schemas: Mapping[str, Schema] | None = None,
+        bare: str | None = None,
     ) -> None:
         self.functions: Mapping[str, Callable[..., Any]] = (
             functions if functions is not None else {}
@@ -113,9 +117,7 @@ class CompileContext:
         self.schemas: dict[str, Schema] = {
             alias.lower(): schema for alias, schema in (schemas or {}).items()
         }
-
-    def schema_for(self, alias: str) -> Schema | None:
-        return self.schemas.get(alias.lower())
+        self.bare = None if bare is None else bare.lower()
 
 
 class _ConstFn:
@@ -195,10 +197,11 @@ class Column(Expression):
 
     def compile(self, ctx: CompileContext) -> EvalFn:
         alias, field = self.alias, self.field
-        # Bare columns need the dynamic multi-binding search.
-        schema = None if alias is None else ctx.schema_for(alias)
+        # A bare column lowers only under ctx.bare, the plan's one FROM
+        # alias; elsewhere it needs the dynamic multi-binding search.
+        key = ctx.bare if alias is None else alias.lower()
+        schema = None if key is None else ctx.schemas.get(key)
         if schema is not None and field in schema:
-            key = alias.lower()
             position = schema.position(field)
 
             def positional(
@@ -1088,9 +1091,11 @@ def admission_constraint(
     references all belong to *alias* (bare references allowed only with
     *allow_bare* — the single-source case where they can only mean the
     stream).  Conjuncts on the same field intersect exactly; when several
-    fields are constrained the equality-bearing one wins (hash lookup
-    beats range scan).  Returns None when nothing indexable was found —
-    the plan then routes through the residual scan list.
+    fields are constrained the equality-bearing one wins: a finite value
+    set is the narrower gate, and its hash bucket decides any hashable
+    value, where the router's range index places only ``int``/``float``
+    values and scans the rest.  Returns None when nothing indexable was
+    found — the plan then routes through the residual scan list.
     """
     alias_key = alias.lower()
     per_field: dict[str, AdmissionConstraint] = {}

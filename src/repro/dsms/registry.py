@@ -13,11 +13,17 @@ cost far less than N engines, three ways:
   are relocated behind a per-stream :class:`StreamRouter`.  Plans whose
   admission predicates hoist to literal equality/range constraints on one
   field (the SASE predicate-index idea, reusing the same single-alias
-  conjunct analysis as the shard-routing key hoist) enter a hash/interval
-  index; an incoming tuple is dispatched only to candidate plans, plus a
-  residual scan list for everything unindexable.  Routing may over-admit
-  — every plan re-checks delivered tuples with its own compiled
-  predicate — but never under-admits.
+  conjunct analysis as the shard-routing key hoist) enter that field's
+  index: a hash bucket per equality value, and a stabbing index over the
+  range entries' numeric endpoints, so a number finds the ranges that
+  hold it with one ``bisect``.  Values the stabbing index cannot place
+  (strings, ``bool``, NaN), and every value on a field holding a range
+  it cannot (non-numeric or infinite endpoints, or an equality set
+  beside the ranges), are decided by :meth:`AdmissionConstraint.admits`
+  one range entry at a time.
+  Plans with no gate sit on a residual list that sees every tuple.
+  Routing may over-admit — every plan re-checks delivered tuples with its
+  own compiled predicate — but never under-admits.
 
 * **Sub-plan dedup.**  Statements are fingerprinted structurally; N
   registrations of an identical query share one compiled plan (one SEQ
@@ -52,6 +58,8 @@ Routing soundness notes (why gating a tuple away from a plan is exact):
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .engine import Collector, Engine, QueryHandle
@@ -286,10 +294,44 @@ class _PlanEntry:
             callback(tup)
 
 
-class _FieldIndex:
-    """The router's index for one gated field of one stream."""
+def _finite(end: Any) -> bool:
+    """Whether a range endpoint is a finite ``int``/``float`` (not bool)."""
+    kind = type(end)
+    return kind is int or (kind is float and math.isfinite(end))
 
-    __slots__ = ("field", "position", "eq", "lenient", "scan")
+
+def _stabbable(constraint: AdmissionConstraint) -> bool:
+    """Whether the stabbing index decides *constraint* exactly: ranges
+    only, every endpoint open or a finite number."""
+    return constraint.values is None and all(
+        end is None or _finite(end)
+        for lo, hi, _lo_incl, _hi_incl in constraint.ranges
+        for end in (lo, hi)
+    )
+
+
+class _FieldIndex:
+    """The router's index for one gated field of one stream.
+
+    Range entries (``scan``, in registration order) are also held in a
+    stabbing index when every one of them is stabbable (``stabbing``).
+    Its ``points`` are their distinct endpoints, sorted, with ``inf``
+    appended as a sentinel; for ``i = bisect_left(points, v)``, ``at[i]``
+    holds the entries admitting ``v == points[i]`` and ``between[i]``
+    those admitting a value strictly between ``points[i - 1]`` and
+    ``points[i]`` (2k+1 distinct slots for k endpoints; ``at[k]`` is
+    ``between[k]``, everything above the last).  Every slot is a tuple in
+    registration order.  A field with an entry the slots cannot decide
+    keeps no points and scans ``scan`` with ``admits``.  ``scan_lenient``
+    holds the range entries a NULL passes.  All of these are derived from
+    ``scan`` by :meth:`rebuild`, run lazily on the first dispatch after a
+    range entry comes or goes (``points is None``).
+    """
+
+    __slots__ = (
+        "field", "position", "eq", "lenient", "scan",
+        "points", "at", "between", "stabbing", "scan_lenient", "fallbacks",
+    )
 
     def __init__(self, field: str, position: int) -> None:
         self.field = field
@@ -297,21 +339,67 @@ class _FieldIndex:
         self.eq: dict[Any, list[_PlanEntry]] = {}
         self.lenient: list[_PlanEntry] = []  # eq-only entries passing NULL
         self.scan: list[_PlanEntry] = []     # entries with range components
+        self.points: list[Any] | None = None
+        self.at: list[tuple[_PlanEntry, ...]] = []
+        self.between: list[tuple[_PlanEntry, ...]] = []
+        self.stabbing = True
+        self.scan_lenient: tuple[_PlanEntry, ...] = ()
+        # Tuples whose value needed admits(): it could not be stabbed
+        # (not an int/float, a bool or NaN), or ``stabbing`` is False.
+        self.fallbacks = 0
 
     @property
     def empty(self) -> bool:
         return not self.eq and not self.lenient and not self.scan
 
+    def rebuild(self) -> None:
+        """Derive the stabbing index from ``scan`` in one sort and sweep."""
+        self.stabbing = all(_stabbable(e.constraint) for e in self.scan)
+        exact = self.scan if self.stabbing else []
+        points = sorted({
+            end
+            for entry in exact
+            for lo, hi, _lo_incl, _hi_incl in entry.constraint.ranges
+            for end in (lo, hi)
+            if end is not None
+        })
+        rank = {point: i for i, point in enumerate(points)}
+        # Slot 2i is the open interval below points[i], slot 2i+1 the
+        # point itself, slot 2k everything above the last point.
+        slots: list[list[_PlanEntry]] = [[] for _ in range(2 * len(points) + 1)]
+        for entry in exact:
+            for lo, hi, lo_incl, hi_incl in entry.constraint.ranges:
+                first = 0 if lo is None else 2 * rank[lo] + (1 if lo_incl else 2)
+                last = (
+                    len(slots) - 1 if hi is None
+                    else 2 * rank[hi] + (1 if hi_incl else 0)
+                )
+                for slot in slots[first:last + 1]:
+                    if not slot or slot[-1] is not entry:
+                        slot.append(entry)
+        self.between = [tuple(slot) for slot in slots[::2]]
+        self.at = [tuple(slot) for slot in slots[1::2]] + [self.between[-1]]
+        self.points = points + [math.inf]
+        self.scan_lenient = tuple(e for e in self.scan if e.lenient)
+
+    def stab(self, value: Any) -> tuple[_PlanEntry, ...]:
+        """The range entries admitting *value*, a non-NaN int or float,
+        on a built index with ``stabbing`` set."""
+        points = self.points
+        i = bisect_left(points, value)
+        return self.at[i] if points[i] == value else self.between[i]
+
 
 class StreamRouter:
     """The single subscriber a routed stream fans out through.
 
-    Holds the predicate index: per-field equality buckets and range scan
-    lists for gated entries, plus the residual list for plans whose
-    predicates did not hoist.  Dispatch visits only candidate entries —
-    the per-tuple cost is one hash lookup per indexed field plus the
-    residual scan, independent of how many equality-routed plans are
-    registered.
+    Holds the predicate index: per-field equality buckets and a stabbing
+    index over range entries, plus the residual list for plans whose
+    predicates did not hoist.  A tuple costs one hash lookup per indexed
+    field and, on a field with range entries, one ``bisect`` when its
+    value is an ``int``/``float`` (other values scan the range entries
+    with ``admits``), plus the residual list — independent of how many
+    equality- or range-routed plans are registered.
     """
 
     def __init__(self, stream: Stream) -> None:
@@ -359,6 +447,7 @@ class StreamRouter:
                 self._field_list = tuple(self._fields.values())
             if constraint.ranges:
                 index.scan.append(entry)
+                index.points = None
             else:
                 for value in constraint.values or ():
                     index.eq.setdefault(value, []).append(entry)
@@ -376,6 +465,7 @@ class StreamRouter:
             if index is not None:
                 if entry in index.scan:
                     index.scan.remove(entry)
+                    index.points = None
                 for value in constraint.values or ():
                     bucket = index.eq.get(value)
                     if bucket and entry in bucket:
@@ -409,18 +499,32 @@ class StreamRouter:
                 for entry in index.lenient:
                     delivered += 1
                     entry.deliver(tup)
-            else:
-                bucket = index.eq.get(value)
-                if bucket:
-                    for entry in bucket:
+                if index.scan:
+                    if index.points is None:
+                        index.rebuild()
+                    for entry in index.scan_lenient:
                         delivered += 1
                         entry.deliver(tup)
+                continue
+            bucket = index.eq.get(value)
+            if bucket:
+                for entry in bucket:
+                    delivered += 1
+                    entry.deliver(tup)
+            if not index.scan:
+                continue
+            kind = type(value)
+            if (kind is float or kind is int) and value == value:
+                if index.points is None:
+                    index.rebuild()
+                if index.stabbing:
+                    for entry in index.stab(value):
+                        delivered += 1
+                        entry.deliver(tup)
+                    continue
+            index.fallbacks += 1
             for entry in index.scan:
-                if value is None:
-                    if entry.lenient:
-                        delivered += 1
-                        entry.deliver(tup)
-                elif entry.constraint.admits(value):
+                if entry.constraint.admits(value):
                     delivered += 1
                     entry.deliver(tup)
         for entry in self.residual:
@@ -431,6 +535,9 @@ class StreamRouter:
     # -- introspection ----------------------------------------------------
 
     def describe(self) -> dict[str, Any]:
+        for index in self._field_list:
+            if index.points is None:
+                index.rebuild()
         return {
             "stream": self.stream.name,
             "fields": [
@@ -439,6 +546,8 @@ class StreamRouter:
                     "eq_keys": len(index.eq),
                     "eq_entries": sum(len(b) for b in index.eq.values()),
                     "range_entries": len(index.scan),
+                    "range_points": len(index.points) - 1,
+                    "range_fallbacks": index.fallbacks,
                     "lenient_entries": len(index.lenient),
                 }
                 for index in self._field_list

@@ -7,7 +7,11 @@ Shared execution (predicate-indexed routing, sub-plan dedup, per-plan
 fan-out) must be byte-identical to that reference.
 """
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.planner import describe_registry
 from repro.dsms import (
@@ -17,6 +21,9 @@ from repro.dsms import (
     QueryRegistry,
     uda_from_callables,
 )
+from repro.dsms.expressions import AdmissionConstraint
+from repro.dsms.registry import StreamRouter, _FieldIndex
+from repro.dsms.tuples import Tuple
 
 pytestmark = pytest.mark.multiquery
 
@@ -101,6 +108,15 @@ SHAPES = [
         "AND S.tag_id = E.tag_id",
         "residual",  # CONSECUTIVE runs break on interlopers: never gated
     ),
+    # Range gates on the stabbing index: a one-point interval, int
+    # endpoints on the float field (ties at 2 == 2.0), an open end.
+    ("SELECT tag_id FROM readings WHERE read_time BETWEEN 3.0 AND 3.0", "indexed"),
+    (
+        "SELECT tag_id, read_time FROM readings "
+        "WHERE read_time >= 2 AND read_time < 5",
+        "indexed",
+    ),
+    ("SELECT read_time FROM readings WHERE read_time > 5.0", "indexed"),
 ]
 
 
@@ -477,4 +493,251 @@ class TestBatchIngestion:
         assert mq.push_batch("readings", batch) == len(TRACE)
         mq.flush()
         assert _answers(sub) == _single_run(text)
+        mq.close()
+
+
+# ---------------------------------------------------------------------------
+# The range stabbing index
+# ---------------------------------------------------------------------------
+
+INF = math.inf
+
+#: Endpoints collide often: ints and floats of equal value (1 vs 1.0)
+#: and -0.0 vs 0.  Infinities keep the field on the admits scan.
+FINITE_ENDPOINTS = st.one_of(
+    st.integers(-4, 4),
+    st.sampled_from([-2.5, -0.0, 0.5, 1.0, 2.0, 3.5]),
+)
+ENDPOINTS = st.one_of(FINITE_ENDPOINTS, st.sampled_from([INF, -INF]))
+
+
+def _ranges(endpoints):
+    return st.tuples(
+        st.one_of(st.none(), endpoints),  # None: open end
+        st.one_of(st.none(), endpoints),
+        st.booleans(),
+        st.booleans(),
+    ).filter(lambda r: r[0] is not None or r[1] is not None)
+
+
+def _range_constraints(endpoints):
+    return st.lists(_ranges(endpoints), min_size=1, max_size=3).map(
+        lambda ranges: AdmissionConstraint("x", None, ranges)
+    )
+
+
+EQ_VALUES = st.frozensets(
+    st.sampled_from([1, 2.0, -3, "a", "", True]), min_size=1, max_size=3
+)
+EQ_CONSTRAINTS = EQ_VALUES.map(lambda values: AdmissionConstraint("x", values))
+CONSTRAINTS = st.one_of(
+    # ranges only: mostly stabbed, scanned when an end is infinite
+    _range_constraints(ENDPOINTS),
+    # an equality set beside ranges (a SEQ union): always scanned
+    st.tuples(EQ_VALUES, st.lists(_ranges(ENDPOINTS), min_size=1, max_size=2)).map(
+        lambda pair: AdmissionConstraint("x", pair[0], pair[1])
+    ),
+    # a non-numeric endpoint: scanned
+    st.just(AdmissionConstraint("x", None, (("m", None, True, True),))),
+    # equality only: the hash buckets
+    EQ_CONSTRAINTS,
+)
+#: Only constraints the stabbing index holds, so every numeric probe is
+#: stabbed rather than scanned.
+STABBED_CONSTRAINTS = st.one_of(
+    _range_constraints(FINITE_ENDPOINTS), EQ_CONSTRAINTS
+)
+PROBES = st.one_of(
+    ENDPOINTS,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**30), 10**30),
+    st.sampled_from(
+        [None, True, False, "a", "", "m", math.nan, 2**53 + 1, 10**400, -(10**400)]
+    ),
+)
+
+
+def _operations(constraints):
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), constraints, st.booleans()),
+            st.tuples(st.just("remove"), st.integers(0, 50)),
+            st.tuples(st.just("probe"), PROBES),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+
+
+def _router():
+    engine = Engine()
+    engine.create_stream("s", "x float")
+    stream = engine.streams.get("s")
+    return StreamRouter(stream), stream.schema
+
+
+class TestRangeStabbingIndex:
+    """The router delivers a value to an entry exactly when the entry's
+    ``constraint.admits`` would (a NULL: when the entry is lenient), at
+    most once, and in registration order within the range entries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_operations(CONSTRAINTS))
+    def test_routing_is_exact_through_register_and_cancel(self, operations):
+        self._check(operations)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_operations(STABBED_CONSTRAINTS))
+    def test_stabbed_routing_is_exact(self, operations):
+        self._check(operations)
+
+    @staticmethod
+    def _check(operations):
+        router, schema = _router()
+        live, log, ids = [], [], itertools.count()
+        for op in operations:
+            if op[0] == "add":
+                _kind, constraint, lenient = op
+                number = next(ids)
+                entry = router.add(
+                    None, [lambda tup, e=number: log.append(e)], constraint, lenient
+                )
+                live.append((number, entry))
+                continue
+            if op[0] == "remove":
+                if live:
+                    _number, entry = live.pop(op[1] % len(live))
+                    router.remove(entry)
+                continue
+            # Probe the drawn value and every live endpoint and key.
+            ranged = {n for n, entry in live if entry.constraint.ranges}
+            probes = [op[1]]
+            for _number, entry in live:
+                probes.extend(entry.constraint.values or ())
+                for lo, hi, _lo_incl, _hi_incl in entry.constraint.ranges:
+                    probes += [lo, hi]
+            for value in probes:
+                start = len(log)
+                router(Tuple.trusted(schema, (value,), 0.0))
+                got = log[start:]
+                want = {
+                    number
+                    for number, entry in live
+                    if (entry.lenient if value is None else entry.constraint.admits(value))
+                }
+                assert len(got) == len(set(got)), (value, got)
+                assert set(got) == want, value
+                in_ranges = [n for n in got if n in ranged]
+                assert in_ranges == sorted(in_ranges), value
+            assert router.delivered == len(log)
+
+    def test_slots_rebuild_lazily_and_once(self, monkeypatch):
+        rebuilds = []
+        real = _FieldIndex.rebuild
+        monkeypatch.setattr(
+            _FieldIndex, "rebuild", lambda self: rebuilds.append(1) or real(self)
+        )
+        router, schema = _router()
+        for i in range(40):
+            router.add(
+                None, [], AdmissionConstraint("x", None, ((i, i + 2.5, True, False),)),
+                False,
+            )
+        assert rebuilds == []  # registration never sorts
+        for value in (0.0, 1.5, 39.0):
+            router(Tuple.trusted(schema, (value,), 0.0))
+        assert len(rebuilds) == 1
+        index = router._fields["x"]
+        assert len(index.points) - 1 == 80  # 40 ints + 40 distinct x.5 ends
+
+    def test_equality_churn_never_touches_the_slots(self):
+        router, schema = _router()
+        router.add(None, [], AdmissionConstraint("x", None, ((1, 2, True, True),)), False)
+        router(Tuple.trusted(schema, (1.5,), 0.0))
+        index = router._fields["x"]
+        built = index.points
+        entry = router.add(None, [], AdmissionConstraint("x", frozenset({7.0})), False)
+        router(Tuple.trusted(schema, (7.0,), 0.0))
+        router.remove(entry)
+        router(Tuple.trusted(schema, (7.0,), 0.0))
+        assert index.points is built
+
+    def test_numeric_values_skip_admits(self, monkeypatch):
+        router, schema = _router()
+        delivered = []
+        for lo in (0, 2.5, 5):
+            router.add(
+                None, [lambda tup, lo=lo: delivered.append(lo)],
+                AdmissionConstraint("x", None, ((lo, None, True, True),)), False,
+            )
+
+        def refuse(self, value):
+            raise AssertionError("admits called on the numeric fast path")
+
+        monkeypatch.setattr(AdmissionConstraint, "admits", refuse)
+        for value in (-1, 0, 2.5, 4, 5.0, 1e300, INF):
+            router(Tuple.trusted(schema, (value,), 0.0))
+        assert delivered == [0, 0, 2.5, 0, 2.5, 0, 2.5, 5, 0, 2.5, 5, 0, 2.5, 5]
+        assert router.describe()["fields"][0]["range_fallbacks"] == 0
+
+
+class TestRangeGatesEndToEnd:
+    def test_union_of_equality_and_range_stays_on_the_scan(self):
+        # The stream gate unions S's equality set with E's range, so the
+        # field is not stabbed: every numeric tuple takes admits().
+        text = (
+            "SELECT S.read_time, E.read_time FROM readings AS S, readings AS E "
+            "WHERE SEQ(S, E) OVER [10 SECONDS PRECEDING E] "
+            "AND S.read_time = 1.0 AND E.read_time > 4.0"
+        )
+        mq = _shared()
+        sub = mq.register(text)
+        _feed(mq)
+        assert _answers(sub) == _single_run(text)
+        (router,) = mq.registry.routers()
+        info = router.describe()
+        (field,) = info["fields"]
+        assert field["range_entries"] == 1
+        assert field["range_points"] == 0
+        assert field["range_fallbacks"] == len(TRACE)
+        assert info["delivered"] == 4  # read_time 1.0, 5.0, 6.0 and 7.0
+        mq.close()
+
+    def test_register_and_cancel_ranges_between_batches(self):
+        first = "SELECT tag_id, read_time FROM readings WHERE read_time >= 1.0 AND read_time < 4.0"
+        second = "SELECT tag_id FROM readings WHERE read_time > 2"
+        third = "SELECT read_time FROM readings WHERE read_time BETWEEN 5.0 AND 5.0"
+        mq = _shared()
+        a = mq.register(first)
+        _feed(mq, TRACE[:3])
+
+        def points():
+            (router,) = mq.registry.routers()
+            return router.describe()["fields"][0]["range_points"]
+
+        assert points() == 2
+        b = mq.register(second)
+        _feed(mq, TRACE[3:5])
+        assert points() == 3
+        a.cancel()
+        c = mq.register(third)
+        _feed(mq, TRACE[5:])
+        assert points() == 2
+        assert _answers(a) == [row for row in _single_run(first) if row[1] < 5.0]
+        assert _answers(b) == [row for row in _single_run(second) if row[1] >= 3.0]
+        assert _answers(c) == [row for row in _single_run(third) if row[1] >= 5.0]
+        assert _answers(c)
+        mq.close()
+
+    def test_describe_registry_prints_range_counters(self):
+        mq = _shared()
+        mq.register("SELECT tag_id FROM readings WHERE read_time > 2.0")
+        _feed(mq)
+        rendered = describe_registry(mq).render()
+        assert "ranges=1, range_points=1, range_fallbacks=0" in rendered
+        assert set(mq.stats()) == {
+            "subscriptions", "shared_plans", "streams_routed",
+            "indexed_entries", "residual_entries", "tuples_routed",
+            "deliveries", "state_size",
+        }
         mq.close()
