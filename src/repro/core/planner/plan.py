@@ -90,7 +90,8 @@ def describe_registry(registry: Any) -> PlanNode:
     :class:`~repro.dsms.multi_engine.MultiQueryEngine`.
     The tree shows the per-stream routers — which fields are
     predicate-indexed, how many plans route residually — and each shared
-    plan's operator subtree with its subscriber fan-out count.
+    plan's operator subtree with its subscriber fan-out count (and, for a
+    plan shared across gated literals, how many literal keys it serves).
     """
     inner = getattr(registry, "registry", registry)
     root = PlanNode(
@@ -113,6 +114,8 @@ def describe_registry(registry: Any) -> PlanNode:
             node.add(PlanNode("ResidualScan", f"{info['residual']} plans"))
     for plan in inner.plans():
         subtree = describe_handle(plan.handle)
-        subtree.detail += f", fan-out x{len(plan.sinks)}"
+        subtree.detail += f", fan-out x{len(plan.subscriptions())}"
+        if plan.keys is not None:
+            subtree.detail += f" over {len(plan.keys)} keys"
         root.add(subtree)
     return root

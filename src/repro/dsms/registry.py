@@ -22,14 +22,26 @@ cost far less than N engines, three ways:
   beside the ranges), are decided by :meth:`AdmissionConstraint.admits`
   one range entry at a time.
   Plans with no gate sit on a residual list that sees every tuple.
-  Routing may over-admit — every plan re-checks delivered tuples with its
-  own compiled predicate — but never under-admits.
+  Routing may over-admit — a plan re-checks delivered tuples with its
+  own compiled predicate — but never under-admits.  The one exception
+  is the parameterized literal below, which the equality index decides
+  exactly (an unhashable value is compared with each key by ``==``).
 
-* **Sub-plan dedup.**  Statements are fingerprinted structurally; N
-  registrations of an identical query share one compiled plan (one SEQ
-  operator, one NFA state set) and fan out per-subscriber at the emit
-  stage: the plan's :meth:`SharedPlan.deliver` is the compiled query's
-  output callback and hands each answer to every live subscriber.
+* **One plan per query shape.**  Statements are fingerprinted
+  structurally; N registrations of an identical query share one
+  compiled plan (one SEQ operator, one NFA state set) and fan out
+  per-subscriber at the emit stage: the plan's
+  :meth:`SharedPlan.deliver` is the compiled query's output callback
+  and hands each answer to every live subscriber.  A plain filter whose
+  router gate is a single ``column = literal`` (a ``str``, ``int`` or
+  ``float``; see :func:`_literal_slot`) is fingerprinted and compiled
+  without that conjunct, so registrations differing only in the literal
+  share one plan: they are parsed and fingerprinted but never analyzed
+  or compiled again.  Each literal is one equality-index entry with its
+  own subscribers (:class:`_KeyEntry`), which points the plan's fan-out
+  at them before it runs the plan on a tuple.  Range gates stay in
+  their plans: :meth:`AdmissionConstraint.admits` over-admits on a
+  ``TypeError``, where the plan's own comparison raises.
 
 Subscribers register/cancel at runtime (the SesameStream subscription
 model): :meth:`QueryRegistry.register` returns a :class:`Subscription`
@@ -59,12 +71,37 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_left
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from ..core.language.ast_nodes import (
+    ExistsPredicate,
+    PreviousRef,
+    SeqPredicate,
+    StarAggregate,
+    iter_and_terms,
+)
+from ..core.language.parser import AggregateCall
 from .engine import Collector, Engine, QueryHandle
 from .errors import EslSemanticError
-from .expressions import AdmissionConstraint, admission_constraint
+from .expressions import (
+    AdmissionConstraint,
+    And,
+    Between,
+    BinaryOp,
+    Case,
+    Column,
+    FunctionCall,
+    InList,
+    IsNull,
+    Like,
+    Literal,
+    Negate,
+    Not,
+    Or,
+    admission_constraint,
+)
 from .schema import Schema
 from .streams import Stream
 from .tuples import Tuple
@@ -92,28 +129,6 @@ def _fp_expr(expr: Any) -> Any:
     case-insensitive but output column naming is not, so case-variant
     twins must not dedupe into one schema.
     """
-    from ..core.language.ast_nodes import (
-        ExistsPredicate,
-        PreviousRef,
-        SeqPredicate,
-        StarAggregate,
-    )
-    from .expressions import (
-        And,
-        Between,
-        BinaryOp,
-        Case,
-        Column,
-        FunctionCall,
-        InList,
-        IsNull,
-        Like,
-        Literal,
-        Negate,
-        Not,
-        Or,
-    )
-
     if expr is None:
         return None
     if isinstance(expr, Literal):
@@ -224,7 +239,7 @@ class Subscription:
 
     __slots__ = (
         "id", "text", "on_answer", "collector", "sink", "active", "plan",
-        "_owner",
+        "entry", "_owner",
     )
 
     def __init__(
@@ -246,6 +261,8 @@ class Subscription:
         )
         self.active = True
         self.plan: "SharedPlan | None" = None
+        # The literal's entry when the plan is parameterized, else None.
+        self.entry: "_KeyEntry | None" = None
         self._owner = owner
 
     @property
@@ -292,6 +309,66 @@ class _PlanEntry:
     def deliver(self, tup: Tuple) -> None:
         for callback in self.callbacks:
             callback(tup)
+
+
+class _Fanout:
+    """The subscribers one answer stream is handed to: ``sinks`` (the
+    :class:`Subscription` objects) and ``fanout``, their sink callables."""
+
+    __slots__ = ()
+
+    def attach(self, subscription: Subscription) -> None:
+        self.sinks.append(subscription)
+        self.fanout = self.fanout + (subscription.sink,)
+
+    def detach(self, subscription: Subscription) -> None:
+        if subscription in self.sinks:
+            self.sinks.remove(subscription)
+        self.fanout = tuple(sub.sink for sub in self.sinks)
+
+
+class _KeyEntry(_PlanEntry, _Fanout):
+    """One literal of a parameterized plan: its equality-index entry and
+    its own subscribers.
+
+    The shared plan's WHERE no longer tests the literal; this entry's
+    bucket in the router is the only place it lives.  A filter plan emits
+    synchronously inside its stream callback, so pointing the plan's
+    fan-out at this literal's sinks before calling it routes each answer
+    to exactly the subscribers of the literal that admitted the tuple.
+    """
+
+    __slots__ = ("key", "sinks", "fanout")
+
+    def __init__(
+        self,
+        plan: "SharedPlan",
+        callbacks: Sequence[Callable[[Tuple], None]],
+        field: str,
+        key: Any,
+    ) -> None:
+        super().__init__(
+            plan, callbacks, AdmissionConstraint(field, frozenset((key,))), False
+        )
+        self.key = key
+        self.sinks: list[Subscription] = []
+        self.fanout: tuple[Callable[[Tuple], None], ...] = ()
+
+    def deliver(self, tup: Tuple) -> None:
+        self.plan.fanout = self.fanout
+        for callback in self.callbacks:
+            callback(tup)
+
+
+def _field_position(schema: Schema, field: str) -> int | None:
+    """*field*'s position in *schema*, matched case-insensitively."""
+    if field in schema:
+        return schema.position(field)
+    key = field.lower()
+    for position, name in enumerate(schema.names):
+        if name.lower() == key:
+            return position
+    return None
 
 
 def _finite(end: Any) -> bool:
@@ -345,7 +422,8 @@ class _FieldIndex:
         self.stabbing = True
         self.scan_lenient: tuple[_PlanEntry, ...] = ()
         # Tuples whose value needed admits(): it could not be stabbed
-        # (not an int/float, a bool or NaN), or ``stabbing`` is False.
+        # (not an int/float, a bool or NaN), or ``stabbing`` is False; and
+        # unhashable values, which also scan the equality keys with ``==``.
         self.fallbacks = 0
 
     @property
@@ -413,16 +491,6 @@ class StreamRouter:
 
     # -- registration -----------------------------------------------------
 
-    def _position_of(self, field: str) -> int | None:
-        schema = self.stream.schema
-        if field in schema:
-            return schema.position(field)
-        key = field.lower()
-        for position, name in enumerate(schema.names):
-            if name.lower() == key:
-                return position
-        return None
-
     def add(
         self,
         plan: "SharedPlan",
@@ -430,9 +498,12 @@ class StreamRouter:
         constraint: AdmissionConstraint | None,
         lenient: bool,
     ) -> _PlanEntry:
-        entry = _PlanEntry(plan, callbacks, constraint, lenient)
+        return self.insert(_PlanEntry(plan, callbacks, constraint, lenient))
+
+    def insert(self, entry: _PlanEntry) -> _PlanEntry:
+        constraint = entry.constraint
         position = (
-            self._position_of(constraint.field)
+            _field_position(self.stream.schema, constraint.field)
             if constraint is not None
             else None
         )
@@ -451,7 +522,7 @@ class StreamRouter:
             else:
                 for value in constraint.values or ():
                     index.eq.setdefault(value, []).append(entry)
-                if lenient:
+                if entry.lenient:
                     index.lenient.append(entry)
         return entry
 
@@ -460,23 +531,26 @@ class StreamRouter:
         if constraint is None:
             if entry in self.residual:
                 self.residual.remove(entry)
+            return
+        index = self._fields.get(constraint.field.lower())
+        if index is None:
+            return
+        if constraint.ranges:
+            if entry in index.scan:
+                index.scan.remove(entry)
+                index.points = None
         else:
-            index = self._fields.get(constraint.field.lower())
-            if index is not None:
-                if entry in index.scan:
-                    index.scan.remove(entry)
-                    index.points = None
-                for value in constraint.values or ():
-                    bucket = index.eq.get(value)
-                    if bucket and entry in bucket:
-                        bucket.remove(entry)
-                        if not bucket:
-                            del index.eq[value]
-                if entry in index.lenient:
-                    index.lenient.remove(entry)
-                if index.empty:
-                    del self._fields[constraint.field.lower()]
-                    self._field_list = tuple(self._fields.values())
+            for value in constraint.values or ():
+                bucket = index.eq.get(value)
+                if bucket and entry in bucket:
+                    bucket.remove(entry)
+                    if not bucket:
+                        del index.eq[value]
+            if entry.lenient and entry in index.lenient:
+                index.lenient.remove(entry)
+        if index.empty:
+            del self._fields[constraint.field.lower()]
+            self._field_list = tuple(self._fields.values())
 
     @property
     def empty(self) -> bool:
@@ -506,7 +580,22 @@ class StreamRouter:
                         delivered += 1
                         entry.deliver(tup)
                 continue
-            bucket = index.eq.get(value)
+            try:
+                bucket = index.eq.get(value)
+            except TypeError:
+                # Unhashable: compare with every key, as the plans' own
+                # ``=`` would, then scan the range entries.
+                index.fallbacks += 1
+                for key, bucket in list(index.eq.items()):
+                    if key == value:
+                        for entry in bucket:
+                            delivered += 1
+                            entry.deliver(tup)
+                for entry in index.scan:
+                    if entry.constraint.admits(value):
+                        delivered += 1
+                        entry.deliver(tup)
+                continue
             if bucket:
                 for entry in bucket:
                     delivered += 1
@@ -569,14 +658,22 @@ class StreamRouter:
 # ---------------------------------------------------------------------------
 
 
-class SharedPlan:
-    """One compiled plan shared by every structurally identical query.
+class SharedPlan(_Fanout):
+    """One compiled plan shared by every query of one shape.
 
     :meth:`deliver` is the compiled query's output callback — the dedup
-    fan-out point — handing each answer to every live subscriber's sink.
+    fan-out point — handing each answer to every sink in :attr:`fanout`.
+    A plain plan's subscribers are :attr:`sinks`.  A parameterized plan
+    (:attr:`keys` is not None) serves one gated ``column = literal`` per
+    key: each :class:`_KeyEntry` holds its literal's subscribers and
+    points :attr:`fanout` at them while it delivers; :attr:`gate` is the
+    ``(router, callbacks, field)`` a new literal's entry is built from.
     """
 
-    __slots__ = ("fingerprint", "text", "handle", "entries", "sinks", "_fanout")
+    __slots__ = (
+        "fingerprint", "text", "handle", "entries", "sinks", "fanout",
+        "gate", "keys",
+    )
 
     def __init__(self, fingerprint: Any, text: str) -> None:
         self.fingerprint = fingerprint
@@ -584,25 +681,23 @@ class SharedPlan:
         self.handle: QueryHandle | None = None
         self.entries: list[tuple[StreamRouter, _PlanEntry]] = []
         self.sinks: list[Subscription] = []
-        self._fanout: tuple[Callable[[Tuple], None], ...] = ()
+        self.fanout: tuple[Callable[[Tuple], None], ...] = ()
+        self.gate: tuple[StreamRouter, tuple, str] | None = None
+        self.keys: dict[Any, _KeyEntry] | None = None
 
     def deliver(self, tup: Tuple) -> None:
-        for sink in self._fanout:
+        for sink in self.fanout:
             sink(tup)
 
-    def attach(self, subscription: Subscription) -> None:
-        self.sinks.append(subscription)
-        self._fanout = self._fanout + (subscription.sink,)
-
-    def detach(self, subscription: Subscription) -> None:
-        if subscription in self.sinks:
-            self.sinks.remove(subscription)
-        self._fanout = tuple(sub.sink for sub in self.sinks)
+    def subscriptions(self) -> list[Subscription]:
+        if self.keys is None:
+            return list(self.sinks)
+        return [sub for entry in self.keys.values() for sub in entry.sinks]
 
     def __repr__(self) -> str:
         return (
             f"SharedPlan({self.handle.name!r}, "
-            f"{len(self.sinks)} subscribers)"
+            f"{len(self.subscriptions())} subscribers)"
         )
 
 
@@ -645,20 +740,46 @@ class QueryRegistry:
                 "compiled, so there is nothing to subscribe to; run it "
                 "with Engine.query or Engine.snapshot"
             )
-        fingerprint = fingerprint_statement(statement)
+        slot = _literal_slot(statement, self.engine)
+        if slot is None:
+            fingerprint = fingerprint_statement(statement)
+        else:
+            # The gated conjunct leaves the statement: its literal lives
+            # only in the router, so every literal shares one plan.
+            term, field, value = slot
+            statement.where = _without(statement.where, term)
+            fingerprint = (
+                "param", field.lower(), type(value).__name__,
+                fingerprint_statement(statement),
+            )
         plan = self._plans.get(fingerprint)
         if plan is None:
-            plan = self._compile_plan(statement, text, fingerprint, name)
+            plan = self._compile_plan(statement, text, fingerprint, name, slot)
             self._plans[fingerprint] = plan
         subscription = Subscription(
             self, next(self._counter), text, on_answer, plan.handle.schema
         )
         subscription.plan = plan
-        plan.attach(subscription)
+        if slot is None:
+            plan.attach(subscription)
+            return subscription
+        entry = plan.keys.get(value)
+        if entry is None:
+            router, callbacks, field = plan.gate
+            entry = plan.keys[value] = router.insert(
+                _KeyEntry(plan, callbacks, field, value)
+            )
+        subscription.entry = entry
+        entry.attach(subscription)
         return subscription
 
     def _compile_plan(
-        self, statement: Any, text: str, fingerprint: Any, name: str | None
+        self,
+        statement: Any,
+        text: str,
+        fingerprint: Any,
+        name: str | None,
+        slot: tuple[Any, str, Any] | None,
     ) -> SharedPlan:
         # Not engine.query(text): the statement is already parsed, and the
         # compiler's Analysis (left on the handle) feeds the gates below.
@@ -668,14 +789,18 @@ class QueryRegistry:
         before = {
             stream.name: stream.subscriber_count for stream in engine.streams
         }
-        plan = SharedPlan(fingerprint, text)
+        plan = SharedPlan(
+            fingerprint, text if slot is None else _shape_text(text, *slot[1:])
+        )
         handle = plan.handle = compile_statement(
             engine,
             statement,
             name or f"mq{next(self._plan_counter)}",
             plan.deliver,
         )
-        gates, lenient = _plan_gates(handle.analysis)
+        gates, lenient = (
+            _plan_gates(handle.analysis) if slot is None else ({}, False)
+        )
         entries: list[tuple[StreamRouter, _PlanEntry]] = []
         for stream in engine.streams:
             taken = stream.take_subscribers(before.get(stream.name, 0))
@@ -685,6 +810,10 @@ class QueryRegistry:
             if router is None:
                 router = StreamRouter(stream)
                 self._routers[stream.name.lower()] = router
+            if slot is not None:  # one stream source: see _literal_slot
+                plan.gate = (router, tuple(taken), slot[1])
+                plan.keys = {}
+                continue
             entry = router.add(
                 plan, taken, gates.get(stream.name.lower()), lenient
             )
@@ -697,8 +826,10 @@ class QueryRegistry:
     def cancel(self, subscription: Subscription) -> None:
         """Detach *subscription*; tears the plan down after the last one.
 
-        Idempotent: cancelling an already-cancelled subscription (or one
-        belonging to a closed registry) is a no-op.
+        A parameterized plan's literal leaves the router with its last
+        subscriber, so cancelling costs work in that literal's subscribers,
+        not the plan's.  Idempotent: cancelling an already-cancelled
+        subscription (or one belonging to a closed registry) is a no-op.
         """
         if not subscription.active:
             return
@@ -706,18 +837,28 @@ class QueryRegistry:
         plan = subscription.plan
         if plan is None:
             return
-        plan.detach(subscription)
-        if plan.sinks:
+        entry = subscription.entry
+        owner = plan if entry is None else entry
+        owner.detach(subscription)
+        if owner.sinks:
             return
+        if entry is not None:
+            del plan.keys[entry.key]
+            self._unroute(plan.gate[0], entry)
+            if plan.keys:
+                return
         self._teardown_plan(plan)
+
+    def _unroute(self, router: StreamRouter, entry: _PlanEntry) -> None:
+        router.remove(entry)
+        if router.empty:
+            router.close()
+            self._routers.pop(router.stream.name.lower(), None)
 
     def _teardown_plan(self, plan: SharedPlan) -> None:
         self._plans.pop(plan.fingerprint, None)
         for router, entry in plan.entries:
-            router.remove(entry)
-            if router.empty:
-                router.close()
-                self._routers.pop(router.stream.name.lower(), None)
+            self._unroute(router, entry)
         plan.entries = []
         # stop() cancels operator timers and is already idempotent; the
         # stream unsubscribes inside it are no-ops for moved callbacks.
@@ -728,7 +869,7 @@ class QueryRegistry:
         if self.closed:
             return
         for plan in list(self._plans.values()):
-            for subscription in list(plan.sinks):
+            for subscription in plan.subscriptions():
                 self.cancel(subscription)
         self.closed = True
 
@@ -742,7 +883,7 @@ class QueryRegistry:
 
     @property
     def subscription_count(self) -> int:
-        return sum(len(plan.sinks) for plan in self._plans.values())
+        return sum(len(plan.subscriptions()) for plan in self._plans.values())
 
     @property
     def plan_count(self) -> int:
@@ -843,6 +984,112 @@ def _single_alias_terms(
         if ok and any_ref:
             out.append(term)
     return out
+
+
+def _any_node(expr: Any, test: Callable[[Any], bool]) -> bool:
+    """Whether *test* holds for *expr* or any node below it."""
+    return test(expr) or any(_any_node(child, test) for child in expr.children())
+
+
+def _not_per_tuple(node: Any) -> bool:
+    """Nodes that take a WHERE out of the plain per-tuple filter: temporal
+    operators, EXISTS probes and PREVIOUS references."""
+    return isinstance(node, (SeqPredicate, ExistsPredicate, PreviousRef))
+
+
+def _literal_slot(statement: Any, engine: Engine) -> tuple[Any, str, Any] | None:
+    """The ``column = literal`` conjunct the router can decide alone, as
+    ``(conjunct, field, literal)``, or None.
+
+    The conjunct may leave the plan only where nothing would re-check it
+    and the equality index decides it exactly: a plain filter (one
+    stream in FROM; no grouping, aggregate, temporal operator, EXISTS or
+    PREVIOUS) whose router gate (:func:`_plan_gates`) is one ``=``
+    against a ``str``, ``int`` or ``float`` literal, on a field of the
+    stream that no other conjunct indexes.  Python ``==`` (the plan's
+    ``=``) and the index's hash lookup then agree on every non-NULL
+    value, and a NULL fails both.
+    """
+    if (
+        statement.group_by
+        or statement.having is not None
+        or len(statement.from_items) != 1
+    ):
+        return None
+    source = statement.from_items[0]
+    if source.name not in engine.streams:
+        return None
+    terms = list(iter_and_terms(statement.where))
+    if any(_any_node(term, _not_per_tuple) for term in terms):
+        return None
+    aggregates = engine.aggregates
+
+    def aggregate(node: Any) -> bool:
+        return isinstance(node, (AggregateCall, StarAggregate)) or (
+            isinstance(node, FunctionCall)
+            and node.name.lower() in aggregates
+            and len(node.args) <= 1
+        )
+
+    if any(_any_node(item.expr, aggregate) for item in statement.select_items):
+        return None
+    alias = source.alias
+    terms = _single_alias_terms(terms, alias, True)
+    gate = admission_constraint(terms, alias, True)
+    if gate is None or gate.values is None or len(gate.values) != 1:
+        return None
+    field = gate.field.lower()
+    gated = [
+        term for term in terms
+        if (own := admission_constraint([term], alias, True)) is not None
+        and own.field.lower() == field
+    ]
+    if len(gated) != 1 or not isinstance(gated[0], BinaryOp) or gated[0].op != "=":
+        return None
+    (value,) = gate.values
+    kind = type(value)
+    if not (kind is str or kind is int or (kind is float and value == value)):
+        return None
+    if _field_position(engine.streams.get(source.name).schema, field) is None:
+        return None
+    return gated[0], gate.field, value
+
+
+def _without(where: Any, term: Any) -> Any:
+    """*where* with the top-level conjunct *term* removed."""
+    rest = [other for other in iter_and_terms(where) if other is not term]
+    if not rest:
+        return None
+    return rest[0] if len(rest) == 1 else And(*rest)
+
+
+#: How the lexer spells an ``int`` and a ``float`` literal.
+_SPELLING = {
+    int: r"[0-9]+(?![.eE0-9])",
+    float: r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?",
+}
+
+
+def _shape_text(text: str, field: str, value: Any) -> str:
+    """*text* with its gated literal written ``?``: a parameterized plan
+    shows its shape, not the literal it was first registered with.
+    Returns *text* unchanged when the conjunct is not found in it."""
+    kind = type(value)
+    if kind is str:
+        literal = re.escape("'" + value.replace("'", "''") + "'")
+    else:
+        literal = _SPELLING[kind]
+    column = r"(?<![\w.])(?:\w+\s*\.\s*)?" + re.escape(field) + r"(?!\w)"
+    for pattern in (
+        column + r"\s*=\s*(" + literal + ")",
+        r"(" + literal + r")\s*=\s*" + column,
+    ):
+        for match in re.finditer(pattern, text, re.IGNORECASE):
+            spelled = match.group(1)
+            if kind is str or kind(spelled) == value:
+                start, end = match.span(1)
+                return text[:start] + "?" + text[end:]
+    return text
 
 
 def _plan_gates(

@@ -2,9 +2,12 @@
 
 Every configuration we ship must emit exactly the oracle's rows: ``Engine``
 fed as rows and as ``ColumnBatch``es, ``MultiQueryEngine``, and
-``ShardedEngine`` on the serial executor (plus one parallel case).
+``ShardedEngine`` on the serial executor (plus one parallel case).  A
+``MultiQueryEngine`` holding one filter with its gated literal swapped
+across a column's value domain (one shared plan) is refereed too.
 """
 
+import ast
 import random
 
 import pytest
@@ -149,6 +152,42 @@ def check(text_, rows, **kwargs):
 def test_random_filter_matches_oracle(seed):
     rng = random.Random(seed)
     check(query(rng), trace(rng))
+
+
+#: Literal spellings per gated column, over and beyond the trace's values:
+#: ints on the float column, and literals no reading carries.
+GATED = {
+    "k": ("0", "1", "7", "9007199254740993", "9223372036854775807", "3"),
+    "v": ("0.5", "7.0", "7", "9007199254740992.0", "1e3", "0", "4.5"),
+    "tag": tuple(f"'{tag}'" for tag in TAGS) + ("'zz'",),
+}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_gated_literal_variants_match_oracle(seed):
+    rng = random.Random(seed)
+    rows = trace(rng)
+    column = rng.choice(sorted(GATED))
+    gate = rng.choice((f"{column} = {{}}", f"{{}} = s.{column}"))
+    items = ", ".join(
+        f"{rng.choice((number, text))(rng, 1)} AS c{i}"
+        for i in range(rng.randrange(1, 3))
+    ) + f", {column} AS g"
+    rest = rng.choice(("", f" AND ({predicate(rng)})"))
+    template = f"SELECT {items} FROM s WHERE {gate}{rest}"
+    literals = GATED[column] + (GATED[column][0],)  # one literal twice
+    texts = [template.format(literal) for literal in literals]
+    multi = MultiQueryEngine()
+    multi.create_stream("s", SCHEMA)
+    subscriptions = [multi.register(text_) for text_ in texts]
+    feed(multi, rows, columnar=False)
+    for text_, subscription in zip(texts, subscriptions):
+        (statement,) = parse_program(text_)
+        assert pairs(subscription.results) == run_filter(statement, rows), text_
+    if not rest:  # one plan per literal type
+        kinds = {type(ast.literal_eval(literal)) for literal in literals}
+        assert multi.stats()["shared_plans"] == len(kinds), template
+    multi.close()
 
 
 @pytest.mark.transport

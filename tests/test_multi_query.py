@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.planner import describe_registry
 from repro.dsms import (
     Engine,
+    EslRuntimeError,
     EslSemanticError,
     MultiQueryEngine,
     QueryRegistry,
@@ -276,6 +277,11 @@ class TestSubPlanDedup:
         assert calls == {
             "parse_program": len(SHAPES) + 1, "analyze": len(SHAPES),
         }
+        # So does a literal variant: its literal only joins the router.
+        mq.register(SHAPES[0][0].replace("'tA'", "'tZ'"))
+        assert calls == {
+            "parse_program": len(SHAPES) + 2, "analyze": len(SHAPES),
+        }
         mq.close()
 
     def test_cancel_one_twin_keeps_the_other_flowing(self):
@@ -313,6 +319,183 @@ class TestSubPlanDedup:
         assert mq.stats()["shared_plans"] == 1
         mq.close()
         assert not a.active and not b.active
+
+
+def _registered_run(texts, rows=TRACE, schema=READINGS):
+    """Answers per text of one MultiQueryEngine holding all *texts*, and
+    that engine (still open)."""
+    mq = MultiQueryEngine()
+    mq.create_stream("readings", schema)
+    subs = [mq.register(text) for text in texts]
+    _feed(mq, rows)
+    return [_answers(sub) for sub in subs], mq
+
+
+class TestParameterizedPlans:
+    """Registrations that differ only in the routed ``column = literal``
+    share one compiled plan; each literal keeps its own fan-out."""
+
+    TAG = "SELECT reader_id, tag_id FROM readings WHERE tag_id = '{}'"
+
+    def test_literals_share_one_plan_and_match_single_engines(self):
+        texts = [self.TAG.format(tag) for tag in ("tA", "tB", "tC", "tZ")]
+        got, mq = _registered_run(texts)
+        for text, answers in zip(texts, got):
+            assert answers == _single_run(text), text
+        assert got[0]  # the gated column is in the SELECT list
+        assert mq.stats()["shared_plans"] == 1
+        (plan,) = mq.registry.plans()
+        assert plan.text == self.TAG.format("?").replace("'?'", "?")
+        assert "fan-out x4 over 4 keys" in describe_registry(mq).render()
+        mq.close()
+
+    def test_two_subscribers_on_one_literal(self):
+        text = self.TAG.format("tA")
+        mq = _shared()
+        a, b = mq.register(text), mq.register(text)
+        other = mq.register(self.TAG.format("tB"))
+        assert a.entry is b.entry is not other.entry
+        _feed(mq, TRACE[:4])
+        a.cancel()
+        _feed(mq, TRACE[4:])
+        reference = _single_run(text)
+        assert _answers(b) == reference
+        assert _answers(a) == [row for row in reference if row[1] < 4.0]
+        assert _answers(other) == _single_run(self.TAG.format("tB"))
+        mq.close()
+
+    def test_int_literal_on_an_any_field(self):
+        # 1, 1.0 and True equal the int literal 1 under both the plan's
+        # `=` and the index's hash lookup; '1' and [1] equal neither.
+        schema = "k any, v float"
+        texts = [f"SELECT k, v FROM readings WHERE k = {n}" for n in (1, 2)]
+        rows = [1, 1.0, True, "1", None, 2, [1], 2.0, False]
+
+        def feed(engine):
+            for ts, k in enumerate(rows):
+                engine.push("readings", {"k": k, "v": float(ts)}, float(ts))
+
+        mq = MultiQueryEngine()
+        mq.create_stream("readings", schema)
+        subs = [mq.register(text) for text in texts]
+        feed(mq)
+        shared = [_answers(sub) for sub in subs]
+        for text, answers in zip(texts, shared):
+            single = Engine()
+            single.create_stream("readings", schema)
+            handle = single.query(text)
+            feed(single)
+            assert answers == _answers(handle), text
+        assert [len(answers) for answers in shared] == [3, 2]
+        assert mq.stats()["shared_plans"] == 1
+        mq.close()
+
+    @pytest.mark.parametrize(
+        "template,literals,plans",
+        [
+            # NULL never indexes: its own plan; the two strings share one.
+            ("tag_id = {}", ("NULL", "'tA'", "'tC'"), 2),
+            # A second indexable conjunct on the gated field (equality,
+            # IN, range) keeps per-text plans.
+            ("tag_id = {} AND tag_id = 'tB'", ("'tA'", "'tB'"), 2),
+            ("tag_id IN ({}, 'tB')", ("'tA'", "'tC'"), 2),
+            ("tag_id = {} AND tag_id >= 'tA'", ("'tB'", "'tC'"), 2),
+            # A conjunct that names the field but does not index shares.
+            ("tag_id = {} AND reader_id <> tag_id", ("'tA'", "'tC'"), 1),
+        ],
+    )
+    def test_gates_the_index_cannot_decide_alone_stay_in_their_plans(
+        self, template, literals, plans
+    ):
+        texts = [
+            "SELECT tag_id FROM readings WHERE " + template.format(literal)
+            for literal in literals
+        ]
+        got, mq = _registered_run(texts)
+        for text, answers in zip(texts, got):
+            assert answers == _single_run(text), text
+        assert mq.stats()["shared_plans"] == plans
+        mq.close()
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "SELECT count(*) AS n FROM readings WHERE tag_id = '{}'",
+            "SELECT tag_id, count(*) AS n FROM readings "
+            "WHERE tag_id = '{}' GROUP BY tag_id",
+            "SELECT S.read_time, E.read_time FROM readings AS S, readings AS E "
+            "WHERE SEQ(S, E) OVER [10 SECONDS PRECEDING E] AND S.tag_id = '{}'",
+            # The window reads every reading, not only the gated ones.
+            "SELECT r1.read_time FROM readings AS r1 WHERE r1.tag_id = '{}' "
+            "AND EXISTS (SELECT * FROM TABLE(readings OVER "
+            "(RANGE 2 SECONDS PRECEDING CURRENT)) AS r2 "
+            "WHERE r2.tag_id <> r1.tag_id)",
+        ],
+    )
+    def test_non_filter_shapes_keep_their_literal(self, template):
+        # Nothing but a plain filter emits once per admitted tuple inside
+        # the router's delivery; these keep one plan per text.
+        texts = [template.format(tag) for tag in ("tA", "tB")]
+        got, mq = _registered_run(texts)
+        for text, answers in zip(texts, got):
+            assert answers == _single_run(text), text
+        assert mq.stats()["shared_plans"] == 2
+        mq.close()
+
+    def test_a_column_the_stream_lacks_is_not_gated(self):
+        # Unrouted, the plan sees every tuple and raises as a single
+        # engine does; dropping the conjunct would answer instead.
+        mq = _shared()
+        mq.register("SELECT tag_id FROM readings WHERE nope = 'x'")
+        with pytest.raises(EslRuntimeError, match="unbound column"):
+            _feed(mq, TRACE[:1])
+        mq.close()
+
+    def test_residual_conjunct_stays_in_the_shared_plan(self):
+        template = (
+            "SELECT tag_id, read_time FROM readings "
+            "WHERE tag_id = '{}' AND read_time > 3.0"
+        )
+        texts = [template.format(tag) for tag in ("tA", "tB", "tC")]
+        got, mq = _registered_run(texts)
+        for text, answers in zip(texts, got):
+            assert answers == _single_run(text), text
+        assert [len(answers) for answers in got] == [1, 1, 2]
+        assert mq.stats()["shared_plans"] == 1
+        mq.close()
+
+    def test_register_and_cancel_literals_mid_stream(self):
+        mq = _shared()
+        baseline = mq.engine.streams.get("readings").subscriber_count
+        a = mq.register(self.TAG.format("tA"))
+        _feed(mq, TRACE[:3])
+        b = mq.register(self.TAG.format("tB"))
+        c = mq.register(self.TAG.format("tC"))
+        a.cancel()
+        _feed(mq, TRACE[3:6])
+        a2 = mq.register(self.TAG.format("tA"))
+        b.cancel()
+        _feed(mq, TRACE[6:])
+
+        def window(tag, lo, hi):
+            return [
+                row for row in _single_run(self.TAG.format(tag))
+                if lo <= row[1] < hi
+            ]
+
+        assert _answers(a) == window("tA", 0.0, 3.0)
+        assert _answers(b) == window("tB", 3.0, 6.0)
+        assert _answers(c) == window("tC", 3.0, 99.0)
+        assert _answers(a2) == window("tA", 6.0, 99.0)
+        (plan,) = mq.registry.plans()
+        assert sorted(plan.keys) == ["tA", "tC"]
+        for sub in (c, a2):
+            sub.cancel()
+        assert mq.stats()["shared_plans"] == 0
+        assert mq.registry.state_size() == 0
+        assert list(mq.registry.routers()) == []
+        assert mq.engine.streams.get("readings").subscriber_count == baseline
+        mq.close()
 
 
 class TestIdempotentTeardown:
@@ -728,6 +911,26 @@ class TestRangeGatesEndToEnd:
         assert _answers(c) == [row for row in _single_run(third) if row[1] >= 5.0]
         assert _answers(c)
         mq.close()
+
+    def test_unhashable_value_on_an_indexed_field(self):
+        # The index compares it with each key, as the plan's `=` would.
+        class Holds(list):  # unhashable; equal to what it holds
+            def __eq__(self, other):
+                return other in self
+
+        text = "SELECT v FROM s WHERE k = 'a'"
+        shared, single = MultiQueryEngine(), Engine()
+        for engine in (shared, single):
+            engine.create_stream("s", "k any, v float")
+        sub, handle = shared.register(text), single.query(text)
+        for engine in (shared, single):
+            for ts, k in enumerate(["a", [1], Holds(["a"]), "a"]):
+                engine.push("s", {"k": k, "v": float(ts)}, float(ts))
+        assert _answers(sub) == _answers(handle)
+        assert [ts for _values, ts in _answers(sub)] == [0.0, 2.0, 3.0]
+        (router,) = shared.registry.routers()
+        assert router.describe()["fields"][0]["range_fallbacks"] == 2
+        shared.close()
 
     def test_describe_registry_prints_range_counters(self):
         mq = _shared()
