@@ -345,7 +345,9 @@ class ColumnBatch:
         plan = list(zip(appends, names))
         timestamps: list[float] = []
         for values, ts in records:
-            if type(values) is dict or isinstance(values, _MappingABC):
+            if type(values) is not tuple and (
+                type(values) is dict or isinstance(values, _MappingABC)
+            ):
                 if not covers(values.keys()):
                     extra = set(values) - set(names)
                     raise SchemaError(

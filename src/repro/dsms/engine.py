@@ -337,7 +337,7 @@ class Engine:
         """
         stream = self.streams.get(stream_name)
         self.clock.advance(ts)
-        if isinstance(values, Mapping):
+        if type(values) is not tuple and isinstance(values, Mapping):
             return stream.push_dict(values, ts)
         return stream.push_row(values, ts)
 

@@ -957,8 +957,10 @@ class ShardedEngine:
             )
 
         def key_of(values: Any) -> Any:
-            # type-is-dict first: typing.Mapping's __instancecheck__ costs
-            # more than the rest of this function on the per-record path.
+            # Exact types first: the ABC's __instancecheck__ costs more
+            # than the rest of this function on the per-record path.
+            if type(values) is tuple:
+                return values[position]
             if type(values) is dict or isinstance(values, _MappingABC):
                 return values.get(actual)
             return values[position]

@@ -190,7 +190,11 @@ class FrameCodec:
             # ingester would (same covers check, same error messages), so
             # delivering the decoded tuple is semantically identical to
             # delivering the original mapping.
-            if type(values) is dict or isinstance(values, _MappingABC):
+            if (
+                type(values) is tuple
+                or type(values) is dict
+                or isinstance(values, _MappingABC)
+            ):
                 group[1].append(values)
             else:
                 group[1].append(tuple(values))

@@ -6,16 +6,18 @@ import random
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _print_rows, main
 from repro.dsms import Engine
 from repro.dsms.errors import EslSemanticError, SchemaError, UnknownStreamError
 from repro.rfid import (
     iter_stream,
+    lab_workflow_workload,
     load_trace,
     packing_workload,
     replay,
     save_trace,
 )
+from repro.rfid.scenarios import WORKFLOW_QUERY
 
 from .oracle import generate
 
@@ -43,9 +45,9 @@ class TestTraceIO:
         engine.create_stream("r1", "readerid str, tagid str, tagtime float")
         engine.create_stream("r2", "readerid str, tagid str, tagtime float")
         loaded = load_trace(path, engine)
-        first = loaded[0][1]
-        assert isinstance(first["tagtime"], float)
-        assert isinstance(first["tagid"], str)
+        readerid, tagid, tagtime = loaded[0][1]
+        assert isinstance(tagtime, float)
+        assert isinstance(tagid, str)
 
     def test_missing_fields_become_null(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -59,6 +61,13 @@ class TestTraceIO:
     def test_reserved_column_names_rejected(self, tmp_path):
         with pytest.raises(EslSemanticError):
             save_trace([("s", {"stream": "x"}, 0.0)], tmp_path / "bad.csv")
+
+    def test_positional_rows_rejected(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text("stream,ts,a\ns,0.0,x\n")
+        loaded = load_trace(path, catalog({"s": "a str"}))
+        with pytest.raises(EslSemanticError, match="field-dict rows, got tuple"):
+            save_trace(loaded, tmp_path / "out.csv")
 
     def test_non_trace_file_rejected(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -132,19 +141,32 @@ def reference_load(path, engine=None):
     return records
 
 
-def shape(records):
-    """Records with each row's key order and value types made comparable."""
+def in_schema_order(records, engine):
+    """Reference records with each dict row laid out as ``load_trace``
+    lays out a row with an engine: a tuple in schema order."""
     return [
-        (stream, list(row.items()), [type(v) for v in row.values()], ts)
+        (stream, tuple(map(row.get, engine.streams.get(stream).schema.names)), ts)
         for stream, row, ts in records
     ]
 
 
+def shape(records):
+    """Records with each row's container, key order and value types made
+    comparable."""
+    out = []
+    for stream, row, ts in records:
+        keys = list(row) if type(row) is dict else None
+        values = list(row.values()) if type(row) is dict else list(row)
+        out.append((stream, type(row), keys, values,
+                    [type(v) for v in values], ts))
+    return out
+
+
 def assert_decodes_like_reference(path, engine):
-    for catalog in (engine, None):
-        assert shape(load_trace(path, catalog)) == shape(
-            reference_load(path, catalog)
-        )
+    assert shape(load_trace(path, engine)) == shape(
+        in_schema_order(reference_load(path, engine), engine)
+    )
+    assert shape(load_trace(path)) == shape(reference_load(path))
 
 
 def catalog(schemas):
@@ -180,7 +202,7 @@ class TestDecoder:
                       for name, value in row.items()}, ts)
             for stream, row, ts in trace
         ]
-        assert load_trace(path, engine) == expected
+        assert load_trace(path, engine) == in_schema_order(expected, engine)
 
     def test_hand_built_values(self, tmp_path):
         schemas = {
@@ -207,19 +229,17 @@ class TestDecoder:
             ("u", 0.0), ("s", 1.0), ("u", 1.0), ("s", 1.0), ("s", 3.0),
             ("s", 3.0),
         ]
-        assert loaded[1][1] == {"a": "7", "b": False, "n": -(2**63),
-                                "t": "ガ-dock, été", "x": 1e300}
-        assert loaded[4][1]["t"] == 'say "hi", then\nbye'
-        assert loaded[5][1]["b"] is True
-        # Each stream keeps only its own fields, in header order.
-        assert list(loaded[0][1]) == ["n", "t"]
-        assert loaded[0][1] == {"n": 0, "t": "\r\n,\""}
+        assert loaded[1][1] == (-(2**63), 1e300, "ガ-dock, été", False, "7")
+        assert loaded[4][1][2] == 'say "hi", then\nbye'
+        assert loaded[5][1][3] is True
+        # Each stream keeps only its own fields, in schema order.
+        assert loaded[0][1] == ("\r\n,\"", 0)
 
     def test_empty_str_loads_as_null(self, tmp_path):
         path = tmp_path / "empty.csv"
         save_trace([("s", {"t": ""}, 0.0)], path)
         assert load_trace(path, catalog({"s": "t str"})) == [
-            ("s", {"t": None}, 0.0)
+            ("s", (None,), 0.0)
         ]
         assert load_trace(path) == [("s", {"t": None}, 0.0)]
 
@@ -237,10 +257,10 @@ class TestDecoder:
         engine = catalog({"s": "a int, b str, c float", "t": "b str, a int"})
         assert_decodes_like_reference(path, engine)
         assert load_trace(path, engine) == [
-            ("s", {"a": 1, "b": "2", "c": 3.0}, 1.0),
-            ("s", {"a": None, "b": None, "c": None}, 1.0),
-            ("t", {"a": None, "b": "x"}, 1.5),
-            ("s", {"a": 1, "b": None, "c": None}, 2.0),
+            ("s", (1, "2", 3.0), 1.0),
+            ("s", (None, None, None), 1.0),
+            ("t", ("x", None), 1.5),
+            ("s", (1, None, None), 2.0),
         ]
         assert load_trace(path)[2] == ("t", {"a": None, "b": "x", "c": None}, 1.5)
 
@@ -249,7 +269,8 @@ class TestDecoder:
         path.write_text("c,ts,a,stream,a\n3,0.5,1,s,2\n")
         engine = catalog({"s": "a int, c int"})
         assert_decodes_like_reference(path, engine)
-        assert load_trace(path, engine) == [("s", {"c": 3, "a": 2}, 0.5)]
+        assert load_trace(path, engine) == [("s", (2, 3), 0.5)]
+        assert load_trace(path) == [("s", {"c": "3", "a": "2"}, 0.5)]
 
     @pytest.mark.parametrize(
         ("spec", "cell", "message"),
@@ -279,6 +300,103 @@ class TestDecoder:
         with pytest.raises(UnknownStreamError):
             load_trace(path, catalog({"s": "a int"}))
         assert load_trace(path)[1] == ("ghost", {"a": "2"}, 1.0)
+
+
+class TestSharedCells:
+    """Repeated cells share one object where that is exactly safe: the
+    stream name, a text cell equal to the same field in the stream's
+    previous row, and a float cell spelled like the row's ``ts``."""
+
+    def test_repeated_text_is_one_object_within_a_stream(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text(
+            "stream,ts,tag,reader\n"
+            "dock,0.0,tag-1,gate-a\n"
+            "dock,1.0,tag-1,gate-a\n"
+            "belt,1.5,tag-1,gate-a\n"
+            "dock,2.0,tag-1,gate-b\n"
+            "belt,2.5,tag-1,gate-a\n"
+            "dock,3.0,tag-2,gate-b\n"
+        )
+        engine = catalog({"dock": "reader str, tag str",
+                          "belt": "tag str, reader any"})
+        assert_decodes_like_reference(path, engine)
+        d0, d1, b0, d2, b1, d3 = (row for __, row, __ in load_trace(path, engine))
+        assert d0[1] is d1[1] is d2[1]
+        assert d0[0] is d1[0] and d2[0] is d3[0] and d1[0] != d2[0]
+        assert d3[1] == "tag-2" and d3[1] is not d2[1]
+        # Interleaved streams share only within their own stream.
+        assert b0[0] is b1[0] and b0[1] is b1[1]
+        assert b0[0] is not d1[1] and b0[1] is not d1[0]
+        assert b0[0] == d1[1] and b0[1] == d1[0]
+
+    def test_stream_name_is_one_object(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_text("stream,ts,a\ndock,0.0,x\nbelt,0.5,x\ndock,1.0,y\n")
+        engine = catalog({"dock": "a str", "belt": "a str"})
+        for loaded in (load_trace(path, engine), load_trace(path)):
+            assert loaded[0][0] is loaded[2][0] == "dock"
+
+    def test_float_spelled_like_ts_is_the_ts_object(self, tmp_path):
+        path = tmp_path / "time.csv"
+        path.write_text(
+            "stream,ts,at,v\n"
+            "s,1.25,1.25,2.5\n"
+            "s,2.5,2.50,2.5\n"
+        )
+        engine = catalog({"s": "at timestamp, v float"})
+        assert_decodes_like_reference(path, engine)
+        (__, (at0, v0), ts0), (__, (at1, v1), ts1) = load_trace(path, engine)
+        assert at0 is ts0 and v1 is ts1
+        # Equal value, other spelling: parsed on its own.
+        assert at1 == ts1 and at1 is not ts1
+        # A float equal to the previous row's is never shared.
+        assert v0 == v1 and v0 is not v1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_are_never_shared(self, tmp_path, cell):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"stream,ts,v,at\ns,1.0,{cell},{cell}\ns,2.0,{cell},{cell}\n")
+        engine = catalog({"s": "v float, at timestamp"})
+        loaded = load_trace(path, engine)
+        cells = [value for __, row, __ in loaded for value in row]
+        assert len({id(value) for value in cells}) == 4
+        assert all(value is not ts for value in cells for __, __, ts in loaded)
+        assert [repr(value) for value in cells] == [repr(float(cell))] * 4
+
+    def test_field_absent_from_header_loads_as_null(self, tmp_path):
+        path = tmp_path / "absent.csv"
+        path.write_text("stream,ts,b\ns,0.0,x\ns,1.0,x\n")
+        engine = catalog({"s": "a int, b str, c float"})
+        assert_decodes_like_reference(path, engine)
+        assert load_trace(path, engine) == [
+            ("s", (None, "x", None), 0.0), ("s", (None, "x", None), 1.0),
+        ]
+
+    def test_without_engine_rows_are_string_dicts_in_header_order(self, tmp_path):
+        path = tmp_path / "plain.csv"
+        path.write_text("stream,ts,z,a\ns,0.0,1,x\ns,1.0,1,\n")
+        loaded = load_trace(path)
+        assert loaded == [("s", {"z": "1", "a": "x"}, 0.0),
+                          ("s", {"z": "1", "a": None}, 1.0)]
+        assert [list(row) for __, row, __ in loaded] == [["z", "a"]] * 2
+
+    def test_bad_cells_after_shared_rows_raise_as_before(self, tmp_path):
+        path = tmp_path / "late.csv"
+        path.write_text(
+            "stream,ts,tag,n\ns,0.0,tag-1,1\ns,1.0,tag-1,2\ns,2.0,tag-1,x\n"
+        )
+        engine = catalog({"s": "tag str, n int"})
+        with pytest.raises(SchemaError) as expected:
+            reference_load(path, engine)
+        with pytest.raises(SchemaError) as got:
+            load_trace(path, engine)
+        assert str(got.value) == str(expected.value) == "cannot coerce 'x' to int"
+        path.write_text(
+            "stream,ts,tag,n\ns,0.0,tag-1,1\ns,1.0,tag-1,2\ns,nan,tag-1,3\n"
+        )
+        with pytest.raises(EslSemanticError, match=r"late\.csv, line 4: .*finite"):
+            load_trace(path, engine)
 
 
 class TestBadTimestamps:
@@ -341,6 +459,39 @@ class TestCli:
         assert code == 0
         assert "items,case_tag" in out
         assert out.count("case.") == len(workload.truth)
+
+    def test_replay_keeps_timer_driven_rows(self, tmp_path, capsys):
+        """EXCEPTION_SEQ violations fire from timers between readings; the
+        CLI's replay must print the rows one ``push`` per record gives."""
+        workload = lab_workflow_workload(n_runs=30, seed=3)
+        trace = tmp_path / "lab.csv"
+        save_trace(workload.trace, trace)
+        script = tmp_path / "lab.sql"
+        script.write_text(
+            "".join(
+                f"CREATE STREAM {name}(tagid str, tagtime float);\n"
+                for name in ("a1", "a2", "a3")
+            )
+            + WORKFLOW_QUERY + ";"
+        )
+        engine = Engine()
+        handle = engine.query(script.read_text())
+        for stream, values, ts in load_trace(trace, engine):
+            engine.push(stream, values, ts=ts * 0.5)
+        # A timeout (A, B, then silence) is a timer firing mid-trace.
+        assert any(
+            row["tagid_2"] is not None and row["tagid_3"] is None
+            for row in handle.rows()
+        )
+        engine.flush()
+        expected = io.StringIO()
+        _print_rows(handle.rows(), expected)
+        code = main([
+            "--script", str(script), "--trace", str(trace),
+            "--time-scale", "0.5", "--flush",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == expected.getvalue()
 
     def test_explain(self, tmp_path, capsys):
         script = self.write_script(tmp_path)
